@@ -8,7 +8,7 @@ DISCOVER_OUT ?= BENCH_discover.json
 # Fuzz budget per target for `make fuzz`.
 FUZZTIME ?= 30s
 
-.PHONY: all build test short race vet lint fmt-check tidy-check fuzz bench benchdiff chaos ci clean
+.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz bench benchdiff chaos ci clean
 
 all: build
 
@@ -51,6 +51,12 @@ fmt-check:
 # Module drift: go.mod/go.sum must already be tidy.
 tidy-check:
 	$(GO) mod tidy -diff
+
+# benchmark/ is a module of its own (BENCHMARK.json's program), so ./... from
+# the root never compiles it: vet it and run its smoke test here, or an
+# internal/ API change it links against breaks it unnoticed.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Short fuzzing sweep over every codec and table fuzz target; CI's fuzz
 # workflow runs the same list on a schedule. Committed corpora live in each
@@ -97,7 +103,7 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn' ./...
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
 
-ci: build fmt-check tidy-check vet lint short race
+ci: build fmt-check tidy-check vet lint short race benchmark-check
 
 clean:
 	$(GO) clean ./...

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"agentloc/internal/clock"
@@ -268,7 +269,7 @@ func NewClient(caller Caller, cfg Config) *Client {
 // their internal calls the same way.
 func (c *Client) call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
 	if n := rpcCountFrom(ctx); n != nil {
-		*n++
+		n.Add(1)
 	}
 	if c.cfg.CallTimeout > 0 {
 		var cancel context.CancelFunc
@@ -280,11 +281,12 @@ func (c *Client) call(ctx context.Context, at platform.NodeID, agent ids.AgentID
 
 // rpcCountKey carries the operation's RPC counter through the call chain, so
 // every protocol round — whois, IAgent calls, refreshes, retries — counts
-// toward the op no matter which helper issued it.
+// toward the op no matter which helper issued it. The counter is atomic
+// because a Discover scatter issues its calls from several goroutines.
 type rpcCountKey struct{}
 
-func rpcCountFrom(ctx context.Context) *int {
-	n, _ := ctx.Value(rpcCountKey{}).(*int)
+func rpcCountFrom(ctx context.Context) *atomic.Int64 {
+	n, _ := ctx.Value(rpcCountKey{}).(*atomic.Int64)
 	return n
 }
 
@@ -294,8 +296,8 @@ func rpcCountFrom(ctx context.Context) *int {
 // joins that trace as a child; otherwise it starts a new root, subject to
 // the recorder's sampling. The caller must End the span and should pass the
 // returned context to every protocol call of the operation.
-func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, context.Context, *int) {
-	n := new(int)
+func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, context.Context, *atomic.Int64) {
+	n := new(atomic.Int64)
 	ctx = context.WithValue(ctx, rpcCountKey{}, n)
 	var sp *trace.ActiveSpan
 	if parent := trace.FromContext(ctx); parent.Valid() {
@@ -310,8 +312,8 @@ func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, c
 }
 
 // endOp closes an operation span with its RPC count.
-func endOp(sp *trace.ActiveSpan, rpcs *int, err error) {
-	sp.Annotate("rpcs", strconv.Itoa(*rpcs))
+func endOp(sp *trace.ActiveSpan, rpcs *atomic.Int64, err error) {
+	sp.Annotate("rpcs", strconv.FormatInt(rpcs.Load(), 10))
 	sp.End(err)
 }
 
@@ -503,7 +505,7 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 		if !assign.Zero() {
 			c.cache.put(target, resp.Node, assign.HashVersion)
 			c.lat[KindLocate].ObserveDuration(time.Since(start))
-			c.hops.Observe(float64(*rpcs))
+			c.hops.Observe(float64(rpcs.Load()))
 			endOp(sp, rpcs, nil)
 			return resp.Node, nil
 		}

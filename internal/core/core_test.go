@@ -365,6 +365,18 @@ func TestStaleLHAgentRefresh(t *testing.T) {
 			t.Errorf("stale locate %s = %s, want %s", agent, got, home)
 		}
 	}
+
+	// The retries converged because the LHAgent's fast path declined the
+	// refresh it could not satisfy and the mailbox fetched the new copy: the
+	// installed version is now the post-split one.
+	var fresh RefreshResp
+	lh := LHAgentID(c.nodes[2].ID())
+	if err := c.nodes[2].CallAgent(ctx, c.nodes[2].ID(), lh, KindRefresh, &RefreshReq{}, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.HashVersion < 2 {
+		t.Errorf("node-2's LHAgent still at v%d after the stale locates, want the post-split copy", fresh.HashVersion)
+	}
 }
 
 func TestSplitRequestStaleVersionIgnored(t *testing.T) {

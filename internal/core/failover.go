@@ -58,7 +58,37 @@ const (
 	// KindLeaseQuery asks a replica whether it, too, sees the primary's
 	// lease expired (the quorum guard of automatic promotion).
 	KindLeaseQuery = "hash.lease-query"
+	// KindOwedPushes and KindPushed are the HAgent's self-addressed retry
+	// protocol for state pushes an IAgent has not acknowledged: the Run
+	// loop fetches what is owed, delivers it outside the mailbox (an
+	// unreachable IAgent costs a full CallTimeout, which must not stall
+	// every LHAgent's fetch behind it), and reports what landed.
+	KindOwedPushes = "hash.owed-pushes"
+	KindPushed     = "hash.pushed"
 )
+
+// OwedPush addresses one state push the HAgent still owes an IAgent.
+type OwedPush struct {
+	IAgent ids.AgentID
+	Node   platform.NodeID
+	// Promote is the push's AdoptStateReq.PromoteCheckpointOf.
+	Promote ids.AgentID
+	// Retired marks an IAgent a merge removed from the tree: once it is
+	// gone from Node it has handed off and disposed itself.
+	Retired bool
+}
+
+// OwedPushesResp lists the owed pushes and the state they all carry.
+type OwedPushesResp struct {
+	State  StateDTO
+	Pushes []OwedPush
+}
+
+// PushedReq reports the IAgents whose push is settled (possibly none; the
+// report also re-arms the retry loop).
+type PushedReq struct {
+	IAgents []ids.AgentID
+}
 
 // HeartbeatReq renews the sending IAgent's lease.
 type HeartbeatReq struct {
@@ -160,25 +190,89 @@ func (c Config) hagentSources() []HAgentRef {
 
 var _ platform.Runner = (*HAgentBehavior)(nil)
 
-// Run implements platform.Runner: the failure-detector loop. It only mails
-// the HAgent itself (KindLivenessSweep) so every piece of detector state is
-// mutated inside the strictly serial mailbox — the same serialization
-// argument that makes rehashing safe. With the subsystem disabled the loop
-// exits immediately and the HAgent stays a purely reactive agent.
+// Run implements platform.Runner: the failure-detector loop, and the retry
+// loop for state pushes. The detector only mails the HAgent itself
+// (KindLivenessSweep) so every piece of detector state is mutated inside the
+// strictly serial mailbox — the same serialization argument that makes
+// rehashing safe. With the subsystem disabled there is no detector to run and
+// the loop sleeps until a push is owed.
 func (b *HAgentBehavior) Run(ctx *platform.Context) error {
 	if err := b.ensureRuntime(); err != nil {
 		return err
 	}
-	if !b.Cfg.failoverEnabled() {
-		return nil
-	}
 	for {
-		if !ctx.Sleep(b.Cfg.HeartbeatInterval) {
-			return nil // agent stopped
+		if b.Cfg.failoverEnabled() {
+			if !ctx.Sleep(b.Cfg.HeartbeatInterval) {
+				return nil // agent stopped
+			}
+			_ = b.callSelf(ctx, KindLivenessSweep, nil, nil)
+			select {
+			case <-b.owed:
+			default:
+				continue
+			}
+		} else {
+			select {
+			case <-b.owed:
+			case <-ctx.Done():
+				return nil
+			}
+			// Pace the retries: a receiver that fails fast must not spin.
+			if !ctx.Sleep(b.Cfg.CheckInterval) {
+				return nil
+			}
 		}
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
-		_ = ctx.Call(cctx, ctx.Node(), ctx.Self(), KindLivenessSweep, nil, nil)
-		cancel()
+		b.retryPushes(ctx)
+	}
+}
+
+// callSelf mails the HAgent's own mailbox from its Run loop.
+func (b *HAgentBehavior) callSelf(ctx *platform.Context, kind string, req, resp any) error {
+	cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
+	defer cancel()
+	return ctx.Call(cctx, ctx.Node(), ctx.Self(), kind, req, resp)
+}
+
+// retryPushes is one pass of the retry loop, on the Run goroutine: fetch what
+// is owed, deliver it outside the mailbox, report what landed.
+func (b *HAgentBehavior) retryPushes(ctx *platform.Context) {
+	var owed OwedPushesResp
+	if err := b.callSelf(ctx, KindOwedPushes, nil, &owed); err != nil {
+		b.wake() // the mailbox is busy; the pushes stay owed
+		return
+	}
+	if len(owed.Pushes) == 0 {
+		return
+	}
+	var done PushedReq
+	for _, p := range owed.Pushes {
+		if b.deliverPush(ctx, p, owed.State) {
+			done.IAgents = append(done.IAgents, p.IAgent)
+		}
+	}
+	if err := b.callSelf(ctx, KindPushed, done, nil); err != nil {
+		b.wake()
+	}
+}
+
+// deliverPush sends one owed push and reports whether it is settled:
+// acknowledged — the receiver adopted the state and finished its handoffs —
+// or moot, because a retired receiver is already gone. It reads nothing but
+// Cfg, so the Run goroutine may call it.
+func (b *HAgentBehavior) deliverPush(ctx *platform.Context, p OwedPush, st StateDTO) bool {
+	req := AdoptStateReq{State: st, PromoteCheckpointOf: p.Promote}
+	var ack Ack
+	cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
+	err := ctx.Call(cctx, p.Node, p.IAgent, KindAdoptState, req, &ack)
+	cancel()
+	return err == nil || (p.Retired && platform.IsAgentNotFound(err))
+}
+
+// wake re-arms the retry loop.
+func (b *HAgentBehavior) wake() {
+	select {
+	case b.owed <- struct{}{}:
+	default:
 	}
 }
 
@@ -198,6 +292,20 @@ func (b *HAgentBehavior) handleFailover(ctx *platform.Context, kind string, payl
 		return Ack{Status: StatusOK, HashVersion: b.state.Ver}, true, nil
 	case KindLivenessSweep:
 		return b.sweep(ctx), true, nil
+	case KindOwedPushes:
+		return OwedPushesResp{State: b.state.DTO(), Pushes: b.owedPushes()}, true, nil
+	case KindPushed:
+		var req PushedReq
+		if err := transport.Decode(payload, &req); err != nil {
+			return nil, true, err
+		}
+		// Nothing became owed in between: rehashes are refused while a push
+		// is owed, and takeovers start from the same loop as this report.
+		for _, ia := range req.IAgents {
+			delete(b.pendingNotify, ia)
+		}
+		b.settle(ctx)
+		return Ack{Status: StatusOK, HashVersion: b.state.Ver}, true, nil
 	case KindHAgentBeat:
 		b.lastPrimaryBeat = ctx.Clock().Now()
 		return Ack{Status: StatusOK, HashVersion: b.state.Ver}, true, nil
@@ -265,7 +373,6 @@ func (b *HAgentBehavior) sweep(ctx *platform.Context) Ack {
 			ctx.Emit("failover.error", fmt.Sprintf("takeover of %s: %v", ia, err))
 		}
 	}
-	b.flushPendingNotify(ctx)
 	b.beatReplicas(ctx)
 	return Ack{Status: StatusOK, HashVersion: b.state.Ver}
 }
@@ -286,7 +393,7 @@ func (b *HAgentBehavior) iagentsSorted() []ids.AgentID {
 // absorbers to activate the failed IAgent's checkpoint. Unlike a
 // cooperative merge the failed IAgent is NOT notified (it is gone), and
 // absorber notification is best effort — an unreachable absorber is
-// retried on the next sweep via pendingNotify, while clients already
+// retried by the Run loop via pendingNotify, while clients already
 // re-route off the bumped version.
 func (b *HAgentBehavior) takeover(ctx *platform.Context, failed ids.AgentID) error {
 	if b.state.Tree.NumLeaves() <= 1 {
@@ -318,33 +425,59 @@ func (b *HAgentBehavior) takeover(ctx *platform.Context, failed ids.AgentID) err
 		if ia == failed {
 			continue
 		}
-		b.pendingNotify[ia] = failed
+		b.owe(ia, failed, "")
 	}
 	b.flushPendingNotify(ctx)
-	b.propagate(ctx)
-	b.propagateEager(ctx)
+	// Unlike a cooperative rehash a takeover is published at once, absorbers
+	// notified or not: the failed IAgent serves nobody, and an absorber that
+	// has not adopted yet answers not-responsible, never "unknown agent".
+	if b.published != b.state {
+		b.publish(ctx)
+	}
 	return nil
 }
 
-// flushPendingNotify delivers outstanding takeover notifications, best
-// effort; failures stay queued for the next sweep.
-func (b *HAgentBehavior) flushPendingNotify(ctx *platform.Context) {
-	for ia, failed := range b.pendingNotify {
+// owedPushes addresses every owed push, forgetting the ones whose receiver
+// left the tree since (failed, or merged and already retired).
+func (b *HAgentBehavior) owedPushes() []OwedPush {
+	out := make([]OwedPush, 0, len(b.pendingNotify))
+	for ia, p := range b.pendingNotify {
 		node, ok := b.state.Locations[ia]
 		if !ok {
-			// The absorber itself left the tree since (merged or failed);
-			// nothing left to notify.
+			node = p.lastNode
+		}
+		if node == "" {
 			delete(b.pendingNotify, ia)
 			continue
 		}
-		req := AdoptStateReq{State: b.state.DTO(), PromoteCheckpointOf: failed}
-		var ack Ack
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
-		err := ctx.Call(cctx, node, ia, KindAdoptState, req, &ack)
-		cancel()
-		if err == nil {
-			delete(b.pendingNotify, ia)
+		out = append(out, OwedPush{IAgent: ia, Node: node, Promote: p.promote, Retired: !ok})
+	}
+	return out
+}
+
+// flushPendingNotify is the first, in-mailbox attempt at the owed pushes —
+// the rehash that queued them completes before the HAgent serves anything
+// else, as long as every IAgent answers. Failures stay queued for the Run
+// loop. Every push carries the current state, so a receiver several
+// rehashes behind catches up in one step.
+func (b *HAgentBehavior) flushPendingNotify(ctx *platform.Context) {
+	st := b.state.DTO()
+	for _, p := range b.owedPushes() {
+		if b.deliverPush(ctx, p, st) {
+			delete(b.pendingNotify, p.IAgent)
 		}
+	}
+	b.settle(ctx)
+}
+
+// settle closes a round of pushes: with some still owed it re-arms the retry
+// loop, with none it publishes the state they carried.
+func (b *HAgentBehavior) settle(ctx *platform.Context) {
+	switch {
+	case len(b.pendingNotify) > 0:
+		b.wake()
+	case b.published != b.state:
+		b.publish(ctx)
 	}
 }
 
@@ -422,7 +555,7 @@ func (b *IAgentBehavior) sendHeartbeat(ctx *platform.Context) {
 	req := HeartbeatReq{IAgent: ctx.Self(), HashVersion: b.state.Load().Version(), TableEntries: b.Table.Len()}
 	for _, src := range b.Cfg.hagentSources() {
 		var ack Ack
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
+		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
 		err := ctx.Call(cctx, src.Node, src.Agent, KindHeartbeat, req, &ack)
 		cancel()
 		if err == nil {
@@ -516,7 +649,7 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	}
 
 	var resp CheckpointResp
-	cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
+	cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
 	err := ctx.Call(cctx, buddyNode, buddy, KindCheckpoint, req, &resp)
 	cancel()
 

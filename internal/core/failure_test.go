@@ -208,3 +208,86 @@ func TestRehashingSurvivesMessageLoss(t *testing.T) {
 		}
 	}
 }
+
+// A rehash whose state pushes cannot reach the affected IAgents must neither
+// strand them on the old version nor route clients by a hash function whose
+// handoffs have not happened: the HAgent keeps publishing the previous
+// version, refuses further rehashes, retries the pushes, and publishes once
+// they land.
+func TestRehashAcrossPartitionConverges(t *testing.T) {
+	cfg := quietConfig()
+	cfg.CallTimeout = 300 * time.Millisecond
+	cfg.HAgentNode = "node-0"
+	cfg.PlacementNodes = []platform.NodeID{"node-1"} // every IAgent away from the HAgent
+	c, net := newLossyCluster(t, cfg, 3, 0)
+	ctx := testCtx(t)
+	hagent := func(kind string, req, resp any) {
+		t.Helper()
+		if err := c.nodes[2].CallAgent(ctx, cfg.HAgentNode, c.service.Config().HAgent, kind, req, resp); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+
+	homes := registerMany(t, c, ctx, 24)
+	perAgent := make(map[ids.AgentID]uint64, len(homes))
+	for agent := range homes {
+		perAgent[agent] = 10
+	}
+	var resp RehashResp
+	hagent(KindRequestSplit, RequestSplitReq{IAgent: "iagent-1", HashVersion: 1, Rate: 999, PerAgent: perAgent}, &resp)
+	if resp.Status != StatusOK || resp.HashVersion != 2 {
+		t.Fatalf("split = %+v, want OK at v2", resp)
+	}
+
+	// Merge iagent-2 away while the HAgent can reach neither IAgent.
+	net.Partition("node-0", "node-1")
+	hagent(KindRequestMerge, RequestMergeReq{IAgent: "iagent-2", HashVersion: 2}, &resp)
+	if resp.Status != StatusOK || resp.HashVersion != 3 {
+		t.Fatalf("merge across the partition = %+v, want OK at v3", resp)
+	}
+	var hash GetHashResp
+	hagent(KindGetHash, GetHashReq{}, &hash)
+	if hash.State.Ver != 2 {
+		t.Errorf("published v%d while the merge's pushes are owed, want v2", hash.State.Ver)
+	}
+	hagent(KindRequestSplit, RequestSplitReq{IAgent: "iagent-1", HashVersion: 3, Rate: 999, PerAgent: perAgent}, &resp)
+	if resp.Status != StatusIgnored {
+		t.Errorf("split during an unfinished merge = %v, want ignored", resp.Status)
+	}
+	// node-2 reaches everyone: under the published version nothing is lost.
+	querier := c.service.ClientFor(c.nodes[2])
+	for agent, home := range homes {
+		if got, err := querier.Locate(ctx, agent); err != nil || got != home {
+			t.Errorf("locate %s during the partition = %s, %v; want %s", agent, got, err, home)
+		}
+	}
+
+	net.HealAll()
+	eventually(t, 10*time.Second, func(ctx context.Context) error {
+		var hash GetHashResp
+		if err := c.nodes[2].CallAgent(ctx, cfg.HAgentNode, c.service.Config().HAgent, KindGetHash, GetHashReq{}, &hash); err != nil {
+			return err
+		}
+		if hash.State.Ver != 3 {
+			time.Sleep(20 * time.Millisecond)
+			return fmt.Errorf("published v%d, want v3", hash.State.Ver)
+		}
+		return nil
+	})
+	for _, n := range c.nodes {
+		client := c.service.ClientFor(n)
+		for agent, home := range homes {
+			if got, err := client.Locate(ctx, agent); err != nil || got != home {
+				t.Errorf("locate %s from %s after healing = %s, %v; want %s", agent, n.ID(), got, err, home)
+			}
+		}
+	}
+	// The retired IAgent disposes itself at its next tick.
+	eventually(t, 5*time.Second, func(context.Context) error {
+		if c.nodes[1].Hosts("iagent-2") {
+			time.Sleep(20 * time.Millisecond)
+			return fmt.Errorf("iagent-2 still hosted after its merge completed")
+		}
+		return nil
+	})
+}

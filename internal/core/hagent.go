@@ -54,14 +54,22 @@ type HAgentBehavior struct {
 	// NotifyOnRecover marks an HAgent relaunched from a snapshot store with
 	// its hash version fenced (bumped past anything a pre-crash client
 	// holds): every IAgent in the recovered state is queued for a state
-	// push, delivered by the sweep's pendingNotify retry loop, so the whole
+	// push, delivered by the Run loop's pendingNotify retries, so the whole
 	// cluster converges on the fenced version. Set by RecoverNode.
 	NotifyOnRecover bool
 
 	once    sync.Once
 	initErr error
 
-	state       *State
+	state *State
+	// published is the newest state whose rehash is finished — every
+	// affected IAgent has adopted it and handed its entries off. It is what
+	// LHAgents (and through them clients) and the replicas are given; state
+	// runs ahead of it only while pendingNotify holds a rehash push. Routing
+	// clients by a state whose handoffs are still in flight would send them
+	// to an owner that answers "unknown agent" for entries it is about to
+	// receive.
+	published   *State
 	placeIdx    int
 	splits      uint64
 	merges      uint64
@@ -73,13 +81,26 @@ type HAgentBehavior struct {
 	suspect         map[ids.AgentID]bool
 	failovers       uint64
 	lastPrimaryBeat time.Time
-	// pendingNotify holds takeover notifications that could not be
-	// delivered yet: absorber → failed IAgent whose checkpoint to
-	// activate. Retried every sweep.
-	pendingNotify map[ids.AgentID]ids.AgentID
+	// pendingNotify holds the state pushes still owed to IAgents: rehash
+	// and takeover notifications not acknowledged yet. The Run loop retries
+	// them (retryPushes).
+	pendingNotify map[ids.AgentID]pendingPush
+	// owed wakes the Run loop while pendingNotify is non-empty.
+	owed chan struct{}
 
 	reg     *metrics.Registry
 	metInit bool
+}
+
+// pendingPush is a state push the HAgent owes one IAgent.
+type pendingPush struct {
+	// promote names the failed IAgent whose checkpoint the receiver must
+	// activate (takeover); empty for a plain state push.
+	promote ids.AgentID
+	// lastNode is where an IAgent a merge removed from the tree was hosted.
+	// It is in no location directory any more, but it still has to learn
+	// that its leaf is gone, hand off its entries and retire.
+	lastNode platform.NodeID
 }
 
 var _ platform.Behavior = (*HAgentBehavior)(nil)
@@ -92,18 +113,17 @@ func (b *HAgentBehavior) ensureRuntime() error {
 			b.initErr = fmt.Errorf("HAgent: initial state: %w", err)
 			return
 		}
-		b.state = st
+		b.state, b.published = st, st
 		if b.NextIAgentSeq == 0 {
 			b.NextIAgentSeq = uint64(st.Tree.NumLeaves())
 		}
 		b.lastBeat = make(map[ids.AgentID]time.Time)
 		b.suspect = make(map[ids.AgentID]bool)
-		b.pendingNotify = make(map[ids.AgentID]ids.AgentID)
+		b.pendingNotify = make(map[ids.AgentID]pendingPush)
+		b.owed = make(chan struct{}, 1)
 		if b.NotifyOnRecover {
-			// An empty checkpoint id means "adopt the state, promote
-			// nothing" — the adopt path already guards on it.
 			for ia := range st.Locations {
-				b.pendingNotify[ia] = ""
+				b.owe(ia, "", "")
 			}
 		}
 	})
@@ -123,10 +143,12 @@ func (b *HAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 	if resp, handled, err := b.handleFailover(ctx, kind, payload); handled {
 		return resp, err
 	}
-	if b.Standby {
+	// A standby never rehashes, and the primary runs one rehash at a time:
+	// while a state push is still owed, the last one is not finished.
+	if b.Standby || len(b.pendingNotify) > 0 {
 		switch kind {
 		case KindRequestSplit, KindRequestMerge, KindRequestRelocate:
-			return RehashResp{Status: StatusIgnored, HashVersion: b.state.Ver, Standby: true}, nil
+			return RehashResp{Status: StatusIgnored, HashVersion: b.state.Ver, Standby: b.Standby}, nil
 		}
 	}
 	switch kind {
@@ -135,10 +157,10 @@ func (b *HAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		if b.state.Version() <= req.IfNewerThan {
+		if b.published.Version() <= req.IfNewerThan {
 			return GetHashResp{Unchanged: true}, nil
 		}
-		return GetHashResp{State: b.state.DTO()}, nil
+		return GetHashResp{State: b.published.DTO()}, nil
 	case KindHashStats:
 		return HashStatsResp{
 			HashVersion: b.state.Version(),
@@ -296,11 +318,7 @@ func (b *HAgentBehavior) split(ctx *platform.Context, req RequestSplitReq) (Reha
 	ctx.Emit("rehash.split", fmt.Sprintf("%s (%v rate %.0f/s) → new %s at %s, v%d",
 		req.IAgent, cand.Kind, req.Rate, newID, newNode, newState.Ver))
 
-	if err := b.notifyAffected(ctx, oldState.Tree, newState, newID); err != nil {
-		return RehashResp{}, err
-	}
-	b.propagate(ctx)
-	b.propagateEager(ctx)
+	b.notifyAffected(ctx, oldState, newID)
 	return RehashResp{Status: StatusOK, HashVersion: b.state.Version()}, nil
 }
 
@@ -331,47 +349,49 @@ func (b *HAgentBehavior) merge(ctx *platform.Context, req RequestMergeReq) (Reha
 
 	// The merged IAgent is notified like every other affected IAgent; on
 	// adopting a state without its leaf it hands off everything and
-	// disposes itself. Its location must stay resolvable during the
-	// handoff, so it was removed from Locations (future lookups) but the
-	// notification is sent to its last known node.
-	if err := b.notifyAffectedAt(ctx, oldState.Tree, newState, "", oldState.Locations); err != nil {
-		return RehashResp{}, err
-	}
-	b.propagate(ctx)
-	b.propagateEager(ctx)
+	// disposes itself. It was removed from Locations (future lookups), so
+	// the notification is sent to its last known node.
+	b.notifyAffected(ctx, oldState, "")
 	return RehashResp{Status: StatusOK, HashVersion: b.state.Version()}, nil
 }
 
-// notifyAffected pushes the new state to every IAgent whose served pattern
-// changed, except skip (the freshly launched IAgent, which already has it).
-func (b *HAgentBehavior) notifyAffected(ctx *platform.Context, oldTree *hashtree.Tree, newState *State, skip ids.AgentID) error {
-	return b.notifyAffectedAt(ctx, oldTree, newState, skip, newState.Locations)
-}
-
-// notifyAffectedAt is notifyAffected with an explicit location directory,
-// needed when a merged IAgent is no longer in the new state's locations.
-func (b *HAgentBehavior) notifyAffectedAt(ctx *platform.Context, oldTree *hashtree.Tree, newState *State, skip ids.AgentID, where map[ids.AgentID]platform.NodeID) error {
-	req := AdoptStateReq{State: newState.DTO()}
-	for _, ia := range affectedIAgents(oldTree, newState.Tree) {
+// notifyAffected pushes the state just installed to every IAgent whose
+// served pattern changed since oldState, except skip (the freshly launched
+// IAgent, which already has it). The rehash is committed by now, so an
+// unreachable IAgent does not fail it: the push stays owed and the Run loop
+// retries it until it lands — otherwise that IAgent would answer from the old
+// version forever, and the ones after it in the loop with it. The new state
+// is published once the last push is acknowledged (settle).
+func (b *HAgentBehavior) notifyAffected(ctx *platform.Context, oldState *State, skip ids.AgentID) {
+	for _, ia := range affectedIAgents(oldState.Tree, b.state.Tree) {
 		if ia == skip {
 			continue
 		}
-		node, ok := where[ia]
-		if !ok {
-			node, ok = newState.Locations[ia]
+		lastNode := platform.NodeID("")
+		if _, ok := b.state.Locations[ia]; !ok {
+			lastNode = oldState.Locations[ia]
 		}
-		if !ok {
-			return fmt.Errorf("HAgent: no node for affected IAgent %s", ia)
-		}
-		var ack Ack
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
-		err := ctx.Call(cctx, node, ia, KindAdoptState, req, &ack)
-		cancel()
-		if err != nil {
-			return fmt.Errorf("HAgent: notify %s at %s: %w", ia, node, err)
-		}
+		b.owe(ia, "", lastNode)
 	}
-	return nil
+	b.flushPendingNotify(ctx)
+}
+
+// owe queues a state push to ia. A checkpoint promotion already owed to it
+// survives a later plain push.
+func (b *HAgentBehavior) owe(ia, promote ids.AgentID, lastNode platform.NodeID) {
+	if promote == "" {
+		promote = b.pendingNotify[ia].promote
+	}
+	b.pendingNotify[ia] = pendingPush{promote: promote, lastNode: lastNode}
+	b.wake()
+}
+
+// publish makes the current state the one LHAgents are served and pushes it
+// to the replicas (and, under the eager ablation, to every LHAgent).
+func (b *HAgentBehavior) publish(ctx *platform.Context) {
+	b.published = b.state
+	b.propagate(ctx)
+	b.propagateEager(ctx)
 }
 
 // nextPlacement picks the node for a newly created IAgent, round-robin over

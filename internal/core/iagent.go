@@ -526,26 +526,26 @@ func (b *IAgentBehavior) discover(req DiscoverReq) DiscoverResp {
 // adoptState installs a new hash state pushed by the HAgent after a rehash
 // this IAgent is involved in, hands off every entry it no longer owns to
 // the now-responsible IAgents, and marks itself dead if its leaf is gone.
+// A push of the version already held (the HAgent retries when an ack was
+// lost or an earlier adopt failed part-way) installs nothing but still
+// finishes the work: it activates the checkpoint and hands off whatever a
+// failed handoff left behind.
 func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (Ack, error) {
 	st, err := FromDTO(req.State)
 	if err != nil {
 		return Ack{}, fmt.Errorf("IAgent %s: adopt: %w", ctx.Self(), err)
 	}
 	b.mu.Lock()
-	if st.Version() <= b.state.Load().Version() {
-		version := b.state.Load().Version()
-		b.mu.Unlock()
-		// A duplicate takeover notification (the HAgent retries when an
-		// earlier ack was lost) must still activate the checkpoint.
-		if req.PromoteCheckpointOf != "" {
-			b.activateCheckpoint(ctx, req.PromoteCheckpointOf)
-		}
-		return Ack{Status: StatusIgnored, HashVersion: version}, nil
+	cur := b.state.Load()
+	status := StatusOK
+	if st.Version() <= cur.Version() {
+		status, st = StatusIgnored, cur
+	} else {
+		b.state.Store(st)
+		b.settled = ctx.Clock().Now()
+		// The rehash may have moved the checkpoint buddy; resync from scratch.
+		b.ckFull = true
 	}
-	b.state.Store(st)
-	b.settled = ctx.Clock().Now()
-	// The rehash may have moved the checkpoint buddy; resync from scratch.
-	b.ckFull = true
 	stillPresent := st.Tree.Contains(string(ctx.Self()))
 	b.mu.Unlock()
 
@@ -617,6 +617,9 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		}
 		b.metTable.Set(int64(b.Table.Len()))
 	}
+	if status == StatusIgnored && len(moved) == 0 {
+		return Ack{Status: status, HashVersion: st.Version()}, nil
+	}
 	b.persistSelf(ctx)
 
 	if !stillPresent {
@@ -630,7 +633,7 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 	// A rehash resets the rate statistics so the fresh assignment is
 	// measured from scratch.
 	b.est.Reset()
-	return Ack{Status: StatusOK, HashVersion: st.Version()}, nil
+	return Ack{Status: status, HashVersion: st.Version()}, nil
 }
 
 // handoff merges entries transferred from another IAgent during rehashing.
@@ -771,7 +774,7 @@ func (b *IAgentBehavior) Run(ctx *platform.Context) error {
 func (b *IAgentBehavior) requestRehash(ctx *platform.Context, kind string, req any) {
 	for _, src := range b.Cfg.hagentSources() {
 		var resp RehashResp
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
+		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
 		err := ctx.Call(cctx, src.Node, src.Agent, kind, req, &resp)
 		cancel()
 		if err == nil && !resp.Standby {

@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 
+	"agentloc/internal/ids"
 	"agentloc/internal/platform"
 	"agentloc/internal/transport"
 )
@@ -23,38 +24,63 @@ type AdoptLHStateReq struct {
 // a secondary copy of the hash function (paper §2.2). The copy may be
 // stale; it is refreshed on demand from the HAgent when a stale mapping is
 // detected (paper §4.3).
+//
+// Concurrency rule: reads are answered from an atomic snapshot of the copy,
+// on the caller's goroutine, whenever the snapshot already satisfies the
+// request (HandleConcurrent); anything that must talk to the HAgent — the
+// first copy, a stale copy — goes through the serial mailbox, which keeps
+// fetches single-flight.
 type LHAgentBehavior struct {
 	// Cfg is the mechanism configuration (HAgent id and node).
 	Cfg Config
 
-	mu     sync.Mutex
-	cached *State
+	// copy is the installed hash copy; nil until the first fetch or adopt.
+	// Only a strictly newer version ever replaces it (install).
+	copy atomic.Pointer[hashCopy]
 }
 
-var _ platform.Behavior = (*LHAgentBehavior)(nil)
+// hashCopy is one installed copy of the hash function with its leaf list
+// precomputed. It is immutable once installed, so readers share it freely.
+type hashCopy struct {
+	*State
+	leaves []LeafRef // sorted by IAgent id
+}
+
+func newHashCopy(st *State) *hashCopy {
+	leaves := make([]LeafRef, 0, len(st.Locations))
+	for ia, node := range st.Locations {
+		leaves = append(leaves, LeafRef{IAgent: ia, Node: node})
+	}
+	sort.Slice(leaves, func(i, j int) bool { return leaves[i].IAgent < leaves[j].IAgent })
+	return &hashCopy{State: st, leaves: leaves}
+}
+
+var _ platform.ConcurrentBehavior = (*LHAgentBehavior)(nil)
+
+// HandleConcurrent implements platform.ConcurrentBehavior: whois, leaves and
+// refresh are answered straight from the installed copy when it is present
+// and at least as fresh as the request demands. Everything else — a missing
+// or stale copy, which needs a fetch from the HAgent, and adopt — declines
+// and is served by the mailbox.
+func (b *LHAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, payload []byte) (any, bool, error) {
+	cp := b.copy.Load()
+	if cp == nil {
+		return nil, false, nil
+	}
+	target, minVersion, ok, err := decodeRead(kind, payload)
+	if !ok || (err == nil && cp.Version() < minVersion) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	resp, err := cp.answer(ctx, kind, target)
+	return resp, true, err
+}
 
 // HandleRequest implements platform.Behavior.
 func (b *LHAgentBehavior) HandleRequest(ctx *platform.Context, kind string, payload []byte) (any, error) {
-	switch kind {
-	case KindWhois:
-		var req WhoisReq
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return b.whois(ctx, req)
-	case KindRefresh:
-		var req RefreshReq
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return b.refresh(ctx, req)
-	case KindLeaves:
-		var req LeavesReq
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return b.leaves(ctx, req)
-	case KindLHAdopt:
+	if kind == KindLHAdopt {
 		var req AdoptLHStateReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
@@ -63,85 +89,102 @@ func (b *LHAgentBehavior) HandleRequest(ctx *platform.Context, kind string, payl
 		if err != nil {
 			return nil, fmt.Errorf("LHAgent %s: adopt: %w", ctx.Self(), err)
 		}
-		b.mu.Lock()
-		if b.cached == nil || st.Version() > b.cached.Version() {
-			b.cached = st
-		}
-		version := b.cached.Version()
-		b.mu.Unlock()
-		return RefreshResp{HashVersion: version}, nil
-	default:
+		return RefreshResp{HashVersion: b.install(st).Version()}, nil
+	}
+	target, minVersion, ok, err := decodeRead(kind, payload)
+	if !ok {
 		return nil, fmt.Errorf("LHAgent %s: unknown request kind %q", ctx.Self(), kind)
 	}
+	if err != nil {
+		return nil, err
+	}
+	cp, err := b.copyAtLeast(ctx, minVersion)
+	if err != nil {
+		return nil, err
+	}
+	return cp.answer(ctx, kind, target)
 }
 
-// whois resolves the IAgent responsible for the target from the local
-// (possibly stale) copy — the fast path of every operation.
-func (b *LHAgentBehavior) whois(ctx *platform.Context, req WhoisReq) (WhoisResp, error) {
-	st, err := b.stateOrFetch(ctx)
-	if err != nil {
-		return WhoisResp{}, err
+// decodeRead decodes a request of one of the read kinds into what answering
+// it takes: the whois target, and the hash version the copy must have reached
+// (0: any copy will do). ok is false for every other kind.
+func decodeRead(kind string, payload []byte) (target ids.AgentID, minVersion uint64, ok bool, err error) {
+	switch kind {
+	case KindWhois:
+		var req WhoisReq
+		err = transport.Decode(payload, &req)
+		return req.Target, 0, true, err
+	case KindRefresh:
+		var req RefreshReq
+		err = transport.Decode(payload, &req)
+		return "", req.MinVersion, true, err
+	case KindLeaves:
+		var req LeavesReq
+		err = transport.Decode(payload, &req)
+		return "", req.MinVersion, true, err
+	default:
+		return "", 0, false, nil
 	}
-	iagent, node, err := st.OwnerOf(req.Target)
-	if err != nil {
-		return WhoisResp{}, fmt.Errorf("LHAgent %s: %w", ctx.Self(), err)
-	}
-	return WhoisResp{IAgent: iagent, Node: node, HashVersion: st.Version()}, nil
 }
 
-// leaves enumerates the responsible IAgents of the local copy — the scatter
-// set of a Discover fan-out. MinVersion > 0 forces a refresh first, so a
-// caller burned by a stale leaf list can demand a fresher one.
-func (b *LHAgentBehavior) leaves(ctx *platform.Context, req LeavesReq) (LeavesResp, error) {
-	st, err := b.stateOrFetch(ctx)
-	if err != nil {
-		return LeavesResp{}, err
+// answer serves one read kind from the copy. Whois resolves the IAgent
+// responsible for the target — the fast path of every operation; leaves
+// enumerates the responsible IAgents — the scatter set of a Discover fan-out
+// (the slice is shared between answers: the platform copies every response
+// through the codec, and nothing mutates it); refresh reports the version.
+func (c *hashCopy) answer(ctx *platform.Context, kind string, target ids.AgentID) (any, error) {
+	switch kind {
+	case KindWhois:
+		iagent, node, err := c.OwnerOf(target)
+		if err != nil {
+			return nil, fmt.Errorf("LHAgent %s: %w", ctx.Self(), err)
+		}
+		return WhoisResp{IAgent: iagent, Node: node, HashVersion: c.Version()}, nil
+	case KindLeaves:
+		return LeavesResp{HashVersion: c.Version(), Leaves: c.leaves}, nil
+	default:
+		return RefreshResp{HashVersion: c.Version()}, nil
 	}
-	if st.Version() < req.MinVersion {
-		if st, err = b.fetch(ctx, st.Version()); err != nil {
-			return LeavesResp{}, err
+}
+
+// copyAtLeast returns the installed copy once it exists and is at least
+// minVersion fresh, pulling from the HAgent otherwise (the first copy lazily;
+// a newer one on paper §4.3's update-propagation path, so a caller burned by
+// a stale mapping or leaf list can demand a fresher one). One fetch is all it
+// tries: the answer carries whatever version that produced.
+func (b *LHAgentBehavior) copyAtLeast(ctx *platform.Context, minVersion uint64) (*hashCopy, error) {
+	cp := b.copy.Load()
+	if cp == nil {
+		return b.fetch(ctx, 0)
+	}
+	if cp.Version() >= minVersion {
+		return cp, nil
+	}
+	return b.fetch(ctx, cp.Version())
+}
+
+// install makes st the local copy unless the installed one is already at
+// least as new, and returns whichever copy is installed afterwards. Versions
+// therefore never go backwards, whoever races: mailbox fetches and adopts are
+// serial, but the CAS keeps the rule local to this function.
+func (b *LHAgentBehavior) install(st *State) *hashCopy {
+	next := newHashCopy(st)
+	for {
+		cur := b.copy.Load()
+		if cur != nil && cur.Version() >= next.Version() {
+			return cur
+		}
+		if b.copy.CompareAndSwap(cur, next) {
+			return next
 		}
 	}
-	resp := LeavesResp{HashVersion: st.Version(), Leaves: make([]LeafRef, 0, len(st.Locations))}
-	for ia, node := range st.Locations {
-		resp.Leaves = append(resp.Leaves, LeafRef{IAgent: ia, Node: node})
-	}
-	sort.Slice(resp.Leaves, func(i, j int) bool { return resp.Leaves[i].IAgent < resp.Leaves[j].IAgent })
-	return resp, nil
-}
-
-// refresh brings the local copy to at least MinVersion, pulling from the
-// HAgent if needed (paper §4.3's update-propagation path).
-func (b *LHAgentBehavior) refresh(ctx *platform.Context, req RefreshReq) (RefreshResp, error) {
-	b.mu.Lock()
-	version := b.cached.Version()
-	b.mu.Unlock()
-	if version >= req.MinVersion && version > 0 {
-		return RefreshResp{HashVersion: version}, nil
-	}
-	st, err := b.fetch(ctx, version)
-	if err != nil {
-		return RefreshResp{}, err
-	}
-	return RefreshResp{HashVersion: st.Version()}, nil
-}
-
-// stateOrFetch returns the cached state, fetching the first copy lazily.
-func (b *LHAgentBehavior) stateOrFetch(ctx *platform.Context) (*State, error) {
-	b.mu.Lock()
-	st := b.cached
-	b.mu.Unlock()
-	if st != nil {
-		return st, nil
-	}
-	return b.fetch(ctx, 0)
 }
 
 // fetch pulls the primary copy from the HAgent if it is newer than the
 // local version, and installs it. When the primary is unreachable it fails
 // over to the configured replicas (the fault-tolerance extension): reads
 // survive a primary outage.
-func (b *LHAgentBehavior) fetch(ctx *platform.Context, ifNewerThan uint64) (*State, error) {
+func (b *LHAgentBehavior) fetch(ctx *platform.Context, ifNewerThan uint64) (*hashCopy, error) {
 	sources := make([]HAgentRef, 0, 1+len(b.Cfg.HAgentFallbacks))
 	sources = append(sources, HAgentRef{Agent: b.Cfg.HAgent, Node: b.Cfg.HAgentNode})
 	sources = append(sources, b.Cfg.HAgentFallbacks...)
@@ -161,21 +204,15 @@ func (b *LHAgentBehavior) fetch(ctx *platform.Context, ifNewerThan uint64) (*Sta
 		return nil, fmt.Errorf("LHAgent %s: fetch hash: %w", ctx.Self(), err)
 	}
 	if resp.Unchanged {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.cached == nil {
+		cp := b.copy.Load()
+		if cp == nil {
 			return nil, fmt.Errorf("LHAgent %s: HAgent reported unchanged but no copy is cached", ctx.Self())
 		}
-		return b.cached, nil
+		return cp, nil
 	}
 	st, err := FromDTO(resp.State)
 	if err != nil {
 		return nil, fmt.Errorf("LHAgent %s: decode hash: %w", ctx.Self(), err)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cached == nil || st.Version() > b.cached.Version() {
-		b.cached = st
-	}
-	return b.cached, nil
+	return b.install(st), nil
 }

@@ -55,7 +55,7 @@ func (b *HAgentBehavior) relocate(ctx *platform.Context, req RequestRelocateReq)
 	b.updateTreeGauges()
 	b.persistState(ctx)
 	ctx.Emit("rehash.relocate", fmt.Sprintf("%s: %s → %s, v%d", req.IAgent, req.From, req.To, newState.Ver))
-	b.propagate(ctx)
+	b.publish(ctx)
 	return RehashResp{Status: StatusOK, HashVersion: b.state.Ver}, nil
 }
 

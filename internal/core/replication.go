@@ -67,7 +67,7 @@ func (b *HAgentBehavior) handleReplication(ctx *platform.Context, kind string, p
 			return nil, true, fmt.Errorf("HAgent replica: %w", err)
 		}
 		if st.Ver > b.state.Ver {
-			b.state = st
+			b.state, b.published = st, st
 			b.updateTreeGauges()
 			// A durable standby persists each adopted state, so the node it
 			// lives on can cold-start the replica at the version it held.

@@ -25,22 +25,24 @@ type hosted struct {
 
 	mu      sync.Mutex
 	stopped bool
-	moved   bool
 
-	stop    chan struct{}
+	// life is cancelled when the agent is stopped or about to move.
+	life    context.Context
+	cancel  context.CancelFunc
 	boxDone chan struct{}
 	runDone chan struct{} // closed when the Run goroutine exits; nil if not a Runner
 }
 
 func newHosted(id ids.AgentID, b Behavior, n *Node) *hosted {
-	return &hosted{
+	h := &hosted{
 		id:       id,
 		behavior: b,
 		node:     n,
 		mailbox:  newMailbox(),
-		stop:     make(chan struct{}),
 		boxDone:  make(chan struct{}),
 	}
+	h.life, h.cancel = context.WithCancel(context.Background())
+	return h
 }
 
 // start launches the mailbox goroutine and, for Runner behaviours, the Run
@@ -82,37 +84,58 @@ func (h *hosted) contextFor(sc trace.SpanContext) *Context {
 // every request to a plain Behavior) goes through the serial mailbox. The
 // service time of a fast-path request is charged on the caller's goroutine,
 // so concurrent requests overlap their service times instead of queueing —
-// the point of the fast path.
-func (h *hosted) serve(sc trace.SpanContext, req agentRequest) (any, error) {
+// the point of the fast path. ctx bounds that charge and the wait in the
+// mailbox, not HandleConcurrent itself: it runs on the caller's goroutine, so
+// a same-node caller gets its deadline back only once the behaviour returns
+// (fast-path kinds are lock-free reads; a remote caller is released by
+// Peer.Call regardless).
+func (h *hosted) serve(ctx context.Context, sc trace.SpanContext, req agentRequest) (any, error) {
 	cb, ok := h.behavior.(ConcurrentBehavior)
 	if !ok {
-		return h.submit(sc, req)
+		return h.submit(ctx, sc, req)
 	}
 	h.mu.Lock()
 	stopped := h.stopped
 	h.mu.Unlock()
 	if stopped {
-		return nil, fmt.Errorf("%s%s left %s", agentNotFoundPrefix, h.id, h.node.id)
+		return nil, h.gone("left")
 	}
 	body, handled, err := cb.HandleConcurrent(h.contextFor(sc), req.Kind, req.Payload)
 	if !handled {
-		return h.submit(sc, req)
-	}
-	if h.serviceTime > 0 {
-		h.node.clk.Sleep(h.serviceTime)
+		return h.submit(ctx, sc, req)
 	}
 	h.node.fastRequests.Inc()
+	if h.serviceTime > 0 {
+		select {
+		case <-h.node.clk.After(h.serviceTime):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	return body, err
 }
 
-// submit queues a request and waits for the mailbox to process it.
-func (h *hosted) submit(sc trace.SpanContext, req agentRequest) (any, error) {
+// submit queues a request and waits for the mailbox to process it, or for
+// ctx to expire first: the request then stays queued (the behaviour still
+// sees it, as it would a request whose remote caller gave up) and its result
+// is dropped into the buffered channel.
+func (h *hosted) submit(ctx context.Context, sc trace.SpanContext, req agentRequest) (any, error) {
 	w := work{req: req, span: sc, result: make(chan workResult, 1)}
 	if !h.mailbox.push(w) {
-		return nil, fmt.Errorf("%s%s left %s", agentNotFoundPrefix, h.id, h.node.id)
+		return nil, h.gone("left")
 	}
-	res := <-w.result
-	return res.body, res.err
+	select {
+	case res := <-w.result:
+		return res.body, res.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// gone builds the agent-not-found error for a request that reached a stopped
+// or departing agent; why completes "<agent> <why> <node>".
+func (h *hosted) gone(why string) error {
+	return fmt.Errorf("%s%s %s %s", agentNotFoundPrefix, h.id, why, h.node.id)
 }
 
 // mailboxLoop processes requests strictly serially, charging the service
@@ -132,55 +155,42 @@ func (h *hosted) mailboxLoop() {
 	}
 }
 
-// stopAndWait shuts the agent down: the mailbox closes (pending requests
-// are failed), and both goroutines are awaited.
-func (h *hosted) stopAndWait() {
+// signalStop marks the agent stopped, wakes everything selecting on Done,
+// and closes the mailbox, failing the requests still queued. It reports
+// false when the agent was already stopped. It does not wait: the request
+// being processed, and a Run goroutine, finish on their own time.
+func (h *hosted) signalStop(why string) bool {
 	h.mu.Lock()
 	if h.stopped {
 		h.mu.Unlock()
-		<-h.boxDone
-		if h.runDone != nil {
-			<-h.runDone
-		}
-		return
+		return false
 	}
 	h.stopped = true
 	h.mu.Unlock()
 
-	close(h.stop)
-	pending := h.mailbox.close()
-	for _, w := range pending {
-		w.result <- workResult{err: fmt.Errorf("%s%s stopped at %s", agentNotFoundPrefix, h.id, h.node.id)}
+	h.cancel()
+	for _, w := range h.mailbox.close() {
+		w.result <- workResult{err: h.gone(why)}
 	}
+	return true
+}
+
+// stopAndWait shuts the agent down: the mailbox closes (pending requests
+// are failed), and both goroutines are awaited.
+func (h *hosted) stopAndWait() {
+	h.signalStop("stopped at")
 	<-h.boxDone
 	if h.runDone != nil {
-		h.mu.Lock()
-		fromRun := h.moved // Move marks this before stopping
-		h.mu.Unlock()
-		if !fromRun {
-			<-h.runDone
-		}
+		<-h.runDone
 	}
 }
 
 // detachForMove is stopAndWait for the migration path: it is invoked from
 // the agent's own Run goroutine, so it must not wait for runDone.
 func (h *hosted) detachForMove() {
-	h.mu.Lock()
-	if h.stopped {
-		h.mu.Unlock()
-		return
+	if h.signalStop("moving from") {
+		<-h.boxDone
 	}
-	h.stopped = true
-	h.moved = true
-	h.mu.Unlock()
-
-	close(h.stop)
-	pending := h.mailbox.close()
-	for _, w := range pending {
-		w.result <- workResult{err: fmt.Errorf("%s%s moving from %s", agentNotFoundPrefix, h.id, h.node.id)}
-	}
-	<-h.boxDone
 }
 
 // Context is the platform interface handed to behaviour callbacks. It is
@@ -235,7 +245,13 @@ func (c *Context) StartSpan(tier, name string) *trace.ActiveSpan {
 
 // Done returns a channel closed when the agent is being stopped or is
 // about to move; Run loops select on it.
-func (c *Context) Done() <-chan struct{} { return c.host.stop }
+func (c *Context) Done() <-chan struct{} { return c.host.life.Done() }
+
+// Lifetime returns a context cancelled when the agent is being stopped or is
+// about to move. Background work — a Run loop's heartbeats, checkpoints and
+// other calls nobody is waiting on — derives its call deadlines from it, so
+// stopping the agent abandons them instead of waiting out their timeouts.
+func (c *Context) Lifetime() context.Context { return c.host.life }
 
 // Sleep blocks for d on the node's clock, returning early with false if
 // the agent is stopped.
@@ -243,7 +259,7 @@ func (c *Context) Sleep(d time.Duration) bool {
 	select {
 	case <-c.host.node.clk.After(d):
 		return true
-	case <-c.host.stop:
+	case <-c.host.life.Done():
 		return false
 	}
 }

@@ -1,0 +1,247 @@
+package platform
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"agentloc/internal/ids"
+	"agentloc/internal/trace"
+	"agentloc/internal/transport"
+)
+
+// Tests for the in-process delivery of same-node calls (Node.callLocal).
+
+// countingLink counts the envelopes a node hands to its link.
+type countingLink struct {
+	transport.Link
+	sent atomic.Int64
+}
+
+func (l *countingLink) Send(env transport.Envelope) error {
+	l.sent.Add(1)
+	return l.Link.Send(env)
+}
+
+func newCountingNode(t *testing.T, cfg Config) (*Node, *countingLink) {
+	t.Helper()
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	link := &countingLink{Link: net}
+	cfg.Link = link
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n, link
+}
+
+// concurrentEcho serves "echo" on the fast path and everything else through
+// the mailbox, so one agent exercises both halves of hosted.serve.
+type concurrentEcho struct{ echoBehavior }
+
+func (c *concurrentEcho) HandleConcurrent(ctx *Context, kind string, payload []byte) (any, bool, error) {
+	if kind != "echo" {
+		return nil, false, nil
+	}
+	body, err := c.HandleRequest(ctx, kind, payload)
+	return body, true, err
+}
+
+func TestLocalCallSendsNoEnvelope(t *testing.T) {
+	n, link := newCountingNode(t, Config{ID: "n1"})
+	if err := n.Launch("serial", &echoBehavior{Tag: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Launch("fast", &concurrentEcho{echoBehavior{Tag: "f"}}); err != nil {
+		t.Fatal(err)
+	}
+	for agent, want := range map[ids.AgentID]string{"serial": "s:hi", "fast": "f:hi"} {
+		var resp echoResp
+		if err := n.CallAgent(callCtx(t), "n1", agent, "echo", echoReq{Text: "hi"}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Text != want {
+			t.Errorf("%s: resp = %q, want %q", agent, resp.Text, want)
+		}
+	}
+	if got := link.sent.Load(); got != 0 {
+		t.Errorf("same-node calls sent %d envelopes, want 0", got)
+	}
+}
+
+// blockingBehavior parks every request until released.
+type blockingBehavior struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingBehavior) HandleRequest(*Context, string, []byte) (any, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return nil, nil
+}
+
+func TestLocalCallHonoursDeadlineInMailbox(t *testing.T) {
+	n, _ := newCountingNode(t, Config{ID: "n1"})
+	b := &blockingBehavior{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	if err := n.Launch("stuck", b); err != nil {
+		t.Fatal(err)
+	}
+	// Closing release (registered after the node's Close, so run before it)
+	// lets the parked handler finish so the node can shut down.
+	t.Cleanup(func() { close(b.release) })
+
+	// The first call occupies the mailbox loop; the second is parked behind it.
+	first := make(chan error, 1)
+	go func() { first <- n.CallAgent(context.Background(), "n1", "stuck", "x", nil, nil) }()
+	<-b.entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := n.CallAgent(ctx, "n1", "stuck", "x", nil, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("parked call = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("parked call took %v to honour a 20ms deadline", d)
+	}
+	select {
+	case err := <-first:
+		t.Fatalf("in-flight call returned early: %v", err)
+	default:
+	}
+}
+
+// A fast-path request's service time is charged on the caller's goroutine;
+// the caller's deadline cuts the charge short.
+func TestLocalCallHonoursDeadlineInServiceTime(t *testing.T) {
+	n, _ := newCountingNode(t, Config{ID: "n1"})
+	if err := n.Launch("slow", &concurrentEcho{echoBehavior{Tag: "s"}}, WithServiceTime(5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := n.CallAgent(ctx, "n1", "slow", "echo", echoReq{Text: "hi"}, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("call took %v to honour a 20ms deadline", d)
+	}
+}
+
+func TestLocalCallErrorShapes(t *testing.T) {
+	n, _ := newCountingNode(t, Config{ID: "n1"})
+	if err := n.Launch("e1", &echoBehavior{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CallAgent(callCtx(t), "n1", "ghost", "echo", echoReq{}, nil); !IsAgentNotFound(err) {
+		t.Errorf("missing agent: %v, want agent-not-found", err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CallAgent(callCtx(t), "n1", "e1", "echo", echoReq{}, nil); !errors.Is(err, ErrNodeClosed) {
+		t.Errorf("after Close: %v, want ErrNodeClosed", err)
+	}
+
+	crashed, _ := newCountingNode(t, Config{ID: "n2"})
+	if err := crashed.Launch("e1", &echoBehavior{}); err != nil {
+		t.Fatal(err)
+	}
+	crashed.Crash()
+	if err := crashed.CallAgent(callCtx(t), "n2", "e1", "echo", echoReq{}, nil); !errors.Is(err, ErrNodeClosed) {
+		t.Errorf("after Crash: %v, want ErrNodeClosed", err)
+	}
+}
+
+type sliceMsg struct {
+	Words []string
+	Raw   []byte
+}
+
+// hoarder keeps what it decoded and what it answered, and scribbles on the
+// answer after returning it.
+type hoarder struct {
+	mu      sync.Mutex
+	lastReq sliceMsg
+	lastRes *sliceMsg
+}
+
+func (h *hoarder) HandleRequest(_ *Context, _ string, payload []byte) (any, error) {
+	var req sliceMsg
+	if err := transport.Decode(payload, &req); err != nil {
+		return nil, err
+	}
+	res := &sliceMsg{Words: []string{"answer"}, Raw: []byte("answer")}
+	h.mu.Lock()
+	h.lastReq, h.lastRes = req, res
+	h.mu.Unlock()
+	return res, nil
+}
+
+func TestLocalCallSharesNoMemory(t *testing.T) {
+	n, _ := newCountingNode(t, Config{ID: "n1"})
+	h := &hoarder{}
+	if err := n.Launch("h", h); err != nil {
+		t.Fatal(err)
+	}
+	req := sliceMsg{Words: []string{"question"}, Raw: []byte("question")}
+	var resp sliceMsg
+	if err := n.CallAgent(callCtx(t), "n1", "h", "ask", &req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	// Each side now mutates what it holds.
+	req.Words[0], req.Raw[0] = "mutated", 'X'
+	h.mu.Lock()
+	h.lastRes.Words[0], h.lastRes.Raw[0] = "mutated", 'X'
+	kept := h.lastReq
+	h.mu.Unlock()
+
+	if kept.Words[0] != "question" || string(kept.Raw) != "question" {
+		t.Errorf("behaviour's request copy saw the caller's mutation: %+v", kept)
+	}
+	if resp.Words[0] != "answer" || string(resp.Raw) != "answer" {
+		t.Errorf("caller's response saw the behaviour's mutation: %+v", resp)
+	}
+}
+
+func TestLocalCallRecordsServerSpanWithoutHop(t *testing.T) {
+	rec := trace.NewRecorder("n1", 64, 1)
+	n, _ := newCountingNode(t, Config{ID: "n1", Tracer: rec})
+	if err := n.Launch("e1", &echoBehavior{}); err != nil {
+		t.Fatal(err)
+	}
+	root := rec.StartRoot("client", "op")
+	ctx := trace.ContextWith(callCtx(t), root.Context())
+	if err := n.CallAgent(ctx, "n1", "e1", "echo", echoReq{Text: "x"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	root.End(nil)
+
+	var server *trace.Span
+	for _, s := range rec.Snapshot() {
+		if s.Tier == "server" {
+			server = &s
+		}
+	}
+	if server == nil {
+		t.Fatal("no server span recorded for the local call")
+	}
+	if server.TraceID != root.TraceID() || server.Parent != root.Context().SpanID {
+		t.Errorf("server span %+v is not a child of the caller's span %+v", *server, root.Context())
+	}
+	if server.Name != "echo" {
+		t.Errorf("server span name = %q, want the request kind", server.Name)
+	}
+	if server.Hop != root.Context().Hop {
+		t.Errorf("local delivery charged a hop: span hop %d, caller hop %d", server.Hop, root.Context().Hop)
+	}
+}

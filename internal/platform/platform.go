@@ -30,6 +30,7 @@ import (
 	"agentloc/internal/snapshot"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
+	"agentloc/internal/wire"
 )
 
 // NodeID names a node. It doubles as the node's transport address.
@@ -353,10 +354,15 @@ func (n *Node) CallAgent(ctx context.Context, at NodeID, agent ids.AgentID, kind
 	return n.callAgent(ctx, "", at, agent, kind, req, resp)
 }
 
-// callAgent implements agent-addressed calls with an optional sender id.
-// The inner request body is encoded at the wire version negotiated with the
-// destination, matching the codec the peer layer picks for the wrapper.
+// callAgent implements agent-addressed calls with an optional sender id. A
+// call to an agent on this node is delivered in-process (callLocal); every
+// other call crosses the link. The inner request body is encoded at the wire
+// version negotiated with the destination, matching the codec the peer layer
+// picks for the wrapper.
 func (n *Node) callAgent(ctx context.Context, from ids.AgentID, at NodeID, agent ids.AgentID, kind string, req, resp any) error {
+	if at == n.id {
+		return n.callLocal(ctx, from, agent, kind, req, resp)
+	}
 	payload, err := transport.EncodeV(req, transport.NegotiatedWireVersion(ctx, n.link, at.Addr()))
 	if err != nil {
 		return fmt.Errorf("call %s@%s %s: encode: %w", agent, at, kind, err)
@@ -370,6 +376,45 @@ func (n *Node) callAgent(ctx context.Context, from ids.AgentID, at NodeID, agent
 		if err := transport.Decode(raw.Payload, resp); err != nil {
 			return fmt.Errorf("call %s@%s %s: decode: %w", agent, at, kind, err)
 		}
+	}
+	return nil
+}
+
+// callLocal is callAgent for an agent hosted on this node: the request is
+// handed to deliver on the caller's goroutine — no envelope, no link, no
+// network hop, so neither SpanContext.Hop nor the transport counters move.
+// Request and response still pass through the codec once each, so the
+// behaviour and the caller never share memory, exactly as across the wire.
+// Failures keep the shapes the remote path gives them: a behaviour error is a
+// *transport.RemoteError (so IsAgentNotFound classifies "agent not here"), and
+// an expired ctx unwraps to ctx.Err(). One gap against Peer.Call: a request a
+// ConcurrentBehavior accepts runs on this goroutine, so the call returns at
+// the deadline only while it is parked in the mailbox or being charged its
+// service time, not in the middle of HandleConcurrent (see hosted.serve).
+func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind string, req, resp any) error {
+	payload, err := transport.EncodeV(req, wire.MsgVersion)
+	if err != nil {
+		return fmt.Errorf("call %s@%s %s: encode: %w", agent, n.id, kind, err)
+	}
+	result, err := n.deliver(ctx, trace.FromContext(ctx), agentRequest{Agent: agent, From: from, Kind: kind, Payload: payload})
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		return fmt.Errorf("call %s@%s %s: %w", agent, n.id, kind, ctx.Err())
+	case errors.Is(err, ErrNodeClosed):
+		return fmt.Errorf("call %s@%s %s: %w", agent, n.id, kind, ErrNodeClosed)
+	default:
+		return &transport.RemoteError{Kind: kindAgentRequest, To: n.id.Addr(), Msg: err.Error()}
+	}
+	if resp == nil {
+		return nil
+	}
+	body, err := transport.EncodeV(result, wire.MsgVersion)
+	if err != nil {
+		return &transport.RemoteError{Kind: kindAgentRequest, To: n.id.Addr(), Msg: fmt.Sprintf("agent %s: encode response: %v", agent, err)}
+	}
+	if err := transport.Decode(body, resp); err != nil {
+		return fmt.Errorf("call %s@%s %s: decode: %w", agent, n.id, kind, err)
 	}
 	return nil
 }
@@ -410,12 +455,23 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	n.hostedGauge.Add(-int64(len(agents)))
 
-	for _, h := range agents {
-		h.stopAndWait()
-	}
+	stopAll(agents)
 	n.peer.Close()
 	n.wg.Wait()
 	return nil
+}
+
+// stopAll stops the agents and waits for their goroutines. Every agent is
+// signalled before any is waited on: an agent's background call to a
+// co-hosted sibling (or to anything else) is abandoned at the signal, so the
+// shutdown does not wait out one call timeout per agent in turn.
+func stopAll(agents []*hosted) {
+	for _, h := range agents {
+		h.signalStop("stopped at")
+	}
+	for _, h := range agents {
+		h.stopAndWait()
+	}
 }
 
 // Crash kills the node abruptly, for fault injection: the transport binding
@@ -443,9 +499,7 @@ func (n *Node) Crash() {
 	// goroutine has wound down.
 	n.peer.Close()
 	go func() {
-		for _, h := range agents {
-			h.stopAndWait()
-		}
+		stopAll(agents)
 		n.wg.Wait()
 	}()
 }
@@ -460,9 +514,17 @@ func (n *Node) handle(ctx context.Context, from transport.Addr, kind string, pay
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, fmt.Errorf("node %s: bad agent request: %w", n.id, err)
 		}
+		result, err := n.deliver(ctx, trace.FromContext(ctx), req)
+		if err != nil {
+			return nil, err
+		}
 		// The response body must be readable by the requester: encode it at
 		// the version negotiated with that peer (0 — gob — for old builds).
-		return n.deliver(trace.FromContext(ctx), req, transport.NegotiatedWireVersion(ctx, n.link, from))
+		body, err := transport.EncodeV(result, transport.NegotiatedWireVersion(ctx, n.link, from))
+		if err != nil {
+			return nil, fmt.Errorf("agent %s: encode response: %w", req.Agent, err)
+		}
+		return &rawResponse{Payload: body}, nil
 	case kindAgentTransfer:
 		var xfer agentTransfer
 		if err := transport.Decode(payload, &xfer); err != nil {
@@ -483,29 +545,30 @@ func (n *Node) handle(ctx context.Context, from transport.Addr, kind string, pay
 
 // deliver routes a request to the target agent — through HandleConcurrent
 // when the behaviour offers it and accepts the request, otherwise into the
-// serial mailbox — and waits for the result. For sampled requests a server
-// span wraps the whole delivery (mailbox queueing included), and its context
-// becomes the parent of whatever calls the behaviour makes.
-func (n *Node) deliver(sc trace.SpanContext, req agentRequest, ver uint16) (any, error) {
+// serial mailbox — and waits for the result, or for ctx to expire while the
+// request is parked in the mailbox. For sampled requests a server span wraps
+// the whole delivery (mailbox queueing included), and its context becomes the
+// parent of whatever calls the behaviour makes.
+func (n *Node) deliver(ctx context.Context, sc trace.SpanContext, req agentRequest) (any, error) {
 	n.mu.Lock()
 	h, ok := n.agents[req.Agent]
+	closed := n.closed
 	n.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%s%s not at %s", agentNotFoundPrefix, req.Agent, n.id)
+		err := fmt.Errorf("%s%s not at %s", agentNotFoundPrefix, req.Agent, n.id)
+		if closed {
+			// Still agent-not-found to a remote caller (only the text crosses
+			// the wire); a local caller can tell the node itself is gone.
+			err = fmt.Errorf("%w: %w", err, ErrNodeClosed)
+		}
+		return nil, err
 	}
 	n.agentRequests.Inc()
 	sp := n.tracer.StartSpan(sc, "server", req.Kind)
 	if sp != nil {
 		sc = sp.Context()
 	}
-	result, err := h.serve(sc, req)
+	result, err := h.serve(ctx, sc, req)
 	sp.End(err)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := transport.EncodeV(result, ver)
-	if err != nil {
-		return nil, fmt.Errorf("agent %s: encode response: %w", req.Agent, err)
-	}
-	return &rawResponse{Payload: payload}, nil
+	return result, err
 }

@@ -13,7 +13,9 @@ import (
 type LatencyFunc func(from, to Addr) time.Duration
 
 // FixedLatency returns a LatencyFunc with constant latency on every
-// message, including loopback.
+// envelope, loopback envelopes included. Agent calls within one node never
+// become envelopes (platform delivers them in-process), so this charges
+// loopback only to raw envelope users such as Peer.Call to one's own address.
 func FixedLatency(d time.Duration) LatencyFunc {
 	return func(Addr, Addr) time.Duration { return d }
 }
@@ -183,7 +185,9 @@ func (n *Network) SetDropProb(p float64) {
 	n.cfg.DropProb = p
 }
 
-// Partition blocks traffic between a and b in both directions.
+// Partition blocks traffic between a and b in both directions. With a == b
+// it blocks only a's raw loopback envelopes: agent calls within one node are
+// delivered in-process by the platform and never reach the link.
 func (n *Network) Partition(a, b Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
