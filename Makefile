@@ -8,7 +8,7 @@ DISCOVER_OUT ?= BENCH_discover.json
 # Fuzz budget per target for `make fuzz`.
 FUZZTIME ?= 30s
 
-.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz bench benchdiff chaos ci clean
+.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz bench bench-hot benchdiff chaos ci clean
 
 all: build
 
@@ -81,6 +81,16 @@ bench:
 	MILLION_OUT=$(abspath $(MILLION_OUT)) MILLION_AGENTS=$(MILLION_AGENTS) \
 		$(GO) test ./internal/bench -bench Million -benchtime 1x -run '^$$' -timeout 20m
 	DISCOVER_OUT=$(abspath $(DISCOVER_OUT)) $(GO) test ./internal/bench -bench Discover -benchtime 400x -run '^$$'
+
+# The remote-call hot path, layer by layer, without benchmark/'s 2^20-agent
+# set-up: echo round trips between two TCP links (one caller; eight callers on
+# one connection, reporting socket writes per call), a remote Client.Locate
+# over loopback TCP, and the local whois every operation starts with. Their
+# allocation budgets are ordinary tests (Test*AllocBudget), so `make short` —
+# and with it `make ci` — gates them; this target prints the numbers.
+bench-hot:
+	$(GO) test ./internal/transport -run '^$$' -bench 'TCPEcho' -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'LocateRemoteTCP|WhoisLocal' -benchmem
 
 # Compare fresh benchmark runs against the committed baselines; non-zero
 # exit on regressions past the p99, chase-hop, retry, update-RPC, alloc

@@ -15,6 +15,7 @@ import (
 	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
 	"agentloc/internal/trace"
+	"agentloc/internal/transport"
 )
 
 // Client-side errors.
@@ -185,6 +186,10 @@ type Client struct {
 	caller Caller
 	cfg    Config
 	clk    clock.Clock
+	// local is the caller's node and lhagent the id of the LHAgent there;
+	// neither changes while the caller is valid.
+	local   platform.NodeID
+	lhagent ids.AgentID
 
 	// rng draws the retry jitter; guarded because one Client serves
 	// concurrent operations.
@@ -236,6 +241,10 @@ func NewClient(caller Caller, cfg Config) *Client {
 		cache:  newLocCache(cfg, clk, CallerRegistry(caller)),
 		tracer: CallerTracer(caller),
 	}
+	if caller != nil {
+		c.local = caller.LocalNode()
+		c.lhagent = LHAgentID(c.local)
+	}
 	if reg := CallerRegistry(caller); reg != nil {
 		reg.Describe("agentloc_core_locate_latency_seconds", "End-to-end latency of successful Locate operations.")
 		reg.Describe("agentloc_core_update_latency_seconds", "End-to-end latency of successful MoveNotify operations.")
@@ -266,15 +275,18 @@ func NewClient(caller Caller, cfg Config) *Client {
 // call issues one protocol RPC, bounded by cfg.CallTimeout on top of the
 // caller's context — a lost reply costs one timeout and a retry instead of
 // hanging a deadline-less caller forever. The mechanism's agents bound
-// their internal calls the same way.
+// their internal calls the same way. The bound travels as a
+// transport.DeadlineContext: the transport arms a reusable timer from it, and
+// whoever else selects on Done (a mailbox wait, a service-time charge, a dial)
+// still sees it fire.
 func (c *Client) call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
 	if n := rpcCountFrom(ctx); n != nil {
 		n.Add(1)
 	}
 	if c.cfg.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
+		dc := transport.WithDeadline(ctx, time.Now().Add(c.cfg.CallTimeout))
+		defer dc.Release()
+		ctx = dc
 	}
 	return c.caller.Call(ctx, at, agent, kind, req, resp)
 }
@@ -331,9 +343,8 @@ func (c *Client) childSpan(ctx context.Context, name string) (*trace.ActiveSpan,
 // Whois asks the local LHAgent which IAgent serves the target.
 func (c *Client) Whois(ctx context.Context, target ids.AgentID) (Assignment, error) {
 	sp, ctx := c.childSpan(ctx, "whois")
-	local := c.caller.LocalNode()
 	var resp WhoisResp
-	if err := c.call(ctx, local, LHAgentID(local), KindWhois, &WhoisReq{Target: target}, &resp); err != nil {
+	if err := c.call(ctx, c.local, c.lhagent, KindWhois, &WhoisReq{Target: target}, &resp); err != nil {
 		sp.End(err)
 		return Assignment{}, fmt.Errorf("whois %s: %w", target, err)
 	}
@@ -346,9 +357,8 @@ func (c *Client) Whois(ctx context.Context, target ids.AgentID) (Assignment, err
 // refreshLocal forces the local LHAgent to catch up to at least minVersion.
 func (c *Client) refreshLocal(ctx context.Context, minVersion uint64) error {
 	sp, ctx := c.childSpan(ctx, "refresh")
-	local := c.caller.LocalNode()
 	var resp RefreshResp
-	err := c.call(ctx, local, LHAgentID(local), KindRefresh, &RefreshReq{MinVersion: minVersion}, &resp)
+	err := c.call(ctx, c.local, c.lhagent, KindRefresh, &RefreshReq{MinVersion: minVersion}, &resp)
 	sp.End(err)
 	if err != nil {
 		return fmt.Errorf("refresh hash copy: %w", err)

@@ -132,9 +132,8 @@ func (c *Client) Discover(ctx context.Context, q Query) ([]Match, error) {
 // fresh.
 func (c *Client) leafSet(ctx context.Context, minVersion uint64) ([]LeafRef, uint64, error) {
 	sp, ctx := c.childSpan(ctx, "leaves")
-	local := c.caller.LocalNode()
 	var resp LeavesResp
-	err := c.call(ctx, local, LHAgentID(local), KindLeaves, &LeavesReq{MinVersion: minVersion}, &resp)
+	err := c.call(ctx, c.local, c.lhagent, KindLeaves, &LeavesReq{MinVersion: minVersion}, &resp)
 	sp.End(err)
 	if err != nil {
 		return nil, 0, fmt.Errorf("discover: enumerate leaves: %w", err)

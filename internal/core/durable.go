@@ -294,25 +294,38 @@ func decodeCheckpointSection(sec snapshot.Section) (full bool, entries map[ids.A
 // ---------------------------------------------------------------------------
 // Write paths: WAL appends and section persistence.
 
-// walAppend appends one location update to the hosting node's WAL. A node
-// without a store is a no-op; with one, a failed append must fail the
-// request — the update is only acknowledged once it is logged.
-func walAppend(ctx *platform.Context, op byte, agent ids.AgentID, node platform.NodeID, hashVersion uint64) error {
-	store := ctx.Durable()
-	if store == nil {
-		return nil
-	}
-	err := store.Append(snapshot.Record{
+// walRecord builds the WAL record of one location update served by the
+// calling IAgent.
+func walRecord(ctx *platform.Context, op byte, agent ids.AgentID, node platform.NodeID, hashVersion uint64) snapshot.Record {
+	return snapshot.Record{
 		Op:          op,
 		IAgent:      string(ctx.Self()),
 		Agent:       string(agent),
 		Node:        string(node),
 		HashVersion: hashVersion,
-	})
-	if err != nil {
+	}
+}
+
+// walAppendBatch appends location updates to the hosting node's WAL with one
+// write. A node without a store is a no-op; with one, a failed append must
+// fail the request — updates are only acknowledged once they are logged.
+func walAppendBatch(ctx *platform.Context, recs []snapshot.Record) error {
+	store := ctx.Durable()
+	if store == nil {
+		return nil
+	}
+	if err := store.AppendBatch(recs); err != nil {
 		return fmt.Errorf("IAgent %s: wal: %w", ctx.Self(), err)
 	}
 	return nil
+}
+
+// walAppend is walAppendBatch for a single update.
+func walAppend(ctx *platform.Context, op byte, agent ids.AgentID, node platform.NodeID, hashVersion uint64) error {
+	if ctx.Durable() == nil {
+		return nil
+	}
+	return walAppendBatch(ctx, []snapshot.Record{walRecord(ctx, op, agent, node, hashVersion)})
 }
 
 // walAppendBestEffort logs an update whose loss recovery tolerates (the

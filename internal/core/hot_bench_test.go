@@ -1,0 +1,68 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"agentloc/internal/ids"
+	"agentloc/internal/platform"
+	"agentloc/internal/transport"
+)
+
+// newHotTCPPair deploys the mechanism on two untraced nodes over loopback
+// TCP: the HAgent and the only IAgent on node-0, the returned client on
+// node-1, so every Locate is a local whois plus one socket round trip. It
+// registers n agents and returns their ids.
+func newHotTCPPair(tb testing.TB, n int) (*Client, []ids.AgentID) {
+	tb.Helper()
+	links := make([]*transport.TCP, 2)
+	for i := range links {
+		l, err := transport.NewTCP(transport.TCPConfig{ListenOn: "127.0.0.1:0"})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { l.Close() })
+		links[i] = l
+	}
+	links[0].AddRoute("node-1", links[1].ListenAddr())
+	links[1].AddRoute("node-0", links[0].ListenAddr())
+	nodes := make([]*platform.Node, 2)
+	for i := range nodes {
+		node, err := platform.NewNode(platform.Config{ID: platform.NodeID(fmt.Sprintf("node-%d", i)), Link: links[i]})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { node.Close() })
+		nodes[i] = node
+	}
+	svc, err := Deploy(context.Background(), quietConfig(), nodes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client := svc.ClientFor(nodes[1])
+	targets := make([]ids.AgentID, n)
+	for i := range targets {
+		targets[i] = ids.AgentID(fmt.Sprintf("a-%07d", i))
+		if _, err := client.Register(context.Background(), targets[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return client, targets
+}
+
+// BenchmarkLocateRemoteTCP times Client.Locate through the whole remote
+// path — whois at the local LHAgent, codec, a real loopback socket, the
+// IAgent's concurrent fast path, the table and back — without the
+// benchmark's 2^20 set-up.
+func BenchmarkLocateRemoteTCP(b *testing.B) {
+	client, targets := newHotTCPPair(b, 1024)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Locate(ctx, targets[i%len(targets)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

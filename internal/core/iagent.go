@@ -241,28 +241,25 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		return b.recordLocation(ctx, req.Agent, req.Node, "", req.Capabilities)
+		req.Residence = ""
+		return b.recordLocation(ctx, req)
 	case KindUpdate:
 		var req UpdateReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		return b.recordLocation(ctx, req.Agent, req.Node, req.Residence, req.Capabilities)
+		return b.recordLocation(ctx, req)
 	case KindUpdateBatch:
 		var req UpdateBatchReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		resp := UpdateBatchResp{Acks: make([]Ack, len(req.Updates))}
-		for i, u := range req.Updates {
-			b.metReq[KindUpdate].Inc()
-			ack, err := b.recordLocation(ctx, u.Agent, u.Node, u.Residence, u.Capabilities)
-			if err != nil {
-				return nil, err
-			}
-			resp.Acks[i] = ack
+		b.metReq[KindUpdate].Add(uint64(len(req.Updates)))
+		acks, err := b.recordLocations(ctx, req.Updates)
+		if err != nil {
+			return nil, err
 		}
-		return resp, nil
+		return UpdateBatchResp{Acks: acks}, nil
 	case KindResidenceMove:
 		var req ResidenceMoveReq
 		if err := transport.Decode(payload, &req); err != nil {
@@ -341,44 +338,72 @@ func (b *IAgentBehavior) responsible(ctx *platform.Context, agent ids.AgentID) (
 	return owner == ctx.Self(), st.Version()
 }
 
-// recordLocation serves register and update requests (paper §2.3: "each
-// time A moves, it informs its IAgent about its new location"). A non-empty
-// res binds the agent to that residence handle at node; an empty res clears
-// any binding — an individually-reported move means the agent left its
-// group. A non-empty caps replaces the agent's capability set; empty means
-// no capability change, so plain moves never wipe an advertised set. On a
-// durable node the update is WAL-logged before it is applied or
-// acknowledged; a failed append fails the request.
-func (b *IAgentBehavior) recordLocation(ctx *platform.Context, agent ids.AgentID, node platform.NodeID, res ids.ResidenceID, caps []string) (Ack, error) {
-	b.est.Record()
-	ok, version := b.responsible(ctx, agent)
-	if !ok {
-		b.metStale.Inc()
-		return Ack{Status: StatusNotResponsible, HashVersion: version}, nil
-	}
-	if err := walAppend(ctx, snapshot.OpPut, agent, node, version); err != nil {
+// recordLocation serves one register or update request.
+func (b *IAgentBehavior) recordLocation(ctx *platform.Context, u UpdateReq) (Ack, error) {
+	acks, err := b.recordLocations(ctx, []UpdateReq{u})
+	if err != nil {
 		return Ack{}, err
 	}
-	b.loads.Add(agent)
-	b.Table.Put(agent, node)
-	if res != "" {
-		b.Residence.Bind(agent, res, node)
-	} else {
-		b.Residence.Unbind(agent)
+	return acks[0], nil
+}
+
+// recordLocations serves register and update requests, one or a batch (paper
+// §2.3: "each time A moves, it informs its IAgent about its new location").
+// Each entry is judged on its own: one this IAgent is not responsible for is
+// answered so and skipped. A non-empty Residence binds the agent to that
+// handle at Node; an empty one clears any binding — an individually-reported
+// move means the agent left its group. A non-empty Capabilities replaces the
+// agent's capability set; empty means no capability change, so plain moves
+// never wipe an advertised set. On a durable node the responsible entries are
+// WAL-logged — the whole batch with one write — before any is applied or
+// acknowledged; a failed append fails the request.
+func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []UpdateReq) ([]Ack, error) {
+	acks := make([]Ack, len(updates))
+	var recs []snapshot.Record
+	if ctx.Durable() != nil {
+		recs = make([]snapshot.Record, 0, len(updates))
 	}
-	if len(caps) > 0 {
-		b.Caps.Set(agent, caps)
-		// The location WAL record carries no capability payload; tee the
-		// change as its own delta section so it survives a crash before
-		// the next full dump.
-		b.persistCapDelta(ctx, agent, caps)
+	for i, u := range updates {
+		b.est.Record()
+		ok, version := b.responsible(ctx, u.Agent)
+		if !ok {
+			b.metStale.Inc()
+			acks[i] = Ack{Status: StatusNotResponsible, HashVersion: version}
+			continue
+		}
+		acks[i] = Ack{Status: StatusOK, HashVersion: version}
+		if recs != nil {
+			recs = append(recs, walRecord(ctx, snapshot.OpPut, u.Agent, u.Node, version))
+		}
 	}
-	b.mu.Lock()
-	b.ckDirty[agent] = true
-	delete(b.ckRemoved, agent)
-	b.mu.Unlock()
+	if err := walAppendBatch(ctx, recs); err != nil {
+		return nil, err
+	}
+	for i, u := range updates {
+		if acks[i].Status != StatusOK {
+			continue
+		}
+		b.loads.Add(u.Agent)
+		b.Table.Put(u.Agent, u.Node)
+		if u.Residence != "" {
+			b.Residence.Bind(u.Agent, u.Residence, u.Node)
+		} else {
+			b.Residence.Unbind(u.Agent)
+		}
+		if len(u.Capabilities) > 0 {
+			b.Caps.Set(u.Agent, u.Capabilities)
+			// The location WAL record carries no capability payload; tee the
+			// change as its own delta section so it survives a crash before
+			// the next full dump.
+			b.persistCapDelta(ctx, u.Agent, u.Capabilities)
+		}
+		b.mu.Lock()
+		b.ckDirty[u.Agent] = true
+		delete(b.ckRemoved, u.Agent)
+		b.mu.Unlock()
+	}
 	b.metTable.Set(int64(b.Table.Len()))
-	return Ack{Status: StatusOK, HashVersion: version}, nil
+	return acks, nil
 }
 
 // residenceMove serves KindResidenceMove: re-point a residence handle at
@@ -399,8 +424,12 @@ func (b *IAgentBehavior) residenceMove(ctx *platform.Context, req ResidenceMoveR
 	// one put per member — the durable mirror of what the checkpoint
 	// re-push below does for the sibling copy. A failed append fails the
 	// request; the sender's retry repeats the (idempotent) move.
-	for _, a := range members {
-		if err := walAppend(ctx, snapshot.OpPut, a, req.Node, version); err != nil {
+	if ctx.Durable() != nil {
+		recs := make([]snapshot.Record, len(members))
+		for i, a := range members {
+			recs[i] = walRecord(ctx, snapshot.OpPut, a, req.Node, version)
+		}
+		if err := walAppendBatch(ctx, recs); err != nil {
 			return ResidenceMoveResp{}, err
 		}
 	}

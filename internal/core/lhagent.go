@@ -55,7 +55,49 @@ func newHashCopy(st *State) *hashCopy {
 	return &hashCopy{State: st, leaves: leaves}
 }
 
-var _ platform.ConcurrentBehavior = (*LHAgentBehavior)(nil)
+var (
+	_ platform.ConcurrentBehavior = (*LHAgentBehavior)(nil)
+	_ platform.LocalAnswerer      = (*LHAgentBehavior)(nil)
+)
+
+// AnswerLocal implements platform.LocalAnswerer: the client on this node —
+// every whois is one — gets the three read kinds answered from the installed
+// copy by value, under HandleConcurrent's condition (the copy exists and is
+// fresh enough) and with its answers, minus the codec on both sides.
+func (b *LHAgentBehavior) AnswerLocal(ctx *platform.Context, kind string, req, resp any) (bool, error) {
+	cp := b.copy.Load()
+	if cp == nil {
+		return false, nil
+	}
+	switch req := req.(type) {
+	case *WhoisReq:
+		out, ok := resp.(*WhoisResp)
+		if !ok || kind != KindWhois {
+			return false, nil
+		}
+		var err error
+		if *out, err = cp.whois(ctx.Self(), req.Target); err != nil {
+			return true, err
+		}
+	case *RefreshReq:
+		out, ok := resp.(*RefreshResp)
+		if !ok || kind != KindRefresh || cp.Version() < req.MinVersion {
+			return false, nil
+		}
+		*out = RefreshResp{HashVersion: cp.Version()}
+	case *LeavesReq:
+		out, ok := resp.(*LeavesResp)
+		if !ok || kind != KindLeaves || cp.Version() < req.MinVersion {
+			return false, nil
+		}
+		// The copy's leaf list is shared between answers; the caller gets
+		// its own.
+		*out = LeavesResp{HashVersion: cp.Version(), Leaves: append([]LeafRef(nil), cp.leaves...)}
+	default:
+		return false, nil
+	}
+	return true, nil
+}
 
 // HandleConcurrent implements platform.ConcurrentBehavior: whois, leaves and
 // refresh are answered straight from the installed copy when it is present
@@ -135,16 +177,25 @@ func decodeRead(kind string, payload []byte) (target ids.AgentID, minVersion uin
 func (c *hashCopy) answer(ctx *platform.Context, kind string, target ids.AgentID) (any, error) {
 	switch kind {
 	case KindWhois:
-		iagent, node, err := c.OwnerOf(target)
+		resp, err := c.whois(ctx.Self(), target)
 		if err != nil {
-			return nil, fmt.Errorf("LHAgent %s: %w", ctx.Self(), err)
+			return nil, err
 		}
-		return WhoisResp{IAgent: iagent, Node: node, HashVersion: c.Version()}, nil
+		return resp, nil
 	case KindLeaves:
 		return LeavesResp{HashVersion: c.Version(), Leaves: c.leaves}, nil
 	default:
 		return RefreshResp{HashVersion: c.Version()}, nil
 	}
+}
+
+// whois resolves the IAgent responsible for the target.
+func (c *hashCopy) whois(self, target ids.AgentID) (WhoisResp, error) {
+	iagent, node, err := c.OwnerOf(target)
+	if err != nil {
+		return WhoisResp{}, fmt.Errorf("LHAgent %s: %w", self, err)
+	}
+	return WhoisResp{IAgent: iagent, Node: node, HashVersion: c.Version()}, nil
 }
 
 // copyAtLeast returns the installed copy once it exists and is at least

@@ -43,7 +43,7 @@ func (s *State) OwnerOf(agent ids.AgentID) (ids.AgentID, platform.NodeID, error)
 	if s == nil || s.Tree == nil {
 		return "", "", fmt.Errorf("core: no hash state")
 	}
-	owner, err := s.Tree.Lookup(agent.Binary())
+	owner, err := s.Tree.LookupHash(agent.Hash64())
 	if err != nil {
 		return "", "", fmt.Errorf("core: owner of %s: %w", agent, err)
 	}

@@ -1,6 +1,7 @@
 package hashtree
 
 import (
+	"errors"
 	"testing"
 
 	"agentloc/internal/bitstr"
@@ -28,6 +29,7 @@ func FuzzDecodeJSON(f *testing.F) {
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("decoder accepted invalid tree: %v", err)
 		}
+		checkLookupHash(t, tree, 0xDEADBEEF)
 		owner, err := tree.Lookup(id)
 		if err != nil {
 			return // trees deeper than 64 bits legitimately fail lookups
@@ -65,6 +67,7 @@ func FuzzDeserialize(f *testing.F) {
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("Deserialize accepted invalid tree: %v", err)
 		}
+		checkLookupHash(t, tree, 0xDEADBEEF)
 		if _, err := tree.Lookup(id); err == nil {
 			// Accepted trees must also survive re-serialization.
 			if _, err := tree.Serialize(); err != nil {
@@ -112,8 +115,23 @@ func FuzzSplitSequence(f *testing.F) {
 			if _, err := tree.Lookup(bitstr.FromUint64(v, 64)); err != nil {
 				t.Fatalf("lookup %x: %v", v, err)
 			}
+			checkLookupHash(t, tree, v)
 		}
 	})
+}
+
+// checkLookupHash fails the test unless the word lookup and the bit-string
+// lookup agree on v, owner and error alike.
+func checkLookupHash(t *testing.T, tree *Tree, v uint64) {
+	t.Helper()
+	want, wantErr := tree.Lookup(bitstr.FromUint64(v, 64))
+	got, gotErr := tree.LookupHash(v)
+	if got != want || (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("LookupHash(%#x) = %q, %v; Lookup = %q, %v", v, got, gotErr, want, wantErr)
+	}
+	if wantErr != nil && !errors.Is(gotErr, ErrIDTooShort) {
+		t.Fatalf("LookupHash(%#x) error %v, want ErrIDTooShort like Lookup's %v", v, gotErr, wantErr)
+	}
 }
 
 func newFuzzID(next *int) string {

@@ -183,3 +183,83 @@ func TestQuickMergeAbsorbersOnly(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickLookupHashMatchesLookup: on every reachable tree — the script
+// mixes merges in, so multi-bit labels and non-empty root labels occur — the
+// word lookup and the bit-string lookup name the same owner for every id.
+func TestQuickLookupHashMatchesLookup(t *testing.T) {
+	multiBit, rootLabelled := 0, 0
+	f := func(script []byte, id uint64) bool {
+		if len(script) > 24 {
+			script = script[:24]
+		}
+		tree, err := buildFromScript(script)
+		if err != nil {
+			return false
+		}
+		if !tree.RootLabel().IsEmpty() {
+			rootLabelled++
+		}
+		for _, l := range tree.Leaves() {
+			for _, lab := range l.HyperLabel {
+				if lab.Len() > 1 {
+					multiBit++
+				}
+			}
+		}
+		checkLookupHash(t, tree, id)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+	if multiBit == 0 || rootLabelled == 0 {
+		t.Errorf("generator built %d multi-bit labels and %d root-labelled trees; the property needs both", multiBit, rootLabelled)
+	}
+}
+
+// TestLookupHashFixedTrees pins the word lookup on hand-built shapes: the
+// paper's tree (multi-bit labels), a root label that shifts every routing
+// bit, and a path longer than the id, where both lookups must refuse.
+func TestLookupHashFixedTrees(t *testing.T) {
+	leaf := func(id string) *NodeDTO { return &NodeDTO{IAgent: id} }
+	shifted, err := FromDTO(DTO{Version: 1, RootLabel: "101", Root: NodeDTO{
+		LeftLabel: "011", Left: leaf("L"),
+		RightLabel: "1", Right: &NodeDTO{LeftLabel: "0", Left: leaf("RL"), RightLabel: "10", Right: leaf("RR")},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 70 one-bit right edges: the walk needs bit 64 of a 64-bit id.
+	deep := leaf("bottom")
+	for i := 0; i < 70; i++ {
+		deep = &NodeDTO{LeftLabel: "0", Left: leaf("off-" + itoa(i)), RightLabel: "1", Right: deep}
+	}
+	tooDeep, err := FromDTO(DTO{Version: 1, Root: *deep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(19))
+	for _, tree := range []*Tree{New("solo"), PaperTree(), shifted, tooDeep} {
+		for _, v := range []uint64{0, ^uint64(0), 1, 1 << 63, 0xAAAAAAAAAAAAAAAA, 0x5555555555555555} {
+			checkLookupHash(t, tree, v)
+		}
+		for i := 0; i < 256; i++ {
+			checkLookupHash(t, tree, r.Uint64())
+		}
+	}
+	if _, err := tooDeep.LookupHash(^uint64(0)); err == nil {
+		t.Error("LookupHash walked past bit 63 without an error")
+	}
+}
+
+// TestLookupHashAllocatesNothing is the allocation budget of the per-operation
+// owner lookup.
+func TestLookupHashAllocatesNothing(t *testing.T) {
+	tree := PaperTree()
+	var sink string
+	if n := testing.AllocsPerRun(1000, func() { sink, _ = tree.LookupHash(0x123456789ABCDEF0) }); n != 0 {
+		t.Errorf("LookupHash allocates %.0f times per call, want 0", n)
+	}
+	_ = sink
+}

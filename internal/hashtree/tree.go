@@ -110,6 +110,29 @@ func (t *Tree) Lookup(binary bitstr.Bits) (string, error) {
 	return n.iagent, nil
 }
 
+// LookupHash is Lookup over a 64-bit id word whose most significant bit is
+// bit 0 of the binary id — ids.AgentID.Hash64, of which AgentID.Binary is the
+// rendering — so the per-operation paths resolve an owner without
+// materialising the bit string. For every h, LookupHash(h) equals
+// Lookup(bitstr.FromUint64(h, 64)), errors included.
+func (t *Tree) LookupHash(h uint64) (string, error) {
+	pos := t.rootLabel.Len()
+	n := t.root
+	for !n.isLeaf() {
+		if pos >= 64 {
+			return "", fmt.Errorf("%w: need bit %d of 64-bit id", ErrIDTooShort, pos)
+		}
+		if (h>>(63-pos))&1 == 0 {
+			pos += n.leftLabel.Len()
+			n = n.left
+		} else {
+			pos += n.rightLabel.Len()
+			n = n.right
+		}
+	}
+	return n.iagent, nil
+}
+
 // Leaf describes one leaf of the tree.
 type Leaf struct {
 	// IAgent is the id of the IAgent owning the leaf.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"agentloc/internal/clock"
@@ -22,9 +23,10 @@ type hosted struct {
 	serviceTime time.Duration
 
 	mailbox *mailbox
-
-	mu      sync.Mutex
-	stopped bool
+	stopped atomic.Bool
+	// plain is the Context of everything that carries no trace context: Run
+	// goroutines and untraced requests share it instead of building one each.
+	plain *Context
 
 	// life is cancelled when the agent is stopped or about to move.
 	life    context.Context
@@ -41,6 +43,7 @@ func newHosted(id ids.AgentID, b Behavior, n *Node) *hosted {
 		mailbox:  newMailbox(),
 		boxDone:  make(chan struct{}),
 	}
+	h.plain = &Context{host: h}
 	h.life, h.cancel = context.WithCancel(context.Background())
 	return h
 }
@@ -69,13 +72,14 @@ func (h *hosted) start(wg *sync.WaitGroup) {
 
 // context builds the Context handed to behaviour callbacks outside any
 // request (Run goroutines).
-func (h *hosted) context() *Context {
-	return &Context{host: h}
-}
+func (h *hosted) context() *Context { return h.plain }
 
 // contextFor builds the per-request Context, carrying the request's trace
 // context so the behaviour's onward calls stay in the caller's causal tree.
 func (h *hosted) contextFor(sc trace.SpanContext) *Context {
+	if sc == (trace.SpanContext{}) {
+		return h.plain
+	}
 	return &Context{host: h, span: sc}
 }
 
@@ -94,10 +98,7 @@ func (h *hosted) serve(ctx context.Context, sc trace.SpanContext, req agentReque
 	if !ok {
 		return h.submit(ctx, sc, req)
 	}
-	h.mu.Lock()
-	stopped := h.stopped
-	h.mu.Unlock()
-	if stopped {
+	if h.stopped.Load() {
 		return nil, h.gone("left")
 	}
 	body, handled, err := cb.HandleConcurrent(h.contextFor(sc), req.Kind, req.Payload)
@@ -105,14 +106,24 @@ func (h *hosted) serve(ctx context.Context, sc trace.SpanContext, req agentReque
 		return h.submit(ctx, sc, req)
 	}
 	h.node.fastRequests.Inc()
-	if h.serviceTime > 0 {
-		select {
-		case <-h.node.clk.After(h.serviceTime):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	if cerr := h.chargeServiceTime(ctx); cerr != nil {
+		return nil, cerr
 	}
 	return body, err
+}
+
+// chargeServiceTime charges a request served outside the mailbox its service
+// time on the caller's goroutine, within ctx.
+func (h *hosted) chargeServiceTime(ctx context.Context) error {
+	if h.serviceTime <= 0 {
+		return nil
+	}
+	select {
+	case <-h.node.clk.After(h.serviceTime):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // submit queues a request and waits for the mailbox to process it, or for
@@ -160,14 +171,9 @@ func (h *hosted) mailboxLoop() {
 // false when the agent was already stopped. It does not wait: the request
 // being processed, and a Run goroutine, finish on their own time.
 func (h *hosted) signalStop(why string) bool {
-	h.mu.Lock()
-	if h.stopped {
-		h.mu.Unlock()
+	if !h.stopped.CompareAndSwap(false, true) {
 		return false
 	}
-	h.stopped = true
-	h.mu.Unlock()
-
 	h.cancel()
 	for _, w := range h.mailbox.close() {
 		w.result <- workResult{err: h.gone(why)}

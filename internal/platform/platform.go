@@ -69,9 +69,28 @@ type Runner interface {
 // table) should be handled here. This is how a read-dominated agent escapes
 // the one-request-at-a-time queueing model that the plain Behavior contract
 // guarantees.
+//
+// The delivering goroutine of a remote request is the connection's read loop
+// (when the agent has no service time to charge): until HandleConcurrent
+// returns, nothing else arrives from that peer. So it must neither block nor
+// call out — what needs either is declined, and a declined offer must leave
+// no trace, because the request is offered again on its way to the mailbox.
+// payload is valid only until HandleConcurrent returns.
 type ConcurrentBehavior interface {
 	Behavior
 	HandleConcurrent(ctx *Context, kind string, payload []byte) (result any, handled bool, err error)
+}
+
+// LocalAnswerer is optionally implemented by behaviours that can answer some
+// kinds for a caller on their own node without the codec: req is the caller's
+// request value, resp the pointer it wants the answer stored through.
+// HandleConcurrent's rules apply — concurrent with everything, no blocking, no
+// calling out, a declined offer leaves no trace — and what is stored through
+// resp must share no mutable memory with the behaviour. handled=false sends
+// the call down the ordinary path, codec included.
+type LocalAnswerer interface {
+	Behavior
+	AnswerLocal(ctx *Context, kind string, req, resp any) (handled bool, err error)
 }
 
 // RegisterBehavior registers a migrating behaviour's concrete type with
@@ -119,12 +138,18 @@ const (
 	kindNodePing      = "platform.ping"
 )
 
-// agentRequest wraps a request addressed to an agent at the node.
+// agentRequest wraps a request addressed to an agent at the node. A sender
+// whose request has a binary form leaves it in body, unencoded: the wrapper
+// encodes it in whichever codec the wrapper itself is encoded in (see
+// wiremsg.go), so nobody has to ask the link for the destination's codec
+// first. Payload is what a receiver decodes.
 type agentRequest struct {
 	Agent   ids.AgentID
 	From    ids.AgentID // requesting agent, if any
 	Kind    string
 	Payload []byte
+
+	body wire.Marshaler
 }
 
 // agentTransfer carries a migrating agent's serialized state.
@@ -237,7 +262,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.transfersIn = cfg.Metrics.Counter("agentloc_platform_transfers_in_total", "node", node)
 	n.agentRequests = cfg.Metrics.Counter("agentloc_platform_agent_requests_total", "node", node)
 	n.fastRequests = cfg.Metrics.Counter("agentloc_platform_agent_requests_fastpath_total", "node", node)
-	peer, err := transport.NewPeerWithMetrics(cfg.Link, cfg.ID.Addr(), n.handle, cfg.Metrics)
+	peer, err := transport.NewServingPeer(cfg.Link, cfg.ID.Addr(), n.handleInline, n.handle, cfg.Metrics)
 	if err != nil {
 		return nil, fmt.Errorf("node %s: %w", cfg.ID, err)
 	}
@@ -356,18 +381,22 @@ func (n *Node) CallAgent(ctx context.Context, at NodeID, agent ids.AgentID, kind
 
 // callAgent implements agent-addressed calls with an optional sender id. A
 // call to an agent on this node is delivered in-process (callLocal); every
-// other call crosses the link. The inner request body is encoded at the wire
-// version negotiated with the destination, matching the codec the peer layer
-// picks for the wrapper.
+// other call crosses the link, the request riding unencoded inside its wrapper
+// until the link knows the destination's codec.
 func (n *Node) callAgent(ctx context.Context, from ids.AgentID, at NodeID, agent ids.AgentID, kind string, req, resp any) error {
 	if at == n.id {
 		return n.callLocal(ctx, from, agent, kind, req, resp)
 	}
-	payload, err := transport.EncodeV(req, transport.NegotiatedWireVersion(ctx, n.link, at.Addr()))
-	if err != nil {
-		return fmt.Errorf("call %s@%s %s: encode: %w", agent, at, kind, err)
+	wrapped := agentRequest{Agent: agent, From: from, Kind: kind}
+	if m, ok := req.(wire.Marshaler); ok {
+		wrapped.body = m
+	} else {
+		payload, err := transport.Encode(req)
+		if err != nil {
+			return fmt.Errorf("call %s@%s %s: encode: %w", agent, at, kind, err)
+		}
+		wrapped.Payload = payload
 	}
-	wrapped := agentRequest{Agent: agent, From: from, Kind: kind, Payload: payload}
 	var raw rawResponse
 	if err := n.peer.Call(ctx, at.Addr(), kindAgentRequest, &wrapped, &raw); err != nil {
 		return err
@@ -381,10 +410,11 @@ func (n *Node) callAgent(ctx context.Context, from ids.AgentID, at NodeID, agent
 }
 
 // callLocal is callAgent for an agent hosted on this node: the request is
-// handed to deliver on the caller's goroutine — no envelope, no link, no
-// network hop, so neither SpanContext.Hop nor the transport counters move.
-// Request and response still pass through the codec once each, so the
-// behaviour and the caller never share memory, exactly as across the wire.
+// handed over on the caller's goroutine — no envelope, no link, no network
+// hop, so neither SpanContext.Hop nor the transport counters move. A
+// LocalAnswerer that accepts the kind fills in resp directly; everything else
+// passes request and response through the codec once each, so the behaviour
+// and the caller never share memory, exactly as across the wire.
 // Failures keep the shapes the remote path gives them: a behaviour error is a
 // *transport.RemoteError (so IsAgentNotFound classifies "agent not here"), and
 // an expired ctx unwraps to ctx.Err(). One gap against Peer.Call: a request a
@@ -392,11 +422,15 @@ func (n *Node) callAgent(ctx context.Context, from ids.AgentID, at NodeID, agent
 // the deadline only while it is parked in the mailbox or being charged its
 // service time, not in the middle of HandleConcurrent (see hosted.serve).
 func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind string, req, resp any) error {
-	payload, err := transport.EncodeV(req, wire.MsgVersion)
-	if err != nil {
-		return fmt.Errorf("call %s@%s %s: encode: %w", agent, n.id, kind, err)
+	sc := trace.FromContext(ctx)
+	result, answered, err := n.answerLocal(ctx, sc, agent, kind, req, resp)
+	if !answered {
+		var payload []byte
+		if payload, err = transport.EncodeV(req, wire.MsgVersion); err != nil {
+			return fmt.Errorf("call %s@%s %s: encode: %w", agent, n.id, kind, err)
+		}
+		result, err = n.deliver(ctx, sc, agentRequest{Agent: agent, From: from, Kind: kind, Payload: payload})
 	}
-	result, err := n.deliver(ctx, trace.FromContext(ctx), agentRequest{Agent: agent, From: from, Kind: kind, Payload: payload})
 	switch {
 	case err == nil:
 	case ctx.Err() != nil:
@@ -406,7 +440,7 @@ func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind stri
 	default:
 		return &transport.RemoteError{Kind: kindAgentRequest, To: n.id.Addr(), Msg: err.Error()}
 	}
-	if resp == nil {
+	if answered || resp == nil {
 		return nil
 	}
 	body, err := transport.EncodeV(result, wire.MsgVersion)
@@ -419,9 +453,25 @@ func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind stri
 	return nil
 }
 
-// rawResponse carries an agent's gob-encoded response body.
+// rawResponse carries an agent's response. Like agentRequest, the sender
+// leaves it in body, unencoded, and the wrapper encodes it in its own codec;
+// Payload is what the receiver decodes.
 type rawResponse struct {
 	Payload []byte
+
+	body wire.Marshaler
+}
+
+// responseFor wraps a behaviour's result for the wire.
+func responseFor(agent ids.AgentID, result any) (*rawResponse, error) {
+	if m, ok := result.(wire.Marshaler); ok {
+		return &rawResponse{body: m}, nil
+	}
+	payload, err := transport.Encode(result)
+	if err != nil {
+		return nil, fmt.Errorf("agent %s: encode response: %w", agent, err)
+	}
+	return &rawResponse{Payload: payload}, nil
 }
 
 // Ping checks that a node is reachable.
@@ -455,8 +505,15 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	n.hostedGauge.Add(-int64(len(agents)))
 
-	stopAll(agents)
+	// The peer closes between signalling the agents and waiting for them:
+	// an agent's call nobody can answer any more — a Move to a node that went
+	// away first — fails at the closing peer instead of holding the shutdown
+	// for its timeout.
+	for _, h := range agents {
+		h.signalStop("stopped at")
+	}
 	n.peer.Close()
+	stopAll(agents)
 	n.wg.Wait()
 	return nil
 }
@@ -504,6 +561,98 @@ func (n *Node) Crash() {
 	}()
 }
 
+// handleInline is the node's transport.InlineHandler: on the connection's read
+// loop it answers pings, and agent requests whose target is a
+// ConcurrentBehavior with no service time that accepts them. Everything else —
+// mailbox kinds, transfers, gob-encoded requests from old peers — is declined
+// and reaches handle on a goroutine of its own.
+func (n *Node) handleInline(ctx context.Context, _ transport.Addr, kind string, payload []byte) (any, bool, error) {
+	switch kind {
+	case kindNodePing:
+		return nil, true, nil
+	case kindAgentRequest:
+		_, body, ok := wire.MsgHeader(payload)
+		if !ok {
+			return nil, false, nil
+		}
+		var req agentRequest
+		d := wire.GetDec(body)
+		err := req.DecodeWire(d)
+		if err == nil {
+			err = d.Done()
+		}
+		wire.PutDec(d)
+		if err != nil {
+			return nil, false, nil // handle reports it
+		}
+		n.mu.Lock()
+		h, hosted := n.agents[req.Agent]
+		n.mu.Unlock()
+		if !hosted {
+			return nil, false, nil
+		}
+		cb, ok := h.behavior.(ConcurrentBehavior)
+		if !ok || h.serviceTime > 0 || h.stopped.Load() {
+			return nil, false, nil
+		}
+		sc := trace.FromContext(ctx)
+		sp := n.tracer.StartSpan(sc, "server", req.Kind)
+		if sp != nil {
+			sc = sp.Context()
+		}
+		result, handled, err := cb.HandleConcurrent(h.contextFor(sc), req.Kind, req.Payload)
+		if !handled {
+			return nil, false, nil // sp is dropped unrecorded
+		}
+		n.agentRequests.Inc()
+		n.fastRequests.Inc()
+		sp.End(err)
+		if err != nil {
+			return nil, true, err
+		}
+		resp, err := responseFor(req.Agent, result)
+		return resp, true, err
+	default:
+		return nil, false, nil
+	}
+}
+
+// answerLocal offers a same-node call to the target's AnswerLocal, if it has
+// one, with the accounting a delivered request gets: the request counters, a
+// server span for sampled requests, the service time charged on the caller's
+// goroutine within ctx. answered=false means nothing happened and the call
+// takes the ordinary path.
+func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.AgentID, kind string, req, resp any) (result any, answered bool, err error) {
+	if resp == nil {
+		return nil, false, nil
+	}
+	n.mu.Lock()
+	h, ok := n.agents[agent]
+	n.mu.Unlock()
+	if !ok {
+		return nil, false, nil
+	}
+	la, ok := h.behavior.(LocalAnswerer)
+	if !ok || h.stopped.Load() {
+		return nil, false, nil
+	}
+	sp := n.tracer.StartSpan(sc, "server", kind)
+	if sp != nil {
+		sc = sp.Context()
+	}
+	handled, err := la.AnswerLocal(h.contextFor(sc), kind, req, resp)
+	if !handled {
+		return nil, false, nil // sp is dropped unrecorded
+	}
+	n.agentRequests.Inc()
+	n.fastRequests.Inc()
+	if err == nil {
+		err = h.chargeServiceTime(ctx)
+	}
+	sp.End(err)
+	return nil, true, err
+}
+
 // handle serves the node's wire protocol.
 func (n *Node) handle(ctx context.Context, from transport.Addr, kind string, payload []byte) (any, error) {
 	switch kind {
@@ -518,13 +667,7 @@ func (n *Node) handle(ctx context.Context, from transport.Addr, kind string, pay
 		if err != nil {
 			return nil, err
 		}
-		// The response body must be readable by the requester: encode it at
-		// the version negotiated with that peer (0 — gob — for old builds).
-		body, err := transport.EncodeV(result, transport.NegotiatedWireVersion(ctx, n.link, from))
-		if err != nil {
-			return nil, fmt.Errorf("agent %s: encode response: %w", req.Agent, err)
-		}
-		return &rawResponse{Payload: body}, nil
+		return responseFor(req.Agent, result)
 	case kindAgentTransfer:
 		var xfer agentTransfer
 		if err := transport.Decode(payload, &xfer); err != nil {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"agentloc/internal/ids"
+	"agentloc/internal/transport"
 	"agentloc/internal/wire"
 )
 
@@ -13,27 +14,56 @@ import (
 // maxPlatIDLen bounds agent-id and kind lengths on the wire.
 const maxPlatIDLen = 1 << 16
 
-// kindIntern canonicalises the message-kind strings, a small fixed
-// vocabulary repeated on every request.
-var kindIntern = wire.NewInterner()
+// names canonicalises what every request repeats: the message-kind strings, a
+// small fixed vocabulary, and the ids of the agents requests are addressed to
+// and come from — the mechanism's own agents in nearly every case, so the
+// interner's bound is never met and the steady state decodes a wrapper
+// without allocating.
+var names = wire.NewInterner()
+
+// appendNested appends a message as the length-prefixed binary payload its
+// wrapper carries, through pooled scratch space.
+func appendNested(dst []byte, m wire.Marshaler) []byte {
+	inner := wire.GetBuf()
+	*inner = m.AppendWire(wire.AppendMsgHeader(*inner, wire.MsgVersion))
+	dst = wire.AppendBytes(dst, *inner)
+	wire.PutBuf(inner)
+	return dst
+}
 
 func (r *agentRequest) AppendWire(dst []byte) []byte {
 	dst = wire.AppendString(dst, string(r.Agent))
 	dst = wire.AppendString(dst, string(r.From))
 	dst = wire.AppendString(dst, r.Kind)
+	if r.body != nil {
+		return appendNested(dst, r.body)
+	}
 	return wire.AppendBytes(dst, r.Payload)
 }
 
+// GobForm implements transport.GobFormer: toward a gob-only peer the request
+// inside is gob too.
+func (r *agentRequest) GobForm() (any, error) {
+	if r.body == nil {
+		return r, nil
+	}
+	payload, err := transport.Encode(r.body)
+	if err != nil {
+		return nil, err
+	}
+	return &agentRequest{Agent: r.Agent, From: r.From, Kind: r.Kind, Payload: payload}, nil
+}
+
 func (r *agentRequest) DecodeWire(d *wire.Dec) error {
-	agent, err := d.String(maxPlatIDLen)
+	agent, err := d.StringIn(maxPlatIDLen, names)
 	if err != nil {
 		return err
 	}
-	from, err := d.String(maxPlatIDLen)
+	from, err := d.StringIn(maxPlatIDLen, names)
 	if err != nil {
 		return err
 	}
-	kind, err := d.StringIn(maxPlatIDLen, kindIntern)
+	kind, err := d.StringIn(maxPlatIDLen, names)
 	if err != nil {
 		return err
 	}
@@ -50,7 +80,22 @@ func (r *agentRequest) DecodeWire(d *wire.Dec) error {
 }
 
 func (r *rawResponse) AppendWire(dst []byte) []byte {
+	if r.body != nil {
+		return appendNested(dst, r.body)
+	}
 	return wire.AppendBytes(dst, r.Payload)
+}
+
+// GobForm implements transport.GobFormer.
+func (r *rawResponse) GobForm() (any, error) {
+	if r.body == nil {
+		return r, nil
+	}
+	payload, err := transport.Encode(r.body)
+	if err != nil {
+		return nil, err
+	}
+	return &rawResponse{Payload: payload}, nil
 }
 
 func (r *rawResponse) DecodeWire(d *wire.Dec) error {

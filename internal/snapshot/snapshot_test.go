@@ -220,6 +220,92 @@ func TestTornWALTail(t *testing.T) {
 	}
 }
 
+// TestAppendBatchMatchesAppends: a batch leaves exactly the bytes its records
+// would leave appended one by one, and counts one WAL write per record.
+func TestAppendBatchMatchesAppends(t *testing.T) {
+	recs := []Record{rec(1), rec(2), {Op: OpDelete, IAgent: "ia-1", Agent: "agent-1", HashVersion: 3}, rec(4)}
+	oneByOne := openStore(t, t.TempDir(), nil)
+	for _, r := range recs {
+		if err := oneByOne.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := metrics.New()
+	batched := openStore(t, t.TempDir(), reg)
+	if err := batched.AppendBatch(recs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := batched.AppendBatch(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := batched.AppendBatch(recs[3:]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(oneByOne.walPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(batched.walPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("batched WAL is %d bytes, one-by-one WAL %d, and they differ", len(got), len(want))
+	}
+	if v := reg.Counter("agentloc_snapshot_writes_total", "kind", "wal").Value(); v != uint64(len(recs)) {
+		t.Fatalf("wal writes counter = %d, want one per record (%d)", v, len(recs))
+	}
+}
+
+// TestTornWALBatch cuts the WAL in the middle of a batch — the crash lands
+// during the batch's one write, before anything in it was acknowledged — and
+// checks that recovery keeps the earlier batch whole and the intact prefix of
+// the torn one, and asks for nothing past the tear.
+func TestTornWALBatch(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.New()
+	s := openStore(t, dir, reg)
+	if err := s.AppendBatch([]Record{rec(1), rec(2), rec(3)}); err != nil {
+		t.Fatal(err)
+	}
+	acked, err := os.ReadFile(s.walPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendBatch([]Record{rec(4), rec(5), rec(6), rec(7)}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	path := s.walPath(0)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two records of the second batch survive whole, the third is ragged.
+	perRec := (len(data) - len(acked)) / 4
+	cut := len(acked) + 2*perRec + perRec/2
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := openStore(t, dir, reg).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) != 5 {
+		t.Fatalf("replayed %d records, want the 3 acknowledged plus the torn batch's 2 intact", len(got.Records))
+	}
+	for i, r := range got.Records {
+		if r != rec(i+1) {
+			t.Fatalf("record %d = %+v, want %+v", i, r, rec(i+1))
+		}
+	}
+	if v := reg.Counter("agentloc_snapshot_errors_total", "reason", "wal_tail").Value(); v != 1 {
+		t.Fatalf("wal_tail counter = %d, want 1", v)
+	}
+}
+
 func TestDeltaOrderAndCorruptStop(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.New()

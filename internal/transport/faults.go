@@ -4,6 +4,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,6 +26,8 @@ type Faults struct {
 	corruptWrites bool
 	acceptDelay   time.Duration
 	conns         map[*faultConn]struct{}
+
+	writes atomic.Int64
 }
 
 // NewFaults returns a disarmed fault injector.
@@ -105,6 +108,11 @@ func (f *Faults) ResetAll() {
 	}
 }
 
+// Writes reports how many Write calls the link has made on its connections
+// so far, stalled and corrupted ones included — the system calls a fault-free
+// link would have issued, which is how tests see frames sharing a write.
+func (f *Faults) Writes() int64 { return f.writes.Load() }
+
 // wrap intercepts a connection. Nil receivers pass the connection through,
 // so the TCP link never needs to guard the call.
 func (f *Faults) wrap(conn net.Conn) net.Conn {
@@ -168,6 +176,7 @@ type faultConn struct {
 
 // Write applies the active write faults, then delegates.
 func (c *faultConn) Write(p []byte) (int, error) {
+	c.f.writes.Add(1)
 	if c.f.stalls(c.Conn.RemoteAddr().String()) {
 		return 0, c.stall()
 	}

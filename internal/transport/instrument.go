@@ -35,22 +35,30 @@ func describeTransportMetrics(r *metrics.Registry) {
 // instrumentedLink wraps a Link, counting envelopes as they cross it.
 type instrumentedLink struct {
 	inner Link
+	out   poster // inner's post, or its Send behind one
 	reg   *metrics.Registry
 }
 
-var _ Link = (*instrumentedLink)(nil)
+var (
+	_ Link             = (*instrumentedLink)(nil)
+	_ ContextSender    = (*instrumentedLink)(nil)
+	_ poster           = (*instrumentedLink)(nil)
+	_ endpointListener = (*instrumentedLink)(nil)
+)
 
 // Instrument wraps link so that every envelope sent or received through it
 // increments agentloc_transport_envelopes_{sent,received}_total{kind} (and
 // send failures increment agentloc_transport_send_errors_total{kind}) in
-// reg. A nil registry returns the link unwrapped; instrumenting twice with
-// the same registry is wasteful but safe.
+// reg. An envelope counts as sent when the link accepts it — on a TCP link,
+// when it is queued for its connection's writer, which may then carry many
+// envelopes in one write. A nil registry returns the link unwrapped;
+// instrumenting twice with the same registry is wasteful but safe.
 func Instrument(link Link, reg *metrics.Registry) Link {
 	if reg == nil {
 		return link
 	}
 	describeTransportMetrics(reg)
-	return &instrumentedLink{inner: link, reg: reg}
+	return &instrumentedLink{inner: link, out: asPoster(link), reg: reg}
 }
 
 // Listen implements Link, interposing a received-envelope counter before
@@ -66,6 +74,27 @@ func (l *instrumentedLink) Listen(addr Addr, h Handler) error {
 	return l.inner.Listen(addr, wrapped)
 }
 
+// countedEndpoint is an endpoint behind the received-envelope counter.
+type countedEndpoint struct {
+	endpoint
+	reg *metrics.Registry
+}
+
+func (c countedEndpoint) deliver(env Envelope, borrowed bool) {
+	c.reg.Counter(metricReceived, "kind", env.Kind).Inc()
+	c.endpoint.deliver(env, borrowed)
+}
+
+// listenEndpoint implements endpointListener, so a Peer on an instrumented
+// TCP link is still handed its envelopes on the read loop.
+func (l *instrumentedLink) listenEndpoint(addr Addr, ep endpoint) error {
+	ep = countedEndpoint{ep, l.reg}
+	if el, ok := l.inner.(endpointListener); ok {
+		return el.listenEndpoint(addr, ep)
+	}
+	return l.inner.Listen(addr, func(env Envelope) { ep.deliver(env, false) })
+}
+
 // Unlisten implements Link.
 func (l *instrumentedLink) Unlisten(addr Addr) { l.inner.Unlisten(addr) }
 
@@ -78,6 +107,11 @@ func (l *instrumentedLink) Send(env Envelope) error {
 // when it has one so wrapping a TCP link does not cost it ctx-aware sends.
 func (l *instrumentedLink) SendCtx(ctx context.Context, env Envelope) error {
 	return l.note(env, SendWithContext(ctx, l.inner, env))
+}
+
+// post implements poster.
+func (l *instrumentedLink) post(ctx context.Context, env Envelope, body any, w sendWaiter) error {
+	return l.note(env, l.out.post(ctx, env, body, w))
 }
 
 // note accounts one send outcome.

@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"time"
 
 	"agentloc/internal/clock"
 	"agentloc/internal/metrics"
+	"agentloc/internal/wire"
 )
 
 // LatencyFunc computes the one-way delivery latency of an envelope.
@@ -68,7 +70,10 @@ type Network struct {
 	wg   sync.WaitGroup
 }
 
-var _ Link = (*Network)(nil)
+var (
+	_ Link   = (*Network)(nil)
+	_ poster = (*Network)(nil)
+)
 
 // NewNetwork creates a simulated network.
 func NewNetwork(cfg NetworkConfig) *Network {
@@ -173,6 +178,22 @@ func (n *Network) Send(env Envelope) error {
 			h(env)
 		}
 	}()
+	return nil
+}
+
+// post implements poster: Send never blocks here, so posting is encoding the
+// body and sending, with the outcome known at once.
+func (n *Network) post(_ context.Context, env Envelope, body any, w sendWaiter) error {
+	var err error
+	if env.Payload, err = ownPayload(env.Payload, body, wire.MsgVersion); err != nil {
+		return err
+	}
+	if err := n.Send(env); err != nil {
+		return err
+	}
+	if w != nil {
+		w.sendDone(env.Corr, nil, nil)
+	}
 	return nil
 }
 

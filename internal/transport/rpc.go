@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -16,46 +17,91 @@ import (
 // RequestHandler processes one inbound request and returns the response
 // body (any gob-encodable value, or nil for an empty response). ctx carries
 // the envelope's trace context (trace.FromContext) so handlers can parent
-// their spans under the caller's.
+// their spans under the caller's. Each request runs on a goroutine of its
+// own, so a handler may block and may issue Calls.
 type RequestHandler func(ctx context.Context, from Addr, kind string, payload []byte) (any, error)
+
+// InlineHandler is offered every inbound request first, on the goroutine that
+// read it off the connection. It answers — handled true — only what it can
+// answer at once: it must neither block nor call out, because until it returns
+// nothing else arrives from that peer, the replies to its own calls included.
+// payload is valid only until it returns. Declining costs nothing but the
+// look: the request then goes to the RequestHandler on its own goroutine.
+type InlineHandler func(ctx context.Context, from Addr, kind string, payload []byte) (body any, handled bool, err error)
 
 // Peer is a request/response endpoint over a Link. One Peer serves one
 // address; it matches replies to outstanding calls by correlation id and
 // surfaces remote handler failures as *RemoteError.
 type Peer struct {
-	link Link
-	addr Addr
-	h    RequestHandler
-	reg  *metrics.Registry
+	link   Link
+	out    poster
+	addr   Addr
+	h      RequestHandler
+	inline InlineHandler
+	reg    *metrics.Registry
 
 	mu       sync.Mutex
 	nextCorr uint64
-	pending  map[uint64]chan Envelope
+	pending  map[uint64]*callSlot
 	closed   bool
 
 	wg sync.WaitGroup
 }
 
+// callSlot is where one outstanding Call waits. Slots are pooled; what keeps
+// a recycled slot from hearing its previous call's late reply is that results
+// are delivered under Peer.mu to the slot pending[corr] names, and a call
+// takes its entry out of pending before its slot goes back to the pool.
+type callSlot struct {
+	ch    chan callResult // capacity 1: at most one result per correlation id
+	timer *time.Timer     // stopped between calls
+	// conn, guarded by Peer.mu while the slot is in pending, is the
+	// connection the request was written to, once it has been.
+	conn *tcpConn
+}
+
+// callResult ends a call: the reply envelope, or why none will come.
+type callResult struct {
+	reply Envelope
+	err   error
+}
+
+var slotPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &callSlot{ch: make(chan callResult, 1), timer: t}
+}}
+
 // NewPeer binds a Peer to addr on the link. The handler serves inbound
 // requests; it may be nil for call-only peers.
 func NewPeer(link Link, addr Addr, h RequestHandler) (*Peer, error) {
-	return NewPeerWithMetrics(link, addr, h, nil)
+	return NewServingPeer(link, addr, nil, h, nil)
 }
 
-// NewPeerWithMetrics is NewPeer with RPC instrumentation: completed calls
-// observe agentloc_transport_rpc_latency_seconds{kind} and calls abandoned
-// on context expiry count into agentloc_transport_rpc_timeouts_total{kind}.
-// A nil registry yields an uninstrumented peer.
-func NewPeerWithMetrics(link Link, addr Addr, h RequestHandler, reg *metrics.Registry) (*Peer, error) {
+// NewServingPeer is NewPeer with an InlineHandler in front of the request
+// handler (nil: every request goes to h) and RPC instrumentation: completed
+// calls observe agentloc_transport_rpc_latency_seconds{kind} and calls
+// abandoned on context expiry count into
+// agentloc_transport_rpc_timeouts_total{kind}. A nil registry yields an
+// uninstrumented peer.
+func NewServingPeer(link Link, addr Addr, inline InlineHandler, h RequestHandler, reg *metrics.Registry) (*Peer, error) {
 	describeTransportMetrics(reg)
 	p := &Peer{
 		link:    link,
+		out:     asPoster(link),
 		addr:    addr,
 		h:       h,
+		inline:  inline,
 		reg:     reg,
-		pending: make(map[uint64]chan Envelope),
+		pending: make(map[uint64]*callSlot),
 	}
-	if err := link.Listen(addr, p.dispatch); err != nil {
+	var err error
+	if el, ok := link.(endpointListener); ok {
+		err = el.listenEndpoint(addr, p)
+	} else {
+		err = link.Listen(addr, func(env Envelope) { p.deliver(env, false) })
+	}
+	if err != nil {
 		return nil, fmt.Errorf("peer %s: %w", addr, err)
 	}
 	return p, nil
@@ -64,77 +110,148 @@ func NewPeerWithMetrics(link Link, addr Addr, h RequestHandler, reg *metrics.Reg
 // Addr returns the peer's own address.
 func (p *Peer) Addr() Addr { return p.addr }
 
-// Call sends a request and waits for the reply or ctx cancellation. req and
-// resp are gob-encoded/decoded; either may be nil. A remote handler error
-// is returned as *RemoteError.
+// Call sends a request and waits for the reply, a send failure or the end of
+// ctx, whichever comes first. req and resp are encoded and decoded in the
+// codec shared with the destination; either may be nil. A remote handler
+// error is returned as *RemoteError.
 func (p *Peer) Call(ctx context.Context, to Addr, kind string, req, resp any) error {
-	payload, err := EncodeV(req, NegotiatedWireVersion(ctx, p.link, to))
-	if err != nil {
-		return fmt.Errorf("call %s %s: encode: %w", to, kind, err)
-	}
-
+	s := slotPool.Get().(*callSlot)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
+		slotPool.Put(s)
 		return ErrClosed
 	}
 	p.nextCorr++
 	corr := p.nextCorr
-	ch := make(chan Envelope, 1)
-	p.pending[corr] = ch
+	s.conn = nil
+	p.pending[corr] = s
 	p.mu.Unlock()
 
-	defer func() {
-		p.mu.Lock()
-		delete(p.pending, corr)
-		p.mu.Unlock()
-	}()
-
-	env := Envelope{From: p.addr, To: to, Kind: kind, Corr: corr, Payload: payload}
+	env := Envelope{From: p.addr, To: to, Kind: kind, Corr: corr}
 	// Stamp the caller's trace context onto the wire, charging one network
 	// hop. The receiver parents its spans under env.Trace.SpanID.
 	if sc := trace.FromContext(ctx); sc.Valid() {
 		sc.Hop++
 		env.Trace = sc
 	}
-	start := time.Now()
-	// Send on its own goroutine so the call honours ctx even while the
-	// link blocks (a TCP write to a stalled peer holds Send until its
-	// write deadline). The ctx travels into the send: a ctx-aware link
-	// abandons dials and redial pauses the moment the caller gives up, so
-	// the goroutine exits promptly instead of riding out the link's own
-	// deadlines.
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- SendWithContext(ctx, p.link, env) }()
-	select {
-	case err := <-sendErr:
-		if err != nil {
-			return fmt.Errorf("call %s %s: %w", to, kind, err)
-		}
-	case <-ctx.Done():
-		p.reg.Counter(metricRPCTmo, "kind", kind).Inc()
-		return fmt.Errorf("call %s %s: %w", to, kind, ctx.Err())
+	var start time.Time
+	if p.reg != nil {
+		start = time.Now()
 	}
+	res := callResult{}
+	err := p.out.post(ctx, env, req, p)
+	if err == nil {
+		res, err = s.await(ctx)
+	}
+	if err != nil {
+		// Nobody delivered: the entry is still ours to remove. A result that
+		// raced the removal was sent under p.mu before it, so the drain below
+		// sees it and the slot goes back empty.
+		p.mu.Lock()
+		delete(p.pending, corr)
+		p.mu.Unlock()
+		select {
+		case <-s.ch:
+		default:
+		}
+	}
+	slotPool.Put(s)
 
-	select {
-	case reply := <-ch:
+	if err == nil {
+		err = res.err
+	} else if ctx.Err() != nil {
+		p.reg.Counter(metricRPCTmo, "kind", kind).Inc()
+	}
+	if err != nil {
+		return fmt.Errorf("call %s %s: %w", to, kind, err)
+	}
+	if p.reg != nil {
 		// Remote errors still complete the round trip, so they count
 		// toward latency; only abandoned calls are excluded.
 		p.reg.Histogram(metricRPCLat, metrics.DefLatencyBuckets, "kind", kind).
 			ObserveDuration(time.Since(start))
-		if reply.ErrMsg != "" {
-			return &RemoteError{Kind: kind, To: to, Msg: reply.ErrMsg}
-		}
-		if resp != nil {
-			if err := Decode(reply.Payload, resp); err != nil {
-				return fmt.Errorf("call %s %s: decode: %w", to, kind, err)
-			}
-		}
-		return nil
-	case <-ctx.Done():
-		p.reg.Counter(metricRPCTmo, "kind", kind).Inc()
-		return fmt.Errorf("call %s %s: %w", to, kind, ctx.Err())
 	}
+	if res.reply.ErrMsg != "" {
+		return &RemoteError{Kind: kind, To: to, Msg: res.reply.ErrMsg}
+	}
+	if resp != nil {
+		if err := Decode(res.reply.Payload, resp); err != nil {
+			return fmt.Errorf("call %s %s: decode: %w", to, kind, err)
+		}
+	}
+	return nil
+}
+
+// await blocks until the slot's result arrives or ctx ends. A DeadlineContext
+// is waited on without building its Done channel: the slot's own timer stands
+// in for the deadline and the parent's Done for cancellation.
+func (s *callSlot) await(ctx context.Context) (callResult, error) {
+	var (
+		done    <-chan struct{}
+		expired <-chan time.Time
+	)
+	if dc, ok := ctx.(*DeadlineContext); ok {
+		done = dc.Context.Done()
+		s.timer.Reset(time.Until(dc.deadline))
+		defer s.timer.Stop()
+		expired = s.timer.C
+	} else {
+		done = ctx.Done()
+	}
+	select {
+	case res := <-s.ch:
+		return res, nil
+	case <-done:
+		return callResult{}, ctx.Err()
+	case <-expired:
+		return callResult{}, context.DeadlineExceeded
+	}
+}
+
+// complete hands the call waiting under corr its result; a call that already
+// ended — answered, failed or given up — is not there any more, and the result
+// is dropped.
+func (p *Peer) complete(corr uint64, res callResult) {
+	p.mu.Lock()
+	if s := p.pending[corr]; s != nil {
+		delete(p.pending, corr)
+		s.ch <- res
+	}
+	p.mu.Unlock()
+}
+
+// sendDone implements sendWaiter: a request that could not be written fails
+// its call at once, with the link's error; one that was written remembers on
+// which connection, for connLost.
+func (p *Peer) sendDone(corr uint64, on *tcpConn, err error) {
+	if err != nil {
+		p.complete(corr, callResult{err: err})
+		return
+	}
+	if on == nil {
+		return
+	}
+	p.mu.Lock()
+	if s := p.pending[corr]; s != nil {
+		s.conn = on
+	}
+	p.mu.Unlock()
+}
+
+// connLost implements endpoint: calls whose requests were written to the dead
+// connection fail now instead of at their deadlines. Requests still queued on
+// it are the link's to settle — it resends them or fails them through
+// sendDone.
+func (p *Peer) connLost(c *tcpConn, err error) {
+	p.mu.Lock()
+	for corr, s := range p.pending {
+		if s.conn == c {
+			delete(p.pending, corr)
+			s.ch <- callResult{err: fmt.Errorf("connection lost: %w", err)}
+		}
+	}
+	p.mu.Unlock()
 }
 
 // Notify sends a one-way request without waiting for a reply.
@@ -150,8 +267,8 @@ func (p *Peer) Notify(to Addr, kind string, req any) error {
 	return nil
 }
 
-// Close unbinds the peer and waits for in-flight handler invocations to
-// finish. Outstanding Calls fail when their context expires.
+// Close unbinds the peer, fails every outstanding Call with ErrClosed and
+// waits for in-flight handler invocations to finish.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -159,22 +276,26 @@ func (p *Peer) Close() {
 		return
 	}
 	p.closed = true
+	for corr, s := range p.pending {
+		delete(p.pending, corr)
+		s.ch <- callResult{err: ErrClosed}
+	}
 	p.mu.Unlock()
 	p.link.Unlisten(p.addr)
 	p.wg.Wait()
 }
 
-// dispatch routes an inbound envelope: replies to waiting calls, requests
-// to the handler.
-func (p *Peer) dispatch(env Envelope) {
+// deliver implements endpoint: replies go to their waiting calls, requests to
+// the inline handler and, when it declines, to the request handler on a
+// goroutine of their own — handlers may block and may issue their own Calls;
+// serialization, where needed, is the receiver's concern (agent mailboxes
+// provide it).
+func (p *Peer) deliver(env Envelope, borrowed bool) {
 	if env.Reply {
-		p.mu.Lock()
-		ch := p.pending[env.Corr]
-		p.mu.Unlock()
-		if ch != nil {
-			// Buffered with capacity 1 and at most one reply per id.
-			ch <- env
+		if borrowed {
+			env.Payload = bytes.Clone(env.Payload)
 		}
+		p.complete(env.Corr, callResult{reply: env})
 		return
 	}
 
@@ -186,44 +307,89 @@ func (p *Peer) dispatch(env Envelope) {
 	p.wg.Add(1)
 	p.mu.Unlock()
 
-	// Handlers may issue their own Calls, so each request runs on its own
-	// goroutine; serialization, where needed, is the receiver's concern
-	// (agent mailboxes provide it).
+	if p.inline != nil {
+		body, handled, err := p.inline(handlerContext(env.Trace), env.From, env.Kind, env.Payload)
+		if handled {
+			p.reply(env, body, err)
+			p.wg.Done()
+			return
+		}
+	}
+	if borrowed {
+		env.Payload = bytes.Clone(env.Payload)
+	}
 	go func() {
 		defer p.wg.Done()
-		p.serve(env)
+		var (
+			body any
+			err  error
+		)
+		if p.h != nil {
+			body, err = p.h(handlerContext(env.Trace), env.From, env.Kind, env.Payload)
+		} else {
+			err = fmt.Errorf("no handler at %s", p.addr)
+		}
+		p.reply(env, body, err)
 	}()
 }
 
-// serve runs the handler for one request and sends the reply, if the
-// request carried a correlation id.
-func (p *Peer) serve(env Envelope) {
-	var (
-		body any
-		err  error
-	)
-	if p.h != nil {
-		body, err = p.h(trace.ContextWith(context.Background(), env.Trace), env.From, env.Kind, env.Payload)
-	} else {
-		err = fmt.Errorf("no handler at %s", p.addr)
+// handlerContext is the context a handler runs under: the envelope's trace
+// context when it carries one, nothing otherwise.
+func handlerContext(sc trace.SpanContext) context.Context {
+	if !sc.Valid() {
+		return context.Background()
 	}
-	if env.Corr == 0 {
+	return trace.ContextWith(context.Background(), sc)
+}
+
+// reply queues the answer to a request, if the request asked for one. It
+// waits neither for a dial nor for the write (see poster), so it is safe on a
+// read loop. A reply that cannot
+// be sent means the requester is unreachable; it will time out, which is the
+// correct observable behaviour.
+func (p *Peer) reply(req Envelope, body any, err error) {
+	if req.Corr == 0 {
 		return // one-way notify
 	}
-	reply := Envelope{From: p.addr, To: env.From, Kind: env.Kind, Corr: env.Corr, Reply: true}
+	reply := Envelope{From: p.addr, To: req.From, Kind: req.Kind, Corr: req.Corr, Reply: true}
 	if err != nil {
-		reply.ErrMsg = err.Error()
-	} else {
-		payload, encErr := EncodeV(body, NegotiatedWireVersion(context.Background(), p.link, env.From))
-		if encErr != nil {
-			reply.ErrMsg = fmt.Sprintf("encode response: %v", encErr)
-		} else {
-			reply.Payload = payload
+		reply.ErrMsg, body = err.Error(), nil
+	}
+	if err = p.out.post(context.Background(), reply, body, nil); err != nil {
+		var encErr *encodeError
+		if errors.As(err, &encErr) {
+			reply.ErrMsg = fmt.Sprintf("encode response: %v", encErr.err)
+			_ = p.out.post(context.Background(), reply, nil, nil)
 		}
 	}
-	// A failed reply send means the requester is unreachable; it will time
-	// out, which is the correct observable behaviour.
-	_ = p.link.Send(reply)
+}
+
+// asPoster returns the link's own post when it has one, and its Send on a
+// goroutine per envelope otherwise.
+func asPoster(link Link) poster {
+	if p, ok := link.(poster); ok {
+		return p
+	}
+	return sendPoster{link}
+}
+
+// sendPoster gives a link from outside this package, which has only a Send
+// that may block, the shape of one that queues: the caller never waits for the
+// Send, at the price of a goroutine per envelope and of their order.
+type sendPoster struct{ link Link }
+
+func (s sendPoster) post(ctx context.Context, env Envelope, body any, w sendWaiter) error {
+	var err error
+	if env.Payload, err = ownPayload(env.Payload, body, NegotiatedWireVersion(ctx, s.link, env.To)); err != nil {
+		return err
+	}
+	go func() {
+		err := s.link.Send(env)
+		if w != nil {
+			w.sendDone(env.Corr, nil, err)
+		}
+	}()
+	return nil
 }
 
 // Encode gob-encodes a value; nil encodes to an empty payload. Gob is the
@@ -243,13 +409,35 @@ func EncodeV(v any, ver uint16) ([]byte, error) {
 	if v == nil {
 		return nil, nil
 	}
-	if m, ok := v.(wire.Marshaler); ok && ver >= wire.MsgVersion {
-		buf := wire.AppendMsgHeader(make([]byte, 0, 64), wire.MsgVersion)
-		return m.AppendWire(buf), nil
+	return AppendV(make([]byte, 0, 64), v, ver)
+}
+
+// GobFormer is implemented by messages whose gob form is not the value
+// itself: a wrapper that carries its inner message unencoded, and encodes it
+// inside AppendWire for the binary codec, hands gob a copy with the inner
+// message gob-encoded in place.
+type GobFormer interface {
+	GobForm() (any, error)
+}
+
+// AppendV appends v's encoding to dst — EncodeV into a buffer the caller
+// owns, for paths that encode into pooled space. A nil v appends nothing.
+func AppendV(dst []byte, v any, ver uint16) ([]byte, error) {
+	if v == nil {
+		return dst, nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+	if m, ok := v.(wire.Marshaler); ok && ver >= wire.MsgVersion {
+		return m.AppendWire(wire.AppendMsgHeader(dst, wire.MsgVersion)), nil
+	}
+	if f, ok := v.(GobFormer); ok {
+		var err error
+		if v, err = f.GobForm(); err != nil {
+			return dst, err
+		}
+	}
+	buf := bytes.NewBuffer(dst)
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+		return dst, err
 	}
 	return buf.Bytes(), nil
 }
@@ -271,13 +459,13 @@ func Decode(data []byte, v any) error {
 		if ver > wire.MsgVersion {
 			return fmt.Errorf("%w: message version %d, this build reads ≤ %d", wire.ErrUnsupportedVersion, ver, wire.MsgVersion)
 		}
-		d := wire.NewDec(body)
-		if err := u.DecodeWire(d); err != nil {
-			return err
+		d := wire.GetDec(body)
+		err := u.DecodeWire(d)
+		if err == nil {
+			err = d.Done()
 		}
-		return d.Done()
+		wire.PutDec(d)
+		return err
 	}
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
-
-// TEMP instrumentation

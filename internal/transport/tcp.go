@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -77,9 +78,16 @@ type TCPConfig struct {
 	Faults *Faults
 }
 
-// TCP carries gob-encoded envelopes over TCP connections, implementing
-// Link. One TCP instance serves all local endpoints of a process;
-// connections to remote processes are dialed on demand and cached.
+// TCP carries envelopes over TCP connections, implementing Link. One TCP
+// instance serves all local endpoints of a process; connections to remote
+// processes are dialed on demand and cached.
+//
+// Every connection has an out-queue and one writer goroutine. Sending is
+// queueing: post (and Send, which waits for the outcome) appends the envelope
+// to the queue of the connection it resolves to, and the writer takes
+// everything queued, encodes it and hands it to the socket with one write —
+// so frames on a connection keep their queueing order, concurrent senders
+// share system calls, and nothing but a writer ever waits for a socket.
 type TCP struct {
 	dialTimeout      time.Duration
 	writeTimeout     time.Duration
@@ -90,12 +98,22 @@ type TCP struct {
 	trc              *trace.Log
 	faults           *Faults
 
+	// life ends at Close: it cuts short the redial pauses and dials of
+	// resends nobody may be waiting for any more.
+	life context.Context
+	stop context.CancelFunc
+
+	// mu guards the routing state below. The send path takes it once per
+	// envelope (route), the receive path once (readLoop); it is never held
+	// across a dial, a write or a handler. Lock order: mu before tcpConn.mu.
 	mu        sync.Mutex
 	listener  net.Listener
 	directory map[Addr]string
-	handlers  map[Addr]Handler
+	handlers  map[Addr]tcpHandler
 	conns     map[string]*tcpConn
-	inbound   map[net.Conn]struct{}
+	// inbound holds every live connection, dialed or accepted, under its
+	// socket, so Close reaches them all.
+	inbound map[net.Conn]*tcpConn
 	// learned maps sender addresses to the inbound connection they last
 	// spoke on, so replies reach peers that have no directory entry
 	// (ephemeral clients).
@@ -109,20 +127,61 @@ type TCP struct {
 	wg      sync.WaitGroup
 }
 
+// tcpHandler is one local binding: an endpoint (a Peer, which takes
+// envelopes whose payload it may only borrow) or a plain Handler.
+type tcpHandler struct {
+	h  Handler
+	ep endpoint
+}
+
+func (h tcpHandler) deliver(env Envelope, borrowed bool) {
+	if h.ep != nil {
+		h.ep.deliver(env, borrowed)
+		return
+	}
+	if borrowed {
+		env.Payload = bytes.Clone(env.Payload)
+	}
+	h.h(env)
+}
+
 type tcpConn struct {
-	mu   sync.Mutex
 	conn net.Conn
 	// ver is the negotiated hot-path message version, fixed before the
 	// conn is shared: 0 writes gob envelopes through enc, ≥1 writes binary
 	// frames.
 	ver uint16
 	enc *gob.Encoder
+
+	mu    sync.Mutex
+	wake  *sync.Cond // nil until the first frame starts the writer
+	queue []outFrame
+	err   error // why the connection is dead; set once, by connGone
+}
+
+// outFrame is one queued envelope. Its payload lives in buf, a pooled buffer
+// the writer releases once the frame is written or has failed.
+type outFrame struct {
+	env Envelope
+	buf *[]byte
+	w   sendWaiter
+	// payloadVer is the codec version env.Payload was encoded at; a resend
+	// must not carry it to a connection that negotiated less.
+	payloadVer uint16
+	// redial is where to resend the frame if its connection turns out
+	// broken: the dial target, for a frame queued on a cached connection —
+	// one that predated it, whose peer may have restarted without the
+	// sender being able to know — and empty for a frame that gets no second
+	// try (fresh dial, learned route, already resent).
+	redial string
 }
 
 var (
-	_ Link           = (*TCP)(nil)
-	_ ContextSender  = (*TCP)(nil)
-	_ WireNegotiator = (*TCP)(nil)
+	_ Link             = (*TCP)(nil)
+	_ ContextSender    = (*TCP)(nil)
+	_ WireNegotiator   = (*TCP)(nil)
+	_ poster           = (*TCP)(nil)
+	_ endpointListener = (*TCP)(nil)
 )
 
 // pickTimeout resolves a config knob against its default: zero selects the
@@ -165,12 +224,13 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		faults:           cfg.Faults,
 		listener:         ln,
 		directory:        dir,
-		handlers:         make(map[Addr]Handler),
+		handlers:         make(map[Addr]tcpHandler),
 		conns:            make(map[string]*tcpConn),
-		inbound:          make(map[net.Conn]struct{}),
+		inbound:          make(map[net.Conn]*tcpConn),
 		learned:          make(map[Addr]*tcpConn),
 		peerVer:          make(map[string]uint16),
 	}
+	t.life, t.stop = context.WithCancel(context.Background())
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -188,6 +248,15 @@ func (t *TCP) AddRoute(addr Addr, hostport string) {
 
 // Listen implements Link.
 func (t *TCP) Listen(addr Addr, h Handler) error {
+	return t.bind(addr, tcpHandler{h: h})
+}
+
+// listenEndpoint implements endpointListener.
+func (t *TCP) listenEndpoint(addr Addr, ep endpoint) error {
+	return t.bind(addr, tcpHandler{ep: ep})
+}
+
+func (t *TCP) bind(addr Addr, h tcpHandler) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -208,119 +277,412 @@ func (t *TCP) Unlisten(addr Addr) {
 }
 
 // Send implements Link. Envelopes to locally bound addresses loop back
-// without touching the network. Envelopes that hit a broken cached
-// connection are transparently resent once over a fresh connection.
+// without touching the network. Send returns once the envelope is written to
+// its connection; one that met a broken cached connection is transparently
+// resent once over a fresh one first.
 func (t *TCP) Send(env Envelope) error {
 	return t.SendCtx(context.Background(), env)
 }
 
-// SendCtx implements ContextSender: Send, but the dial and the
-// redial-backoff pause are abandoned when ctx expires. Without this a caller
-// whose deadline fires mid-redial leaks a goroutine into the full
-// backoff-dial-resend sequence for an answer nobody is waiting on.
-func (t *TCP) SendCtx(ctx context.Context, env Envelope) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return ErrClosed
-	}
-	if h, ok := t.handlers[env.To]; ok {
-		t.wg.Add(1)
-		t.mu.Unlock()
-		go func() {
-			defer t.wg.Done()
-			h(env)
-		}()
-		return nil
-	}
-	target, ok := t.directory[env.To]
-	if !ok {
-		// No directory entry: reply over the connection the peer spoke
-		// on, if it did.
-		lc := t.learned[env.To]
-		t.mu.Unlock()
-		if lc == nil {
-			return fmt.Errorf("%w: %s", ErrUnknownAddr, env.To)
-		}
-		if err := t.writeEnv(lc, env); err != nil {
-			// The inbound connection is broken; close it so its readLoop
-			// cleans the learned routes, and surface the error — there is
-			// nowhere to redial an ephemeral peer.
-			lc.conn.Close()
-			t.noteConnError("write", env.To, err)
-			return fmt.Errorf("tcp send to %s (learned route): %w", env.To, err)
-		}
-		return nil
-	}
-	t.mu.Unlock()
-	return t.sendVia(ctx, target, env)
-}
+// syncWaiter is the sendWaiter of a Send: it parks the outcome for the
+// sender to collect.
+type syncWaiter chan error
 
-// sendVia delivers env over the cached connection to target. When the
-// write fails on a connection that was already cached — broken while idle,
-// typically a peer restart or reset — it redials once after a short pause
-// and resends, so a single stale connection does not surface as a
-// protocol-level failure. The pause and the redial honour ctx.
-func (t *TCP) sendVia(ctx context.Context, target string, env Envelope) error {
-	c, cached, err := t.connTo(ctx, target)
-	if err != nil {
-		t.noteConnError("dial", env.To, err)
+func (w syncWaiter) sendDone(_ uint64, _ *tcpConn, err error) { w <- err }
+
+var syncWaiterPool = sync.Pool{New: func() any { return make(syncWaiter, 1) }}
+
+// SendCtx implements ContextSender: Send, but the wait — for a dial, a
+// stalled write, the pause before a redial — is given up when ctx ends. The
+// envelope may still go out afterwards.
+func (t *TCP) SendCtx(ctx context.Context, env Envelope) error {
+	w := syncWaiterPool.Get().(syncWaiter)
+	if err := t.post(ctx, env, nil, w); err != nil {
+		syncWaiterPool.Put(w)
 		return err
 	}
-	err = t.writeEnv(c, env)
-	if err == nil {
-		return nil
+	select {
+	case err := <-w:
+		syncWaiterPool.Put(w)
+		return err
+	case <-ctx.Done():
+		// w still gets its outcome some day, so it cannot be pooled.
+		return fmt.Errorf("tcp send to %s: %w", env.To, ctx.Err())
 	}
-	t.dropConn(target, c)
-	t.noteConnError("write", env.To, err)
-	if !cached {
-		// The connection was freshly dialed; a second attempt would
-		// almost certainly fail the same way.
-		return fmt.Errorf("tcp send to %s (%s): %w", env.To, target, err)
+}
+
+// post implements poster.
+func (t *TCP) post(ctx context.Context, env Envelope, body any, w sendWaiter) error {
+	c, local, redial, err := t.route(ctx, env.To, env.Reply)
+	if err != nil {
+		return err
 	}
-	if t.redialBackoff > 0 {
-		timer := time.NewTimer(t.redialBackoff)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return fmt.Errorf("tcp send to %s (%s): redial abandoned: %w", env.To, target, ctx.Err())
+	if local != nil {
+		return t.postLocal(local, env, body, w)
+	}
+
+	buf := wire.GetBuf()
+	if body != nil {
+		if *buf, err = AppendV(*buf, body, c.ver); err != nil {
+			wire.PutBuf(buf)
+			return &encodeError{err}
 		}
+	} else {
+		*buf = append(*buf, env.Payload...)
 	}
-	c2, _, err2 := t.connTo(ctx, target)
-	if err2 != nil {
-		t.noteConnError("dial", env.To, err2)
-		return fmt.Errorf("tcp send to %s (%s): redial: %w", env.To, target, err2)
-	}
-	if err2 := t.writeEnv(c2, env); err2 != nil {
-		t.dropConn(target, c2)
-		t.noteConnError("write", env.To, err2)
-		return fmt.Errorf("tcp send to %s (%s): resend: %w", env.To, target, err2)
+	env.Payload = *buf
+	f := outFrame{env: env, buf: buf, w: w, payloadVer: c.ver, redial: redial}
+	if err := t.enqueue(c, f); err != nil {
+		if errors.Is(err, ErrClosed) {
+			wire.PutBuf(buf)
+			return err
+		}
+		// The connection died between route and here, as one found broken
+		// by its writer would have: same treatment.
+		t.settle(err, []outFrame{f})
 	}
 	return nil
 }
 
-// writeEnv encodes one envelope onto a connection under the write
-// deadline, in whichever codec the connection negotiated. The
-// per-connection lock is held for at most the write timeout, so a stalled
-// peer delays — but cannot wedge — other senders to it.
-func (t *TCP) writeEnv(c *tcpConn, env Envelope) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ver > 0 {
-		body := wire.GetBuf()
-		*body = appendEnvBody(*body, &env)
-		err := t.writeFrame(c.conn, frameEnvelope, *body)
-		wire.PutBuf(body)
+// postLocal loops an envelope back to a handler bound on this link, on a
+// goroutine of its own (route raised t.wg for it). It is a function of its own
+// so that the envelope escapes to the heap here and not in every post.
+func (t *TCP) postLocal(local *tcpHandler, env Envelope, body any, w sendWaiter) error {
+	var err error
+	if env.Payload, err = ownPayload(env.Payload, body, wire.MsgVersion); err != nil {
+		t.wg.Done()
 		return err
 	}
+	go func() {
+		defer t.wg.Done()
+		local.deliver(env, false)
+	}()
+	if w != nil {
+		w.sendDone(env.Corr, nil, nil)
+	}
+	return nil
+}
+
+// route resolves where an envelope to the address goes, under one hold of
+// t.mu: a local handler (with t.wg raised for the goroutine that will run
+// it), or a connection — cached, learned from inbound traffic, or, when there
+// is none yet, dialed within ctx. redial is non-empty for a cached
+// connection: it predates the call, so its liveness is unproven, and a frame
+// that finds it broken is resent once to that dial target.
+//
+// A reply is never dialed for: it may be on its way out of a read loop, which
+// must not wait, and its request came in on a connection, which is the way
+// back when the link has none of its own. A requester whose connections are
+// all gone has had its call failed already (endpoint.connLost).
+func (t *TCP) route(ctx context.Context, to Addr, reply bool) (c *tcpConn, local *tcpHandler, redial string, err error) {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return nil, nil, "", ErrClosed
+	}
+	if h, ok := t.handlers[to]; ok {
+		t.wg.Add(1)
+		t.mu.Unlock()
+		local := h // a copy made here, so only this branch pays for the pointer
+		return nil, &local, "", nil
+	}
+	target, ok := t.directory[to]
+	if !ok {
+		// No directory entry: reply over the connection the peer spoke
+		// on, if it did. There is nowhere to redial an ephemeral peer.
+		c = t.learned[to]
+		t.mu.Unlock()
+		if c == nil {
+			return nil, nil, "", fmt.Errorf("%w: %s", ErrUnknownAddr, to)
+		}
+		return c, nil, "", nil
+	}
+	if c = t.conns[target]; c != nil {
+		t.mu.Unlock()
+		return c, nil, target, nil
+	}
+	if reply {
+		c = t.learned[to]
+		t.mu.Unlock()
+		if c == nil {
+			return nil, nil, "", fmt.Errorf("tcp reply to %s: no connection left to it", to)
+		}
+		return c, nil, "", nil
+	}
+	t.mu.Unlock()
+	c, cached, err := t.connTo(ctx, target)
+	if err != nil {
+		t.noteConnError("dial", to, err)
+		return nil, nil, "", err
+	}
+	if cached {
+		// Another goroutine won the dial race.
+		redial = target
+	}
+	return c, nil, redial, nil
+}
+
+// enqueue appends a frame to the connection's out-queue and wakes its writer,
+// starting it at the connection's first frame. It fails with the connection's
+// error when the connection is already dead, and with ErrClosed on a closed
+// link.
+func (t *TCP) enqueue(c *tcpConn, f outFrame) error {
+	c.mu.Lock()
+	for c.wake == nil && c.err == nil {
+		c.mu.Unlock()
+		if err := t.startWriter(c); err != nil {
+			return err
+		}
+		c.mu.Lock()
+	}
+	if c.err != nil {
+		err := c.err
+		c.mu.Unlock()
+		return err
+	}
+	c.queue = append(c.queue, f)
+	c.wake.Signal()
+	c.mu.Unlock()
+	return nil
+}
+
+func (t *TCP) startWriter(c *tcpConn) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return ErrClosed
+	}
+	c.mu.Lock()
+	if c.wake == nil {
+		c.wake = sync.NewCond(&c.mu)
+		t.wg.Add(1)
+		go t.writeLoop(c)
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// writeLoop is the connection's one writer: it takes whatever is queued,
+// writes it as one batch, reports the outcomes, and sleeps when the queue is
+// empty. It ends with the connection.
+func (t *TCP) writeLoop(c *tcpConn) {
+	defer t.wg.Done()
+	var (
+		batch []outFrame // swapped with c.queue, so neither is reallocated
+		out   []byte     // the batch's bytes, reused between flushes
+	)
+	c.mu.Lock()
+	for {
+		for len(c.queue) == 0 && c.err == nil {
+			c.wake.Wait()
+		}
+		if err := c.err; err != nil {
+			c.mu.Unlock()
+			// connGone has settled the queue and told the endpoints. They
+			// are told once more: what this writer reported as written
+			// after connGone looked has not heard yet.
+			t.tellLost(c, err)
+			return
+		}
+		batch, c.queue = c.queue, batch[:0]
+		c.mu.Unlock()
+
+		var err error
+		if out, err = t.flush(c, batch, out[:0]); err != nil {
+			t.noteConnError("write", batch[0].env.To, err)
+			t.connGone(c, err, batch)
+			return
+		}
+		for i := range batch {
+			f := &batch[i]
+			wire.PutBuf(f.buf)
+			if f.w != nil {
+				f.w.sendDone(f.env.Corr, c, nil)
+			}
+			*f = outFrame{}
+		}
+		c.mu.Lock()
+	}
+}
+
+// flush writes one batch under one write deadline: binary connections get
+// every frame in a single write, gob connections one Encode (which writes)
+// per envelope, as the stream's encoder demands. The deadline is left
+// standing: nothing writes to the socket but the next flush, which moves it
+// first, so a connection can sit idle past it.
+func (t *TCP) flush(c *tcpConn, batch []outFrame, out []byte) ([]byte, error) {
 	if t.writeTimeout > 0 {
 		// A deadline-set failure means the conn is already dead; the write
 		// below surfaces that.
 		_ = c.conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
-		defer func() { _ = c.conn.SetWriteDeadline(time.Time{}) }()
 	}
-	return c.enc.Encode(env)
+	if c.ver == 0 {
+		for i := range batch {
+			if err := c.enc.Encode(&batch[i].env); err != nil {
+				return out, err
+			}
+		}
+		return out, nil
+	}
+	for i := range batch {
+		var start int
+		out, start = wire.BeginFrame(out, envMagic, envFrameVersion, frameEnvelope)
+		out = appendEnvBody(out, &batch[i].env)
+		out = wire.EndFrame(out, start)
+	}
+	_, err := c.conn.Write(out)
+	if cap(out) > maxBatchBuf {
+		out = nil
+	}
+	return out, err
+}
+
+// maxBatchBuf caps the write buffer a connection keeps between flushes: room
+// for a few hundred hot-path frames, while the odd multi-megabyte control
+// message (a checkpoint, a handoff) does not stay resident per connection.
+const maxBatchBuf = 1 << 16
+
+// connGone is the one place a connection dies: a failed write, the end of
+// its read loop, or Close. The first call marks it dead, closes the socket,
+// takes it out of the routing tables and tells every endpoint, so calls
+// waiting for replies that were to come back on it fail now; every call
+// settles the frames it is handed (the writer's failed batch) plus whatever
+// was still queued.
+func (t *TCP) connGone(c *tcpConn, cause error, unwritten []outFrame) {
+	c.mu.Lock()
+	first := c.err == nil
+	if first {
+		c.err = cause
+		if c.wake != nil {
+			c.wake.Broadcast()
+		}
+	}
+	unwritten = append(unwritten, c.queue...)
+	c.queue = nil
+	c.mu.Unlock()
+
+	if first {
+		c.conn.Close()
+		t.mu.Lock()
+		for addr, lc := range t.learned {
+			if lc == c {
+				delete(t.learned, addr)
+			}
+		}
+		for target, oc := range t.conns {
+			if oc == c {
+				delete(t.conns, target)
+				// The handshake verdict dies with the connection: the
+				// peer may come back upgraded.
+				delete(t.peerVer, target)
+			}
+		}
+		delete(t.inbound, c.conn)
+		t.mu.Unlock()
+		t.tellLost(c, cause)
+	}
+	t.settle(cause, unwritten)
+}
+
+// tellLost tells every endpoint that the connection died. Telling twice is
+// harmless, and needed: a frame's sender hears "written to c" from the writer,
+// after the write, so a writer that finds c dead after saying so says this too
+// — connGone may have come and gone in between.
+func (t *TCP) tellLost(c *tcpConn, cause error) {
+	t.mu.Lock()
+	eps := make([]endpoint, 0, len(t.handlers))
+	for _, h := range t.handlers {
+		if h.ep != nil {
+			eps = append(eps, h.ep)
+		}
+	}
+	t.mu.Unlock()
+	for _, ep := range eps {
+		ep.connLost(c, cause)
+	}
+}
+
+// settle decides what becomes of frames that did not make it onto their
+// connection — all of them were queued on the same one. Those with somewhere
+// to be redialed are resent over a fresh connection, after the redial pause,
+// on a goroutine of their own (this is the rare path); the rest fail their
+// senders with the cause.
+func (t *TCP) settle(cause error, frames []outFrame) {
+	var again []outFrame
+	for _, f := range frames {
+		if f.redial == "" {
+			failFrame(f, fmt.Errorf("tcp send to %s: %w", f.env.To, cause))
+			continue
+		}
+		again = append(again, f)
+	}
+	if len(again) == 0 {
+		return
+	}
+	t.mu.Lock()
+	closed := t.closed
+	if !closed {
+		t.wg.Add(1)
+	}
+	t.mu.Unlock()
+	if closed {
+		for _, f := range again {
+			failFrame(f, ErrClosed)
+		}
+		return
+	}
+	go t.resend(again)
+}
+
+// failFrame releases a frame that will not be written and tells its sender.
+func failFrame(f outFrame, err error) {
+	wire.PutBuf(f.buf)
+	if f.w != nil {
+		f.w.sendDone(f.env.Corr, nil, err)
+	}
+}
+
+// resend redials the frames' target after the redial pause and queues them
+// on the fresh connection, in their order, so a single stale connection —
+// broken while idle, typically a peer restart or reset — does not surface as
+// a protocol-level failure. A second failure is final. Closing the link cuts
+// the pause and the dial short.
+func (t *TCP) resend(frames []outFrame) {
+	defer t.wg.Done()
+	target := frames[0].redial
+	fail := func(f outFrame, err error) {
+		failFrame(f, fmt.Errorf("tcp send to %s (%s): %w", f.env.To, target, err))
+	}
+	var c *tcpConn
+	err := t.life.Err()
+	if err == nil && t.redialBackoff > 0 {
+		timer := time.NewTimer(t.redialBackoff)
+		select {
+		case <-timer.C:
+		case <-t.life.Done():
+			timer.Stop()
+			err = ErrClosed
+		}
+	}
+	if err == nil {
+		if c, _, err = t.connTo(t.life, target); err != nil {
+			t.noteConnError("dial", frames[0].env.To, err)
+			err = fmt.Errorf("redial: %w", err)
+		}
+	}
+	for _, f := range frames {
+		f.redial = ""
+		switch {
+		case err != nil:
+			fail(f, err)
+		case f.payloadVer > c.ver:
+			fail(f, fmt.Errorf("resend: peer came back at message version %d, payload is version %d", c.ver, f.payloadVer))
+		default:
+			if qerr := t.enqueue(c, f); qerr != nil {
+				fail(f, fmt.Errorf("resend: %w", qerr))
+			}
+		}
+	}
 }
 
 // Close implements Link.
@@ -331,20 +693,16 @@ func (t *TCP) Close() error {
 		return nil
 	}
 	t.closed = true
-	conns := t.conns
-	t.conns = make(map[string]*tcpConn)
-	inbound := make([]net.Conn, 0, len(t.inbound))
-	for c := range t.inbound {
-		inbound = append(inbound, c)
+	conns := make([]*tcpConn, 0, len(t.inbound))
+	for _, c := range t.inbound {
+		conns = append(conns, c)
 	}
 	t.mu.Unlock()
 
+	t.stop()
 	err := t.listener.Close()
 	for _, c := range conns {
-		c.conn.Close()
-	}
-	for _, c := range inbound {
-		c.Close()
+		t.connGone(c, ErrClosed, nil)
 	}
 	t.wg.Wait()
 	return err
@@ -387,7 +745,7 @@ func (t *TCP) connTo(ctx context.Context, target string) (c *tcpConn, cached boo
 	t.peerVer[target] = ver
 	// Outgoing connections are full duplex: replies (and any traffic the
 	// peer chooses to send us) come back on the same socket.
-	t.inbound[conn] = struct{}{}
+	t.inbound[conn] = c
 	t.wg.Add(1)
 	t.mu.Unlock()
 	go t.readLoop(conn, c, dec)
@@ -427,7 +785,7 @@ func (t *TCP) dialAndNegotiate(ctx context.Context, target string) (net.Conn, ui
 	}
 	ver, br, hsErr := t.clientHandshake(ctx, conn)
 	if hsErr == nil {
-		return conn, ver, binEnvDecoder{br}, nil
+		return conn, ver, newBinEnvDecoder(br), nil
 	}
 	conn.Close()
 	if ctx.Err() != nil {
@@ -485,43 +843,32 @@ func (t *TCP) WireVersion(ctx context.Context, to Addr) uint16 {
 }
 
 // readLoop decodes envelopes arriving on a connection — in whichever codec
-// the connection negotiated — learning reply routes and dispatching to
-// local handlers, until the connection closes.
+// the connection negotiated — learning reply routes and handing each to its
+// local handler on this goroutine, until the connection closes. It never
+// writes to a socket: whatever a handler sends, the reply to a request served
+// in place included, is queued for a writer.
 func (t *TCP) readLoop(conn net.Conn, back *tcpConn, dec envDecoder) {
 	defer t.wg.Done()
-	defer func() {
-		conn.Close()
-		t.mu.Lock()
-		delete(t.inbound, conn)
-		for addr, lc := range t.learned {
-			if lc == back {
-				delete(t.learned, addr)
-			}
-		}
-		for target, oc := range t.conns {
-			if oc == back {
-				delete(t.conns, target)
-				// The handshake verdict dies with the connection: the peer
-				// may come back upgraded.
-				delete(t.peerVer, target)
-			}
-		}
-		t.mu.Unlock()
-	}()
+	// One Envelope for the connection's lifetime: decode takes its address
+	// through an interface, so a fresh one per frame would be a heap
+	// allocation per frame. Handlers get it by value.
+	var env Envelope
 	for {
-		var env Envelope
-		if err := dec.decode(&env); err != nil {
+		env = Envelope{}
+		borrowed, err := dec.decode(&env)
+		if err != nil {
 			t.noteReadError(conn, err)
+			t.connGone(back, err, nil)
 			return
 		}
 		t.mu.Lock()
-		if env.From != "" {
+		if env.From != "" && t.learned[env.From] != back {
 			t.learned[env.From] = back
 		}
 		h, ok := t.handlers[env.To]
 		t.mu.Unlock()
 		if ok {
-			h(env)
+			h.deliver(env, borrowed)
 		}
 	}
 }
@@ -547,23 +894,12 @@ func (t *TCP) noteReadError(conn net.Conn, err error) {
 	t.noteConnError(reason, Addr(conn.RemoteAddr().String()), err)
 }
 
-// noteConnError counts a connection-level failure and records it in the
-// trace log. Both sinks are nil-safe.
+// noteConnError records a connection-level failure in the trace log and
+// counts it — in that order, so whoever sees the count finds the event. Both
+// sinks are nil-safe.
 func (t *TCP) noteConnError(reason string, peer Addr, err error) {
-	t.reg.Counter(metricConnErrs, "reason", reason).Inc()
 	t.trc.Emit("tcp", "transport.conn_error", fmt.Sprintf("%s %s: %v", reason, peer, err))
-}
-
-// dropConn discards a broken cached connection, along with the handshake
-// verdict for its target — the peer behind the next dial may differ.
-func (t *TCP) dropConn(target string, c *tcpConn) {
-	c.conn.Close()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conns[target] == c {
-		delete(t.conns, target)
-		delete(t.peerVer, target)
-	}
+	t.reg.Counter(metricConnErrs, "reason", reason).Inc()
 }
 
 // acceptLoop accepts inbound connections and spawns a reader per
@@ -582,10 +918,10 @@ func (t *TCP) acceptLoop() {
 			conn.Close()
 			return
 		}
-		t.inbound[conn] = struct{}{}
+		back := &tcpConn{conn: conn}
+		t.inbound[conn] = back
 		t.wg.Add(1)
 		t.mu.Unlock()
-		back := &tcpConn{conn: conn}
 		go func() {
 			t.faults.delayAccept()
 			dec, err := t.acceptNegotiate(conn, back)
@@ -621,7 +957,7 @@ func (t *TCP) acceptNegotiate(conn net.Conn, back *tcpConn) (envDecoder, error) 
 			return nil, err
 		}
 		back.ver = ver
-		return binEnvDecoder{br}, nil
+		return newBinEnvDecoder(br), nil
 	}
 	// Not the frame magic (or the stream ended early): a gob peer. Nothing
 	// was consumed by the peek, so the gob decoder sees the stream from

@@ -12,6 +12,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -64,10 +65,8 @@ type Link interface {
 }
 
 // ContextSender is optionally implemented by Links whose Send can block for
-// real time — dialing, redial backoff, write deadlines. SendCtx abandons the
-// attempt when ctx expires instead of seeing it through, so a caller that has
-// already given up does not pin a goroutine to the full dial-backoff-resend
-// sequence.
+// real time — dialing, redial backoff, write deadlines. SendCtx gives the
+// wait up when ctx expires instead of seeing it through.
 type ContextSender interface {
 	SendCtx(ctx context.Context, env Envelope) error
 }
@@ -80,6 +79,66 @@ func SendWithContext(ctx context.Context, l Link, env Envelope) error {
 		return cs.SendCtx(ctx, env)
 	}
 	return l.Send(env)
+}
+
+// poster is the send side a Peer drives. post encodes body (when non-nil;
+// otherwise env.Payload is taken as already encoded) as the envelope's
+// payload in the codec shared with env.To, queues the envelope and returns: it
+// may wait for a dial, within ctx, but never for a write — and for a reply not
+// even for a dial. Neither body nor env.Payload is referenced once post has
+// returned.
+//
+// An error from post means nothing was queued: the send cannot happen
+// (unknown address, refused dial, closed link, unencodable body) and the
+// caller hears so at once. After a nil error the envelope's fate is told to w,
+// which may be nil, exactly once.
+type poster interface {
+	post(ctx context.Context, env Envelope, body any, w sendWaiter) error
+}
+
+// sendWaiter hears what became of a posted envelope: the error that kept it
+// off the wire, or nil once it is written — with the connection it was written
+// to, on links that have connections, which is the one endpoint.connLost will
+// name should it die. sendDone runs on a goroutine of the link and must not
+// block.
+type sendWaiter interface {
+	sendDone(corr uint64, on *tcpConn, err error)
+}
+
+// encodeError marks a post that failed because the body could not be encoded.
+type encodeError struct{ err error }
+
+func (e *encodeError) Error() string { return "encode: " + e.err.Error() }
+func (e *encodeError) Unwrap() error { return e.err }
+
+// ownPayload returns the payload a link may keep past post: body encoded at
+// ver, or, with no body, a copy of the already encoded payload.
+func ownPayload(payload []byte, body any, ver uint16) ([]byte, error) {
+	if body == nil {
+		return bytes.Clone(payload), nil
+	}
+	encoded, err := EncodeV(body, ver)
+	if err != nil {
+		return nil, &encodeError{err}
+	}
+	return encoded, nil
+}
+
+// endpoint is the receive side of a Peer, as a link that owns connections
+// sees it (links that do not simply call a Handler).
+type endpoint interface {
+	// deliver hands over an inbound envelope on the connection's read
+	// loop. With borrowed set, env.Payload aliases the read buffer and is
+	// valid only until deliver returns.
+	deliver(env Envelope, borrowed bool)
+	// connLost reports that a connection died, so calls written to it
+	// need not wait out their deadlines for replies that cannot come.
+	connLost(c *tcpConn, err error)
+}
+
+// endpointListener is implemented by links that deliver to endpoints.
+type endpointListener interface {
+	listenEndpoint(addr Addr, ep endpoint) error
 }
 
 // WireNegotiator is optionally implemented by Links that negotiate a wire

@@ -110,19 +110,40 @@ func appendEnvBody(dst []byte, env *Envelope) []byte {
 	return wire.AppendBytes(dst, env.Payload)
 }
 
-// decodeEnvBody decodes one envelope body. env.Payload aliases data, which
-// is safe because every frame read allocates a fresh body (wire.ReadFrame).
-func decodeEnvBody(data []byte, env *Envelope) error {
+// nameTable interns the addresses and kinds of one connection's envelopes: a
+// connection carries a handful of distinct From/To/Kind values, millions of
+// times. Only the connection's read loop touches it, so it needs no lock. A
+// nil table interns nothing.
+type nameTable map[string]string
+
+// maxConnNames bounds a nameTable; past it (a peer inventing addresses) names
+// are plain allocations.
+const maxConnNames = 1 << 10
+
+func (n nameTable) intern(b []byte) string {
+	if s, ok := n[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if n != nil && len(n) < maxConnNames {
+		n[s] = s
+	}
+	return s
+}
+
+// decodeEnvBody decodes one envelope body. env.Payload aliases data; From,
+// To and Kind come from names.
+func decodeEnvBody(data []byte, env *Envelope, names nameTable) error {
 	d := wire.NewDec(data)
-	from, err := d.String(maxEnvIDLen)
+	from, err := d.Bytes(maxEnvIDLen)
 	if err != nil {
 		return err
 	}
-	to, err := d.String(maxEnvIDLen)
+	to, err := d.Bytes(maxEnvIDLen)
 	if err != nil {
 		return err
 	}
-	kind, err := d.String(maxEnvIDLen)
+	kind, err := d.Bytes(maxEnvIDLen)
 	if err != nil {
 		return err
 	}
@@ -134,7 +155,7 @@ func decodeEnvBody(data []byte, env *Envelope) error {
 	if err != nil {
 		return err
 	}
-	*env = Envelope{From: Addr(from), To: Addr(to), Kind: kind, Corr: corr, Reply: flags&envFlagReply != 0}
+	*env = Envelope{From: Addr(names.intern(from)), To: Addr(names.intern(to)), Kind: names.intern(kind), Corr: corr, Reply: flags&envFlagReply != 0}
 	if flags&envFlagErr != 0 {
 		if env.ErrMsg, err = d.String(maxEnvErrLen); err != nil {
 			return err
@@ -163,9 +184,10 @@ func decodeEnvBody(data []byte, env *Envelope) error {
 
 // envDecoder reads the next envelope off a connection's stream; the two
 // implementations are the gob stream of old peers and the framed binary
-// stream.
+// stream. borrowed reports that env.Payload aliases the decoder's buffer and
+// is valid only until the next decode.
 type envDecoder interface {
-	decode(env *Envelope) error
+	decode(env *Envelope) (borrowed bool, err error)
 }
 
 type gobEnvDecoder struct{ dec gobDecoder }
@@ -173,35 +195,39 @@ type gobEnvDecoder struct{ dec gobDecoder }
 // gobDecoder matches *gob.Decoder; an interface keeps the struct testable.
 type gobDecoder interface{ Decode(v any) error }
 
-func (g gobEnvDecoder) decode(env *Envelope) error { return g.dec.Decode(env) }
+func (g gobEnvDecoder) decode(env *Envelope) (bool, error) { return false, g.dec.Decode(env) }
 
-type binEnvDecoder struct{ r *bufio.Reader }
-
-func (b binEnvDecoder) decode(env *Envelope) error {
-	f, err := wire.ReadFrame(b.r, envMagic, envFrameVersion)
-	if err != nil {
-		return err
-	}
-	if f.Kind != frameEnvelope {
-		return fmt.Errorf("%w: unexpected frame kind %d mid-stream", wire.ErrCorrupt, f.Kind)
-	}
-	return decodeEnvBody(f.Payload, env)
+// binEnvDecoder reads envelope frames through one reusable frame buffer.
+type binEnvDecoder struct {
+	frames *wire.FrameReader
+	names  nameTable
 }
 
-// writeFrame writes one frame to conn from pooled scratch space, under the
-// write deadline if one is configured. Callers serialise writes per
-// connection themselves (writeEnv holds the conn lock; handshakes own the
-// conn exclusively).
+func newBinEnvDecoder(r *bufio.Reader) binEnvDecoder {
+	return binEnvDecoder{frames: wire.NewFrameReader(r, envMagic, envFrameVersion), names: nameTable{}}
+}
+
+func (b binEnvDecoder) decode(env *Envelope) (bool, error) {
+	f, err := b.frames.Next()
+	if err != nil {
+		return false, err
+	}
+	if f.Kind != frameEnvelope {
+		return false, fmt.Errorf("%w: unexpected frame kind %d mid-stream", wire.ErrCorrupt, f.Kind)
+	}
+	return true, decodeEnvBody(f.Payload, env, b.names)
+}
+
+// writeFrame writes one handshake frame to a connection nobody else writes
+// to yet, under the write deadline if one is configured. The deadline is
+// cleared again: an expired one fails every later write on the socket, whether
+// or not that write would have had to wait.
 func (t *TCP) writeFrame(conn net.Conn, kind byte, body []byte) error {
-	buf := wire.GetBuf()
-	*buf = wire.AppendFrame(*buf, envMagic, envFrameVersion, kind, body)
 	if t.writeTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 		defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
 	}
-	_, err := conn.Write(*buf)
-	wire.PutBuf(buf)
-	return err
+	return wire.WriteFrame(conn, envMagic, envFrameVersion, kind, body)
 }
 
 // clientHandshake offers the binary codec on a fresh dialed connection:

@@ -25,7 +25,7 @@ func TestEnvBodyRoundTrip(t *testing.T) {
 	for i, want := range cases {
 		body := appendEnvBody(nil, &want)
 		var got Envelope
-		if err := decodeEnvBody(body, &got); err != nil {
+		if err := decodeEnvBody(body, &got, nil); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -41,7 +41,7 @@ func TestEnvBodyRejectsTruncation(t *testing.T) {
 	body := appendEnvBody(nil, &env)
 	for n := 0; n < len(body); n++ {
 		var got Envelope
-		if err := decodeEnvBody(body[:n], &got); err == nil {
+		if err := decodeEnvBody(body[:n], &got, nil); err == nil {
 			t.Fatalf("decode accepted %d-byte prefix of %d-byte body", n, len(body))
 		}
 	}
@@ -261,14 +261,14 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env Envelope
-		if err := decodeEnvBody(data, &env); err != nil {
+		if err := decodeEnvBody(data, &env, nil); err != nil {
 			return
 		}
 		// Whatever decoded must re-encode to the same bytes: the format has
 		// exactly one encoding per envelope.
 		round := appendEnvBody(nil, &env)
 		var env2 Envelope
-		if err := decodeEnvBody(round, &env2); err != nil {
+		if err := decodeEnvBody(round, &env2, nameTable{}); err != nil {
 			t.Fatalf("re-decode of re-encoded envelope failed: %v", err)
 		}
 		if !reflect.DeepEqual(env, env2) {

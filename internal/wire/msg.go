@@ -100,6 +100,27 @@ func PutBuf(b *[]byte) {
 }
 
 // ---------------------------------------------------------------------------
+// Pooled decoders.
+
+var decPool = sync.Pool{New: func() any { return new(Dec) }}
+
+// GetDec returns a pooled decoder over data, for callers that pass it through
+// an interface (Unmarshaler.DecodeWire), where a fresh Dec would escape to the
+// heap on every message. Hand it back with PutDec once decoding is done;
+// decoded values may alias data, never the Dec.
+func GetDec(data []byte) *Dec {
+	d := decPool.Get().(*Dec)
+	d.data, d.pos = data, 0
+	return d
+}
+
+// PutDec returns a decoder obtained from GetDec to the pool.
+func PutDec(d *Dec) {
+	d.data = nil
+	decPool.Put(d)
+}
+
+// ---------------------------------------------------------------------------
 // String interning for repeated wire identifiers.
 
 // Interner deduplicates strings that recur across decoded messages — node

@@ -53,14 +53,28 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // AppendFrame appends one encoded frame to dst and returns the extended
 // slice.
 func AppendFrame(dst []byte, magic [4]byte, version uint16, kind byte, payload []byte) []byte {
-	start := len(dst)
+	dst, start := BeginFrame(dst, magic, version, kind)
+	dst = append(dst, payload...)
+	return EndFrame(dst, start)
+}
+
+// BeginFrame appends a frame header with its length left open, so the caller
+// can encode the payload straight behind it instead of building it elsewhere
+// and copying it in. start is where the frame begins in the returned slice;
+// hand both to EndFrame once the payload is appended.
+func BeginFrame(dst []byte, magic [4]byte, version uint16, kind byte) (out []byte, start int) {
+	start = len(dst)
 	dst = append(dst, magic[:]...)
 	dst = binary.BigEndian.AppendUint16(dst, version)
 	dst = append(dst, kind)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[start:], castagnoli)
-	return binary.BigEndian.AppendUint32(dst, crc)
+	return append(dst, 0, 0, 0, 0), start
+}
+
+// EndFrame closes the frame BeginFrame opened at start: it fills in the
+// payload length and appends the CRC.
+func EndFrame(dst []byte, start int) []byte {
+	binary.BigEndian.PutUint32(dst[start+frameHeaderLen-4:], uint32(len(dst)-start-frameHeaderLen))
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // WriteFrame writes one frame to w.
@@ -81,15 +95,42 @@ type Frame struct {
 // CRC. It returns io.EOF only on a clean boundary (zero bytes before the
 // next frame); a partial frame is ErrTruncated.
 func ReadFrame(r io.Reader, magic [4]byte, maxVersion uint16) (Frame, error) {
-	header := make([]byte, frameHeaderLen)
-	if _, err := io.ReadFull(r, header); err != nil {
+	return NewFrameReader(r, magic, maxVersion).Next()
+}
+
+// FrameReader reads a stream of frames through one reusable buffer, for
+// readers that consume each frame before asking for the next (a connection's
+// read loop). ReadFrame is the one-shot form.
+type FrameReader struct {
+	r          io.Reader
+	magic      [4]byte
+	maxVersion uint16
+	header     [frameHeaderLen]byte
+	body       []byte
+}
+
+// maxKeptFrameBuf caps the buffer a FrameReader keeps between frames: every
+// connection has one for life, so an occasional giant frame must not stay
+// resident in it. Larger frames get a buffer of their own.
+const maxKeptFrameBuf = 1 << 16
+
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader, magic [4]byte, maxVersion uint16) *FrameReader {
+	return &FrameReader{r: r, magic: magic, maxVersion: maxVersion}
+}
+
+// Next reads the next frame, with ReadFrame's checks and errors. The frame's
+// Payload aliases the reader's buffer: it is valid until the following Next.
+func (fr *FrameReader) Next() (Frame, error) {
+	header := fr.header[:]
+	if _, err := io.ReadFull(fr.r, header); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Frame{}, io.EOF
 		}
 		return Frame{}, fmt.Errorf("%w: mid-header: %v", ErrTruncated, err)
 	}
-	if [4]byte(header[:4]) != magic {
-		return Frame{}, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, header[:4], magic[:])
+	if [4]byte(header[:4]) != fr.magic {
+		return Frame{}, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, header[:4], fr.magic[:])
 	}
 	version := binary.BigEndian.Uint16(header[4:6])
 	kind := header[6]
@@ -97,8 +138,12 @@ func ReadFrame(r io.Reader, magic [4]byte, maxVersion uint16) (Frame, error) {
 	if length > MaxFrameLen {
 		return Frame{}, fmt.Errorf("%w: frame length %d exceeds limit", ErrCorrupt, length)
 	}
-	body := make([]byte, int(length)+frameTrailerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	need := int(length) + frameTrailerLen
+	if cap(fr.body) < need || cap(fr.body) > maxKeptFrameBuf {
+		fr.body = make([]byte, need)
+	}
+	body := fr.body[:need]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return Frame{}, fmt.Errorf("%w: mid-frame (want %d payload bytes): %v", ErrTruncated, length, err)
 	}
 	crc := crc32.Checksum(header, castagnoli)
@@ -108,8 +153,8 @@ func ReadFrame(r io.Reader, magic [4]byte, maxVersion uint16) (Frame, error) {
 	}
 	// The version check comes after the CRC: a frame must prove it is
 	// intact before its version field is trusted.
-	if version > maxVersion {
-		return Frame{}, fmt.Errorf("%w: frame version %d, this build reads ≤ %d", ErrUnsupportedVersion, version, maxVersion)
+	if version > fr.maxVersion {
+		return Frame{}, fmt.Errorf("%w: frame version %d, this build reads ≤ %d", ErrUnsupportedVersion, version, fr.maxVersion)
 	}
 	return Frame{Version: version, Kind: kind, Payload: body[:length]}, nil
 }

@@ -124,3 +124,57 @@ func TestDecTypedErrors(t *testing.T) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 }
+
+// TestBeginEndFrameMatchesAppendFrame: a payload encoded in place behind an
+// open header yields the bytes AppendFrame yields for the finished payload,
+// wherever in the buffer the frame starts.
+func TestBeginEndFrameMatchesAppendFrame(t *testing.T) {
+	magic := [4]byte{'T', 'E', 'S', 'T'}
+	for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("payload"), 100)} {
+		want := AppendFrame([]byte("prefix"), magic, 3, 9, payload)
+		got, start := BeginFrame([]byte("prefix"), magic, 3, 9)
+		got = EndFrame(append(got, payload...), start)
+		if !bytes.Equal(got, want) {
+			t.Errorf("in-place frame of %d payload bytes differs from AppendFrame's", len(payload))
+		}
+	}
+}
+
+// TestFrameReaderReusesItsBuffer: a FrameReader yields the frames ReadFrame
+// would, each valid until the next, through one buffer.
+func TestFrameReaderReusesItsBuffer(t *testing.T) {
+	magic := [4]byte{'T', 'E', 'S', 'T'}
+	var stream []byte
+	payloads := [][]byte{[]byte("first"), bytes.Repeat([]byte("b"), 300), nil, []byte("last")}
+	for i, p := range payloads {
+		stream = AppendFrame(stream, magic, 1, byte(i), p)
+	}
+	fr := NewFrameReader(bytes.NewReader(stream), magic, 1)
+	for i, p := range payloads {
+		f, err := fr.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if f.Kind != byte(i) || !bytes.Equal(f.Payload, p) {
+			t.Fatalf("frame %d = kind %d, %q", i, f.Kind, f.Payload)
+		}
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	// Steady state: a stream of equal frames costs no allocation per frame.
+	one := AppendFrame(nil, magic, 1, 1, []byte("steady"))
+	many := bytes.Repeat(one, 1000)
+	r := bytes.NewReader(many)
+	fr = NewFrameReader(r, magic, 1)
+	if _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FrameReader allocates %.1f times per frame, want 0", n)
+	}
+}
