@@ -85,12 +85,14 @@ bench:
 # The remote-call hot path, layer by layer, without benchmark/'s 2^20-agent
 # set-up: echo round trips between two TCP links (one caller; eight callers on
 # one connection, reporting socket writes per call), a remote Client.Locate
-# over loopback TCP, and the local whois every operation starts with. Their
-# allocation budgets are ordinary tests (Test*AllocBudget), so `make short` —
-# and with it `make ci` — gates them; this target prints the numbers.
+# over loopback TCP, the local whois every operation starts with, and what the
+# IAgent adds once the frame is in (HandleConcurrent on a 2^18-entry leaf).
+# Their allocation budgets are ordinary tests (Test*AllocBudget,
+# TestIAgentServeLocateKeyAllocs), so `make short` — and with it `make ci` —
+# gates them; this target prints the numbers.
 bench-hot:
 	$(GO) test ./internal/transport -run '^$$' -bench 'TCPEcho' -benchmem
-	$(GO) test ./internal/core -run '^$$' -bench 'LocateRemoteTCP|WhoisLocal' -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'LocateRemoteTCP|WhoisLocal|IAgentServeLocate' -benchmem
 
 # Compare fresh benchmark runs against the committed baselines; non-zero
 # exit on regressions past the p99, chase-hop, retry, update-RPC, alloc

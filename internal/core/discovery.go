@@ -69,11 +69,12 @@ type CheckInResp struct {
 // deposit serves KindDeposit on the IAgent.
 func (b *IAgentBehavior) deposit(ctx *platform.Context, req DepositReq) Ack {
 	b.est.Record()
-	ok, version := b.responsible(ctx, req.Target)
+	hash := req.Target.Hash64()
+	ok, version := b.responsible(ctx, hash)
 	if !ok {
 		return Ack{Status: StatusNotResponsible, HashVersion: version}
 	}
-	b.loads.Add(req.Target)
+	b.Table.AddLoadHashed(req.Target, hash, 1)
 	b.mu.Lock()
 	if b.Pending == nil {
 		b.Pending = make(map[ids.AgentID][]Deposited)

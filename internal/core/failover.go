@@ -578,6 +578,54 @@ func checkpointBuddy(st *State, self ids.AgentID) ids.AgentID {
 	return ids.AgentID(sibs[0])
 }
 
+// armFullCheckpoint makes the next push a full snapshot and drops the delta
+// bookkeeping it supersedes. Caller holds mu (or is still single-threaded in
+// ensureRuntime).
+func (b *IAgentBehavior) armFullCheckpoint() {
+	b.ckFull = true
+	b.ckDirty = make(map[ids.AgentID]bool)
+	b.ckRemoved = make(map[ids.AgentID]bool)
+}
+
+// noteDirty records that the agent's table entry was written since the last
+// checkpoint push — but only while a delta could carry it: with the subsystem
+// off nothing ever drains the set, and while a full snapshot is owed the
+// snapshot carries every entry. Callers write the table first and take mu
+// second, so a write the snapshot (taken under mu, which also clears ckFull)
+// missed finds ckFull cleared and is noted for the first delta; the dirty set
+// is therefore bounded by the writes of one checkpoint interval. Caller
+// holds mu.
+func (b *IAgentBehavior) noteDirty(agent ids.AgentID) {
+	if b.deltaOpen() {
+		b.ckDirty[agent] = true
+		delete(b.ckRemoved, agent)
+	}
+}
+
+// noteRemoved is noteDirty for a deleted entry. Caller holds mu.
+func (b *IAgentBehavior) noteRemoved(agent ids.AgentID) {
+	if b.deltaOpen() {
+		b.ckRemoved[agent] = true
+		delete(b.ckDirty, agent)
+	}
+}
+
+// deltaOpen reports whether table changes are being collected for a delta
+// push. Caller holds mu.
+func (b *IAgentBehavior) deltaOpen() bool {
+	return b.Cfg.failoverEnabled() && !b.ckFull
+}
+
+// checkpointLag is how many table changes the sibling copy is behind: the
+// noted delta, or the whole table while a full snapshot is owed. Caller
+// holds mu.
+func (b *IAgentBehavior) checkpointLag() int64 {
+	if b.ckFull {
+		return int64(b.Table.Len())
+	}
+	return int64(len(b.ckDirty) + len(b.ckRemoved))
+}
+
 // pushCheckpoint sends the accumulated table delta to the sibling leaf,
 // best effort. A buddy change (rehash moved the sibling) or a rejected push
 // escalates to a full snapshot; a failed push merges the delta back so
@@ -588,13 +636,13 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	buddy := checkpointBuddy(st, ctx.Self())
 	if buddy == "" {
 		b.ckBuddy = ""
-		b.metCkLag.Set(int64(len(b.ckDirty) + len(b.ckRemoved)))
+		b.metCkLag.Set(b.checkpointLag())
 		b.mu.Unlock()
 		return
 	}
 	if buddy != b.ckBuddy {
 		b.ckBuddy = buddy
-		b.ckFull = true
+		b.armFullCheckpoint()
 	}
 	if !b.ckFull && len(b.ckDirty) == 0 && len(b.ckRemoved) == 0 {
 		b.metCkLag.Set(0)
@@ -654,7 +702,14 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	cancel()
 
 	b.mu.Lock()
-	if err != nil || resp.Status != StatusOK {
+	switch {
+	case err == nil && resp.Status == StatusOK:
+	case req.Full || err == nil:
+		// A rejected push (version or base mismatch) needs a full resync;
+		// so does a lost full snapshot.
+		b.armFullCheckpoint()
+	case b.deltaOpen():
+		// A lost delta is merged back under what has changed since.
 		for a := range dirty {
 			if _, ok := b.Table.Get(a); ok && !b.ckRemoved[a] {
 				b.ckDirty[a] = true
@@ -665,13 +720,8 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 				b.ckRemoved[a] = true
 			}
 		}
-		if req.Full || err == nil {
-			// A rejected push (version or base mismatch) needs a full
-			// resync; so does a lost full snapshot.
-			b.ckFull = true
-		}
 	}
-	b.metCkLag.Set(int64(len(b.ckDirty) + len(b.ckRemoved)))
+	b.metCkLag.Set(b.checkpointLag())
 	b.mu.Unlock()
 }
 
@@ -749,7 +799,7 @@ func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.Ag
 				b.Caps.Set(agent, caps)
 				b.persistCapDelta(ctx, agent, caps)
 			}
-			b.ckDirty[agent] = true
+			b.noteDirty(agent)
 			restored++
 		}
 		delete(b.Checkpoints, failed)

@@ -66,3 +66,28 @@ func BenchmarkLocateRemoteTCP(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIAgentServeLocate times what the IAgent adds to a remote locate
+// once the frame is in: HandleConcurrent on a leaf of 2^18 agents —
+// responsibility check, counted table probe, answer — with the ids drawn at
+// random so the probe misses the cache as it does under load.
+func BenchmarkIAgentServeLocate(b *testing.B) {
+	leaf, _, ctx := bareLeaf(b, quietConfig(), false)
+	agents := make([]ids.AgentID, 1<<18)
+	for i := range agents {
+		agents[i] = ids.AgentID(fmt.Sprintf("a-%07d", i))
+	}
+	update(b, leaf, ctx, agents, "node-1")
+	payloads := make([][]byte, 1<<16)
+	for i := range payloads {
+		payloads[i] = locatePayload(b, agents[(i*7919)%len(agents)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, _, err := leaf.HandleConcurrent(ctx, KindLocate, payloads[i%len(payloads)])
+		if err != nil || resp.(LocateResp).Status != StatusOK {
+			b.Fatal(resp, err)
+		}
+	}
+}

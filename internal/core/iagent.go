@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"agentloc/internal/bitstr"
 	"agentloc/internal/capindex"
 	"agentloc/internal/ids"
 	"agentloc/internal/loctable"
@@ -21,7 +22,9 @@ import (
 // IAgentBehavior is an Information Agent: it maintains the precise current
 // location of every mobile agent hashed to it (paper §2.2), tracks its own
 // request rate and per-agent load, and asks the HAgent to split or merge it
-// when the rate leaves [Tmin, Tmax].
+// when the rate leaves [Tmin, Tmax]. The location table's slot is the only
+// per-agent record it keeps: the accumulated request count of paper §4.1
+// lives in the slot, beside the location the request asked for.
 //
 // Exported fields are the durable state that survives migration (IAgents
 // are themselves mobile agents); runtime machinery is rebuilt lazily at the
@@ -29,11 +32,11 @@ import (
 type IAgentBehavior struct {
 	// Cfg is the mechanism configuration.
 	Cfg Config
-	// Table maps served agents to their current nodes. It is sharded so
-	// concurrent locates never contend with each other (a locate and a
-	// register only collide when they land on the same stripe), and it
-	// gob-encodes as a plain map, so migration snapshots kept their wire
-	// format when the field stopped being one.
+	// Table maps served agents to their current nodes and counts the
+	// requests each has drawn. It is sharded so concurrent locates never
+	// contend with each other (a locate and a register only collide when
+	// they land on the same stripe), and it gob-encodes stripe by stripe,
+	// counts included, so a relocated IAgent arrives with its per-agent loads.
 	Table *loctable.Table
 	// Residence records which served agents are bound to which residence
 	// handle and where each handle currently is; locate resolves through it
@@ -49,9 +52,6 @@ type IAgentBehavior struct {
 	// StateSnapshot is the IAgent's copy of the hash state, kept current
 	// by the HAgent for every rehash the IAgent is involved in.
 	StateSnapshot StateDTO
-	// LoadSnapshot carries accumulated per-agent request counts across
-	// migrations.
-	LoadSnapshot map[ids.AgentID]uint64
 	// Pending holds messages deposited for served agents until their next
 	// check-in (the guaranteed-delivery extension; see discovery.go).
 	Pending map[ids.AgentID][]Deposited
@@ -72,12 +72,12 @@ type IAgentBehavior struct {
 	dead    bool
 	settled time.Time // creation or last rehash involvement; gates merging
 
-	est   *stats.RateEstimator
-	loads *stats.LoadAccount
+	est *stats.RateEstimator
 
 	// Checkpoint bookkeeping (guarded by mu): which table entries changed
 	// since the last push to the sibling leaf, and whether the next push
 	// must be a full snapshot (after creation, migration, or a rehash).
+	// Changes are only noted while a delta could carry them — see noteDirty.
 	ckDirty   map[ids.AgentID]bool
 	ckRemoved map[ids.AgentID]bool
 	ckSeq     uint64
@@ -86,7 +86,9 @@ type IAgentBehavior struct {
 
 	// Metric handles, rebuilt with the runtime at each hosting node. All
 	// are nil-safe no-ops when the node has no registry.
-	metReq   map[string]*metrics.Counter // request kind → counter
+	metRegister, metUpdate, metDeregister    *metrics.Counter
+	metLocate, metResidenceMove, metDiscover *metrics.Counter
+
 	metStale *metrics.Counter
 	metTable *metrics.Gauge
 	metCkLag *metrics.Gauge
@@ -121,18 +123,9 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		b.settled = ctx.Clock().Now()
 		b.mu.Unlock()
 		b.est = stats.NewRateEstimator(ctx.Clock(), b.Cfg.RateWindow)
-		b.loads = stats.NewLoadAccount()
-		for id, n := range b.LoadSnapshot {
-			for i := uint64(0); i < n; i++ {
-				b.loads.Add(id)
-			}
-		}
-		b.LoadSnapshot = nil
-		b.ckDirty = make(map[ids.AgentID]bool)
-		b.ckRemoved = make(map[ids.AgentID]bool)
 		// First push after creation or migration is a full snapshot: the
 		// buddy may hold nothing (or a stale base) for this sender.
-		b.ckFull = true
+		b.armFullCheckpoint()
 
 		reg := ctx.Metrics()
 		reg.Describe("agentloc_core_iagent_requests_total", "Location-protocol requests served, by IAgent and operation.")
@@ -140,14 +133,11 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		reg.Describe("agentloc_core_iagent_table_entries", "Location-table entries held, by IAgent.")
 		reg.Describe("agentloc_checkpoint_lag_entries", "Location-table updates not yet checkpointed to the sibling leaf, by IAgent.")
 		self := string(ctx.Self())
-		b.metReq = map[string]*metrics.Counter{
-			KindRegister:      reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", "register"),
-			KindUpdate:        reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", "update"),
-			KindDeregister:    reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", "deregister"),
-			KindLocate:        reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", "locate"),
-			KindResidenceMove: reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", "residence-move"),
-			KindDiscover:      reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", "discover"),
+		requests := func(op string) *metrics.Counter {
+			return reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", op)
 		}
+		b.metRegister, b.metUpdate, b.metDeregister = requests("register"), requests("update"), requests("deregister")
+		b.metLocate, b.metResidenceMove, b.metDiscover = requests("locate"), requests("residence-move"), requests("discover")
 		b.metStale = reg.Counter("agentloc_core_iagent_stale_total", "iagent", self)
 		b.metTable = reg.Gauge("agentloc_core_iagent_table_entries", "iagent", self)
 		b.metTable.Set(int64(b.Table.Len()))
@@ -164,7 +154,7 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 // HandleConcurrent implements platform.ConcurrentBehavior: locate — the
 // hot, read-only path — and the liveness probe touch nothing but
 // concurrency-safe state (the immutable hash-state pointer, the sharded
-// Table, the wait-free rate estimator, and the striped load account), so
+// Table with its atomic load counters, and the wait-free rate estimator), so
 // they are served on the delivering goroutine, concurrently with each other
 // and with the mailbox. Every mutating kind declines and goes through the
 // serial mailbox, preserving the write-side invariants unchanged.
@@ -179,7 +169,16 @@ func (b *IAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, pa
 		if err := b.ensureRuntime(ctx); err != nil {
 			return nil, true, err
 		}
-		b.metReq[KindLocate].Inc()
+		b.metLocate.Inc()
+		// A binary-coded request is served off the payload: the id stays a
+		// view into the frame and the table is probed by bytes, so the key
+		// costs no allocation.
+		if agent, binary, err := locateReqAgent(payload); binary {
+			if err != nil {
+				return nil, true, err
+			}
+			return b.locateBytes(ctx, agent), true, nil
+		}
 		var req LocateReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, true, err
@@ -201,7 +200,7 @@ func (b *IAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, pa
 		if err := b.ensureRuntime(ctx); err != nil {
 			return nil, true, err
 		}
-		b.metReq[KindDiscover].Inc()
+		b.metDiscover.Inc()
 		var req DiscoverReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, true, err
@@ -225,7 +224,6 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 	if err := b.ensureRuntime(ctx); err != nil {
 		return nil, err
 	}
-	b.metReq[kind].Inc() // unmatched kinds yield a nil (no-op) handle
 	if resp, handled, err := b.decodeDiscovery(ctx, kind, payload); handled {
 		return resp, err
 	}
@@ -237,6 +235,7 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		// Registration reuses the update shape on the wire (clients send
 		// UpdateReq with an empty Residence), so decode the superset; the
 		// binding stays cleared either way.
+		b.metRegister.Inc()
 		var req UpdateReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
@@ -244,6 +243,7 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		req.Residence = ""
 		return b.recordLocation(ctx, req)
 	case KindUpdate:
+		b.metUpdate.Inc()
 		var req UpdateReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
@@ -254,25 +254,28 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		b.metReq[KindUpdate].Add(uint64(len(req.Updates)))
+		b.metUpdate.Add(uint64(len(req.Updates)))
 		acks, err := b.recordLocations(ctx, req.Updates)
 		if err != nil {
 			return nil, err
 		}
 		return UpdateBatchResp{Acks: acks}, nil
 	case KindResidenceMove:
+		b.metResidenceMove.Inc()
 		var req ResidenceMoveReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
 		return b.residenceMove(ctx, req)
 	case KindDeregister:
+		b.metDeregister.Inc()
 		var req DeregisterReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
 		return b.deregister(ctx, req.Agent)
 	case KindLocate:
+		b.metLocate.Inc()
 		var req LocateReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
@@ -285,6 +288,7 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		}
 		return b.locateBatch(ctx, req), nil
 	case KindDiscover:
+		b.metDiscover.Inc()
 		var req DiscoverReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
@@ -327,11 +331,11 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 	}
 }
 
-// responsible reports whether this IAgent currently serves the agent. It is
-// lock-free and safe on the concurrent fast path.
-func (b *IAgentBehavior) responsible(ctx *platform.Context, agent ids.AgentID) (bool, uint64) {
+// responsible reports whether this IAgent currently serves the agent with
+// the given ids.Hash64. It is lock-free and safe on the concurrent fast path.
+func (b *IAgentBehavior) responsible(ctx *platform.Context, hash uint64) (bool, uint64) {
 	st := b.state.Load()
-	owner, _, err := st.OwnerOf(agent)
+	owner, _, err := st.OwnerOfHash(hash)
 	if err != nil {
 		return false, st.Version()
 	}
@@ -359,13 +363,15 @@ func (b *IAgentBehavior) recordLocation(ctx *platform.Context, u UpdateReq) (Ack
 // acknowledged; a failed append fails the request.
 func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []UpdateReq) ([]Ack, error) {
 	acks := make([]Ack, len(updates))
+	hashes := make([]uint64, len(updates)) // each id is hashed once
 	var recs []snapshot.Record
 	if ctx.Durable() != nil {
 		recs = make([]snapshot.Record, 0, len(updates))
 	}
 	for i, u := range updates {
 		b.est.Record()
-		ok, version := b.responsible(ctx, u.Agent)
+		hashes[i] = u.Agent.Hash64()
+		ok, version := b.responsible(ctx, hashes[i])
 		if !ok {
 			b.metStale.Inc()
 			acks[i] = Ack{Status: StatusNotResponsible, HashVersion: version}
@@ -383,8 +389,7 @@ func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []Update
 		if acks[i].Status != StatusOK {
 			continue
 		}
-		b.loads.Add(u.Agent)
-		b.Table.Put(u.Agent, u.Node)
+		b.Table.PutHashed(u.Agent, hashes[i], u.Node, 1) // an update counts as a request
 		if u.Residence != "" {
 			b.Residence.Bind(u.Agent, u.Residence, u.Node)
 		} else {
@@ -398,8 +403,7 @@ func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []Update
 			b.persistCapDelta(ctx, u.Agent, u.Capabilities)
 		}
 		b.mu.Lock()
-		b.ckDirty[u.Agent] = true
-		delete(b.ckRemoved, u.Agent)
+		b.noteDirty(u.Agent)
 		b.mu.Unlock()
 	}
 	b.metTable.Set(int64(b.Table.Len()))
@@ -434,17 +438,16 @@ func (b *IAgentBehavior) residenceMove(ctx *platform.Context, req ResidenceMoveR
 		}
 	}
 	// Every member's resolved address changed: their checkpointed entries
-	// must be re-pushed, and the load account sees the activity so split
+	// must be re-pushed, and their load counters see the activity so split
 	// decisions stay informed.
+	for _, a := range members {
+		b.Table.AddLoad(a, 1)
+	}
 	b.mu.Lock()
 	for _, a := range members {
-		b.ckDirty[a] = true
-		delete(b.ckRemoved, a)
+		b.noteDirty(a)
 	}
 	b.mu.Unlock()
-	for _, a := range members {
-		b.loads.Add(a)
-	}
 	return ResidenceMoveResp{Status: StatusOK, HashVersion: version, Bound: len(members)}, nil
 }
 
@@ -452,7 +455,8 @@ func (b *IAgentBehavior) residenceMove(ctx *platform.Context, req ResidenceMoveR
 // is applied, like every acknowledged mutation.
 func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (Ack, error) {
 	b.est.Record()
-	ok, version := b.responsible(ctx, agent)
+	hash := agent.Hash64()
+	ok, version := b.responsible(ctx, hash)
 	if !ok {
 		b.metStale.Inc()
 		return Ack{Status: StatusNotResponsible, HashVersion: version}, nil
@@ -460,32 +464,33 @@ func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (A
 	if err := walAppend(ctx, snapshot.OpDelete, agent, "", version); err != nil {
 		return Ack{}, err
 	}
-	b.Table.Delete(agent)
+	b.Table.DeleteHashed(agent, hash)
 	b.Residence.Unbind(agent)
 	if b.Caps.Remove(agent) {
 		b.persistCapDelta(ctx, agent, nil)
 	}
 	b.mu.Lock()
-	b.ckRemoved[agent] = true
-	delete(b.ckDirty, agent)
+	b.noteRemoved(agent)
 	b.mu.Unlock()
 	b.metTable.Set(int64(b.Table.Len()))
-	b.loads.Remove(agent)
 	return Ack{Status: StatusOK, HashVersion: version}, nil
 }
 
 // locate serves location queries (paper §2.3: the IAgent first checks
-// whether it is still responsible for the agent). It takes no locks beyond
-// the Table stripe's RLock, so concurrent locates proceed in parallel.
+// whether it is still responsible for the agent). The id is hashed once, for
+// the responsibility check and the table probe, and the probe counts the
+// request in the slot it finds; an agent the table does not hold is counted
+// nowhere. It takes no locks beyond the Table stripe's RLock, so concurrent
+// locates proceed in parallel.
 func (b *IAgentBehavior) locate(ctx *platform.Context, agent ids.AgentID) LocateResp {
 	b.est.Record()
-	ok, version := b.responsible(ctx, agent)
+	hash := agent.Hash64()
+	ok, version := b.responsible(ctx, hash)
 	if !ok {
 		b.metStale.Inc()
 		return LocateResp{Status: StatusNotResponsible, HashVersion: version}
 	}
-	b.loads.Add(agent)
-	node, found := b.Table.Get(agent)
+	node, found := b.Table.GetCounted(agent, hash)
 	if !found {
 		return LocateResp{Status: StatusUnknownAgent, HashVersion: version}
 	}
@@ -499,13 +504,32 @@ func (b *IAgentBehavior) locate(ctx *platform.Context, agent ids.AgentID) Locate
 	return LocateResp{Status: StatusOK, Node: node, HashVersion: version}
 }
 
+// locateBytes is locate for an id still sitting in the request frame.
+func (b *IAgentBehavior) locateBytes(ctx *platform.Context, agent []byte) LocateResp {
+	b.est.Record()
+	hash := ids.HashBytes(agent)
+	ok, version := b.responsible(ctx, hash)
+	if !ok {
+		b.metStale.Inc()
+		return LocateResp{Status: StatusNotResponsible, HashVersion: version}
+	}
+	node, found := b.Table.GetCountedBytes(agent, hash)
+	if !found {
+		return LocateResp{Status: StatusUnknownAgent, HashVersion: version}
+	}
+	if rn, ok := b.Residence.ResolveBytes(agent); ok {
+		node = rn
+	}
+	return LocateResp{Status: StatusOK, Node: node, HashVersion: version}
+}
+
 // locateBatch answers several locates in one frame, each agent judged
 // individually like UpdateBatchReq's entries. It touches only the
 // concurrency-safe read state, so it rides the concurrent fast path.
 func (b *IAgentBehavior) locateBatch(ctx *platform.Context, req LocateBatchReq) LocateBatchResp {
 	resp := LocateBatchResp{Results: make([]LocateResp, len(req.Agents))}
 	for i, a := range req.Agents {
-		b.metReq[KindLocate].Inc()
+		b.metLocate.Inc()
 		resp.Results[i] = b.locate(ctx, a)
 	}
 	return resp
@@ -573,7 +597,7 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		b.state.Store(st)
 		b.settled = ctx.Clock().Now()
 		// The rehash may have moved the checkpoint buddy; resync from scratch.
-		b.ckFull = true
+		b.armFullCheckpoint()
 	}
 	stillPresent := st.Tree.Contains(string(ctx.Self()))
 	b.mu.Unlock()
@@ -582,17 +606,15 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		b.activateCheckpoint(ctx, req.PromoteCheckpointOf)
 	}
 
-	// Group entries this IAgent no longer owns by their new owner. The
-	// snapshot is overlaid with residence-resolved addresses first, so a
-	// receiver that never learns a binding still starts from the group's
-	// current node, not a stale per-member entry.
-	entries := b.Table.Snapshot()
-	b.Residence.OverlayResolved(entries)
+	// Group entries this IAgent no longer owns by their new owner, in one
+	// pass over the table: the slot carries the hash the tree walks, so
+	// nothing is hashed again, and the load the receiver's split decisions
+	// need. Only what leaves is copied out.
 	moved := make(map[ids.AgentID]*HandoffReq)
-	for agent, node := range entries {
-		owner, _, err := st.OwnerOf(agent)
+	b.Table.RangeSlots(func(s loctable.Slot) bool {
+		owner, _, err := st.OwnerOfHash(s.Hash)
 		if err != nil || owner == ctx.Self() {
-			continue
+			return true
 		}
 		h := moved[owner]
 		if h == nil {
@@ -606,18 +628,29 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 			}
 			moved[owner] = h
 		}
-		h.Entries[agent] = node
-		h.Load[agent] = b.loads.Load(agent)
-		if r, bound := b.Residence.BindingOf(agent); bound {
-			h.Bindings[agent] = r
-			h.Residences[r] = node
-		}
-		if caps := b.Caps.CapsOf(agent); len(caps) > 0 {
-			h.Caps[agent] = caps
+		h.Entries[s.Agent] = s.Node
+		h.Load[s.Agent] = uint64(s.Load)
+		return true
+	})
+	for _, h := range moved {
+		// Entries are overlaid with residence-resolved addresses, so a
+		// receiver that never learns a binding still starts from the group's
+		// current node, not a stale per-member entry.
+		b.Residence.OverlayResolved(h.Entries)
+		for agent, node := range h.Entries {
+			if r, bound := b.Residence.BindingOf(agent); bound {
+				h.Bindings[agent] = r
+				h.Residences[r] = node
+			}
+			if caps := b.Caps.CapsOf(agent); len(caps) > 0 {
+				h.Caps[agent] = caps
+			}
 		}
 		b.mu.Lock()
-		if msgs := b.Pending[agent]; len(msgs) > 0 {
-			h.Pending[agent] = msgs
+		for agent := range h.Entries {
+			if msgs := b.Pending[agent]; len(msgs) > 0 {
+				h.Pending[agent] = msgs
+			}
 		}
 		b.mu.Unlock()
 	}
@@ -642,7 +675,6 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 			b.Table.Delete(agent)
 			b.Residence.Unbind(agent)
 			b.Caps.Remove(agent)
-			b.loads.Remove(agent)
 		}
 		b.metTable.Set(int64(b.Table.Len()))
 	}
@@ -686,10 +718,12 @@ func (b *IAgentBehavior) handoff(ctx *platform.Context, req HandoffReq) (Ack, er
 			b.persistCapDelta(ctx, agent, caps)
 		}
 	}
+	for agent, node := range req.Entries {
+		b.Table.PutHashed(agent, agent.Hash64(), node, req.Load[agent])
+	}
 	b.mu.Lock()
 	for agent := range req.Entries {
-		b.ckDirty[agent] = true
-		delete(b.ckRemoved, agent)
+		b.noteDirty(agent)
 	}
 	if len(req.Pending) > 0 && b.Pending == nil {
 		b.Pending = make(map[ids.AgentID][]Deposited)
@@ -698,14 +732,40 @@ func (b *IAgentBehavior) handoff(ctx *platform.Context, req HandoffReq) (Ack, er
 		b.Pending[agent] = append(b.Pending[agent], msgs...)
 	}
 	b.mu.Unlock()
-	for agent, node := range req.Entries {
-		b.Table.Put(agent, node)
-		for i := uint64(0); i < req.Load[agent]; i++ {
-			b.loads.Add(agent)
-		}
-	}
 	b.metTable.Set(int64(b.Table.Len()))
 	return Ack{Status: StatusOK, HashVersion: b.state.Load().Version()}, nil
+}
+
+// loadReport reads a split request's statistics off the table in one pass,
+// at the granularity of paper §4.1: exact per-agent counts, or — with
+// prefixBits > 0 — counts per id-prefix group, keyed as stats.GroupLoads
+// keys them and taken from the leading bits of the slot's hash, so no id is
+// hashed or rendered again. Agents nothing has been charged to are left out,
+// as they would be from an account that only ever saw requests.
+func loadReport(table *loctable.Table, prefixBits int) (perAgent map[ids.AgentID]uint64, perGroup map[string]uint64) {
+	if prefixBits <= 0 {
+		perAgent = make(map[ids.AgentID]uint64, table.Len())
+		table.RangeSlots(func(s loctable.Slot) bool {
+			if s.Load > 0 {
+				perAgent[s.Agent] = uint64(s.Load)
+			}
+			return true
+		})
+		return perAgent, nil
+	}
+	prefixBits = min(prefixBits, ids.BinaryWidth)
+	groups := make(map[uint64]uint64)
+	table.RangeSlots(func(s loctable.Slot) bool {
+		if s.Load > 0 {
+			groups[s.Hash>>(ids.BinaryWidth-prefixBits)] += uint64(s.Load)
+		}
+		return true
+	})
+	perGroup = make(map[string]uint64, len(groups))
+	for prefix, load := range groups {
+		perGroup[bitstr.FromUint64(prefix, prefixBits).Raw()] = load
+	}
+	return nil, perGroup
 }
 
 // callWithRetry retries transient call failures a few times; handoffs must
@@ -782,11 +842,7 @@ func (b *IAgentBehavior) Run(ctx *platform.Context) error {
 				HashVersion: version,
 				Rate:        rate,
 			}
-			if b.Cfg.LoadStatsPrefixBits > 0 {
-				req.PerGroup = stats.GroupLoads(b.loads.Snapshot(), b.Cfg.LoadStatsPrefixBits)
-			} else {
-				req.PerAgent = b.loads.Snapshot()
-			}
+			req.PerAgent, req.PerGroup = loadReport(b.Table, b.Cfg.LoadStatsPrefixBits)
 			// A failed or declined request is retried naturally at the
 			// next tick; the rate condition persists while overloaded.
 			b.requestRehash(ctx, KindRequestSplit, req)

@@ -122,7 +122,6 @@ func (b *IAgentBehavior) maybeRelocate(ctx *platform.Context) (bool, error) {
 	b.state.Store(ns)
 	b.StateSnapshot = ns.DTO()
 	b.mu.Unlock()
-	b.LoadSnapshot = b.loads.Snapshot()
 
 	mctx, mcancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
 	defer mcancel()

@@ -176,6 +176,19 @@ func (t *ResidenceTable) Resolve(agent ids.AgentID) (platform.NodeID, bool) {
 	return node, ok
 }
 
+// ResolveBytes is Resolve for an id held as bytes; the map is probed without
+// building a string.
+func (t *ResidenceTable) ResolveBytes(agent []byte) (platform.NodeID, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	r, ok := t.bound[ids.AgentID(agent)]
+	if !ok {
+		return "", false
+	}
+	node, ok := t.addr[r]
+	return node, ok
+}
+
 // BindingOf returns the agent's handle, if bound.
 func (t *ResidenceTable) BindingOf(agent ids.AgentID) (ids.ResidenceID, bool) {
 	t.mu.RLock()

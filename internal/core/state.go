@@ -40,12 +40,18 @@ func (s *State) Version() uint64 {
 // OwnerOf resolves the IAgent responsible for the agent and that IAgent's
 // node.
 func (s *State) OwnerOf(agent ids.AgentID) (ids.AgentID, platform.NodeID, error) {
+	return s.OwnerOfHash(agent.Hash64())
+}
+
+// OwnerOfHash is OwnerOf for a caller that already holds the agent's
+// ids.Hash64 (an IAgent hashes an id once for this and for its table probe).
+func (s *State) OwnerOfHash(hash uint64) (ids.AgentID, platform.NodeID, error) {
 	if s == nil || s.Tree == nil {
 		return "", "", fmt.Errorf("core: no hash state")
 	}
-	owner, err := s.Tree.LookupHash(agent.Hash64())
+	owner, err := s.Tree.LookupHash(hash)
 	if err != nil {
-		return "", "", fmt.Errorf("core: owner of %s: %w", agent, err)
+		return "", "", fmt.Errorf("core: owner of hash %#x: %w", hash, err)
 	}
 	iagent := ids.AgentID(owner)
 	node, ok := s.Locations[iagent]

@@ -67,6 +67,21 @@ func (r *LocateReq) DecodeWire(d *wire.Dec) error {
 	return err
 }
 
+// locateReqAgent reads the agent id of a binary-coded LocateReq as a view
+// into the payload, valid only as long as the payload is. binary is false for
+// any other payload (gob, empty), which the caller decodes the general way.
+func locateReqAgent(payload []byte) (agent []byte, binary bool, err error) {
+	ver, body, ok := wire.MsgHeader(payload)
+	if !ok || ver > wire.MsgVersion {
+		return nil, false, nil
+	}
+	d := wire.NewDec(body)
+	if agent, err = d.Bytes(maxWireIDLen); err == nil {
+		err = d.Done()
+	}
+	return agent, true, err
+}
+
 func (r LocateResp) AppendWire(dst []byte) []byte {
 	dst = appendStatus(dst, r.Status)
 	dst = wire.AppendString(dst, string(r.Node))

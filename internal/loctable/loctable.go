@@ -8,26 +8,35 @@
 // checkpoint iteration is in flight; there is no global pause.
 //
 // Each stripe stores its entries in a dense open-addressed array — flat
-// {hash, agent, node} slots with linear probing and backward-shift deletion
-// — instead of a Go map. At the million-agent scale an IAgent is sized for,
-// the flat layout halves the per-entry overhead (no bucket headers, no
-// tombstones, one pointer-free probe sequence per lookup) and keeps probes
-// on one cache line most of the time. Node ids are interned per table, so a
-// million entries pointing at a handful of nodes share a handful of string
-// allocations.
+// 32-byte {hash, agent, node, load} slots with linear probing and
+// backward-shift deletion — instead of a Go map. At the million-agent scale
+// an IAgent is sized for, the flat layout halves the per-entry overhead (no
+// bucket headers, no tombstones, one probe sequence per lookup) and keeps
+// probes on one cache line most of the time. Node ids are interned per
+// table and a slot holds only the intern index, so a million entries
+// pointing at a handful of nodes share a handful of strings.
+//
+// The slot is also the only per-agent record an IAgent keeps: load is the
+// agent's accumulated request count (paper §4.1: "we maintain for each agent
+// the accumulated rate of update and query requests"), a saturating counter
+// bumped atomically by the counted lookups under the stripe's read lock — on
+// the cache line the probe has just touched, with nothing to allocate for an
+// agent the table does not hold.
 //
 // A Table gob-encodes stripe-by-stripe (one lock at a time, parallel
-// key/value slices per stripe) so migrating a behaviour never materializes
-// the whole table as a single map, and binary Serialize/Deserialize (see
-// serialize.go) give it a durable framed form for snapshot files. Both
-// formats are unchanged from the map-backed implementation: dumps and gob
-// streams interoperate across versions in either direction.
+// key/value/load slices per stripe) so migrating a behaviour never
+// materializes the whole table as a single map, and binary
+// Serialize/Deserialize (see serialize.go) give it a durable framed form for
+// snapshot files. Both formats still interoperate with the map-backed
+// implementation in either direction; the loads slice is optional in the gob
+// stream and absent from the binary dump.
 package loctable
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -52,13 +61,36 @@ const (
 	shrinkDivisor = 8
 )
 
-// entry is one dense slot: the agent's mixed hash (0 marks a free slot; the
-// hash value 0 itself is remapped to 1, costing one indistinguishable
-// collision per 2^64 ids), the agent id, and its interned node ref.
+// MaxLoad is where a slot's request counter saturates.
+const MaxLoad = math.MaxUint32
+
+// entry is one dense slot: the agent's mixed hash with the stripe-selection
+// bits shifted out (0 marks a free slot; the value 0 itself is remapped to
+// 1, costing one indistinguishable collision per 2^64 ids), the agent id,
+// the index of its interned node, and its accumulated request count. load
+// is only ever touched with atomic operations while the stripe is
+// read-locked; whole slots are copied (resize, backward shift) under the
+// write lock alone, which is why it is a plain word and not an atomic.Uint32.
 type entry struct {
 	hash  uint64
 	agent ids.AgentID
-	node  platform.NodeID
+	node  uint32
+	load  uint32
+}
+
+// addLoad charges n requests to the slot, saturating at MaxLoad. Readers
+// holding the stripe's read lock call it concurrently.
+func (e *entry) addLoad(n uint64) {
+	for {
+		old := atomic.LoadUint32(&e.load)
+		sum := uint64(old) + n
+		if sum > MaxLoad || sum < n {
+			sum = MaxLoad
+		}
+		if uint32(sum) == old || atomic.CompareAndSwapUint32(&e.load, old, uint32(sum)) {
+			return
+		}
+	}
 }
 
 // stripe is one lock-plus-dense-array shard of the table.
@@ -77,23 +109,31 @@ type Table struct {
 	shift uint
 	count atomic.Int64
 
-	// nodeMu guards nodes, the per-table node-id intern map. A cluster has
-	// few nodes and a table has up to millions of entries; interning makes
-	// every entry's node field share one backing string. Each interned id
-	// carries a reference count — one ref per table entry pointing at it —
-	// so a node whose last entry is deleted (or replaced by a Put to a
-	// different node) leaves the map instead of leaking: long-lived tables
-	// on churny clusters would otherwise accumulate an intern entry for
-	// every node id they ever saw.
+	// nodeMu guards nodes, the per-table node-id intern map, and every store
+	// to nodeList. A cluster has few nodes and a table has up to millions of
+	// entries; interning makes every entry's node field a 4-byte index.
+	// Each interned id carries a reference count — one ref per table entry
+	// pointing at it — so a node whose last entry is deleted (or replaced
+	// by a Put to a different node) leaves the map instead of leaking:
+	// long-lived tables on churny clusters would otherwise accumulate an
+	// intern entry for every node id they ever saw.
 	nodeMu sync.RWMutex
 	nodes  map[platform.NodeID]*nodeRef
+	// nodeList maps a slot's node index back to its id. It is replaced, never
+	// written in place, so lookups resolve an index without a lock; an index
+	// stays valid for as long as a slot holds it (the slot's reference keeps
+	// it from being evicted and reused), so it is resolved while the slot's
+	// stripe is still locked.
+	nodeList atomic.Pointer[[]*nodeRef]
 }
 
-// nodeRef is one interned node id plus the number of live table entries
-// referencing it. refs is atomic so the acquire fast path (node already
-// interned — the overwhelmingly common case) only takes the read lock.
+// nodeRef is one interned node id, its index in nodeList, and the number of
+// live table entries referencing it. refs is atomic so the acquire fast path
+// (node already interned — the overwhelmingly common case) only takes the
+// read lock.
 type nodeRef struct {
 	canon platform.NodeID
+	idx   uint32
 	refs  atomic.Int64
 }
 
@@ -115,8 +155,8 @@ func NewWithStripes(n int) *Table {
 	}
 }
 
-// stripeFor selects the stripe serving the agent and returns the hash bits
-// left for slot probing. The hash tree consumes the id's leading bits, so a
+// stripeFor selects the stripe serving an agent's Hash64 and returns the
+// hash bits left for slot probing. The hash tree consumes the id's leading bits, so a
 // leaf deep in the tree serves ids that share a long prefix; striping by
 // the hash's LOW bits keeps the stripes of a hot leaf uniformly loaded
 // regardless of the leaf's depth, and probing starts above them.
@@ -128,10 +168,10 @@ func (t *Table) stripeFor(h uint64) (*stripe, uint64) {
 	return &t.stripes[h&t.mask], sh
 }
 
-// acquireNode canonicalises a node id and takes one reference on it,
-// zero-alloc once seen. Every table entry holds exactly one reference on
-// its node; releaseNode drops it when the entry is deleted or re-pointed.
-func (t *Table) acquireNode(node platform.NodeID) platform.NodeID {
+// acquireNode interns a node id and takes one reference on it, zero-alloc
+// once seen. Every table entry holds exactly one reference on its node;
+// releaseNode drops it when the entry is deleted or re-pointed.
+func (t *Table) acquireNode(node platform.NodeID) uint32 {
 	t.nodeMu.RLock()
 	if r, ok := t.nodes[node]; ok {
 		// Deletion requires the write lock, so r cannot vanish while we
@@ -139,7 +179,7 @@ func (t *Table) acquireNode(node platform.NodeID) platform.NodeID {
 		// zero-recheck in releaseNode.
 		r.refs.Add(1)
 		t.nodeMu.RUnlock()
-		return r.canon
+		return r.idx
 	}
 	t.nodeMu.RUnlock()
 	t.nodeMu.Lock()
@@ -147,29 +187,58 @@ func (t *Table) acquireNode(node platform.NodeID) platform.NodeID {
 	if !ok {
 		r = &nodeRef{canon: node}
 		t.nodes[node] = r
+		t.listNode(r)
 	}
 	r.refs.Add(1)
 	t.nodeMu.Unlock()
-	return r.canon
+	return r.idx
 }
 
-// releaseNode drops one reference on an interned node id, evicting the
-// intern entry when the last table entry referencing it disappears.
-func (t *Table) releaseNode(node platform.NodeID) {
-	t.nodeMu.RLock()
-	r, ok := t.nodes[node]
-	t.nodeMu.RUnlock()
-	if !ok {
-		return
+// listNode gives a fresh nodeRef the first free index of a copy of nodeList
+// and publishes the copy. Caller holds nodeMu for writing.
+func (t *Table) listNode(r *nodeRef) {
+	var list []*nodeRef
+	if cur := t.nodeList.Load(); cur != nil {
+		list = append(list, *cur...)
 	}
+	free := len(list)
+	for i, held := range list {
+		if held == nil {
+			free = i
+			break
+		}
+	}
+	if free == len(list) {
+		list = append(list, nil)
+	}
+	r.idx = uint32(free)
+	list[free] = r
+	t.nodeList.Store(&list)
+}
+
+// nodeAt resolves a slot's node index. The caller holds the lock of the
+// stripe the slot sits in.
+func (t *Table) nodeAt(idx uint32) platform.NodeID {
+	return (*t.nodeList.Load())[idx].canon
+}
+
+// releaseNode drops one reference on an interned node, evicting the intern
+// entry when the last table entry referencing it disappears. The caller
+// took idx from a slot it has just removed or re-pointed, so the reference
+// it drops is its own and the index is still live.
+func (t *Table) releaseNode(idx uint32) {
+	r := (*t.nodeList.Load())[idx]
 	if r.refs.Add(-1) > 0 {
 		return
 	}
 	// Possibly the last reference: re-check under the write lock, since a
 	// concurrent acquireNode may have resurrected the count.
 	t.nodeMu.Lock()
-	if cur, ok := t.nodes[node]; ok && cur == r && r.refs.Load() <= 0 {
-		delete(t.nodes, node)
+	if cur, ok := t.nodes[r.canon]; ok && cur == r && r.refs.Load() <= 0 {
+		delete(t.nodes, r.canon)
+		list := append([]*nodeRef(nil), *t.nodeList.Load()...)
+		list[idx] = nil
+		t.nodeList.Store(&list)
 	}
 	t.nodeMu.Unlock()
 }
@@ -266,7 +335,24 @@ func (s *stripe) removeAt(i int) {
 
 // Get returns the recorded node of an agent.
 func (t *Table) Get(agent ids.AgentID) (platform.NodeID, bool) {
-	s, h := t.stripeFor(agent.Hash64())
+	return t.GetHashed(agent, agent.Hash64())
+}
+
+// GetHashed is Get for a caller that already holds agent.Hash64() — an
+// IAgent hashes an id once for the responsibility check and the probe.
+func (t *Table) GetHashed(agent ids.AgentID, hash uint64) (platform.NodeID, bool) {
+	return t.lookup(agent, hash, 0)
+}
+
+// GetCounted is GetHashed that also charges one request to the agent's load
+// counter, in the same probe. An agent the table does not hold has nowhere
+// to count: misses cost no memory.
+func (t *Table) GetCounted(agent ids.AgentID, hash uint64) (platform.NodeID, bool) {
+	return t.lookup(agent, hash, 1)
+}
+
+func (t *Table) lookup(agent ids.AgentID, hash, charge uint64) (platform.NodeID, bool) {
+	s, h := t.stripeFor(hash)
 	s.mu.RLock()
 	if s.entries == nil {
 		s.mu.RUnlock()
@@ -275,16 +361,35 @@ func (t *Table) Get(agent ids.AgentID) (platform.NodeID, bool) {
 	i, ok := s.find(h, agent)
 	var node platform.NodeID
 	if ok {
-		node = s.entries[i].node
+		node = t.answer(&s.entries[i], charge)
 	}
 	s.mu.RUnlock()
 	return node, ok
 }
 
+// answer resolves a found slot's node and charges the lookup to it. Caller
+// holds the stripe's read lock.
+func (t *Table) answer(e *entry, charge uint64) platform.NodeID {
+	if charge > 0 {
+		e.addLoad(charge)
+	}
+	return t.nodeAt(e.node)
+}
+
 // GetBytes is Get with a raw byte key: decode paths that hold the agent id
 // as bytes can probe the table without allocating a string.
 func (t *Table) GetBytes(agent []byte) (platform.NodeID, bool) {
-	s, h := t.stripeFor(ids.HashBytes(agent))
+	return t.lookupBytes(agent, ids.HashBytes(agent), 0)
+}
+
+// GetCountedBytes is GetCounted with a raw byte key and its
+// ids.HashBytes: a served locate allocates nothing for its key.
+func (t *Table) GetCountedBytes(agent []byte, hash uint64) (platform.NodeID, bool) {
+	return t.lookupBytes(agent, hash, 1)
+}
+
+func (t *Table) lookupBytes(agent []byte, hash, charge uint64) (platform.NodeID, bool) {
+	s, h := t.stripeFor(hash)
 	s.mu.RLock()
 	if s.entries == nil {
 		s.mu.RUnlock()
@@ -293,16 +398,45 @@ func (t *Table) GetBytes(agent []byte) (platform.NodeID, bool) {
 	i, ok := s.findBytes(h, agent)
 	var node platform.NodeID
 	if ok {
-		node = s.entries[i].node
+		node = t.answer(&s.entries[i], charge)
 	}
 	s.mu.RUnlock()
 	return node, ok
 }
 
-// Put records (or replaces) the agent's node.
+// AddLoad charges n requests to an agent's load counter (saturating at
+// MaxLoad), reporting whether the table holds the agent.
+func (t *Table) AddLoad(agent ids.AgentID, n uint64) bool {
+	return t.AddLoadHashed(agent, agent.Hash64(), n)
+}
+
+// AddLoadHashed is AddLoad with the agent's precomputed Hash64.
+func (t *Table) AddLoadHashed(agent ids.AgentID, hash, n uint64) bool {
+	s, h := t.stripeFor(hash)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.entries == nil {
+		return false
+	}
+	i, ok := s.find(h, agent)
+	if ok {
+		s.entries[i].addLoad(n)
+	}
+	return ok
+}
+
+// Put records (or replaces) the agent's node. A replaced entry keeps its
+// load; a new one starts at zero.
 func (t *Table) Put(agent ids.AgentID, node platform.NodeID) {
-	node = t.acquireNode(node)
-	s, h := t.stripeFor(agent.Hash64())
+	t.PutHashed(agent, agent.Hash64(), node, 0)
+}
+
+// PutHashed is Put with the agent's precomputed Hash64 that also charges
+// addLoad requests to the entry, in the same probe: an update counts itself,
+// a handoff or a gob stream restores the count it carries.
+func (t *Table) PutHashed(agent ids.AgentID, hash uint64, node platform.NodeID, addLoad uint64) {
+	idx := t.acquireNode(node)
+	s, h := t.stripeFor(hash)
 	s.mu.Lock()
 	if loadDen*(s.used+1) > loadNum*len(s.entries) {
 		capacity := len(s.entries) * 2
@@ -312,13 +446,17 @@ func (t *Table) Put(agent ids.AgentID, node platform.NodeID) {
 		s.resize(capacity)
 	}
 	i, existed := s.find(h, agent)
-	var replaced platform.NodeID
+	e := &s.entries[i]
+	var replaced uint32
 	if existed {
-		replaced = s.entries[i].node
-		s.entries[i].node = node
+		replaced = e.node
+		e.node = idx
 	} else {
-		s.entries[i] = entry{hash: h, agent: agent, node: node}
+		*e = entry{hash: h, agent: agent, node: idx}
 		s.used++
+	}
+	if addLoad > 0 {
+		e.addLoad(addLoad)
 	}
 	s.mu.Unlock()
 	if existed {
@@ -332,10 +470,15 @@ func (t *Table) Put(agent ids.AgentID, node platform.NodeID) {
 
 // Delete forgets an agent, reporting whether an entry existed.
 func (t *Table) Delete(agent ids.AgentID) bool {
-	s, h := t.stripeFor(agent.Hash64())
+	return t.DeleteHashed(agent, agent.Hash64())
+}
+
+// DeleteHashed is Delete with the agent's precomputed Hash64.
+func (t *Table) DeleteHashed(agent ids.AgentID, hash uint64) bool {
+	s, h := t.stripeFor(hash)
 	s.mu.Lock()
 	existed := false
-	var removed platform.NodeID
+	var removed uint32
 	if s.entries != nil {
 		var i int
 		if i, existed = s.find(h, agent); existed {
@@ -358,19 +501,54 @@ func (t *Table) Delete(agent ids.AgentID) bool {
 // stripes, so it never takes a lock.
 func (t *Table) Len() int { return int(t.count.Load()) }
 
-// forEachLocked calls f for every occupied slot of the stripe. Caller holds
-// the stripe lock.
-func (s *stripe) forEachLocked(f func(agent ids.AgentID, node platform.NodeID) bool) bool {
-	for i := range s.entries {
-		e := &s.entries[i]
-		if e.hash == 0 {
-			continue
+// Slot is one entry as RangeSlots yields it.
+type Slot struct {
+	Agent ids.AgentID
+	Node  platform.NodeID
+	// Hash is the agent's Hash64 — the word hashtree.LookupHash walks — so a
+	// consumer can read the id's leading bits without hashing again. (For
+	// the one id in 2^60 whose probe bits are all zero it is off in a low
+	// bit; see entry.)
+	Hash uint64
+	// Load is the agent's accumulated request count.
+	Load uint32
+}
+
+// RangeSlots calls f for every entry, load and hash included, until f
+// returns false, holding only the current stripe's read lock. f must not
+// call back into the same Table's write methods (self-deadlock on the stripe
+// lock).
+func (t *Table) RangeSlots(f func(Slot) bool) {
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.RLock()
+		more := true
+		for j := range s.entries {
+			e := &s.entries[j]
+			if e.hash == 0 {
+				continue
+			}
+			more = f(Slot{
+				Agent: e.agent,
+				Node:  t.nodeAt(e.node),
+				Hash:  e.hash<<t.shift | uint64(i),
+				Load:  atomic.LoadUint32(&e.load),
+			})
+			if !more {
+				break
+			}
 		}
-		if !f(e.agent, e.node) {
-			return false
+		s.mu.RUnlock()
+		if !more {
+			return
 		}
 	}
-	return true
+}
+
+// Range calls f for every entry until f returns false, under the same
+// locking as RangeSlots.
+func (t *Table) Range(f func(agent ids.AgentID, node platform.NodeID) bool) {
+	t.RangeSlots(func(s Slot) bool { return f(s.Agent, s.Node) })
 }
 
 // Snapshot copies the table into a plain map, locking one stripe at a time.
@@ -379,39 +557,22 @@ func (s *stripe) forEachLocked(f func(agent ids.AgentID, node platform.NodeID) b
 // what incremental checkpointing tolerates.
 func (t *Table) Snapshot() map[ids.AgentID]platform.NodeID {
 	out := make(map[ids.AgentID]platform.NodeID, t.Len())
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.RLock()
-		s.forEachLocked(func(a ids.AgentID, n platform.NodeID) bool {
-			out[a] = n
-			return true
-		})
-		s.mu.RUnlock()
-	}
+	t.Range(func(a ids.AgentID, n platform.NodeID) bool {
+		out[a] = n
+		return true
+	})
 	return out
-}
-
-// Range calls f for every entry until f returns false, holding only the
-// current stripe's read lock. f must not call back into the same Table's
-// write methods (self-deadlock on the stripe lock).
-func (t *Table) Range(f func(agent ids.AgentID, node platform.NodeID) bool) {
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.RLock()
-		more := s.forEachLocked(f)
-		s.mu.RUnlock()
-		if !more {
-			return
-		}
-	}
 }
 
 // stripeChunk is the gob wire form of one stripe: parallel slices, so the
 // encoder never builds a whole-table map and the chunk's backing arrays are
-// reused across stripes.
+// reused across stripes. Loads is optional: a stream written before the
+// counters lived here decodes with zero loads, and an older reader skips the
+// field.
 type stripeChunk struct {
 	Agents []ids.AgentID
 	Nodes  []platform.NodeID
+	Loads  []uint32
 }
 
 // maxGobStripes bounds the stripe count a decoded header may claim; real
@@ -434,11 +595,16 @@ func (t *Table) GobEncode() ([]byte, error) {
 		s.mu.RLock()
 		chunk.Agents = chunk.Agents[:0]
 		chunk.Nodes = chunk.Nodes[:0]
-		s.forEachLocked(func(a ids.AgentID, n platform.NodeID) bool {
-			chunk.Agents = append(chunk.Agents, a)
-			chunk.Nodes = append(chunk.Nodes, n)
-			return true
-		})
+		chunk.Loads = chunk.Loads[:0]
+		for j := range s.entries {
+			e := &s.entries[j]
+			if e.hash == 0 {
+				continue
+			}
+			chunk.Agents = append(chunk.Agents, e.agent)
+			chunk.Nodes = append(chunk.Nodes, t.nodeAt(e.node))
+			chunk.Loads = append(chunk.Loads, atomic.LoadUint32(&e.load))
+		}
 		s.mu.RUnlock()
 		if err := enc.Encode(chunk); err != nil {
 			return nil, err
@@ -475,8 +641,15 @@ func (t *Table) GobDecode(data []byte) error {
 		if len(chunk.Agents) != len(chunk.Nodes) {
 			return fmt.Errorf("loctable: gob: chunk %d has %d agents, %d nodes", i, len(chunk.Agents), len(chunk.Nodes))
 		}
+		if len(chunk.Loads) != 0 && len(chunk.Loads) != len(chunk.Agents) {
+			return fmt.Errorf("loctable: gob: chunk %d has %d agents, %d loads", i, len(chunk.Agents), len(chunk.Loads))
+		}
 		for j, a := range chunk.Agents {
-			t.Put(a, chunk.Nodes[j])
+			var load uint64
+			if chunk.Loads != nil {
+				load = uint64(chunk.Loads[j])
+			}
+			t.PutHashed(a, a.Hash64(), chunk.Nodes[j], load)
 		}
 	}
 	return nil

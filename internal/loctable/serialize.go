@@ -18,6 +18,9 @@ import (
 //
 //	uvarint  stripe count (chunk count only; entries rehash on load)
 //	per stripe: uvarint entry count, then (string agent, string node) pairs
+//
+// Load counters are not part of the dump: they are split-decision statistics,
+// rebuilt by traffic after a cold restart.
 
 // SerializeMagic identifies a serialized location table.
 var SerializeMagic = [4]byte{'A', 'L', 'O', 'C'}
@@ -38,11 +41,12 @@ func (t *Table) Serialize() ([]byte, error) {
 		s := &t.stripes[i]
 		s.mu.RLock()
 		payload = wire.AppendUvarint(payload, uint64(s.used))
-		s.forEachLocked(func(a ids.AgentID, n platform.NodeID) bool {
-			payload = wire.AppendString(payload, string(a))
-			payload = wire.AppendString(payload, string(n))
-			return true
-		})
+		for j := range s.entries {
+			if e := &s.entries[j]; e.hash != 0 {
+				payload = wire.AppendString(payload, string(e.agent))
+				payload = wire.AppendString(payload, string(t.nodeAt(e.node)))
+			}
+		}
 		s.mu.RUnlock()
 	}
 	return wire.AppendFrame(nil, SerializeMagic, SerializeVersion, 0, payload), nil
