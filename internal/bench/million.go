@@ -13,7 +13,6 @@ import (
 	"agentloc/internal/loctable"
 	"agentloc/internal/platform"
 	"agentloc/internal/transport"
-	"agentloc/internal/wire"
 )
 
 // Million-agent scale measurements, serialized into BENCH_million.json.
@@ -109,7 +108,7 @@ func MillionCodec(entries, rounds int) Result {
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
-		payload, err := transport.EncodeV(req, wire.MsgVersion)
+		payload, err := transport.Encode(req)
 		if err != nil {
 			panic(err)
 		}

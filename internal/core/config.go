@@ -98,7 +98,8 @@ type Config struct {
 
 	// HeartbeatInterval turns on the crash-tolerance subsystem: IAgents
 	// heartbeat the HAgent on this interval, the HAgent sweeps leases on
-	// it, and replicas watch the primary's lease with it. Zero (the
+	// it, replicas watch the primary's lease with it, and every IAgent
+	// pushes its location-table delta to its sibling leaf on it. Zero (the
 	// default) disables failure detection, checkpointing and automatic
 	// takeover entirely.
 	HeartbeatInterval time.Duration
@@ -106,9 +107,6 @@ type Config struct {
 	// an IAgent's lease. The detector probes a suspect directly before
 	// declaring it failed. Zero selects 3.
 	SuspectAfterMisses int
-	// CheckpointInterval is how often an IAgent pushes its location-table
-	// delta to its sibling leaf. Zero selects HeartbeatInterval.
-	CheckpointInterval time.Duration
 
 	// EagerPropagation makes the HAgent push every new hash state to all
 	// LHAgents immediately instead of the paper's on-demand refresh. It
@@ -133,15 +131,6 @@ type Config struct {
 	// LocateCacheSize caps the number of cached locations per client.
 	// Zero selects 4096.
 	LocateCacheSize int
-
-	// DiscoverFanout bounds how many leaves a Client.Discover queries
-	// concurrently during its scatter-gather. Zero selects 8.
-	DiscoverFanout int
-	// DiscoverPerLeafLimit caps the matches requested from each leaf when
-	// the query itself sets no limit. Zero selects 256 — enough to merge a
-	// meaningful Near-preference ranking without shipping a leaf's whole
-	// index.
-	DiscoverPerLeafLimit int
 }
 
 // DefaultConfig returns the configuration used by the paper's experiments:
@@ -200,18 +189,12 @@ func (c Config) Validate() error {
 		return errors.New("core: config: PlacementMajority must be in (0, 1]")
 	case c.HeartbeatInterval < 0:
 		return errors.New("core: config: HeartbeatInterval must be non-negative")
-	case c.CheckpointInterval < 0:
-		return errors.New("core: config: CheckpointInterval must be non-negative")
 	case c.SuspectAfterMisses < 0:
 		return errors.New("core: config: SuspectAfterMisses must be non-negative")
 	case c.LocateCacheTTL < 0:
 		return errors.New("core: config: LocateCacheTTL must be non-negative")
 	case c.LocateCacheSize < 0:
 		return errors.New("core: config: LocateCacheSize must be non-negative")
-	case c.DiscoverFanout < 0:
-		return errors.New("core: config: DiscoverFanout must be non-negative")
-	case c.DiscoverPerLeafLimit < 0:
-		return errors.New("core: config: DiscoverPerLeafLimit must be non-negative")
 	default:
 		return nil
 	}

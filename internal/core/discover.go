@@ -40,25 +40,18 @@ type Match struct {
 	Node  platform.NodeID
 }
 
-// discoverFanout returns the configured scatter width (default 8).
-func (c Config) discoverFanout() int {
-	if c.DiscoverFanout > 0 {
-		return c.DiscoverFanout
-	}
-	return 8
-}
-
-// discoverPerLeafLimit returns the per-leaf match cap used when the query
-// sets no limit of its own (default 256).
-func (c Config) discoverPerLeafLimit() int {
-	if c.DiscoverPerLeafLimit > 0 {
-		return c.DiscoverPerLeafLimit
-	}
-	return 256
-}
+const (
+	// discoverFanout bounds how many leaves a Discover queries concurrently
+	// during its scatter-gather.
+	discoverFanout = 8
+	// discoverPerLeafLimit caps the matches requested from each leaf when the
+	// query itself sets no limit: enough to merge a meaningful Near-preference
+	// ranking without shipping a leaf's whole index.
+	discoverPerLeafLimit = 256
+)
 
 // Discover finds agents advertising every capability in q.Caps by fanning
-// the query out across the responsible leaves (at most Config.DiscoverFanout
+// the query out across the responsible leaves (at most discoverFanout
 // in flight) and merging the per-leaf answers: matches at q.Near first, then
 // by agent id, truncated to q.Limit. An empty q.Caps matches nothing.
 //
@@ -73,7 +66,7 @@ func (c *Client) Discover(ctx context.Context, q Query) ([]Match, error) {
 		endOp(sp, rpcs, nil)
 		return nil, nil
 	}
-	perLeaf := c.cfg.discoverPerLeafLimit()
+	perLeaf := discoverPerLeafLimit
 	if q.Limit > 0 && q.Limit < perLeaf {
 		perLeaf = q.Limit
 	}
@@ -153,7 +146,7 @@ func (c *Client) scatter(ctx context.Context, leaves []LeafRef, q Query, perLeaf
 		stale int
 		wg    sync.WaitGroup
 	)
-	slots := make(chan struct{}, c.cfg.discoverFanout())
+	slots := make(chan struct{}, discoverFanout)
 	for _, leaf := range leaves {
 		wg.Add(1)
 		slots <- struct{}{}

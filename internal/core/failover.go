@@ -155,14 +155,8 @@ func (c Config) leaseTTL() time.Duration {
 	return time.Duration(c.suspectMisses()) * c.HeartbeatInterval
 }
 
-// checkpointEvery returns the checkpoint cadence (default: the heartbeat
-// interval).
-func (c Config) checkpointEvery() time.Duration {
-	if c.CheckpointInterval > 0 {
-		return c.CheckpointInterval
-	}
-	return c.HeartbeatInterval
-}
+// checkpointEvery returns the checkpoint cadence: the heartbeat interval.
+func (c Config) checkpointEvery() time.Duration { return c.HeartbeatInterval }
 
 // probeTimeout bounds the direct probe of a suspect; it must not wedge the
 // HAgent's mailbox for a full CallTimeout when the lease itself is short.

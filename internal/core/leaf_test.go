@@ -133,7 +133,7 @@ func update(tb testing.TB, leaf *IAgentBehavior, ctx *platform.Context, agents [
 	}
 }
 
-// locatePayload is a LocateReq as a negotiated peer sends it.
+// locatePayload is a LocateReq as it arrives off the wire.
 func locatePayload(tb testing.TB, agent ids.AgentID) []byte {
 	tb.Helper()
 	payload, err := transport.EncodeV(LocateReq{Agent: agent}, wire.MsgVersion)
@@ -176,7 +176,7 @@ func TestIAgentServeLocateCountsInSlot(t *testing.T) {
 			t.Fatalf("read-loop locate = %+v", got)
 		}
 	}
-	gobPayload, err := transport.Encode(LocateReq{Agent: "hot"})
+	gobPayload, err := transport.EncodeV(LocateReq{Agent: "hot"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

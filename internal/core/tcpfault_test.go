@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"agentloc/internal/ids"
 	"agentloc/internal/platform"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
@@ -348,4 +349,83 @@ func TestTraceSpansCloseOnConnectionReset(t *testing.T) {
 	if roots[0].Span.Err != "" {
 		t.Errorf("recovered locate's root carries error %q", roots[0].Span.Err)
 	}
+}
+
+// TestTCPClusterOpsSurviveResetAll runs every hot-path operation — register,
+// locate, a move reported by a third node, a residence group's Join and MoveTo
+// — between three nodes over real TCP, then tears down every cached
+// connection: the links redial and the calls come good again.
+func TestTCPClusterOpsSurviveResetAll(t *testing.T) {
+	f := transport.NewFaults()
+	c, _ := newTCPCluster(t, quietConfig(), 3, func(i int, tc *transport.TCPConfig) {
+		tc.Faults = f
+		tc.RedialBackoff = time.Millisecond
+	})
+	ctx := testCtx(t)
+	first := c.service.ClientFor(c.nodes[0])
+	bystander := c.service.ClientFor(c.nodes[1])
+	last := c.service.ClientFor(c.nodes[2])
+
+	// Registrations land on two nodes; locates cross between them in both
+	// directions.
+	assignFirst, err := first.Register(ctx, "ops-first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := last.Register(ctx, "ops-last"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := last.Locate(ctx, "ops-first"); err != nil || got != c.nodes[0].ID() {
+		t.Fatalf("locate from node-2 = %v at %s, want %s", err, got, c.nodes[0].ID())
+	}
+	if got, err := first.Locate(ctx, "ops-last"); err != nil || got != c.nodes[2].ID() {
+		t.Fatalf("locate from node-0 = %v at %s, want %s", err, got, c.nodes[2].ID())
+	}
+
+	// A migration reported through another node: the fresh location must be
+	// visible from a node that never cached it.
+	if _, err := last.MoveNotifyTo(ctx, "ops-first", c.nodes[2].ID(), assignFirst); err != nil {
+		t.Fatalf("move via node-2: %v", err)
+	}
+	if got, err := bystander.Locate(ctx, "ops-first"); err != nil || got != c.nodes[2].ID() {
+		t.Fatalf("locate after move = %v at %s, want %s", err, got, c.nodes[2].ID())
+	}
+
+	// A residence group: Join and MoveTo issue bound updates and
+	// residence-move RPCs across the links.
+	group := last.ResidenceGroup("res@ops")
+	members := make([]ids.AgentID, 3)
+	for i := range members {
+		members[i] = ids.AgentID(fmt.Sprintf("ops-member-%d", i))
+		if _, err := last.Register(ctx, members[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := group.Join(ctx, members[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := group.MoveTo(ctx, c.nodes[0].ID()); err != nil {
+		t.Fatalf("residence move from node-2: %v", err)
+	}
+	for _, m := range members {
+		if got, err := bystander.Locate(ctx, m); err != nil || got != c.nodes[0].ID() {
+			t.Fatalf("member %s after residence move = %v at %s, want %s", m, err, got, c.nodes[0].ID())
+		}
+	}
+
+	f.ResetAll()
+	eventually(t, 20*time.Second, func(ctx context.Context) error {
+		if _, err := last.Locate(ctx, "ops-first"); err != nil {
+			return err
+		}
+		first.InvalidateLocation("ops-last")
+		got, err := first.Locate(ctx, "ops-last")
+		if err != nil {
+			return err
+		}
+		if got != c.nodes[2].ID() {
+			return fmt.Errorf("post-reset locate at %s, want %s", got, c.nodes[2].ID())
+		}
+		return nil
+	})
 }

@@ -12,9 +12,8 @@ import (
 // and batched), residence-move, whois/refresh, and their responses. The
 // cold control plane — hash state pushes, handoffs, split/merge — stays on
 // gob, where flexibility beats cycles. Each codec implements wire.Marshaler
-// and wire.Unmarshaler; transport.EncodeV picks it when the peer has
-// negotiated the binary message version, and transport.Decode dispatches on
-// the payload header, so every build reads both formats.
+// and wire.Unmarshaler, which is what makes transport.Encode pick it, for
+// every peer; transport.Decode dispatches on the payload header.
 //
 // Node and residence ids recur endlessly across messages (a cluster has few
 // nodes but millions of location updates), so decodes run them through a

@@ -15,7 +15,7 @@ import (
 
 // hotDTOs enumerates every hot-path DTO with a representative non-zero
 // value. Each must round-trip bit-exactly through the binary codec AND
-// still round-trip through gob (the fallback for old peers), from the same
+// still round-trip through gob (the reference form, EncodeV at 0), from the same
 // call sites.
 func hotDTOs() []any {
 	return []any{
@@ -83,7 +83,7 @@ func TestHotDTOBinaryRoundTrip(t *testing.T) {
 func TestHotDTOGobFallbackRoundTrip(t *testing.T) {
 	for _, v := range hotDTOs() {
 		t.Run(fmt.Sprintf("%T", v), func(t *testing.T) {
-			payload, err := transport.EncodeV(v, 0) // old peer: gob
+			payload, err := transport.EncodeV(v, 0) // the gob reference form
 			if err != nil {
 				t.Fatalf("EncodeV: %v", err)
 			}

@@ -105,47 +105,6 @@ func TestRemoteFastPathWithServiceTimeLeavesReadLoop(t *testing.T) {
 	}
 }
 
-// TestAgentRequestGobFormIsTheOldWireForm: toward a gob-only peer the lazily
-// encoded wrapper must produce what the eager one did — a gob agentRequest
-// whose Payload is the gob-encoded request.
-func TestAgentRequestGobFormIsTheOldWireForm(t *testing.T) {
-	lazy := &agentRequest{Agent: "x", From: "y", Kind: "k", body: &wireEcho{Text: "hi"}}
-	data, err := transport.EncodeV(lazy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, binary := wire.MsgHeader(data); binary {
-		t.Fatal("version 0 produced a binary wrapper")
-	}
-	var got agentRequest
-	if err := transport.Decode(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Agent != "x" || got.From != "y" || got.Kind != "k" {
-		t.Errorf("decoded wrapper %+v", got)
-	}
-	if _, _, binary := wire.MsgHeader(got.Payload); binary {
-		t.Error("a gob wrapper carries a binary request")
-	}
-	var inner wireEcho
-	if err := transport.Decode(got.Payload, &inner); err != nil || inner.Text != "hi" {
-		t.Errorf("inner request = %+v, %v", inner, err)
-	}
-
-	// And the binary wrapper carries the binary request.
-	data, err = transport.EncodeV(lazy, wire.MsgVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = agentRequest{}
-	if err := transport.Decode(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, binary := wire.MsgHeader(got.Payload); !binary {
-		t.Error("a binary wrapper carries a non-binary request")
-	}
-}
-
 // valueEcho answers "echo" for same-node callers by value and counts how
 // often the codec path was used instead.
 type valueEcho struct {

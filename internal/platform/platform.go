@@ -139,10 +139,10 @@ const (
 )
 
 // agentRequest wraps a request addressed to an agent at the node. A sender
-// whose request has a binary form leaves it in body, unencoded: the wrapper
-// encodes it in whichever codec the wrapper itself is encoded in (see
-// wiremsg.go), so nobody has to ask the link for the destination's codec
-// first. Payload is what a receiver decodes.
+// whose request has a binary form leaves it in body, unencoded, and the
+// wrapper appends it behind its own fields (see wiremsg.go) — no intermediate
+// buffer; any other request is gob-encoded into Payload by the sender. Payload
+// is what a receiver decodes.
 type agentRequest struct {
 	Agent   ids.AgentID
 	From    ids.AgentID // requesting agent, if any
@@ -381,8 +381,8 @@ func (n *Node) CallAgent(ctx context.Context, at NodeID, agent ids.AgentID, kind
 
 // callAgent implements agent-addressed calls with an optional sender id. A
 // call to an agent on this node is delivered in-process (callLocal); every
-// other call crosses the link, the request riding unencoded inside its wrapper
-// until the link knows the destination's codec.
+// other call crosses the link, a request with a binary form riding unencoded
+// inside its wrapper until the link encodes both into the frame.
 func (n *Node) callAgent(ctx context.Context, from ids.AgentID, at NodeID, agent ids.AgentID, kind string, req, resp any) error {
 	if at == n.id {
 		return n.callLocal(ctx, from, agent, kind, req, resp)
@@ -426,7 +426,7 @@ func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind stri
 	result, answered, err := n.answerLocal(ctx, sc, agent, kind, req, resp)
 	if !answered {
 		var payload []byte
-		if payload, err = transport.EncodeV(req, wire.MsgVersion); err != nil {
+		if payload, err = transport.Encode(req); err != nil {
 			return fmt.Errorf("call %s@%s %s: encode: %w", agent, n.id, kind, err)
 		}
 		result, err = n.deliver(ctx, sc, agentRequest{Agent: agent, From: from, Kind: kind, Payload: payload})
@@ -443,7 +443,7 @@ func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind stri
 	if answered || resp == nil {
 		return nil
 	}
-	body, err := transport.EncodeV(result, wire.MsgVersion)
+	body, err := transport.Encode(result)
 	if err != nil {
 		return &transport.RemoteError{Kind: kindAgentRequest, To: n.id.Addr(), Msg: fmt.Sprintf("agent %s: encode response: %v", agent, err)}
 	}
@@ -453,9 +453,8 @@ func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind stri
 	return nil
 }
 
-// rawResponse carries an agent's response. Like agentRequest, the sender
-// leaves it in body, unencoded, and the wrapper encodes it in its own codec;
-// Payload is what the receiver decodes.
+// rawResponse carries an agent's response, split between body and Payload as
+// agentRequest splits a request; Payload is what the receiver decodes.
 type rawResponse struct {
 	Payload []byte
 
@@ -564,8 +563,8 @@ func (n *Node) Crash() {
 // handleInline is the node's transport.InlineHandler: on the connection's read
 // loop it answers pings, and agent requests whose target is a
 // ConcurrentBehavior with no service time that accepts them. Everything else —
-// mailbox kinds, transfers, gob-encoded requests from old peers — is declined
-// and reaches handle on a goroutine of its own.
+// mailbox kinds, transfers, a wrapper that does not parse — is declined and
+// reaches handle on a goroutine of its own.
 func (n *Node) handleInline(ctx context.Context, _ transport.Addr, kind string, payload []byte) (any, bool, error) {
 	switch kind {
 	case kindNodePing:

@@ -2,14 +2,14 @@ package platform
 
 import (
 	"agentloc/internal/ids"
-	"agentloc/internal/transport"
 	"agentloc/internal/wire"
 )
 
 // Binary codecs for the platform's request wrapper and response carrier,
-// the envelope-adjacent layer every hot RPC rides through. The inner
-// Payload is already encoded by the caller, so both directions pass it as
-// raw bytes — on decode it aliases the received buffer rather than copying.
+// the envelope-adjacent layer every RPC rides through — the wrappers' only
+// wire form. The inner message travels as raw bytes in its own codec (binary
+// appended in place from body, or the gob Payload the caller encoded); on
+// decode it aliases the received buffer rather than being copied.
 
 // maxPlatIDLen bounds agent-id and kind lengths on the wire.
 const maxPlatIDLen = 1 << 16
@@ -39,19 +39,6 @@ func (r *agentRequest) AppendWire(dst []byte) []byte {
 		return appendNested(dst, r.body)
 	}
 	return wire.AppendBytes(dst, r.Payload)
-}
-
-// GobForm implements transport.GobFormer: toward a gob-only peer the request
-// inside is gob too.
-func (r *agentRequest) GobForm() (any, error) {
-	if r.body == nil {
-		return r, nil
-	}
-	payload, err := transport.Encode(r.body)
-	if err != nil {
-		return nil, err
-	}
-	return &agentRequest{Agent: r.Agent, From: r.From, Kind: r.Kind, Payload: payload}, nil
 }
 
 func (r *agentRequest) DecodeWire(d *wire.Dec) error {
@@ -84,18 +71,6 @@ func (r *rawResponse) AppendWire(dst []byte) []byte {
 		return appendNested(dst, r.body)
 	}
 	return wire.AppendBytes(dst, r.Payload)
-}
-
-// GobForm implements transport.GobFormer.
-func (r *rawResponse) GobForm() (any, error) {
-	if r.body == nil {
-		return r, nil
-	}
-	payload, err := transport.Encode(r.body)
-	if err != nil {
-		return nil, err
-	}
-	return &rawResponse{Payload: payload}, nil
 }
 
 func (r *rawResponse) DecodeWire(d *wire.Dec) error {

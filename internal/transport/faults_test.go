@@ -10,6 +10,7 @@ import (
 
 	"agentloc/internal/metrics"
 	"agentloc/internal/trace"
+	"agentloc/internal/wire"
 )
 
 // newFaultyTCPPair builds a client → server TCP pair where the client's
@@ -226,39 +227,61 @@ func TestTCPDecodeErrorCountedAndTraced(t *testing.T) {
 }
 
 func TestTCPSlowAccept(t *testing.T) {
-	// A server slow to start reading delays delivery but loses nothing.
-	f := NewFaults()
-	server, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", Faults: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	got := make(chan time.Time, 1)
-	if err := server.Listen("server", func(Envelope) { got <- time.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	f.SetAcceptDelay(200 * time.Millisecond)
+	// A server slow to start reading delays delivery but loses nothing — and
+	// changes nothing about the connection: however long the accept takes (the
+	// second case outlasts the 2 s after which a dialer used to conclude the
+	// peer was a gob-only build, and served it gob for the connection's life),
+	// a wire.Marshaler body arrives in its binary form.
+	for _, delay := range []time.Duration{200 * time.Millisecond, 2500 * time.Millisecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			if delay > time.Second && testing.Short() {
+				t.Skip("waits out a 2.5 s accept delay")
+			}
+			f := NewFaults()
+			serverLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", Faults: f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer serverLink.Close()
+			var gotAt time.Time
+			var got []byte
+			server, err := NewPeer(serverLink, "server", func(_ context.Context, _ Addr, _ string, payload []byte) (any, error) {
+				gotAt, got = time.Now(), payload
+				return nil, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+			f.SetAcceptDelay(delay)
 
-	client, err := NewTCP(TCPConfig{
-		ListenOn:  "127.0.0.1:0",
-		Directory: map[Addr]string{"server": server.ListenAddr()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+			clientLink, err := NewTCP(TCPConfig{
+				ListenOn:  "127.0.0.1:0",
+				Directory: map[Addr]string{"server": serverLink.ListenAddr()},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clientLink.Close()
+			client, err := NewPeer(clientLink, "c", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
 
-	start := time.Now()
-	if err := client.Send(Envelope{From: "c", To: "server", Kind: "slow"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case at := <-got:
-		if d := at.Sub(start); d < 150*time.Millisecond {
-			t.Errorf("delivered after %v, want ≥ ~200ms (accept delay)", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("envelope lost behind a slow accept")
+			ctx, cancel := context.WithTimeout(context.Background(), delay+5*time.Second)
+			defer cancel()
+			start := time.Now()
+			if err := client.Call(ctx, "server", "slow", &wireEcho{Text: "patience"}, nil); err != nil {
+				t.Fatalf("envelope lost behind a slow accept: %v", err)
+			}
+			if d := gotAt.Sub(start); d < delay*3/4 {
+				t.Errorf("delivered after %v, want ≥ ~%v (accept delay)", d, delay)
+			}
+			if _, _, ok := wire.MsgHeader(got); !ok {
+				t.Errorf("payload %q does not open with the binary message header", got)
+			}
+		})
 	}
 }
 

@@ -31,7 +31,7 @@ func (r *hotResp) DecodeWire(d *wire.Dec) error {
 
 // newEchoPair builds two TCP links with a peer each: the server echoes a
 // fixed hotResp from a plain RequestHandler, the client has a route to it.
-// One warm-up call leaves the connection dialed and negotiated.
+// One warm-up call leaves the connection dialed.
 func newEchoPair(tb testing.TB, clientCfg TCPConfig) (client *Peer) {
 	tb.Helper()
 	srvLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})

@@ -8,7 +8,6 @@ import (
 
 	"agentloc/internal/clock"
 	"agentloc/internal/metrics"
-	"agentloc/internal/wire"
 )
 
 // LatencyFunc computes the one-way delivery latency of an envelope.
@@ -185,7 +184,7 @@ func (n *Network) Send(env Envelope) error {
 // body and sending, with the outcome known at once.
 func (n *Network) post(_ context.Context, env Envelope, body any, w sendWaiter) error {
 	var err error
-	if env.Payload, err = ownPayload(env.Payload, body, wire.MsgVersion); err != nil {
+	if env.Payload, err = ownPayload(env.Payload, body); err != nil {
 		return err
 	}
 	if err := n.Send(env); err != nil {

@@ -112,7 +112,7 @@ func (p *Peer) Addr() Addr { return p.addr }
 
 // Call sends a request and waits for the reply, a send failure or the end of
 // ctx, whichever comes first. req and resp are encoded and decoded in the
-// codec shared with the destination; either may be nil. A remote handler
+// codec their type selects (see Encode); either may be nil. A remote handler
 // error is returned as *RemoteError.
 func (p *Peer) Call(ctx context.Context, to Addr, kind string, req, resp any) error {
 	s := slotPool.Get().(*callSlot)
@@ -380,7 +380,7 @@ type sendPoster struct{ link Link }
 
 func (s sendPoster) post(ctx context.Context, env Envelope, body any, w sendWaiter) error {
 	var err error
-	if env.Payload, err = ownPayload(env.Payload, body, NegotiatedWireVersion(ctx, s.link, env.To)); err != nil {
+	if env.Payload, err = ownPayload(env.Payload, body); err != nil {
 		return err
 	}
 	go func() {
@@ -392,32 +392,23 @@ func (s sendPoster) post(ctx context.Context, env Envelope, body any, w sendWait
 	return nil
 }
 
-// Encode gob-encodes a value; nil encodes to an empty payload. Gob is the
-// lowest common denominator every peer understands, so plain Encode is
-// always safe to send; hot paths that have negotiated a version use EncodeV
-// for the binary codec instead.
+// Encode encodes a message payload as every link sends it, to every peer. The
+// codec is a property of the value: one implementing wire.Marshaler gets its
+// hand-rolled binary form behind the message header, anything else is gob. Nil
+// encodes to an empty payload.
 func Encode(v any) ([]byte, error) {
-	return EncodeV(v, 0)
+	return EncodeV(v, wire.MsgVersion)
 }
 
-// EncodeV encodes a value for a peer that negotiated hot-path message
-// version ver. Values implementing wire.Marshaler get the hand-rolled
-// binary form when ver admits it; everything else — and every payload bound
-// for a gob-only peer — falls back to gob. Nil encodes to an empty payload
-// under either codec.
+// EncodeV is Encode at message format version ver, for holding one value in
+// both codecs: below wire.MsgVersion — 0 by convention — a wire.Marshaler is
+// gob-encoded like any other value, which is the reference form its binary
+// round trip is checked against.
 func EncodeV(v any, ver uint16) ([]byte, error) {
 	if v == nil {
 		return nil, nil
 	}
 	return AppendV(make([]byte, 0, 64), v, ver)
-}
-
-// GobFormer is implemented by messages whose gob form is not the value
-// itself: a wrapper that carries its inner message unencoded, and encodes it
-// inside AppendWire for the binary codec, hands gob a copy with the inner
-// message gob-encoded in place.
-type GobFormer interface {
-	GobForm() (any, error)
 }
 
 // AppendV appends v's encoding to dst — EncodeV into a buffer the caller
@@ -429,12 +420,6 @@ func AppendV(dst []byte, v any, ver uint16) ([]byte, error) {
 	if m, ok := v.(wire.Marshaler); ok && ver >= wire.MsgVersion {
 		return m.AppendWire(wire.AppendMsgHeader(dst, wire.MsgVersion)), nil
 	}
-	if f, ok := v.(GobFormer); ok {
-		var err error
-		if v, err = f.GobForm(); err != nil {
-			return dst, err
-		}
-	}
 	buf := bytes.NewBuffer(dst)
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return dst, err
@@ -444,9 +429,9 @@ func AppendV(dst []byte, v any, ver uint16) ([]byte, error) {
 
 // Decode decodes a payload into v, dispatching on the payload itself: the
 // binary-message header (unreachable as a gob prefix) selects the
-// hand-rolled codec, anything else is gob. An empty payload leaves v
-// untouched. Decoders therefore accept both formats at all times, which is
-// what lets version negotiation be per-peer and asymmetric.
+// hand-rolled codec, anything else is gob — the control plane's payload codec.
+// An empty payload leaves v untouched. A binary payload of a newer format
+// version than this build reads is wire.ErrUnsupportedVersion.
 func Decode(data []byte, v any) error {
 	if len(data) == 0 {
 		return nil

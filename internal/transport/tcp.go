@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -55,19 +53,11 @@ type TCPConfig struct {
 	// cached connection broken. Zero selects DefaultRedialBackoff;
 	// negative disables the pause.
 	RedialBackoff time.Duration
-	// HandshakeTimeout bounds the wait for the wire-codec hello ack on a
-	// fresh dial; expiry means the peer is an old gob-only build and the
-	// dialer falls back. Zero selects DefaultHandshakeTimeout; negative
-	// disables the bound (then only ctx limits the wait).
-	HandshakeTimeout time.Duration
-	// Wire selects the envelope codec policy: WireAuto (default)
-	// handshakes the binary codec per peer, WireGob pins the link to the
-	// pre-codec gob behaviour.
-	Wire WireMode
 
 	// Metrics, when set, counts connection-level failures into
 	// agentloc_transport_conn_errors_total{reason} (reason is "dial",
-	// "write", "decode", "torn" or "reset"). Nil disables accounting.
+	// "write", "decode", "torn" or "reset"; "decode" is also where a peer
+	// that does not speak the frame format ends up). Nil disables accounting.
 	Metrics *metrics.Registry
 	// Trace, when set, records connection-level events (dial failures,
 	// write timeouts, corrupt streams) as transport.conn_error entries.
@@ -85,18 +75,16 @@ type TCPConfig struct {
 // Every connection has an out-queue and one writer goroutine. Sending is
 // queueing: post (and Send, which waits for the outcome) appends the envelope
 // to the queue of the connection it resolves to, and the writer takes
-// everything queued, encodes it and hands it to the socket with one write —
+// everything queued, frames it and hands it to the socket with one write —
 // so frames on a connection keep their queueing order, concurrent senders
 // share system calls, and nothing but a writer ever waits for a socket.
 type TCP struct {
-	dialTimeout      time.Duration
-	writeTimeout     time.Duration
-	redialBackoff    time.Duration
-	handshakeTimeout time.Duration
-	wireMode         WireMode
-	reg              *metrics.Registry
-	trc              *trace.Log
-	faults           *Faults
+	dialTimeout   time.Duration
+	writeTimeout  time.Duration
+	redialBackoff time.Duration
+	reg           *metrics.Registry
+	trc           *trace.Log
+	faults        *Faults
 
 	// life ends at Close: it cuts short the redial pauses and dials of
 	// resends nobody may be waiting for any more.
@@ -118,11 +106,6 @@ type TCP struct {
 	// spoke on, so replies reach peers that have no directory entry
 	// (ephemeral clients).
 	learned map[Addr]*tcpConn
-	// peerVer caches the handshake outcome per dial target (0 = gob-only
-	// peer) so WireVersion can answer without a live connection. Entries
-	// die with their connection: a peer that restarts — possibly upgraded —
-	// gets a fresh handshake on the next dial.
-	peerVer map[string]uint16
 	closed  bool
 	wg      sync.WaitGroup
 }
@@ -147,11 +130,6 @@ func (h tcpHandler) deliver(env Envelope, borrowed bool) {
 
 type tcpConn struct {
 	conn net.Conn
-	// ver is the negotiated hot-path message version, fixed before the
-	// conn is shared: 0 writes gob envelopes through enc, ≥1 writes binary
-	// frames.
-	ver uint16
-	enc *gob.Encoder
 
 	mu    sync.Mutex
 	wake  *sync.Cond // nil until the first frame starts the writer
@@ -165,9 +143,6 @@ type outFrame struct {
 	env Envelope
 	buf *[]byte
 	w   sendWaiter
-	// payloadVer is the codec version env.Payload was encoded at; a resend
-	// must not carry it to a connection that negotiated less.
-	payloadVer uint16
 	// redial is where to resend the frame if its connection turns out
 	// broken: the dial target, for a frame queued on a cached connection —
 	// one that predated it, whose peer may have restarted without the
@@ -179,7 +154,6 @@ type outFrame struct {
 var (
 	_ Link             = (*TCP)(nil)
 	_ ContextSender    = (*TCP)(nil)
-	_ WireNegotiator   = (*TCP)(nil)
 	_ poster           = (*TCP)(nil)
 	_ endpointListener = (*TCP)(nil)
 )
@@ -210,25 +184,22 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	// Pre-create the failure series so the family shows up (at zero) in
 	// scrapes of a healthy node — absence means "not instrumented", not
 	// "no errors".
-	for _, reason := range []string{"dial", "write", "decode", "torn", "reset", "handshake"} {
+	for _, reason := range []string{"dial", "write", "decode", "torn", "reset"} {
 		cfg.Metrics.Counter(metricConnErrs, "reason", reason)
 	}
 	t := &TCP{
-		dialTimeout:      pickTimeout(cfg.DialTimeout, DefaultDialTimeout),
-		writeTimeout:     pickTimeout(cfg.WriteTimeout, DefaultWriteTimeout),
-		redialBackoff:    pickTimeout(cfg.RedialBackoff, DefaultRedialBackoff),
-		handshakeTimeout: pickTimeout(cfg.HandshakeTimeout, DefaultHandshakeTimeout),
-		wireMode:         cfg.Wire,
-		reg:              cfg.Metrics,
-		trc:              cfg.Trace,
-		faults:           cfg.Faults,
-		listener:         ln,
-		directory:        dir,
-		handlers:         make(map[Addr]tcpHandler),
-		conns:            make(map[string]*tcpConn),
-		inbound:          make(map[net.Conn]*tcpConn),
-		learned:          make(map[Addr]*tcpConn),
-		peerVer:          make(map[string]uint16),
+		dialTimeout:   pickTimeout(cfg.DialTimeout, DefaultDialTimeout),
+		writeTimeout:  pickTimeout(cfg.WriteTimeout, DefaultWriteTimeout),
+		redialBackoff: pickTimeout(cfg.RedialBackoff, DefaultRedialBackoff),
+		reg:           cfg.Metrics,
+		trc:           cfg.Trace,
+		faults:        cfg.Faults,
+		listener:      ln,
+		directory:     dir,
+		handlers:      make(map[Addr]tcpHandler),
+		conns:         make(map[string]*tcpConn),
+		inbound:       make(map[net.Conn]*tcpConn),
+		learned:       make(map[Addr]*tcpConn),
 	}
 	t.life, t.stop = context.WithCancel(context.Background())
 	t.wg.Add(1)
@@ -323,7 +294,7 @@ func (t *TCP) post(ctx context.Context, env Envelope, body any, w sendWaiter) er
 
 	buf := wire.GetBuf()
 	if body != nil {
-		if *buf, err = AppendV(*buf, body, c.ver); err != nil {
+		if *buf, err = AppendV(*buf, body, wire.MsgVersion); err != nil {
 			wire.PutBuf(buf)
 			return &encodeError{err}
 		}
@@ -331,7 +302,7 @@ func (t *TCP) post(ctx context.Context, env Envelope, body any, w sendWaiter) er
 		*buf = append(*buf, env.Payload...)
 	}
 	env.Payload = *buf
-	f := outFrame{env: env, buf: buf, w: w, payloadVer: c.ver, redial: redial}
+	f := outFrame{env: env, buf: buf, w: w, redial: redial}
 	if err := t.enqueue(c, f); err != nil {
 		if errors.Is(err, ErrClosed) {
 			wire.PutBuf(buf)
@@ -349,7 +320,7 @@ func (t *TCP) post(ctx context.Context, env Envelope, body any, w sendWaiter) er
 // so that the envelope escapes to the heap here and not in every post.
 func (t *TCP) postLocal(local *tcpHandler, env Envelope, body any, w sendWaiter) error {
 	var err error
-	if env.Payload, err = ownPayload(env.Payload, body, wire.MsgVersion); err != nil {
+	if env.Payload, err = ownPayload(env.Payload, body); err != nil {
 		t.wg.Done()
 		return err
 	}
@@ -505,24 +476,14 @@ func (t *TCP) writeLoop(c *tcpConn) {
 	}
 }
 
-// flush writes one batch under one write deadline: binary connections get
-// every frame in a single write, gob connections one Encode (which writes)
-// per envelope, as the stream's encoder demands. The deadline is left
-// standing: nothing writes to the socket but the next flush, which moves it
-// first, so a connection can sit idle past it.
+// flush writes one batch — every frame in a single write — under one write
+// deadline. The deadline is left standing: nothing writes to the socket but
+// the next flush, which moves it first, so a connection can sit idle past it.
 func (t *TCP) flush(c *tcpConn, batch []outFrame, out []byte) ([]byte, error) {
 	if t.writeTimeout > 0 {
 		// A deadline-set failure means the conn is already dead; the write
 		// below surfaces that.
 		_ = c.conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
-	}
-	if c.ver == 0 {
-		for i := range batch {
-			if err := c.enc.Encode(&batch[i].env); err != nil {
-				return out, err
-			}
-		}
-		return out, nil
 	}
 	for i := range batch {
 		var start int
@@ -572,9 +533,6 @@ func (t *TCP) connGone(c *tcpConn, cause error, unwritten []outFrame) {
 		for target, oc := range t.conns {
 			if oc == c {
 				delete(t.conns, target)
-				// The handshake verdict dies with the connection: the
-				// peer may come back upgraded.
-				delete(t.peerVer, target)
 			}
 		}
 		delete(t.inbound, c.conn)
@@ -672,15 +630,10 @@ func (t *TCP) resend(frames []outFrame) {
 	}
 	for _, f := range frames {
 		f.redial = ""
-		switch {
-		case err != nil:
+		if err != nil {
 			fail(f, err)
-		case f.payloadVer > c.ver:
-			fail(f, fmt.Errorf("resend: peer came back at message version %d, payload is version %d", c.ver, f.payloadVer))
-		default:
-			if qerr := t.enqueue(c, f); qerr != nil {
-				fail(f, fmt.Errorf("resend: %w", qerr))
-			}
+		} else if qerr := t.enqueue(c, f); qerr != nil {
+			fail(f, fmt.Errorf("resend: %w", qerr))
 		}
 	}
 }
@@ -720,14 +673,13 @@ func (t *TCP) connTo(ctx context.Context, target string) (c *tcpConn, cached boo
 	}
 	t.mu.Unlock()
 
-	conn, ver, dec, err := t.dialAndNegotiate(ctx, target)
+	d := net.Dialer{Timeout: t.dialTimeout}
+	conn, err := d.DialContext(ctx, "tcp", target)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("tcp dial %s: %w", target, err)
 	}
-	c = &tcpConn{conn: conn, ver: ver}
-	if ver == 0 {
-		c.enc = gob.NewEncoder(conn)
-	}
+	conn = t.faults.wrap(conn)
+	c = &tcpConn{conn: conn}
 
 	t.mu.Lock()
 	if t.closed {
@@ -742,122 +694,30 @@ func (t *TCP) connTo(ctx context.Context, target string) (c *tcpConn, cached boo
 		return existing, true, nil
 	}
 	t.conns[target] = c
-	t.peerVer[target] = ver
 	// Outgoing connections are full duplex: replies (and any traffic the
 	// peer chooses to send us) come back on the same socket.
 	t.inbound[conn] = c
 	t.wg.Add(1)
 	t.mu.Unlock()
-	go t.readLoop(conn, c, dec)
+	go t.readLoop(c)
 	return c, false, nil
 }
 
-// dial opens one raw connection to target, bounded by the dial timeout and
-// ctx, with fault injection applied.
-func (t *TCP) dial(ctx context.Context, target string) (net.Conn, error) {
-	d := net.Dialer{Timeout: t.dialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", target)
-	if err != nil {
-		return nil, fmt.Errorf("tcp dial %s: %w", target, err)
-	}
-	return t.faults.wrap(conn), nil
-}
-
-// dialAndNegotiate dials target and settles the envelope codec for the new
-// connection. Under WireAuto it offers the binary handshake unless the
-// target is already known to be gob-only; a peer that never acks — an old
-// build sitting on the unparseable hello — costs one handshake timeout,
-// after which the target is remembered as gob and the connection re-dialed
-// speaking plain gob from the first byte.
-func (t *TCP) dialAndNegotiate(ctx context.Context, target string) (net.Conn, uint16, envDecoder, error) {
-	conn, err := t.dial(ctx, target)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	t.mu.Lock()
-	knownGob := t.wireMode == WireGob
-	if v, ok := t.peerVer[target]; ok && v == 0 {
-		knownGob = true
-	}
-	t.mu.Unlock()
-	if knownGob {
-		return conn, 0, gobEnvDecoder{gob.NewDecoder(conn)}, nil
-	}
-	ver, br, hsErr := t.clientHandshake(ctx, conn)
-	if hsErr == nil {
-		return conn, ver, newBinEnvDecoder(br), nil
-	}
-	conn.Close()
-	if ctx.Err() != nil {
-		// The caller gave up, not the peer; learn nothing from that.
-		return nil, 0, nil, fmt.Errorf("tcp handshake %s: %w", target, ctx.Err())
-	}
-	t.noteConnError("handshake", Addr(target), hsErr)
-	t.mu.Lock()
-	t.peerVer[target] = 0
-	t.mu.Unlock()
-	conn2, err := t.dial(ctx, target)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return conn2, 0, gobEnvDecoder{gob.NewDecoder(conn2)}, nil
-}
-
-// WireVersion implements WireNegotiator: it reports the hot-path message
-// version shared with the target, handshaking a fresh connection when no
-// verdict is cached. Local endpoints trivially share this build's version;
-// unresolvable or unreachable targets report gob, which every peer accepts.
-func (t *TCP) WireVersion(ctx context.Context, to Addr) uint16 {
-	if t.wireMode == WireGob {
-		return 0
-	}
-	t.mu.Lock()
-	if _, ok := t.handlers[to]; ok {
-		t.mu.Unlock()
-		return wire.MsgVersion
-	}
-	target, ok := t.directory[to]
-	if !ok {
-		lc := t.learned[to]
-		t.mu.Unlock()
-		if lc != nil {
-			// ver is fixed before a conn is published to learned.
-			return lc.ver
-		}
-		return 0
-	}
-	if v, ok := t.peerVer[target]; ok {
-		t.mu.Unlock()
-		return v
-	}
-	if t.closed {
-		t.mu.Unlock()
-		return 0
-	}
-	t.mu.Unlock()
-	c, _, err := t.connTo(ctx, target)
-	if err != nil {
-		return 0
-	}
-	return c.ver
-}
-
-// readLoop decodes envelopes arriving on a connection — in whichever codec
-// the connection negotiated — learning reply routes and handing each to its
-// local handler on this goroutine, until the connection closes. It never
-// writes to a socket: whatever a handler sends, the reply to a request served
-// in place included, is queued for a writer.
-func (t *TCP) readLoop(conn net.Conn, back *tcpConn, dec envDecoder) {
+// readLoop decodes the envelope frames arriving on a connection, learning
+// reply routes and handing each envelope to its local handler on this
+// goroutine, until the connection closes. Anything but a well-formed envelope
+// frame of a version this build reads — a peer of another format generation,
+// or not a peer at all — ends the connection, counted as a decode error. It
+// never writes to a socket: whatever a handler sends, the reply to a request
+// served in place included, is queued for a writer.
+func (t *TCP) readLoop(back *tcpConn) {
 	defer t.wg.Done()
-	// One Envelope for the connection's lifetime: decode takes its address
-	// through an interface, so a fresh one per frame would be a heap
-	// allocation per frame. Handlers get it by value.
-	var env Envelope
+	dec := newEnvReader(back.conn)
 	for {
-		env = Envelope{}
-		borrowed, err := dec.decode(&env)
-		if err != nil {
-			t.noteReadError(conn, err)
+		// env.Payload aliases dec's buffer until the next decode.
+		var env Envelope
+		if err := dec.decode(&env); err != nil {
+			t.noteReadError(back.conn, err)
 			t.connGone(back, err, nil)
 			return
 		}
@@ -868,7 +728,7 @@ func (t *TCP) readLoop(conn net.Conn, back *tcpConn, dec envDecoder) {
 		h, ok := t.handlers[env.To]
 		t.mu.Unlock()
 		if ok {
-			h.deliver(env, borrowed)
+			h.deliver(env, true)
 		}
 	}
 }
@@ -924,44 +784,7 @@ func (t *TCP) acceptLoop() {
 		t.mu.Unlock()
 		go func() {
 			t.faults.delayAccept()
-			dec, err := t.acceptNegotiate(conn, back)
-			if err != nil {
-				t.noteConnError("handshake", Addr(conn.RemoteAddr().String()), err)
-				conn.Close()
-				t.mu.Lock()
-				delete(t.inbound, conn)
-				t.mu.Unlock()
-				t.wg.Done()
-				return
-			}
-			t.readLoop(conn, back, dec)
+			t.readLoop(back)
 		}()
 	}
-}
-
-// acceptNegotiate settles the codec of a freshly accepted connection. The
-// dialer moves first: a binary-speaking peer opens with the frame magic
-// (which can never begin a gob stream), so one peek disambiguates. Under
-// WireGob the peek is skipped entirely — the link behaves byte-for-byte
-// like a build that predates the codec, leaving an offered hello to rot
-// unanswered until the dialer's handshake timeout makes it fall back.
-func (t *TCP) acceptNegotiate(conn net.Conn, back *tcpConn) (envDecoder, error) {
-	if t.wireMode == WireGob {
-		back.enc = gob.NewEncoder(conn)
-		return gobEnvDecoder{gob.NewDecoder(conn)}, nil
-	}
-	br := bufio.NewReader(conn)
-	if peek, err := br.Peek(len(envMagic)); err == nil && [4]byte(peek) == envMagic {
-		ver, err := t.serverHandshake(conn, br)
-		if err != nil {
-			return nil, err
-		}
-		back.ver = ver
-		return newBinEnvDecoder(br), nil
-	}
-	// Not the frame magic (or the stream ended early): a gob peer. Nothing
-	// was consumed by the peek, so the gob decoder sees the stream from
-	// byte 0; any error, including the early end, surfaces through it.
-	back.enc = gob.NewEncoder(conn)
-	return gobEnvDecoder{gob.NewDecoder(br)}, nil
 }

@@ -4,7 +4,7 @@
 //
 //   - Network: an in-process simulated LAN with configurable latency,
 //     jitter, message loss and partitions. Experiments and tests run on it.
-//   - TCP: gob-encoded envelopes over real TCP connections, demonstrating
+//   - TCP: framed envelopes over real TCP connections, demonstrating
 //     multi-process deployment of the same binaries.
 //
 // Package transport also provides Peer, a request/response (RPC) layer over
@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"agentloc/internal/trace"
-	"agentloc/internal/wire"
 )
 
 // Addr names an endpoint. In-memory networks use free-form names ("node-3");
@@ -41,7 +40,7 @@ type Envelope struct {
 	// wire: both Link implementations carry it verbatim, so a receiver can
 	// parent its spans under the sender's. The zero value means untraced.
 	Trace trace.SpanContext
-	// Payload is the gob-encoded message body.
+	// Payload is the encoded message body (see Encode).
 	Payload []byte
 }
 
@@ -83,7 +82,7 @@ func SendWithContext(ctx context.Context, l Link, env Envelope) error {
 
 // poster is the send side a Peer drives. post encodes body (when non-nil;
 // otherwise env.Payload is taken as already encoded) as the envelope's
-// payload in the codec shared with env.To, queues the envelope and returns: it
+// payload, queues the envelope and returns: it
 // may wait for a dial, within ctx, but never for a write — and for a reply not
 // even for a dial. Neither body nor env.Payload is referenced once post has
 // returned.
@@ -111,13 +110,13 @@ type encodeError struct{ err error }
 func (e *encodeError) Error() string { return "encode: " + e.err.Error() }
 func (e *encodeError) Unwrap() error { return e.err }
 
-// ownPayload returns the payload a link may keep past post: body encoded at
-// ver, or, with no body, a copy of the already encoded payload.
-func ownPayload(payload []byte, body any, ver uint16) ([]byte, error) {
+// ownPayload returns the payload a link may keep past post: body encoded, or,
+// with no body, a copy of the already encoded payload.
+func ownPayload(payload []byte, body any) ([]byte, error) {
 	if body == nil {
 		return bytes.Clone(payload), nil
 	}
-	encoded, err := EncodeV(body, ver)
+	encoded, err := Encode(body)
 	if err != nil {
 		return nil, &encodeError{err}
 	}
@@ -139,28 +138,6 @@ type endpoint interface {
 // endpointListener is implemented by links that deliver to endpoints.
 type endpointListener interface {
 	listenEndpoint(addr Addr, ep endpoint) error
-}
-
-// WireNegotiator is optionally implemented by Links that negotiate a wire
-// format version per peer (the TCP link handshakes on connect). WireVersion
-// reports the highest hot-path message version shared with the target: 0
-// means gob-only (an old peer, or negotiation not yet complete), and
-// wire.MsgVersion means the peer speaks the current binary codec. The
-// answer may change over time — a first call before any connection exists
-// conservatively reports 0 and later calls report the handshaken version —
-// so callers consult it per message, never cache it.
-type WireNegotiator interface {
-	WireVersion(ctx context.Context, to Addr) uint16
-}
-
-// NegotiatedWireVersion reports the hot-path message version shared with
-// the target. Links that don't negotiate (the in-memory Network delivers
-// structs within one build) support the current version by construction.
-func NegotiatedWireVersion(ctx context.Context, l Link, to Addr) uint16 {
-	if n, ok := l.(WireNegotiator); ok {
-		return n.WireVersion(ctx, to)
-	}
-	return wire.MsgVersion
 }
 
 // Common transport errors.

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -619,7 +618,7 @@ func TestTCPSendCtxAbandonsRedialOnCancel(t *testing.T) {
 	b.Close()
 	a.Close()
 	link.mu.Lock()
-	link.conns[deadAddr] = &tcpConn{conn: a, enc: gob.NewEncoder(a)}
+	link.conns[deadAddr] = &tcpConn{conn: a}
 	link.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -663,7 +662,7 @@ func TestPeerCallReturnsPromptlyWhenCtxExpiresMidRedial(t *testing.T) {
 	b.Close()
 	a.Close()
 	link.mu.Lock()
-	link.conns[deadAddr] = &tcpConn{conn: a, enc: gob.NewEncoder(a)}
+	link.conns[deadAddr] = &tcpConn{conn: a}
 	link.mu.Unlock()
 
 	peer, err := NewPeer(link, "c", nil)

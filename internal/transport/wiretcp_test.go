@@ -1,12 +1,19 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
+	"math/rand"
+	"net"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"agentloc/internal/metrics"
 	"agentloc/internal/trace"
 	"agentloc/internal/wire"
 )
@@ -47,147 +54,108 @@ func TestEnvBodyRejectsTruncation(t *testing.T) {
 	}
 }
 
-// A binary-capable dialer and acceptor handshake the codec; every envelope
-// feature — correlation, replies, errors, trace context — must survive the
-// binary framing end to end.
-func TestTCPBinaryHandshake(t *testing.T) {
-	serverLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})
+// TestTCPRejectsForeignStreams: what an accepted connection opens with is
+// untrusted. Anything but an envelope frame this build reads — noise, the gob
+// envelope stream or the hello of builds that negotiated a codec, a frame of a
+// newer stream format — is met by the frame reader, never by a gob decoder:
+// the connection is closed and counted once, and the listener keeps serving a
+// peer that speaks frames, with everything an envelope carries (trace context,
+// remote error) intact.
+func TestTCPRejectsForeignStreams(t *testing.T) {
+	reg := metrics.New()
+	trc := trace.NewLog(16)
+	serverLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", Metrics: reg, Trace: trc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer serverLink.Close()
-	clientLink, err := NewTCP(TCPConfig{
-		ListenOn:  "127.0.0.1:0",
-		Directory: map[Addr]string{"server": serverLink.ListenAddr()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clientLink.Close()
-
 	var gotTrace trace.SpanContext
 	server, err := NewPeer(serverLink, "server", func(ctx context.Context, _ Addr, _ string, payload []byte) (any, error) {
 		gotTrace = trace.FromContext(ctx)
 		var req echoReq
-		if err := Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		if req.Text == "fail" {
+		if err := Decode(payload, &req); err != nil || req.Text == "fail" {
 			return nil, errors.New("handler says no")
 		}
-		return echoResp{Text: "bin:" + req.Text}, nil
+		return echoResp{Text: "served"}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
+
+	env := Envelope{From: "stranger", To: "server", Kind: "k", Corr: 1, Payload: []byte("x")}
+	noise := make([]byte, 64)
+	rand.New(rand.NewSource(22)).Read(noise)
+	var gobStream bytes.Buffer
+	if err := gob.NewEncoder(&gobStream).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	decodeErrs := func() uint64 { return reg.Snapshot().Counter(metricConnErrs, "reason", "decode") }
+	for i, tc := range []struct {
+		name   string
+		stream []byte
+		want   error
+	}{
+		{"noise", noise, wire.ErrCorrupt},
+		{"gob envelope", gobStream.Bytes(), wire.ErrCorrupt},
+		{"old hello", wire.AppendFrame(nil, envMagic, envFrameVersion, 1, wire.AppendUvarint(nil, wire.MsgVersion)), wire.ErrCorrupt},
+		{"newer frame version", wire.AppendFrame(nil, envMagic, envFrameVersion+1, frameEnvelope, appendEnvBody(nil, &env)), wire.ErrUnsupportedVersion},
+	} {
+		raw, err := net.Dial("tcp", serverLink.ListenAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		if _, err := raw.Write(tc.stream); err != nil {
+			t.Fatal(err)
+		}
+		_ = raw.SetReadDeadline(time.Now().Add(time.Second))
+		if n, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: connection still open after 1 s (read %d bytes, err %v)", tc.name, n, err)
+		}
+		// The event is emitted before the count moves, so once the count is
+		// there the event is too.
+		want := uint64(i + 1)
+		for deadline := time.Now().Add(time.Second); decodeErrs() < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got, all := decodeErrs(), reg.Snapshot().Counter(metricConnErrs); got != want || all != want {
+			t.Errorf("%s: conn_errors_total{reason=decode} = %d of %d in all, want %d of %d", tc.name, got, all, want, want)
+		}
+		events := trc.Filter("transport.conn_error")
+		if len(events) != i+1 || !strings.Contains(events[i].Detail, tc.want.Error()) {
+			t.Errorf("%s: trace events = %v, want %d, the last naming %q", tc.name, events, i+1, tc.want)
+		}
+	}
+
+	clientLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", Directory: map[Addr]string{"server": serverLink.ListenAddr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clientLink.Close()
 	client, err := NewPeer(clientLink, "client", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	sc := trace.SpanContext{TraceID: 42, SpanID: 7, Sampled: true}
 	var resp echoResp
-	if err := client.Call(trace.ContextWith(ctx, sc), "server", "echo", echoReq{Text: "hello"}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Text != "bin:hello" {
-		t.Errorf("resp = %q", resp.Text)
+	sc := trace.SpanContext{TraceID: 42, SpanID: 7, Sampled: true}
+	if err := client.Call(trace.ContextWith(ctx, sc), "server", "echo", echoReq{Text: "hi"}, &resp); err != nil || resp.Text != "served" {
+		t.Errorf("well-behaved peer after the strangers: %q, %v", resp.Text, err)
 	}
 	if gotTrace.TraceID != 42 || gotTrace.Hop != 1 || !gotTrace.Sampled {
-		t.Errorf("trace did not survive binary framing: %+v", gotTrace)
+		t.Errorf("trace context did not survive the framing: %+v", gotTrace)
 	}
-
-	if err := client.Call(ctx, "server", "echo", echoReq{Text: "fail"}, &resp); err == nil {
-		t.Fatal("remote error lost in binary framing")
-	} else {
-		var re *RemoteError
-		if !errors.As(err, &re) || re.Msg != "handler says no" {
-			t.Errorf("err = %v, want RemoteError(handler says no)", err)
-		}
-	}
-
-	// Both links negotiated: each side must now report the binary version
-	// for the other.
-	if v := clientLink.WireVersion(ctx, "server"); v != wire.MsgVersion {
-		t.Errorf("client reports version %d for server, want %d", v, wire.MsgVersion)
-	}
-	// The server knows the client only via the learned reply route.
-	if v := serverLink.WireVersion(ctx, "client"); v != wire.MsgVersion {
-		t.Errorf("server reports version %d for learned client, want %d", v, wire.MsgVersion)
+	var re *RemoteError
+	if err := client.Call(ctx, "server", "echo", echoReq{Text: "fail"}, &resp); !errors.As(err, &re) || re.Msg != "handler says no" {
+		t.Errorf("err = %v, want RemoteError(handler says no)", err)
 	}
 }
 
-// A WireGob peer behaves like a build that predates the codec: it never
-// answers the hello, the dialer times out, falls back, and the RPCs ride
-// gob — in both directions.
-func TestTCPFallbackToGobPeer(t *testing.T) {
-	oldLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", Wire: WireGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oldLink.Close()
-	newLink, err := NewTCP(TCPConfig{
-		ListenOn:         "127.0.0.1:0",
-		Directory:        map[Addr]string{"old": oldLink.ListenAddr()},
-		HandshakeTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer newLink.Close()
-	oldLink.AddRoute("new", newLink.ListenAddr())
-
-	oldPeer, err := NewPeer(oldLink, "old", func(_ context.Context, _ Addr, _ string, payload []byte) (any, error) {
-		var req echoReq
-		if err := Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return echoResp{Text: "old:" + req.Text}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oldPeer.Close()
-	newPeer, err := NewPeer(newLink, "new", func(_ context.Context, _ Addr, _ string, payload []byte) (any, error) {
-		var req echoReq
-		if err := Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return echoResp{Text: "new:" + req.Text}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer newPeer.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var resp echoResp
-	if err := newPeer.Call(ctx, "old", "echo", echoReq{Text: "ping"}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Text != "old:ping" {
-		t.Errorf("resp = %q", resp.Text)
-	}
-	if v := newLink.WireVersion(ctx, "old"); v != 0 {
-		t.Errorf("new link reports version %d for old peer, want 0 (gob)", v)
-	}
-	// Old peer calling the new peer: the new acceptor sees a gob stream
-	// from byte 0 and serves it.
-	if err := oldPeer.Call(ctx, "new", "echo", echoReq{Text: "pong"}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Text != "new:pong" {
-		t.Errorf("resp = %q", resp.Text)
-	}
-}
-
-// EncodeV's codec switch: Marshaler values go binary only at a negotiated
-// version; everything gob-decodes transparently either way.
+// EncodeV's codec switch: Marshaler values go binary only at wire.MsgVersion;
+// Decode reads either form.
 type wireEcho struct {
 	Text string
 }

@@ -11,8 +11,8 @@
 // The first byte is the discriminator against encoding/gob: a fresh gob
 // stream begins with a message-length varint whose first byte is either a
 // small value (< 0x80) or a multi-byte-length marker (>= 0xF8), so 0xA7 can
-// never open a gob payload. Decoders that accept both codecs dispatch on it
-// (see transport.Decode) and old gob-only peers keep working untouched.
+// never open a gob payload. transport.Decode dispatches on it: messages with
+// a hand-rolled codec arrive in this form, the control plane's in gob.
 package wire
 
 import (
@@ -20,9 +20,11 @@ import (
 	"sync"
 )
 
-// MsgVersion is the current hot-path message format version. Peers
-// negotiate the version they share at transport handshake; version 0 means
-// "gob only" (a peer from before the binary codec existed).
+// MsgVersion is the hot-path message format version this build writes into
+// every binary payload's header, and the highest it reads: the version
+// travels with the message, nothing is agreed per peer. A payload stamped
+// higher fails its decode with ErrUnsupportedVersion. Version 0 never appears
+// on the wire; transport.EncodeV takes it to mean "the gob form".
 const MsgVersion = 1
 
 // msgMagic opens every binary message payload. See the package comment on

@@ -77,13 +77,6 @@ func EndFrame(dst []byte, start int) []byte {
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, magic [4]byte, version uint16, kind byte, payload []byte) error {
-	buf := AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)+frameTrailerLen), magic, version, kind, payload)
-	_, err := w.Write(buf)
-	return err
-}
-
 // Frame is one decoded frame.
 type Frame struct {
 	Version uint16

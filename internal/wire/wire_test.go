@@ -11,13 +11,11 @@ var testMagic = [4]byte{'T', 'E', 'S', 'T'}
 
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)}
-	var buf bytes.Buffer
+	var stream []byte
 	for i, p := range payloads {
-		if err := WriteFrame(&buf, testMagic, 3, byte(i), p); err != nil {
-			t.Fatal(err)
-		}
+		stream = AppendFrame(stream, testMagic, 3, byte(i), p)
 	}
-	r := bytes.NewReader(buf.Bytes())
+	r := bytes.NewReader(stream)
 	for i, p := range payloads {
 		f, err := ReadFrame(r, testMagic, 3)
 		if err != nil {
