@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/loctable -run '^$$' -fuzz FuzzDeserialize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/loctable -run '^$$' -fuzz FuzzDenseOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHotMsgDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckpointReqDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capindex -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME)
 
@@ -86,13 +87,14 @@ bench:
 # set-up: echo round trips between two TCP links (one caller; eight callers on
 # one connection, reporting socket writes per call), a remote Client.Locate
 # over loopback TCP, the local whois every operation starts with, and what the
-# IAgent adds once the frame is in (HandleConcurrent on a 2^18-entry leaf).
+# IAgent adds once the frame is in (HandleConcurrent on a 2^18-entry leaf), and
+# a full checkpoint push of a 2^17-entry leaf to its buddy.
 # Their allocation budgets are ordinary tests (Test*AllocBudget,
 # TestIAgentServeLocateKeyAllocs), so `make short` — and with it `make ci` —
 # gates them; this target prints the numbers.
 bench-hot:
 	$(GO) test ./internal/transport -run '^$$' -bench 'TCPEcho' -benchmem
-	$(GO) test ./internal/core -run '^$$' -bench 'LocateRemoteTCP|WhoisLocal|IAgentServeLocate' -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'LocateRemoteTCP|WhoisLocal|IAgentServeLocate|CheckpointFullPush' -benchmem
 
 # Compare fresh benchmark runs against the committed baselines; non-zero
 # exit on regressions past the p99, chase-hop, retry, update-RPC, alloc

@@ -31,7 +31,8 @@ import (
 //     after a rehash adoption, and by the persister's periodic full dump.
 //   - SectionCheckpoint: the tee of a sibling-leaf checkpoint push — the
 //     same delta that crash tolerance ships to the buddy doubles as the
-//     incremental on-disk snapshot.
+//     incremental on-disk snapshot. A full push is a run of them, the first
+//     flagged full.
 //
 // Recovery layers them per IAgent: newest full section, then checkpoint
 // deltas in order, then the WAL records — the WAL is a superset of every
@@ -226,14 +227,9 @@ func checkpointSection(req CheckpointReq) snapshot.Section {
 	}
 	payload = append(payload, full)
 	payload = wire.AppendUvarint(payload, uint64(len(req.Entries)))
-	agents := make([]string, 0, len(req.Entries))
-	for a := range req.Entries {
-		agents = append(agents, string(a))
-	}
-	sort.Strings(agents)
-	for _, a := range agents {
-		payload = wire.AppendString(payload, a)
-		payload = wire.AppendString(payload, string(req.Entries[ids.AgentID(a)]))
+	for a, n := range req.Entries {
+		payload = wire.AppendString(payload, string(a))
+		payload = wire.AppendString(payload, string(n))
 	}
 	payload = wire.AppendUvarint(payload, uint64(len(req.Removed)))
 	for _, a := range req.Removed {
@@ -328,22 +324,43 @@ func walAppend(ctx *platform.Context, op byte, agent ids.AgentID, node platform.
 	return walAppendBatch(ctx, []snapshot.Record{walRecord(ctx, op, agent, node, hashVersion)})
 }
 
-// walAppendBestEffort logs an update whose loss recovery tolerates (the
-// containing operation also persists a full section, or the entry heals
-// through the responsibility check). The store's own error metric counts
-// failures.
-func walAppendBestEffort(ctx *platform.Context, op byte, agent ids.AgentID, node platform.NodeID, hashVersion uint64) {
-	_ = walAppend(ctx, op, agent, node, hashVersion)
+// walBatchRecords bounds the records of one WAL write of a bulk operation.
+const walBatchRecords = 4096
+
+// walAppendEntries logs one record per entry (an OpDelete record carries no
+// node), walBatchRecords to a write: a rehash moves a table's worth of entries
+// and must not cost a write each. It stops at the first failed append.
+func walAppendEntries(ctx *platform.Context, op byte, entries map[ids.AgentID]platform.NodeID, hashVersion uint64) error {
+	if ctx.Durable() == nil {
+		return nil
+	}
+	recs := make([]snapshot.Record, 0, min(len(entries), walBatchRecords))
+	for agent, node := range entries {
+		if op == snapshot.OpDelete {
+			node = ""
+		}
+		recs = append(recs, walRecord(ctx, op, agent, node, hashVersion))
+		if len(recs) == walBatchRecords {
+			if err := walAppendBatch(ctx, recs); err != nil {
+				return err
+			}
+			recs = recs[:0]
+		}
+	}
+	return walAppendBatch(ctx, recs)
 }
 
-// durableSection assembles this IAgent's full snapshot section.
+// durableSection assembles this IAgent's full snapshot section: the table
+// with every residence-bound entry at its handle's address.
 func (b *IAgentBehavior) durableSection(self ids.AgentID) (snapshot.Section, error) {
-	entries := b.Table.Snapshot()
-	b.Residence.OverlayResolved(entries)
 	table := loctable.New()
-	for a, n := range entries {
-		table.Put(a, n)
-	}
+	b.Table.RangeSlots(func(s loctable.Slot) bool {
+		if node, bound := b.Residence.Resolve(s.Agent); bound {
+			s.Node = node
+		}
+		table.PutHashed(s.Agent, s.Hash, s.Node, 0)
+		return true
+	})
 	return iagentSection(self, b.state.Load(), table)
 }
 
@@ -502,13 +519,16 @@ func RecoverNode(node *platform.Node, cfg Config) (*RecoveryReport, error) {
 				report.Skipped++
 				return
 			}
-			full, entries, removed, err := decodeCheckpointSection(sec)
+			// The full flag is not acted on: a full push is written a chunk at
+			// a time, and emptying the base at its first chunk would lose, to a
+			// crash mid-stream, every entry the later chunks had yet to
+			// restate. Nothing is lost by layering instead — what a full push
+			// would purge was deregistered (a WAL record) or handed off (a
+			// fresh full section follows the handoff).
+			_, entries, removed, err := decodeCheckpointSection(sec)
 			if err != nil {
 				report.Skipped++
 				return
-			}
-			if full {
-				ir.entries = make(map[ids.AgentID]platform.NodeID, len(entries))
 			}
 			for a, n := range entries {
 				ir.entries[a] = n

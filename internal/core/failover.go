@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"agentloc/internal/ids"
+	"agentloc/internal/loctable"
 	"agentloc/internal/platform"
 	"agentloc/internal/snapshot"
 	"agentloc/internal/transport"
@@ -35,6 +36,9 @@ import (
 //     it on a simple merge — best effort, like HAgent replication. Entries
 //     the checkpoint misses heal lazily: via the forwarding scheme when
 //     combined (forwarding.FallbackClient), or at the agent's next move.
+//     Both leaves must be on the same hash version for a push to land; a
+//     leaf no rehash push reaches learns the published version from its
+//     heartbeat's ack and pulls it (refreshState).
 //   - Standby HAgents watch the primary's lease (renewed by KindHAgentBeat
 //     and by every state replication) and auto-promote under a quorum
 //     guard: the first-configured replica promotes itself only when a
@@ -134,7 +138,9 @@ type LeaseQueryResp struct {
 type CheckpointState struct {
 	Seq         uint64
 	HashVersion uint64
-	Entries     map[ids.AgentID]platform.NodeID
+	// Entries is a table like the sender's own: it is written a push at a
+	// time, ranged once if the sender fails, and relocates in its gob form.
+	Entries *loctable.Table
 	// Caps holds the capability sets last pushed for the held entries.
 	Caps map[ids.AgentID][]string
 }
@@ -283,7 +289,8 @@ func (b *HAgentBehavior) handleFailover(ctx *platform.Context, kind string, payl
 		b.lastBeat[req.IAgent] = ctx.Clock().Now()
 		b.clearSuspect(ctx, req.IAgent)
 		b.reg.Counter("agentloc_iagent_heartbeats_total", "iagent", string(req.IAgent)).Inc()
-		return Ack{Status: StatusOK, HashVersion: b.state.Ver}, true, nil
+		// The published version: the newest one a leaf can pull (refreshState).
+		return Ack{Status: StatusOK, HashVersion: b.published.Version()}, true, nil
 	case KindLivenessSweep:
 		return b.sweep(ctx), true, nil
 	case KindOwedPushes:
@@ -545,6 +552,9 @@ func (b *HAgentBehavior) standbySweep(ctx *platform.Context) {
 
 // sendHeartbeat renews this IAgent's lease, walking the fallbacks so beats
 // reach whichever HAgent is alive (a promoted replica inherits the leases).
+// The ack names the published hash version; a newer one than this leaf holds
+// is a rehash that left the leaf alone — nobody pushes it that state — and is
+// pulled at once.
 func (b *IAgentBehavior) sendHeartbeat(ctx *platform.Context) {
 	req := HeartbeatReq{IAgent: ctx.Self(), HashVersion: b.state.Load().Version(), TableEntries: b.Table.Len()}
 	for _, src := range b.Cfg.hagentSources() {
@@ -553,7 +563,60 @@ func (b *IAgentBehavior) sendHeartbeat(ctx *platform.Context) {
 		err := ctx.Call(cctx, src.Node, src.Agent, KindHeartbeat, req, &ack)
 		cancel()
 		if err == nil {
+			if ack.HashVersion > req.HashVersion {
+				b.refreshState(ctx, src)
+			}
 			return
+		}
+	}
+}
+
+// refreshState is §4.3 between leaves: a stale hash copy is detected (the
+// heartbeat ack) and refreshed, never trusted. The pulled state is installed
+// only if this leaf serves the same id space under it: a leaf whose label
+// changed is owed a KindAdoptState push, which also moves its entries and
+// names the checkpoint to restore, and must not get ahead of it. Installing
+// such a state changes nothing else about the leaf — what it serves, what its
+// buddy holds of it and what it has measured all still stand.
+func (b *IAgentBehavior) refreshState(ctx *platform.Context, src HAgentRef) {
+	var resp GetHashResp
+	cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
+	err := ctx.Call(cctx, src.Node, src.Agent, KindGetHash, GetHashReq{IfNewerThan: b.state.Load().Version()}, &resp)
+	cancel()
+	if err != nil || resp.Unchanged {
+		return
+	}
+	st, err := FromDTO(resp.State)
+	if err != nil {
+		return
+	}
+	b.mu.Lock()
+	if cur := b.state.Load(); st.Version() > cur.Version() && sameLeaf(cur.Tree, st.Tree, string(ctx.Self())) {
+		b.installState(ctx.Self(), st, "")
+	}
+	b.mu.Unlock()
+}
+
+// installState makes st the leaf's hash state — the one place a running leaf
+// does — and takes the sibling copies it holds across the version bump. A copy
+// whose sender serves the same id space under st as before, with this leaf
+// still its buddy, is still that sender's table: it is restamped, so the
+// sender's next delta finds its base. Any other is dropped: its sender left
+// the tree, hands entries off or pushes elsewhere now, and sends a full copy
+// to its buddy of the day. keep names the one departed sender whose copy must
+// outlive the install: the failed leaf a takeover restores from it. Caller
+// holds mu.
+func (b *IAgentBehavior) installState(self ids.AgentID, st *State, keep ids.AgentID) {
+	cur := b.state.Load()
+	b.state.Store(st)
+	for src, held := range b.Checkpoints {
+		switch {
+		case src == keep:
+		case held.HashVersion == cur.Version() && sameLeaf(cur.Tree, st.Tree, string(src)) && checkpointBuddy(st, src) == self:
+			held.HashVersion = st.Version()
+			b.Checkpoints[src] = held
+		default:
+			delete(b.Checkpoints, src)
 		}
 	}
 }
@@ -572,9 +635,12 @@ func checkpointBuddy(st *State, self ids.AgentID) ids.AgentID {
 	return ids.AgentID(sibs[0])
 }
 
-// armFullCheckpoint makes the next push a full snapshot and drops the delta
-// bookkeeping it supersedes. Caller holds mu (or is still single-threaded in
-// ensureRuntime).
+// armFullCheckpoint makes the next push a full one and drops the delta
+// bookkeeping it supersedes. It is owed at runtime start, when what this leaf
+// serves or whom it pushes to changed, when the buddy holds no base for a
+// delta, and when a full push did not land whole — never for a version
+// mismatch alone, which the refresh off the next heartbeat settles. Caller
+// holds mu (or is still single-threaded in ensureRuntime).
 func (b *IAgentBehavior) armFullCheckpoint() {
 	b.ckFull = true
 	b.ckDirty = make(map[ids.AgentID]bool)
@@ -583,11 +649,11 @@ func (b *IAgentBehavior) armFullCheckpoint() {
 
 // noteDirty records that the agent's table entry was written since the last
 // checkpoint push — but only while a delta could carry it: with the subsystem
-// off nothing ever drains the set, and while a full snapshot is owed the
-// snapshot carries every entry. Callers write the table first and take mu
-// second, so a write the snapshot (taken under mu, which also clears ckFull)
-// missed finds ckFull cleared and is noted for the first delta; the dirty set
-// is therefore bounded by the writes of one checkpoint interval. Caller
+// off nothing ever drains the set, and while a full push is owed it carries
+// every entry. Callers write the table first and take mu second, and a full
+// push clears ckFull (under mu) before it reads the first stripe, so a write
+// it missed finds ckFull cleared and is noted for the first delta; the dirty
+// set is therefore bounded by the writes of one checkpoint interval. Caller
 // holds mu.
 func (b *IAgentBehavior) noteDirty(agent ids.AgentID) {
 	if b.deltaOpen() {
@@ -611,8 +677,7 @@ func (b *IAgentBehavior) deltaOpen() bool {
 }
 
 // checkpointLag is how many table changes the sibling copy is behind: the
-// noted delta, or the whole table while a full snapshot is owed. Caller
-// holds mu.
+// noted delta, or the whole table while a full push is owed. Caller holds mu.
 func (b *IAgentBehavior) checkpointLag() int64 {
 	if b.ckFull {
 		return int64(b.Table.Len())
@@ -620,10 +685,17 @@ func (b *IAgentBehavior) checkpointLag() int64 {
 	return int64(len(b.ckDirty) + len(b.ckRemoved))
 }
 
-// pushCheckpoint sends the accumulated table delta to the sibling leaf,
-// best effort. A buddy change (rehash moved the sibling) or a rejected push
-// escalates to a full snapshot; a failed push merges the delta back so
-// nothing is silently dropped.
+// ckChunkEntries bounds the entries of one chunk of a full push.
+const ckChunkEntries = 8192
+
+// pushCheckpoint brings the sibling leaf's copy of this table up to date,
+// best effort: the changes noted since the last push, or — when a full push is
+// owed — the whole table, as a stream of ordinary pushes. The first carries
+// Full and empties the buddy's copy, the rest are deltas with consecutive Seq
+// that refill it, each of at most ckChunkEntries entries; what the buddy
+// holds part-way through is a partial but current copy. A delta that is lost,
+// or refused because the two leaves are a hash version apart, is merged back
+// under what has changed since and waits for the next round.
 func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	st := b.state.Load()
 	b.mu.Lock()
@@ -643,25 +715,29 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 		b.mu.Unlock()
 		return
 	}
-	b.ckSeq++
-	req := CheckpointReq{From: ctx.Self(), HashVersion: st.Version(), Seq: b.ckSeq, Full: b.ckFull}
-	if b.ckFull {
-		// Snapshot locks one stripe at a time; locates on other stripes
-		// proceed while the checkpoint is being assembled. Residence-bound
-		// entries are overlaid with their handle's address: checkpoints carry
-		// final addresses, so the schema (and takeover restore) is unchanged
-		// — a restored swarm re-forms its bindings at its next move.
-		req.Entries = b.Table.Snapshot()
+	// Cleared before the table is read; a failed push puts back what it took.
+	full, dirty, removed := b.ckFull, b.ckDirty, b.ckRemoved
+	b.ckFull = false
+	b.ckDirty = make(map[ids.AgentID]bool)
+	b.ckRemoved = make(map[ids.AgentID]bool)
+	b.mu.Unlock()
+
+	sent := b.metCkSentDelta
+	if full {
+		sent = b.metCkSentFull
+	}
+	// send ships one push: residence-bound entries overlaid with their
+	// handle's address (checkpoints carry final addresses, so a restored swarm
+	// re-forms its bindings at its next move), the capability sets of the
+	// shipped agents beside them. On a durable node the same push lands in the
+	// local store as an incremental snapshot, best effort (the WAL already
+	// holds every update).
+	send := func(req *CheckpointReq) (Status, error) {
+		b.ckSeq++
+		req.From, req.HashVersion, req.Seq = ctx.Self(), st.Version(), b.ckSeq
 		b.Residence.OverlayResolved(req.Entries)
-		req.Caps = b.Caps.Snapshot()
-	} else {
-		req.Entries = make(map[ids.AgentID]platform.NodeID, len(b.ckDirty))
-		for a := range b.ckDirty {
-			if n, ok := b.Table.Get(a); ok {
-				if rn, bound := b.Residence.Resolve(a); bound {
-					n = rn
-				}
-				req.Entries[a] = n
+		if b.Caps.Len() > 0 {
+			for a := range req.Entries {
 				if caps := b.Caps.CapsOf(a); len(caps) > 0 {
 					if req.Caps == nil {
 						req.Caps = make(map[ids.AgentID][]string)
@@ -670,40 +746,45 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 				}
 			}
 		}
-		req.Removed = make([]ids.AgentID, 0, len(b.ckRemoved))
-		for a := range b.ckRemoved {
+		if store := ctx.Durable(); store != nil {
+			_ = store.AppendDelta(checkpointSection(*req))
+		}
+		sent.Add(uint64(len(req.Entries) + len(req.Removed)))
+		var resp CheckpointResp
+		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
+		err := ctx.Call(cctx, st.Locations[buddy], buddy, KindCheckpoint, req, &resp)
+		cancel()
+		return resp.Status, err
+	}
+
+	var status Status
+	var err error
+	if full {
+		status, err = b.streamTable(send)
+	} else {
+		req := CheckpointReq{
+			Entries: make(map[ids.AgentID]platform.NodeID, len(dirty)),
+			Removed: make([]ids.AgentID, 0, len(removed)),
+		}
+		for a := range dirty {
+			if n, ok := b.Table.Get(a); ok {
+				req.Entries[a] = n
+			}
+		}
+		for a := range removed {
 			req.Removed = append(req.Removed, a)
 		}
+		status, err = send(&req)
 	}
-	// Clear optimistically; a failed push merges the delta back below.
-	dirty, removed := b.ckDirty, b.ckRemoved
-	b.ckDirty = make(map[ids.AgentID]bool)
-	b.ckRemoved = make(map[ids.AgentID]bool)
-	b.ckFull = false
-	buddyNode := st.Locations[buddy]
-	b.mu.Unlock()
-
-	// On a durable node the sibling checkpoint doubles as the incremental
-	// on-disk snapshot: the very delta shipped to the buddy lands in the
-	// local store too, best effort (the WAL already holds every update).
-	if store := ctx.Durable(); store != nil {
-		_ = store.AppendDelta(checkpointSection(req))
-	}
-
-	var resp CheckpointResp
-	cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
-	err := ctx.Call(cctx, buddyNode, buddy, KindCheckpoint, req, &resp)
-	cancel()
 
 	b.mu.Lock()
 	switch {
-	case err == nil && resp.Status == StatusOK:
-	case req.Full || err == nil:
-		// A rejected push (version or base mismatch) needs a full resync;
-		// so does a lost full snapshot.
+	case err == nil && status == StatusOK:
+	case full || (err == nil && status == StatusIgnored):
+		// A full push that did not land whole is owed again, and one is owed
+		// to a buddy that holds no base for the delta.
 		b.armFullCheckpoint()
 	case b.deltaOpen():
-		// A lost delta is merged back under what has changed since.
 		for a := range dirty {
 			if _, ok := b.Table.Get(a); ok && !b.ckRemoved[a] {
 				b.ckDirty[a] = true
@@ -719,10 +800,44 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	b.mu.Unlock()
 }
 
-// acceptCheckpoint serves KindCheckpoint: store the sibling's delta, but
-// only when both sides agree on the hash version — a push racing a rehash
-// is rejected so entries can never resurrect on the wrong leaf (the sender
-// re-snapshots under the new version instead).
+// streamTable cuts the table into pushes of ckChunkEntries entries and sends
+// them until one fails. The table is read a stripe at a time, under that
+// stripe's lock alone; nothing is locked while a chunk travels.
+func (b *IAgentBehavior) streamTable(send func(*CheckpointReq) (Status, error)) (Status, error) {
+	var slots []loctable.Slot
+	req := CheckpointReq{Full: true, Entries: make(map[ids.AgentID]platform.NodeID, ckChunkEntries)}
+	ship := func(chunk []loctable.Slot) (Status, error) {
+		for _, s := range chunk {
+			req.Entries[s.Agent] = s.Node
+		}
+		status, err := send(&req)
+		clear(req.Entries)
+		req.Full, req.Caps = false, nil
+		return status, err
+	}
+	for i := 0; i < b.Table.Stripes(); i++ {
+		b.Table.RangeStripe(i, func(s loctable.Slot) bool {
+			slots = append(slots, s)
+			return true
+		})
+		n := 0
+		for ; len(slots)-n >= ckChunkEntries; n += ckChunkEntries {
+			if status, err := ship(slots[n : n+ckChunkEntries]); err != nil || status != StatusOK {
+				return status, err
+			}
+		}
+		slots = append(slots[:0], slots[n:]...)
+	}
+	if len(slots) == 0 && !req.Full {
+		return StatusOK, nil
+	}
+	return ship(slots) // the rest; of an empty table, the Full push that says so
+}
+
+// acceptCheckpoint serves KindCheckpoint: apply the sibling's push to the
+// copy held of it, but only when both sides agree on the hash version — a
+// push racing a rehash is rejected so entries can never resurrect on the wrong
+// leaf (the sender tries again once both have the new version).
 func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -736,7 +851,7 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 	held := b.Checkpoints[req.From]
 	if !req.Full {
 		if held.Entries == nil || held.HashVersion != req.HashVersion {
-			// No base to apply the delta to; ask for a full snapshot.
+			// No base to apply the delta to; ask for a full push.
 			return CheckpointResp{Status: StatusIgnored, HashVersion: ver}
 		}
 		if req.Seq <= held.Seq {
@@ -744,12 +859,12 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 		}
 	}
 	if req.Full {
-		held = CheckpointState{Entries: make(map[ids.AgentID]platform.NodeID, len(req.Entries))}
+		held = CheckpointState{Entries: loctable.New()}
 	}
 	held.Seq = req.Seq
 	held.HashVersion = req.HashVersion
 	for a, n := range req.Entries {
-		held.Entries[a] = n
+		held.Entries.Put(a, n)
 	}
 	for a, caps := range req.Caps {
 		if held.Caps == nil {
@@ -758,7 +873,7 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 		held.Caps[a] = caps
 	}
 	for _, a := range req.Removed {
-		delete(held.Entries, a)
+		held.Entries.Delete(a)
 		delete(held.Caps, a)
 	}
 	b.Checkpoints[req.From] = held
@@ -770,38 +885,34 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 // (never adopting another absorber's slice) and only where it has no
 // fresher entry of its own (local wins). Entries belonging to other
 // absorbers are dropped here; they heal lazily through forwarding or the
-// agent's next location report. Checkpoints from sources no longer in the
-// tree are pruned.
+// agent's next location report. The WAL records are best effort: a restored
+// entry that misses the log re-heals exactly as the checkpoint scheme already
+// tolerates.
 func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.AgentID) {
 	st := b.state.Load()
 	b.mu.Lock()
 	restored := 0
 	if ck, ok := b.Checkpoints[failed]; ok {
-		for agent, node := range ck.Entries {
-			owner, _, err := st.OwnerOf(agent)
-			if err != nil || owner != ctx.Self() {
-				continue
+		restore := make(map[ids.AgentID]platform.NodeID)
+		ck.Entries.RangeSlots(func(s loctable.Slot) bool {
+			if owner, _, err := st.OwnerOfHash(s.Hash); err == nil && owner == ctx.Self() {
+				if _, exists := b.Table.GetHashed(s.Agent, s.Hash); !exists {
+					restore[s.Agent] = s.Node
+				}
 			}
-			if _, exists := b.Table.Get(agent); exists {
-				continue
-			}
-			// Best effort: a restored entry that misses the WAL re-heals
-			// exactly as the checkpoint scheme already tolerates.
-			walAppendBestEffort(ctx, snapshot.OpPut, agent, node, st.Version())
+			return true
+		})
+		_ = walAppendEntries(ctx, snapshot.OpPut, restore, st.Version())
+		for agent, node := range restore {
 			b.Table.Put(agent, node)
 			if caps := ck.Caps[agent]; len(caps) > 0 {
 				b.Caps.Set(agent, caps)
 				b.persistCapDelta(ctx, agent, caps)
 			}
 			b.noteDirty(agent)
-			restored++
 		}
+		restored = len(restore)
 		delete(b.Checkpoints, failed)
-	}
-	for src := range b.Checkpoints {
-		if !st.Tree.Contains(string(src)) {
-			delete(b.Checkpoints, src)
-		}
 	}
 	b.metTable.Set(int64(b.Table.Len()))
 	b.mu.Unlock()
@@ -819,6 +930,13 @@ func (b *IAgentBehavior) decodeFailover(ctx *platform.Context, kind string, payl
 		// influence split/merge decisions.
 		return Ack{Status: StatusOK, HashVersion: b.state.Load().Version()}, true, nil
 	case KindCheckpoint:
+		// A push from across a rehash is refused on its first field, before
+		// any entry is decoded; acceptCheckpoint checks again, under mu.
+		if ver, binary := checkpointReqVersion(payload); binary {
+			if cur := b.state.Load().Version(); ver != cur {
+				return CheckpointResp{Status: StatusNotResponsible, HashVersion: cur}, true, nil
+			}
+		}
 		var req CheckpointReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, true, err

@@ -91,3 +91,34 @@ func BenchmarkIAgentServeLocate(b *testing.B) {
 		}
 	}
 }
+
+// fullPushLeaf is a leaf of n agents with a buddy to push to, over the
+// in-memory link; fullPush sends the buddy the whole table again.
+func fullPushLeaf(tb testing.TB, n int) (leaf, buddy *IAgentBehavior, ctx *platform.Context) {
+	leaf, buddy, ctx = bareLeaf(tb, failoverConfig(), true)
+	update(tb, leaf, ctx, ownedIDs(tb, leaf, "a", n), "node-1")
+	return leaf, buddy, ctx
+}
+
+func fullPush(tb testing.TB, leaf, buddy *IAgentBehavior, ctx *platform.Context) {
+	leaf.mu.Lock()
+	leaf.armFullCheckpoint()
+	leaf.mu.Unlock()
+	leaf.pushCheckpoint(ctx)
+	if held := len(heldCopy(buddy).Entries); held != leaf.Table.Len() {
+		tb.Fatalf("after a full push the buddy holds %d entries of %d", held, leaf.Table.Len())
+	}
+}
+
+// BenchmarkCheckpointFullPush times a full checkpoint push of a 2^17-entry
+// leaf end to end: cut into chunks off the table, encoded, decoded and applied
+// to the copy the buddy holds — what a leaf pays once when a rehash changes
+// what it serves.
+func BenchmarkCheckpointFullPush(b *testing.B) {
+	leaf, buddy, ctx := fullPushLeaf(b, 1<<17)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fullPush(b, leaf, buddy, ctx)
+	}
+}

@@ -38,6 +38,21 @@ func TestLocateRemoteAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCheckpointFullPushAllocBudget is the budget of BenchmarkCheckpointFullPush's
+// path, sender and receiver together: per shipped entry, the id the buddy's
+// copy keeps and not much else (the gob form of the same push took 3 to 4).
+func TestCheckpointFullPushAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const entries = 1 << 17
+	leaf, buddy, ctx := fullPushLeaf(t, entries)
+	allocs := testing.AllocsPerRun(2, func() { fullPush(t, leaf, buddy, ctx) })
+	if perEntry := allocs / entries; perEntry > 1.5 {
+		t.Errorf("a full push allocates %.2f times per shipped entry, budget 1.5", perEntry)
+	}
+}
+
 // TestWhoisLocalAllocBudget is the budget of the step every operation starts
 // with (BenchmarkWhoisLocal's path): a whois answered by value from the local
 // LHAgent's installed copy.

@@ -64,8 +64,8 @@ type IAgentBehavior struct {
 	initErr error
 
 	// state is the current hash state. Reads are lock-free (State values
-	// are immutable once published); writers additionally serialize on mu
-	// so a version check and the store it guards stay atomic.
+	// are immutable once published); installState, the one writer of a running
+	// leaf, holds mu so a version check and the store it guards stay atomic.
 	state atomic.Pointer[State]
 
 	mu      sync.Mutex
@@ -74,9 +74,9 @@ type IAgentBehavior struct {
 
 	est *stats.RateEstimator
 
-	// Checkpoint bookkeeping (guarded by mu): which table entries changed
-	// since the last push to the sibling leaf, and whether the next push
-	// must be a full snapshot (after creation, migration, or a rehash).
+	// Checkpoint bookkeeping (guarded by mu; ckSeq is pushCheckpoint's alone):
+	// which table entries changed since the last push to the sibling leaf, and
+	// whether the next push must be a full one (see armFullCheckpoint).
 	// Changes are only noted while a delta could carry them — see noteDirty.
 	ckDirty   map[ids.AgentID]bool
 	ckRemoved map[ids.AgentID]bool
@@ -92,6 +92,8 @@ type IAgentBehavior struct {
 	metStale *metrics.Counter
 	metTable *metrics.Gauge
 	metCkLag *metrics.Gauge
+	// Entries shipped to the sibling leaf, by the kind of push they rode in.
+	metCkSentFull, metCkSentDelta *metrics.Counter
 }
 
 var (
@@ -132,6 +134,7 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		reg.Describe("agentloc_core_iagent_stale_total", "Requests answered not-responsible (stale client mapping), by IAgent.")
 		reg.Describe("agentloc_core_iagent_table_entries", "Location-table entries held, by IAgent.")
 		reg.Describe("agentloc_checkpoint_lag_entries", "Location-table updates not yet checkpointed to the sibling leaf, by IAgent.")
+		reg.Describe("agentloc_checkpoint_entries_sent_total", "Location-table entries shipped to the sibling leaf, by IAgent and kind of push (full: the whole table again; delta: what changed).")
 		self := string(ctx.Self())
 		requests := func(op string) *metrics.Counter {
 			return reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", op)
@@ -143,6 +146,8 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		b.metTable.Set(int64(b.Table.Len()))
 		b.metCkLag = reg.Gauge("agentloc_checkpoint_lag_entries", "iagent", self)
 		b.metCkLag.Set(0)
+		b.metCkSentFull = reg.Counter("agentloc_checkpoint_entries_sent_total", "iagent", self, "kind", "full")
+		b.metCkSentDelta = reg.Counter("agentloc_checkpoint_entries_sent_total", "iagent", self, "kind", "delta")
 
 		// Durable nodes get a full section at birth (and after migration):
 		// the base every later checkpoint delta and WAL record applies to.
@@ -594,10 +599,13 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 	if st.Version() <= cur.Version() {
 		status, st = StatusIgnored, cur
 	} else {
-		b.state.Store(st)
+		// What this leaf serves changed: the buddy has dropped its copy, which
+		// described another id space. (A new buddy is pushCheckpoint's to see.)
+		if !sameLeaf(cur.Tree, st.Tree, string(ctx.Self())) {
+			b.armFullCheckpoint()
+		}
+		b.installState(ctx.Self(), st, req.PromoteCheckpointOf)
 		b.settled = ctx.Clock().Now()
-		// The rehash may have moved the checkpoint buddy; resync from scratch.
-		b.armFullCheckpoint()
 	}
 	stillPresent := st.Tree.Contains(string(ctx.Self()))
 	b.mu.Unlock()
@@ -667,11 +675,11 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 			delete(b.Pending, agent)
 		}
 		b.mu.Unlock()
+		// Best effort: the full section persisted below is the durable
+		// authority for the post-handoff table, and a resurrected entry
+		// would only draw not-responsible answers anyway.
+		_ = walAppendEntries(ctx, snapshot.OpDelete, h.Entries, st.Version())
 		for agent := range h.Entries {
-			// Best effort: the full section persisted below is the durable
-			// authority for the post-handoff table, and a resurrected entry
-			// would only draw not-responsible answers anyway.
-			walAppendBestEffort(ctx, snapshot.OpDelete, agent, "", st.Version())
 			b.Table.Delete(agent)
 			b.Residence.Unbind(agent)
 			b.Caps.Remove(agent)
@@ -698,16 +706,13 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 }
 
 // handoff merges entries transferred from another IAgent during rehashing.
-// Adopted entries are WAL-logged before the handoff is acknowledged — once
-// the sender deletes its copies, this log is their only durable home until
-// the next full section. A failed append fails the request and the sender
-// retries the (idempotent) handoff.
+// Adopted entries are WAL-logged, every batch of them, before the handoff is
+// acknowledged — once the sender deletes its copies, this log is their only
+// durable home until the next full section. A failed append fails the request
+// and the sender retries the (idempotent) handoff.
 func (b *IAgentBehavior) handoff(ctx *platform.Context, req HandoffReq) (Ack, error) {
-	version := b.state.Load().Version()
-	for agent, node := range req.Entries {
-		if err := walAppend(ctx, snapshot.OpPut, agent, node, version); err != nil {
-			return Ack{}, err
-		}
+	if err := walAppendEntries(ctx, snapshot.OpPut, req.Entries, b.state.Load().Version()); err != nil {
+		return Ack{}, err
 	}
 	if len(req.Bindings) > 0 {
 		b.Residence.Adopt(req.Bindings, req.Residences)

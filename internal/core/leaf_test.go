@@ -304,6 +304,20 @@ func TestIAgentHeapPerAgentBudget(t *testing.T) {
 			}
 		})
 	}
+	// What an agent costs the buddy holding its leaf's checkpoint: a slot and
+	// an id of its own (≈ 97 B as a map entry).
+	t.Run("held copy", func(t *testing.T) {
+		leaf, buddy, ctx := fullPushLeaf(t, agents)
+		before := retainedHeap()
+		fullPush(t, leaf, buddy, ctx)
+		perAgent := float64(retainedHeap()-before) / agents
+		runtime.KeepAlive(leaf)
+		runtime.KeepAlive(buddy)
+		t.Logf("%.1f B/held agent retained", perAgent)
+		if perAgent > 90 {
+			t.Errorf("a held agent costs the buddy %.1f B, budget 90", perAgent)
+		}
+	})
 }
 
 // TestCheckpointDirtySetOffWhenFailoverOff: with nothing to drain it, the
@@ -319,11 +333,15 @@ func TestCheckpointDirtySetOffWhenFailoverOff(t *testing.T) {
 }
 
 // heldCopy reads what the buddy holds for iagent-1.
-func heldCopy(buddy *IAgentBehavior) CheckpointState {
+func heldCopy(buddy *IAgentBehavior) (held struct {
+	Seq     uint64
+	Entries map[ids.AgentID]platform.NodeID
+}) {
 	buddy.mu.Lock()
 	defer buddy.mu.Unlock()
-	held := buddy.Checkpoints["iagent-1"]
-	held.Entries = copyLocations(held.Entries)
+	if ck, ok := buddy.Checkpoints["iagent-1"]; ok {
+		held.Seq, held.Entries = ck.Seq, ck.Entries.Snapshot()
+	}
 	return held
 }
 

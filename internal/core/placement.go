@@ -119,7 +119,7 @@ func (b *IAgentBehavior) maybeRelocate(ctx *platform.Context) (bool, error) {
 	cur := b.state.Load()
 	ns := &State{Ver: resp.HashVersion, Tree: cur.Tree, Locations: copyLocations(cur.Locations)}
 	ns.Locations[ctx.Self()] = target
-	b.state.Store(ns)
+	b.installState(ctx.Self(), ns, "")
 	b.StateSnapshot = ns.DTO()
 	b.mu.Unlock()
 

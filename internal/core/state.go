@@ -95,24 +95,24 @@ func FromDTO(d StateDTO) (*State, error) {
 // agents the HAgent must notify after a rehash; all others keep serving
 // exactly the same id space (the locality property of paper §2.1).
 func affectedIAgents(oldTree, newTree *hashtree.Tree) []ids.AgentID {
-	oldLabels := make(map[string]string)
-	for _, l := range oldTree.Leaves() {
-		oldLabels[l.IAgent] = l.HyperLabelString()
-	}
-	newLabels := make(map[string]string)
-	for _, l := range newTree.Leaves() {
-		newLabels[l.IAgent] = l.HyperLabelString()
-	}
 	var out []ids.AgentID
-	for ia, lbl := range oldLabels {
-		if nl, ok := newLabels[ia]; !ok || nl != lbl {
+	for _, ia := range oldTree.IAgents() {
+		if !sameLeaf(oldTree, newTree, ia) {
 			out = append(out, ids.AgentID(ia))
 		}
 	}
-	for ia := range newLabels {
-		if _, ok := oldLabels[ia]; !ok {
+	for _, ia := range newTree.IAgents() {
+		if !oldTree.Contains(ia) {
 			out = append(out, ids.AgentID(ia))
 		}
 	}
 	return out
+}
+
+// sameLeaf reports whether the IAgent serves the same id space — owns a leaf
+// with the same hyper-label — in both trees.
+func sameLeaf(a, b *hashtree.Tree, iagent string) bool {
+	la, errA := a.LeafOf(iagent)
+	lb, errB := b.LeafOf(iagent)
+	return errA == nil && errB == nil && la.HyperLabelString() == lb.HyperLabelString()
 }

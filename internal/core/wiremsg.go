@@ -9,9 +9,10 @@ import (
 )
 
 // Hand-rolled binary codecs for the hot-path DTOs: locate, update (single
-// and batched), residence-move, whois/refresh, and their responses. The
-// cold control plane — hash state pushes, handoffs, split/merge — stays on
-// gob, where flexibility beats cycles. Each codec implements wire.Marshaler
+// and batched), residence-move, whois/refresh, and their responses — and for
+// the sibling checkpoint, the one control message that carries a table's worth
+// of entries again and again. The rest of the cold control plane — hash state
+// pushes, handoffs, split/merge — stays on gob, where flexibility beats cycles. Each codec implements wire.Marshaler
 // and wire.Unmarshaler, which is what makes transport.Encode pick it, for
 // every peer; transport.Decode dispatches on the payload header.
 //
@@ -464,6 +465,147 @@ func (r RefreshResp) AppendWire(dst []byte) []byte {
 
 func (r *RefreshResp) DecodeWire(d *wire.Dec) error {
 	var err error
+	r.HashVersion, err = d.Uvarint()
+	return err
+}
+
+// --- sibling checkpoint ----------------------------------------------------
+
+// The hash version leads, so the receiver can refuse a push from across a
+// rehash (checkpointReqVersion) before it decodes a single entry.
+func (r CheckpointReq) AppendWire(dst []byte) []byte {
+	dst = wire.AppendUvarint(dst, r.HashVersion)
+	dst = wire.AppendString(dst, string(r.From))
+	dst = wire.AppendUvarint(dst, r.Seq)
+	var full byte
+	if r.Full {
+		full = 1
+	}
+	dst = append(dst, full)
+	dst = wire.AppendUvarint(dst, uint64(len(r.Entries)))
+	for a, n := range r.Entries {
+		dst = wire.AppendString(dst, string(a))
+		dst = wire.AppendString(dst, string(n))
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(r.Removed)))
+	for _, a := range r.Removed {
+		dst = wire.AppendString(dst, string(a))
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(r.Caps)))
+	for a, caps := range r.Caps {
+		dst = wire.AppendString(dst, string(a))
+		dst = wire.AppendUvarint(dst, uint64(len(caps)))
+		for _, c := range caps {
+			dst = wire.AppendString(dst, c)
+		}
+	}
+	return dst
+}
+
+func (r *CheckpointReq) DecodeWire(d *wire.Dec) error {
+	var err error
+	if r.HashVersion, err = d.Uvarint(); err != nil {
+		return err
+	}
+	from, err := d.StringIn(maxWireIDLen, wireIntern)
+	if err != nil {
+		return err
+	}
+	r.From = ids.AgentID(from)
+	if r.Seq, err = d.Uvarint(); err != nil {
+		return err
+	}
+	full, err := d.Byte()
+	if err != nil {
+		return err
+	}
+	if full > 1 {
+		return fmt.Errorf("%w: checkpoint full flag %d", wire.ErrCorrupt, full)
+	}
+	r.Full = full == 1
+	n, err := batchLen(d)
+	if err != nil {
+		return err
+	}
+	r.Entries = nil
+	if n > 0 {
+		r.Entries = make(map[ids.AgentID]platform.NodeID, n)
+	}
+	for i := 0; i < n; i++ {
+		agent, err := d.String(maxWireIDLen)
+		if err != nil {
+			return err
+		}
+		node, err := d.StringIn(maxWireIDLen, wireIntern)
+		if err != nil {
+			return err
+		}
+		r.Entries[ids.AgentID(agent)] = platform.NodeID(node)
+	}
+	if n, err = batchLen(d); err != nil {
+		return err
+	}
+	r.Removed = nil
+	if n > 0 {
+		r.Removed = make([]ids.AgentID, n)
+	}
+	for i := range r.Removed {
+		agent, err := d.String(maxWireIDLen)
+		if err != nil {
+			return err
+		}
+		r.Removed[i] = ids.AgentID(agent)
+	}
+	if n, err = batchLen(d); err != nil {
+		return err
+	}
+	r.Caps = nil
+	if n > 0 {
+		r.Caps = make(map[ids.AgentID][]string, n)
+	}
+	for i := 0; i < n; i++ {
+		agent, err := d.String(maxWireIDLen)
+		if err != nil {
+			return err
+		}
+		tags, err := batchLen(d)
+		if err != nil {
+			return err
+		}
+		caps := make([]string, tags)
+		for j := range caps {
+			if caps[j], err = d.StringIn(maxWireIDLen, wireIntern); err != nil {
+				return err
+			}
+		}
+		r.Caps[ids.AgentID(agent)] = caps
+	}
+	return nil
+}
+
+// checkpointReqVersion reads the hash version off a binary-coded
+// CheckpointReq without decoding what follows it. binary is false for any
+// other payload (gob, empty, malformed), which the caller decodes whole.
+func checkpointReqVersion(payload []byte) (version uint64, binary bool) {
+	ver, body, ok := wire.MsgHeader(payload)
+	if !ok || ver > wire.MsgVersion {
+		return 0, false
+	}
+	d := wire.NewDec(body)
+	version, err := d.Uvarint()
+	return version, err == nil
+}
+
+func (r CheckpointResp) AppendWire(dst []byte) []byte {
+	dst = appendStatus(dst, r.Status)
+	return wire.AppendUvarint(dst, r.HashVersion)
+}
+
+func (r *CheckpointResp) DecodeWire(d *wire.Dec) error {
+	var err error
+	if r.Status, err = decodeStatus(d); err != nil {
+		return err
+	}
 	r.HashVersion, err = d.Uvarint()
 	return err
 }

@@ -53,6 +53,22 @@ func hotDTOs() []any {
 	}
 }
 
+// checkpointDTOs are the sibling-checkpoint messages: binary like the hot
+// DTOs, held to the same two round trips, but fuzzed on their own
+// (FuzzCheckpointReqDecode) because a map has no canonical byte order.
+func checkpointDTOs() []any {
+	return []any{
+		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 4, Full: true,
+			Entries: map[ids.AgentID]platform.NodeID{"a-1": "node-1", "a-2": "node-2", "a-3": "node-1"},
+			Caps:    map[ids.AgentID][]string{"a-2": {"gpu", "ocr"}}},
+		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 5,
+			Entries: map[ids.AgentID]platform.NodeID{"a-4": "node-0"},
+			Removed: []ids.AgentID{"a-1", "a-3"}},
+		CheckpointReq{From: "iagent-1", HashVersion: 1, Seq: 1, Full: true}, // an empty table's full push
+		CheckpointResp{Status: StatusIgnored, HashVersion: 9},
+	}
+}
+
 // newZero builds a pointer to a fresh zero value of v's type, for decoding
 // into.
 func newZero(v any) any {
@@ -60,7 +76,7 @@ func newZero(v any) any {
 }
 
 func TestHotDTOBinaryRoundTrip(t *testing.T) {
-	for _, v := range hotDTOs() {
+	for _, v := range append(hotDTOs(), checkpointDTOs()...) {
 		t.Run(fmt.Sprintf("%T", v), func(t *testing.T) {
 			payload, err := transport.EncodeV(v, wire.MsgVersion)
 			if err != nil {
@@ -81,7 +97,7 @@ func TestHotDTOBinaryRoundTrip(t *testing.T) {
 }
 
 func TestHotDTOGobFallbackRoundTrip(t *testing.T) {
-	for _, v := range hotDTOs() {
+	for _, v := range append(hotDTOs(), checkpointDTOs()...) {
 		t.Run(fmt.Sprintf("%T", v), func(t *testing.T) {
 			payload, err := transport.EncodeV(v, 0) // the gob reference form
 			if err != nil {
@@ -128,6 +144,60 @@ func TestBatchLenRejectsOversizedCount(t *testing.T) {
 		d := wire.NewDec(body)
 		if err := target.DecodeWire(d); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%T: err = %v, want ErrCorrupt", target, err)
+		}
+	}
+}
+
+// TestCheckpointReqRejectsBadCounts: each of a push's three counts goes
+// through batchLen, so one that the remaining bytes cannot hold — or a
+// payload cut anywhere — is a typed error, not an allocation.
+func TestCheckpointReqRejectsBadCounts(t *testing.T) {
+	head := wire.AppendUvarint(nil, 7)       // hash version
+	head = wire.AppendString(head, "iagent") // from
+	head = wire.AppendUvarint(head, 1)       // seq
+	head = append(head, 0)                   // not full
+	huge := wire.AppendUvarint(nil, 1<<30)
+	for name, body := range map[string][]byte{
+		"entries": append(append([]byte{}, head...), huge...),
+		"removed": append(append(append([]byte{}, head...), 0), huge...),
+		"caps":    append(append(append([]byte{}, head...), 0, 0), huge...),
+		"tags":    append(wire.AppendString(append(append([]byte{}, head...), 0, 0, 1), "a-1"), huge...),
+		"flag":    append(append([]byte{}, head[:len(head)-1]...), 2, 0, 0, 0),
+	} {
+		var req CheckpointReq
+		if err := req.DecodeWire(wire.NewDec(body)); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	whole := checkpointDTOs()[0].(CheckpointReq).AppendWire(nil)
+	for cut := 0; cut < len(whole); cut++ {
+		var req CheckpointReq
+		err := req.DecodeWire(wire.NewDec(whole[:cut]))
+		if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("cut at %d of %d: err = %v, want a typed wire error", cut, len(whole), err)
+		}
+	}
+}
+
+// TestCheckpointReqVersionIsReadFirst: the receiver's early refusal reads
+// the version and nothing after it.
+func TestCheckpointReqVersionIsReadFirst(t *testing.T) {
+	payload, err := transport.Encode(checkpointDTOs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]byte{payload, payload[:5]} { // whole, and cut right after the version
+		if ver, binary := checkpointReqVersion(p); !binary || ver != 9 {
+			t.Errorf("version of a %d-byte payload = %d (binary %v), want 9", len(p), ver, binary)
+		}
+	}
+	gobForm, err := transport.EncodeV(checkpointDTOs()[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]byte{gobForm, nil, payload[:4]} {
+		if _, binary := checkpointReqVersion(p); binary {
+			t.Errorf("a %d-byte non-binary payload was read as a binary push", len(p))
 		}
 	}
 }
@@ -221,6 +291,33 @@ func FuzzHotMsgDecode(f *testing.F) {
 			if !bytes.Equal(enc, m2.AppendWire(nil)) {
 				t.Fatalf("%T encoding unstable", target)
 			}
+		}
+	})
+}
+
+// FuzzCheckpointReqDecode drives the checkpoint push decoder over arbitrary
+// bodies: failures must be typed wire errors, a success must survive its own
+// re-encoding as the same value (the bytes may differ: map order).
+func FuzzCheckpointReqDecode(f *testing.F) {
+	for _, v := range checkpointDTOs() {
+		if req, ok := v.(CheckpointReq); ok {
+			f.Add(req.AppendWire(nil))
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req CheckpointReq
+		if err := req.DecodeWire(wire.NewDec(body)); err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		var again CheckpointReq
+		if err := again.DecodeWire(wire.NewDec(req.AppendWire(nil))); err != nil {
+			t.Fatalf("re-decode of a re-encoded push failed: %v", err)
+		}
+		if !reflect.DeepEqual(req, again) {
+			t.Fatalf("not stable under re-encoding: %+v vs %+v", req, again)
 		}
 	})
 }

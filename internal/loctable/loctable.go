@@ -520,29 +520,39 @@ type Slot struct {
 // lock).
 func (t *Table) RangeSlots(f func(Slot) bool) {
 	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.RLock()
-		more := true
-		for j := range s.entries {
-			e := &s.entries[j]
-			if e.hash == 0 {
-				continue
-			}
-			more = f(Slot{
-				Agent: e.agent,
-				Node:  t.nodeAt(e.node),
-				Hash:  e.hash<<t.shift | uint64(i),
-				Load:  atomic.LoadUint32(&e.load),
-			})
-			if !more {
-				break
-			}
-		}
-		s.mu.RUnlock()
-		if !more {
+		if !t.RangeStripe(i, f) {
 			return
 		}
 	}
+}
+
+// Stripes returns the stripe count, the bound of RangeStripe's index.
+func (t *Table) Stripes() int { return len(t.stripes) }
+
+// RangeStripe is RangeSlots over stripe i alone, reporting whether f asked
+// for more. A walk that visits the stripes one call at a time holds no lock
+// in between and still sees each stripe whole: within a stripe a resize or a
+// deletion's backward shift moves slots, so a stripe is the smallest unit a
+// walk can put down and pick up again without missing an entry.
+func (t *Table) RangeStripe(i int, f func(Slot) bool) bool {
+	s := &t.stripes[i]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for j := range s.entries {
+		e := &s.entries[j]
+		if e.hash == 0 {
+			continue
+		}
+		if !f(Slot{
+			Agent: e.agent,
+			Node:  t.nodeAt(e.node),
+			Hash:  e.hash<<t.shift | uint64(i),
+			Load:  atomic.LoadUint32(&e.load),
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 // Range calls f for every entry until f returns false, under the same
