@@ -1,14 +1,9 @@
 GO ?= go
 GOLANGCI ?= golangci-lint
-BENCH_OUT ?= BENCH_read_path.json
-COMIGRATE_OUT ?= BENCH_comigrate.json
-MILLION_OUT ?= BENCH_million.json
-MILLION_AGENTS ?= 1048576
-DISCOVER_OUT ?= BENCH_discover.json
 # Fuzz budget per target for `make fuzz`.
 FUZZTIME ?= 30s
 
-.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz bench bench-hot benchdiff chaos ci clean
+.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz chaos ci clean
 
 all: build
 
@@ -72,43 +67,6 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckpointReqDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capindex -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME)
-
-# Read-path, co-migration and million-agent benchmarks: fixed iteration
-# counts for run-to-run comparability, measurements written to $(BENCH_OUT),
-# $(COMIGRATE_OUT) and $(MILLION_OUT) for benchdiff.
-bench:
-	BENCH_OUT=$(abspath $(BENCH_OUT)) $(GO) test ./internal/bench -bench ReadPath -benchtime 4000x -run '^$$'
-	COMIGRATE_OUT=$(abspath $(COMIGRATE_OUT)) $(GO) test ./internal/bench -bench CoMigrate -benchtime 200x -run '^$$'
-	MILLION_OUT=$(abspath $(MILLION_OUT)) MILLION_AGENTS=$(MILLION_AGENTS) \
-		$(GO) test ./internal/bench -bench Million -benchtime 1x -run '^$$' -timeout 20m
-	DISCOVER_OUT=$(abspath $(DISCOVER_OUT)) $(GO) test ./internal/bench -bench Discover -benchtime 400x -run '^$$'
-
-# The remote-call hot path, layer by layer, without benchmark/'s 2^20-agent
-# set-up: echo round trips between two TCP links (one caller; eight callers on
-# one connection, reporting socket writes per call), a remote Client.Locate
-# over loopback TCP, the local whois every operation starts with, and what the
-# IAgent adds once the frame is in (HandleConcurrent on a 2^18-entry leaf), and
-# a full checkpoint push of a 2^17-entry leaf to its buddy.
-# Their allocation budgets are ordinary tests (Test*AllocBudget,
-# TestIAgentServeLocateKeyAllocs), so `make short` — and with it `make ci` —
-# gates them; this target prints the numbers.
-bench-hot:
-	$(GO) test ./internal/transport -run '^$$' -bench 'TCPEcho' -benchmem
-	$(GO) test ./internal/core -run '^$$' -bench 'LocateRemoteTCP|WhoisLocal|IAgentServeLocate|CheckpointFullPush' -benchmem
-
-# Compare fresh benchmark runs against the committed baselines; non-zero
-# exit on regressions past the p99, chase-hop, retry, update-RPC, alloc
-# budget, or throughput gates.
-benchdiff:
-	BENCH_OUT=/tmp/BENCH_current.json $(GO) test ./internal/bench -bench ReadPath -benchtime 4000x -run '^$$'
-	COMIGRATE_OUT=/tmp/BENCH_comigrate_current.json $(GO) test ./internal/bench -bench CoMigrate -benchtime 200x -run '^$$'
-	MILLION_OUT=/tmp/BENCH_million_current.json MILLION_AGENTS=$(MILLION_AGENTS) \
-		$(GO) test ./internal/bench -bench Million -benchtime 1x -run '^$$' -timeout 20m
-	DISCOVER_OUT=/tmp/BENCH_discover_current.json $(GO) test ./internal/bench -bench Discover -benchtime 400x -run '^$$'
-	$(GO) run ./cmd/benchdiff -baseline BENCH_read_path.json -current /tmp/BENCH_current.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_comigrate.json -current /tmp/BENCH_comigrate_current.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_million.json -current /tmp/BENCH_million_current.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_discover.json -current /tmp/BENCH_discover_current.json
 
 # Crash-tolerance soak: the failover, chaos, fault-injection and restart-
 # recovery suites under the race detector, then the full-cluster kill-and-

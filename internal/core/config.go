@@ -114,13 +114,6 @@ type Config struct {
 	// the right default, and the bench quantifies the trade.
 	EagerPropagation bool
 
-	// SerialReads forces every IAgent request — including read-only
-	// locates — through the serial per-agent mailbox, disabling the
-	// concurrent fast path. It exists for the read-path benchmark's
-	// ablation: the pre-sharding queueing behaviour, selectable at run
-	// time.
-	SerialReads bool
-
 	// LocateCacheTTL bounds the age of client-side location cache entries;
 	// zero (the default) disables the cache entirely. Entries are also
 	// version-fenced: a hash-version bump observed from any reply

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
@@ -35,6 +36,53 @@ func TestLocateRemoteAllocBudget(t *testing.T) {
 	}
 	if allocs > 20 {
 		t.Errorf("remote Locate allocates %.1f times, budget 20", allocs)
+	}
+}
+
+// TestCachedLocateAllocBudget is the budget of a locate the client cache
+// answers: the steady state of a popular agent, which touches no network
+// (measured: 2). The caller counts every RPC, so a miss cannot pass for a hit.
+func TestCachedLocateAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c := newTestCluster(t, quietConfig(), 2)
+	ctx := testCtx(t)
+	targets := make([]ids.AgentID, 64)
+	reg := c.service.ClientFor(c.nodes[0])
+	for i := range targets {
+		targets[i] = ids.AgentID(fmt.Sprintf("cached-%02d", i))
+		if _, err := reg.Register(ctx, targets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := quietConfig()
+	cfg.LocateCacheTTL = time.Hour
+	cc := newCountingCaller(NodeCaller{N: c.nodes[1]})
+	client := NewClient(cc, cfg)
+	for _, a := range targets {
+		if _, err := client.Locate(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rpcs := cc.total()
+	var locErr error
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, err := client.Locate(ctx, targets[i%len(targets)]); err != nil {
+			locErr = err
+		}
+		i++
+	})
+	if locErr != nil {
+		t.Fatal(locErr)
+	}
+	if got := cc.total() - rpcs; got != 0 {
+		t.Fatalf("warm-cache locates sent %d RPCs, want 0", got)
+	}
+	t.Logf("%.1f allocs per cached Locate", allocs)
+	if allocs > 2 {
+		t.Errorf("a cached Locate allocates %.1f times, budget 2", allocs)
 	}
 }
 

@@ -163,32 +163,21 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 // they are served on the delivering goroutine, concurrently with each other
 // and with the mailbox. Every mutating kind declines and goes through the
 // serial mailbox, preserving the write-side invariants unchanged.
-// Cfg.SerialReads forces everything through the mailbox (the benchmark's
-// pre-sharding ablation).
 func (b *IAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, payload []byte) (any, bool, error) {
-	if b.Cfg.SerialReads {
-		return nil, false, nil
-	}
 	switch kind {
 	case KindLocate:
 		if err := b.ensureRuntime(ctx); err != nil {
 			return nil, true, err
 		}
 		b.metLocate.Inc()
-		// A binary-coded request is served off the payload: the id stays a
-		// view into the frame and the table is probed by bytes, so the key
-		// costs no allocation.
-		if agent, binary, err := locateReqAgent(payload); binary {
-			if err != nil {
-				return nil, true, err
-			}
-			return b.locateBytes(ctx, agent), true, nil
-		}
-		var req LocateReq
-		if err := transport.Decode(payload, &req); err != nil {
+		// Every sender encodes a LocateReq in binary, so it is served off the
+		// payload: the id stays a view into the frame and the table is probed
+		// by bytes, and the key costs no allocation.
+		agent, err := locateReqAgent(payload)
+		if err != nil {
 			return nil, true, err
 		}
-		return b.locate(ctx, req.Agent), true, nil
+		return b.locateBytes(ctx, agent), true, nil
 	case KindLocateBatch:
 		if err := b.ensureRuntime(ctx); err != nil {
 			return nil, true, err
@@ -279,26 +268,6 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 			return nil, err
 		}
 		return b.deregister(ctx, req.Agent)
-	case KindLocate:
-		b.metLocate.Inc()
-		var req LocateReq
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return b.locate(ctx, req.Agent), nil
-	case KindLocateBatch:
-		var req LocateBatchReq
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return b.locateBatch(ctx, req), nil
-	case KindDiscover:
-		b.metDiscover.Inc()
-		var req DiscoverReq
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return b.discover(req), nil
 	case KindAdoptState:
 		var req AdoptStateReq
 		if err := transport.Decode(payload, &req); err != nil {

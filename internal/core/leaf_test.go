@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -161,9 +162,9 @@ func retainedHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestIAgentServeLocateCountsInSlot: both ways a locate is served — off the
-// binary frame on the read loop, and decoded in the mailbox — answer alike
-// and charge the request to the agent's slot.
+// TestIAgentServeLocateCountsInSlot: a locate is served off the binary frame
+// and charges the request to the agent's slot; any other form of the request
+// is refused with a wire error and charges no slot.
 func TestIAgentServeLocateCountsInSlot(t *testing.T) {
 	leaf, _, ctx := bareLeaf(t, quietConfig(), false)
 	update(t, leaf, ctx, []ids.AgentID{"hot"}, "node-7")
@@ -180,14 +181,11 @@ func TestIAgentServeLocateCountsInSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, _, err := leaf.HandleConcurrent(ctx, KindLocate, gobPayload); err != nil || resp.(LocateResp).Node != "node-7" {
-		t.Fatalf("gob locate = %+v, %v", resp, err)
+	if resp, handled, err := leaf.HandleConcurrent(ctx, KindLocate, gobPayload); !handled || !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("gob locate = %+v, handled %v, err %v; want refused with wire.ErrCorrupt", resp, handled, err)
 	}
-	if got := serve(t, leaf, ctx, KindLocate, LocateReq{Agent: "hot"}).(LocateResp); got.Node != "node-7" {
-		t.Fatalf("mailbox locate = %+v", got)
-	}
-	if load, _ := loadOf(leaf, "hot"); load != 6 { // the update and five locates
-		t.Errorf("slot counted %d requests, want 6", load)
+	if load, _ := loadOf(leaf, "hot"); load != 4 { // the update and three locates
+		t.Errorf("slot counted %d requests, want 4", load)
 	}
 	if _, _, err := leaf.HandleConcurrent(ctx, KindLocate, locatePayload(t, "hot")[:3]); err == nil {
 		t.Error("a truncated binary locate was served")

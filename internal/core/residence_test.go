@@ -164,6 +164,64 @@ func TestResidenceGroupMoveIsOneRPC(t *testing.T) {
 	}
 }
 
+// TestResidenceComigrationReduction: migrating a swarm of 16 costs 16 update
+// RPCs per migration when each member reports its own move, and one when the
+// swarm is bound to a residence handle. RPCs are counted at the caller, so
+// neither batching nor retries can hide traffic.
+func TestResidenceComigrationReduction(t *testing.T) {
+	c := newTestCluster(t, quietConfig(), 3)
+	ctx := testCtx(t)
+
+	const swarm, migrations = 16, 5
+	reg := c.service.ClientFor(c.nodes[0])
+	assigns := make([]Assignment, swarm)
+	for i := range assigns {
+		a, err := reg.Register(ctx, ids.AgentID(fmt.Sprintf("swarm-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assigns[i] = a
+	}
+
+	cc := newCountingCaller(NodeCaller{N: c.nodes[0]})
+	client := NewClient(cc, quietConfig())
+	updateRPCs := func() int {
+		return cc.count(KindUpdate) + cc.count(KindUpdateBatch) + cc.count(KindResidenceMove)
+	}
+	dest := func(m int) platform.NodeID { return c.nodes[(m+1)%len(c.nodes)].ID() }
+
+	// The per-agent baseline: every member reports its own move.
+	before := updateRPCs()
+	for m := 0; m < migrations; m++ {
+		for i := range assigns {
+			if _, err := client.MoveNotifyTo(ctx, ids.AgentID(fmt.Sprintf("swarm-%d", i)), dest(m), assigns[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := updateRPCs() - before; got != swarm*migrations {
+		t.Errorf("per-agent migrations sent %d update RPCs, want %d (one per member per migration)", got, swarm*migrations)
+	}
+
+	group := client.ResidenceGroup("res@swarm")
+	for i := 0; i < swarm; i++ {
+		if err := group.Join(ctx, ids.AgentID(fmt.Sprintf("swarm-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The group migrations: one handle re-point each, independent of swarm size.
+	before = updateRPCs()
+	for m := 0; m < migrations; m++ {
+		if err := group.MoveTo(ctx, dest(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := updateRPCs() - before; got != migrations {
+		t.Errorf("residence migrations sent %d update RPCs, want %d (one per migration)", got, migrations)
+	}
+}
+
 func TestResidenceGroupLeaveRestoresPerAgentUpdates(t *testing.T) {
 	c := newTestCluster(t, quietConfig(), 2)
 	ctx := testCtx(t)

@@ -68,18 +68,22 @@ func (r *LocateReq) DecodeWire(d *wire.Dec) error {
 }
 
 // locateReqAgent reads the agent id of a binary-coded LocateReq as a view
-// into the payload, valid only as long as the payload is. binary is false for
-// any other payload (gob, empty), which the caller decodes the general way.
-func locateReqAgent(payload []byte) (agent []byte, binary bool, err error) {
+// into the payload, valid only as long as the payload is. LocateReq is a
+// wire.Marshaler, so no sender produces another form: any other payload (gob,
+// empty) is refused as corrupt.
+func locateReqAgent(payload []byte) (agent []byte, err error) {
 	ver, body, ok := wire.MsgHeader(payload)
-	if !ok || ver > wire.MsgVersion {
-		return nil, false, nil
+	if !ok {
+		return nil, fmt.Errorf("%w: locate request is not a binary message", wire.ErrCorrupt)
+	}
+	if ver > wire.MsgVersion {
+		return nil, fmt.Errorf("%w: message version %d, this build reads ≤ %d", wire.ErrUnsupportedVersion, ver, wire.MsgVersion)
 	}
 	d := wire.NewDec(body)
 	if agent, err = d.Bytes(maxWireIDLen); err == nil {
 		err = d.Done()
 	}
-	return agent, true, err
+	return agent, err
 }
 
 func (r LocateResp) AppendWire(dst []byte) []byte {

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"agentloc/internal/metrics"
 	"agentloc/internal/raceflag"
 	"agentloc/internal/trace"
+	"agentloc/internal/wire"
 )
 
 // TestTCPEchoAllocBudget is the transport's allocation budget: one
@@ -140,6 +142,55 @@ func TestTCPIdleConnectionOutlivesWriteTimeout(t *testing.T) {
 	}
 	if c := connNow(); c == nil || c != first {
 		t.Error("the second burst went out on a new connection; the idle one was dropped")
+	}
+}
+
+// TestTCPAcceptedConnectionOutlivesFirstFrameDeadline is the read-side twin
+// of TestTCPIdleConnectionOutlivesWriteTimeout: an accepted connection's read
+// deadline bounds its first frame, not its life. A peer that goes idle after
+// that frame for several bounds is still served on the same connection.
+func TestTCPAcceptedConnectionOutlivesFirstFrameDeadline(t *testing.T) {
+	reg := metrics.New()
+	const bound = 50 * time.Millisecond
+	srvLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", WriteTimeout: bound, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvLink.Close()
+	srv, err := NewPeer(srvLink, "server", func(context.Context, Addr, string, []byte) (any, error) {
+		return &hotResp{Version: 1}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw, err := net.Dial("tcp", srvLink.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	replies := newEnvReader(raw)
+	call := func(corr uint64) {
+		t.Helper()
+		payload, err := Encode(&hotReq{Agent: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := Envelope{From: "raw", To: "server", Kind: "echo", Corr: corr, Payload: payload}
+		if _, err := raw.Write(wire.AppendFrame(nil, envMagic, envFrameVersion, frameEnvelope, appendEnvBody(nil, &env))); err != nil {
+			t.Fatal(err)
+		}
+		_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var reply Envelope
+		if err := replies.decode(&reply); err != nil || !reply.Reply || reply.Corr != corr || reply.ErrMsg != "" {
+			t.Fatalf("call %d: reply %+v, err %v", corr, reply, err)
+		}
+	}
+	call(1)
+	time.Sleep(3 * bound)
+	call(2)
+	if all := reg.Snapshot().Counter(metricConnErrs); all != 0 {
+		t.Errorf("an idle healthy connection counted %d connection errors", all)
 	}
 }
 

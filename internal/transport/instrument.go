@@ -29,7 +29,7 @@ func describeTransportMetrics(r *metrics.Registry) {
 	r.Describe(metricDropped, "Envelopes dropped inside the simulated network, by reason.")
 	r.Describe(metricRPCLat, "Round-trip latency of completed RPC calls, by request kind.")
 	r.Describe(metricRPCTmo, "RPC calls abandoned on context expiry, by request kind.")
-	r.Describe(metricConnErrs, "TCP connection-level failures, by reason (dial, write, decode, torn, reset).")
+	r.Describe(metricConnErrs, "TCP connection-level failures, by reason (dial, write, decode, torn, reset, timeout).")
 }
 
 // instrumentedLink wraps a Link, counting envelopes as they cross it.

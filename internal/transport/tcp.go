@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"syscall"
 	"time"
@@ -46,8 +47,11 @@ type TCPConfig struct {
 	// DefaultDialTimeout; negative disables the bound.
 	DialTimeout time.Duration
 	// WriteTimeout bounds each envelope write, so one stalled peer cannot
-	// wedge every sender to it. Zero selects DefaultWriteTimeout; negative
-	// disables the bound.
+	// wedge every sender to it. It also bounds how long an accepted
+	// connection may take to deliver its first frame: the dialer's writer
+	// gets that frame out within its own write timeout, so a connection still
+	// short of one is not a peer. Zero selects DefaultWriteTimeout; negative
+	// disables both bounds.
 	WriteTimeout time.Duration
 	// RedialBackoff is the pause before redialing after a send found its
 	// cached connection broken. Zero selects DefaultRedialBackoff;
@@ -56,8 +60,10 @@ type TCPConfig struct {
 
 	// Metrics, when set, counts connection-level failures into
 	// agentloc_transport_conn_errors_total{reason} (reason is "dial",
-	// "write", "decode", "torn" or "reset"; "decode" is also where a peer
-	// that does not speak the frame format ends up). Nil disables accounting.
+	// "write", "decode", "torn", "reset" or "timeout"; "decode" is also where
+	// a peer that does not speak the frame format ends up, "timeout" where an
+	// accepted connection that sends no whole first frame within WriteTimeout
+	// does). Nil disables accounting.
 	Metrics *metrics.Registry
 	// Trace, when set, records connection-level events (dial failures,
 	// write timeouts, corrupt streams) as transport.conn_error entries.
@@ -184,7 +190,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	// Pre-create the failure series so the family shows up (at zero) in
 	// scrapes of a healthy node — absence means "not instrumented", not
 	// "no errors".
-	for _, reason := range []string{"dial", "write", "decode", "torn", "reset"} {
+	for _, reason := range []string{"dial", "write", "decode", "torn", "reset", "timeout"} {
 		cfg.Metrics.Counter(metricConnErrs, "reason", reason)
 	}
 	t := &TCP{
@@ -699,7 +705,7 @@ func (t *TCP) connTo(ctx context.Context, target string) (c *tcpConn, cached boo
 	t.inbound[conn] = c
 	t.wg.Add(1)
 	t.mu.Unlock()
-	go t.readLoop(c)
+	go t.readLoop(c, false)
 	return c, false, nil
 }
 
@@ -709,8 +715,10 @@ func (t *TCP) connTo(ctx context.Context, target string) (c *tcpConn, cached boo
 // frame of a version this build reads — a peer of another format generation,
 // or not a peer at all — ends the connection, counted as a decode error. It
 // never writes to a socket: whatever a handler sends, the reply to a request
-// served in place included, is queued for a writer.
-func (t *TCP) readLoop(back *tcpConn) {
+// served in place included, is queued for a writer. firstDeadline says the
+// connection carries a read deadline for its first frame, cleared once that
+// frame is in.
+func (t *TCP) readLoop(back *tcpConn, firstDeadline bool) {
 	defer t.wg.Done()
 	dec := newEnvReader(back.conn)
 	for {
@@ -720,6 +728,10 @@ func (t *TCP) readLoop(back *tcpConn) {
 			t.noteReadError(back.conn, err)
 			t.connGone(back, err, nil)
 			return
+		}
+		if firstDeadline {
+			_ = back.conn.SetReadDeadline(time.Time{})
+			firstDeadline = false
 		}
 		t.mu.Lock()
 		if env.From != "" && t.learned[env.From] != back {
@@ -741,12 +753,16 @@ func (t *TCP) noteReadError(conn net.Conn, err error) {
 	t.mu.Lock()
 	closed := t.closed
 	t.mu.Unlock()
-	if closed || errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+	// A bare io.EOF is the peer closing between frames; one wrapped in
+	// wire.ErrTruncated closed it mid-frame.
+	if closed || err == io.EOF || errors.Is(err, net.ErrClosed) {
 		return
 	}
 	reason := "decode"
 	switch {
-	case errors.Is(err, io.ErrUnexpectedEOF):
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		reason = "timeout"
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 		reason = "torn"
 	case errors.Is(err, syscall.ECONNRESET):
 		reason = "reset"
@@ -784,7 +800,12 @@ func (t *TCP) acceptLoop() {
 		t.mu.Unlock()
 		go func() {
 			t.faults.delayAccept()
-			t.readLoop(back)
+			// A stranger that connects and stalls before its first frame would
+			// otherwise hold this goroutine forever (see WriteTimeout).
+			if t.writeTimeout > 0 {
+				_ = conn.SetReadDeadline(time.Now().Add(t.writeTimeout))
+			}
+			t.readLoop(back, t.writeTimeout > 0)
 		}()
 	}
 }

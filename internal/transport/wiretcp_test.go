@@ -154,6 +154,43 @@ func TestTCPRejectsForeignStreams(t *testing.T) {
 	}
 }
 
+// TestTCPStalledAcceptIsClosed: an accepted connection that sends part of a
+// frame header and stalls is closed once WriteTimeout passes without a whole
+// first frame, and counted once, as a timeout — it does not hold its read loop
+// forever.
+func TestTCPStalledAcceptIsClosed(t *testing.T) {
+	reg := metrics.New()
+	const bound = 100 * time.Millisecond
+	link, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", WriteTimeout: bound, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	raw, err := net.Dial("tcp", link.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	start := time.Now()
+	if _, err := raw.Write(append(envMagic[:], 0)); err != nil { // 5 of the header's 11 bytes
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(10 * bound))
+	if n, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled connection still open after %v (read %d bytes, err %v)", time.Since(start), n, err)
+	}
+	if took := time.Since(start); took < bound {
+		t.Errorf("stalled connection closed after %v, before the %v bound", took, bound)
+	}
+	timeouts := func() uint64 { return reg.Snapshot().Counter(metricConnErrs, "reason", "timeout") }
+	for deadline := time.Now().Add(time.Second); timeouts() < 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got, all := timeouts(), reg.Snapshot().Counter(metricConnErrs); got != 1 || all != 1 {
+		t.Errorf("conn_errors_total{reason=timeout} = %d of %d in all, want 1 of 1", got, all)
+	}
+}
+
 // EncodeV's codec switch: Marshaler values go binary only at wire.MsgVersion;
 // Decode reads either form.
 type wireEcho struct {

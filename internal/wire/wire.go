@@ -86,7 +86,8 @@ type Frame struct {
 
 // ReadFrame reads the next frame from r, checking magic, version bound and
 // CRC. It returns io.EOF only on a clean boundary (zero bytes before the
-// next frame); a partial frame is ErrTruncated.
+// next frame); a partial frame is ErrTruncated, wrapping the read error that
+// cut it short.
 func ReadFrame(r io.Reader, magic [4]byte, maxVersion uint16) (Frame, error) {
 	return NewFrameReader(r, magic, maxVersion).Next()
 }
@@ -120,7 +121,7 @@ func (fr *FrameReader) Next() (Frame, error) {
 		if errors.Is(err, io.EOF) {
 			return Frame{}, io.EOF
 		}
-		return Frame{}, fmt.Errorf("%w: mid-header: %v", ErrTruncated, err)
+		return Frame{}, fmt.Errorf("%w: mid-header: %w", ErrTruncated, err)
 	}
 	if [4]byte(header[:4]) != fr.magic {
 		return Frame{}, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, header[:4], fr.magic[:])
@@ -137,7 +138,7 @@ func (fr *FrameReader) Next() (Frame, error) {
 	}
 	body := fr.body[:need]
 	if _, err := io.ReadFull(fr.r, body); err != nil {
-		return Frame{}, fmt.Errorf("%w: mid-frame (want %d payload bytes): %v", ErrTruncated, length, err)
+		return Frame{}, fmt.Errorf("%w: mid-frame (want %d payload bytes): %w", ErrTruncated, length, err)
 	}
 	crc := crc32.Checksum(header, castagnoli)
 	crc = crc32.Update(crc, castagnoli, body[:length])
