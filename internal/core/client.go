@@ -528,10 +528,11 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 }
 
 // LocateBatch resolves the locations of several agents with as few RPCs as
-// the hash function allows: cache hits answer locally, and the remaining
-// targets are grouped by responsible IAgent so each group travels as one
-// KindLocateBatch frame. The result maps each successfully located agent to
-// its node; unregistered agents are simply absent. Agents whose batched
+// the hash function allows: cache hits answer locally, one whois-batch at the
+// local LHAgent assigns the remaining targets to their IAgents at one hash
+// version, and each IAgent's share travels as one KindLocateBatch frame, the
+// frames in flight together. The result maps each successfully located agent
+// to its node; unregistered agents are simply absent. Agents whose batched
 // answer proves the local hash copy stale fall back to the singleton Locate
 // path, which owns the §4.3 refresh-and-retry loop.
 func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[ids.AgentID]platform.NodeID, error) {
@@ -555,58 +556,73 @@ func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[id
 		return out, nil
 	}
 
-	// Group the misses by responsible IAgent. Whois goes to the local
-	// LHAgent, so grouping costs local calls, not network round trips.
-	type group struct {
-		assign Assignment
-		agents []ids.AgentID
+	who, err := c.whoisBatch(ctx, misses)
+	if err != nil {
+		endOp(sp, rpcs, err)
+		return nil, err
 	}
-	groups := make(map[ids.AgentID]*group)
-	for _, t := range misses {
-		assign, err := c.Whois(ctx, t)
-		if err != nil {
-			endOp(sp, rpcs, err)
-			return nil, err
+	// Counting sort by owning leaf: leaf g's share is agents[at[g]:at[g+1]].
+	at := make([]int, len(who.Leaves)+1)
+	for _, o := range who.Owner {
+		at[o+1]++
+	}
+	groups := make([]int, 0, len(who.Leaves)) // the leaves with a share, in leaf order
+	for g := range who.Leaves {
+		if at[g+1] > 0 {
+			groups = append(groups, g)
 		}
-		g := groups[assign.IAgent]
-		if g == nil {
-			g = &group{assign: assign}
-			groups[assign.IAgent] = g
-		}
-		g.agents = append(g.agents, t)
+		at[g+1] += at[g]
+	}
+	agents := make([]ids.AgentID, len(misses))
+	fill := append([]int(nil), at...)
+	for i, o := range who.Owner {
+		agents[fill[o]] = misses[i]
+		fill[o]++
 	}
 
+	// At most discoverFanout frames in flight; the last leaf's is sent from
+	// this goroutine.
+	resps := make([]LocateBatchResp, len(who.Leaves))
+	errs := make([]error, len(who.Leaves))
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, discoverFanout)
+	last := groups[len(groups)-1]
+	for _, g := range groups[:len(groups)-1] {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			errs[g] = c.askLeaf(ctx, who.Leaves[g], agents[at[g]:at[g+1]], &resps[g])
+		}()
+	}
+	slots <- struct{}{}
+	errs[last] = c.askLeaf(ctx, who.Leaves[last], agents[at[last]:at[last+1]], &resps[last])
+	wg.Wait()
+
+	// Fold the answers in leaf order, once every frame is back.
 	var retry []ids.AgentID
 	for _, g := range groups {
-		var resp LocateBatchResp
-		csp, cctx := c.childSpan(ctx, "iagent.locate-batch")
-		csp.Annotate("agents", strconv.Itoa(len(g.agents)))
-		err := c.call(cctx, g.assign.Node, g.assign.IAgent, KindLocateBatch, &LocateBatchReq{Agents: g.agents}, &resp)
-		csp.End(err)
-		if err != nil || len(resp.Results) != len(g.agents) {
+		share, resp := agents[at[g]:at[g+1]], resps[g]
+		if errs[g] != nil || len(resp.Results) != len(share) {
 			// Transport trouble or a malformed reply; the singleton path
 			// carries the retry logic. Whatever the cache holds for these
 			// agents is unproven now — a concurrent op may have cached a
 			// location this very reply was about to contradict — so drop it
 			// rather than let a partial failure leave stale entries behind.
-			for _, a := range g.agents {
+			for _, a := range share {
 				c.cache.invalidate(a)
 			}
-			retry = append(retry, g.agents...)
+			retry = append(retry, share...)
 			continue
 		}
 		for i, r := range resp.Results {
 			switch r.Status {
 			case StatusOK:
-				ver := g.assign.HashVersion
-				if r.HashVersion > ver {
-					ver = r.HashVersion
-				}
 				c.cache.fence(r.HashVersion)
-				c.cache.put(g.agents[i], r.Node, ver)
-				out[g.agents[i]] = r.Node
+				c.cache.put(share[i], r.Node, max(who.HashVersion, r.HashVersion))
+				out[share[i]] = r.Node
 			case StatusUnknownAgent:
-				c.cache.invalidate(g.agents[i])
+				c.cache.invalidate(share[i])
 			default:
 				// NotResponsible: our copy went stale for this slice of the
 				// id space. Fence the cache at the leaf's version — fence
@@ -614,8 +630,8 @@ func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[id
 				// version cannot roll the fence back — invalidate the now
 				// unproven entries, and refresh-and-retry one by one.
 				c.cache.fence(r.HashVersion)
-				c.cache.invalidate(g.agents[i])
-				retry = append(retry, g.agents[i])
+				c.cache.invalidate(share[i])
+				retry = append(retry, share[i])
 			}
 		}
 	}
@@ -633,6 +649,29 @@ func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[id
 	}
 	endOp(sp, rpcs, firstErr)
 	return out, firstErr
+}
+
+// whoisBatch asks the local LHAgent which IAgents serve the targets, all
+// resolved against one hash version.
+func (c *Client) whoisBatch(ctx context.Context, targets []ids.AgentID) (WhoisBatchResp, error) {
+	sp, ctx := c.childSpan(ctx, "whois-batch")
+	var resp WhoisBatchResp
+	err := c.call(ctx, c.local, c.lhagent, KindWhoisBatch, &WhoisBatchReq{Targets: targets}, &resp)
+	sp.End(err)
+	if err != nil {
+		return WhoisBatchResp{}, fmt.Errorf("whois batch of %d: %w", len(targets), err)
+	}
+	c.cache.fence(resp.HashVersion)
+	return resp, nil
+}
+
+// askLeaf sends one IAgent its share of a LocateBatch.
+func (c *Client) askLeaf(ctx context.Context, leaf LeafRef, agents []ids.AgentID, resp *LocateBatchResp) error {
+	sp, ctx := c.childSpan(ctx, "iagent.locate-batch")
+	sp.Annotate("agents", strconv.Itoa(len(agents)))
+	err := c.call(ctx, leaf.Node, leaf.IAgent, KindLocateBatch, &LocateBatchReq{Agents: agents}, resp)
+	sp.End(err)
+	return err
 }
 
 // InvalidateLocation drops the client's cached location for the target, if

@@ -72,7 +72,10 @@ func (c *Client) Discover(ctx context.Context, q Query) ([]Match, error) {
 	}
 
 	found := make(map[ids.AgentID]platform.NodeID)
-	var minVersion uint64
+	// minVersion is the copy the next round demands; heard, the newest hash
+	// version the LHAgent or a leaf has actually answered with. Only heard
+	// fences the cache: a demanded version may never exist.
+	var minVersion, heard uint64
 	complete := false
 	for attempt := 0; attempt < maxProtocolRetries && !complete; attempt++ {
 		if attempt > 0 {
@@ -87,29 +90,28 @@ func (c *Client) Discover(ctx context.Context, q Query) ([]Match, error) {
 			endOp(sp, rpcs, err)
 			return nil, err
 		}
-		if version > minVersion {
-			minVersion = version
-		}
-		stale := c.scatter(ctx, leaves, q, perLeaf, &minVersion, found)
+		heard = max(heard, version)
+		stale := c.scatter(ctx, leaves, q, perLeaf, &heard, found)
 		switch {
-		case stale == 0 && minVersion == version:
+		case stale == 0 && heard == version:
 			// Every leaf answered at the version the scatter set was drawn
 			// from: the id space was covered in full.
 			complete = true
-		case stale > 0 && minVersion <= version:
+		case stale > 0 && heard == version:
 			// Some slice of the id space did not answer under this leaf set
 			// and nobody named a newer version; demand a strictly newer copy
 			// before re-scattering, so a leaf that is simply down (not
 			// rehashed away) cannot spin us.
 			minVersion = version + 1
 		default:
-			// A leaf answered OK but under a newer hash version than the
-			// scatter set: a split may have moved some of its agents to a
-			// leaf this round never visited. minVersion already demands the
-			// newer copy; re-enumerate and re-scatter.
+			// A leaf answered under a newer hash version than the scatter
+			// set: a split may have moved some of its agents to a leaf this
+			// round never visited. Demand the newer copy; re-enumerate and
+			// re-scatter.
+			minVersion = heard
 		}
 	}
-	c.cache.fence(minVersion)
+	c.cache.fence(heard)
 
 	matches := mergeMatches(found, q)
 	if !complete {
@@ -138,9 +140,9 @@ func (c *Client) leafSet(ctx context.Context, minVersion uint64) ([]LeafRef, uin
 // successful answers into found (last writer wins — the leaves partition the
 // id space, so overlap only happens across retry rounds where fresher
 // answers should win anyway). It returns the number of leaves that did not
-// answer authoritatively and raises *minVersion to the newest hash version
-// seen, so the next round enumerates a scatter set at least that fresh.
-func (c *Client) scatter(ctx context.Context, leaves []LeafRef, q Query, perLeaf int, minVersion *uint64, found map[ids.AgentID]platform.NodeID) int {
+// answer authoritatively and raises *heard to the newest hash version a leaf
+// answered with.
+func (c *Client) scatter(ctx context.Context, leaves []LeafRef, q Query, perLeaf int, heard *uint64, found map[ids.AgentID]platform.NodeID) int {
 	var (
 		mu    sync.Mutex
 		stale int
@@ -160,9 +162,7 @@ func (c *Client) scatter(ctx context.Context, leaves []LeafRef, q Query, perLeaf
 			csp.End(err)
 			mu.Lock()
 			defer mu.Unlock()
-			if resp.HashVersion > *minVersion {
-				*minVersion = resp.HashVersion
-			}
+			*heard = max(*heard, resp.HashVersion)
 			if err != nil || resp.Status != StatusOK {
 				stale++
 				return

@@ -11,10 +11,11 @@ import (
 )
 
 // newHotTCPPair deploys the mechanism on two untraced nodes over loopback
-// TCP: the HAgent and the only IAgent on node-0, the returned client on
-// node-1, so every Locate is a local whois plus one socket round trip. It
-// registers n agents and returns their ids.
-func newHotTCPPair(tb testing.TB, n int) (*Client, []ids.AgentID) {
+// TCP: the HAgent and every IAgent on node-0, the returned client on node-1,
+// so every Locate is a local whois plus one socket round trip. It registers n
+// agents, splits iagent-1 until the hash function has the given number of
+// leaves, and returns the agents' ids.
+func newHotTCPPair(tb testing.TB, n, leaves int) (*Client, []ids.AgentID) {
 	tb.Helper()
 	links := make([]*transport.TCP, 2)
 	for i := range links {
@@ -36,7 +37,9 @@ func newHotTCPPair(tb testing.TB, n int) (*Client, []ids.AgentID) {
 		tb.Cleanup(func() { node.Close() })
 		nodes[i] = node
 	}
-	svc, err := Deploy(context.Background(), quietConfig(), nodes)
+	cfg := quietConfig()
+	cfg.PlacementNodes = []platform.NodeID{"node-0"}
+	svc, err := Deploy(context.Background(), cfg, nodes)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,7 +51,37 @@ func newHotTCPPair(tb testing.TB, n int) (*Client, []ids.AgentID) {
 			tb.Fatal(err)
 		}
 	}
+	for i := 1; i < leaves; i++ {
+		splitLeaf(tb, svc, "iagent-1", targets)
+	}
 	return client, targets
+}
+
+// splitLeaf has the HAgent split leaf, as an overloaded IAgent would ask it
+// to, reporting an even load over the agents the leaf owns. The split is
+// published, handoffs done, when it returns.
+func splitLeaf(tb testing.TB, svc *Service, leaf ids.AgentID, agents []ids.AgentID) {
+	tb.Helper()
+	ctx, cfg := context.Background(), svc.Config()
+	var hash GetHashResp
+	if err := svc.nodes[0].CallAgent(ctx, cfg.HAgentNode, cfg.HAgent, KindGetHash, GetHashReq{}, &hash); err != nil {
+		tb.Fatal(err)
+	}
+	st, err := FromDTO(hash.State)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	load := make(map[ids.AgentID]uint64)
+	for _, a := range agents {
+		if owner, _, err := st.OwnerOf(a); err == nil && owner == leaf {
+			load[a] = 5
+		}
+	}
+	req := RequestSplitReq{IAgent: leaf, HashVersion: st.Version(), Rate: 999, PerAgent: load}
+	var resp RehashResp
+	if err := svc.nodes[0].CallAgent(ctx, cfg.HAgentNode, cfg.HAgent, KindRequestSplit, req, &resp); err != nil || resp.Status != StatusOK {
+		tb.Fatalf("split of %s: %v, %v", leaf, resp.Status, err)
+	}
 }
 
 // BenchmarkLocateRemoteTCP times Client.Locate through the whole remote
@@ -56,13 +89,28 @@ func newHotTCPPair(tb testing.TB, n int) (*Client, []ids.AgentID) {
 // IAgent's concurrent fast path, the table and back — without the
 // benchmark's 2^20 set-up.
 func BenchmarkLocateRemoteTCP(b *testing.B) {
-	client, targets := newHotTCPPair(b, 1024)
+	client, targets := newHotTCPPair(b, 1024, 1)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := client.Locate(ctx, targets[i%len(targets)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLocateBatchTCP times a 64-target Client.LocateBatch across four
+// leaves on the far node: one whois-batch at the local LHAgent, then one
+// frame per leaf over loopback TCP, in flight together.
+func BenchmarkLocateBatchTCP(b *testing.B) {
+	client, targets := newHotTCPPair(b, 64, 4)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := client.LocateBatch(ctx, targets); err != nil || len(got) != len(targets) {
+			b.Fatal(len(got), err)
 		}
 	}
 }

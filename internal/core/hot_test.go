@@ -21,7 +21,7 @@ func TestLocateRemoteAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	client, targets := newHotTCPPair(t, 64)
+	client, targets := newHotTCPPair(t, 64, 1)
 	ctx := context.Background()
 	var locErr error
 	i := 0
@@ -36,6 +36,31 @@ func TestLocateRemoteAllocBudget(t *testing.T) {
 	}
 	if allocs > 20 {
 		t.Errorf("remote Locate allocates %.1f times, budget 20", allocs)
+	}
+}
+
+// TestLocateBatchAllocBudget is the budget of BenchmarkLocateBatchTCP's path:
+// a 64-target LocateBatch over four leaves on the far node — one whois-batch,
+// four frames over loopback TCP, both nodes' allocations counted (measured:
+// 67; one whois per target and ids decoded into strings took 338).
+func TestLocateBatchAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	client, targets := newHotTCPPair(t, 64, 4)
+	ctx := context.Background()
+	var batchErr error
+	allocs := testing.AllocsPerRun(200, func() {
+		if got, err := client.LocateBatch(ctx, targets); err != nil || len(got) != len(targets) {
+			batchErr = fmt.Errorf("located %d of %d: %v", len(got), len(targets), err)
+		}
+	})
+	if batchErr != nil {
+		t.Fatal(batchErr)
+	}
+	t.Logf("%.1f allocs per 64-target LocateBatch", allocs)
+	if allocs > 80 {
+		t.Errorf("a 64-target LocateBatch allocates %.1f times, budget 80", allocs)
 	}
 }
 

@@ -156,9 +156,9 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 	return b.initErr
 }
 
-// HandleConcurrent implements platform.ConcurrentBehavior: locate — the
-// hot, read-only path — and the liveness probe touch nothing but
-// concurrency-safe state (the immutable hash-state pointer, the sharded
+// HandleConcurrent implements platform.ConcurrentBehavior: locate, single and
+// batched — the hot, read-only path — and the liveness probe touch nothing
+// but concurrency-safe state (the immutable hash-state pointer, the sharded
 // Table with its atomic load counters, and the wait-free rate estimator), so
 // they are served on the delivering goroutine, concurrently with each other
 // and with the mailbox. Every mutating kind declines and goes through the
@@ -182,11 +182,18 @@ func (b *IAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, pa
 		if err := b.ensureRuntime(ctx); err != nil {
 			return nil, true, err
 		}
-		var req LocateBatchReq
-		if err := transport.Decode(payload, &req); err != nil {
+		// Served off the payload like a single locate, each agent judged on its
+		// own: no id is copied out of the frame.
+		agents, err := locateBatchReqAgents(payload)
+		if err != nil {
 			return nil, true, err
 		}
-		return b.locateBatch(ctx, req), true, nil
+		b.metLocate.Add(uint64(len(agents)))
+		resp := LocateBatchResp{Results: make([]LocateResp, len(agents))}
+		for i, a := range agents {
+			resp.Results[i] = b.locateBytes(ctx, a)
+		}
+		return resp, true, nil
 	case KindDiscover:
 		// The capability index, Table and Residence are all individually
 		// concurrency-safe, so discovery rides the read fast path beside
@@ -450,35 +457,12 @@ func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (A
 	return Ack{Status: StatusOK, HashVersion: version}, nil
 }
 
-// locate serves location queries (paper §2.3: the IAgent first checks
-// whether it is still responsible for the agent). The id is hashed once, for
-// the responsibility check and the table probe, and the probe counts the
-// request in the slot it finds; an agent the table does not hold is counted
-// nowhere. It takes no locks beyond the Table stripe's RLock, so concurrent
-// locates proceed in parallel.
-func (b *IAgentBehavior) locate(ctx *platform.Context, agent ids.AgentID) LocateResp {
-	b.est.Record()
-	hash := agent.Hash64()
-	ok, version := b.responsible(ctx, hash)
-	if !ok {
-		b.metStale.Inc()
-		return LocateResp{Status: StatusNotResponsible, HashVersion: version}
-	}
-	node, found := b.Table.GetCounted(agent, hash)
-	if !found {
-		return LocateResp{Status: StatusUnknownAgent, HashVersion: version}
-	}
-	// A bound agent's authoritative address is its handle's: the handle
-	// moved with the group even when the member's direct entry is older.
-	// Resolve takes only a read lock, so the concurrent fast path keeps its
-	// parallelism — and the client receives (and caches) a final address.
-	if rn, ok := b.Residence.Resolve(agent); ok {
-		node = rn
-	}
-	return LocateResp{Status: StatusOK, Node: node, HashVersion: version}
-}
-
-// locateBytes is locate for an id still sitting in the request frame.
+// locateBytes serves a location query for an id still sitting in the request
+// frame (paper §2.3: the IAgent first checks whether it is still responsible
+// for the agent). The id is hashed once, for the responsibility check and the
+// table probe, and the probe counts the request in the slot it finds; an agent
+// the table does not hold is counted nowhere. It takes no locks beyond the
+// Table stripe's RLock, so concurrent locates proceed in parallel.
 func (b *IAgentBehavior) locateBytes(ctx *platform.Context, agent []byte) LocateResp {
 	b.est.Record()
 	hash := ids.HashBytes(agent)
@@ -491,22 +475,14 @@ func (b *IAgentBehavior) locateBytes(ctx *platform.Context, agent []byte) Locate
 	if !found {
 		return LocateResp{Status: StatusUnknownAgent, HashVersion: version}
 	}
+	// A bound agent's authoritative address is its handle's: the handle
+	// moved with the group even when the member's direct entry is older.
+	// Resolve takes only a read lock, so the concurrent fast path keeps its
+	// parallelism — and the client receives (and caches) a final address.
 	if rn, ok := b.Residence.ResolveBytes(agent); ok {
 		node = rn
 	}
 	return LocateResp{Status: StatusOK, Node: node, HashVersion: version}
-}
-
-// locateBatch answers several locates in one frame, each agent judged
-// individually like UpdateBatchReq's entries. It touches only the
-// concurrency-safe read state, so it rides the concurrent fast path.
-func (b *IAgentBehavior) locateBatch(ctx *platform.Context, req LocateBatchReq) LocateBatchResp {
-	resp := LocateBatchResp{Results: make([]LocateResp, len(req.Agents))}
-	for i, a := range req.Agents {
-		b.metLocate.Inc()
-		resp.Results[i] = b.locate(ctx, a)
-	}
-	return resp
 }
 
 // discover answers a capability query against the secondary index, each

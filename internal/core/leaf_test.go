@@ -474,7 +474,7 @@ func TestRelocatedIAgentKeepsLoads(t *testing.T) {
 	update(t, leaf, ctx, agents, "node-1")
 	for i, a := range agents {
 		for j := 0; j < i%5; j++ {
-			leaf.locate(ctx, a)
+			leaf.locateBytes(ctx, []byte(a))
 		}
 	}
 	var moved bytes.Buffer

@@ -25,11 +25,13 @@ type AdoptLHStateReq struct {
 // stale; it is refreshed on demand from the HAgent when a stale mapping is
 // detected (paper §4.3).
 //
-// Concurrency rule: reads are answered from an atomic snapshot of the copy,
-// on the caller's goroutine, whenever the snapshot already satisfies the
-// request (HandleConcurrent); anything that must talk to the HAgent — the
-// first copy, a stale copy — goes through the serial mailbox, which keeps
-// fetches single-flight.
+// Concurrency rule: the four read kinds (whois, whois-batch, leaves, refresh)
+// are answered from an atomic snapshot of the copy, on the caller's goroutine,
+// whenever the snapshot already satisfies the request (HandleConcurrent);
+// anything that must talk to the HAgent — the first copy, a stale copy — goes
+// through the serial mailbox, which keeps fetches single-flight. Every answer
+// comes from one copy, so a whois-batch resolves all its targets at one
+// version.
 type LHAgentBehavior struct {
 	// Cfg is the mechanism configuration (HAgent id and node).
 	Cfg Config
@@ -61,7 +63,7 @@ var (
 )
 
 // AnswerLocal implements platform.LocalAnswerer: the client on this node —
-// every whois is one — gets the three read kinds answered from the installed
+// every whois is one — gets the four read kinds answered from the installed
 // copy by value, under HandleConcurrent's condition (the copy exists and is
 // fresh enough) and with its answers, minus the codec on both sides.
 func (b *LHAgentBehavior) AnswerLocal(ctx *platform.Context, kind string, req, resp any) (bool, error) {
@@ -79,6 +81,17 @@ func (b *LHAgentBehavior) AnswerLocal(ctx *platform.Context, kind string, req, r
 		if *out, err = cp.whois(ctx.Self(), req.Target); err != nil {
 			return true, err
 		}
+	case *WhoisBatchReq:
+		out, ok := resp.(*WhoisBatchResp)
+		if !ok || kind != KindWhoisBatch {
+			return false, nil
+		}
+		var err error
+		if *out, err = cp.whoisBatch(ctx.Self(), req.Targets); err != nil {
+			return true, err
+		}
+		// The caller gets its own leaf list, as with leaves below.
+		out.Leaves = append([]LeafRef(nil), out.Leaves...)
 	case *RefreshReq:
 		out, ok := resp.(*RefreshResp)
 		if !ok || kind != KindRefresh || cp.Version() < req.MinVersion {
@@ -99,9 +112,9 @@ func (b *LHAgentBehavior) AnswerLocal(ctx *platform.Context, kind string, req, r
 	return true, nil
 }
 
-// HandleConcurrent implements platform.ConcurrentBehavior: whois, leaves and
-// refresh are answered straight from the installed copy when it is present
-// and at least as fresh as the request demands. Everything else — a missing
+// HandleConcurrent implements platform.ConcurrentBehavior: the read kinds are
+// answered straight from the installed copy when it is present and at least
+// as fresh as the request demands. Everything else — a missing
 // or stale copy, which needs a fetch from the HAgent, and adopt — declines
 // and is served by the mailbox.
 func (b *LHAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, payload []byte) (any, bool, error) {
@@ -109,14 +122,14 @@ func (b *LHAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, p
 	if cp == nil {
 		return nil, false, nil
 	}
-	target, minVersion, ok, err := decodeRead(kind, payload)
-	if !ok || (err == nil && cp.Version() < minVersion) {
+	req, minVersion, err := decodeRead(kind, payload)
+	if req == nil || (err == nil && cp.Version() < minVersion) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, true, err
 	}
-	resp, err := cp.answer(ctx, kind, target)
+	resp, err := cp.answer(ctx.Self(), req)
 	return resp, true, err
 }
 
@@ -133,8 +146,8 @@ func (b *LHAgentBehavior) HandleRequest(ctx *platform.Context, kind string, payl
 		}
 		return RefreshResp{HashVersion: b.install(st).Version()}, nil
 	}
-	target, minVersion, ok, err := decodeRead(kind, payload)
-	if !ok {
+	req, minVersion, err := decodeRead(kind, payload)
+	if req == nil {
 		return nil, fmt.Errorf("LHAgent %s: unknown request kind %q", ctx.Self(), kind)
 	}
 	if err != nil {
@@ -144,45 +157,48 @@ func (b *LHAgentBehavior) HandleRequest(ctx *platform.Context, kind string, payl
 	if err != nil {
 		return nil, err
 	}
-	return cp.answer(ctx, kind, target)
+	return cp.answer(ctx.Self(), req)
 }
 
-// decodeRead decodes a request of one of the read kinds into what answering
-// it takes: the whois target, and the hash version the copy must have reached
-// (0: any copy will do). ok is false for every other kind.
-func decodeRead(kind string, payload []byte) (target ids.AgentID, minVersion uint64, ok bool, err error) {
+// decodeRead decodes a request of one of the read kinds, and reports the hash
+// version the copy must have reached to answer it (0: any copy will do). req
+// is nil for every other kind.
+func decodeRead(kind string, payload []byte) (req any, minVersion uint64, err error) {
 	switch kind {
 	case KindWhois:
-		var req WhoisReq
-		err = transport.Decode(payload, &req)
-		return req.Target, 0, true, err
+		req = &WhoisReq{}
+	case KindWhoisBatch:
+		req = &WhoisBatchReq{}
 	case KindRefresh:
-		var req RefreshReq
-		err = transport.Decode(payload, &req)
-		return "", req.MinVersion, true, err
+		req = &RefreshReq{}
 	case KindLeaves:
-		var req LeavesReq
-		err = transport.Decode(payload, &req)
-		return "", req.MinVersion, true, err
+		req = &LeavesReq{}
 	default:
-		return "", 0, false, nil
+		return nil, 0, nil
 	}
+	err = transport.Decode(payload, req)
+	switch r := req.(type) {
+	case *RefreshReq:
+		minVersion = r.MinVersion
+	case *LeavesReq:
+		minVersion = r.MinVersion
+	}
+	return req, minVersion, err
 }
 
-// answer serves one read kind from the copy. Whois resolves the IAgent
-// responsible for the target — the fast path of every operation; leaves
-// enumerates the responsible IAgents — the scatter set of a Discover fan-out
-// (the slice is shared between answers: the platform copies every response
-// through the codec, and nothing mutates it); refresh reports the version.
-func (c *hashCopy) answer(ctx *platform.Context, kind string, target ids.AgentID) (any, error) {
-	switch kind {
-	case KindWhois:
-		resp, err := c.whois(ctx.Self(), target)
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	case KindLeaves:
+// answer serves one decoded read from the copy. Whois resolves the IAgent
+// responsible for the target — the fast path of every operation — and
+// whois-batch does so for a LocateBatch's targets; leaves enumerates the
+// responsible IAgents — the scatter set of a Discover fan-out; refresh reports
+// the version. The leaf list is shared between answers: the platform copies
+// every response through the codec, and nothing mutates it.
+func (c *hashCopy) answer(self ids.AgentID, req any) (any, error) {
+	switch req := req.(type) {
+	case *WhoisReq:
+		return c.whois(self, req.Target)
+	case *WhoisBatchReq:
+		return c.whoisBatch(self, req.Targets)
+	case *LeavesReq:
 		return LeavesResp{HashVersion: c.Version(), Leaves: c.leaves}, nil
 	default:
 		return RefreshResp{HashVersion: c.Version()}, nil
@@ -196,6 +212,21 @@ func (c *hashCopy) whois(self, target ids.AgentID) (WhoisResp, error) {
 		return WhoisResp{}, fmt.Errorf("LHAgent %s: %w", self, err)
 	}
 	return WhoisResp{IAgent: iagent, Node: node, HashVersion: c.Version()}, nil
+}
+
+// whoisBatch resolves every target against this one copy.
+func (c *hashCopy) whoisBatch(self ids.AgentID, targets []ids.AgentID) (WhoisBatchResp, error) {
+	resp := WhoisBatchResp{HashVersion: c.Version(), Leaves: c.leaves, Owner: make([]uint32, len(targets))}
+	for i, t := range targets {
+		iagent, _, err := c.OwnerOf(t)
+		if err != nil {
+			return WhoisBatchResp{}, fmt.Errorf("LHAgent %s: %w", self, err)
+		}
+		// Every leaf with a location is in the sorted list, and OwnerOf
+		// found iagent's.
+		resp.Owner[i] = uint32(sort.Search(len(c.leaves), func(j int) bool { return c.leaves[j].IAgent >= iagent }))
+	}
+	return resp, nil
 }
 
 // copyAtLeast returns the installed copy once it exists and is at least

@@ -38,7 +38,7 @@ func stateAt(ver uint64) *State {
 	}
 }
 
-// TestLHAgentConcurrentReads drives whois, leaves and refresh from eight
+// TestLHAgentConcurrentReads drives the four read kinds from eight
 // goroutines while the copy is replaced underneath them both ways — eager
 // adopts (some deliberately older than the installed copy) and refreshes that
 // force a fetch. No reader may ever see the version go backwards or a leaf
@@ -87,6 +87,17 @@ func TestLHAgentConcurrentReads(t *testing.T) {
 					t.Errorf("whois answered an empty owner: %+v", who)
 				}
 				observe("whois", who.HashVersion)
+
+				var batch WhoisBatchResp
+				targets := []ids.AgentID{"x", ids.AgentID(fmt.Sprintf("b-%d-%d", r, i))}
+				if err := n.CallAgent(ctx, "node-0", lh, KindWhoisBatch, &WhoisBatchReq{Targets: targets}, &batch); err != nil {
+					t.Errorf("whois-batch: %v", err)
+					return
+				}
+				if len(batch.Owner) != len(targets) || len(batch.Leaves) == 0 {
+					t.Errorf("whois-batch answered %d owners over %d leaves", len(batch.Owner), len(batch.Leaves))
+				}
+				observe("whois-batch", batch.HashVersion)
 
 				var leaves LeavesResp
 				if err := n.CallAgent(ctx, "node-0", lh, KindLeaves, &LeavesReq{}, &leaves); err != nil {

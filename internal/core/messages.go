@@ -17,6 +17,9 @@ const (
 	// Client → LHAgent.
 	KindWhois   = "loc.whois"
 	KindRefresh = "loc.refresh"
+	// Client → LHAgent: whois for every target of a LocateBatch, all answered
+	// from one hash version.
+	KindWhoisBatch = "loc.whois-batch"
 
 	// Client / mobile agent → IAgent.
 	KindRegister   = "loc.register"
@@ -96,6 +99,20 @@ type WhoisResp struct {
 	IAgent      ids.AgentID
 	Node        platform.NodeID
 	HashVersion uint64
+}
+
+// WhoisBatchReq asks an LHAgent which IAgents serve several targets.
+type WhoisBatchReq struct {
+	Targets []ids.AgentID
+}
+
+// WhoisBatchResp answers every target from one hash version: Owner[i] is the
+// index in Leaves — the copy's leaf list, sorted by IAgent id — of the IAgent
+// serving Targets[i].
+type WhoisBatchResp struct {
+	HashVersion uint64
+	Leaves      []LeafRef
+	Owner       []uint32
 }
 
 // RefreshReq forces an LHAgent to bring its hash copy to at least

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -413,5 +415,161 @@ func TestLocCacheRefusesFencedPut(t *testing.T) {
 	cache.mu.Unlock()
 	if n > 2 {
 		t.Errorf("cache grew to %d entries, cap 2", n)
+	}
+}
+
+// fourLeafCluster deploys cfg on four in-memory nodes, stores 64 agents at
+// iagent-1 with one update batch — no LHAgent hears of them, so every node's
+// hash copy is still cold — and splits iagent-1 three times, to four leaves.
+// It returns the cluster and the agents' homes.
+func fourLeafCluster(t *testing.T, cfg Config) (*testCluster, map[ids.AgentID]platform.NodeID) {
+	t.Helper()
+	c := newTestCluster(t, cfg, 4)
+	ctx := testCtx(t)
+	homes := make(map[ids.AgentID]platform.NodeID)
+	var req UpdateBatchReq
+	var agents []ids.AgentID
+	for i := 0; i < 64; i++ {
+		a, n := ids.AgentID(fmt.Sprintf("fan-%02d", i)), c.nodes[i%4].ID()
+		homes[a] = n
+		agents = append(agents, a)
+		req.Updates = append(req.Updates, UpdateReq{Agent: a, Node: n})
+	}
+	var resp UpdateBatchResp
+	if err := c.nodes[0].CallAgent(ctx, "node-0", "iagent-1", KindUpdateBatch, &req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	for i, ack := range resp.Acks {
+		if ack.Status != StatusOK {
+			t.Fatalf("store %s: %v", agents[i], ack.Status)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		splitLeaf(t, c.service, "iagent-1", agents)
+	}
+	if n := len(hashState(t, c, ctx).Locations); n != 4 {
+		t.Fatalf("cluster has %d leaves, want 4", n)
+	}
+	return c, homes
+}
+
+func keysOf(homes map[ids.AgentID]platform.NodeID) []ids.AgentID {
+	out := make([]ids.AgentID, 0, len(homes))
+	for a := range homes {
+		out = append(out, a)
+	}
+	return out
+}
+
+// TestLocateBatchAsksLHAgentOnce: a 64-target batch over four leaves costs
+// one call to the local LHAgent and at most one frame per leaf — never a whois
+// per target.
+func TestLocateBatchAsksLHAgentOnce(t *testing.T) {
+	c, homes := fourLeafCluster(t, quietConfig())
+	cc := newCountingCaller(NodeCaller{N: c.nodes[1]})
+	got, err := NewClient(cc, quietConfig()).LocateBatch(testCtx(t), keysOf(homes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, homes) {
+		t.Errorf("LocateBatch = %v, want %v", got, homes)
+	}
+	if n := cc.count(KindWhoisBatch); n != 1 {
+		t.Errorf("%d whois-batch calls, want 1", n)
+	}
+	if n := cc.count(KindWhois); n != 0 {
+		t.Errorf("%d whois calls, want 0", n)
+	}
+	if n := cc.count(KindLocateBatch); n > 4 {
+		t.Errorf("%d locate-batch frames for four leaves", n)
+	}
+	if n := cc.count(KindLocate) + cc.count(KindRefresh); n != 0 {
+		t.Errorf("%d singleton locates and refreshes: the batch fell back", n)
+	}
+}
+
+// TestLocateBatchFramesTravelTogether: every IAgent charges each request the
+// same service time S, so a batch over four leaves takes about S when its
+// frames are in flight together, and at least 4·S when they go one by one.
+func TestLocateBatchFramesTravelTogether(t *testing.T) {
+	const service = 100 * time.Millisecond
+	cfg := quietConfig()
+	cfg.IAgentServiceTime = service
+	c, homes := fourLeafCluster(t, cfg)
+	cc := newCountingCaller(NodeCaller{N: c.nodes[1]})
+	client := NewClient(cc, cfg)
+	ctx := testCtx(t)
+	targets := keysOf(homes)
+	if _, err := client.LocateBatch(ctx, targets); err != nil { // warms the local hash copy
+		t.Fatal(err)
+	}
+	frames := cc.count(KindLocateBatch)
+	start := time.Now()
+	got, err := client.LocateBatch(ctx, targets)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, homes) {
+		t.Errorf("LocateBatch = %v, want %v", got, homes)
+	}
+	if n := cc.count(KindLocateBatch) - frames; n != 4 {
+		t.Fatalf("%d locate-batch frames, want one per leaf (4)", n)
+	}
+	if took >= 2*service {
+		t.Errorf("a batch over four leaves took %v at %v per request: its frames were not in flight together", took, service)
+	}
+}
+
+// TestDiscoverGivingUpLeavesTheCacheOn is the regression test for the fence a
+// failed Discover left behind: with a leaf unreachable and nobody naming a
+// newer hash version, Discover demands version+1 — and used to fence the
+// location cache there, at a version that does not exist, so every later put
+// was refused until the next rehash.
+func TestDiscoverGivingUpLeavesTheCacheOn(t *testing.T) {
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	nodes := make([]*platform.Node, 3)
+	for i := range nodes {
+		n, err := platform.NewNode(platform.Config{ID: platform.NodeID(fmt.Sprintf("node-%d", i)), Link: net})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	// The HAgent on node-0, the only leaf on node-2, the client on node-1.
+	cfg := quietConfig()
+	cfg.HAgentNode = "node-0"
+	cfg.PlacementNodes = []platform.NodeID{"node-2"}
+	svc, err := Deploy(context.Background(), cfg, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	if _, err := svc.ClientFor(nodes[2]).RegisterWithCapabilities(ctx, "ocr-1", []string{"ocr"}); err != nil {
+		t.Fatal(err)
+	}
+	ccfg := cfg
+	ccfg.LocateCacheTTL = time.Minute
+	ccfg.CallTimeout = 100 * time.Millisecond
+	cc := newCountingCaller(NodeCaller{N: nodes[1]})
+	client := NewClient(cc, ccfg)
+
+	net.Partition("node-1", "node-2")
+	if _, err := client.Discover(ctx, Query{Caps: []string{"ocr"}}); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("Discover behind a partition: %v, want ErrRetriesExhausted", err)
+	}
+	net.Heal("node-1", "node-2")
+
+	if where, err := client.Locate(ctx, "ocr-1"); err != nil || where != "node-2" {
+		t.Fatalf("locate after heal = %s, %v", where, err)
+	}
+	before := cc.total()
+	if _, err := client.Locate(ctx, "ocr-1"); err != nil {
+		t.Fatal(err)
+	}
+	if n := cc.total() - before; n != 0 {
+		t.Errorf("the second locate sent %d RPCs: the cache refused the first answer", n)
 	}
 }

@@ -8,13 +8,15 @@ import (
 	"agentloc/internal/wire"
 )
 
-// Hand-rolled binary codecs for the hot-path DTOs: locate, update (single
-// and batched), residence-move, whois/refresh, and their responses — and for
-// the sibling checkpoint, the one control message that carries a table's worth
-// of entries again and again. The rest of the cold control plane — hash state
-// pushes, handoffs, split/merge — stays on gob, where flexibility beats cycles. Each codec implements wire.Marshaler
-// and wire.Unmarshaler, which is what makes transport.Encode pick it, for
-// every peer; transport.Decode dispatches on the payload header.
+// Hand-rolled binary codecs for the hot-path DTOs: locate (single and
+// batched), update (single and batched), residence-move, whois (single and
+// batched), refresh, and their responses — and for the sibling checkpoint, the
+// one control message that carries a table's worth of entries again and again.
+// The rest of the cold control plane — hash state pushes, handoffs,
+// split/merge — stays on gob, where flexibility beats cycles. Each codec
+// implements wire.Marshaler and wire.Unmarshaler, which is what makes
+// transport.Encode pick it, for every peer; transport.Decode dispatches on the
+// payload header.
 //
 // Node and residence ids recur endlessly across messages (a cluster has few
 // nodes but millions of location updates), so decodes run them through a
@@ -67,23 +69,54 @@ func (r *LocateReq) DecodeWire(d *wire.Dec) error {
 	return err
 }
 
-// locateReqAgent reads the agent id of a binary-coded LocateReq as a view
-// into the payload, valid only as long as the payload is. LocateReq is a
-// wire.Marshaler, so no sender produces another form: any other payload (gob,
-// empty) is refused as corrupt.
-func locateReqAgent(payload []byte) (agent []byte, err error) {
+// binaryBody returns the body of a binary-coded request that a leaf serves off
+// the frame. Those requests are wire.Marshalers, so no sender produces another
+// form: any other payload (gob, empty) is refused as corrupt.
+func binaryBody(payload []byte, what string) ([]byte, error) {
 	ver, body, ok := wire.MsgHeader(payload)
 	if !ok {
-		return nil, fmt.Errorf("%w: locate request is not a binary message", wire.ErrCorrupt)
+		return nil, fmt.Errorf("%w: %s is not a binary message", wire.ErrCorrupt, what)
 	}
 	if ver > wire.MsgVersion {
 		return nil, fmt.Errorf("%w: message version %d, this build reads ≤ %d", wire.ErrUnsupportedVersion, ver, wire.MsgVersion)
+	}
+	return body, nil
+}
+
+// locateReqAgent reads the agent id of a binary-coded LocateReq as a view
+// into the payload, valid only as long as the payload is.
+func locateReqAgent(payload []byte) (agent []byte, err error) {
+	body, err := binaryBody(payload, "locate request")
+	if err != nil {
+		return nil, err
 	}
 	d := wire.NewDec(body)
 	if agent, err = d.Bytes(maxWireIDLen); err == nil {
 		err = d.Done()
 	}
 	return agent, err
+}
+
+// locateBatchReqAgents is locateReqAgent for a LocateBatchReq: every id a view
+// into the payload, accepted exactly where LocateBatchReq.DecodeWire accepts
+// it (FuzzLocateBatchFrame holds the two to that).
+func locateBatchReqAgents(payload []byte) ([][]byte, error) {
+	body, err := binaryBody(payload, "locate batch request")
+	if err != nil {
+		return nil, err
+	}
+	d := wire.NewDec(body)
+	n, err := batchLen(d)
+	if err != nil {
+		return nil, err
+	}
+	agents := make([][]byte, n)
+	for i := range agents {
+		if agents[i], err = d.Bytes(maxWireIDLen); err != nil {
+			return nil, err
+		}
+	}
+	return agents, d.Done()
 }
 
 func (r LocateResp) AppendWire(dst []byte) []byte {
@@ -106,50 +139,101 @@ func (r *LocateResp) DecodeWire(d *wire.Dec) error {
 	return err
 }
 
-func (r LocateBatchReq) AppendWire(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(r.Agents)))
-	for _, a := range r.Agents {
+// appendList and decodeList carry a list of DTOs: a count, then each
+// element's own encoding. An empty list decodes as nil.
+func appendList[T wire.Marshaler](dst []byte, list []T) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(list)))
+	for _, v := range list {
+		dst = v.AppendWire(dst)
+	}
+	return dst
+}
+
+func decodeList[T any, P interface {
+	*T
+	wire.Unmarshaler
+}](d *wire.Dec) ([]T, error) {
+	n, err := batchLen(d)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	list := make([]T, n)
+	for i := range list {
+		if err := P(&list[i]).DecodeWire(d); err != nil {
+			return nil, err
+		}
+	}
+	return list, nil
+}
+
+// appendIDs and decodeIDs carry a list of agent ids: a count, then each id.
+// An empty list decodes as nil.
+func appendIDs(dst []byte, list []ids.AgentID) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(list)))
+	for _, a := range list {
 		dst = wire.AppendString(dst, string(a))
 	}
 	return dst
 }
 
-func (r *LocateBatchReq) DecodeWire(d *wire.Dec) error {
+func decodeIDs(d *wire.Dec) ([]ids.AgentID, error) {
 	n, err := batchLen(d)
-	if err != nil {
-		return err
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	r.Agents = make([]ids.AgentID, n)
-	for i := range r.Agents {
+	list := make([]ids.AgentID, n)
+	for i := range list {
 		s, err := d.String(maxWireIDLen)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		r.Agents[i] = ids.AgentID(s)
+		list[i] = ids.AgentID(s)
 	}
-	return nil
+	return list, nil
 }
 
-func (r LocateBatchResp) AppendWire(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(r.Results)))
-	for i := range r.Results {
-		dst = r.Results[i].AppendWire(dst)
+// appendTags and decodeTags do the same for capability tags, which recur
+// across agents and so are interned like node ids.
+func appendTags(dst []byte, tags []string) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(tags)))
+	for _, c := range tags {
+		dst = wire.AppendString(dst, c)
 	}
 	return dst
 }
 
-func (r *LocateBatchResp) DecodeWire(d *wire.Dec) error {
+func decodeTags(d *wire.Dec) ([]string, error) {
 	n, err := batchLen(d)
-	if err != nil {
-		return err
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	r.Results = make([]LocateResp, n)
-	for i := range r.Results {
-		if err := r.Results[i].DecodeWire(d); err != nil {
-			return err
+	tags := make([]string, n)
+	for i := range tags {
+		if tags[i], err = d.StringIn(maxWireIDLen, wireIntern); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return tags, nil
+}
+
+func (r LocateBatchReq) AppendWire(dst []byte) []byte {
+	return appendIDs(dst, r.Agents)
+}
+
+func (r *LocateBatchReq) DecodeWire(d *wire.Dec) error {
+	var err error
+	r.Agents, err = decodeIDs(d)
+	return err
+}
+
+func (r LocateBatchResp) AppendWire(dst []byte) []byte {
+	return appendList(dst, r.Results)
+}
+
+func (r *LocateBatchResp) DecodeWire(d *wire.Dec) error {
+	var err error
+	r.Results, err = decodeList[LocateResp](d)
+	return err
 }
 
 // --- register / update / deregister ---------------------------------------
@@ -180,11 +264,7 @@ func (r UpdateReq) AppendWire(dst []byte) []byte {
 	// move): UpdateReqs concatenate inside UpdateBatchReq, so a trailing-
 	// optional encoding would be ambiguous — the next update's agent id
 	// would be misread as a capability count.
-	dst = wire.AppendUvarint(dst, uint64(len(r.Capabilities)))
-	for _, c := range r.Capabilities {
-		dst = wire.AppendString(dst, c)
-	}
-	return dst
+	return appendTags(dst, r.Capabilities)
 }
 
 func (r *UpdateReq) DecodeWire(d *wire.Dec) error {
@@ -201,22 +281,8 @@ func (r *UpdateReq) DecodeWire(d *wire.Dec) error {
 		return err
 	}
 	r.Agent, r.Node, r.Residence = ids.AgentID(agent), platform.NodeID(node), ids.ResidenceID(res)
-	n, err := batchLen(d)
-	if err != nil {
-		return err
-	}
-	r.Capabilities = nil
-	if n > 0 {
-		r.Capabilities = make([]string, n)
-		for i := range r.Capabilities {
-			// Capability tags recur across agents, so intern them like
-			// node ids.
-			if r.Capabilities[i], err = d.StringIn(maxWireIDLen, wireIntern); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	r.Capabilities, err = decodeTags(d)
+	return err
 }
 
 func (r DeregisterReq) AppendWire(dst []byte) []byte {
@@ -246,47 +312,23 @@ func (a *Ack) DecodeWire(d *wire.Dec) error {
 // --- batched updates ------------------------------------------------------
 
 func (r UpdateBatchReq) AppendWire(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(r.Updates)))
-	for i := range r.Updates {
-		dst = r.Updates[i].AppendWire(dst)
-	}
-	return dst
+	return appendList(dst, r.Updates)
 }
 
 func (r *UpdateBatchReq) DecodeWire(d *wire.Dec) error {
-	n, err := batchLen(d)
-	if err != nil {
-		return err
-	}
-	r.Updates = make([]UpdateReq, n)
-	for i := range r.Updates {
-		if err := r.Updates[i].DecodeWire(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	r.Updates, err = decodeList[UpdateReq](d)
+	return err
 }
 
 func (r UpdateBatchResp) AppendWire(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(r.Acks)))
-	for i := range r.Acks {
-		dst = r.Acks[i].AppendWire(dst)
-	}
-	return dst
+	return appendList(dst, r.Acks)
 }
 
 func (r *UpdateBatchResp) DecodeWire(d *wire.Dec) error {
-	n, err := batchLen(d)
-	if err != nil {
-		return err
-	}
-	r.Acks = make([]Ack, n)
-	for i := range r.Acks {
-		if err := r.Acks[i].DecodeWire(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	r.Acks, err = decodeList[Ack](d)
+	return err
 }
 
 // --- residence move -------------------------------------------------------
@@ -331,27 +373,15 @@ func (r *ResidenceMoveResp) DecodeWire(d *wire.Dec) error {
 // --- discover -------------------------------------------------------------
 
 func (r DiscoverReq) AppendWire(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(r.Caps)))
-	for _, c := range r.Caps {
-		dst = wire.AppendString(dst, c)
-	}
+	dst = appendTags(dst, r.Caps)
 	dst = wire.AppendString(dst, string(r.Near))
 	return wire.AppendUvarint(dst, uint64(r.Limit))
 }
 
 func (r *DiscoverReq) DecodeWire(d *wire.Dec) error {
-	n, err := batchLen(d)
-	if err != nil {
+	var err error
+	if r.Caps, err = decodeTags(d); err != nil {
 		return err
-	}
-	r.Caps = nil
-	if n > 0 {
-		r.Caps = make([]string, n)
-		for i := range r.Caps {
-			if r.Caps[i], err = d.StringIn(maxWireIDLen, wireIntern); err != nil {
-				return err
-			}
-		}
 	}
 	near, err := d.StringIn(maxWireIDLen, wireIntern)
 	if err != nil {
@@ -390,11 +420,7 @@ func (m *DiscoverMatch) DecodeWire(d *wire.Dec) error {
 func (r DiscoverResp) AppendWire(dst []byte) []byte {
 	dst = appendStatus(dst, r.Status)
 	dst = wire.AppendUvarint(dst, r.HashVersion)
-	dst = wire.AppendUvarint(dst, uint64(len(r.Matches)))
-	for i := range r.Matches {
-		dst = r.Matches[i].AppendWire(dst)
-	}
-	return dst
+	return appendList(dst, r.Matches)
 }
 
 func (r *DiscoverResp) DecodeWire(d *wire.Dec) error {
@@ -405,20 +431,8 @@ func (r *DiscoverResp) DecodeWire(d *wire.Dec) error {
 	if r.HashVersion, err = d.Uvarint(); err != nil {
 		return err
 	}
-	n, err := batchLen(d)
-	if err != nil {
-		return err
-	}
-	r.Matches = nil
-	if n > 0 {
-		r.Matches = make([]DiscoverMatch, n)
-		for i := range r.Matches {
-			if err := r.Matches[i].DecodeWire(d); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	r.Matches, err = decodeList[DiscoverMatch](d)
+	return err
 }
 
 // --- whois / refresh ------------------------------------------------------
@@ -451,6 +465,70 @@ func (r *WhoisResp) DecodeWire(d *wire.Dec) error {
 	r.IAgent, r.Node = ids.AgentID(ia), platform.NodeID(node)
 	r.HashVersion, err = d.Uvarint()
 	return err
+}
+
+func (r WhoisBatchReq) AppendWire(dst []byte) []byte {
+	return appendIDs(dst, r.Targets)
+}
+
+func (r *WhoisBatchReq) DecodeWire(d *wire.Dec) error {
+	var err error
+	r.Targets, err = decodeIDs(d)
+	return err
+}
+
+func (r WhoisBatchResp) AppendWire(dst []byte) []byte {
+	dst = wire.AppendUvarint(dst, r.HashVersion)
+	dst = wire.AppendUvarint(dst, uint64(len(r.Leaves)))
+	for _, l := range r.Leaves {
+		dst = wire.AppendString(dst, string(l.IAgent))
+		dst = wire.AppendString(dst, string(l.Node))
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(r.Owner)))
+	for _, o := range r.Owner {
+		dst = wire.AppendUvarint(dst, uint64(o))
+	}
+	return dst
+}
+
+// DecodeWire refuses an owner index outside the leaf list, so a decoded
+// answer can be indexed without a check.
+func (r *WhoisBatchResp) DecodeWire(d *wire.Dec) error {
+	var err error
+	if r.HashVersion, err = d.Uvarint(); err != nil {
+		return err
+	}
+	n, err := batchLen(d)
+	if err != nil {
+		return err
+	}
+	r.Leaves = make([]LeafRef, n)
+	for i := range r.Leaves {
+		ia, err := d.StringIn(maxWireIDLen, wireIntern)
+		if err != nil {
+			return err
+		}
+		node, err := d.StringIn(maxWireIDLen, wireIntern)
+		if err != nil {
+			return err
+		}
+		r.Leaves[i] = LeafRef{IAgent: ids.AgentID(ia), Node: platform.NodeID(node)}
+	}
+	if n, err = batchLen(d); err != nil {
+		return err
+	}
+	r.Owner = make([]uint32, n)
+	for i := range r.Owner {
+		o, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		if o >= uint64(len(r.Leaves)) {
+			return fmt.Errorf("%w: owner %d of %d leaves", wire.ErrCorrupt, o, len(r.Leaves))
+		}
+		r.Owner[i] = uint32(o)
+	}
+	return nil
 }
 
 func (r RefreshReq) AppendWire(dst []byte) []byte {
@@ -491,17 +569,11 @@ func (r CheckpointReq) AppendWire(dst []byte) []byte {
 		dst = wire.AppendString(dst, string(a))
 		dst = wire.AppendString(dst, string(n))
 	}
-	dst = wire.AppendUvarint(dst, uint64(len(r.Removed)))
-	for _, a := range r.Removed {
-		dst = wire.AppendString(dst, string(a))
-	}
+	dst = appendIDs(dst, r.Removed)
 	dst = wire.AppendUvarint(dst, uint64(len(r.Caps)))
 	for a, caps := range r.Caps {
 		dst = wire.AppendString(dst, string(a))
-		dst = wire.AppendUvarint(dst, uint64(len(caps)))
-		for _, c := range caps {
-			dst = wire.AppendString(dst, c)
-		}
+		dst = appendTags(dst, caps)
 	}
 	return dst
 }
@@ -546,19 +618,8 @@ func (r *CheckpointReq) DecodeWire(d *wire.Dec) error {
 		}
 		r.Entries[ids.AgentID(agent)] = platform.NodeID(node)
 	}
-	if n, err = batchLen(d); err != nil {
+	if r.Removed, err = decodeIDs(d); err != nil {
 		return err
-	}
-	r.Removed = nil
-	if n > 0 {
-		r.Removed = make([]ids.AgentID, n)
-	}
-	for i := range r.Removed {
-		agent, err := d.String(maxWireIDLen)
-		if err != nil {
-			return err
-		}
-		r.Removed[i] = ids.AgentID(agent)
 	}
 	if n, err = batchLen(d); err != nil {
 		return err
@@ -572,17 +633,9 @@ func (r *CheckpointReq) DecodeWire(d *wire.Dec) error {
 		if err != nil {
 			return err
 		}
-		tags, err := batchLen(d)
-		if err != nil {
+		if r.Caps[ids.AgentID(agent)], err = decodeTags(d); err != nil {
 			return err
 		}
-		caps := make([]string, tags)
-		for j := range caps {
-			if caps[j], err = d.StringIn(maxWireIDLen, wireIntern); err != nil {
-				return err
-			}
-		}
-		r.Caps[ids.AgentID(agent)] = caps
 	}
 	return nil
 }

@@ -50,6 +50,9 @@ func hotDTOs() []any {
 		WhoisResp{IAgent: "ia-01", Node: "node-1", HashVersion: 5},
 		RefreshReq{MinVersion: 17},
 		RefreshResp{HashVersion: 18},
+		WhoisBatchReq{Targets: []ids.AgentID{"a", "b", "c"}},
+		WhoisBatchResp{HashVersion: 6, Leaves: []LeafRef{{IAgent: "iagent-1", Node: "node-0"}, {IAgent: "iagent-2", Node: "node-1"}},
+			Owner: []uint32{1, 0, 1}},
 	}
 }
 
@@ -139,12 +142,21 @@ func TestBatchLenRejectsOversizedCount(t *testing.T) {
 	body := wire.AppendUvarint(nil, 1<<30)
 	for _, target := range []wire.Unmarshaler{
 		&LocateBatchReq{}, &LocateBatchResp{}, &UpdateBatchReq{}, &UpdateBatchResp{},
-		&DiscoverReq{},
+		&DiscoverReq{}, &WhoisBatchReq{},
 	} {
 		d := wire.NewDec(body)
 		if err := target.DecodeWire(d); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%T: err = %v, want ErrCorrupt", target, err)
 		}
+	}
+	// So must the leaf's read of a batch off the frame.
+	if _, err := locateBatchReqAgents(append(wire.AppendMsgHeader(nil, wire.MsgVersion), body...)); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("frame-served batch: err = %v, want ErrCorrupt", err)
+	}
+	// A whois-batch answer naming a leaf it does not list is refused.
+	resp := WhoisBatchResp{HashVersion: 1, Leaves: []LeafRef{{IAgent: "iagent-1", Node: "node-0"}}, Owner: []uint32{1}}
+	if err := new(WhoisBatchResp).DecodeWire(wire.NewDec(resp.AppendWire(nil))); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("owner past the leaf list: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -262,6 +274,8 @@ func FuzzHotMsgDecode(f *testing.F) {
 		func() wire.Unmarshaler { return &WhoisResp{} },
 		func() wire.Unmarshaler { return &RefreshReq{} },
 		func() wire.Unmarshaler { return &RefreshResp{} },
+		func() wire.Unmarshaler { return &WhoisBatchReq{} },
+		func() wire.Unmarshaler { return &WhoisBatchResp{} },
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		target := factories[int(which)%len(factories)]()
@@ -318,6 +332,39 @@ func FuzzCheckpointReqDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(req, again) {
 			t.Fatalf("not stable under re-encoding: %+v vs %+v", req, again)
+		}
+	})
+}
+
+// FuzzLocateBatchFrame holds the leaf's read of a batch off the frame to the
+// decoder it replaced: over any body, locateBatchReqAgents and
+// transport.Decode into a LocateBatchReq accept the same payloads and yield
+// the same ids, and a refusal is a typed wire error.
+func FuzzLocateBatchFrame(f *testing.F) {
+	f.Add(LocateBatchReq{Agents: []ids.AgentID{"a-0000001", "a-0000002", "a-0000003"}}.AppendWire(nil))
+	f.Add(LocateBatchReq{}.AppendWire(nil))
+	f.Add(wire.AppendUvarint(nil, 1<<30)) // a count the bytes cannot hold
+	f.Fuzz(func(t *testing.T, body []byte) {
+		payload := append(wire.AppendMsgHeader(nil, wire.MsgVersion), body...)
+		views, err := locateBatchReqAgents(payload)
+		var ref LocateBatchReq
+		refErr := transport.Decode(payload, &ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("frame read err %v, decoder err %v", err, refErr)
+		}
+		if err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			return
+		}
+		if len(views) != len(ref.Agents) {
+			t.Fatalf("frame read %d ids, decoder %d", len(views), len(ref.Agents))
+		}
+		for i, v := range views {
+			if string(v) != string(ref.Agents[i]) {
+				t.Fatalf("id %d: frame read %q, decoder %q", i, v, ref.Agents[i])
+			}
 		}
 	})
 }
