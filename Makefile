@@ -3,7 +3,7 @@ GOLANGCI ?= golangci-lint
 # Fuzz budget per target for `make fuzz`.
 FUZZTIME ?= 30s
 
-.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz chaos ci clean
+.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz chaos ci clean loc
 
 all: build
 
@@ -77,6 +77,13 @@ chaos:
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
 
 ci: build fmt-check tidy-check vet lint short race benchmark-check
+
+# Non-test Go lines per package directory, then the total — the counts a
+# simplicity claim quotes. PKG=internal/core lists that directory per file.
+loc:
+	@find $(or $(PKG),.) $(if $(PKG),-maxdepth 1) -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { k = $$2; if ("$(PKG)" == "") sub(/\/[^\/]*$$/, "", k); n[k] += $$1; t += $$1 } \
+		END { for (k in n) printf "%7d %s\n", n[k], k | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 clean:
 	$(GO) clean ./...

@@ -27,7 +27,6 @@ import (
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
-	"agentloc/internal/stats"
 	"agentloc/internal/transport"
 	"agentloc/internal/workload"
 )
@@ -481,14 +480,17 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 }
 
 // BenchmarkAblationLoadStats quantifies the paper's §4.1 statistics
-// granularity trade-off: exact per-agent counts against prefix-grouped
-// counts. Reported metrics: the gob-encoded split-request size each
-// granularity ships to the HAgent, and the true load deviation of the
-// split the HAgent picks from it (lower is better for both).
+// granularity trade-off: exact per-agent counts against the per-bit vector a
+// leaf sends (the load of the agents with id bit i set, for each of the 64
+// bits, plus the total). Reported metrics: the gob-encoded split-request size
+// each form ships to the HAgent, and the true load deviation of the split the
+// HAgent picks from it (lower is better for both). The vector answers every
+// candidate exactly, so the deviation is the same for both forms.
 func BenchmarkAblationLoadStats(b *testing.B) {
 	// A 500-agent population with skewed loads.
 	r := rand.New(rand.NewSource(13))
 	perAgent := make(map[ids.AgentID]uint64, 500)
+	vector := core.RequestSplitReq{IAgent: "A", HashVersion: 1, Rate: 999}
 	gen := ids.NewGenerator("abl")
 	var total float64
 	for i := 0; i < 500; i++ {
@@ -499,6 +501,13 @@ func BenchmarkAblationLoadStats(b *testing.B) {
 		}
 		perAgent[id] = load
 		total += float64(load)
+		h := id.Hash64()
+		for bit := range vector.BitLoad {
+			if h>>(63-bit)&1 == 1 {
+				vector.BitLoad[bit] += load
+			}
+		}
+		vector.Total += load
 	}
 	tree := hashtree.New("A")
 	cands, err := tree.SplitCandidates("A", 8)
@@ -521,22 +530,19 @@ func BenchmarkAblationLoadStats(b *testing.B) {
 
 	for _, mode := range []struct {
 		name string
-		bits int
-	}{{"exact", 0}, {"grouped-4bit", 4}, {"grouped-8bit", 8}} {
+		req  core.RequestSplitReq
+	}{
+		{"exact-map", core.RequestSplitReq{IAgent: "A", HashVersion: 1, Rate: 999, PerAgent: perAgent}},
+		{"bit-vector", vector},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
-			req := core.RequestSplitReq{IAgent: "A", HashVersion: 1, Rate: 999}
-			if mode.bits > 0 {
-				req.PerGroup = stats.GroupLoads(perAgent, mode.bits)
-			} else {
-				req.PerAgent = perAgent
-			}
-			payload, err := transport.Encode(req)
+			payload, err := transport.Encode(mode.req)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var dev float64
 			for i := 0; i < b.N; i++ {
-				c, ok := core.ChooseSplitForTest(cands, req, 0.15)
+				c, ok := core.ChooseSplitForTest(cands, mode.req, 0.15)
 				if !ok {
 					b.Fatal("no candidate chosen")
 				}

@@ -35,19 +35,6 @@ type Config struct {
 	// from collapsing before load reaches them.
 	MergeGrace time.Duration
 
-	// Evenness is the acceptable deviation from a perfect 50/50 load
-	// split when the HAgent evaluates split candidates (paper §4.1's
-	// "even split"). 0.15 accepts splits between 35/65 and 65/35.
-	Evenness float64
-	// MaxSimpleBits bounds the m of simple splits; if no candidate is
-	// even within the bound, the best candidate seen is used.
-	MaxSimpleBits int
-	// LoadStatsPrefixBits selects the granularity of the load statistics
-	// IAgents report when requesting a split (paper §4.1): 0 sends exact
-	// per-agent counts; k > 0 groups agents by the first k bits of their
-	// binary id, shrinking the report to at most 2^k entries.
-	LoadStatsPrefixBits int
-
 	// IAgentServiceTime is the simulated per-request processing cost of
 	// IAgents (and of the centralized baseline agent — both are "the same
 	// agent" per paper §5). It is what makes an overloaded agent slow.
@@ -138,8 +125,6 @@ func DefaultConfig() Config {
 		RateWindow:        time.Second,
 		CheckInterval:     200 * time.Millisecond,
 		MergeGrace:        2 * time.Second,
-		Evenness:          0.15,
-		MaxSimpleBits:     8,
 		IAgentServiceTime: time.Millisecond,
 		CallTimeout:       10 * time.Second,
 		RetryBackoffBase:  5 * time.Millisecond,
@@ -164,10 +149,6 @@ func (c Config) Validate() error {
 		return errors.New("core: config: RateWindow must be positive")
 	case c.CheckInterval <= 0:
 		return errors.New("core: config: CheckInterval must be positive")
-	case c.Evenness < 0 || c.Evenness >= 0.5:
-		return errors.New("core: config: Evenness must be in [0, 0.5)")
-	case c.MaxSimpleBits < 1:
-		return errors.New("core: config: MaxSimpleBits must be ≥ 1")
 	case c.CallTimeout <= 0:
 		return errors.New("core: config: CallTimeout must be positive")
 	case c.RetryBackoffBase < 0:

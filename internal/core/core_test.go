@@ -427,8 +427,6 @@ func TestConfigValidate(t *testing.T) {
 		{"tmin above tmax", func(c *Config) { c.TMin = c.TMax + 1 }},
 		{"zero window", func(c *Config) { c.RateWindow = 0 }},
 		{"zero interval", func(c *Config) { c.CheckInterval = 0 }},
-		{"evenness too big", func(c *Config) { c.Evenness = 0.5 }},
-		{"zero simple bits", func(c *Config) { c.MaxSimpleBits = 0 }},
 		{"zero timeout", func(c *Config) { c.CallTimeout = 0 }},
 	}
 	for _, tt := range tests {
@@ -625,80 +623,3 @@ func TestStatusString(t *testing.T) {
 
 // bitsMust is shorthand for bitstr.MustParse.
 func bitsMust(s string) bitstr.Bits { return bitstr.MustParse(s) }
-
-func TestChooseSplitWithGroupedStats(t *testing.T) {
-	tree := hashtree.New("A")
-	cands, err := tree.SplitCandidates("A", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Balanced 1-bit groups: the first simple split (bit 0) is even.
-	groups := map[string]uint64{"0": 50, "1": 50}
-	c, ok := chooseSplit(cands, splitEvaluator(RequestSplitReq{PerGroup: groups}), 0.15)
-	if !ok || c.BitPos != 0 {
-		t.Errorf("grouped chooseSplit = %v/%v, want bit 0", c, ok)
-	}
-	// Skewed on bit 0: beyond-prefix bits estimate 50/50, so bit 1 wins.
-	groups = map[string]uint64{"0": 95, "1": 5}
-	c, ok = chooseSplit(cands, splitEvaluator(RequestSplitReq{PerGroup: groups}), 0.15)
-	if !ok || c.BitPos != 1 {
-		t.Errorf("skewed grouped chooseSplit = %v/%v, want bit 1", c, ok)
-	}
-}
-
-func TestSplitUnderLoadWithGroupedStats(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TMax = 30
-	cfg.TMin = 0
-	cfg.CheckInterval = 30 * time.Millisecond
-	cfg.RateWindow = 300 * time.Millisecond
-	cfg.IAgentServiceTime = 0
-	cfg.LoadStatsPrefixBits = 4 // grouped statistics end to end
-	c := newTestCluster(t, cfg, 3)
-	ctx := testCtx(t)
-
-	homes := registerMany(t, c, ctx, 32)
-	stopLoad := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			client := c.service.ClientFor(c.nodes[w%len(c.nodes)])
-			r := rand.New(rand.NewSource(int64(w)))
-			for {
-				select {
-				case <-stopLoad:
-					return
-				default:
-				}
-				_, _ = client.Locate(ctx, ids.AgentID(fmt.Sprintf("load-agent-%d", r.Intn(32))))
-			}
-		}(w)
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	split := false
-	for time.Now().Before(deadline) {
-		stats, err := c.service.Stats(ctx)
-		if err == nil && stats.Splits >= 1 {
-			split = true
-			break
-		}
-		time.Sleep(30 * time.Millisecond)
-	}
-	close(stopLoad)
-	wg.Wait()
-	if !split {
-		t.Fatal("no split with grouped statistics")
-	}
-	querier := c.service.ClientFor(c.nodes[2])
-	for agent, home := range homes {
-		got, err := querier.Locate(ctx, agent)
-		if err != nil {
-			t.Fatalf("locate %s: %v", agent, err)
-		}
-		if got != home {
-			t.Errorf("locate %s = %s, want %s", agent, got, home)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -98,8 +99,6 @@ type PushedReq struct {
 type HeartbeatReq struct {
 	IAgent      ids.AgentID
 	HashVersion uint64
-	// TableEntries sizes the sender's location table, informational.
-	TableEntries int
 }
 
 // CheckpointReq carries a location-table delta (or full snapshot) from an
@@ -556,7 +555,7 @@ func (b *HAgentBehavior) standbySweep(ctx *platform.Context) {
 // is a rehash that left the leaf alone — nobody pushes it that state — and is
 // pulled at once.
 func (b *IAgentBehavior) sendHeartbeat(ctx *platform.Context) {
-	req := HeartbeatReq{IAgent: ctx.Self(), HashVersion: b.state.Load().Version(), TableEntries: b.Table.Len()}
+	req := HeartbeatReq{IAgent: ctx.Self(), HashVersion: b.state.Load().Version()}
 	for _, src := range b.Cfg.hagentSources() {
 		var ack Ack
 		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
@@ -644,29 +643,19 @@ func checkpointBuddy(st *State, self ids.AgentID) ids.AgentID {
 func (b *IAgentBehavior) armFullCheckpoint() {
 	b.ckFull = true
 	b.ckDirty = make(map[ids.AgentID]bool)
-	b.ckRemoved = make(map[ids.AgentID]bool)
 }
 
-// noteDirty records that the agent's table entry was written since the last
-// checkpoint push — but only while a delta could carry it: with the subsystem
-// off nothing ever drains the set, and while a full push is owed it carries
-// every entry. Callers write the table first and take mu second, and a full
-// push clears ckFull (under mu) before it reads the first stripe, so a write
-// it missed finds ckFull cleared and is noted for the first delta; the dirty
-// set is therefore bounded by the writes of one checkpoint interval. Caller
-// holds mu.
+// noteDirty records that the agent's table entry was written or deleted since
+// the last checkpoint push — but only while a delta could carry it: with the
+// subsystem off nothing ever drains the set, and while a full push is owed it
+// carries every entry. Callers write the table first and take mu second, and
+// a full push clears ckFull (under mu) before it reads the first stripe, so a
+// write it missed finds ckFull cleared and is noted for the first delta; the
+// dirty set is therefore bounded by the writes of one checkpoint interval.
+// Caller holds mu.
 func (b *IAgentBehavior) noteDirty(agent ids.AgentID) {
 	if b.deltaOpen() {
 		b.ckDirty[agent] = true
-		delete(b.ckRemoved, agent)
-	}
-}
-
-// noteRemoved is noteDirty for a deleted entry. Caller holds mu.
-func (b *IAgentBehavior) noteRemoved(agent ids.AgentID) {
-	if b.deltaOpen() {
-		b.ckRemoved[agent] = true
-		delete(b.ckDirty, agent)
 	}
 }
 
@@ -682,7 +671,7 @@ func (b *IAgentBehavior) checkpointLag() int64 {
 	if b.ckFull {
 		return int64(b.Table.Len())
 	}
-	return int64(len(b.ckDirty) + len(b.ckRemoved))
+	return int64(len(b.ckDirty))
 }
 
 // ckChunkEntries bounds the entries of one chunk of a full push.
@@ -694,8 +683,8 @@ const ckChunkEntries = 8192
 // Full and empties the buddy's copy, the rest are deltas with consecutive Seq
 // that refill it, each of at most ckChunkEntries entries; what the buddy
 // holds part-way through is a partial but current copy. A delta that is lost,
-// or refused because the two leaves are a hash version apart, is merged back
-// under what has changed since and waits for the next round.
+// or refused because the two leaves are a hash version apart, puts its agents
+// back in the touched set and waits for the next round.
 func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	st := b.state.Load()
 	b.mu.Lock()
@@ -710,16 +699,15 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 		b.ckBuddy = buddy
 		b.armFullCheckpoint()
 	}
-	if !b.ckFull && len(b.ckDirty) == 0 && len(b.ckRemoved) == 0 {
+	if !b.ckFull && len(b.ckDirty) == 0 {
 		b.metCkLag.Set(0)
 		b.mu.Unlock()
 		return
 	}
 	// Cleared before the table is read; a failed push puts back what it took.
-	full, dirty, removed := b.ckFull, b.ckDirty, b.ckRemoved
+	full, dirty := b.ckFull, b.ckDirty
 	b.ckFull = false
 	b.ckDirty = make(map[ids.AgentID]bool)
-	b.ckRemoved = make(map[ids.AgentID]bool)
 	b.mu.Unlock()
 
 	sent := b.metCkSentDelta
@@ -762,17 +750,15 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	if full {
 		status, err = b.streamTable(send)
 	} else {
-		req := CheckpointReq{
-			Entries: make(map[ids.AgentID]platform.NodeID, len(dirty)),
-			Removed: make([]ids.AgentID, 0, len(removed)),
-		}
+		// The table says which way each touched agent went: present ones
+		// ship their entry, absent ones were deleted.
+		req := CheckpointReq{Entries: make(map[ids.AgentID]platform.NodeID, len(dirty))}
 		for a := range dirty {
 			if n, ok := b.Table.Get(a); ok {
 				req.Entries[a] = n
+			} else {
+				req.Removed = append(req.Removed, a)
 			}
-		}
-		for a := range removed {
-			req.Removed = append(req.Removed, a)
 		}
 		status, err = send(&req)
 	}
@@ -785,16 +771,7 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 		// to a buddy that holds no base for the delta.
 		b.armFullCheckpoint()
 	case b.deltaOpen():
-		for a := range dirty {
-			if _, ok := b.Table.Get(a); ok && !b.ckRemoved[a] {
-				b.ckDirty[a] = true
-			}
-		}
-		for a := range removed {
-			if !b.ckDirty[a] {
-				b.ckRemoved[a] = true
-			}
-		}
+		maps.Copy(b.ckDirty, dirty)
 	}
 	b.metCkLag.Set(b.checkpointLag())
 	b.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"agentloc/internal/ids"
 	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
-	"agentloc/internal/stats"
 	"agentloc/internal/transport"
 )
 
@@ -264,6 +264,15 @@ func (b *HAgentBehavior) updateTreeGauges() {
 	b.reg.Gauge("agentloc_core_hash_version").Set(int64(b.state.Version()))
 }
 
+// Split-candidate policy (paper §4.1). A candidate is even when its load
+// split deviates from 50/50 by at most splitEvenness — 0.15 accepts splits
+// between 35/65 and 65/35; simple splits are tried up to m = maxSimpleBits,
+// and if none is even the best candidate seen is used.
+const (
+	splitEvenness = 0.15
+	maxSimpleBits = 8
+)
+
 // split serves an overloaded IAgent's split request (paper §4.1): pick the
 // candidate that divides the reported load most evenly — complex splits
 // first, then simple splits with growing m — create the new IAgent, install
@@ -272,11 +281,11 @@ func (b *HAgentBehavior) split(ctx *platform.Context, req RequestSplitReq) (Reha
 	if req.HashVersion < b.state.Version() || !b.state.Tree.Contains(string(req.IAgent)) {
 		return RehashResp{Status: StatusIgnored, HashVersion: b.state.Version()}, nil
 	}
-	cands, err := b.state.Tree.SplitCandidates(string(req.IAgent), b.Cfg.MaxSimpleBits)
+	cands, err := b.state.Tree.SplitCandidates(string(req.IAgent), maxSimpleBits)
 	if err != nil {
 		return RehashResp{}, fmt.Errorf("HAgent: split %s: %w", req.IAgent, err)
 	}
-	cand, ok := chooseSplit(cands, splitEvaluator(req), b.Cfg.Evenness)
+	cand, ok := chooseSplit(cands, splitEvaluator(req), splitEvenness)
 	if !ok {
 		return RehashResp{Status: StatusIgnored, HashVersion: b.state.Version()}, nil
 	}
@@ -411,36 +420,31 @@ func (b *HAgentBehavior) nextPlacement() platform.NodeID {
 // statistics were reported at all.
 type loadEvaluator func(bitPos int, newOnBit byte) (frac float64, hasLoad bool)
 
-// splitEvaluator builds the evaluator for a split request from whichever
-// statistics granularity the IAgent reported (paper §4.1's heuristics).
+// splitEvaluator builds the evaluator for a split request from its per-bit
+// load vector (paper §4.1), folding any PerAgent counts into it first.
 func splitEvaluator(req RequestSplitReq) loadEvaluator {
-	if len(req.PerGroup) > 0 {
-		var total uint64
-		for _, n := range req.PerGroup {
-			total += n
-		}
-		return func(bitPos int, newOnBit byte) (float64, bool) {
-			if total == 0 {
-				return 0.5, false
-			}
-			return stats.GroupSplitFraction(req.PerGroup, bitPos, newOnBit), true
-		}
-	}
-	var total uint64
-	for _, n := range req.PerAgent {
+	ones, total := req.BitLoad, req.Total
+	for agent, n := range req.PerAgent {
+		addBitLoad(&ones, agent.Hash64(), n)
 		total += n
 	}
 	return func(bitPos int, newOnBit byte) (float64, bool) {
 		if total == 0 {
 			return 0.5, false
 		}
-		var moved uint64
-		for agent, n := range req.PerAgent {
-			if agent.Binary().At(bitPos) == newOnBit {
-				moved += n
-			}
+		moved := ones[bitPos]
+		if newOnBit == 0 {
+			moved = total - moved
 		}
 		return float64(moved) / float64(total), true
+	}
+}
+
+// addBitLoad charges load to every set bit of an id hash, bit i of
+// ones counting the hash's i-th bit from the top.
+func addBitLoad(ones *[64]uint64, hash, load uint64) {
+	for h := hash; h != 0; h &= h - 1 {
+		ones[63-bits.TrailingZeros64(h)] += load
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"agentloc/internal/bitstr"
 	"agentloc/internal/capindex"
 	"agentloc/internal/ids"
 	"agentloc/internal/loctable"
@@ -75,14 +74,14 @@ type IAgentBehavior struct {
 	est *stats.RateEstimator
 
 	// Checkpoint bookkeeping (guarded by mu; ckSeq is pushCheckpoint's alone):
-	// which table entries changed since the last push to the sibling leaf, and
-	// whether the next push must be a full one (see armFullCheckpoint).
-	// Changes are only noted while a delta could carry them — see noteDirty.
-	ckDirty   map[ids.AgentID]bool
-	ckRemoved map[ids.AgentID]bool
-	ckSeq     uint64
-	ckFull    bool
-	ckBuddy   ids.AgentID
+	// the agents whose table entry was written or deleted since the last push
+	// to the sibling leaf, and whether the next push must be a full one (see
+	// armFullCheckpoint). Changes are only noted while a delta could carry
+	// them — see noteDirty.
+	ckDirty map[ids.AgentID]bool
+	ckSeq   uint64
+	ckFull  bool
+	ckBuddy ids.AgentID
 
 	// Metric handles, rebuilt with the runtime at each hosting node. All
 	// are nil-safe no-ops when the node has no registry.
@@ -451,7 +450,7 @@ func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (A
 		b.persistCapDelta(ctx, agent, nil)
 	}
 	b.mu.Lock()
-	b.noteRemoved(agent)
+	b.noteDirty(agent)
 	b.mu.Unlock()
 	b.metTable.Set(int64(b.Table.Len()))
 	return Ack{Status: StatusOK, HashVersion: version}, nil
@@ -686,36 +685,19 @@ func (b *IAgentBehavior) handoff(ctx *platform.Context, req HandoffReq) (Ack, er
 	return Ack{Status: StatusOK, HashVersion: b.state.Load().Version()}, nil
 }
 
-// loadReport reads a split request's statistics off the table in one pass,
-// at the granularity of paper §4.1: exact per-agent counts, or — with
-// prefixBits > 0 — counts per id-prefix group, keyed as stats.GroupLoads
-// keys them and taken from the leading bits of the slot's hash, so no id is
-// hashed or rendered again. Agents nothing has been charged to are left out,
-// as they would be from an account that only ever saw requests.
-func loadReport(table *loctable.Table, prefixBits int) (perAgent map[ids.AgentID]uint64, perGroup map[string]uint64) {
-	if prefixBits <= 0 {
-		perAgent = make(map[ids.AgentID]uint64, table.Len())
-		table.RangeSlots(func(s loctable.Slot) bool {
-			if s.Load > 0 {
-				perAgent[s.Agent] = uint64(s.Load)
-			}
-			return true
-		})
-		return perAgent, nil
-	}
-	prefixBits = min(prefixBits, ids.BinaryWidth)
-	groups := make(map[uint64]uint64)
+// loadReport reads a split request's statistics off the table in one pass:
+// each charged slot's load goes to the total and to the BitLoad word of every
+// set bit of the slot's hash, so no id is hashed or rendered again and the
+// report has the same size at any population.
+func loadReport(table *loctable.Table) (bitLoad [64]uint64, total uint64) {
 	table.RangeSlots(func(s loctable.Slot) bool {
 		if s.Load > 0 {
-			groups[s.Hash>>(ids.BinaryWidth-prefixBits)] += uint64(s.Load)
+			addBitLoad(&bitLoad, s.Hash, uint64(s.Load))
+			total += uint64(s.Load)
 		}
 		return true
 	})
-	perGroup = make(map[string]uint64, len(groups))
-	for prefix, load := range groups {
-		perGroup[bitstr.FromUint64(prefix, prefixBits).Raw()] = load
-	}
-	return nil, perGroup
+	return bitLoad, total
 }
 
 // callWithRetry retries transient call failures a few times; handoffs must
@@ -792,7 +774,7 @@ func (b *IAgentBehavior) Run(ctx *platform.Context) error {
 				HashVersion: version,
 				Rate:        rate,
 			}
-			req.PerAgent, req.PerGroup = loadReport(b.Table, b.Cfg.LoadStatsPrefixBits)
+			req.BitLoad, req.Total = loadReport(b.Table)
 			// A failed or declined request is retried naturally at the
 			// next tick; the rate condition persists while overloaded.
 			b.requestRehash(ctx, KindRequestSplit, req)

@@ -18,7 +18,6 @@ import (
 	"agentloc/internal/loctable"
 	"agentloc/internal/platform"
 	"agentloc/internal/raceflag"
-	"agentloc/internal/stats"
 	"agentloc/internal/transport"
 	"agentloc/internal/wire"
 )
@@ -325,8 +324,8 @@ func TestCheckpointDirtySetOffWhenFailoverOff(t *testing.T) {
 	agents := ownedIDs(t, leaf, "a", 10_000)
 	update(t, leaf, ctx, agents, "node-1")
 	serve(t, leaf, ctx, KindDeregister, DeregisterReq{Agent: agents[0]})
-	if len(leaf.ckDirty) != 0 || len(leaf.ckRemoved) != 0 {
-		t.Errorf("failover off, yet %d dirty and %d removed entries are kept", len(leaf.ckDirty), len(leaf.ckRemoved))
+	if len(leaf.ckDirty) != 0 {
+		t.Errorf("failover off, yet %d touched entries are kept", len(leaf.ckDirty))
 	}
 }
 
@@ -361,21 +360,20 @@ func TestCheckpointDeltaCarriesWhatFollowedTheSnapshot(t *testing.T) {
 	update(t, leaf, ctx, agents[95:110], "node-2") // 5 moves, 10 arrivals
 	serve(t, leaf, ctx, KindDeregister, DeregisterReq{Agent: agents[0]})
 	serve(t, leaf, ctx, KindDeregister, DeregisterReq{Agent: agents[109]})
-	wantDirty := make(map[ids.AgentID]bool)
-	for _, a := range agents[95:109] {
-		wantDirty[a] = true
+	want := map[ids.AgentID]bool{agents[0]: true} // updated ∪ removed
+	for _, a := range agents[95:110] {
+		want[a] = true
 	}
-	wantRemoved := map[ids.AgentID]bool{agents[0]: true, agents[109]: true}
-	if !reflect.DeepEqual(leaf.ckDirty, wantDirty) || !reflect.DeepEqual(leaf.ckRemoved, wantRemoved) {
-		t.Fatalf("delta holds dirty %v removed %v;\nwant %v and %v", leaf.ckDirty, leaf.ckRemoved, wantDirty, wantRemoved)
+	if !reflect.DeepEqual(leaf.ckDirty, want) {
+		t.Fatalf("delta holds %v;\nwant %v", leaf.ckDirty, want)
 	}
 	leaf.pushCheckpoint(ctx)
 	held := heldCopy(buddy)
 	if held.Seq != 2 || !reflect.DeepEqual(held.Entries, leaf.Table.Snapshot()) {
 		t.Errorf("after the delta the buddy holds seq %d and %d entries, the table %d", held.Seq, len(held.Entries), leaf.Table.Len())
 	}
-	if len(leaf.ckDirty)+len(leaf.ckRemoved) != 0 {
-		t.Errorf("a delivered delta left %d dirty, %d removed", len(leaf.ckDirty), len(leaf.ckRemoved))
+	if len(leaf.ckDirty) != 0 {
+		t.Errorf("a delivered delta left %d touched entries", len(leaf.ckDirty))
 	}
 
 	// A rehash re-arms the full push and drops the delta it supersedes.
@@ -417,51 +415,173 @@ func TestCheckpointUpdateRacingTheSnapshot(t *testing.T) {
 	}
 }
 
-// TestLoadReportMatchesMapBuiltReport: the split statistics ranged off the
-// table are the ones the per-agent map and stats.GroupLoads used to give, to
-// the last bit of every candidate's fraction, so chooseSplit picks as before.
+// TestCheckpointDeltasDroppedAtRandom: a delta the buddy refuses puts its
+// agents back in the touched set, so after deltas are dropped at random
+// through moves, arrivals and deregisters, one push that lands brings the
+// buddy's copy level with the table.
+func TestCheckpointDeltasDroppedAtRandom(t *testing.T) {
+	leaf, buddy, ctx := bareLeaf(t, failoverConfig(), true)
+	agents := ownedIDs(t, leaf, "a", 400)
+	update(t, leaf, ctx, agents[:200], "node-1")
+	leaf.pushCheckpoint(ctx) // the full push
+	// refuse makes the buddy a hash version ahead, so it turns deltas away.
+	refuse := func(by uint64) {
+		buddy.mu.Lock()
+		st := *buddy.state.Load()
+		st.Ver += by
+		buddy.state.Store(&st)
+		buddy.mu.Unlock()
+	}
+	rng := rand.New(rand.NewSource(5))
+	dropped := 0
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 10; i++ {
+			a := agents[rng.Intn(len(agents))]
+			if rng.Intn(4) == 0 {
+				serve(t, leaf, ctx, KindDeregister, DeregisterReq{Agent: a})
+			} else {
+				update(t, leaf, ctx, []ids.AgentID{a}, platform.NodeID(fmt.Sprintf("node-%d", rng.Intn(3))))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			refuse(1)
+			leaf.pushCheckpoint(ctx)
+			refuse(^uint64(0)) // and back
+			dropped++
+			continue
+		}
+		leaf.pushCheckpoint(ctx)
+	}
+	if dropped == 0 {
+		t.Fatal("no delta was dropped")
+	}
+	leaf.pushCheckpoint(ctx)
+	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.Table.Snapshot()) {
+		t.Errorf("after %d dropped deltas the buddy holds %d entries, the table %d", dropped, len(held.Entries), leaf.Table.Len())
+	}
+}
+
+// mapSplitEvaluator is the reference a split report must match: from a
+// per-agent map, the load of the agents whose rendered binary id has newOnBit
+// at bitPos, over the total.
+func mapSplitEvaluator(perAgent map[ids.AgentID]uint64) loadEvaluator {
+	var total uint64
+	for _, n := range perAgent {
+		total += n
+	}
+	return func(bitPos int, newOnBit byte) (float64, bool) {
+		if total == 0 {
+			return 0.5, false
+		}
+		var moved uint64
+		for agent, n := range perAgent {
+			if agent.Binary().At(bitPos) == newOnBit {
+				moved += n
+			}
+		}
+		return float64(moved) / float64(total), true
+	}
+}
+
+// TestLoadReportMatchesMapBuiltReport: the per-bit report ranged off a leaf's
+// table — and a PerAgent map folded into one — gives every split candidate the
+// fraction the per-agent map gave, to the last bit, so chooseSplit picks the
+// same candidate. The leaves come from trees grown by random split/merge
+// histories, so multi-bit labels and complex-split candidates are among them.
 func TestLoadReportMatchesMapBuiltReport(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	table := loctable.New()
-	account := make(map[ids.AgentID]uint64) // the map a per-agent account would hold
-	for i := 0; i < 4096; i++ {
-		id := ids.AgentID(fmt.Sprintf("skew-%d", i))
+	type agentLoad struct {
+		id   ids.AgentID
+		load uint64
+	}
+	pop := make([]agentLoad, 4096)
+	for i := range pop {
 		load := uint64(rng.Intn(4)) // a quarter of the agents drew nothing
 		if i%64 == 0 {
 			load = uint64(1000 + rng.Intn(100_000)) // and a few are hot
 		}
-		table.PutHashed(id, id.Hash64(), "node-0", load)
-		if load > 0 {
-			account[id] = load
+		pop[i] = agentLoad{ids.AgentID(fmt.Sprintf("skew-%d", i)), load}
+	}
+
+	tree := hashtree.New("L0")
+	complexCands := 0
+	for step := 0; step < 80; step++ {
+		leaves := tree.IAgents()
+		leaf := leaves[rng.Intn(len(leaves))]
+
+		table := loctable.New()
+		account := make(map[ids.AgentID]uint64) // the map a leaf used to send
+		for _, a := range pop {
+			if owner, err := tree.LookupHash(a.id.Hash64()); err != nil || owner != leaf {
+				continue
+			}
+			table.PutHashed(a.id, a.id.Hash64(), "node-0", a.load)
+			if a.load > 0 {
+				account[a.id] = a.load
+			}
+		}
+		var vec RequestSplitReq
+		vec.BitLoad, vec.Total = loadReport(table)
+		cands, err := tree.SplitCandidates(leaf, maxSimpleBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := mapSplitEvaluator(account)
+		for name, eval := range map[string]loadEvaluator{
+			"ranged vector":   splitEvaluator(vec),
+			"folded PerAgent": splitEvaluator(RequestSplitReq{PerAgent: account}),
+		} {
+			for _, c := range cands {
+				rf, rok := ref(c.BitPos, c.NewOnBit)
+				f, ok := eval(c.BitPos, c.NewOnBit)
+				if rf != f || rok != ok {
+					t.Errorf("step %d, %s, candidate %v: fraction %v,%v from the map, %v,%v from the %s", step, leaf, c, rf, rok, f, ok, name)
+				}
+			}
+			rc, rok := chooseSplit(cands, ref, splitEvenness)
+			c, ok := chooseSplit(cands, eval, splitEvenness)
+			if !reflect.DeepEqual(rc, c) || rok != ok {
+				t.Errorf("step %d, %s: chose %v from the map, %v from the %s", step, leaf, rc, c, name)
+			}
+		}
+		for _, c := range cands {
+			if c.Kind == hashtree.SplitComplex {
+				complexCands++
+			}
+		}
+
+		if len(leaves) > 1 && rng.Intn(3) == 0 {
+			if tree, _, err = tree.Merge(leaf); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if tree, err = tree.ApplySplit(cands[rng.Intn(len(cands))], fmt.Sprintf("L%d", step+1)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	cands, err := hashtree.New("A").SplitCandidates("A", 8)
+	if complexCands == 0 {
+		t.Error("no complex-split candidate was compared")
+	}
+}
+
+// TestSplitReportIsFixedSize: the split request of a leaf holding 2^18 loaded
+// agents is 64 counters and a total — under 1 KiB on the wire.
+func TestSplitReportIsFixedSize(t *testing.T) {
+	table := loctable.New()
+	for i := 0; i < 1<<18; i++ {
+		id := ids.AgentID(fmt.Sprintf("a-%07d", i))
+		table.PutHashed(id, id.Hash64(), "node-0", uint64(1+i%7))
+	}
+	req := RequestSplitReq{IAgent: "iagent-1", HashVersion: 1, Rate: 1e6}
+	req.BitLoad, req.Total = loadReport(table)
+	payload, err := transport.Encode(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bits := range []int{0, 1, 4, 8, 64, 70} {
-		old := RequestSplitReq{PerAgent: account}
-		if bits > 0 {
-			old = RequestSplitReq{PerGroup: stats.GroupLoads(account, bits)}
-		}
-		var ranged RequestSplitReq
-		ranged.PerAgent, ranged.PerGroup = loadReport(table, bits)
-		if !reflect.DeepEqual(old, ranged) {
-			t.Fatalf("bits %d: the ranged report differs from the map-built one", bits)
-		}
-		oldEval, newEval := splitEvaluator(old), splitEvaluator(ranged)
-		for _, c := range cands {
-			of, ook := oldEval(c.BitPos, c.NewOnBit)
-			nf, nok := newEval(c.BitPos, c.NewOnBit)
-			if of != nf || ook != nok {
-				t.Errorf("bits %d, candidate %v: fraction %v,%v from the map, %v,%v from the range", bits, c, of, ook, nf, nok)
-			}
-		}
-		oc, _ := chooseSplit(cands, oldEval, 0.15)
-		nc, _ := chooseSplit(cands, newEval, 0.15)
-		if !reflect.DeepEqual(oc, nc) {
-			t.Errorf("bits %d: chose %v from the map, %v from the range", bits, oc, nc)
-		}
+	t.Logf("split request for %d agents: %d B", table.Len(), len(payload))
+	if len(payload) > 1024 {
+		t.Errorf("split request is %d B, budget 1 KiB", len(payload))
 	}
 }
 
@@ -485,8 +605,17 @@ func TestRelocatedIAgentKeepsLoads(t *testing.T) {
 	if err := gob.NewDecoder(&moved).Decode(&arrived); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := loadReport(leaf.Table, 0)
-	after, _ := loadReport(arrived.Table, 0)
+	loads := func(table *loctable.Table) map[ids.AgentID]uint32 {
+		m := make(map[ids.AgentID]uint32)
+		table.RangeSlots(func(s loctable.Slot) bool {
+			if s.Load > 0 {
+				m[s.Agent] = s.Load
+			}
+			return true
+		})
+		return m
+	}
+	before, after := loads(leaf.Table), loads(arrived.Table)
 	if len(before) != len(agents) || !reflect.DeepEqual(before, after) {
 		t.Errorf("%d agents' loads left, %d arrived, equal: %v", len(before), len(after), reflect.DeepEqual(before, after))
 	}

@@ -229,22 +229,26 @@ type GetHashResp struct {
 }
 
 // RequestSplitReq is sent by an overloaded IAgent (rate > Tmax). The HAgent
-// picks an even split point from the reported load statistics (paper §4.1),
-// which come at one of two granularities — "the exact number of update and
-// query requests received per agent or for groups of agents (e.g., all
-// agents with a specific prefix)":
+// picks an even split point from the reported load statistics (paper §4.1:
+// "the exact number of update and query requests received per agent or for
+// groups of agents"). Every split candidate asks one question — what share of
+// the load has id bit i equal to b — so the report is 64 groups, one per bit:
 //
-//   - PerAgent: exact per-agent accumulated request counts.
-//   - PerGroup: accumulated counts per id-prefix group (keyed by the
-//     prefix's bit string), sent instead of PerAgent when the mechanism is
-//     configured with LoadStatsPrefixBits > 0. Smaller messages, slightly
-//     coarser split decisions.
+//   - BitLoad[i] is the accumulated request count of the agents whose id bit
+//     i is 1, bits numbered MSB-first as ids.AgentID.Binary numbers them.
+//   - Total is the accumulated request count of all agents.
+//
+// The pair answers every candidate exactly, at a fixed size whatever the
+// leaf's population. PerAgent is an older, per-agent form of the same
+// statistics: leaves never fill it, and the HAgent folds it into the vector
+// on arrival.
 type RequestSplitReq struct {
 	IAgent      ids.AgentID
 	HashVersion uint64
 	Rate        float64
 	PerAgent    map[ids.AgentID]uint64
-	PerGroup    map[string]uint64
+	BitLoad     [64]uint64
+	Total       uint64
 }
 
 // RequestMergeReq is sent by an underloaded IAgent (rate < Tmin).
