@@ -10,8 +10,8 @@
 // tags per agent, with heavy tag sharing) and are mutated through the same
 // register/update/deregister/handoff paths as locations but at a much
 // lower rate. Keeping them in their own structure keeps the locate hot
-// path untouched and lets the capability state serialize as its own framed
-// snapshot section (see serialize.go) with an independent format version.
+// path untouched and lets the capability state serialize as its own frame
+// (see serialize.go) with an independent format version.
 package capindex
 
 import (
@@ -192,9 +192,9 @@ func (x *Index) Snapshot() map[ids.AgentID][]string {
 }
 
 // Adopt merges a snapshot in: every listed agent's set is replaced (an
-// explicit empty list removes it). Used on the receiving side of handoffs
-// and checkpoint promotion, where entries arrive owner-by-owner on top of
-// whatever the absorber already indexes.
+// explicit empty list removes it). Used on the receiving side of handoffs,
+// where entries arrive owner-by-owner on top of whatever the absorber
+// already indexes, and by Deserialize.
 func (x *Index) Adopt(m map[ids.AgentID][]string) {
 	x.mu.Lock()
 	for agent, caps := range m {

@@ -138,66 +138,47 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if x.Tags() != y.Tags() {
 		t.Fatalf("tag count drifted: %d vs %d", x.Tags(), y.Tags())
 	}
-
-	// A full frame applied to a dirty index replaces it wholesale.
-	z := New()
-	z.Set("phantom", []string{"stale"})
-	if err := Apply(x.Serialize(), z); err != nil {
-		t.Fatalf("Apply full: %v", err)
-	}
-	if z.CapsOf("phantom") != nil {
-		t.Fatal("full frame did not evict phantom entry")
-	}
-	if !reflect.DeepEqual(x.Snapshot(), z.Snapshot()) {
-		t.Fatal("Apply full diverged from source")
-	}
 }
 
-func TestDeltaApply(t *testing.T) {
-	x := New()
-	if err := Apply(EncodeDelta("a1", []string{"gpu", "gpu", ""}), x); err != nil {
-		t.Fatalf("Apply delta: %v", err)
+// legacyDeltaFrame hand-builds the one-agent delta frame (kind 1) that older
+// stores wrote beside their snapshots; Deserialize no longer accepts it.
+func legacyDeltaFrame(agent string, caps ...string) []byte {
+	payload := wire.AppendString(nil, agent)
+	payload = wire.AppendUvarint(payload, uint64(len(caps)))
+	for _, c := range caps {
+		payload = wire.AppendString(payload, c)
 	}
-	if got := x.CapsOf("a1"); !reflect.DeepEqual(got, []string{"gpu"}) {
-		t.Fatalf("CapsOf after delta = %v", got)
-	}
-	// Empty delta removes.
-	if err := Apply(EncodeDelta("a1", nil), x); err != nil {
-		t.Fatalf("Apply removal delta: %v", err)
-	}
-	if x.Len() != 0 {
-		t.Fatalf("Len after removal delta = %d", x.Len())
-	}
+	return wire.AppendFrame(nil, SerializeMagic, SerializeVersion, 1, payload)
 }
 
 func TestApplyRejectsCorrupt(t *testing.T) {
 	x := New()
 	x.Set("keep", []string{"gpu"})
-	cases := [][]byte{
-		nil,
-		[]byte("ACAP"),
-		[]byte("XXXX\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
-		append(x.Serialize(), 0xff), // trailing byte after the frame
-	}
-	for i, data := range cases {
-		if err := Apply(data, x); err == nil {
-			t.Errorf("case %d: Apply accepted corrupt input", i)
-		}
-	}
 	// Valid frame, wrong kind byte: re-frame a full payload as kind 9.
 	f, _, err := wire.DecodeFrame(x.Serialize(), SerializeMagic, SerializeVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bogus := wire.AppendFrame(nil, SerializeMagic, SerializeVersion, 9, f.Payload)
-	if err := Apply(bogus, x); !errors.Is(err, wire.ErrCorrupt) {
-		t.Errorf("unknown kind: err = %v, want ErrCorrupt", err)
+	dup := wire.AppendUvarint(nil, 2)
+	for range 2 {
+		dup = wire.AppendString(dup, "twice")
+		dup = wire.AppendUvarint(dup, 0)
 	}
-	if got := x.CapsOf("keep"); !reflect.DeepEqual(got, []string{"gpu"}) {
-		t.Fatalf("corrupt input mutated index: %v", got)
+	cases := [][]byte{
+		nil,
+		[]byte("ACAP"),
+		[]byte("XXXX\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
+		append(x.Serialize(), 0xff), // trailing byte after the frame
+		wire.AppendFrame(nil, SerializeMagic, SerializeVersion, 9, f.Payload),
+		legacyDeltaFrame("a", "c"),
+		wire.AppendFrame(nil, SerializeMagic, SerializeVersion, kindFull, dup),
 	}
-	if _, err := Deserialize(EncodeDelta("a", []string{"c"})); !errors.Is(err, wire.ErrCorrupt) {
-		t.Errorf("Deserialize of delta frame: err = %v, want ErrCorrupt", err)
+	for i, data := range cases {
+		if _, err := Deserialize(data); err == nil {
+			t.Errorf("case %d: Deserialize accepted corrupt input", i)
+		} else if i >= 4 && !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("case %d: err = %v, want ErrCorrupt", i, err)
+		}
 	}
 }
 

@@ -1,18 +1,12 @@
-// Framed binary serialization for the capability index: the durable
-// snapshot section and the per-mutation WAL delta share one frame format
-// (magic "ACAP") with its own version, independent of the location-table
-// and hash-tree formats. Two frame kinds exist:
+// Framed binary serialization for the capability index, the trailing field
+// of an IAgent's durable snapshot section: one frame (magic "ACAP") with its
+// own version, independent of the location-table and hash-tree formats. Its
+// payload is the whole index: uvarint agent count, then per agent a
+// length-prefixed id, uvarint tag count, and the tags.
 //
-//	kindFull  — the whole index: uvarint agent count, then per agent a
-//	            length-prefixed id, uvarint tag count, and the tags.
-//	            Applying a full frame replaces the index.
-//	kindDelta — one agent's new set: length-prefixed id, uvarint tag
-//	            count, tags. A zero tag count removes the agent, so a
-//	            deregister's delta is one frame like any other.
-//
-// Decoders reject duplicate agents, oversized ids/tags, impossible counts
-// and trailing bytes with wire's typed errors, and never panic on hostile
-// input (see FuzzApply).
+// Deserialize rejects other frame kinds, duplicate agents, oversized
+// ids/tags, impossible counts and trailing bytes with wire's typed errors,
+// and never panics on hostile input (see FuzzApply).
 package capindex
 
 import (
@@ -28,16 +22,13 @@ var SerializeMagic = [4]byte{'A', 'C', 'A', 'P'}
 // SerializeVersion is the current capability frame format version.
 const SerializeVersion uint16 = 1
 
-// Frame kinds.
-const (
-	kindFull  byte = 0
-	kindDelta byte = 1
-)
+// kindFull is the one frame kind: the whole index.
+const kindFull byte = 0
 
 // maxFieldLen bounds a single agent id or capability tag.
 const maxFieldLen = 1 << 16
 
-// Serialize encodes the whole index as one full frame.
+// Serialize encodes the whole index as one frame.
 func (x *Index) Serialize() []byte {
 	x.mu.RLock()
 	payload := wire.AppendUvarint(nil, uint64(len(x.byAgent)))
@@ -52,121 +43,57 @@ func (x *Index) Serialize() []byte {
 	return wire.AppendFrame(nil, SerializeMagic, SerializeVersion, kindFull, payload)
 }
 
-// EncodeDelta encodes one agent's new capability set as a delta frame.
-// Empty caps encode a removal.
-func EncodeDelta(agent ids.AgentID, caps []string) []byte {
-	norm := Normalize(caps)
-	payload := wire.AppendString(nil, string(agent))
-	payload = wire.AppendUvarint(payload, uint64(len(norm)))
-	for _, c := range norm {
-		payload = wire.AppendString(payload, c)
-	}
-	return wire.AppendFrame(nil, SerializeMagic, SerializeVersion, kindDelta, payload)
-}
-
-// decodeCaps reads one "uvarint count + tags" group.
-func decodeCaps(d *wire.Dec) ([]string, error) {
-	n, err := d.Uvarint()
+// Deserialize decodes one Serialize frame into a fresh index.
+func Deserialize(data []byte) (*Index, error) {
+	f, n, err := wire.DecodeFrame(data, SerializeMagic, SerializeVersion)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("%w: capability count %d exceeds %d remaining bytes", wire.ErrCorrupt, n, d.Remaining())
+	if n != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after capability frame", wire.ErrCorrupt, len(data)-n)
 	}
-	if n == 0 {
-		return nil, nil
+	if f.Kind != kindFull {
+		return nil, fmt.Errorf("%w: unknown capability frame kind %d", wire.ErrCorrupt, f.Kind)
 	}
-	caps := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		c, err := d.String(maxFieldLen)
+	d := wire.NewDec(f.Payload)
+	count, err := d.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if count > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: agent count %d exceeds %d remaining bytes", wire.ErrCorrupt, count, d.Remaining())
+	}
+	agents := make(map[ids.AgentID][]string, count)
+	for i := uint64(0); i < count; i++ {
+		id, err := d.String(maxFieldLen)
 		if err != nil {
 			return nil, err
 		}
-		caps = append(caps, c)
-	}
-	return caps, nil
-}
-
-// Apply decodes one frame and applies it to the index: a full frame
-// replaces the index wholesale, a delta frame sets (or, when empty,
-// removes) one agent. The index is untouched on any decode error.
-func Apply(data []byte, x *Index) error {
-	f, n, err := wire.DecodeFrame(data, SerializeMagic, SerializeVersion)
-	if err != nil {
-		return err
-	}
-	if n != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes after capability frame", wire.ErrCorrupt, len(data)-n)
-	}
-	d := wire.NewDec(f.Payload)
-	switch f.Kind {
-	case kindFull:
-		count, err := d.Uvarint()
+		agent := ids.AgentID(id)
+		if _, dup := agents[agent]; dup {
+			return nil, fmt.Errorf("%w: duplicate agent %q in capability frame", wire.ErrCorrupt, id)
+		}
+		tags, err := d.Uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if count > uint64(d.Remaining()) {
-			return fmt.Errorf("%w: agent count %d exceeds %d remaining bytes", wire.ErrCorrupt, count, d.Remaining())
+		if tags > uint64(d.Remaining()) {
+			return nil, fmt.Errorf("%w: capability count %d exceeds %d remaining bytes", wire.ErrCorrupt, tags, d.Remaining())
 		}
-		fresh := make(map[ids.AgentID][]string, count)
-		for i := uint64(0); i < count; i++ {
-			id, err := d.String(maxFieldLen)
+		caps := make([]string, 0, tags)
+		for j := uint64(0); j < tags; j++ {
+			c, err := d.String(maxFieldLen)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			agent := ids.AgentID(id)
-			if _, dup := fresh[agent]; dup {
-				return fmt.Errorf("%w: duplicate agent %q in capability frame", wire.ErrCorrupt, id)
-			}
-			caps, err := decodeCaps(d)
-			if err != nil {
-				return err
-			}
-			fresh[agent] = caps
+			caps = append(caps, c)
 		}
-		if err := d.Done(); err != nil {
-			return err
-		}
-		x.mu.Lock()
-		x.byCap = make(map[string]map[ids.AgentID]struct{})
-		x.byAgent = make(map[ids.AgentID][]string, len(fresh))
-		for agent, caps := range fresh {
-			x.setLocked(agent, Normalize(caps))
-		}
-		x.mu.Unlock()
-		return nil
-	case kindDelta:
-		id, err := d.String(maxFieldLen)
-		if err != nil {
-			return err
-		}
-		caps, err := decodeCaps(d)
-		if err != nil {
-			return err
-		}
-		if err := d.Done(); err != nil {
-			return err
-		}
-		x.Set(ids.AgentID(id), caps)
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown capability frame kind %d", wire.ErrCorrupt, f.Kind)
+		agents[agent] = caps
 	}
-}
-
-// Deserialize decodes a full frame into a fresh index. Delta frames are
-// rejected — recovery applies them to an existing index via Apply.
-func Deserialize(data []byte) (*Index, error) {
-	f, _, err := wire.DecodeFrame(data, SerializeMagic, SerializeVersion)
-	if err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
-	}
-	if f.Kind != kindFull {
-		return nil, fmt.Errorf("%w: expected full capability frame, got kind %d", wire.ErrCorrupt, f.Kind)
 	}
 	x := New()
-	if err := Apply(data, x); err != nil {
-		return nil, err
-	}
+	x.Adopt(agents)
 	return x, nil
 }

@@ -17,27 +17,25 @@ import (
 
 // This file is the core side of the durability subsystem (the §7 robustness
 // extensions taken to full-cluster crash tolerance): every acknowledged
-// location update is appended to the hosting node's write-ahead log before
-// the ack, agents dump their durable state into named snapshot sections,
-// and RecoverNode rebuilds a node's agents from disk after a cold start.
+// location update, with the capability change it carries, is appended to the
+// hosting node's write-ahead log before the ack, agents dump their durable
+// state into named snapshot sections, and RecoverNode rebuilds a node's
+// agents from disk after a cold start. The WAL is a leaf's one mutation log.
 //
 // The snapshot store (internal/snapshot) treats section payloads as opaque
 // bytes; this file owns their meaning:
 //
 //   - SectionHAgent: the primary-copy hash state, the IAgent name counter
 //     and the standby flag. Written at birth and after every state change.
-//   - SectionIAgent: an IAgent's hash-state copy plus its full location
-//     table with residence-resolved (final) addresses. Written at birth,
-//     after a rehash adoption, and by the persister's periodic full dump.
-//   - SectionCheckpoint: the tee of a sibling-leaf checkpoint push — the
-//     same delta that crash tolerance ships to the buddy doubles as the
-//     incremental on-disk snapshot. A full push is a run of them, the first
-//     flagged full.
+//   - SectionIAgent: an IAgent's hash-state copy, its full location table
+//     with residence-resolved (final) addresses, and its capability index.
+//     Written at birth, after a rehash adoption, and by the persister's
+//     periodic full dump.
 //
-// Recovery layers them per IAgent: newest full section, then checkpoint
-// deltas in order, then the WAL records — the WAL is a superset of every
-// mutation since the section was dumped, and the last record per agent
-// wins, so replay converges on the last acknowledged address.
+// Recovery layers them per IAgent: the newest section is the base, then the
+// WAL records apply — the WAL is a superset of every mutation since the
+// section was dumped, and the last record per agent wins, so replay
+// converges on the last acknowledged address and capability set.
 //
 // Restart fencing: a recovered primary HAgent bumps the hash version by
 // one and (with failover enabled) re-pushes the bumped state to every
@@ -46,18 +44,12 @@ import (
 // the bump — recovered IAgents keep answering correctly even before the
 // push lands.
 
-// Section kinds inside full and delta snapshots.
+// Section kinds inside full and delta snapshots. Kinds 3 and 4 are retired:
+// older stores hold checkpoint and capability sections under them, which
+// recovery skips, so they must not be reused.
 const (
-	SectionHAgent     byte = 1
-	SectionIAgent     byte = 2
-	SectionCheckpoint byte = 3
-	// SectionCapability carries an IAgent's capability index (see
-	// internal/capindex) as a framed "ACAP" payload with its own format
-	// version: a full frame replaces the index, a delta frame re-states one
-	// agent's set (empty = removal). Written beside every SectionIAgent
-	// dump and teed per capability mutation, so recovery layers it exactly
-	// like the location data it shadows.
-	SectionCapability byte = 4
+	SectionHAgent byte = 1
+	SectionIAgent byte = 2
 )
 
 // KindSnapshotDump asks an agent for its durable snapshot section; the
@@ -65,14 +57,11 @@ const (
 // snapshot. Agents without durable state answer Status Ignored.
 const KindSnapshotDump = "node.snapshot-dump"
 
-// SnapshotDumpResp carries one agent's snapshot section. Extra carries
-// auxiliary sections that must land in the same full snapshot (an IAgent's
-// capability index rides here); old peers gob-decode the field away.
+// SnapshotDumpResp carries one agent's snapshot section.
 type SnapshotDumpResp struct {
 	Status      Status
 	HashVersion uint64
 	Section     snapshot.Section
-	Extra       []snapshot.Section
 }
 
 // maxDurableField bounds ids and node names inside section payloads,
@@ -182,11 +171,12 @@ func decodeHAgentSection(sec snapshot.Section) (st *State, nextSeq uint64, stand
 	return st, nextSeq, sb == 1, d.Done()
 }
 
-// iagentSection encodes an IAgent's durable state: its hash-state copy and
-// its full location table (already residence-resolved — sections carry
-// final addresses; bindings re-form at the group's next move, the same
-// convention sibling checkpoints use).
-func iagentSection(name ids.AgentID, st *State, table *loctable.Table) (snapshot.Section, error) {
+// iagentSection encodes an IAgent's durable state: its hash-state copy, its
+// full location table (already residence-resolved — sections carry final
+// addresses; bindings re-form at the group's next move, the same convention
+// sibling checkpoints use) and its capability index. The index is a trailing
+// field: a section written before it existed decodes with an empty one.
+func iagentSection(name ids.AgentID, st *State, table *loctable.Table, caps *capindex.Index) (snapshot.Section, error) {
 	payload, err := appendState(nil, st)
 	if err != nil {
 		return snapshot.Section{}, err
@@ -196,109 +186,51 @@ func iagentSection(name ids.AgentID, st *State, table *loctable.Table) (snapshot
 		return snapshot.Section{}, err
 	}
 	payload = wire.AppendBytes(payload, tableBytes)
+	payload = wire.AppendBytes(payload, caps.Serialize())
 	return snapshot.Section{Kind: SectionIAgent, Name: string(name), Payload: payload}, nil
 }
 
-func decodeIAgentSection(sec snapshot.Section) (*State, *loctable.Table, error) {
+func decodeIAgentSection(sec snapshot.Section) (*State, *loctable.Table, *capindex.Index, error) {
 	d := wire.NewDec(sec.Payload)
 	st, err := decodeState(d)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	tableBytes, err := d.Bytes(wire.MaxFrameLen)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	table, err := loctable.Deserialize(tableBytes)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return st, table, d.Done()
-}
-
-// checkpointSection encodes a sibling-checkpoint push for the on-disk delta
-// tee. Name is the checkpointing IAgent — the delta describes the sender's
-// own table.
-func checkpointSection(req CheckpointReq) snapshot.Section {
-	payload := wire.AppendUvarint(nil, req.HashVersion)
-	var full byte
-	if req.Full {
-		full = 1
+	if d.Remaining() == 0 {
+		return st, table, capindex.New(), nil
 	}
-	payload = append(payload, full)
-	payload = wire.AppendUvarint(payload, uint64(len(req.Entries)))
-	for a, n := range req.Entries {
-		payload = wire.AppendString(payload, string(a))
-		payload = wire.AppendString(payload, string(n))
-	}
-	payload = wire.AppendUvarint(payload, uint64(len(req.Removed)))
-	for _, a := range req.Removed {
-		payload = wire.AppendString(payload, string(a))
-	}
-	return snapshot.Section{Kind: SectionCheckpoint, Name: string(req.From), Payload: payload}
-}
-
-func decodeCheckpointSection(sec snapshot.Section) (full bool, entries map[ids.AgentID]platform.NodeID, removed []ids.AgentID, err error) {
-	d := wire.NewDec(sec.Payload)
-	if _, err = d.Uvarint(); err != nil { // hash version, informational
-		return false, nil, nil, err
-	}
-	fb, err := d.Byte()
+	capBytes, err := d.Bytes(wire.MaxFrameLen)
 	if err != nil {
-		return false, nil, nil, err
+		return nil, nil, nil, err
 	}
-	if fb > 1 {
-		return false, nil, nil, fmt.Errorf("%w: full flag %d", wire.ErrCorrupt, fb)
-	}
-	n, err := d.Uvarint()
+	caps, err := capindex.Deserialize(capBytes)
 	if err != nil {
-		return false, nil, nil, err
+		return nil, nil, nil, err
 	}
-	if n > uint64(d.Remaining()) {
-		return false, nil, nil, fmt.Errorf("%w: impossible entry count %d", wire.ErrCorrupt, n)
-	}
-	entries = make(map[ids.AgentID]platform.NodeID, n)
-	for i := uint64(0); i < n; i++ {
-		a, err := d.String(maxDurableField)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		node, err := d.String(maxDurableField)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		entries[ids.AgentID(a)] = platform.NodeID(node)
-	}
-	r, err := d.Uvarint()
-	if err != nil {
-		return false, nil, nil, err
-	}
-	if r > uint64(d.Remaining()) {
-		return false, nil, nil, fmt.Errorf("%w: impossible removed count %d", wire.ErrCorrupt, r)
-	}
-	removed = make([]ids.AgentID, 0, r)
-	for i := uint64(0); i < r; i++ {
-		a, err := d.String(maxDurableField)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		removed = append(removed, ids.AgentID(a))
-	}
-	return fb == 1, entries, removed, d.Done()
+	return st, table, caps, d.Done()
 }
 
 // ---------------------------------------------------------------------------
 // Write paths: WAL appends and section persistence.
 
 // walRecord builds the WAL record of one location update served by the
-// calling IAgent.
-func walRecord(ctx *platform.Context, op byte, agent ids.AgentID, node platform.NodeID, hashVersion uint64) snapshot.Record {
+// calling IAgent, with the capability set it carries (see snapshot.Record).
+func walRecord(ctx *platform.Context, op byte, agent ids.AgentID, node platform.NodeID, caps []string, hashVersion uint64) snapshot.Record {
 	return snapshot.Record{
 		Op:          op,
 		IAgent:      string(ctx.Self()),
 		Agent:       string(agent),
 		Node:        string(node),
 		HashVersion: hashVersion,
+		Caps:        caps,
 	}
 }
 
@@ -321,16 +253,17 @@ func walAppend(ctx *platform.Context, op byte, agent ids.AgentID, node platform.
 	if ctx.Durable() == nil {
 		return nil
 	}
-	return walAppendBatch(ctx, []snapshot.Record{walRecord(ctx, op, agent, node, hashVersion)})
+	return walAppendBatch(ctx, []snapshot.Record{walRecord(ctx, op, agent, node, nil, hashVersion)})
 }
 
 // walBatchRecords bounds the records of one WAL write of a bulk operation.
 const walBatchRecords = 4096
 
-// walAppendEntries logs one record per entry (an OpDelete record carries no
-// node), walBatchRecords to a write: a rehash moves a table's worth of entries
-// and must not cost a write each. It stops at the first failed append.
-func walAppendEntries(ctx *platform.Context, op byte, entries map[ids.AgentID]platform.NodeID, hashVersion uint64) error {
+// walAppendEntries logs one record per entry, each with the entry's set from
+// caps (an OpDelete record carries no node), walBatchRecords to a write: a
+// rehash moves a table's worth of entries and must not cost a write each. It
+// stops at the first failed append.
+func walAppendEntries(ctx *platform.Context, op byte, entries map[ids.AgentID]platform.NodeID, caps map[ids.AgentID][]string, hashVersion uint64) error {
 	if ctx.Durable() == nil {
 		return nil
 	}
@@ -339,7 +272,7 @@ func walAppendEntries(ctx *platform.Context, op byte, entries map[ids.AgentID]pl
 		if op == snapshot.OpDelete {
 			node = ""
 		}
-		recs = append(recs, walRecord(ctx, op, agent, node, hashVersion))
+		recs = append(recs, walRecord(ctx, op, agent, node, caps[agent], hashVersion))
 		if len(recs) == walBatchRecords {
 			if err := walAppendBatch(ctx, recs); err != nil {
 				return err
@@ -361,37 +294,12 @@ func (b *IAgentBehavior) durableSection(self ids.AgentID) (snapshot.Section, err
 		table.PutHashed(s.Agent, s.Hash, s.Node, 0)
 		return true
 	})
-	return iagentSection(self, b.state.Load(), table)
-}
-
-// capSection assembles this IAgent's full capability section: the whole
-// index as one framed "ACAP" full frame. Written even when the index is
-// empty — an empty full frame is what clears stale capability state on
-// disk after a handoff emptied the index.
-func (b *IAgentBehavior) capSection(self ids.AgentID) snapshot.Section {
-	return snapshot.Section{Kind: SectionCapability, Name: string(self), Payload: b.Caps.Serialize()}
-}
-
-// persistCapDelta tees one agent's capability change (empty caps = removal)
-// as a delta section, best effort: the location WAL record carries no
-// capability payload, so this is what closes the durability gap between
-// full sections for capability mutations.
-func (b *IAgentBehavior) persistCapDelta(ctx *platform.Context, agent ids.AgentID, caps []string) {
-	store := ctx.Durable()
-	if store == nil {
-		return
-	}
-	_ = store.AppendDelta(snapshot.Section{
-		Kind:    SectionCapability,
-		Name:    string(ctx.Self()),
-		Payload: capindex.EncodeDelta(agent, caps),
-	})
+	return iagentSection(self, b.state.Load(), table, b.Caps)
 }
 
 // persistSelf writes this IAgent's full section as an incremental snapshot,
 // best effort: a failed write costs compaction, not correctness — the WAL
-// still holds every acknowledged update. The capability index follows as
-// its own section so both layers advance together.
+// still holds every acknowledged update.
 func (b *IAgentBehavior) persistSelf(ctx *platform.Context) {
 	store := ctx.Durable()
 	if store == nil {
@@ -402,7 +310,6 @@ func (b *IAgentBehavior) persistSelf(ctx *platform.Context) {
 		return
 	}
 	_ = store.AppendDelta(sec)
-	_ = store.AppendDelta(b.capSection(ctx.Self()))
 }
 
 // persistState writes the HAgent's section as an incremental snapshot, best
@@ -435,8 +342,10 @@ type RecoveryReport struct {
 	// Replayed WAL records (also exported as
 	// agentloc_recovery_replayed_entries_total by the store).
 	Replayed int
-	// Skipped counts WAL records and checkpoint deltas that referenced an
-	// IAgent with no recovered base section (nothing to apply them to).
+	// Skipped counts WAL records that referenced an IAgent with no recovered
+	// base section (nothing to apply them to), sections that failed to
+	// decode, and sections of a kind this version does not read — among
+	// them the checkpoint (3) and capability (4) sections older stores wrote.
 	Skipped int
 }
 
@@ -453,8 +362,8 @@ type hagentRecovery struct {
 }
 
 // RecoverNode rebuilds a node's location agents from its snapshot store
-// after a cold start: the newest valid full snapshot, that generation's
-// deltas, and the WAL tail, layered in that order. Recovered IAgents are
+// after a cold start: each agent's newest section, from the newest valid full
+// snapshot or that generation's deltas, then the WAL tail. Recovered IAgents are
 // relaunched with their last state copy and table; a recovered primary
 // HAgent is relaunched with the hash version bumped by one and
 // NotifyOnRecover set, so (with failover enabled) its sweep re-pushes the
@@ -477,89 +386,47 @@ func RecoverNode(node *platform.Node, cfg Config) (*RecoveryReport, error) {
 	hagents := map[string]hagentRecovery{}
 	iagents := map[string]*iagentRecovery{}
 
-	apply := func(sec snapshot.Section) {
+	// Sections, the full snapshot's then the deltas', set each agent's base:
+	// a later one replaces an earlier one whole.
+	for _, sec := range append(rec.Sections, rec.Deltas...) {
 		switch sec.Kind {
 		case SectionHAgent:
 			st, nextSeq, standby, err := decodeHAgentSection(sec)
 			if err != nil {
 				report.Skipped++
-				return
+				continue
 			}
 			hagents[sec.Name] = hagentRecovery{state: st, nextSeq: nextSeq, standby: standby}
 		case SectionIAgent:
-			st, table, err := decodeIAgentSection(sec)
+			st, table, caps, err := decodeIAgentSection(sec)
 			if err != nil {
 				report.Skipped++
-				return
+				continue
 			}
-			// A full dump replaces any earlier base for this IAgent. The
-			// capability index carries over: its own full section normally
-			// follows in append order and replaces it; if that write was
-			// lost, the older capability state beats none at all.
-			ir := &iagentRecovery{state: st, entries: table.Snapshot()}
-			if prev := iagents[sec.Name]; prev != nil {
-				ir.caps = prev.caps
-			}
-			iagents[sec.Name] = ir
-		case SectionCapability:
-			ir := iagents[sec.Name]
-			if ir == nil {
-				report.Skipped++
-				return
-			}
-			if ir.caps == nil {
-				ir.caps = capindex.New()
-			}
-			if err := capindex.Apply(sec.Payload, ir.caps); err != nil {
-				report.Skipped++
-			}
-		case SectionCheckpoint:
-			ir := iagents[sec.Name]
-			if ir == nil {
-				report.Skipped++
-				return
-			}
-			// The full flag is not acted on: a full push is written a chunk at
-			// a time, and emptying the base at its first chunk would lose, to a
-			// crash mid-stream, every entry the later chunks had yet to
-			// restate. Nothing is lost by layering instead — what a full push
-			// would purge was deregistered (a WAL record) or handed off (a
-			// fresh full section follows the handoff).
-			_, entries, removed, err := decodeCheckpointSection(sec)
-			if err != nil {
-				report.Skipped++
-				return
-			}
-			for a, n := range entries {
-				ir.entries[a] = n
-			}
-			for _, a := range removed {
-				delete(ir.entries, a)
-			}
+			iagents[sec.Name] = &iagentRecovery{state: st, entries: table.Snapshot(), caps: caps}
 		default:
 			report.Skipped++
 		}
 	}
-	for _, sec := range rec.Sections {
-		apply(sec)
-	}
-	for _, sec := range rec.Deltas {
-		apply(sec)
-	}
 
 	// WAL records apply last: they postdate every section they follow, and
-	// the last record per agent is the last acknowledged address.
+	// the last record per agent is the last acknowledged address and set.
 	for _, r := range rec.Records {
 		ir := iagents[r.IAgent]
 		if ir == nil {
 			report.Skipped++
 			continue
 		}
+		agent := ids.AgentID(r.Agent)
 		switch r.Op {
 		case snapshot.OpPut:
-			ir.entries[ids.AgentID(r.Agent)] = platform.NodeID(r.Node)
+			ir.entries[agent] = platform.NodeID(r.Node)
+			if len(r.Caps) > 0 {
+				ir.caps.Set(agent, r.Caps)
+			}
 		case snapshot.OpDelete:
-			delete(ir.entries, ids.AgentID(r.Agent))
+			delete(ir.entries, agent)
+			ir.caps.Remove(agent)
 		}
 	}
 
@@ -699,7 +566,6 @@ func (p *Persister) WriteFullSnapshot() (int, error) {
 			continue
 		}
 		sections = append(sections, resp.Section)
-		sections = append(sections, resp.Extra...)
 	}
 	if len(sections) == 0 {
 		return 0, nil

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"agentloc/internal/capindex"
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
 	"agentloc/internal/loctable"
@@ -60,35 +62,44 @@ func TestDurableSectionCodecs(t *testing.T) {
 	table := loctable.New()
 	table.Put("agent-a", "node-1")
 	table.Put("agent-b", "node-2")
-	isec, err := iagentSection("iagent-1", st, table)
+	caps := capindex.New()
+	caps.Set("agent-a", []string{"ocr", "gpu"})
+	isec, err := iagentSection("iagent-1", st, table, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gotTable, err := decodeIAgentSection(isec)
+	_, gotTable, gotCaps, err := decodeIAgentSection(isec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := gotTable.Get("agent-b"); n != "node-2" {
 		t.Fatalf("iagent section table entry = %q", n)
 	}
+	if !reflect.DeepEqual(gotCaps.Snapshot(), caps.Snapshot()) {
+		t.Fatalf("iagent section caps = %v, want %v", gotCaps.Snapshot(), caps.Snapshot())
+	}
 
-	csec := checkpointSection(CheckpointReq{
-		From:        "iagent-1",
-		HashVersion: 7,
-		Full:        true,
-		Entries:     map[ids.AgentID]platform.NodeID{"agent-a": "node-1"},
-		Removed:     []ids.AgentID{"agent-gone"},
-	})
-	full, entries, removed, err := decodeCheckpointSection(csec)
+	// A section in the encoding that predates the capability field (state and
+	// table only) still decodes, with an empty index.
+	legacy, err := appendState(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full || entries["agent-a"] != "node-1" || len(removed) != 1 {
-		t.Fatalf("checkpoint section round trip: full %v entries %v removed %v", full, entries, removed)
+	tableBytes, err := table.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy = wire.AppendBytes(legacy, tableBytes)
+	_, gotTable, gotCaps, err = decodeIAgentSection(snapshot.Section{Kind: SectionIAgent, Name: "iagent-1", Payload: legacy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := gotTable.Get("agent-a"); n != "node-1" || gotCaps.Len() != 0 {
+		t.Fatalf("legacy iagent section: agent-a at %q, %d capability sets", n, gotCaps.Len())
 	}
 
 	// Corrupt payloads must yield typed errors, never panics.
-	for _, sec := range []snapshot.Section{hsec, isec, csec} {
+	for _, sec := range []snapshot.Section{hsec, isec} {
 		for cut := 0; cut < len(sec.Payload); cut += 7 {
 			trunc := sec
 			trunc.Payload = sec.Payload[:cut]
@@ -97,9 +108,7 @@ func TestDurableSectionCodecs(t *testing.T) {
 			case SectionHAgent:
 				_, _, _, err = decodeHAgentSection(trunc)
 			case SectionIAgent:
-				_, _, err = decodeIAgentSection(trunc)
-			case SectionCheckpoint:
-				_, _, _, err = decodeCheckpointSection(trunc)
+				_, _, _, err = decodeIAgentSection(trunc)
 			}
 			if err == nil {
 				continue // a cut can land on a valid shorter encoding only if codec allows; require typed otherwise
@@ -108,6 +117,63 @@ func TestDurableSectionCodecs(t *testing.T) {
 				t.Fatalf("cut %d of kind %d: untyped error %v", cut, sec.Kind, err)
 			}
 		}
+	}
+}
+
+// TestLeavesWriteNoDeltaFiles: on a durable node with checkpointing on, a
+// leaf writes a delta file at birth and after a rehash, and nowhere else — a
+// capability-carrying register is one WAL record, and a checkpoint push
+// touches no disk at all.
+func TestLeavesWriteNoDeltaFiles(t *testing.T) {
+	cfg := failoverConfig()
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	node, reg := durableNode(t, net, "node-0", t.TempDir())
+	svc, err := Deploy(context.Background(), cfg, []*platform.Node{node})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &testCluster{nodes: []*platform.Node{node}, service: svc}
+	ctx := testCtx(t)
+	homes := make(map[ids.AgentID]platform.NodeID)
+	for i := 0; i < 8; i++ {
+		agent := ids.AgentID(fmt.Sprintf("quiet-%d", i))
+		if _, err := svc.ClientFor(node).Register(ctx, agent); err != nil {
+			t.Fatal(err)
+		}
+		homes[agent] = node.ID()
+	}
+	// A split gives each leaf a sibling to checkpoint to; let the births
+	// and the full pushes they owe settle.
+	forceSplit(t, c, ctx, "iagent-1", homes)
+	time.Sleep(4 * cfg.HeartbeatInterval)
+
+	writes := func(kind string) uint64 {
+		return reg.Snapshot().Counter("agentloc_snapshot_writes_total", "kind", kind)
+	}
+	pushed := func() (n uint64) {
+		for _, kind := range []string{"full", "delta"} {
+			for _, ia := range []string{"iagent-1", "iagent-2"} {
+				n += reg.Snapshot().Counter("agentloc_checkpoint_entries_sent_total", "iagent", ia, "kind", kind)
+			}
+		}
+		return n
+	}
+	deltas, wal, sent := writes("delta"), writes("wal"), pushed()
+
+	if _, err := svc.ClientFor(node).RegisterWithCapabilities(ctx, "skilled", []string{"gpu"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := writes("wal") - wal; got != 1 {
+		t.Errorf("register with capabilities: %d WAL records, want 1", got)
+	}
+	// The register dirties its leaf's entry: the next checkpoint push carries it.
+	time.Sleep(4 * cfg.HeartbeatInterval)
+	if pushed() == sent {
+		t.Fatal("no checkpoint push carried the new entry")
+	}
+	if got := writes("delta") - deltas; got != 0 {
+		t.Errorf("register and checkpoint pushes wrote %d delta files, want 0", got)
 	}
 }
 

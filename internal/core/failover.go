@@ -717,9 +717,7 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	// send ships one push: residence-bound entries overlaid with their
 	// handle's address (checkpoints carry final addresses, so a restored swarm
 	// re-forms its bindings at its next move), the capability sets of the
-	// shipped agents beside them. On a durable node the same push lands in the
-	// local store as an incremental snapshot, best effort (the WAL already
-	// holds every update).
+	// shipped agents beside them.
 	send := func(req *CheckpointReq) (Status, error) {
 		b.ckSeq++
 		req.From, req.HashVersion, req.Seq = ctx.Self(), st.Version(), b.ckSeq
@@ -733,9 +731,6 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 					req.Caps[a] = caps
 				}
 			}
-		}
-		if store := ctx.Durable(); store != nil {
-			_ = store.AppendDelta(checkpointSection(*req))
 		}
 		sent.Add(uint64(len(req.Entries) + len(req.Removed)))
 		var resp CheckpointResp
@@ -879,12 +874,11 @@ func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.Ag
 			}
 			return true
 		})
-		_ = walAppendEntries(ctx, snapshot.OpPut, restore, st.Version())
+		_ = walAppendEntries(ctx, snapshot.OpPut, restore, ck.Caps, st.Version())
 		for agent, node := range restore {
 			b.Table.Put(agent, node)
 			if caps := ck.Caps[agent]; len(caps) > 0 {
 				b.Caps.Set(agent, caps)
-				b.persistCapDelta(ctx, agent, caps)
 			}
 			b.noteDirty(agent)
 		}

@@ -149,7 +149,7 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		b.metCkSentDelta = reg.Counter("agentloc_checkpoint_entries_sent_total", "iagent", self, "kind", "delta")
 
 		// Durable nodes get a full section at birth (and after migration):
-		// the base every later checkpoint delta and WAL record applies to.
+		// the base every later WAL record applies to.
 		b.persistSelf(ctx)
 	})
 	return b.initErr
@@ -297,15 +297,7 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		if err != nil {
 			return nil, fmt.Errorf("IAgent %s: snapshot dump: %w", ctx.Self(), err)
 		}
-		// The capability index travels as its own section: a full snapshot
-		// rotation discards the WAL cap deltas it supersedes, so omitting it
-		// here would lose every capability written before the rotation.
-		return SnapshotDumpResp{
-			Status:      StatusOK,
-			HashVersion: b.state.Load().Version(),
-			Section:     sec,
-			Extra:       []snapshot.Section{b.capSection(ctx.Self())},
-		}, nil
+		return SnapshotDumpResp{Status: StatusOK, HashVersion: b.state.Load().Version(), Section: sec}, nil
 	default:
 		return nil, fmt.Errorf("IAgent %s: unknown request kind %q", ctx.Self(), kind)
 	}
@@ -339,8 +331,8 @@ func (b *IAgentBehavior) recordLocation(ctx *platform.Context, u UpdateReq) (Ack
 // move means the agent left its group. A non-empty Capabilities replaces the
 // agent's capability set; empty means no capability change, so plain moves
 // never wipe an advertised set. On a durable node the responsible entries are
-// WAL-logged — the whole batch with one write — before any is applied or
-// acknowledged; a failed append fails the request.
+// WAL-logged with their capability sets — the whole batch with one write —
+// before any is applied or acknowledged; a failed append fails the request.
 func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []UpdateReq) ([]Ack, error) {
 	acks := make([]Ack, len(updates))
 	hashes := make([]uint64, len(updates)) // each id is hashed once
@@ -359,7 +351,7 @@ func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []Update
 		}
 		acks[i] = Ack{Status: StatusOK, HashVersion: version}
 		if recs != nil {
-			recs = append(recs, walRecord(ctx, snapshot.OpPut, u.Agent, u.Node, version))
+			recs = append(recs, walRecord(ctx, snapshot.OpPut, u.Agent, u.Node, u.Capabilities, version))
 		}
 	}
 	if err := walAppendBatch(ctx, recs); err != nil {
@@ -377,10 +369,6 @@ func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []Update
 		}
 		if len(u.Capabilities) > 0 {
 			b.Caps.Set(u.Agent, u.Capabilities)
-			// The location WAL record carries no capability payload; tee the
-			// change as its own delta section so it survives a crash before
-			// the next full dump.
-			b.persistCapDelta(ctx, u.Agent, u.Capabilities)
 		}
 		b.mu.Lock()
 		b.noteDirty(u.Agent)
@@ -411,7 +399,7 @@ func (b *IAgentBehavior) residenceMove(ctx *platform.Context, req ResidenceMoveR
 	if ctx.Durable() != nil {
 		recs := make([]snapshot.Record, len(members))
 		for i, a := range members {
-			recs[i] = walRecord(ctx, snapshot.OpPut, a, req.Node, version)
+			recs[i] = walRecord(ctx, snapshot.OpPut, a, req.Node, nil, version)
 		}
 		if err := walAppendBatch(ctx, recs); err != nil {
 			return ResidenceMoveResp{}, err
@@ -431,8 +419,8 @@ func (b *IAgentBehavior) residenceMove(ctx *platform.Context, req ResidenceMoveR
 	return ResidenceMoveResp{Status: StatusOK, HashVersion: version, Bound: len(members)}, nil
 }
 
-// deregister forgets a disposed agent. The delete is WAL-logged before it
-// is applied, like every acknowledged mutation.
+// deregister forgets a disposed agent and its capability set. The delete is
+// WAL-logged before it is applied, like every acknowledged mutation.
 func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (Ack, error) {
 	b.est.Record()
 	hash := agent.Hash64()
@@ -446,9 +434,7 @@ func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (A
 	}
 	b.Table.DeleteHashed(agent, hash)
 	b.Residence.Unbind(agent)
-	if b.Caps.Remove(agent) {
-		b.persistCapDelta(ctx, agent, nil)
-	}
+	b.Caps.Remove(agent)
 	b.mu.Lock()
 	b.noteDirty(agent)
 	b.mu.Unlock()
@@ -622,7 +608,7 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		// Best effort: the full section persisted below is the durable
 		// authority for the post-handoff table, and a resurrected entry
 		// would only draw not-responsible answers anyway.
-		_ = walAppendEntries(ctx, snapshot.OpDelete, h.Entries, st.Version())
+		_ = walAppendEntries(ctx, snapshot.OpDelete, h.Entries, nil, st.Version())
 		for agent := range h.Entries {
 			b.Table.Delete(agent)
 			b.Residence.Unbind(agent)
@@ -650,12 +636,13 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 }
 
 // handoff merges entries transferred from another IAgent during rehashing.
-// Adopted entries are WAL-logged, every batch of them, before the handoff is
-// acknowledged — once the sender deletes its copies, this log is their only
-// durable home until the next full section. A failed append fails the request
-// and the sender retries the (idempotent) handoff.
+// Adopted entries are WAL-logged with their capability sets, every batch of
+// them, before the handoff is acknowledged — once the sender deletes its
+// copies, this log is their only durable home until the next full section. A
+// failed append fails the request and the sender retries the (idempotent)
+// handoff.
 func (b *IAgentBehavior) handoff(ctx *platform.Context, req HandoffReq) (Ack, error) {
-	if err := walAppendEntries(ctx, snapshot.OpPut, req.Entries, b.state.Load().Version()); err != nil {
+	if err := walAppendEntries(ctx, snapshot.OpPut, req.Entries, req.Caps, b.state.Load().Version()); err != nil {
 		return Ack{}, err
 	}
 	if len(req.Bindings) > 0 {
@@ -663,9 +650,6 @@ func (b *IAgentBehavior) handoff(ctx *platform.Context, req HandoffReq) (Ack, er
 	}
 	if len(req.Caps) > 0 {
 		b.Caps.Adopt(req.Caps)
-		for agent, caps := range req.Caps {
-			b.persistCapDelta(ctx, agent, caps)
-		}
 	}
 	for agent, node := range req.Entries {
 		b.Table.PutHashed(agent, agent.Hash64(), node, req.Load[agent])

@@ -6,18 +6,20 @@
 // On disk a store is one directory per node:
 //
 //	full-<gen>.snap      full snapshot: header, section frames, end frame
-//	delta-<gen>-<n>.snap one incremental section (a sibling-checkpoint dump)
+//	delta-<gen>-<n>.snap one incremental section (an agent's state at birth or
+//	                     after a rehash)
 //	wal-<gen>.log        append-only record log for that generation
 //
 // Every full snapshot starts a new generation: the full file is written to
 // a temp name, fsynced and renamed into place (then the directory is
-// fsynced), the WAL rotates to the new generation, and files older than the
-// previous generation are pruned. Recovery walks generations newest-first,
-// takes the newest full snapshot that validates, applies that generation's
-// deltas in order, then replays every WAL from one generation before it
-// onward (the snapshot's contents were dumped while the previous WAL was
-// still live) — so even when the newest full snapshot is torn or corrupt,
-// no acknowledged update is lost: it still lives in a surviving WAL.
+// fsynced), the WAL rotates to the new generation, and full and delta files
+// older than the previous generation are pruned, WALs one generation later.
+// Recovery walks generations newest-first, takes the newest full snapshot
+// that validates, applies that generation's deltas in order, then replays
+// every WAL from one generation before it onward (the snapshot's contents
+// were dumped while the previous WAL was still live) — so even when the
+// newest full snapshot is torn or corrupt, no acknowledged update is lost:
+// it still lives in a surviving WAL.
 //
 // The package is deliberately string-keyed (no ids/platform imports) so the
 // platform layer can hand a *Store to agents without an import cycle; the
@@ -70,10 +72,15 @@ type Record struct {
 	Agent       string // mobile agent id
 	Node        string // agent's node (empty for deletes)
 	HashVersion uint64 // hash-tree version the update was applied under
+	// Caps is the agent's capability set. On an OpPut a non-empty set
+	// replaces the agent's and an empty one leaves it unchanged; an OpDelete
+	// removes it. It is encoded as an optional trailing field, so records
+	// written before it existed still decode.
+	Caps []string
 }
 
 // Section is one named blob inside a full or delta snapshot. The core layer
-// defines the kinds (HAgent state, IAgent state, checkpoint delta) and the
+// defines the kinds (HAgent state, IAgent state) and the
 // payload encodings; the store treats payloads as opaque bytes under CRC.
 type Section struct {
 	Kind    byte
@@ -264,8 +271,9 @@ func (s *Store) AppendDelta(sec Section) error {
 }
 
 // WriteFull durably writes a full snapshot, starting a new generation: the
-// WAL rotates, the delta sequence resets, and files older than the previous
-// generation are pruned (one full generation is always kept as fallback).
+// WAL rotates, the delta sequence resets, and files recovery can no longer
+// reach are pruned (one full generation is always kept as fallback, with
+// every WAL it replays).
 func (s *Store) WriteFull(sections []Section) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -400,7 +408,15 @@ func appendRecord(dst []byte, rec Record) []byte {
 	dst = wire.AppendString(dst, rec.IAgent)
 	dst = wire.AppendString(dst, rec.Agent)
 	dst = wire.AppendString(dst, rec.Node)
-	return wire.AppendUvarint(dst, rec.HashVersion)
+	dst = wire.AppendUvarint(dst, rec.HashVersion)
+	if len(rec.Caps) == 0 {
+		return dst
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(rec.Caps)))
+	for _, c := range rec.Caps {
+		dst = wire.AppendString(dst, c)
+	}
+	return dst
 }
 
 func decodeRecord(payload []byte) (Record, error) {
@@ -424,6 +440,23 @@ func decodeRecord(payload []byte) (Record, error) {
 	}
 	if rec.HashVersion, err = d.Uvarint(); err != nil {
 		return rec, err
+	}
+	if d.Remaining() == 0 {
+		return rec, nil
+	}
+	n, err := d.Uvarint()
+	if err != nil {
+		return rec, err
+	}
+	if n > uint64(d.Remaining()) {
+		return rec, fmt.Errorf("%w: impossible capability count %d", wire.ErrCorrupt, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		c, err := d.String(maxFieldLen)
+		if err != nil {
+			return rec, err
+		}
+		rec.Caps = append(rec.Caps, c)
 	}
 	return rec, d.Done()
 }
@@ -681,18 +714,21 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// prune removes files more than one generation behind gen, keeping the
-// previous generation intact as the recovery fallback.
+// prune removes what recovery can no longer reach: full and delta files more
+// than one generation behind gen, keeping the previous generation intact as
+// the recovery fallback, and WALs more than two behind — recovering from that
+// fallback replays the WAL of the generation before it too.
 func (s *Store) prune(gen uint64) {
-	if gen < 2 {
-		return
-	}
 	files, err := s.scan()
 	if err != nil {
 		return
 	}
 	for _, f := range files {
-		if !f.temp && f.gen <= gen-2 {
+		reach := f.gen + 2
+		if f.kind == kindRecord {
+			reach++
+		}
+		if !f.temp && reach <= gen {
 			os.Remove(f.path)
 		}
 	}

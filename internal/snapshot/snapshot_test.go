@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"agentloc/internal/metrics"
@@ -30,6 +31,7 @@ func TestWALRoundTrip(t *testing.T) {
 	s := openStore(t, dir, nil)
 	want := []Record{
 		rec(1), rec(2),
+		{Op: OpPut, IAgent: "ia-1", Agent: "agent-2", Node: "node-1", HashVersion: 3, Caps: []string{"gpu", "ocr"}},
 		{Op: OpDelete, IAgent: "ia-1", Agent: "agent-1", HashVersion: 3},
 	}
 	for _, r := range want {
@@ -40,6 +42,22 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A record in the encoding that predates Caps (no trailing field) still
+	// decodes, with no capability set.
+	legacy := []byte{OpPut}
+	for _, f := range []string{"ia-1", "agent-9", "node-2"} {
+		legacy = wire.AppendString(legacy, f)
+	}
+	legacy = wire.AppendUvarint(legacy, 4)
+	wal, err := os.OpenFile(s.walPath(0), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Write(wire.AppendFrame(nil, Magic, FormatVersion, kindRecord, legacy)); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	want = append(want, Record{Op: OpPut, IAgent: "ia-1", Agent: "agent-9", Node: "node-2", HashVersion: 4})
 
 	reg := metrics.New()
 	s2 := openStore(t, dir, reg)
@@ -54,7 +72,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(got.Records), len(want))
 	}
 	for i, r := range want {
-		if got.Records[i] != r {
+		if !reflect.DeepEqual(got.Records[i], r) {
 			t.Fatalf("record %d = %+v, want %+v", i, got.Records[i], r)
 		}
 	}
@@ -150,6 +168,44 @@ func TestCorruptNewestFallback(t *testing.T) {
 	}
 	if v := reg.Counter("agentloc_snapshot_errors_total", "reason", "corrupt_full").Value(); v != 1 {
 		t.Fatalf("corrupt_full counter = %d, want 1", v)
+	}
+}
+
+// TestFallbackKeepsPreviousWAL: a full snapshot must not prune the WAL its
+// fallback replays. When full-2 is corrupt, recovery starts from full-1,
+// whose sections were dumped while wal-0 was live, so wal-0's tail — here
+// agent-0, acknowledged after full-1's dump began — must still be on disk.
+func TestFallbackKeepsPreviousWAL(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, nil)
+	s.Append(rec(0)) // lands in wal-0
+	if err := s.WriteFull([]Section{{Kind: 1, Name: "h", Payload: []byte("gen1")}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Append(rec(1)) // lands in wal-1
+	if err := s.WriteFull([]Section{{Kind: 1, Name: "h", Payload: []byte("gen2")}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	data, err := os.ReadFile(s.fullPath(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(s.fullPath(2), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := openStore(t, dir, nil).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Generation != 1 {
+		t.Fatalf("fell back to gen %d, want 1", got.Generation)
+	}
+	if len(got.Records) != 2 || got.Records[0].Agent != "agent-0" || got.Records[1].Agent != "agent-1" {
+		t.Fatalf("records = %+v, want agent-0 then agent-1", got.Records)
 	}
 }
 
@@ -297,7 +353,7 @@ func TestTornWALBatch(t *testing.T) {
 		t.Fatalf("replayed %d records, want the 3 acknowledged plus the torn batch's 2 intact", len(got.Records))
 	}
 	for i, r := range got.Records {
-		if r != rec(i+1) {
+		if !reflect.DeepEqual(r, rec(i+1)) {
 			t.Fatalf("record %d = %+v, want %+v", i, r, rec(i+1))
 		}
 	}
@@ -344,8 +400,22 @@ func TestDeltaOrderAndCorruptStop(t *testing.T) {
 	}
 }
 
-// TestSectionRoundTrip pins the section codec, including empty payloads.
+// TestSectionRoundTrip pins the section codec, including empty payloads, and
+// the record codec with and without its trailing capability set.
 func TestSectionRoundTrip(t *testing.T) {
+	for _, r := range []Record{
+		rec(5),
+		{Op: OpPut, IAgent: "ia-2", Agent: "agent-5", Node: "n", HashVersion: 9, Caps: []string{"gpu"}},
+		{Op: OpDelete, IAgent: "ia-2", Agent: "agent-5", HashVersion: 10},
+	} {
+		got, err := decodeRecord(appendRecord(nil, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("round trip %+v → %+v", r, got)
+		}
+	}
 	for _, sec := range []Section{
 		{Kind: 1, Name: "hagent", Payload: []byte("state")},
 		{Kind: 9, Name: "", Payload: nil},
@@ -372,10 +442,12 @@ func FuzzRecover(f *testing.F) {
 		full = wire.AppendFrame(full, Magic, FormatVersion, kindEnd, wire.AppendUvarint(nil, 0))
 	}
 	wal := wire.AppendFrame(nil, Magic, FormatVersion, kindRecord, appendRecord(nil, Record{Op: OpPut, IAgent: "i", Agent: "a", Node: "n"}))
+	capWAL := wire.AppendFrame(wal, Magic, FormatVersion, kindRecord, appendRecord(nil, Record{Op: OpPut, IAgent: "i", Agent: "b", Node: "n", Caps: []string{"gpu", "ocr"}}))
 	f.Add(full, wal)
 	f.Add([]byte("garbage"), []byte{})
 	f.Add(full[:len(full)/2], wal[:len(wal)-1])
 	f.Add([]byte{}, wire.AppendFrame(nil, Magic, FormatVersion+1, kindRecord, nil))
+	f.Add(full, capWAL)
 	f.Fuzz(func(t *testing.T, fullBytes, walBytes []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "full-00000001.snap"), fullBytes, 0o644); err != nil {
