@@ -70,10 +70,11 @@ fuzz:
 	$(GO) test ./internal/capindex -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME)
 
 # Crash-tolerance soak: the failover, chaos, fault-injection and restart-
-# recovery suites under the race detector, then the full-cluster kill-and-
-# cold-start scenario on the simulated LAN.
+# recovery suites, the leaf-state model and the mail-across-rehash tests under
+# the race detector, then the full-cluster kill-and-cold-start scenario on the
+# simulated LAN.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn' ./...
+	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit' ./...
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
 
 ci: build fmt-check tidy-check vet lint short race benchmark-check

@@ -112,16 +112,14 @@ func (x *Index) Remove(agent ids.AgentID) bool {
 	return existed
 }
 
-// CapsOf returns a copy of the agent's canonical tag list (nil if none).
+// CapsOf returns the agent's canonical tag list (nil if none). The list is
+// the index's own and callers must not modify it; it stays valid after later
+// mutations, which replace an agent's list and never write into one.
 func (x *Index) CapsOf(agent ids.AgentID) []string {
 	x.mu.RLock()
 	caps := x.byAgent[agent]
-	var out []string
-	if len(caps) > 0 {
-		out = append(make([]string, 0, len(caps)), caps...)
-	}
 	x.mu.RUnlock()
-	return out
+	return caps
 }
 
 // Match returns the agents advertising every one of the given tags

@@ -74,11 +74,10 @@ func (b *IAgentBehavior) deposit(ctx *platform.Context, req DepositReq) Ack {
 	if !ok {
 		return Ack{Status: StatusNotResponsible, HashVersion: version}
 	}
-	b.Table.AddLoadHashed(req.Target, hash, 1)
+	// A deposit counts as a request to its target, if the table holds it; the
+	// charge is split statistics, so it is neither logged nor checkpointed.
+	b.leaf().apply([]change{{agent: req.Target, hash: hash, load: 1}})
 	b.mu.Lock()
-	if b.Pending == nil {
-		b.Pending = make(map[ids.AgentID][]Deposited)
-	}
 	b.Pending[req.Target] = append(b.Pending[req.Target], req.Message)
 	b.mu.Unlock()
 	return Ack{Status: StatusOK, HashVersion: version}

@@ -87,6 +87,91 @@ func TestDepositForUnregisteredAgentHeld(t *testing.T) {
 	}
 }
 
+// TestDepositBeforeRegistrationFollowsRehash: mail held for a target that has
+// not registered yet leaves with the target's id space when a split moves it,
+// so the target, registering with its new IAgent, still receives it.
+func TestDepositBeforeRegistrationFollowsRehash(t *testing.T) {
+	c := newTestCluster(t, quietConfig(), 2)
+	ctx := testCtx(t)
+	homes := registerMany(t, c, ctx, 16)
+	sender := c.service.ClientFor(c.nodes[0])
+	early := make([]ids.AgentID, 16)
+	for i := range early {
+		early[i] = ids.AgentID(fmt.Sprintf("late-bird-%d", i))
+		if err := sender.Deposit(ctx, "early", early[i], "welcome", []byte(early[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forceSplit(t, c, ctx, "iagent-1", homes)
+
+	st := hashState(t, c, ctx)
+	client := c.service.ClientFor(c.nodes[1])
+	moved := 0
+	for _, target := range early {
+		if owner, _, _ := st.OwnerOf(target); owner != "iagent-1" {
+			moved++
+		}
+		if _, err := client.Register(ctx, target); err != nil {
+			t.Fatal(err)
+		}
+		_, pending, err := client.CheckIn(ctx, target, Assignment{})
+		if err != nil {
+			t.Fatalf("check-in %s: %v", target, err)
+		}
+		if len(pending) != 1 || string(pending[0].Payload) != string(target) {
+			t.Errorf("%s received %+v, want its one early message", target, pending)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the split moved none of the targets; the test would be vacuous")
+	}
+}
+
+// TestDeregisterDropsMail: a disposed agent's mail goes with its entry — it
+// does not ride the next handoff, and an agent registering later under the
+// same id receives none of it.
+func TestDeregisterDropsMail(t *testing.T) {
+	c := newTestCluster(t, quietConfig(), 2)
+	ctx := testCtx(t)
+	cfg := c.service.Config()
+	// The first leaf is swapped for one the test can look into.
+	initial := hashState(t, c, ctx)
+	if err := c.nodes[0].Kill("iagent-1"); err != nil {
+		t.Fatal(err)
+	}
+	leaf1 := &IAgentBehavior{Cfg: cfg, StateSnapshot: initial.DTO()}
+	if err := c.nodes[0].Launch("iagent-1", leaf1); err != nil {
+		t.Fatal(err)
+	}
+
+	homes := registerMany(t, c, ctx, 16)
+	client := c.service.ClientFor(c.nodes[1])
+	for agent := range homes {
+		if err := client.Deposit(ctx, "oracle", agent, "note", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Deregister(ctx, agent, Assignment{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forceSplit(t, c, ctx, "iagent-1", homes)
+
+	leaf1.mu.Lock()
+	held := len(leaf1.Pending)
+	leaf1.mu.Unlock()
+	if held != 0 {
+		t.Errorf("iagent-1 still holds mail for %d deregistered agents", held)
+	}
+	for agent := range homes {
+		if _, err := client.Register(ctx, agent); err != nil {
+			t.Fatal(err)
+		}
+		if _, pending, err := client.CheckIn(ctx, agent, Assignment{}); err != nil || len(pending) != 0 {
+			t.Errorf("%s, registered again, received %d messages (%v); want none", agent, len(pending), err)
+		}
+	}
+}
+
 // TestDepositSurvivesRehash checks the extension's interaction with the
 // core mechanism: pending mail follows the handoff when the responsible
 // IAgent changes.

@@ -219,82 +219,17 @@ func decodeIAgentSection(sec snapshot.Section) (*State, *loctable.Table, *capind
 }
 
 // ---------------------------------------------------------------------------
-// Write paths: WAL appends and section persistence.
+// Section persistence. (WAL appends are IAgentBehavior.write's.)
 
-// walRecord builds the WAL record of one location update served by the
-// calling IAgent, with the capability set it carries (see snapshot.Record).
-func walRecord(ctx *platform.Context, op byte, agent ids.AgentID, node platform.NodeID, caps []string, hashVersion uint64) snapshot.Record {
-	return snapshot.Record{
-		Op:          op,
-		IAgent:      string(ctx.Self()),
-		Agent:       string(agent),
-		Node:        string(node),
-		HashVersion: hashVersion,
-		Caps:        caps,
-	}
-}
-
-// walAppendBatch appends location updates to the hosting node's WAL with one
-// write. A node without a store is a no-op; with one, a failed append must
-// fail the request — updates are only acknowledged once they are logged.
-func walAppendBatch(ctx *platform.Context, recs []snapshot.Record) error {
-	store := ctx.Durable()
-	if store == nil {
-		return nil
-	}
-	if err := store.AppendBatch(recs); err != nil {
-		return fmt.Errorf("IAgent %s: wal: %w", ctx.Self(), err)
-	}
-	return nil
-}
-
-// walAppend is walAppendBatch for a single update.
-func walAppend(ctx *platform.Context, op byte, agent ids.AgentID, node platform.NodeID, hashVersion uint64) error {
-	if ctx.Durable() == nil {
-		return nil
-	}
-	return walAppendBatch(ctx, []snapshot.Record{walRecord(ctx, op, agent, node, nil, hashVersion)})
-}
-
-// walBatchRecords bounds the records of one WAL write of a bulk operation.
-const walBatchRecords = 4096
-
-// walAppendEntries logs one record per entry, each with the entry's set from
-// caps (an OpDelete record carries no node), walBatchRecords to a write: a
-// rehash moves a table's worth of entries and must not cost a write each. It
-// stops at the first failed append.
-func walAppendEntries(ctx *platform.Context, op byte, entries map[ids.AgentID]platform.NodeID, caps map[ids.AgentID][]string, hashVersion uint64) error {
-	if ctx.Durable() == nil {
-		return nil
-	}
-	recs := make([]snapshot.Record, 0, min(len(entries), walBatchRecords))
-	for agent, node := range entries {
-		if op == snapshot.OpDelete {
-			node = ""
-		}
-		recs = append(recs, walRecord(ctx, op, agent, node, caps[agent], hashVersion))
-		if len(recs) == walBatchRecords {
-			if err := walAppendBatch(ctx, recs); err != nil {
-				return err
-			}
-			recs = recs[:0]
-		}
-	}
-	return walAppendBatch(ctx, recs)
-}
-
-// durableSection assembles this IAgent's full snapshot section: the table
-// with every residence-bound entry at its handle's address.
+// durableSection assembles this IAgent's full snapshot section: the reader's
+// records, every one at its resolved address.
 func (b *IAgentBehavior) durableSection(self ids.AgentID) (snapshot.Section, error) {
-	table := loctable.New()
-	b.Table.RangeSlots(func(s loctable.Slot) bool {
-		if node, bound := b.Residence.Resolve(s.Agent); bound {
-			s.Node = node
-		}
-		table.PutHashed(s.Agent, s.Hash, s.Node, 0)
+	resolved := loctable.New()
+	b.leaf().each(nil, func(r record) bool {
+		resolved.PutHashed(r.agent, r.hash, r.node, 0)
 		return true
 	})
-	return iagentSection(self, b.state.Load(), table, b.Caps)
+	return iagentSection(self, b.state.Load(), resolved, b.Caps)
 }
 
 // persistSelf writes this IAgent's full section as an incremental snapshot,
@@ -349,16 +284,48 @@ type RecoveryReport struct {
 	Skipped int
 }
 
-type iagentRecovery struct {
-	state   *State
-	entries map[ids.AgentID]platform.NodeID
-	caps    *capindex.Index
-}
-
-type hagentRecovery struct {
-	state   *State
-	nextSeq uint64
-	standby bool
+// replay rebuilds, from what a store recovered, the behaviour of every agent
+// it holds a section for. Sections, the full snapshot's then the deltas', set
+// each agent's base: a later one replaces an earlier one whole. A primary
+// HAgent comes back fenced — its version bumped by one, which no pre-crash
+// client holds, and NotifyOnRecover set. WAL records apply last, through the
+// leaf's apply: they postdate every section they follow, and the last record
+// per agent is the last acknowledged address and set.
+func replay(rec *snapshot.Recovered, cfg Config, report *RecoveryReport) (hagents map[string]*HAgentBehavior, iagents map[string]*IAgentBehavior) {
+	hagents, iagents = map[string]*HAgentBehavior{}, map[string]*IAgentBehavior{}
+	for _, sec := range append(rec.Sections, rec.Deltas...) {
+		switch sec.Kind {
+		case SectionHAgent:
+			st, nextSeq, standby, err := decodeHAgentSection(sec)
+			if err != nil {
+				report.Skipped++
+				continue
+			}
+			if !standby {
+				st = &State{Ver: st.Ver + 1, Tree: st.Tree, Locations: st.Locations}
+			}
+			hagents[sec.Name] = &HAgentBehavior{Cfg: cfg, InitialState: st.DTO(), NextIAgentSeq: nextSeq, Standby: standby, NotifyOnRecover: !standby}
+		case SectionIAgent:
+			st, table, caps, err := decodeIAgentSection(sec)
+			if err != nil {
+				report.Skipped++
+				continue
+			}
+			iagents[sec.Name] = &IAgentBehavior{Cfg: cfg, Table: table, Residence: NewResidenceTable(), Caps: caps, StateSnapshot: st.DTO()}
+		default:
+			report.Skipped++
+		}
+	}
+	for _, r := range rec.Records {
+		ia := iagents[r.IAgent]
+		if ia == nil {
+			report.Skipped++
+			continue
+		}
+		agent := ids.AgentID(r.Agent)
+		ia.leaf().apply([]change{{agent: agent, hash: agent.Hash64(), node: platform.NodeID(r.Node), caps: r.Caps, delete: r.Op == snapshot.OpDelete}})
+	}
+	return hagents, iagents
 }
 
 // RecoverNode rebuilds a node's location agents from its snapshot store
@@ -382,85 +349,18 @@ func RecoverNode(node *platform.Node, cfg Config) (*RecoveryReport, error) {
 	}
 	report.Generation = rec.Generation
 	report.Replayed = len(rec.Records)
-
-	hagents := map[string]hagentRecovery{}
-	iagents := map[string]*iagentRecovery{}
-
-	// Sections, the full snapshot's then the deltas', set each agent's base:
-	// a later one replaces an earlier one whole.
-	for _, sec := range append(rec.Sections, rec.Deltas...) {
-		switch sec.Kind {
-		case SectionHAgent:
-			st, nextSeq, standby, err := decodeHAgentSection(sec)
-			if err != nil {
-				report.Skipped++
-				continue
-			}
-			hagents[sec.Name] = hagentRecovery{state: st, nextSeq: nextSeq, standby: standby}
-		case SectionIAgent:
-			st, table, caps, err := decodeIAgentSection(sec)
-			if err != nil {
-				report.Skipped++
-				continue
-			}
-			iagents[sec.Name] = &iagentRecovery{state: st, entries: table.Snapshot(), caps: caps}
-		default:
-			report.Skipped++
-		}
-	}
-
-	// WAL records apply last: they postdate every section they follow, and
-	// the last record per agent is the last acknowledged address and set.
-	for _, r := range rec.Records {
-		ir := iagents[r.IAgent]
-		if ir == nil {
-			report.Skipped++
-			continue
-		}
-		agent := ids.AgentID(r.Agent)
-		switch r.Op {
-		case snapshot.OpPut:
-			ir.entries[agent] = platform.NodeID(r.Node)
-			if len(r.Caps) > 0 {
-				ir.caps.Set(agent, r.Caps)
-			}
-		case snapshot.OpDelete:
-			delete(ir.entries, agent)
-			ir.caps.Remove(agent)
-		}
-	}
+	hagents, iagents := replay(rec, cfg, report)
 
 	// Relaunch, deterministically ordered.
 	for _, name := range sortedKeys(hagents) {
-		hr := hagents[name]
-		st := hr.state
-		notify := false
-		if !hr.standby {
-			// The restart fence: no pre-crash client holds this version.
-			st = &State{Ver: st.Ver + 1, Tree: st.Tree, Locations: st.Locations}
-			notify = true
-		}
-		behavior := &HAgentBehavior{
-			Cfg:             cfg,
-			InitialState:    st.DTO(),
-			NextIAgentSeq:   hr.nextSeq,
-			Standby:         hr.standby,
-			NotifyOnRecover: notify,
-		}
-		if err := node.Launch(ids.AgentID(name), behavior); err != nil {
+		if err := node.Launch(ids.AgentID(name), hagents[name]); err != nil {
 			return nil, fmt.Errorf("core: relaunch HAgent %s: %w", name, err)
 		}
 		report.HAgents = append(report.HAgents, ids.AgentID(name))
 	}
 	for _, name := range sortedKeys(iagents) {
-		ir := iagents[name]
-		table := loctable.New()
-		for a, n := range ir.entries {
-			table.Put(a, n)
-		}
-		report.Entries += len(ir.entries)
-		behavior := &IAgentBehavior{Cfg: cfg, Table: table, Caps: ir.caps, StateSnapshot: ir.state.DTO()}
-		if err := node.Launch(ids.AgentID(name), behavior, platform.WithServiceTime(cfg.IAgentServiceTime)); err != nil {
+		report.Entries += iagents[name].Table.Len()
+		if err := node.Launch(ids.AgentID(name), iagents[name], platform.WithServiceTime(cfg.IAgentServiceTime)); err != nil {
 			return nil, fmt.Errorf("core: relaunch IAgent %s: %w", name, err)
 		}
 		report.IAgents = append(report.IAgents, ids.AgentID(name))

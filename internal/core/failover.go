@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"agentloc/internal/ids"
-	"agentloc/internal/loctable"
 	"agentloc/internal/platform"
-	"agentloc/internal/snapshot"
 	"agentloc/internal/transport"
 )
 
@@ -132,16 +130,27 @@ type LeaseQueryResp struct {
 	Standby        bool
 }
 
-// CheckpointState is the durable copy of one sibling's table held by an
-// IAgent, valid only for the hash version it was pushed under.
+// CheckpointState is the copy of one sibling's state held by an IAgent,
+// valid only for the hash version it was pushed under.
 type CheckpointState struct {
 	Seq         uint64
 	HashVersion uint64
-	// Entries is a table like the sender's own: it is written a push at a
-	// time, ranged once if the sender fails, and relocates in its gob form.
-	Entries *loctable.Table
-	// Caps holds the capability sets last pushed for the held entries.
-	Caps map[ids.AgentID][]string
+	// Leaf is a leaf state like the sender's own, of resolved addresses and
+	// capability sets, without bindings: it is applied a push at a time, read
+	// once if the sender fails, and relocates in its gob form.
+	Leaf leafState
+}
+
+// add ships one agent's record: its resolved address, and its capability set
+// when it has one.
+func (r *CheckpointReq) add(rec record) {
+	r.Entries[rec.agent] = rec.node
+	if len(rec.caps) > 0 {
+		if r.Caps == nil {
+			r.Caps = make(map[ids.AgentID][]string)
+		}
+		r.Caps[rec.agent] = rec.caps
+	}
 }
 
 // failoverEnabled reports whether the crash-tolerance subsystem is on.
@@ -645,22 +654,8 @@ func (b *IAgentBehavior) armFullCheckpoint() {
 	b.ckDirty = make(map[ids.AgentID]bool)
 }
 
-// noteDirty records that the agent's table entry was written or deleted since
-// the last checkpoint push — but only while a delta could carry it: with the
-// subsystem off nothing ever drains the set, and while a full push is owed it
-// carries every entry. Callers write the table first and take mu second, and
-// a full push clears ckFull (under mu) before it reads the first stripe, so a
-// write it missed finds ckFull cleared and is noted for the first delta; the
-// dirty set is therefore bounded by the writes of one checkpoint interval.
-// Caller holds mu.
-func (b *IAgentBehavior) noteDirty(agent ids.AgentID) {
-	if b.deltaOpen() {
-		b.ckDirty[agent] = true
-	}
-}
-
 // deltaOpen reports whether table changes are being collected for a delta
-// push. Caller holds mu.
+// push (see write). Caller holds mu.
 func (b *IAgentBehavior) deltaOpen() bool {
 	return b.Cfg.failoverEnabled() && !b.ckFull
 }
@@ -714,24 +709,10 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	if full {
 		sent = b.metCkSentFull
 	}
-	// send ships one push: residence-bound entries overlaid with their
-	// handle's address (checkpoints carry final addresses, so a restored swarm
-	// re-forms its bindings at its next move), the capability sets of the
-	// shipped agents beside them.
+	// Pushes carry resolved addresses: a restored swarm re-binds at its next move.
 	send := func(req *CheckpointReq) (Status, error) {
 		b.ckSeq++
 		req.From, req.HashVersion, req.Seq = ctx.Self(), st.Version(), b.ckSeq
-		b.Residence.OverlayResolved(req.Entries)
-		if b.Caps.Len() > 0 {
-			for a := range req.Entries {
-				if caps := b.Caps.CapsOf(a); len(caps) > 0 {
-					if req.Caps == nil {
-						req.Caps = make(map[ids.AgentID][]string)
-					}
-					req.Caps[a] = caps
-				}
-			}
-		}
 		sent.Add(uint64(len(req.Entries) + len(req.Removed)))
 		var resp CheckpointResp
 		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
@@ -745,12 +726,12 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	if full {
 		status, err = b.streamTable(send)
 	} else {
-		// The table says which way each touched agent went: present ones
-		// ship their entry, absent ones were deleted.
+		// The leaf says which way each touched agent went: present ones ship
+		// their record, absent ones were deleted.
 		req := CheckpointReq{Entries: make(map[ids.AgentID]platform.NodeID, len(dirty))}
 		for a := range dirty {
-			if n, ok := b.Table.Get(a); ok {
-				req.Entries[a] = n
+			if rec, ok := b.leaf().get(a); ok {
+				req.add(rec)
 			} else {
 				req.Removed = append(req.Removed, a)
 			}
@@ -772,44 +753,33 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	b.mu.Unlock()
 }
 
-// streamTable cuts the table into pushes of ckChunkEntries entries and sends
-// them until one fails. The table is read a stripe at a time, under that
-// stripe's lock alone; nothing is locked while a chunk travels.
+// streamTable cuts the leaf's records into pushes of ckChunkEntries entries
+// and sends them until one fails. The reader holds no lock while a chunk
+// travels.
 func (b *IAgentBehavior) streamTable(send func(*CheckpointReq) (Status, error)) (Status, error) {
-	var slots []loctable.Slot
 	req := CheckpointReq{Full: true, Entries: make(map[ids.AgentID]platform.NodeID, ckChunkEntries)}
-	ship := func(chunk []loctable.Slot) (Status, error) {
-		for _, s := range chunk {
-			req.Entries[s.Agent] = s.Node
-		}
-		status, err := send(&req)
+	status, err := StatusOK, error(nil)
+	ship := func() bool {
+		status, err = send(&req)
 		clear(req.Entries)
 		req.Full, req.Caps = false, nil
-		return status, err
+		return err == nil && status == StatusOK
 	}
-	for i := 0; i < b.Table.Stripes(); i++ {
-		b.Table.RangeStripe(i, func(s loctable.Slot) bool {
-			slots = append(slots, s)
-			return true
-		})
-		n := 0
-		for ; len(slots)-n >= ckChunkEntries; n += ckChunkEntries {
-			if status, err := ship(slots[n : n+ckChunkEntries]); err != nil || status != StatusOK {
-				return status, err
-			}
-		}
-		slots = append(slots[:0], slots[n:]...)
+	b.leaf().each(nil, func(rec record) bool {
+		req.add(rec)
+		return len(req.Entries) < ckChunkEntries || ship()
+	})
+	if err == nil && status == StatusOK && (len(req.Entries) > 0 || req.Full) {
+		ship() // the rest; of an empty table, the Full push that says so
 	}
-	if len(slots) == 0 && !req.Full {
-		return StatusOK, nil
-	}
-	return ship(slots) // the rest; of an empty table, the Full push that says so
+	return status, err
 }
 
 // acceptCheckpoint serves KindCheckpoint: apply the sibling's push to the
 // copy held of it, but only when both sides agree on the hash version — a
 // push racing a rehash is rejected so entries can never resurrect on the wrong
-// leaf (the sender tries again once both have the new version).
+// leaf (the sender tries again once both have the new version). A pushed
+// entry without a capability set keeps the one held.
 func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -822,7 +792,7 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 	}
 	held := b.Checkpoints[req.From]
 	if !req.Full {
-		if held.Entries == nil || held.HashVersion != req.HashVersion {
+		if held.Leaf.Table == nil || held.HashVersion != req.HashVersion {
 			// No base to apply the delta to; ask for a full push.
 			return CheckpointResp{Status: StatusIgnored, HashVersion: ver}
 		}
@@ -831,64 +801,47 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 		}
 	}
 	if req.Full {
-		held = CheckpointState{Entries: loctable.New()}
+		held = CheckpointState{Leaf: newLeafState()}
 	}
-	held.Seq = req.Seq
-	held.HashVersion = req.HashVersion
+	held.Seq, held.HashVersion = req.Seq, req.HashVersion
 	for a, n := range req.Entries {
-		held.Entries.Put(a, n)
-	}
-	for a, caps := range req.Caps {
-		if held.Caps == nil {
-			held.Caps = make(map[ids.AgentID][]string)
-		}
-		held.Caps[a] = caps
+		held.Leaf.apply([]change{{agent: a, hash: a.Hash64(), node: n, caps: req.Caps[a]}})
 	}
 	for _, a := range req.Removed {
-		held.Entries.Delete(a)
-		delete(held.Caps, a)
+		held.Leaf.apply([]change{{agent: a, hash: a.Hash64(), delete: true}})
 	}
 	b.Checkpoints[req.From] = held
 	return CheckpointResp{Status: StatusOK, HashVersion: ver}
 }
 
-// activateCheckpoint installs the failed IAgent's checkpointed entries
-// after a takeover — but only those this IAgent owns under the new state
-// (never adopting another absorber's slice) and only where it has no
-// fresher entry of its own (local wins). Entries belonging to other
-// absorbers are dropped here; they heal lazily through forwarding or the
-// agent's next location report. The WAL records are best effort: a restored
-// entry that misses the log re-heals exactly as the checkpoint scheme already
-// tolerates.
+// activateCheckpoint installs the failed IAgent's checkpointed records after
+// a takeover — only those this IAgent owns under the new state (never another
+// absorber's slice; those heal lazily through forwarding or the agent's next
+// location report) and only where it has no fresher entry of its own (local
+// wins). The write is best effort: a restored entry that misses the log
+// re-heals as the checkpoint scheme already tolerates.
 func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.AgentID) {
 	st := b.state.Load()
 	b.mu.Lock()
-	restored := 0
-	if ck, ok := b.Checkpoints[failed]; ok {
-		restore := make(map[ids.AgentID]platform.NodeID)
-		ck.Entries.RangeSlots(func(s loctable.Slot) bool {
-			if owner, _, err := st.OwnerOfHash(s.Hash); err == nil && owner == ctx.Self() {
-				if _, exists := b.Table.GetHashed(s.Agent, s.Hash); !exists {
-					restore[s.Agent] = s.Node
-				}
-			}
-			return true
-		})
-		_ = walAppendEntries(ctx, snapshot.OpPut, restore, ck.Caps, st.Version())
-		for agent, node := range restore {
-			b.Table.Put(agent, node)
-			if caps := ck.Caps[agent]; len(caps) > 0 {
-				b.Caps.Set(agent, caps)
-			}
-			b.noteDirty(agent)
-		}
-		restored = len(restore)
-		delete(b.Checkpoints, failed)
-	}
-	b.metTable.Set(int64(b.Table.Len()))
+	ck, ok := b.Checkpoints[failed]
+	delete(b.Checkpoints, failed)
 	b.mu.Unlock()
-	if restored > 0 {
-		ctx.Emit("failover.restore", fmt.Sprintf("restored %d entries of failed %s from checkpoint", restored, failed))
+	if !ok {
+		return
+	}
+	var restore []change
+	ck.Leaf.each(func(hash uint64) bool {
+		owner, _, err := st.OwnerOfHash(hash)
+		return err == nil && owner == ctx.Self()
+	}, func(r record) bool {
+		if _, local := b.leaf().get(r.agent); !local {
+			restore = append(restore, change{agent: r.agent, hash: r.hash, node: r.node, caps: r.caps})
+		}
+		return true
+	})
+	_ = b.write(ctx, st.Version(), restore, true)
+	if len(restore) > 0 {
+		ctx.Emit("failover.restore", fmt.Sprintf("restored %d entries of failed %s from checkpoint", len(restore), failed))
 	}
 }
 

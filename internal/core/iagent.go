@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -13,7 +14,6 @@ import (
 	"agentloc/internal/loctable"
 	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
-	"agentloc/internal/snapshot"
 	"agentloc/internal/stats"
 	"agentloc/internal/transport"
 )
@@ -31,23 +31,14 @@ import (
 type IAgentBehavior struct {
 	// Cfg is the mechanism configuration.
 	Cfg Config
-	// Table maps served agents to their current nodes and counts the
-	// requests each has drawn. It is sharded so concurrent locates never
-	// contend with each other (a locate and a register only collide when
-	// they land on the same stripe), and it gob-encodes stripe by stripe,
-	// counts included, so a relocated IAgent arrives with its per-agent loads.
-	Table *loctable.Table
-	// Residence records which served agents are bound to which residence
-	// handle and where each handle currently is; locate resolves through it
-	// so a group migration re-pointing the handle covers every bound member
-	// (see residence.go).
+	// Table, Residence and Caps are the leaf's state (leafstate.go): where
+	// each served agent is and the requests it drew, its residence binding,
+	// and its capability set. Only write changes them and only the reader
+	// resolves an agent out of them; they are fields of their own so the
+	// relocation form carries them, loads included.
+	Table     *loctable.Table
 	Residence *ResidenceTable
-	// Caps is the secondary capability index (tag → served agents), kept
-	// in lockstep with Table through register/update/deregister, handoffs,
-	// sibling checkpoints and durable sections; Discover queries resolve
-	// matches to nodes through Table+Residence, so the index itself never
-	// stores locations.
-	Caps *capindex.Index
+	Caps      *capindex.Index
 	// StateSnapshot is the IAgent's copy of the hash state, kept current
 	// by the HAgent for every rehash the IAgent is involved in.
 	StateSnapshot StateDTO
@@ -77,7 +68,7 @@ type IAgentBehavior struct {
 	// the agents whose table entry was written or deleted since the last push
 	// to the sibling leaf, and whether the next push must be a full one (see
 	// armFullCheckpoint). Changes are only noted while a delta could carry
-	// them — see noteDirty.
+	// them — see write.
 	ckDirty map[ids.AgentID]bool
 	ckSeq   uint64
 	ckFull  bool
@@ -105,14 +96,10 @@ var (
 // migration.
 func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 	b.once.Do(func() {
-		if b.Table == nil {
-			b.Table = loctable.New()
-		}
-		if b.Residence == nil {
-			b.Residence = NewResidenceTable()
-		}
-		if b.Caps == nil {
-			b.Caps = capindex.New()
+		fresh := newLeafState()
+		b.Table, b.Residence, b.Caps = cmp.Or(b.Table, fresh.Table), cmp.Or(b.Residence, fresh.Residence), cmp.Or(b.Caps, fresh.Caps)
+		if b.Pending == nil {
+			b.Pending = make(map[ids.AgentID][]Deposited)
 		}
 		st, err := FromDTO(b.StateSnapshot)
 		if err != nil {
@@ -330,51 +317,28 @@ func (b *IAgentBehavior) recordLocation(ctx *platform.Context, u UpdateReq) (Ack
 // handle at Node; an empty one clears any binding — an individually-reported
 // move means the agent left its group. A non-empty Capabilities replaces the
 // agent's capability set; empty means no capability change, so plain moves
-// never wipe an advertised set. On a durable node the responsible entries are
-// WAL-logged with their capability sets — the whole batch with one write —
-// before any is applied or acknowledged; a failed append fails the request.
+// never wipe an advertised set. The responsible entries are one write: logged,
+// the whole batch at once, before any is applied or acknowledged.
 func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []UpdateReq) ([]Ack, error) {
 	acks := make([]Ack, len(updates))
-	hashes := make([]uint64, len(updates)) // each id is hashed once
-	var recs []snapshot.Record
-	if ctx.Durable() != nil {
-		recs = make([]snapshot.Record, 0, len(updates))
-	}
+	changes := make([]change, 0, len(updates))
+	var version uint64
 	for i, u := range updates {
 		b.est.Record()
-		hashes[i] = u.Agent.Hash64()
-		ok, version := b.responsible(ctx, hashes[i])
-		if !ok {
+		hash := u.Agent.Hash64()
+		var ok bool
+		if ok, version = b.responsible(ctx, hash); !ok {
 			b.metStale.Inc()
 			acks[i] = Ack{Status: StatusNotResponsible, HashVersion: version}
 			continue
 		}
 		acks[i] = Ack{Status: StatusOK, HashVersion: version}
-		if recs != nil {
-			recs = append(recs, walRecord(ctx, snapshot.OpPut, u.Agent, u.Node, u.Capabilities, version))
-		}
+		// An update counts as a request.
+		changes = append(changes, change{agent: u.Agent, hash: hash, node: u.Node, handle: u.Residence, caps: u.Capabilities, load: 1})
 	}
-	if err := walAppendBatch(ctx, recs); err != nil {
+	if err := b.write(ctx, version, changes, false); err != nil {
 		return nil, err
 	}
-	for i, u := range updates {
-		if acks[i].Status != StatusOK {
-			continue
-		}
-		b.Table.PutHashed(u.Agent, hashes[i], u.Node, 1) // an update counts as a request
-		if u.Residence != "" {
-			b.Residence.Bind(u.Agent, u.Residence, u.Node)
-		} else {
-			b.Residence.Unbind(u.Agent)
-		}
-		if len(u.Capabilities) > 0 {
-			b.Caps.Set(u.Agent, u.Capabilities)
-		}
-		b.mu.Lock()
-		b.noteDirty(u.Agent)
-		b.mu.Unlock()
-	}
-	b.metTable.Set(int64(b.Table.Len()))
 	return acks, nil
 }
 
@@ -382,45 +346,25 @@ func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []Update
 // its group's new node, covering every bound member this IAgent serves with
 // one request. Residence ids are not hashed, so there is no responsibility
 // check on the handle itself; the members' bindings only exist here while
-// their entries do (adoptState unbinds what it hands off). An unknown
-// handle answers StatusUnknownAgent and the sender falls back to per-member
-// bound updates, which re-create the record wherever the members live now.
+// their entries do. An unknown handle answers StatusUnknownAgent and the
+// sender falls back to per-member bound updates, which re-create the record
+// wherever the members live now. The move is a bound update per member, one
+// write: a failed append fails the request and the sender retries.
 func (b *IAgentBehavior) residenceMove(ctx *platform.Context, req ResidenceMoveReq) (ResidenceMoveResp, error) {
 	b.est.Record()
 	version := b.state.Load().Version()
-	members, known := b.Residence.Move(req.Residence, req.Node)
+	changes, known := b.leaf().move(req.Residence, req.Node)
 	if !known {
 		return ResidenceMoveResp{Status: StatusUnknownAgent, HashVersion: version}, nil
 	}
-	// WAL records carry final addresses, so a one-message group move logs
-	// one put per member — the durable mirror of what the checkpoint
-	// re-push below does for the sibling copy. A failed append fails the
-	// request; the sender's retry repeats the (idempotent) move.
-	if ctx.Durable() != nil {
-		recs := make([]snapshot.Record, len(members))
-		for i, a := range members {
-			recs[i] = walRecord(ctx, snapshot.OpPut, a, req.Node, nil, version)
-		}
-		if err := walAppendBatch(ctx, recs); err != nil {
-			return ResidenceMoveResp{}, err
-		}
+	if err := b.write(ctx, version, changes, false); err != nil {
+		return ResidenceMoveResp{}, err
 	}
-	// Every member's resolved address changed: their checkpointed entries
-	// must be re-pushed, and their load counters see the activity so split
-	// decisions stay informed.
-	for _, a := range members {
-		b.Table.AddLoad(a, 1)
-	}
-	b.mu.Lock()
-	for _, a := range members {
-		b.noteDirty(a)
-	}
-	b.mu.Unlock()
-	return ResidenceMoveResp{Status: StatusOK, HashVersion: version, Bound: len(members)}, nil
+	return ResidenceMoveResp{Status: StatusOK, HashVersion: version, Bound: len(changes)}, nil
 }
 
-// deregister forgets a disposed agent and its capability set. The delete is
-// WAL-logged before it is applied, like every acknowledged mutation.
+// deregister forgets a disposed agent, its capability set and its mail. The
+// delete is logged before it is applied, like every acknowledged mutation.
 func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (Ack, error) {
 	b.est.Record()
 	hash := agent.Hash64()
@@ -429,16 +373,9 @@ func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (A
 		b.metStale.Inc()
 		return Ack{Status: StatusNotResponsible, HashVersion: version}, nil
 	}
-	if err := walAppend(ctx, snapshot.OpDelete, agent, "", version); err != nil {
+	if err := b.write(ctx, version, []change{{agent: agent, hash: hash, delete: true}}, false); err != nil {
 		return Ack{}, err
 	}
-	b.Table.DeleteHashed(agent, hash)
-	b.Residence.Unbind(agent)
-	b.Caps.Remove(agent)
-	b.mu.Lock()
-	b.noteDirty(agent)
-	b.mu.Unlock()
-	b.metTable.Set(int64(b.Table.Len()))
 	return Ack{Status: StatusOK, HashVersion: version}, nil
 }
 
@@ -446,8 +383,9 @@ func (b *IAgentBehavior) deregister(ctx *platform.Context, agent ids.AgentID) (A
 // frame (paper §2.3: the IAgent first checks whether it is still responsible
 // for the agent). The id is hashed once, for the responsibility check and the
 // table probe, and the probe counts the request in the slot it finds; an agent
-// the table does not hold is counted nowhere. It takes no locks beyond the
-// Table stripe's RLock, so concurrent locates proceed in parallel.
+// the table does not hold is counted nowhere. It takes only read locks, so
+// concurrent locates proceed in parallel, and the client receives (and
+// caches) a final address.
 func (b *IAgentBehavior) locateBytes(ctx *platform.Context, agent []byte) LocateResp {
 	b.est.Record()
 	hash := ids.HashBytes(agent)
@@ -456,29 +394,21 @@ func (b *IAgentBehavior) locateBytes(ctx *platform.Context, agent []byte) Locate
 		b.metStale.Inc()
 		return LocateResp{Status: StatusNotResponsible, HashVersion: version}
 	}
-	node, found := b.Table.GetCountedBytes(agent, hash)
+	node, found := b.leaf().locate(agent, hash)
 	if !found {
 		return LocateResp{Status: StatusUnknownAgent, HashVersion: version}
-	}
-	// A bound agent's authoritative address is its handle's: the handle
-	// moved with the group even when the member's direct entry is older.
-	// Resolve takes only a read lock, so the concurrent fast path keeps its
-	// parallelism — and the client receives (and caches) a final address.
-	if rn, ok := b.Residence.ResolveBytes(agent); ok {
-		node = rn
 	}
 	return LocateResp{Status: StatusOK, Node: node, HashVersion: version}
 }
 
 // discover answers a capability query against the secondary index, each
-// match resolved to its current node through the location table and the
-// residence overlay — the same resolution locate performs, so the caller
-// receives final addresses. Matches are Near-preferred, then ordered by
-// agent id for determinism, then truncated to the per-leaf limit. There is
-// no per-agent responsibility check: the index only ever holds agents this
-// IAgent serves (handoffs move capability sets with their entries), and an
-// agent absent from the table — a phantom left by a lost removal — is
-// simply skipped.
+// match resolved to its current node by the reader — the resolution locate
+// performs, so the caller receives final addresses. Matches are
+// Near-preferred, then ordered by agent id for determinism, then truncated
+// to the per-leaf limit. There is no per-agent responsibility check: the
+// index only ever holds agents this IAgent serves (handoffs move capability
+// sets with their entries), and an agent absent from the table — a phantom
+// left by a lost removal — is simply skipped.
 func (b *IAgentBehavior) discover(req DiscoverReq) DiscoverResp {
 	b.est.Record()
 	version := b.state.Load().Version()
@@ -489,14 +419,9 @@ func (b *IAgentBehavior) discover(req DiscoverReq) DiscoverResp {
 	}
 	resp.Matches = make([]DiscoverMatch, 0, len(matched))
 	for _, agent := range matched {
-		node, found := b.Table.Get(agent)
-		if !found {
-			continue
+		if r, found := b.leaf().get(agent); found {
+			resp.Matches = append(resp.Matches, DiscoverMatch{Agent: agent, Node: r.node})
 		}
-		if rn, ok := b.Residence.Resolve(agent); ok {
-			node = rn
-		}
-		resp.Matches = append(resp.Matches, DiscoverMatch{Agent: agent, Node: node})
 	}
 	sort.Slice(resp.Matches, func(i, j int) bool {
 		mi, mj := resp.Matches[i], resp.Matches[j]
@@ -544,19 +469,18 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		b.activateCheckpoint(ctx, req.PromoteCheckpointOf)
 	}
 
-	// Group entries this IAgent no longer owns by their new owner, in one
-	// pass over the table: the slot carries the hash the tree walks, so
-	// nothing is hashed again, and the load the receiver's split decisions
-	// need. Only what leaves is copied out.
+	// Group what this leaf no longer owns by its new owner: each agent's
+	// record, in one pass of the reader, and every message whose target left,
+	// whether the table holds the target or not — a deposit may precede its
+	// target's registration.
+	leaving := func(hash uint64) (ids.AgentID, bool) {
+		owner, _, err := st.OwnerOfHash(hash)
+		return owner, err == nil && owner != ctx.Self()
+	}
 	moved := make(map[ids.AgentID]*HandoffReq)
-	b.Table.RangeSlots(func(s loctable.Slot) bool {
-		owner, _, err := st.OwnerOfHash(s.Hash)
-		if err != nil || owner == ctx.Self() {
-			return true
-		}
-		h := moved[owner]
-		if h == nil {
-			h = &HandoffReq{
+	handoffTo := func(owner ids.AgentID) *HandoffReq {
+		if moved[owner] == nil {
+			moved[owner] = &HandoffReq{
 				Entries:    make(map[ids.AgentID]platform.NodeID),
 				Load:       make(map[ids.AgentID]uint64),
 				Pending:    make(map[ids.AgentID][]Deposited),
@@ -564,34 +488,28 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 				Residences: make(map[ids.ResidenceID]platform.NodeID),
 				Caps:       make(map[ids.AgentID][]string),
 			}
-			moved[owner] = h
 		}
-		h.Entries[s.Agent] = s.Node
-		h.Load[s.Agent] = uint64(s.Load)
+		return moved[owner]
+	}
+	b.leaf().each(func(hash uint64) bool { _, gone := leaving(hash); return gone }, func(r record) bool {
+		owner, _ := leaving(r.hash)
+		h := handoffTo(owner)
+		h.Entries[r.agent], h.Load[r.agent] = r.node, uint64(r.load)
+		if r.handle != "" {
+			h.Bindings[r.agent], h.Residences[r.handle] = r.handle, r.node
+		}
+		if len(r.caps) > 0 {
+			h.Caps[r.agent] = r.caps
+		}
 		return true
 	})
-	for _, h := range moved {
-		// Entries are overlaid with residence-resolved addresses, so a
-		// receiver that never learns a binding still starts from the group's
-		// current node, not a stale per-member entry.
-		b.Residence.OverlayResolved(h.Entries)
-		for agent, node := range h.Entries {
-			if r, bound := b.Residence.BindingOf(agent); bound {
-				h.Bindings[agent] = r
-				h.Residences[r] = node
-			}
-			if caps := b.Caps.CapsOf(agent); len(caps) > 0 {
-				h.Caps[agent] = caps
-			}
+	b.mu.Lock()
+	for target, msgs := range b.Pending {
+		if owner, gone := leaving(target.Hash64()); gone {
+			handoffTo(owner).Pending[target] = msgs
 		}
-		b.mu.Lock()
-		for agent := range h.Entries {
-			if msgs := b.Pending[agent]; len(msgs) > 0 {
-				h.Pending[agent] = msgs
-			}
-		}
-		b.mu.Unlock()
 	}
+	b.mu.Unlock()
 	for owner, h := range moved {
 		ownerNode, ok := st.Locations[owner]
 		if !ok {
@@ -600,21 +518,19 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		if err := b.callWithRetry(ctx, ownerNode, owner, KindHandoff, h, nil); err != nil {
 			return Ack{}, fmt.Errorf("IAgent %s: handoff to %s: %w", ctx.Self(), owner, err)
 		}
-		b.mu.Lock()
+		gone := make([]change, 0, len(h.Entries))
 		for agent := range h.Entries {
-			delete(b.Pending, agent)
+			gone = append(gone, change{agent: agent, hash: agent.Hash64(), delete: true})
 		}
-		b.mu.Unlock()
 		// Best effort: the full section persisted below is the durable
 		// authority for the post-handoff table, and a resurrected entry
 		// would only draw not-responsible answers anyway.
-		_ = walAppendEntries(ctx, snapshot.OpDelete, h.Entries, nil, st.Version())
-		for agent := range h.Entries {
-			b.Table.Delete(agent)
-			b.Residence.Unbind(agent)
-			b.Caps.Remove(agent)
+		_ = b.write(ctx, st.Version(), gone, true)
+		b.mu.Lock()
+		for target := range h.Pending {
+			delete(b.Pending, target)
 		}
-		b.metTable.Set(int64(b.Table.Len()))
+		b.mu.Unlock()
 	}
 	if status == StatusIgnored && len(moved) == 0 {
 		return Ack{Status: status, HashVersion: st.Version()}, nil
@@ -635,37 +551,28 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 	return Ack{Status: status, HashVersion: st.Version()}, nil
 }
 
-// handoff merges entries transferred from another IAgent during rehashing.
-// Adopted entries are WAL-logged with their capability sets, every batch of
-// them, before the handoff is acknowledged — once the sender deletes its
-// copies, this log is their only durable home until the next full section. A
-// failed append fails the request and the sender retries the (idempotent)
-// handoff.
+// handoff merges entries transferred from another IAgent during rehashing:
+// one write, logged before the handoff is acknowledged — once the sender
+// deletes its copies, this log is their only durable home until the next
+// full section. A failed append fails the request and the sender retries. A
+// binding without an address is unusable and dropped.
 func (b *IAgentBehavior) handoff(ctx *platform.Context, req HandoffReq) (Ack, error) {
-	if err := walAppendEntries(ctx, snapshot.OpPut, req.Entries, req.Caps, b.state.Load().Version()); err != nil {
+	changes := make([]change, 0, len(req.Entries))
+	for agent, node := range req.Entries {
+		c := change{agent: agent, hash: agent.Hash64(), node: node, caps: req.Caps[agent], load: req.Load[agent], handoff: true}
+		if r, bound := req.Bindings[agent]; bound && req.Residences[r] != "" {
+			c.handle = r
+		}
+		changes = append(changes, c)
+	}
+	if err := b.write(ctx, b.state.Load().Version(), changes, false); err != nil {
 		return Ack{}, err
 	}
-	if len(req.Bindings) > 0 {
-		b.Residence.Adopt(req.Bindings, req.Residences)
-	}
-	if len(req.Caps) > 0 {
-		b.Caps.Adopt(req.Caps)
-	}
-	for agent, node := range req.Entries {
-		b.Table.PutHashed(agent, agent.Hash64(), node, req.Load[agent])
-	}
 	b.mu.Lock()
-	for agent := range req.Entries {
-		b.noteDirty(agent)
-	}
-	if len(req.Pending) > 0 && b.Pending == nil {
-		b.Pending = make(map[ids.AgentID][]Deposited)
-	}
 	for agent, msgs := range req.Pending {
 		b.Pending[agent] = append(b.Pending[agent], msgs...)
 	}
 	b.mu.Unlock()
-	b.metTable.Set(int64(b.Table.Len()))
 	return Ack{Status: StatusOK, HashVersion: b.state.Load().Version()}, nil
 }
 

@@ -337,7 +337,7 @@ func heldCopy(buddy *IAgentBehavior) (held struct {
 	buddy.mu.Lock()
 	defer buddy.mu.Unlock()
 	if ck, ok := buddy.Checkpoints["iagent-1"]; ok {
-		held.Seq, held.Entries = ck.Seq, ck.Entries.Snapshot()
+		held.Seq, held.Entries = ck.Seq, ck.Leaf.Table.Snapshot()
 	}
 	return held
 }

@@ -1,0 +1,209 @@
+package core
+
+import (
+	"fmt"
+
+	"agentloc/internal/capindex"
+	"agentloc/internal/ids"
+	"agentloc/internal/loctable"
+	"agentloc/internal/platform"
+	"agentloc/internal/snapshot"
+)
+
+// leafState is what a leaf knows of the agents hashed to it (paper §2.2):
+// where each is and the requests it drew, the residence handle it is bound
+// to, and what it advertises. apply is the only code that writes the three
+// structures and get, each and locate the only code that reads an agent out
+// of them, so the live leaf, a held sibling copy, a handoff, a durable
+// section and a WAL replay cannot disagree on an agent's record. The fields
+// are exported so that a held copy migrates, gob-encoded, with its IAgent.
+type leafState struct {
+	Table     *loctable.Table
+	Residence *ResidenceTable
+	Caps      *capindex.Index
+}
+
+func newLeafState() leafState {
+	return leafState{Table: loctable.New(), Residence: NewResidenceTable(), Caps: capindex.New()}
+}
+
+// leaf is the IAgent's own state.
+func (b *IAgentBehavior) leaf() leafState {
+	return leafState{Table: b.Table, Residence: b.Residence, Caps: b.Caps}
+}
+
+// change is one mutation of a leaf's state.
+type change struct {
+	agent ids.AgentID
+	hash  uint64          // agent.Hash64()
+	node  platform.NodeID // empty: the change only charges load to an entry the table holds
+	// handle binds the agent to a residence handle at node; empty unbinds it.
+	handle ids.ResidenceID
+	caps   []string // replaces the agent's capability set; empty keeps it
+	load   uint64   // requests to add to the agent's slot
+	// handoff marks a binding assembled by another leaf, which sets the
+	// handle's address only where this leaf holds none (ResidenceTable.Bind).
+	handoff bool
+	delete  bool // drops the entry, its binding and its capability set
+}
+
+// apply makes the changes in order, each to the table, then the residence
+// record, then the capability index. It logs and notes nothing: the live leaf
+// calls it through write, a held copy and a recovery directly.
+func (s leafState) apply(changes []change) {
+	for i := range changes {
+		c := &changes[i]
+		switch {
+		case c.delete:
+			s.Table.DeleteHashed(c.agent, c.hash)
+			s.Residence.Unbind(c.agent)
+			s.Caps.Remove(c.agent)
+			continue
+		case c.node == "":
+			s.Table.AddLoadHashed(c.agent, c.hash, c.load)
+			continue
+		}
+		s.Table.PutHashed(c.agent, c.hash, c.node, c.load)
+		if c.handle == "" {
+			s.Residence.Unbind(c.agent)
+		} else {
+			s.Residence.Bind(c.agent, c.handle, c.node, c.handoff)
+		}
+		if len(c.caps) > 0 {
+			s.Caps.Set(c.agent, c.caps)
+		}
+	}
+}
+
+// record is one agent as the reader yields it: node is its handle's address
+// when it is bound (the handle moves with the group even when the member's
+// entry is older), else its table entry; caps is the index's own list.
+type record struct {
+	agent  ids.AgentID
+	hash   uint64
+	node   platform.NodeID
+	handle ids.ResidenceID
+	caps   []string
+	load   uint32
+}
+
+// get reads one agent's record.
+func (s leafState) get(agent ids.AgentID) (record, bool) {
+	slot, ok := s.Table.GetSlot(agent, agent.Hash64())
+	if !ok {
+		return record{}, false
+	}
+	return s.resolve(slot, true, true), true
+}
+
+// each calls f with the record of every agent whose hash owned accepts (nil
+// accepts all) until f returns false. It reads a stripe at a time under that
+// stripe's lock alone and calls f with no lock held, so f may block; a write
+// the walk misses is in the touched set, for the next delta.
+func (s leafState) each(owned func(hash uint64) bool, f func(record) bool) {
+	var slots []loctable.Slot
+	for i := 0; i < s.Table.Stripes(); i++ {
+		bound, capped := s.Residence.Len() > 0, s.Caps.Len() > 0
+		slots = slots[:0]
+		s.Table.RangeStripe(i, func(slot loctable.Slot) bool {
+			if owned == nil || owned(slot.Hash) {
+				slots = append(slots, slot)
+			}
+			return true
+		})
+		for _, slot := range slots {
+			if !f(s.resolve(slot, bound, capped)) {
+				return
+			}
+		}
+	}
+}
+
+// resolve completes a slot's record, looking up a binding and a capability
+// set only where the leaf may hold one; neither lookup allocates.
+func (s leafState) resolve(slot loctable.Slot, bound, capped bool) record {
+	r := record{agent: slot.Agent, hash: slot.Hash, node: slot.Node, load: slot.Load}
+	if bound {
+		if handle, node, ok := s.Residence.Binding(slot.Agent); ok {
+			r.handle, r.node = handle, node
+		}
+	}
+	if capped {
+		r.caps = s.Caps.CapsOf(slot.Agent)
+	}
+	return r
+}
+
+// locate is the reader of a served locate: the id still in the request
+// frame, the request counted in the slot, and the node alone, so it neither
+// allocates nor touches the capability index.
+func (s leafState) locate(agent []byte, hash uint64) (platform.NodeID, bool) {
+	node, ok := s.Table.GetCountedBytes(agent, hash)
+	if !ok {
+		return "", false
+	}
+	if rn, bound := s.Residence.ResolveBytes(agent); bound {
+		node = rn
+	}
+	return node, true
+}
+
+// move lists the changes that re-point handle r at node: every member written
+// at node, still bound to r and charged one request. Unknown handles report
+// false.
+func (s leafState) move(r ids.ResidenceID, node platform.NodeID) ([]change, bool) {
+	members, known := s.Residence.Members(r)
+	changes := make([]change, len(members))
+	for i, a := range members {
+		changes[i] = change{agent: a, hash: a.Hash64(), node: node, handle: r, load: 1}
+	}
+	return changes, known
+}
+
+// walBatchRecords bounds the records of one WAL append.
+const walBatchRecords = 4096
+
+// write makes changes on the live leaf: it logs them to the node's WAL,
+// walBatchRecords to an append, applies them, and notes the agents they
+// touched for the next checkpoint delta; a deleted agent's mail goes with it.
+// A failed append fails the write before anything is applied — a change is
+// acknowledged only once it is logged — unless bestEffort: the leaf's own
+// bookkeeping after a handoff or a takeover applies regardless.
+//
+// Agents are noted only while a delta could carry them (deltaOpen). write
+// applies before it takes mu and a full push clears ckFull under mu before
+// it reads the first stripe, so a change the push missed is noted for the
+// first delta: the set holds at most one checkpoint interval's changes.
+func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []change, bestEffort bool) error {
+	if store := ctx.Durable(); store != nil && len(changes) > 0 {
+		recs := make([]snapshot.Record, 0, min(len(changes), walBatchRecords))
+		for i := range changes {
+			c := &changes[i]
+			rec := snapshot.Record{Op: snapshot.OpPut, IAgent: string(ctx.Self()), Agent: string(c.agent), Node: string(c.node), HashVersion: version, Caps: c.caps}
+			if c.delete {
+				rec.Op = snapshot.OpDelete
+			}
+			if recs = append(recs, rec); len(recs) < walBatchRecords && i < len(changes)-1 {
+				continue
+			}
+			if err := store.AppendBatch(recs); err != nil && !bestEffort {
+				return fmt.Errorf("IAgent %s: wal: %w", ctx.Self(), err)
+			}
+			recs = recs[:0]
+		}
+	}
+	b.leaf().apply(changes)
+	b.mu.Lock()
+	open := b.deltaOpen()
+	for i := range changes {
+		if open {
+			b.ckDirty[changes[i].agent] = true
+		}
+		if changes[i].delete {
+			delete(b.Pending, changes[i].agent)
+		}
+	}
+	b.mu.Unlock()
+	b.metTable.Set(int64(b.Table.Len()))
+	return nil
+}

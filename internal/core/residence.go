@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,9 +37,9 @@ import (
 
 // ResidenceTable is the per-IAgent residence record: which served agents
 // are bound to which handle, and where each handle currently is. It is safe
-// for concurrent use; Resolve takes only a read lock so the locate fast
+// for concurrent use; its reads take only a read lock so the locate fast
 // path stays concurrent. The zero value is not usable — call
-// NewResidenceTable (ensureRuntime does).
+// NewResidenceTable (ensureRuntime does). Only leafState.apply writes it.
 //
 // A ResidenceTable gob-encodes as its two plain maps, so IAgents carry it
 // in their migrating state like the location table.
@@ -71,23 +72,11 @@ type residenceTableDTO struct {
 
 // GobEncode implements gob.GobEncoder.
 func (t *ResidenceTable) GobEncode() ([]byte, error) {
-	t.mu.RLock()
-	dto := residenceTableDTO{
-		Addr:  make(map[ids.ResidenceID]platform.NodeID, len(t.addr)),
-		Bound: make(map[ids.AgentID]ids.ResidenceID, len(t.bound)),
-	}
-	for r, n := range t.addr {
-		dto.Addr[r] = n
-	}
-	for a, r := range t.bound {
-		dto.Bound[a] = r
-	}
-	t.mu.RUnlock()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	err := gob.NewEncoder(&buf).Encode(residenceTableDTO{Addr: t.addr, Bound: t.bound})
+	return buf.Bytes(), err
 }
 
 // GobDecode implements gob.GobDecoder.
@@ -97,9 +86,7 @@ func (t *ResidenceTable) GobDecode(data []byte) error {
 		return err
 	}
 	fresh := NewResidenceTable()
-	for r, n := range dto.Addr {
-		fresh.addr[r] = n
-	}
+	maps.Copy(fresh.addr, dto.Addr)
 	for a, r := range dto.Bound {
 		fresh.bound[a] = r
 		fresh.memberSet(r)[a] = struct{}{}
@@ -122,9 +109,11 @@ func (t *ResidenceTable) memberSet(r ids.ResidenceID) map[ids.AgentID]struct{} {
 }
 
 // Bind binds an agent to a handle at the given address, moving it out of
-// any previous handle. The handle's address is updated: a bound update is
-// also the freshest word on where the group is.
-func (t *ResidenceTable) Bind(agent ids.AgentID, r ids.ResidenceID, node platform.NodeID) {
+// any previous handle. The handle's address becomes node — a bound update is
+// the freshest word on where the group is — unless keep is set and the table
+// already holds one: a handed-off binding, assembled from the sender's
+// possibly older view, never rolls back an address this table keeps current.
+func (t *ResidenceTable) Bind(agent ids.AgentID, r ids.ResidenceID, node platform.NodeID, keep bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if prev, ok := t.bound[agent]; ok && prev != r {
@@ -132,7 +121,9 @@ func (t *ResidenceTable) Bind(agent ids.AgentID, r ids.ResidenceID, node platfor
 	}
 	t.bound[agent] = r
 	t.memberSet(r)[agent] = struct{}{}
-	t.addr[r] = node
+	if _, held := t.addr[r]; !keep || !held {
+		t.addr[r] = node
+	}
 }
 
 // Unbind removes an agent's binding (an individually-reported move or a
@@ -161,23 +152,23 @@ func (t *ResidenceTable) dropMember(r ids.ResidenceID, agent ids.AgentID) {
 	}
 }
 
-// Resolve returns the bound agent's current address — its handle's address.
-// Unbound agents (and bound agents whose handle lost its address, which
-// cannot happen through this API) report false, sending the caller to the
-// direct location table.
-func (t *ResidenceTable) Resolve(agent ids.AgentID) (platform.NodeID, bool) {
+// Binding returns the bound agent's handle and its current address — the
+// handle's address. Unbound agents (and bound agents whose handle lost its
+// address, which cannot happen through this API) report false, sending the
+// caller to the direct location table.
+func (t *ResidenceTable) Binding(agent ids.AgentID) (ids.ResidenceID, platform.NodeID, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	r, ok := t.bound[agent]
 	if !ok {
-		return "", false
+		return "", "", false
 	}
 	node, ok := t.addr[r]
-	return node, ok
+	return r, node, ok
 }
 
-// ResolveBytes is Resolve for an id held as bytes; the map is probed without
-// building a string.
+// ResolveBytes returns the address of a bound agent held as bytes; the map is
+// probed without building a string.
 func (t *ResidenceTable) ResolveBytes(agent []byte) (platform.NodeID, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -189,25 +180,15 @@ func (t *ResidenceTable) ResolveBytes(agent []byte) (platform.NodeID, bool) {
 	return node, ok
 }
 
-// BindingOf returns the agent's handle, if bound.
-func (t *ResidenceTable) BindingOf(agent ids.AgentID) (ids.ResidenceID, bool) {
+// Members returns the bound members of a handle (a copy). Unknown handles
+// report ok=false: the caller falls back to per-member bound updates, which
+// re-create the record.
+func (t *ResidenceTable) Members(r ids.ResidenceID) ([]ids.AgentID, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	r, ok := t.bound[agent]
-	return r, ok
-}
-
-// Move re-points a handle to a new address and returns the bound members
-// it covers (a copy). Unknown handles report ok=false and change nothing —
-// the caller falls back to per-member bound updates, which re-create the
-// record.
-func (t *ResidenceTable) Move(r ids.ResidenceID, node platform.NodeID) ([]ids.AgentID, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if _, ok := t.addr[r]; !ok {
 		return nil, false
 	}
-	t.addr[r] = node
 	out := make([]ids.AgentID, 0, len(t.members[r]))
 	for a := range t.members[r] {
 		out = append(out, a)
@@ -215,58 +196,11 @@ func (t *ResidenceTable) Move(r ids.ResidenceID, node platform.NodeID) ([]ids.Ag
 	return out, true
 }
 
-// Adopt installs bindings handed off from another IAgent during a rehash.
-// Handle addresses are set only when absent: this IAgent's own record, kept
-// current by the group's client, must not be rolled back by a handoff
-// assembled from the sender's (possibly older) view.
-func (t *ResidenceTable) Adopt(bindings map[ids.AgentID]ids.ResidenceID, addrs map[ids.ResidenceID]platform.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for a, r := range bindings {
-		node, ok := addrs[r]
-		if !ok {
-			continue // a binding without an address is unusable; drop it
-		}
-		if prev, bound := t.bound[a]; bound && prev != r {
-			t.dropMember(prev, a)
-		}
-		t.bound[a] = r
-		t.memberSet(r)[a] = struct{}{}
-		if _, ok := t.addr[r]; !ok {
-			t.addr[r] = node
-		}
-	}
-}
-
-// OverlayResolved replaces every bound agent's entry in m with its handle's
-// address. Checkpoint assembly uses it so sibling leaves receive final
-// addresses: a takeover then restores plain direct entries, and bindings
-// re-form at the group's next move (ResidenceGroup falls back to bound
-// updates when the absorber answers unknown-residence).
-func (t *ResidenceTable) OverlayResolved(m map[ids.AgentID]platform.NodeID) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for a := range m {
-		if r, ok := t.bound[a]; ok {
-			if node, ok := t.addr[r]; ok {
-				m[a] = node
-			}
-		}
-	}
-}
-
 // Len reports the number of known handles.
 func (t *ResidenceTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.addr)
-}
-
-// BoundLen reports the number of bound agents.
-func (t *ResidenceTable) BoundLen() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.bound)
 }
 
 // ---------------------------------------------------------------------------

@@ -14,37 +14,40 @@ import (
 
 func TestResidenceTableBindMoveUnbind(t *testing.T) {
 	rt := NewResidenceTable()
-	rt.Bind("a", "res@x", "node-0")
-	rt.Bind("b", "res@x", "node-0")
+	rt.Bind("a", "res@x", "node-0", false)
+	rt.Bind("b", "res@x", "node-0", false)
 
-	if n, ok := rt.Resolve("a"); !ok || n != "node-0" {
-		t.Fatalf("Resolve(a) = %s, %v", n, ok)
+	if r, n, ok := rt.Binding("a"); !ok || r != "res@x" || n != "node-0" {
+		t.Fatalf("Binding(a) = %s, %s, %v", r, n, ok)
 	}
-	members, ok := rt.Move("res@x", "node-1")
+	members, ok := rt.Members("res@x")
 	if !ok || len(members) != 2 {
-		t.Fatalf("Move = %v, %v; want both members", members, ok)
+		t.Fatalf("Members = %v, %v; want both members", members, ok)
 	}
+	// A bound update is the freshest word on the group: it re-points the
+	// handle for every member.
+	rt.Bind("b", "res@x", "node-1", false)
 	for _, a := range []ids.AgentID{"a", "b"} {
-		if n, ok := rt.Resolve(a); !ok || n != "node-1" {
-			t.Errorf("Resolve(%s) after move = %s, %v", a, n, ok)
+		if _, n, ok := rt.Binding(a); !ok || n != "node-1" {
+			t.Errorf("Binding(%s) after the move = %s, %v", a, n, ok)
 		}
 	}
 
 	// A bind into another handle moves the agent between groups.
-	rt.Bind("a", "res@y", "node-2")
-	if members, _ := rt.Move("res@x", "node-3"); len(members) != 1 || members[0] != "b" {
+	rt.Bind("a", "res@y", "node-2", false)
+	if members, _ := rt.Members("res@x"); len(members) != 1 || members[0] != "b" {
 		t.Errorf("res@x members after rebind = %v, want [b]", members)
 	}
 
-	// Unbinding the last member prunes the handle; moving it then reports
-	// unknown so callers fall back to per-member updates.
+	// Unbinding the last member prunes the handle; it then reports unknown so
+	// callers fall back to per-member updates.
 	if !rt.Unbind("b") {
 		t.Fatal("Unbind(b) = false")
 	}
-	if _, ok := rt.Move("res@x", "node-4"); ok {
-		t.Error("Move of memberless handle succeeded")
+	if _, ok := rt.Members("res@x"); ok {
+		t.Error("memberless handle still known")
 	}
-	if _, ok := rt.Resolve("b"); ok {
+	if _, _, ok := rt.Binding("b"); ok {
 		t.Error("unbound agent still resolves")
 	}
 	if rt.Unbind("b") {
@@ -52,43 +55,56 @@ func TestResidenceTableBindMoveUnbind(t *testing.T) {
 	}
 }
 
+// TestResidenceTableOverlayAndAdopt: the reader overlays a bound agent's
+// entry with its handle's address and leaves an unbound one alone, and a
+// handed-off binding never rolls back an address the receiver already keeps.
 func TestResidenceTableOverlayAndAdopt(t *testing.T) {
-	rt := NewResidenceTable()
-	rt.Bind("a", "res@x", "node-0")
-	rt.Move("res@x", "node-9")
+	at := func(agent ids.AgentID, node platform.NodeID, handle ids.ResidenceID, handoff bool) change {
+		return change{agent: agent, hash: agent.Hash64(), node: node, handle: handle, handoff: handoff}
+	}
+	dst := newLeafState()
+	dst.apply([]change{at("c", "node-9", "res@x", false)})
+	dst.apply([]change{at("a", "node-0", "res@x", true), at("loner", "node-5", "", true)})
 
-	// OverlayResolved replaces bound agents' entries with the handle's
-	// address and leaves unbound ones alone.
-	m := map[ids.AgentID]platform.NodeID{"a": "node-0", "loner": "node-5"}
-	rt.OverlayResolved(m)
-	if m["a"] != "node-9" || m["loner"] != "node-5" {
-		t.Errorf("overlay = %v", m)
+	got := make(map[ids.AgentID]record)
+	dst.each(nil, func(r record) bool {
+		got[r.agent] = r
+		return true
+	})
+	for agent, want := range map[ids.AgentID]record{
+		"a":     {node: "node-9", handle: "res@x"},
+		"c":     {node: "node-9", handle: "res@x"},
+		"loner": {node: "node-5"},
+	} {
+		r, ok := dst.get(agent)
+		if !ok || r.node != want.node || r.handle != want.handle || got[agent].node != r.node || got[agent].handle != r.handle {
+			t.Errorf("%s: get = %+v, %v; each = %+v; want at %s bound to %q", agent, r, ok, got[agent], want.node, want.handle)
+		}
+	}
+	if moves, ok := dst.move("res@x", "node-1"); !ok || len(moves) != 2 {
+		t.Errorf("moving res@x changes %d members, want a and c", len(moves))
 	}
 
-	// Adopt installs handed-off bindings but never rolls back an address
-	// this table already keeps current.
-	dst := NewResidenceTable()
-	dst.Bind("c", "res@x", "node-9")
-	dst.Adopt(
-		map[ids.AgentID]ids.ResidenceID{"a": "res@x", "orphan": "res@gone"},
-		map[ids.ResidenceID]platform.NodeID{"res@x": "node-0"},
-	)
-	if n, ok := dst.Resolve("a"); !ok || n != "node-9" {
-		t.Errorf("adopted member resolves to %s, %v; want kept node-9", n, ok)
+	// A handed-off binding without an address is unusable and dropped.
+	leaf, _, ctx := bareLeaf(t, quietConfig(), false)
+	serve(t, leaf, ctx, KindHandoff, HandoffReq{
+		Entries:    map[ids.AgentID]platform.NodeID{"a": "node-0", "orphan": "node-3"},
+		Bindings:   map[ids.AgentID]ids.ResidenceID{"a": "res@x", "orphan": "res@gone"},
+		Residences: map[ids.ResidenceID]platform.NodeID{"res@x": "node-0"},
+	})
+	if r, ok := leaf.leaf().get("a"); !ok || r.handle != "res@x" {
+		t.Errorf("handed-off member = %+v, %v; want bound to res@x", r, ok)
 	}
-	if _, ok := dst.Resolve("orphan"); ok {
-		t.Error("binding without an address was adopted")
-	}
-	if members, _ := dst.Move("res@x", "node-1"); len(members) != 2 {
-		t.Errorf("members after adopt = %v, want a and c", members)
+	if r, ok := leaf.leaf().get("orphan"); !ok || r.handle != "" || r.node != "node-3" {
+		t.Errorf("orphan = %+v, %v; want unbound at node-3", r, ok)
 	}
 }
 
 func TestResidenceTableGobRoundTrip(t *testing.T) {
 	rt := NewResidenceTable()
-	rt.Bind("a", "res@x", "node-0")
-	rt.Bind("b", "res@x", "node-0")
-	rt.Bind("c", "res@y", "node-1")
+	rt.Bind("a", "res@x", "node-0", false)
+	rt.Bind("b", "res@x", "node-0", false)
+	rt.Bind("c", "res@y", "node-1", false)
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rt); err != nil {
@@ -98,15 +114,17 @@ func TestResidenceTableGobRoundTrip(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 2 || out.BoundLen() != 3 {
-		t.Fatalf("decoded table: %d handles, %d bound", out.Len(), out.BoundLen())
+	if out.Len() != 2 {
+		t.Fatalf("decoded table: %d handles", out.Len())
+	}
+	for agent, want := range map[ids.AgentID]platform.NodeID{"a": "node-0", "b": "node-0", "c": "node-1"} {
+		if _, n, ok := out.Binding(agent); !ok || n != want {
+			t.Errorf("decoded Binding(%s) = %s, %v; want %s", agent, n, ok, want)
+		}
 	}
 	// The members index is rebuilt, so group moves still cover everyone.
-	if members, ok := out.Move("res@x", "node-2"); !ok || len(members) != 2 {
-		t.Fatalf("decoded Move = %v, %v", members, ok)
-	}
-	if n, ok := out.Resolve("a"); !ok || n != "node-2" {
-		t.Fatalf("decoded Resolve(a) = %s, %v", n, ok)
+	if members, ok := out.Members("res@x"); !ok || len(members) != 2 {
+		t.Fatalf("decoded Members = %v, %v", members, ok)
 	}
 }
 

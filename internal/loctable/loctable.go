@@ -351,6 +351,22 @@ func (t *Table) GetCounted(agent ids.AgentID, hash uint64) (platform.NodeID, boo
 	return t.lookup(agent, hash, 1)
 }
 
+// GetSlot is GetHashed returning the agent's whole slot, load included.
+func (t *Table) GetSlot(agent ids.AgentID, hash uint64) (Slot, bool) {
+	s, h := t.stripeFor(hash)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.entries == nil {
+		return Slot{}, false
+	}
+	i, ok := s.find(h, agent)
+	if !ok {
+		return Slot{}, false
+	}
+	e := &s.entries[i]
+	return Slot{Agent: e.agent, Node: t.nodeAt(e.node), Hash: hash, Load: atomic.LoadUint32(&e.load)}, true
+}
+
 func (t *Table) lookup(agent ids.AgentID, hash, charge uint64) (platform.NodeID, bool) {
 	s, h := t.stripeFor(hash)
 	s.mu.RLock()
