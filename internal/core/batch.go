@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -199,9 +200,9 @@ func (b *UpdateBatcher) flushDest(key batchKey, pending []pendingUpdate) {
 	// The flush runs on the batcher's own goroutines, outside any one
 	// caller's trace, so it records as a root control span.
 	sp := b.tracer.StartRoot("control", "batch.flush")
-	sp.Annotate("dest", string(key.iagent))
-	sp.Annotate("entries", fmt.Sprintf("%d", len(pending)))
 	if sp != nil {
+		sp.Annotate("dest", string(key.iagent))
+		sp.Annotate("entries", strconv.Itoa(len(pending)))
 		ctx = trace.ContextWith(ctx, sp.Context())
 	}
 	err := b.caller.Call(ctx, key.node, key.iagent, KindUpdateBatch, req, &resp)

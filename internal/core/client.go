@@ -689,9 +689,9 @@ func (c *Client) reportLocation(ctx context.Context, kind string, self ids.Agent
 
 // reportLocationAt is reportLocation with an explicit reported node.
 func (c *Client) reportLocationAt(ctx context.Context, kind string, self ids.AgentID, res ids.ResidenceID, caps []string, node platform.NodeID, cached Assignment) (Assignment, error) {
-	opName := "register"
+	opName, spanName := "register", "iagent.register"
 	if kind == KindUpdate {
-		opName = "update"
+		opName, spanName = "update", "iagent.update"
 	}
 	sp, ctx, rpcs := c.startOp(ctx, opName)
 	assign := cached
@@ -721,7 +721,7 @@ func (c *Client) reportLocationAt(ctx context.Context, kind string, self ids.Age
 			ack, err = c.batcher.Do(cctx, assign, req)
 			csp.End(err)
 		} else {
-			csp, cctx := c.childSpan(ctx, "iagent."+opName)
+			csp, cctx := c.childSpan(ctx, spanName)
 			if attempt > 0 {
 				csp.Annotate("attempt", strconv.Itoa(attempt))
 			}

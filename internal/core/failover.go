@@ -835,7 +835,7 @@ func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.Ag
 		return err == nil && owner == ctx.Self()
 	}, func(r record) bool {
 		if _, local := b.leaf().get(r.agent); !local {
-			restore = append(restore, change{agent: r.agent, hash: r.hash, node: r.node, caps: r.caps})
+			restore = append(restore, change{agent: r.agent, hash: r.hash, node: r.node, caps: r.caps, view: true})
 		}
 		return true
 	})

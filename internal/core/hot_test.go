@@ -39,6 +39,43 @@ func TestLocateRemoteAllocBudget(t *testing.T) {
 	}
 }
 
+// TestMoveRemoteAllocBudget is the budget of an unbatched remote move: a
+// MoveNotifyTo with a cached assignment, one update over loopback TCP through
+// the IAgent's mailbox, write and table, both nodes' allocations counted
+// (measured: 20; 21 while the untraced attempt still built its span name).
+func TestMoveRemoteAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	client, targets := newHotTCPPair(t, 64, 1)
+	ctx := context.Background()
+	assigns := make([]Assignment, len(targets))
+	for i, a := range targets {
+		assign, err := client.MoveNotifyTo(ctx, a, "node-0", Assignment{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assigns[i] = assign
+	}
+	nodes := []platform.NodeID{"node-1", "node-0"}
+	var moveErr error
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		k := i % len(targets)
+		if _, err := client.MoveNotifyTo(ctx, targets[k], nodes[i%2], assigns[k]); err != nil {
+			moveErr = err
+		}
+		i++
+	})
+	if moveErr != nil {
+		t.Fatal(moveErr)
+	}
+	t.Logf("%.1f allocs per unbatched remote move", allocs)
+	if allocs > 20 {
+		t.Errorf("an unbatched remote move allocates %.1f times, budget 20", allocs)
+	}
+}
+
 // TestLocateBatchAllocBudget is the budget of BenchmarkLocateBatchTCP's path:
 // a 64-target LocateBatch over four leaves on the far node — one whois-batch,
 // four frames over loopback TCP, both nodes' allocations counted (measured:
@@ -112,8 +149,8 @@ func TestCachedLocateAllocBudget(t *testing.T) {
 }
 
 // TestCheckpointFullPushAllocBudget is the budget of BenchmarkCheckpointFullPush's
-// path, sender and receiver together: per shipped entry, the id the buddy's
-// copy keeps and not much else (the gob form of the same push took 3 to 4).
+// path, sender and receiver together: per shipped entry, the id the buddy
+// decodes and not much else (the gob form of the same push took 3 to 4).
 func TestCheckpointFullPushAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")

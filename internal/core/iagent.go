@@ -520,7 +520,7 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		}
 		gone := make([]change, 0, len(h.Entries))
 		for agent := range h.Entries {
-			gone = append(gone, change{agent: agent, hash: agent.Hash64(), delete: true})
+			gone = append(gone, change{agent: agent, hash: agent.Hash64(), delete: true, view: true})
 		}
 		// Best effort: the full section persisted below is the durable
 		// authority for the post-handoff table, and a resurrected entry

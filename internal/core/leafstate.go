@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"agentloc/internal/capindex"
 	"agentloc/internal/ids"
@@ -45,11 +46,26 @@ type change struct {
 	// handle's address only where this leaf holds none (ResidenceTable.Bind).
 	handoff bool
 	delete  bool // drops the entry, its binding and its capability set
+	// view marks an agent id read out of a table (a reader record): a view of
+	// that table's key arena, which a map keeping the id would pin.
+	view bool
+}
+
+// kept is the change's agent id as a map outside the table may keep it: a
+// view is copied, so that dropping the table it came from — a held copy after
+// a takeover — frees its arena.
+func (c *change) kept() ids.AgentID {
+	if c.view {
+		return ids.AgentID(strings.Clone(string(c.agent)))
+	}
+	return c.agent
 }
 
 // apply makes the changes in order, each to the table, then the residence
 // record, then the capability index. It logs and notes nothing: the live leaf
-// calls it through write, a held copy and a recovery directly.
+// calls it through write, a held copy and a recovery directly. The table
+// copies every id it stores; the binding and the capability index keep
+// c.kept().
 func (s leafState) apply(changes []change) {
 	for i := range changes {
 		c := &changes[i]
@@ -67,17 +83,19 @@ func (s leafState) apply(changes []change) {
 		if c.handle == "" {
 			s.Residence.Unbind(c.agent)
 		} else {
-			s.Residence.Bind(c.agent, c.handle, c.node, c.handoff)
+			s.Residence.Bind(c.kept(), c.handle, c.node, c.handoff)
 		}
 		if len(c.caps) > 0 {
-			s.Caps.Set(c.agent, c.caps)
+			s.Caps.Set(c.kept(), c.caps)
 		}
 	}
 }
 
 // record is one agent as the reader yields it: node is its handle's address
 // when it is bound (the handle moves with the group even when the member's
-// entry is older), else its table entry; caps is the index's own list.
+// entry is older), else its table entry; caps is the index's own list. agent
+// is a view of the table's key arena (loctable.Slot), so a change made of a
+// record sets view.
 type record struct {
 	agent  ids.AgentID
 	hash   uint64
@@ -197,7 +215,7 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 	open := b.deltaOpen()
 	for i := range changes {
 		if open {
-			b.ckDirty[changes[i].agent] = true
+			b.ckDirty[changes[i].kept()] = true
 		}
 		if changes[i].delete {
 			delete(b.Pending, changes[i].agent)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"agentloc/internal/capindex"
 	"agentloc/internal/hashtree"
@@ -522,6 +523,37 @@ func TestLeafStateReaderAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("get(%s) allocates %.1f times", agent, allocs)
 		}
+	}
+}
+
+// TestApplyKeepsNoView: an id read out of a table — a takeover restores a
+// held copy's records — is copied before the binding or the capability index
+// keeps it, so dropping the copy frees its key arena; an id decoded from a
+// request is kept as it is.
+func TestApplyKeepsNoView(t *testing.T) {
+	same := func(a, b ids.AgentID) bool { return unsafe.StringData(string(a)) == unsafe.StringData(string(b)) }
+	held := newLeafState()
+	held.apply([]change{{agent: "swarm-1", hash: ids.AgentID("swarm-1").Hash64(), node: "node-1", handle: "res@x", caps: []string{"gpu"}}})
+	rec, ok := held.get("swarm-1")
+	if !ok {
+		t.Fatal("held copy lost swarm-1")
+	}
+	decoded := ids.AgentID(fmt.Sprint("plain-", 1))
+	live := newLeafState()
+	live.apply([]change{
+		{agent: rec.agent, hash: rec.hash, node: rec.node, handle: "res@x", caps: rec.caps, view: true},
+		{agent: decoded, hash: decoded.Hash64(), node: "node-2", handle: "res@y", caps: []string{"tpu"}},
+	})
+	members, _ := live.Residence.Members("res@x")
+	matched := live.Caps.Match([]string{"gpu"})
+	if len(members) != 1 || len(matched) != 1 || members[0] != rec.agent || matched[0] != rec.agent {
+		t.Fatalf("restored swarm-1 is bound as %v and advertises as %v", members, matched)
+	}
+	if same(members[0], rec.agent) || same(matched[0], rec.agent) {
+		t.Error("the live leaf keeps a view of the held copy's arena")
+	}
+	if members, _ := live.Residence.Members("res@y"); len(members) != 1 || !same(members[0], decoded) {
+		t.Error("a decoded id was copied before it was kept")
 	}
 }
 

@@ -129,13 +129,16 @@ func TestNodeInterning(t *testing.T) {
 
 // FuzzDenseOps feeds an arbitrary op tape into the table and the model
 // map; every byte pair is one operation on a small key space, so the fuzzer
-// explores dense collision/shift schedules quickly.
+// explores dense collision/shift schedules quickly. Every id a lookup hands
+// out is held to the end of the tape, across whatever resizes and arena
+// compactions follow, and must still read the id it was.
 func FuzzDenseOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x81, 0x12, 0x83})
 	f.Add([]byte{0xFF, 0x00, 0x42, 0x42, 0x42, 0x01, 0x02, 0x03})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		tbl := NewWithStripes(2)
 		model := make(map[ids.AgentID]platform.NodeID)
+		var views, wants []ids.AgentID
 		for i := 0; i+1 < len(tape); i += 2 {
 			op, k := tape[i], tape[i+1]
 			id := ids.AgentID(fmt.Sprintf("f-%d", k%64))
@@ -156,10 +159,18 @@ func FuzzDenseOps(f *testing.F) {
 				if got != want || gotNode != wantNode {
 					t.Fatalf("Get(%s) = %q,%v; want %q,%v", id, gotNode, got, wantNode, want)
 				}
+				if s, ok := tbl.GetSlot(id, id.Hash64()); ok {
+					views, wants = append(views, s.Agent), append(wants, id)
+				}
 			}
 		}
 		if tbl.Len() != len(model) {
 			t.Fatalf("Len = %d, model %d", tbl.Len(), len(model))
+		}
+		for i, v := range views {
+			if v != wants[i] {
+				t.Fatalf("an id handed out as %q now reads %q", wants[i], v)
+			}
 		}
 		for id, node := range model {
 			if got, ok := tbl.Get(id); !ok || got != node {
@@ -167,4 +178,61 @@ func FuzzDenseOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestArenaOverflowPanics: an id that would take a stripe's key arena past
+// what a slot's offset can name is refused loudly instead of wrapping, and
+// the table stays whole and usable.
+func TestArenaOverflowPanics(t *testing.T) {
+	defer func(limit uint64) { maxArena = limit }(maxArena)
+	maxArena = 64
+	tbl := NewWithStripes(1)
+	for i := 0; i < 8; i++ {
+		tbl.Put(ids.AgentID(fmt.Sprintf("id-%04d", i)), "n") // 56 of the 64 bytes
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a Put past the arena's limit did not panic")
+			}
+		}()
+		tbl.Put("one-too-many", "n")
+	}()
+	if tbl.Len() != 8 || tbl.InternedNodes() != 1 {
+		t.Fatalf("after the refused Put: %d entries, %d interned nodes; want 8 and 1", tbl.Len(), tbl.InternedNodes())
+	}
+	tbl.Delete("id-0000")
+	tbl.Put("id-0008", "m")
+	if node, ok := tbl.Get("id-0008"); !ok || node != "m" {
+		t.Fatalf("Get(id-0008) = %q, %v after the refused Put", node, ok)
+	}
+}
+
+// BenchmarkTableServedLookup is a served locate's table probe at a leaf's
+// scale: 2^20 ids, each decoded into an allocation of its own and put in
+// shuffled order, then looked up in another shuffled order with id bytes kept
+// apart from the table — as a request frame holds them — by the counted,
+// byte-keyed lookup a served locate makes, hash included. Every hit compares
+// the id's bytes, which a probe that looks up the very strings it put can
+// skip on pointer-equal strings.
+func BenchmarkTableServedLookup(b *testing.B) {
+	const agents = 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]byte, agents)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "a-%07d", i)
+	}
+	nodes := []platform.NodeID{"node-0", "node-1", "node-2"}
+	tbl := New()
+	for _, i := range rng.Perm(agents) {
+		tbl.Put(ids.AgentID(keys[i]), nodes[i%len(nodes)])
+	}
+	order := rng.Perm(agents)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := keys[order[i%agents]]
+		if _, ok := tbl.GetCountedBytes(key, ids.HashBytes(key)); !ok {
+			b.Fatalf("%s missing", key)
+		}
+	}
 }

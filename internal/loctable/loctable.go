@@ -8,20 +8,29 @@
 // checkpoint iteration is in flight; there is no global pause.
 //
 // Each stripe stores its entries in a dense open-addressed array — flat
-// 32-byte {hash, agent, node, load} slots with linear probing and
-// backward-shift deletion — instead of a Go map. At the million-agent scale
-// an IAgent is sized for, the flat layout halves the per-entry overhead (no
-// bucket headers, no tombstones, one probe sequence per lookup) and keeps
-// probes on one cache line most of the time. Node ids are interned per
-// table and a slot holds only the intern index, so a million entries
-// pointing at a handful of nodes share a handful of strings.
+// 24-byte {hash, key offset, key length, node, load} slots with linear
+// probing and backward-shift deletion — instead of a Go map. At the
+// million-agent scale an IAgent is sized for, the flat layout halves the
+// per-entry overhead (no bucket headers, no tombstones, one probe sequence
+// per lookup) and keeps probes on one cache line most of the time. Node ids
+// are interned per table and a slot holds only the intern index, so a
+// million entries pointing at a handful of nodes share a handful of strings.
 //
-// The slot is also the only per-agent record an IAgent keeps: load is the
-// agent's accumulated request count (paper §4.1: "we maintain for each agent
-// the accumulated rate of update and query requests"), a saturating counter
-// bumped atomically by the counted lookups under the stripe's read lock — on
-// the cache line the probe has just touched, with nothing to allocate for an
-// agent the table does not hold.
+// A slot holds no pointer: the agent ids of a stripe live back to back in
+// one byte arena, and a slot names its id by offset and length. Both arrays
+// are pointer-free, so the collector never scans the table however many
+// agents it holds, and an id costs its bytes and nothing else. The arena is
+// append-only; deleted ids are reclaimed by copying the live ones into a
+// fresh arena, at every resize and whenever deleted bytes pass half of it.
+// An id the table hands out (Slot.Agent, Range, GetSlot, Snapshot's keys) is
+// a view of the arena, read in place — see stripe.key for why that is safe.
+//
+// The slot, with its id's bytes, is also the only per-agent record an IAgent
+// keeps: load is the agent's accumulated request count (paper §4.1: "we
+// maintain for each agent the accumulated rate of update and query
+// requests"), a saturating counter bumped atomically by the counted lookups
+// under the stripe's read lock — on the cache line the probe has just
+// touched, with nothing to allocate for an agent the table does not hold.
 //
 // A Table gob-encodes stripe-by-stripe (one lock at a time, parallel
 // key/value/load slices per stripe) so migrating a behaviour never
@@ -40,6 +49,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
@@ -64,18 +74,26 @@ const (
 // MaxLoad is where a slot's request counter saturates.
 const MaxLoad = math.MaxUint32
 
+// maxArena is the most id bytes one stripe's key arena may hold, since a
+// slot's offset is a uint32. It is a variable only so that a test can reach
+// it without 4 GiB of ids.
+var maxArena uint64 = math.MaxUint32
+
 // entry is one dense slot: the agent's mixed hash with the stripe-selection
 // bits shifted out (0 marks a free slot; the value 0 itself is remapped to
-// 1, costing one indistinguishable collision per 2^64 ids), the agent id,
-// the index of its interned node, and its accumulated request count. load
-// is only ever touched with atomic operations while the stripe is
-// read-locked; whole slots are copied (resize, backward shift) under the
-// write lock alone, which is why it is a plain word and not an atomic.Uint32.
+// 1, costing one indistinguishable collision per 2^64 ids), where the
+// agent's id sits in the stripe's key arena, the index of its interned node,
+// and its accumulated request count. It holds no pointer, so neither does a
+// stripe's slot array, which the collector therefore never scans. load is
+// only ever touched with atomic operations while the stripe is read-locked;
+// whole slots are copied (resize, backward shift) under the write lock
+// alone, which is why it is a plain word and not an atomic.Uint32.
 type entry struct {
-	hash  uint64
-	agent ids.AgentID
-	node  uint32
-	load  uint32
+	hash uint64
+	off  uint32 // the id's first byte in stripe.keys
+	klen uint32 // the id's length in bytes
+	node uint32
+	load uint32
 }
 
 // addLoad charges n requests to the slot, saturating at MaxLoad. Readers
@@ -98,6 +116,32 @@ type stripe struct {
 	mu      sync.RWMutex
 	entries []entry // power-of-two length, nil until first Put
 	used    int
+	// keys is the arena holding every slot's id back to back. It grows only
+	// by append and is replaced whole by resize, never written below its
+	// length: the invariant key rests on.
+	keys []byte
+	dead int // bytes of keys that no slot names any more
+}
+
+// key returns slot e's agent id as a view of the key arena, without copying.
+// This is the package's one use of unsafe, and it rests on one invariant: a
+// byte of an arena below its length is never written again — keys grows only
+// by append, which writes past the length, and resize copies the live ids
+// into a fresh array instead of reusing the old one. So a view never changes
+// under its holder, and it stays valid after the stripe lock is released and
+// after any later Put, Delete, resize or compaction; while a view is held it
+// keeps the array it reads alive. The caller holds the stripe lock.
+func (s *stripe) key(e *entry) ids.AgentID {
+	if e.klen == 0 {
+		return ""
+	}
+	return ids.AgentID(unsafe.String(&s.keys[e.off], e.klen))
+}
+
+// keyBytes is slot e's id as a slice of the arena. The caller holds the
+// stripe lock and only reads it.
+func (s *stripe) keyBytes(e *entry) []byte {
+	return s.keys[e.off : e.off+e.klen]
 }
 
 // Table is a sharded agent-location map, safe for concurrent use.
@@ -264,7 +308,7 @@ func (s *stripe) find(h uint64, agent ids.AgentID) (int, bool) {
 		if e.hash == 0 {
 			return i, false
 		}
-		if e.hash == h && e.agent == agent {
+		if e.hash == h && string(s.keyBytes(e)) == string(agent) { // no alloc: comparison only
 			return i, true
 		}
 		i = (i + 1) & mask
@@ -281,7 +325,7 @@ func (s *stripe) findBytes(h uint64, agent []byte) (int, bool) {
 		if e.hash == 0 {
 			return i, false
 		}
-		if e.hash == h && string(e.agent) == string(agent) { // no alloc: comparison only
+		if e.hash == h && string(s.keyBytes(e)) == string(agent) { // no alloc: comparison only
 			return i, true
 		}
 		i = (i + 1) & mask
@@ -289,14 +333,16 @@ func (s *stripe) findBytes(h uint64, agent []byte) (int, bool) {
 }
 
 // resize rehashes the stripe into a table of the given power-of-two
-// capacity. Entries are unique, so insertion probes to the first free slot
-// without equality checks.
+// capacity, copying the live ids into a fresh key arena as it goes; a resize
+// to the current capacity is the arena's compaction. Entries are unique, so
+// insertion probes to the first free slot without equality checks.
 func (s *stripe) resize(capacity int) {
 	old := s.entries
 	s.entries = make([]entry, capacity)
+	keys := make([]byte, 0, len(s.keys)-s.dead)
 	mask := capacity - 1
 	for i := range old {
-		e := &old[i]
+		e := old[i]
 		if e.hash == 0 {
 			continue
 		}
@@ -304,14 +350,20 @@ func (s *stripe) resize(capacity int) {
 		for s.entries[j].hash != 0 {
 			j = (j + 1) & mask
 		}
-		s.entries[j] = *e
+		off := len(keys)
+		keys = append(keys, s.keyBytes(&e)...)
+		e.off = uint32(off)
+		s.entries[j] = e
 	}
+	s.keys, s.dead = keys, 0
 }
 
 // removeAt deletes the entry at slot i by backward shifting: every
 // displaced successor in the probe chain moves one step closer to its home
-// slot, so the table never needs tombstones and lookups stay O(probe).
+// slot, so the table never needs tombstones and lookups stay O(probe). The
+// entry's id bytes stay in the arena, counted dead.
 func (s *stripe) removeAt(i int) {
+	s.dead += int(s.entries[i].klen)
 	mask := len(s.entries) - 1
 	j := i
 	for {
@@ -364,7 +416,7 @@ func (t *Table) GetSlot(agent ids.AgentID, hash uint64) (Slot, bool) {
 		return Slot{}, false
 	}
 	e := &s.entries[i]
-	return Slot{Agent: e.agent, Node: t.nodeAt(e.node), Hash: hash, Load: atomic.LoadUint32(&e.load)}, true
+	return Slot{Agent: s.key(e), Node: t.nodeAt(e.node), Hash: hash, Load: atomic.LoadUint32(&e.load)}, true
 }
 
 func (t *Table) lookup(agent ids.AgentID, hash, charge uint64) (platform.NodeID, bool) {
@@ -449,7 +501,11 @@ func (t *Table) Put(agent ids.AgentID, node platform.NodeID) {
 
 // PutHashed is Put with the agent's precomputed Hash64 that also charges
 // addLoad requests to the entry, in the same probe: an update counts itself,
-// a handoff or a gob stream restores the count it carries.
+// a handoff or a gob stream restores the count it carries. A new entry copies
+// the id into the stripe's arena, so the table never keeps the caller's
+// string. One that would take the arena past 4 GiB panics rather than wrap
+// its offset: that is hundreds of millions of ids in one stripe, which no
+// leaf holds short of a split that never came.
 func (t *Table) PutHashed(agent ids.AgentID, hash uint64, node platform.NodeID, addLoad uint64) {
 	idx := t.acquireNode(node)
 	s, h := t.stripeFor(hash)
@@ -468,7 +524,14 @@ func (t *Table) PutHashed(agent ids.AgentID, hash uint64, node platform.NodeID, 
 		replaced = e.node
 		e.node = idx
 	} else {
-		*e = entry{hash: h, agent: agent, node: idx}
+		off := uint64(len(s.keys))
+		if off+uint64(len(agent)) > maxArena {
+			s.mu.Unlock()
+			t.releaseNode(idx)
+			panic(fmt.Sprintf("loctable: a stripe's key arena cannot pass %d bytes", maxArena))
+		}
+		s.keys = append(s.keys, agent...)
+		*e = entry{hash: h, off: uint32(off), klen: uint32(len(agent)), node: idx}
 		s.used++
 	}
 	if addLoad > 0 {
@@ -489,7 +552,9 @@ func (t *Table) Delete(agent ids.AgentID) bool {
 	return t.DeleteHashed(agent, agent.Hash64())
 }
 
-// DeleteHashed is Delete with the agent's precomputed Hash64.
+// DeleteHashed is Delete with the agent's precomputed Hash64. The stripe
+// shrinks below 1/8 load, and its arena is compacted once deleted ids are
+// more than half of it.
 func (t *Table) DeleteHashed(agent ids.AgentID, hash uint64) bool {
 	s, h := t.stripeFor(hash)
 	s.mu.Lock()
@@ -500,8 +565,11 @@ func (t *Table) DeleteHashed(agent ids.AgentID, hash uint64) bool {
 		if i, existed = s.find(h, agent); existed {
 			removed = s.entries[i].node
 			s.removeAt(i)
-			if len(s.entries) > minStripeCap && s.used < len(s.entries)/shrinkDivisor {
+			switch {
+			case len(s.entries) > minStripeCap && s.used < len(s.entries)/shrinkDivisor:
 				s.resize(len(s.entries) / 2)
+			case 2*s.dead > len(s.keys):
+				s.resize(len(s.entries))
 			}
 		}
 	}
@@ -519,6 +587,10 @@ func (t *Table) Len() int { return int(t.count.Load()) }
 
 // Slot is one entry as RangeSlots yields it.
 type Slot struct {
+	// Agent is a view of the table's key arena (see stripe.key): immutable and
+	// valid for as long as it is held, but it keeps the arena it was read from
+	// alive, so code that keeps an id long after the table drops it should
+	// keep a copy (strings.Clone).
 	Agent ids.AgentID
 	Node  platform.NodeID
 	// Hash is the agent's Hash64 — the word hashtree.LookupHash walks — so a
@@ -560,7 +632,7 @@ func (t *Table) RangeStripe(i int, f func(Slot) bool) bool {
 			continue
 		}
 		if !f(Slot{
-			Agent: e.agent,
+			Agent: s.key(e),
 			Node:  t.nodeAt(e.node),
 			Hash:  e.hash<<t.shift | uint64(i),
 			Load:  atomic.LoadUint32(&e.load),
@@ -580,7 +652,8 @@ func (t *Table) Range(f func(agent ids.AgentID, node platform.NodeID) bool) {
 // Snapshot copies the table into a plain map, locking one stripe at a time.
 // Entries mutated on already-visited stripes during the copy may be missed —
 // the same weak consistency a concurrent map range would give, and exactly
-// what incremental checkpointing tolerates.
+// what incremental checkpointing tolerates. The map's keys are views of the
+// table's key arenas, like Slot.Agent.
 func (t *Table) Snapshot() map[ids.AgentID]platform.NodeID {
 	out := make(map[ids.AgentID]platform.NodeID, t.Len())
 	t.Range(func(a ids.AgentID, n platform.NodeID) bool {
@@ -627,7 +700,7 @@ func (t *Table) GobEncode() ([]byte, error) {
 			if e.hash == 0 {
 				continue
 			}
-			chunk.Agents = append(chunk.Agents, e.agent)
+			chunk.Agents = append(chunk.Agents, s.key(e))
 			chunk.Nodes = append(chunk.Nodes, t.nodeAt(e.node))
 			chunk.Loads = append(chunk.Loads, atomic.LoadUint32(&e.load))
 		}

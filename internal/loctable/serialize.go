@@ -43,7 +43,7 @@ func (t *Table) Serialize() ([]byte, error) {
 		payload = wire.AppendUvarint(payload, uint64(s.used))
 		for j := range s.entries {
 			if e := &s.entries[j]; e.hash != 0 {
-				payload = wire.AppendString(payload, string(e.agent))
+				payload = wire.AppendString(payload, string(s.key(e)))
 				payload = wire.AppendString(payload, string(t.nodeAt(e.node)))
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"agentloc/internal/ids"
@@ -180,5 +182,87 @@ func TestGobStripeStreaming(t *testing.T) {
 	}
 	if err := new(Table).GobDecode(bad.Bytes()); err == nil {
 		t.Fatal("accepted impossible stripe count")
+	}
+}
+
+// goldenTable is the table the streams in testdata were written from, by the
+// build whose slots still held the id as a string. Its ids are picked so
+// that each sits in a home slot of its own in a minimum-size stripe: slot
+// order, and so the order a stream lists entries in, then does not depend on
+// the order they were put in, which is what lets a decoded stream re-encode
+// byte for byte.
+func goldenTable() *Table {
+	tbl := New()
+	perStripe := make(map[uint64]int)
+	home := make(map[[2]uint64]bool)
+	var kept []ids.AgentID
+	for i := 0; len(kept) < 72; i++ {
+		id := ids.AgentID(fmt.Sprintf("golden-%03d", i))
+		h := id.Hash64()
+		_, sh := tbl.stripeFor(h)
+		at := [2]uint64{h & tbl.mask, sh & (minStripeCap - 1)}
+		if home[at] || perStripe[at[0]] == minStripeCap*loadNum/loadDen {
+			continue
+		}
+		home[at] = true
+		perStripe[at[0]]++
+		kept = append(kept, id)
+		tbl.PutHashed(id, id.Hash64(), platform.NodeID(fmt.Sprintf("node-%d", i%3)), uint64(i%11))
+	}
+	for i := 0; i < len(kept); i += 9 {
+		tbl.Delete(kept[i])
+	}
+	return tbl
+}
+
+// TestGoldenStreams pins both encodings of a table — the gob stream a
+// relocation carries and the binary dump an IAgent section carries — to the
+// bytes the build before the key arena wrote: the same table encodes to
+// them, each decodes to that table, and the decoded table encodes back to
+// them byte for byte.
+func TestGoldenStreams(t *testing.T) {
+	want := goldenTable()
+	decodeGob := func(data []byte) (*Table, error) {
+		tbl := new(Table)
+		return tbl, tbl.GobDecode(data)
+	}
+	for _, tc := range []struct {
+		file   string
+		encode func(*Table) ([]byte, error)
+		decode func([]byte) (*Table, error)
+		loads  bool // the gob stream carries loads, the dump does not
+	}{
+		{"golden-table.gob", (*Table).GobEncode, decodeGob, true},
+		{"golden-table.aloc", (*Table).Serialize, Deserialize, false},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			golden, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := tc.encode(want); err != nil || !bytes.Equal(got, golden) {
+				t.Errorf("the table the stream was written from encodes to %d other bytes (%v)", len(got), err)
+			}
+			back, err := tc.decode(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Len() != want.Len() {
+				t.Errorf("decoded %d entries, want %d", back.Len(), want.Len())
+			}
+			back.RangeSlots(func(s Slot) bool {
+				w, ok := want.GetSlot(s.Agent, s.Hash)
+				if !tc.loads {
+					w.Load = 0
+				}
+				if !ok || s.Node != w.Node || s.Load != w.Load {
+					t.Errorf("decoded %s at %s load %d; written at %s load %d (held %v)", s.Agent, s.Node, s.Load, w.Node, w.Load, ok)
+				}
+				return true
+			})
+			if again, err := tc.encode(back); err != nil || !bytes.Equal(again, golden) {
+				t.Errorf("the decoded stream re-encodes to %d other bytes (%v)", len(again), err)
+			}
+		})
 	}
 }

@@ -171,8 +171,12 @@ func (s *stuckMover) Run(ctx *Context) error {
 func TestNodeCloseDoesNotWaitOutAMove(t *testing.T) {
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	defer net.Close()
-	block := make(chan struct{})
+	block, arrived := make(chan struct{}), make(chan struct{}, 1)
 	hole, err := transport.NewPeer(net, "hole", func(context.Context, transport.Addr, string, []byte) (any, error) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
 		<-block
 		return nil, nil
 	})
@@ -191,7 +195,11 @@ func TestNodeCloseDoesNotWaitOutAMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-mover.started
-	time.Sleep(20 * time.Millisecond) // let the Move reach its Call
+	select {
+	case <-arrived: // the Move's transfer request is in flight
+	case <-time.After(5 * time.Second):
+		t.Fatal("the Move never reached its destination")
+	}
 	start := time.Now()
 	if err := n.Close(); err != nil {
 		t.Fatal(err)

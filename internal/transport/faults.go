@@ -26,12 +26,46 @@ type Faults struct {
 	corruptWrites bool
 	acceptDelay   time.Duration
 	conns         map[*faultConn]struct{}
+	held          chan struct{} // closed by HoldWrites' release
 
 	writes atomic.Int64
 }
 
 // NewFaults returns a disarmed fault injector.
 func NewFaults() *Faults { return &Faults{} }
+
+// HoldWrites parks every write on the link's connections until release is
+// called: a socket slow to drain, not one that never does (StallWrites). The
+// held writes then go through in order, whatever their deadlines. A held
+// write counts in Writes when it starts, so a test can tell the writer is
+// parked and arrange what queues behind it.
+func (f *Faults) HoldWrites() (release func()) {
+	if f == nil {
+		return func() {}
+	}
+	held := make(chan struct{})
+	f.mu.Lock()
+	f.held = held
+	f.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			f.mu.Lock()
+			if f.held == held {
+				f.held = nil
+			}
+			f.mu.Unlock()
+			close(held)
+		})
+	}
+}
+
+// hold is the channel a write must wait for, nil when writes are not held.
+func (f *Faults) hold() chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.held
+}
 
 // StallWrites arms (or disarms) write stalling on every connection: writes
 // block like a peer that never reads — until the write deadline passes
@@ -177,6 +211,13 @@ type faultConn struct {
 // Write applies the active write faults, then delegates.
 func (c *faultConn) Write(p []byte) (int, error) {
 	c.f.writes.Add(1)
+	if held := c.f.hold(); held != nil {
+		select {
+		case <-held:
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
+	}
 	if c.f.stalls(c.Conn.RemoteAddr().String()) {
 		return 0, c.stall()
 	}

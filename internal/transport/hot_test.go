@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,32 +44,66 @@ func TestTCPEchoAllocBudget(t *testing.T) {
 }
 
 // TestTCPCoalescesConcurrentCallers: callers that share a connection share
-// its writes. Counted at the socket, N concurrent calls take fewer than N
-// writes on the calling side.
+// its writes. Each round parks the connection's writer in the write of one
+// pacer call and queues every caller's request behind it before letting go,
+// so the overlap does not depend on how the scheduler ran the callers — one
+// at a time on a single P, the writer would otherwise take each request as
+// it came. Counted at the socket, the round's requests leave in one write.
 func TestTCPCoalescesConcurrentCallers(t *testing.T) {
 	f := NewFaults()
 	client := newEchoPair(t, TCPConfig{Faults: f})
+	link := client.link.(*TCP)
 	const callers, rounds = 16, 50
-	before := f.Writes()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			var resp hotResp
-			for i := 0; i < rounds; i++ {
-				if err := client.Call(ctx, "echo-server", "echo", &hotReq{Agent: "a"}, &resp); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+	call := func() {
+		defer wg.Done()
+		var resp hotResp
+		if err := client.Call(ctx, "echo-server", "echo", &hotReq{Agent: "a"}, &resp); err != nil {
+			t.Error(err)
+		}
 	}
-	wg.Wait()
-	if writes := f.Writes() - before; writes >= callers*rounds {
-		t.Errorf("%d calls took %d writes; concurrent callers should share them", callers*rounds, writes)
+	before := f.Writes()
+	for r := 0; r < rounds; r++ {
+		release := f.HoldWrites()
+		start := f.Writes()
+		wg.Add(1 + callers)
+		go call() // the pacer, whose write is held
+		waitFor(t, "the pacer's write started", func() bool { return f.Writes() > start })
+		for c := 0; c < callers; c++ {
+			go call()
+		}
+		waitFor(t, "every caller queued", func() bool { return queued(link) == callers })
+		release()
+		wg.Wait()
+	}
+	if writes := f.Writes() - before; writes != 2*rounds {
+		t.Errorf("%d rounds of a pacer and %d queued calls took %d writes, want %d", rounds, callers, writes, 2*rounds)
+	}
+}
+
+// queued counts the frames waiting in the link's out-queues.
+func queued(l *TCP) (n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.mu.Lock()
+		n += len(c.queue)
+		c.mu.Unlock()
+	}
+	return n
+}
+
+// waitFor yields until cond holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("not within 5s: %s", what)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -296,8 +331,12 @@ func TestPeerDroppedConnectionFailsCallsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srvLink.Close()
-	block := make(chan struct{})
+	block, arrived := make(chan struct{}), make(chan struct{}, 1)
 	srv, err := NewPeer(srvLink, "server", func(context.Context, Addr, string, []byte) (any, error) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
 		<-block
 		return nil, nil
 	})
@@ -319,8 +358,11 @@ func TestPeerDroppedConnectionFailsCallsInFlight(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- client.Call(context.Background(), "server", "x", nil, nil) }()
-	waitPending(t, client, 1)
-	time.Sleep(20 * time.Millisecond) // let the request reach the wire
+	select {
+	case <-arrived: // the request went out on the connection about to die
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never reached the server")
+	}
 	f.ResetAll()
 	select {
 	case err := <-done:
@@ -490,25 +532,22 @@ func TestInlineServedWhileRepliesCannotBeWritten(t *testing.T) {
 	f.StallWrites(true)
 	const n = 64
 	base := served.Load()
+	// The calls wait until every request is served, however long that takes
+	// under load, and are then called off: none of them can have a reply.
+	cctx, ccancel := context.WithCancel(context.Background())
+	defer ccancel()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cctx, ccancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-			defer ccancel()
-			if err := client.Call(cctx, "server", "x", nil, nil); !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("call ended with %v while no reply can be written, want its deadline", err)
+			if err := client.Call(cctx, "server", "x", nil, nil); !errors.Is(err, context.Canceled) {
+				t.Errorf("call ended with %v while no reply can be written, want it called off", err)
 			}
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for served.Load()-base < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("read loop served %d of %d requests while replies were stalled", served.Load()-base, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("the read loop serving %d requests while replies are stalled", n), func() bool { return served.Load()-base == n })
+	ccancel()
 	wg.Wait()
 }
 
