@@ -53,7 +53,7 @@ tidy-check:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# Short fuzzing sweep over every codec and table fuzz target; CI's fuzz
+# Short fuzzing sweep over every codec, table and cache fuzz target; CI's fuzz
 # workflow runs the same list on a schedule. Committed corpora live in each
 # package's testdata/fuzz.
 fuzz:
@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHotMsgDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckpointReqDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocateBatchFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocCacheOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capindex -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME)
 

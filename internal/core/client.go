@@ -302,15 +302,29 @@ func rpcCountFrom(ctx context.Context) *atomic.Int64 {
 	return n
 }
 
-// startOp opens the span covering one whole client operation and returns a
-// context that carries it (plus the RPC counter). When ctx already belongs
-// to a trace — an agent serving a traced request drives this client — the op
-// joins that trace as a child; otherwise it starts a new root, subject to
-// the recorder's sampling. The caller must End the span and should pass the
-// returned context to every protocol call of the operation.
-func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, context.Context, *atomic.Int64) {
+// withRPCCount returns a context carrying a fresh RPC counter for one
+// operation, and the counter.
+func withRPCCount(ctx context.Context) (context.Context, *atomic.Int64) {
 	n := new(atomic.Int64)
-	ctx = context.WithValue(ctx, rpcCountKey{}, n)
+	return context.WithValue(ctx, rpcCountKey{}, n), n
+}
+
+// startOp opens the span covering one whole client operation and returns a
+// context that carries it plus the RPC counter. The caller must End the span
+// and should pass the returned context to every protocol call of the
+// operation.
+func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, context.Context, *atomic.Int64) {
+	ctx, n := withRPCCount(ctx)
+	sp, ctx := c.opSpan(ctx, name)
+	return sp, ctx, n
+}
+
+// opSpan opens the span covering one whole client operation and returns a
+// context that carries it. When ctx already belongs to a trace — an agent
+// serving a traced request drives this client — the op joins that trace as a
+// child; otherwise it starts a new root, subject to the recorder's sampling.
+// Untraced, it allocates nothing.
+func (c *Client) opSpan(ctx context.Context, name string) (*trace.ActiveSpan, context.Context) {
 	var sp *trace.ActiveSpan
 	if parent := trace.FromContext(ctx); parent.Valid() {
 		sp = c.tracer.StartSpan(parent, "client", name)
@@ -320,7 +334,7 @@ func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, c
 	if sp != nil {
 		ctx = trace.ContextWith(ctx, sp.Context())
 	}
-	return sp, ctx, n
+	return sp, ctx
 }
 
 // endOp closes an operation span with its RPC count.
@@ -452,6 +466,8 @@ func (c *Client) Deregister(ctx context.Context, self ids.AgentID, cached Assign
 			return err
 		}
 		if !assign.Zero() {
+			// Read your own writes: the next Locate asks the server.
+			c.cache.invalidate(self)
 			c.lat[KindDeregister].ObserveDuration(time.Since(start))
 			endOp(sp, rpcs, nil)
 			return nil
@@ -467,16 +483,19 @@ func (c *Client) Deregister(ctx context.Context, self ids.AgentID, cached Assign
 // refreshing the local hash copy and retrying when the mapping was stale
 // (paper §2.3 and §4.3). Replies that prove a cache entry wrong — not-here,
 // stale version — invalidate it before the retry loop continues, so the
-// server stays authoritative.
+// server stays authoritative. A hit makes no RPC, so it opens only the op
+// span and allocates nothing untraced.
 func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeID, error) {
-	sp, ctx, rpcs := c.startOp(ctx, "locate")
+	sp, ctx := c.opSpan(ctx, "locate")
 	if node, ok := c.cache.get(target); ok {
 		sp.Annotate("cache", "hit")
-		endOp(sp, rpcs, nil)
+		sp.Annotate("rpcs", "0")
+		sp.End(nil)
 		c.hops.Observe(0)
 		return node, nil
 	}
 	sp.Annotate("cache", "miss")
+	ctx, rpcs := withRPCCount(ctx)
 	var assign Assignment
 	var err error
 	start := time.Now()
@@ -734,6 +753,11 @@ func (c *Client) reportLocationAt(ctx context.Context, kind string, self ids.Age
 			return Assignment{}, err
 		}
 		if !assign.Zero() {
+			// Read your own writes: the next Locate asks the server, which
+			// holds this acknowledged report. Invalidate rather than put, so
+			// reporting for many agents does not fill the cache with agents
+			// this client never looks up.
+			c.cache.invalidate(self)
 			c.lat[kind].ObserveDuration(time.Since(start))
 			endOp(sp, rpcs, nil)
 			return assign, nil

@@ -411,10 +411,64 @@ func TestLocCacheRefusesFencedPut(t *testing.T) {
 	cache.put("b", "node-y", 3)
 	cache.put("c", "node-z", 3)
 	cache.mu.Lock()
-	n := len(cache.entries)
+	n := len(cache.index)
 	cache.mu.Unlock()
 	if n > 2 {
 		t.Errorf("cache grew to %d entries, cap 2", n)
+	}
+}
+
+// TestLocateCacheReadsOwnWrites: a client with the cache on sees its own
+// acknowledged reports — a move, a residence move and a deregister — at its
+// next Locate, instead of the location it cached before reporting.
+func TestLocateCacheReadsOwnWrites(t *testing.T) {
+	c := newTestCluster(t, quietConfig(), 2)
+	ctx := testCtx(t)
+	home, away := c.nodes[0].ID(), c.nodes[1].ID()
+
+	cfg := quietConfig()
+	cfg.LocateCacheTTL = time.Hour
+	cc := newCountingCaller(NodeCaller{N: c.nodes[0]})
+	client := NewClient(cc, cfg)
+	locate := func(a ids.AgentID, want platform.NodeID, step string) {
+		t.Helper()
+		if where, err := client.Locate(ctx, a); err != nil || where != want {
+			t.Fatalf("%s: locate %s = %s, %v; want %s", step, a, where, err, want)
+		}
+	}
+
+	if _, err := client.Register(ctx, "ryw-mover"); err != nil {
+		t.Fatal(err)
+	}
+	locate("ryw-mover", home, "after register")
+	locate("ryw-mover", home, "cached") // the entry is warm now
+	if _, err := client.MoveNotifyTo(ctx, "ryw-mover", away, Assignment{}); err != nil {
+		t.Fatal(err)
+	}
+	locate("ryw-mover", away, "after its own move")
+
+	if _, err := client.Register(ctx, "ryw-member"); err != nil {
+		t.Fatal(err)
+	}
+	group := client.ResidenceGroup("res@ryw")
+	if err := group.Join(ctx, "ryw-member"); err != nil {
+		t.Fatal(err)
+	}
+	locate("ryw-member", home, "after join")
+	updates := cc.count(KindUpdate)
+	if err := group.MoveTo(ctx, away); err != nil {
+		t.Fatal(err)
+	}
+	if cc.count(KindUpdate) != updates {
+		t.Fatal("the residence move fell back to per-member updates; the fast path is under test")
+	}
+	locate("ryw-member", away, "after its own residence move")
+
+	if err := client.Deregister(ctx, "ryw-mover", Assignment{}); err != nil {
+		t.Fatal(err)
+	}
+	if where, err := client.Locate(ctx, "ryw-mover"); !errors.Is(err, ErrNotRegistered) {
+		t.Fatalf("locate after its own deregister = %s, %v; want ErrNotRegistered", where, err)
 	}
 }
 

@@ -322,10 +322,13 @@ func (g *ResidenceGroup) moveDest(ctx context.Context, dest Assignment, node pla
 	if err == nil && resp.Status == StatusOK && resp.Bound >= len(members) {
 		// The handle now covers every member this IAgent serves. The version
 		// in the ack fences the location cache like any other reply, and the
-		// members' cached assignments learn the observed version.
+		// members' cached assignments learn the observed version. The
+		// reporting client reads its own write: it forgets where it last
+		// saw each member.
 		g.c.cache.fence(resp.HashVersion)
 		g.mu.Lock()
 		for _, a := range members {
+			g.c.cache.invalidate(a)
 			assign := g.members[a]
 			if resp.HashVersion > assign.HashVersion {
 				assign.HashVersion = resp.HashVersion
