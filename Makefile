@@ -71,11 +71,11 @@ fuzz:
 	$(GO) test ./internal/capindex -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME)
 
 # Crash-tolerance soak: the failover, chaos, fault-injection and restart-
-# recovery suites, the leaf-state model and the mail-across-rehash tests under
-# the race detector, then the full-cluster kill-and-cold-start scenario on the
+# recovery suites, the leaf-state model, the mail-across-rehash tests and the
+# client's §4.3 loop conformance under the race detector, then the full-cluster kill-and-cold-start scenario on the
 # simulated LAN.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit' ./...
+	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers' ./...
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
 
 ci: build fmt-check tidy-check vet lint short race benchmark-check

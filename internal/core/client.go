@@ -16,12 +16,13 @@ import (
 	"agentloc/internal/platform"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
+	"agentloc/internal/wire"
 )
 
 // Client-side errors.
 var (
-	// ErrNotRegistered is returned by Locate when the responsible IAgent
-	// has no entry for the target agent.
+	// ErrNotRegistered is returned by an operation whose responsible IAgent
+	// answers that it has no entry for the agent.
 	ErrNotRegistered = errors.New("core: agent not registered with the location service")
 	// ErrRetriesExhausted is returned when the refresh-and-retry loop of
 	// paper §4.3 fails to converge (persistent network trouble).
@@ -196,10 +197,12 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// Handles keyed by protocol kind; nil maps (caller without metrics)
-	// yield nil handles on lookup, which are valid no-ops.
-	lat     map[string]*metrics.Histogram
-	retries map[string]*metrics.Counter
+	// ops is the per-operation table, built in NewClient. batched is an
+	// update the batcher carries. Discover scatters outside the §4.3 loop and
+	// uses only its retry counter.
+	ops struct {
+		locate, register, update, batched, deregister, deposit, checkin, discover clientOp
+	}
 	// hops observes the protocol RPC rounds each Locate needed (cache hits
 	// observe zero); nil without metrics.
 	hops *metrics.Histogram
@@ -223,6 +226,15 @@ type Client struct {
 	resFallback *metrics.Counter
 }
 
+// clientOp is one operation's row in Client.ops: its op span name and
+// retries label, the child span around its request, and its instruments —
+// nil (valid no-ops) without a registry.
+type clientOp struct {
+	name, child string
+	lat         *metrics.Histogram
+	retries     *metrics.Counter
+}
+
 // NewClient builds a Client for the given caller. When the caller exposes a
 // metrics registry (NodeCaller and CtxCaller do), every operation observes
 // its end-to-end latency — whois, stale-refresh rounds and retries included
@@ -233,42 +245,43 @@ func NewClient(caller Caller, cfg Config) *Client {
 	if clk == nil {
 		clk = clock.Real{}
 	}
+	reg := CallerRegistry(caller)
 	c := &Client{
 		caller: caller,
 		cfg:    cfg,
 		clk:    clk,
 		rng:    rand.New(rand.NewSource(rand.Int63())),
-		cache:  newLocCache(cfg, clk, CallerRegistry(caller)),
+		cache:  newLocCache(cfg, clk, reg),
 		tracer: CallerTracer(caller),
 	}
 	if caller != nil {
 		c.local = caller.LocalNode()
 		c.lhagent = LHAgentID(c.local)
 	}
-	if reg := CallerRegistry(caller); reg != nil {
-		reg.Describe("agentloc_core_locate_latency_seconds", "End-to-end latency of successful Locate operations.")
-		reg.Describe("agentloc_core_update_latency_seconds", "End-to-end latency of successful MoveNotify operations.")
-		reg.Describe("agentloc_core_register_latency_seconds", "End-to-end latency of successful Register operations.")
-		reg.Describe("agentloc_core_deregister_latency_seconds", "End-to-end latency of successful Deregister operations.")
-		reg.Describe("agentloc_core_client_retries_total", "Extra protocol rounds of the §4.3 refresh-and-retry loop, by operation.")
-		reg.Describe("agentloc_locate_hops", "Protocol RPC rounds per Locate operation; cache hits observe zero.")
-		c.hops = reg.Histogram("agentloc_locate_hops", metrics.CountBuckets)
-		c.lat = map[string]*metrics.Histogram{
-			KindLocate:     reg.Histogram("agentloc_core_locate_latency_seconds", metrics.DefLatencyBuckets),
-			KindUpdate:     reg.Histogram("agentloc_core_update_latency_seconds", metrics.DefLatencyBuckets),
-			KindRegister:   reg.Histogram("agentloc_core_register_latency_seconds", metrics.DefLatencyBuckets),
-			KindDeregister: reg.Histogram("agentloc_core_deregister_latency_seconds", metrics.DefLatencyBuckets),
+	reg.Describe("agentloc_core_client_retries_total", "Extra protocol rounds of the §4.3 refresh-and-retry loop, by operation.")
+	// op builds a row; an op whose successes method times has a latency
+	// family of its own.
+	op := func(name, child, method string) clientOp {
+		o := clientOp{name: name, child: child, retries: reg.Counter("agentloc_core_client_retries_total", "op", name)}
+		if method != "" {
+			family := "agentloc_core_" + name + "_latency_seconds"
+			reg.Describe(family, "End-to-end latency of successful "+method+" operations.")
+			o.lat = reg.Histogram(family, metrics.DefLatencyBuckets)
 		}
-		c.retries = map[string]*metrics.Counter{
-			KindLocate:     reg.Counter("agentloc_core_client_retries_total", "op", "locate"),
-			KindUpdate:     reg.Counter("agentloc_core_client_retries_total", "op", "update"),
-			KindRegister:   reg.Counter("agentloc_core_client_retries_total", "op", "register"),
-			KindDeregister: reg.Counter("agentloc_core_client_retries_total", "op", "deregister"),
-			KindDiscover:   reg.Counter("agentloc_core_client_retries_total", "op", "discover"),
-		}
-		reg.Describe("agentloc_core_residence_fallback_total", "Residence moves degraded to per-member bound updates (stale grouping).")
-		c.resFallback = reg.Counter("agentloc_core_residence_fallback_total")
+		return o
 	}
+	c.ops.locate = op("locate", "iagent.locate", "Locate")
+	c.ops.register = op("register", "iagent.register", "Register")
+	c.ops.update = op("update", "iagent.update", "MoveNotify")
+	c.ops.batched = op("update", "batch.wait", "MoveNotify")
+	c.ops.deregister = op("deregister", "iagent.deregister", "Deregister")
+	c.ops.deposit = op("deposit", "iagent.deposit", "Deposit")
+	c.ops.checkin = op("checkin", "iagent.checkin", "CheckIn")
+	c.ops.discover = op("discover", "", "")
+	reg.Describe("agentloc_locate_hops", "Protocol RPC rounds per Locate operation; cache hits observe zero.")
+	c.hops = reg.Histogram("agentloc_locate_hops", metrics.CountBuckets)
+	reg.Describe("agentloc_core_residence_fallback_total", "Residence moves degraded to per-member bound updates (stale grouping).")
+	c.resFallback = reg.Counter("agentloc_core_residence_fallback_total")
 	return c
 }
 
@@ -368,29 +381,17 @@ func (c *Client) Whois(ctx context.Context, target ids.AgentID) (Assignment, err
 	return Assignment{IAgent: resp.IAgent, Node: resp.Node, HashVersion: resp.HashVersion}, nil
 }
 
-// refreshLocal forces the local LHAgent to catch up to at least minVersion.
-func (c *Client) refreshLocal(ctx context.Context, minVersion uint64) error {
-	sp, ctx := c.childSpan(ctx, "refresh")
-	var resp RefreshResp
-	err := c.call(ctx, c.local, c.lhagent, KindRefresh, &RefreshReq{MinVersion: minVersion}, &resp)
-	sp.End(err)
-	if err != nil {
-		return fmt.Errorf("refresh hash copy: %w", err)
-	}
-	return nil
-}
-
 // Register announces a newly created agent's location (the caller's node)
 // and returns the assignment the agent should cache.
 func (c *Client) Register(ctx context.Context, self ids.AgentID) (Assignment, error) {
-	return c.reportLocation(ctx, KindRegister, self, "", nil, Assignment{})
+	return c.report(ctx, KindRegister, self, "", nil, c.local, Assignment{})
 }
 
 // RegisterWithCapabilities is Register with an advertised capability set:
 // the responsible IAgent records the location and indexes the tags in the
 // same round, so the agent is discoverable the moment it is locatable.
 func (c *Client) RegisterWithCapabilities(ctx context.Context, self ids.AgentID, caps []string) (Assignment, error) {
-	return c.reportLocation(ctx, KindRegister, self, "", caps, Assignment{})
+	return c.report(ctx, KindRegister, self, "", caps, c.local, Assignment{})
 }
 
 // Advertise replaces the agent's capability set at its responsible IAgent
@@ -398,7 +399,7 @@ func (c *Client) RegisterWithCapabilities(ctx context.Context, self ids.AgentID,
 // rejected by the protocol's "empty means no change" rule — withdrawing all
 // capabilities takes a Deregister + Register.
 func (c *Client) Advertise(ctx context.Context, self ids.AgentID, caps []string, cached Assignment) (Assignment, error) {
-	return c.reportLocation(ctx, KindUpdate, self, "", caps, cached)
+	return c.report(ctx, KindUpdate, self, "", caps, c.local, cached)
 }
 
 // MoveNotify informs the agent's IAgent that it now resides at the
@@ -407,7 +408,7 @@ func (c *Client) Advertise(ctx context.Context, self ids.AgentID, caps []string,
 // MoveNotify also clears any residence binding the agent had — an
 // individually-reported move means it left its group.
 func (c *Client) MoveNotify(ctx context.Context, self ids.AgentID, cached Assignment) (Assignment, error) {
-	return c.reportLocation(ctx, KindUpdate, self, "", nil, cached)
+	return c.report(ctx, KindUpdate, self, "", nil, c.local, cached)
 }
 
 // MoveNotifyTo is MoveNotify reporting an explicit destination node instead
@@ -415,76 +416,37 @@ func (c *Client) MoveNotify(ctx context.Context, self ids.AgentID, cached Assign
 // announcing a move on an agent's behalf. Like MoveNotify it clears any
 // residence binding the agent had.
 func (c *Client) MoveNotifyTo(ctx context.Context, self ids.AgentID, node platform.NodeID, cached Assignment) (Assignment, error) {
-	return c.reportLocationAt(ctx, KindUpdate, self, "", nil, node, cached)
+	return c.report(ctx, KindUpdate, self, "", nil, node, cached)
 }
 
 // MoveNotifyBound is MoveNotify with a residence binding: besides recording
 // the agent at the caller's node, the IAgent binds it to the handle so a
 // later ResidenceGroup.MoveTo covers it with one RPC.
 func (c *Client) MoveNotifyBound(ctx context.Context, self ids.AgentID, res ids.ResidenceID, cached Assignment) (Assignment, error) {
-	return c.reportLocation(ctx, KindUpdate, self, res, nil, cached)
-}
-
-// moveNotifyBoundAt is MoveNotifyBound reporting an explicit node instead
-// of the caller's own — the per-member fallback of a residence move reports
-// the group's destination, wherever the reporting client runs.
-func (c *Client) moveNotifyBoundAt(ctx context.Context, self ids.AgentID, res ids.ResidenceID, node platform.NodeID, cached Assignment) (Assignment, error) {
-	return c.reportLocationAt(ctx, KindUpdate, self, res, nil, node, cached)
+	return c.report(ctx, KindUpdate, self, res, nil, c.local, cached)
 }
 
 // Deregister removes the agent's entry (agent disposal).
 func (c *Client) Deregister(ctx context.Context, self ids.AgentID, cached Assignment) error {
 	sp, ctx, rpcs := c.startOp(ctx, "deregister")
-	assign := cached
-	var err error
-	start := time.Now()
-	for attempt := 0; attempt < maxProtocolRetries; attempt++ {
-		if attempt > 0 {
-			c.retries[KindDeregister].Inc()
-		}
-		if err := c.backoff(ctx, attempt); err != nil {
-			endOp(sp, rpcs, err)
-			return err
-		}
-		if assign.Zero() {
-			assign, err = c.Whois(ctx, self)
-			if err != nil {
-				endOp(sp, rpcs, err)
-				return err
-			}
-		}
+	_, err := c.run(ctx, &c.ops.deregister, self, cached, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
 		var ack Ack
-		csp, cctx := c.childSpan(ctx, "iagent.deregister")
-		if attempt > 0 {
-			csp.Annotate("attempt", strconv.Itoa(attempt))
-		}
-		err = c.call(cctx, assign.Node, assign.IAgent, KindDeregister, &DeregisterReq{Agent: self}, &ack)
-		csp.End(err)
-		assign, err = c.interpret(ctx, assign, ack.Status, ack.HashVersion, err)
-		if err != nil {
-			endOp(sp, rpcs, err)
-			return err
-		}
-		if !assign.Zero() {
-			// Read your own writes: the next Locate asks the server.
-			c.cache.invalidate(self)
-			c.lat[KindDeregister].ObserveDuration(time.Since(start))
-			endOp(sp, rpcs, nil)
-			return nil
-		}
+		err := c.call(ctx, assign.Node, assign.IAgent, KindDeregister, &DeregisterReq{Agent: self}, &ack)
+		return ack.Status, ack.HashVersion, err
+	})
+	if err == nil {
+		// Read your own writes: the next Locate asks the server.
+		c.cache.invalidate(self)
 	}
-	endOp(sp, rpcs, ErrRetriesExhausted)
-	return fmt.Errorf("deregister %s: %w", self, ErrRetriesExhausted)
+	endOp(sp, rpcs, err)
+	return err
 }
 
 // Locate finds the current node of the target agent: the local cache first
 // (when enabled — a fresh, version-fenced entry answers with zero RPCs),
-// then whois at the local LHAgent and a query to the responsible IAgent,
-// refreshing the local hash copy and retrying when the mapping was stale
-// (paper §2.3 and §4.3). Replies that prove a cache entry wrong — not-here,
-// stale version — invalidate it before the retry loop continues, so the
-// server stays authoritative. A hit makes no RPC, so it opens only the op
-// span and allocates nothing untraced.
+// then the §4.3 loop, whose answer it caches under the version that vouched
+// for it. A hit makes no RPC, so it opens only the op span and allocates
+// nothing untraced.
 func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeID, error) {
 	sp, ctx := c.opSpan(ctx, "locate")
 	if node, ok := c.cache.get(target); ok {
@@ -496,54 +458,19 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 	}
 	sp.Annotate("cache", "miss")
 	ctx, rpcs := withRPCCount(ctx)
-	var assign Assignment
-	var err error
-	start := time.Now()
-	for attempt := 0; attempt < maxProtocolRetries; attempt++ {
-		if attempt > 0 {
-			c.retries[KindLocate].Inc()
-		}
-		if err := c.backoff(ctx, attempt); err != nil {
-			endOp(sp, rpcs, err)
-			return "", err
-		}
-		if assign.Zero() {
-			assign, err = c.Whois(ctx, target)
-			if err != nil {
-				endOp(sp, rpcs, err)
-				return "", err
-			}
-		}
-		var resp LocateResp
-		csp, cctx := c.childSpan(ctx, "iagent.locate")
-		if attempt > 0 {
-			csp.Annotate("attempt", strconv.Itoa(attempt))
-		}
-		err = c.call(cctx, assign.Node, assign.IAgent, KindLocate, &LocateReq{Agent: target}, &resp)
-		csp.End(err)
-		if err == nil && resp.Status == StatusUnknownAgent {
-			c.cache.invalidate(target)
-			endOp(sp, rpcs, ErrNotRegistered)
-			return "", fmt.Errorf("locate %s: %w", target, ErrNotRegistered)
-		}
-		assign, err = c.interpret(ctx, assign, resp.Status, resp.HashVersion, err)
-		if err != nil {
-			endOp(sp, rpcs, err)
-			return "", err
-		}
-		if !assign.Zero() {
-			c.cache.put(target, resp.Node, assign.HashVersion)
-			c.lat[KindLocate].ObserveDuration(time.Since(start))
-			c.hops.Observe(float64(rpcs.Load()))
-			endOp(sp, rpcs, nil)
-			return resp.Node, nil
-		}
-		// The mapping proved stale; whatever we may have cached for the
-		// target under it is untrustworthy too.
-		c.cache.invalidate(target)
+	var resp LocateResp
+	assign, err := c.run(ctx, &c.ops.locate, target, Assignment{}, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
+		resp = LocateResp{}
+		err := c.call(ctx, assign.Node, assign.IAgent, KindLocate, &LocateReq{Agent: target}, &resp)
+		return resp.Status, resp.HashVersion, err
+	})
+	endOp(sp, rpcs, err)
+	if err != nil {
+		return "", err
 	}
-	endOp(sp, rpcs, ErrRetriesExhausted)
-	return "", fmt.Errorf("locate %s: %w", target, ErrRetriesExhausted)
+	c.cache.put(target, resp.Node, assign.HashVersion)
+	c.hops.Observe(float64(rpcs.Load()))
+	return resp.Node, nil
 }
 
 // LocateBatch resolves the locations of several agents with as few RPCs as
@@ -676,6 +603,9 @@ func (c *Client) whoisBatch(ctx context.Context, targets []ids.AgentID) (WhoisBa
 	sp, ctx := c.childSpan(ctx, "whois-batch")
 	var resp WhoisBatchResp
 	err := c.call(ctx, c.local, c.lhagent, KindWhoisBatch, &WhoisBatchReq{Targets: targets}, &resp)
+	if err == nil && len(resp.Owner) != len(targets) {
+		err = fmt.Errorf("%w: %d owners for %d targets", wire.ErrCorrupt, len(resp.Owner), len(targets))
+	}
 	sp.End(err)
 	if err != nil {
 		return WhoisBatchResp{}, fmt.Errorf("whois batch of %d: %w", len(targets), err)
@@ -700,118 +630,134 @@ func (c *Client) InvalidateLocation(target ids.AgentID) {
 	c.cache.invalidate(target)
 }
 
-// reportLocation implements register/update with the shared retry loop,
-// reporting the caller's own node.
-func (c *Client) reportLocation(ctx context.Context, kind string, self ids.AgentID, res ids.ResidenceID, caps []string, cached Assignment) (Assignment, error) {
-	return c.reportLocationAt(ctx, kind, self, res, caps, c.caller.LocalNode(), cached)
+// report serves register, update and advertise: it reports the agent at
+// node, through the batcher for an update when one is attached. An
+// acknowledged report drops the reporting client's cache entry for the
+// agent, so its next Locate asks the server, which holds this report (read
+// your own writes). It invalidates rather than puts, so reporting for many
+// agents does not fill the cache with agents this client never looks up.
+func (c *Client) report(ctx context.Context, kind string, self ids.AgentID, res ids.ResidenceID, caps []string, node platform.NodeID, cached Assignment) (Assignment, error) {
+	op := &c.ops.register
+	if kind == KindUpdate {
+		op = &c.ops.update
+		if c.batcher != nil {
+			op = &c.ops.batched
+		}
+	}
+	sp, ctx, rpcs := c.startOp(ctx, op.name)
+	assign, err := c.run(ctx, op, self, cached, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
+		req := UpdateReq{Agent: self, Node: node, Residence: res, Capabilities: caps}
+		var ack Ack
+		var err error
+		if op == &c.ops.batched {
+			// The batch.wait span covers the full queue-to-ack delay: time
+			// parked in the outgoing batch plus the coalesced RPC's round trip.
+			ack, err = c.batcher.Do(ctx, assign, req)
+		} else {
+			err = c.call(ctx, assign.Node, assign.IAgent, kind, &req, &ack)
+		}
+		return ack.Status, ack.HashVersion, err
+	})
+	if err == nil {
+		c.cache.invalidate(self)
+	}
+	endOp(sp, rpcs, err)
+	return assign, err
 }
 
-// reportLocationAt is reportLocation with an explicit reported node.
-func (c *Client) reportLocationAt(ctx context.Context, kind string, self ids.AgentID, res ids.ResidenceID, caps []string, node platform.NodeID, cached Assignment) (Assignment, error) {
-	opName, spanName := "register", "iagent.register"
-	if kind == KindUpdate {
-		opName, spanName = "update", "iagent.update"
-	}
-	sp, ctx, rpcs := c.startOp(ctx, opName)
-	assign := cached
-	var err error
+// run is the one §4.3 loop every single-agent operation goes through (paper
+// §2.3): whois at the local LHAgent while the assignment is unset, one
+// request to the responsible IAgent, and on a stale or failed answer a
+// refresh of the local hash copy, a backoff and a retry, at most
+// maxProtocolRetries rounds. send issues the operation's request to the
+// assigned IAgent, zeroing its reply first, and returns the reply's status
+// and hash version with the call's error; it runs in the attempt's child
+// span. An unknown-agent answer is ErrNotRegistered, and a mapping proved
+// stale drops the agent's cache entry before the retry. On success run
+// observes the operation's latency and returns the assignment that
+// answered, raised to the IAgent's version.
+func (c *Client) run(ctx context.Context, op *clientOp, agent ids.AgentID, assign Assignment, send func(context.Context, Assignment) (Status, uint64, error)) (Assignment, error) {
 	start := time.Now()
 	for attempt := 0; attempt < maxProtocolRetries; attempt++ {
 		if attempt > 0 {
-			c.retries[kind].Inc()
+			op.retries.Inc()
 		}
 		if err := c.backoff(ctx, attempt); err != nil {
-			endOp(sp, rpcs, err)
 			return Assignment{}, err
 		}
 		if assign.Zero() {
-			assign, err = c.Whois(ctx, self)
-			if err != nil {
-				endOp(sp, rpcs, err)
+			var err error
+			if assign, err = c.Whois(ctx, agent); err != nil {
 				return Assignment{}, err
 			}
 		}
-		var ack Ack
-		req := UpdateReq{Agent: self, Node: node, Residence: res, Capabilities: caps}
-		if kind == KindUpdate && c.batcher != nil {
-			// The batch span covers the full queue-to-ack delay: time parked
-			// in the outgoing batch plus the coalesced RPC's round trip.
-			csp, cctx := c.childSpan(ctx, "batch.wait")
-			ack, err = c.batcher.Do(cctx, assign, req)
-			csp.End(err)
-		} else {
-			csp, cctx := c.childSpan(ctx, spanName)
-			if attempt > 0 {
-				csp.Annotate("attempt", strconv.Itoa(attempt))
-			}
-			err = c.call(cctx, assign.Node, assign.IAgent, kind, &req, &ack)
-			csp.End(err)
+		csp, cctx := c.childSpan(ctx, op.child)
+		if attempt > 0 {
+			csp.Annotate("attempt", strconv.Itoa(attempt))
 		}
-		assign, err = c.interpret(ctx, assign, ack.Status, ack.HashVersion, err)
-		if err != nil {
-			endOp(sp, rpcs, err)
+		status, version, err := send(cctx, assign)
+		csp.End(err)
+		if err == nil && status == StatusUnknownAgent {
+			c.cache.invalidate(agent)
+			return Assignment{}, fmt.Errorf("%s %s: %w", op.name, agent, ErrNotRegistered)
+		}
+		if assign, err = c.interpret(ctx, assign, status, version, err); err != nil {
 			return Assignment{}, err
 		}
 		if !assign.Zero() {
-			// Read your own writes: the next Locate asks the server, which
-			// holds this acknowledged report. Invalidate rather than put, so
-			// reporting for many agents does not fill the cache with agents
-			// this client never looks up.
-			c.cache.invalidate(self)
-			c.lat[kind].ObserveDuration(time.Since(start))
-			endOp(sp, rpcs, nil)
+			op.lat.ObserveDuration(time.Since(start))
 			return assign, nil
 		}
+		// The mapping proved stale; whatever we may have cached for the
+		// agent under it is untrustworthy too.
+		c.cache.invalidate(agent)
 	}
-	endOp(sp, rpcs, ErrRetriesExhausted)
-	return Assignment{}, fmt.Errorf("%s %s: %w", kind, self, ErrRetriesExhausted)
+	return Assignment{}, fmt.Errorf("%s %s: %w", op.name, agent, ErrRetriesExhausted)
 }
 
-// interpret folds one IAgent response into the retry loop's state: on
-// success it returns the (non-zero) assignment; when the mapping proved
-// stale it refreshes the local copy and returns a zero assignment so the
-// caller re-resolves; hard errors are returned as errors.
+// interpret folds one IAgent answer into the loop's state. An OK returns the
+// assignment, raised to the IAgent's version. A stale mapping returns a zero
+// assignment, so the loop re-resolves, once the local hash copy is refreshed
+// past the mapping's version:
+//   - not responsible: the IAgent is ahead of us; the copy catches up to at
+//     least its version;
+//   - agent not found: the IAgent is not at the node the mapping claimed —
+//     merged away or relocated;
+//   - any other call error while our own deadline stands: the node is
+//     unreachable, possibly crashed with its IAgents merged away by the
+//     failure detector. If the hash really is unchanged the refresh is cheap
+//     and the retry burns one attempt; if the refresh fails, the original
+//     failure is surfaced.
+//
+// Every version an IAgent answers with fences the location cache: whatever
+// is cached under older versions is dead.
 func (c *Client) interpret(ctx context.Context, assign Assignment, status Status, remoteVersion uint64, callErr error) (Assignment, error) {
+	notFound := callErr != nil && platform.IsAgentNotFound(callErr)
 	switch {
-	case callErr != nil && platform.IsAgentNotFound(callErr):
-		// The IAgent is not at the node the mapping claimed: it was
-		// merged away or relocated. Force a newer copy than ours.
-		if err := c.refreshLocal(ctx, assign.HashVersion+1); err != nil {
-			return Assignment{}, err
-		}
-		return Assignment{}, nil
-	case callErr != nil && ctx.Err() == nil:
-		// The IAgent's node is unreachable (timeout, connection refused) but
-		// our own deadline still stands — possibly a crashed node whose
-		// IAgents have been merged away by the failure detector. Refresh
-		// past our version and re-resolve; if the hash really is unchanged
-		// the refresh is cheap and the retry burns one attempt.
-		if err := c.refreshLocal(ctx, assign.HashVersion+1); err != nil {
-			return Assignment{}, callErr // surface the original failure
-		}
-		return Assignment{}, nil
-	case callErr != nil:
+	case callErr != nil && !notFound && ctx.Err() != nil:
 		return Assignment{}, callErr
-	case status == StatusNotResponsible:
-		// The IAgent is ahead of us; catch up to at least its version.
-		// The version bump also fences the location cache: everything
-		// cached under older versions is dead.
+	case callErr == nil && status == StatusOK:
 		c.cache.fence(remoteVersion)
-		minVersion := remoteVersion
-		if minVersion <= assign.HashVersion {
-			minVersion = assign.HashVersion + 1
-		}
-		if err := c.refreshLocal(ctx, minVersion); err != nil {
-			return Assignment{}, err
-		}
-		return Assignment{}, nil
-	case status == StatusOK:
-		c.cache.fence(remoteVersion)
-		if remoteVersion > assign.HashVersion {
-			assign.HashVersion = remoteVersion
-		}
+		assign.HashVersion = max(assign.HashVersion, remoteVersion)
 		return assign, nil
-	default:
+	case callErr == nil && status != StatusNotResponsible:
 		return Assignment{}, fmt.Errorf("core: unexpected IAgent status %v", status)
+	}
+	minVersion := assign.HashVersion + 1
+	if callErr == nil {
+		c.cache.fence(remoteVersion)
+		minVersion = max(minVersion, remoteVersion)
+	}
+	sp, ctx := c.childSpan(ctx, "refresh")
+	var resp RefreshResp
+	err := c.call(ctx, c.local, c.lhagent, KindRefresh, &RefreshReq{MinVersion: minVersion}, &resp)
+	sp.End(err)
+	switch {
+	case err == nil:
+		return Assignment{}, nil
+	case callErr != nil && !notFound:
+		return Assignment{}, callErr
+	default:
+		return Assignment{}, fmt.Errorf("refresh hash copy: %w", err)
 	}
 }

@@ -79,7 +79,7 @@ func (c *Client) Discover(ctx context.Context, q Query) ([]Match, error) {
 	complete := false
 	for attempt := 0; attempt < maxProtocolRetries && !complete; attempt++ {
 		if attempt > 0 {
-			c.retries[KindDiscover].Inc()
+			c.ops.discover.retries.Inc()
 		}
 		if err := c.backoff(ctx, attempt); err != nil {
 			endOp(sp, rpcs, err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
@@ -72,6 +71,7 @@ func (b *IAgentBehavior) deposit(ctx *platform.Context, req DepositReq) Ack {
 	hash := req.Target.Hash64()
 	ok, version := b.responsible(ctx, hash)
 	if !ok {
+		b.metStale.Inc()
 		return Ack{Status: StatusNotResponsible, HashVersion: version}
 	}
 	// A deposit counts as a request to its target, if the table holds it; the
@@ -102,59 +102,35 @@ func (b *IAgentBehavior) checkIn(ctx *platform.Context, req CheckInReq) (CheckIn
 // Deposit leaves a message for the target agent at its IAgent; the target
 // receives it at its next check-in, however fast it is moving.
 func (c *Client) Deposit(ctx context.Context, from, target ids.AgentID, kind string, payload []byte) error {
-	msg := Deposited{From: from, Kind: kind, Payload: payload}
-	var assign Assignment
-	var err error
-	for attempt := 0; attempt < maxProtocolRetries; attempt++ {
-		if err := c.backoff(ctx, attempt); err != nil {
-			return err
-		}
-		if assign.Zero() {
-			assign, err = c.Whois(ctx, target)
-			if err != nil {
-				return err
-			}
-		}
+	sp, ctx, rpcs := c.startOp(ctx, "deposit")
+	req := DepositReq{Target: target, Message: Deposited{From: from, Kind: kind, Payload: payload}}
+	_, err := c.run(ctx, &c.ops.deposit, target, Assignment{}, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
 		var ack Ack
-		err = c.call(ctx, assign.Node, assign.IAgent, KindDeposit, DepositReq{Target: target, Message: msg}, &ack)
-		assign, err = c.interpret(ctx, assign, ack.Status, ack.HashVersion, err)
-		if err != nil {
-			return err
-		}
-		if !assign.Zero() {
-			return nil
-		}
-	}
-	return fmt.Errorf("deposit for %s: %w", target, ErrRetriesExhausted)
+		err := c.call(ctx, assign.Node, assign.IAgent, KindDeposit, req, &ack)
+		return ack.Status, ack.HashVersion, err
+	})
+	endOp(sp, rpcs, err)
+	return err
 }
 
 // CheckIn reports the agent's current node (like MoveNotify) and collects
-// any messages deposited for it since its last check-in.
+// any messages deposited for it since its last check-in. Like every
+// acknowledged location report, it drops the client's cache entry for the
+// agent.
 func (c *Client) CheckIn(ctx context.Context, self ids.AgentID, cached Assignment) (Assignment, []Deposited, error) {
-	node := c.caller.LocalNode()
-	assign := cached
-	var err error
-	for attempt := 0; attempt < maxProtocolRetries; attempt++ {
-		if err := c.backoff(ctx, attempt); err != nil {
-			return Assignment{}, nil, err
-		}
-		if assign.Zero() {
-			assign, err = c.Whois(ctx, self)
-			if err != nil {
-				return Assignment{}, nil, err
-			}
-		}
-		var resp CheckInResp
-		err = c.call(ctx, assign.Node, assign.IAgent, KindCheckIn, CheckInReq{Agent: self, Node: node}, &resp)
-		assign, err = c.interpret(ctx, assign, resp.Ack.Status, resp.Ack.HashVersion, err)
-		if err != nil {
-			return Assignment{}, nil, err
-		}
-		if !assign.Zero() {
-			return assign, resp.Pending, nil
-		}
+	sp, ctx, rpcs := c.startOp(ctx, "checkin")
+	var resp CheckInResp
+	assign, err := c.run(ctx, &c.ops.checkin, self, cached, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
+		resp = CheckInResp{}
+		err := c.call(ctx, assign.Node, assign.IAgent, KindCheckIn, CheckInReq{Agent: self, Node: c.local}, &resp)
+		return resp.Ack.Status, resp.Ack.HashVersion, err
+	})
+	endOp(sp, rpcs, err)
+	if err != nil {
+		return Assignment{}, nil, err
 	}
-	return Assignment{}, nil, fmt.Errorf("check-in %s: %w", self, ErrRetriesExhausted)
+	c.cache.invalidate(self)
+	return assign, resp.Pending, nil
 }
 
 // decodeDiscovery routes the discovery kinds inside IAgent.HandleRequest;

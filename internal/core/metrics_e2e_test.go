@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +103,61 @@ func TestMetricsEndToEndQuiet(t *testing.T) {
 	}
 	if got := s.Counter("agentloc_core_rehash_total"); got != 0 {
 		t.Errorf("quiet tree rehashed %d times", got)
+	}
+}
+
+// TestMailStaleAnswersAreRetries holds deposits and check-ins to the same
+// invariant as every other operation — each stale answer an IAgent counts is
+// one client retry — and checks that each observes its latency once. A forced
+// split stales what was taken before it: every LHAgent's hash copy, which
+// deposits resolve through, and the assignments the check-ins pass.
+func TestMailStaleAnswersAreRetries(t *testing.T) {
+	c, reg := newMeteredCluster(t, quietConfig(), 3)
+	ctx := testCtx(t)
+	clients := make([]*Client, len(c.nodes))
+	for i, n := range c.nodes {
+		clients[i] = c.service.ClientFor(n)
+	}
+	agents := make([]ids.AgentID, 16)
+	homes := make(map[ids.AgentID]platform.NodeID, len(agents))
+	assigns := make(map[ids.AgentID]Assignment, len(agents))
+	for i := range agents {
+		agents[i] = ids.AgentID(fmt.Sprintf("mail-%02d", i))
+		assign, err := clients[i%len(clients)].Register(ctx, agents[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		homes[agents[i]], assigns[agents[i]] = c.nodes[i%len(c.nodes)].ID(), assign
+	}
+	forceSplit(t, c, ctx, "iagent-1", homes)
+
+	// The agents the split moved go first, so every node's stale copy
+	// answers at least one deposit.
+	st := hashState(t, c, ctx)
+	moved := func(a ids.AgentID) bool { owner, _, _ := st.OwnerOf(a); return owner != "iagent-1" }
+	sort.SliceStable(agents, func(i, j int) bool { return moved(agents[i]) && !moved(agents[j]) })
+	for i, a := range agents {
+		if err := clients[i%len(clients)].Deposit(ctx, "post", a, "note", nil); err != nil {
+			t.Fatalf("deposit for %s: %v", a, err)
+		}
+	}
+	for _, a := range agents {
+		if _, _, err := clients[0].CheckIn(ctx, a, assigns[a]); err != nil {
+			t.Fatalf("check-in %s: %v", a, err)
+		}
+	}
+
+	s := reg.Snapshot()
+	if stale, retries := s.Counter("agentloc_core_iagent_stale_total"), s.Counter("agentloc_core_client_retries_total"); stale != retries {
+		t.Errorf("stale answers = %d, retries = %d, want equal", stale, retries)
+	}
+	for _, op := range []string{"deposit", "checkin"} {
+		if s.Counter("agentloc_core_client_retries_total", "op", op) == 0 {
+			t.Errorf("no %s was answered stale; the split staled nothing", op)
+		}
+		if got := s.HistogramSnap("agentloc_core_" + op + "_latency_seconds").Count; got != uint64(len(agents)) {
+			t.Errorf("%s latency observations = %d, want %d", op, got, len(agents))
+		}
 	}
 }
 

@@ -446,6 +446,11 @@ func TestLocateCacheReadsOwnWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	locate("ryw-mover", away, "after its own move")
+	// A check-in is a location report too: it records the client's own node.
+	if _, _, err := client.CheckIn(ctx, "ryw-mover", Assignment{}); err != nil {
+		t.Fatal(err)
+	}
+	locate("ryw-mover", home, "after its own check-in")
 
 	if _, err := client.Register(ctx, "ryw-member"); err != nil {
 		t.Fatal(err)

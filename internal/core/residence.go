@@ -338,16 +338,14 @@ func (g *ResidenceGroup) moveDest(ctx context.Context, dest Assignment, node pla
 		g.mu.Unlock()
 		return nil
 	}
-	if g.c.resFallback != nil {
-		g.c.resFallback.Inc()
-	}
+	g.c.resFallback.Inc()
 	csp2, fctx := g.c.childSpan(ctx, "residence.rebind")
 	csp2.Annotate("members", strconv.Itoa(len(members)))
 	var firstErr error
 	for _, a := range members {
 		// A zero cached assignment forces a fresh whois, so the rebind lands
 		// on whichever IAgent serves the member now.
-		assign, err := g.c.moveNotifyBoundAt(fctx, a, g.id, node, Assignment{})
+		assign, err := g.c.report(fctx, KindUpdate, a, g.id, nil, node, Assignment{})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("residence %s: rebind %s: %w", g.id, a, err)
