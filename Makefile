@@ -3,7 +3,7 @@ GOLANGCI ?= golangci-lint
 # Fuzz budget per target for `make fuzz`.
 FUZZTIME ?= 30s
 
-.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz chaos ci clean loc
+.PHONY: all build test short race vet lint fmt-check tidy-check benchmark-check fuzz chaos budgets ci clean loc
 
 all: build
 
@@ -77,6 +77,11 @@ fuzz:
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers' ./...
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
+
+# Every allocation and heap budget with -v: each test logs what it measured,
+# so a change that moves one quotes the numbers from this one command.
+budgets:
+	$(GO) test -count=1 -v -run 'AllocBudget|HeapPerAgent|TableIsNotScanned' ./internal/...
 
 ci: build fmt-check tidy-check vet lint short race benchmark-check
 

@@ -71,6 +71,12 @@ type batchResult struct {
 	err error
 }
 
+// resultPool recycles the one-slot channels updates get their acks on. A
+// channel goes back only once its caller has received from it, so it is
+// empty and nothing else will send on it; a caller that gave up on its ctx
+// leaves its channel to the flush goroutine's one send, and to the collector.
+var resultPool = sync.Pool{New: func() any { return make(chan batchResult, 1) }}
+
 // NewUpdateBatcher starts a batcher flushing every tick. A tick of zero
 // selects 5ms — small enough to stay well under typical residence times,
 // large enough to coalesce a busy node's worth of updates.
@@ -109,12 +115,13 @@ func NewUpdateBatcher(caller Caller, cfg Config, tick time.Duration) *UpdateBatc
 func (b *UpdateBatcher) Do(ctx context.Context, assign Assignment, req UpdateReq) (Ack, error) {
 	p := pendingUpdate{
 		req:    req,
-		result: make(chan batchResult, 1),
+		result: resultPool.Get().(chan batchResult),
 	}
 	key := batchKey{node: assign.Node, iagent: assign.IAgent}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
+		resultPool.Put(p.result)
 		return Ack{}, ErrBatcherClosed
 	}
 	b.queues[key] = append(b.queues[key], p)
@@ -122,6 +129,7 @@ func (b *UpdateBatcher) Do(ctx context.Context, assign Assignment, req UpdateReq
 
 	select {
 	case r := <-p.result:
+		resultPool.Put(p.result)
 		return r.ack, r.err
 	case <-ctx.Done():
 		// The flush goroutine still owns the entry and will write the

@@ -2,11 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"agentloc/internal/clock"
+	"agentloc/internal/ids"
 	"agentloc/internal/metrics"
+	"agentloc/internal/platform"
 	"agentloc/internal/transport"
 )
 
@@ -207,5 +214,101 @@ func TestUpdateBatcherCountsBatchesByResult(t *testing.T) {
 	}
 	if got := errC.Value(); got != 1 {
 		t.Errorf("batches_total{result=error} = %d after a failed batch, want 1", got)
+	}
+}
+
+// echoBatchCaller answers every update batch at once, acking each update with
+// the version its agent id names ("u-<version>").
+type echoBatchCaller struct{}
+
+func (echoBatchCaller) LocalNode() platform.NodeID { return "node-0" }
+
+func (echoBatchCaller) Call(_ context.Context, _ platform.NodeID, _ ids.AgentID, kind string, req, resp any) error {
+	if kind != KindUpdateBatch {
+		return fmt.Errorf("unexpected %s", kind)
+	}
+	out := resp.(*UpdateBatchResp)
+	for _, u := range req.(UpdateBatchReq).Updates {
+		v, err := strconv.ParseUint(strings.TrimPrefix(string(u.Agent), "u-"), 10, 64)
+		if err != nil {
+			return err
+		}
+		out.Acks = append(out.Acks, Ack{Status: StatusOK, HashVersion: v})
+	}
+	return nil
+}
+
+// TestUpdateBatcherCancelledDoNeverSeesAnotherAck: a Do that gives up on its
+// ctx leaves its result channel to the flush that will still answer it, so a
+// later Do — which may get a recycled channel — receives its own ack and
+// never the abandoned one's, round after round.
+func TestUpdateBatcherCancelledDoNeverSeesAnotherAck(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1000, 0))
+	cfg := quietConfig()
+	cfg.Clock = fake
+	const tick = 50 * time.Millisecond
+	b := NewUpdateBatcher(echoBatchCaller{}, cfg, tick)
+	defer func() {
+		// A flush wedged on a channel two updates shared would hang Close.
+		if !t.Failed() {
+			b.Close()
+		}
+	}()
+	assign := Assignment{IAgent: "iagent-1", Node: "node-0"}
+	queued := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			b.mu.Lock()
+			got := len(b.queues[batchKey{node: assign.Node, iagent: assign.IAgent}])
+			b.mu.Unlock()
+			if got == n && fake.PendingWaiters() >= 1 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d updates queued", got, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	ctx := testCtx(t)
+	version := uint64(0)
+	for round := 0; round < 20; round++ {
+		// Two updates give up while queued.
+		for i := 0; i < 2; i++ {
+			version++
+			cctx, cancel := context.WithCancel(ctx)
+			done := make(chan error, 1)
+			go func(v uint64) {
+				_, err := b.Do(cctx, assign, UpdateReq{Agent: ids.AgentID(fmt.Sprintf("u-%d", v))})
+				done <- err
+			}(version)
+			queued(i + 1)
+			cancel()
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("round %d: a cancelled Do returned %v", round, err)
+			}
+		}
+		// Then eight that wait for their acks, flushed in the same batch.
+		wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			version++
+			wg.Add(1)
+			go func(v uint64) {
+				defer wg.Done()
+				ack, err := b.Do(wctx, assign, UpdateReq{Agent: ids.AgentID(fmt.Sprintf("u-%d", v))})
+				if err != nil || ack.HashVersion != v {
+					t.Errorf("round %d: the update of u-%d got ack %d, err %v", round, v, ack.HashVersion, err)
+				}
+			}(version)
+		}
+		queued(10)
+		fake.Advance(tick)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
 	}
 }

@@ -316,19 +316,26 @@ func rpcCountFrom(ctx context.Context) *atomic.Int64 {
 }
 
 // withRPCCount returns a context carrying a fresh RPC counter for one
-// operation, and the counter.
-func withRPCCount(ctx context.Context) (context.Context, *atomic.Int64) {
+// operation, and the counter, when read says something will read the count
+// — the operation's span or the hops histogram. Otherwise it returns ctx and
+// a nil counter, allocating nothing. An enclosing operation's counter cannot
+// leak in that way: only a traced operation encloses others with a counter,
+// and what it encloses is traced too, its span a child of the enclosing one's.
+func withRPCCount(ctx context.Context, read bool) (context.Context, *atomic.Int64) {
+	if !read {
+		return ctx, nil
+	}
 	n := new(atomic.Int64)
 	return context.WithValue(ctx, rpcCountKey{}, n), n
 }
 
 // startOp opens the span covering one whole client operation and returns a
-// context that carries it plus the RPC counter. The caller must End the span
-// and should pass the returned context to every protocol call of the
-// operation.
+// context that carries it plus the RPC counter, nil when the operation is
+// untraced. The caller must end both with endOp and should pass the returned
+// context to every protocol call of the operation.
 func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, context.Context, *atomic.Int64) {
-	ctx, n := withRPCCount(ctx)
 	sp, ctx := c.opSpan(ctx, name)
+	ctx, n := withRPCCount(ctx, sp != nil)
 	return sp, ctx, n
 }
 
@@ -350,9 +357,11 @@ func (c *Client) opSpan(ctx context.Context, name string) (*trace.ActiveSpan, co
 	return sp, ctx
 }
 
-// endOp closes an operation span with its RPC count.
+// endOp closes an operation span with its RPC count. Both may be nil.
 func endOp(sp *trace.ActiveSpan, rpcs *atomic.Int64, err error) {
-	sp.Annotate("rpcs", strconv.FormatInt(rpcs.Load(), 10))
+	if rpcs != nil {
+		sp.Annotate("rpcs", strconv.FormatInt(rpcs.Load(), 10))
+	}
 	sp.End(err)
 }
 
@@ -457,7 +466,7 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 		return node, nil
 	}
 	sp.Annotate("cache", "miss")
-	ctx, rpcs := withRPCCount(ctx)
+	ctx, rpcs := withRPCCount(ctx, sp != nil || c.hops != nil)
 	var resp LocateResp
 	assign, err := c.run(ctx, &c.ops.locate, target, Assignment{}, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
 		resp = LocateResp{}
@@ -469,7 +478,9 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 		return "", err
 	}
 	c.cache.put(target, resp.Node, assign.HashVersion)
-	c.hops.Observe(float64(rpcs.Load()))
+	if rpcs != nil {
+		c.hops.Observe(float64(rpcs.Load()))
+	}
 	return resp.Node, nil
 }
 

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -183,17 +184,24 @@ func mergeMatches(found map[ids.AgentID]platform.NodeID, q Query) []Match {
 	for agent, node := range found {
 		matches = append(matches, Match{Agent: agent, Node: node})
 	}
-	sort.Slice(matches, func(i, j int) bool {
-		if q.Near != "" {
-			ni, nj := matches[i].Node == q.Near, matches[j].Node == q.Near
-			if ni != nj {
-				return ni
-			}
-		}
-		return matches[i].Agent < matches[j].Agent
-	})
+	slices.SortFunc(matches, nearFirst[Match](q.Near))
 	if q.Limit > 0 && len(matches) > q.Limit {
 		matches = matches[:q.Limit]
 	}
 	return matches
+}
+
+// nearFirst is the order of discovery matches, in a leaf's answer and in the
+// merged result: those at near first (when near is set), then by agent id.
+func nearFirst[M Match | DiscoverMatch](near platform.NodeID) func(M, M) int {
+	return func(x, y M) int {
+		a, b := Match(x), Match(y)
+		if near != "" && (a.Node == near) != (b.Node == near) {
+			if a.Node == near {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.Agent, b.Agent)
+	}
 }

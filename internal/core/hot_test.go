@@ -16,7 +16,8 @@ import (
 // TestLocateRemoteAllocBudget is the end-to-end allocation budget of the
 // paper's one-hop locate: Client.Locate, whois at the local LHAgent, one
 // request over loopback TCP served on the IAgent's read loop, the table, and
-// back — both nodes' allocations counted, since they share the process.
+// back — both nodes' allocations counted, since they share the process
+// (measured: 11; 13 while every miss built an RPC counter nothing read).
 func TestLocateRemoteAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -34,15 +35,17 @@ func TestLocateRemoteAllocBudget(t *testing.T) {
 	if locErr != nil {
 		t.Fatal(locErr)
 	}
-	if allocs > 20 {
-		t.Errorf("remote Locate allocates %.1f times, budget 20", allocs)
+	t.Logf("%.1f allocs per remote Locate", allocs)
+	if allocs > 11 {
+		t.Errorf("remote Locate allocates %.1f times, budget 11", allocs)
 	}
 }
 
 // TestMoveRemoteAllocBudget is the budget of an unbatched remote move: a
 // MoveNotifyTo with a cached assignment, one update over loopback TCP through
 // the IAgent's mailbox, write and table, both nodes' allocations counted
-// (measured: 20; 21 while the untraced attempt still built its span name).
+// (measured: 18; 20 while an untraced move built an RPC counter nothing
+// read, 21 while the untraced attempt still built its span name).
 func TestMoveRemoteAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -71,8 +74,8 @@ func TestMoveRemoteAllocBudget(t *testing.T) {
 		t.Fatal(moveErr)
 	}
 	t.Logf("%.1f allocs per unbatched remote move", allocs)
-	if allocs > 20 {
-		t.Errorf("an unbatched remote move allocates %.1f times, budget 20", allocs)
+	if allocs > 18 {
+		t.Errorf("an unbatched remote move allocates %.1f times, budget 18", allocs)
 	}
 }
 
@@ -98,6 +101,40 @@ func TestLocateBatchAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocs per 64-target LocateBatch", allocs)
 	if allocs > 80 {
 		t.Errorf("a 64-target LocateBatch allocates %.1f times, budget 80", allocs)
+	}
+}
+
+// TestDiscoverAllocBudget is the budget of a capability query over four
+// leaves on the far node, all 64 agents matching: one leaves query at the
+// local LHAgent, four discover frames over loopback TCP, the leaves' answers
+// and the merge, both nodes' allocations counted (measured: 165 to 167 —
+// the scatter's goroutines do not always find a free one to reuse — and 182
+// while both sorts went through sort.Slice and every untraced operation built
+// an RPC counter).
+func TestDiscoverAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	client, targets := newHotTCPPair(t, 64, 4)
+	ctx := context.Background()
+	for _, a := range targets {
+		if _, err := client.Advertise(ctx, a, []string{"ocr"}, Assignment{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := Query{Caps: []string{"ocr"}}
+	var discErr error
+	allocs := testing.AllocsPerRun(200, func() {
+		if got, err := client.Discover(ctx, q); err != nil || len(got) != len(targets) {
+			discErr = fmt.Errorf("discovered %d of %d: %v", len(got), len(targets), err)
+		}
+	})
+	if discErr != nil {
+		t.Fatal(discErr)
+	}
+	t.Logf("%.1f allocs per 4-leaf Discover of 64 matches", allocs)
+	if allocs > 170 {
+		t.Errorf("a 4-leaf Discover allocates %.1f times, budget 170", allocs)
 	}
 }
 
@@ -159,7 +196,9 @@ func TestCheckpointFullPushAllocBudget(t *testing.T) {
 	const entries = 1 << 17
 	leaf, buddy, ctx := fullPushLeaf(t, entries)
 	allocs := testing.AllocsPerRun(2, func() { fullPush(t, leaf, buddy, ctx) })
-	if perEntry := allocs / entries; perEntry > 1.5 {
+	perEntry := allocs / entries
+	t.Logf("%.2f allocs per entry of a full push", perEntry)
+	if perEntry > 1.5 {
 		t.Errorf("a full push allocates %.2f times per shipped entry, budget 1.5", perEntry)
 	}
 }
@@ -196,6 +235,7 @@ func TestWhoisLocalAllocBudget(t *testing.T) {
 	if whoErr != nil {
 		t.Fatal(whoErr)
 	}
+	t.Logf("%.1f allocs per local whois", allocs)
 	if allocs > 4 {
 		t.Errorf("local whois allocates %.1f times, budget 4", allocs)
 	}

@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,8 +80,9 @@ type IAgentBehavior struct {
 	metLocate, metResidenceMove, metDiscover *metrics.Counter
 
 	metStale *metrics.Counter
-	metTable *metrics.Gauge
-	metCkLag *metrics.Gauge
+	// The table's entries and the heap its slots and key arenas take.
+	metTable, metTableBytes *metrics.Gauge
+	metCkLag                *metrics.Gauge
 	// Entries shipped to the sibling leaf, by the kind of push they rode in.
 	metCkSentFull, metCkSentDelta *metrics.Counter
 }
@@ -119,6 +120,7 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		reg.Describe("agentloc_core_iagent_requests_total", "Location-protocol requests served, by IAgent and operation.")
 		reg.Describe("agentloc_core_iagent_stale_total", "Requests answered not-responsible (stale client mapping), by IAgent.")
 		reg.Describe("agentloc_core_iagent_table_entries", "Location-table entries held, by IAgent.")
+		reg.Describe("agentloc_core_iagent_table_bytes", "Heap the location table's slot arrays and key arenas take, spare capacity included, by IAgent; divided by agentloc_core_iagent_table_entries it is the table's bytes per agent.")
 		reg.Describe("agentloc_checkpoint_lag_entries", "Location-table updates not yet checkpointed to the sibling leaf, by IAgent.")
 		reg.Describe("agentloc_checkpoint_entries_sent_total", "Location-table entries shipped to the sibling leaf, by IAgent and kind of push (full: the whole table again; delta: what changed).")
 		self := string(ctx.Self())
@@ -129,7 +131,8 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		b.metLocate, b.metResidenceMove, b.metDiscover = requests("locate"), requests("residence-move"), requests("discover")
 		b.metStale = reg.Counter("agentloc_core_iagent_stale_total", "iagent", self)
 		b.metTable = reg.Gauge("agentloc_core_iagent_table_entries", "iagent", self)
-		b.metTable.Set(int64(b.Table.Len()))
+		b.metTableBytes = reg.Gauge("agentloc_core_iagent_table_bytes", "iagent", self)
+		b.setTableGauges()
 		b.metCkLag = reg.Gauge("agentloc_checkpoint_lag_entries", "iagent", self)
 		b.metCkLag.Set(0)
 		b.metCkSentFull = reg.Counter("agentloc_checkpoint_entries_sent_total", "iagent", self, "kind", "full")
@@ -423,13 +426,7 @@ func (b *IAgentBehavior) discover(req DiscoverReq) DiscoverResp {
 			resp.Matches = append(resp.Matches, DiscoverMatch{Agent: agent, Node: r.node})
 		}
 	}
-	sort.Slice(resp.Matches, func(i, j int) bool {
-		mi, mj := resp.Matches[i], resp.Matches[j]
-		if req.Near != "" && (mi.Node == req.Near) != (mj.Node == req.Near) {
-			return mi.Node == req.Near
-		}
-		return mi.Agent < mj.Agent
-	})
+	slices.SortFunc(resp.Matches, nearFirst[DiscoverMatch](req.Near))
 	if req.Limit > 0 && len(resp.Matches) > req.Limit {
 		resp.Matches = resp.Matches[:req.Limit]
 	}

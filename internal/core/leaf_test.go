@@ -273,7 +273,8 @@ func TestUnknownLocatesCostNothing(t *testing.T) {
 // TestIAgentHeapPerAgentBudget: what an agent costs a leaf, measured — 2^17
 // agents registered through UpdateBatchReq, crash tolerance off and on
 // (≈ 215 B/agent before the counters moved into the slot, ≈ 80 B before the
-// ids moved into the stripes' key arenas; ≈ 58.5 B now).
+// ids moved into the stripes' key arenas, ≈ 58.5 B with 24-byte slots;
+// ≈ 43.5 B now).
 func TestIAgentHeapPerAgentBudget(t *testing.T) {
 	const agents = 1 << 17
 	for _, tc := range []struct {
@@ -294,8 +295,8 @@ func TestIAgentHeapPerAgentBudget(t *testing.T) {
 			perAgent := float64(retainedHeap()-before) / agents
 			runtime.KeepAlive(leaf)
 			t.Logf("%.1f B/agent retained", perAgent)
-			if perAgent > 72 {
-				t.Errorf("an agent costs its leaf %.1f B, budget 72", perAgent)
+			if perAgent > 52 {
+				t.Errorf("an agent costs its leaf %.1f B, budget 52", perAgent)
 			}
 			if leaf.Table.Len() != agents+1 {
 				t.Errorf("table holds %d entries, want %d", leaf.Table.Len(), agents+1)
@@ -304,7 +305,7 @@ func TestIAgentHeapPerAgentBudget(t *testing.T) {
 	}
 	// What an agent costs the buddy holding its leaf's checkpoint: a slot and
 	// its id's bytes in the copy's own arena (≈ 97 B as a map entry, ≈ 81 B with
-	// the id a string of its own; ≈ 59.7 B now).
+	// the id a string of its own, ≈ 59.7 B with 24-byte slots).
 	t.Run("held copy", func(t *testing.T) {
 		leaf, buddy, ctx := fullPushLeaf(t, agents)
 		before := retainedHeap()
@@ -313,8 +314,8 @@ func TestIAgentHeapPerAgentBudget(t *testing.T) {
 		runtime.KeepAlive(leaf)
 		runtime.KeepAlive(buddy)
 		t.Logf("%.1f B/held agent retained", perAgent)
-		if perAgent > 72 {
-			t.Errorf("a held agent costs the buddy %.1f B, budget 72", perAgent)
+		if perAgent > 52 {
+			t.Errorf("a held agent costs the buddy %.1f B, budget 52", perAgent)
 		}
 	})
 }

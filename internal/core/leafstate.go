@@ -222,6 +222,13 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 		}
 	}
 	b.mu.Unlock()
-	b.metTable.Set(int64(b.Table.Len()))
+	b.setTableGauges()
 	return nil
+}
+
+// setTableGauges publishes the table's entry count and footprint, both read
+// from the table's counters.
+func (b *IAgentBehavior) setTableGauges() {
+	b.metTable.Set(int64(b.Table.Len()))
+	b.metTableBytes.Set(b.Table.Bytes())
 }

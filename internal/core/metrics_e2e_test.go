@@ -106,6 +106,41 @@ func TestMetricsEndToEndQuiet(t *testing.T) {
 	}
 }
 
+// TestTableBytesGauge: a leaf exports its table's footprint beside its entry
+// count, and the two give the table's bytes per agent — a slot at 3/8 to 3/4
+// fill plus the id's bytes with their prefix and the arena's spare capacity.
+func TestTableBytesGauge(t *testing.T) {
+	const numAgents = 2048
+	c, reg := newMeteredCluster(t, quietConfig(), 2)
+	ctx := testCtx(t)
+	client := c.service.ClientFor(c.nodes[1])
+	agents := make([]ids.AgentID, numAgents)
+	for i := range agents {
+		agents[i] = ids.AgentID(fmt.Sprintf("a-%07d", i))
+		if _, err := client.Register(ctx, agents[i]); err != nil {
+			t.Fatalf("register %s: %v", agents[i], err)
+		}
+	}
+	s := reg.Snapshot()
+	entries, bytes := s.Gauge("agentloc_core_iagent_table_entries"), s.Gauge("agentloc_core_iagent_table_bytes")
+	if entries != numAgents {
+		t.Fatalf("table entries = %d, want %d", entries, numAgents)
+	}
+	perAgent := float64(bytes) / float64(entries)
+	t.Logf("table: %d B for %d entries, %.1f B/agent", bytes, entries, perAgent)
+	if perAgent < 16*4/3+10 || perAgent > 16*8/3+20 {
+		t.Errorf("table bytes per agent = %.1f, want between %d and %d", perAgent, 16*4/3+10, 16*8/3+20)
+	}
+	for _, a := range agents[:numAgents-8] {
+		if err := client.Deregister(ctx, a, Assignment{}); err != nil {
+			t.Fatalf("deregister %s: %v", a, err)
+		}
+	}
+	if after := reg.Snapshot().Gauge("agentloc_core_iagent_table_bytes"); after >= bytes/8 {
+		t.Errorf("table bytes = %d after deregistering all but 8 agents, was %d", after, bytes)
+	}
+}
+
 // TestMailStaleAnswersAreRetries holds deposits and check-ins to the same
 // invariant as every other operation — each stale answer an IAgent counts is
 // one client retry — and checks that each observes its latency once. A forced

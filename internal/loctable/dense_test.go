@@ -3,20 +3,66 @@ package loctable
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
 )
 
+// tagTwins returns two distinct ids whose hashes agree in their low 34 bits,
+// found by brute force: in any table of up to 4 stripes they sit in the same
+// stripe under the same tag, so only their bytes tell them apart.
+var tagTwins = sync.OnceValues(func() (ids.AgentID, ids.AgentID) {
+	const low = 1<<34 - 1
+	seen := make(map[uint64]ids.AgentID)
+	for i := 0; ; i++ {
+		id := ids.AgentID(fmt.Sprintf("twin-%d", i))
+		if twin, ok := seen[id.Hash64()&low]; ok {
+			return twin, id
+		}
+		seen[id.Hash64()&low] = id
+	}
+})
+
+// edgeIDs are ids that test the key arena's edges: the lengths either side of
+// each uvarint prefix width (0, 1, 127, 128 and 300 bytes) and the two tag
+// twins.
+func edgeIDs() []ids.AgentID {
+	a, b := tagTwins()
+	return []ids.AgentID{"", "x", ids.AgentID(strings.Repeat("p", 127)), ids.AgentID(strings.Repeat("q", 128)),
+		ids.AgentID(strings.Repeat("r", 300)), a, b}
+}
+
+// checkHashes fails on a slot RangeSlots yields with a hash other than its
+// id's Hash64.
+func checkHashes(t *testing.T, tbl *Table) {
+	t.Helper()
+	tbl.RangeSlots(func(s Slot) bool {
+		if s.Hash != s.Agent.Hash64() {
+			t.Fatalf("RangeSlots yields %q with hash %#x, Hash64 is %#x", s.Agent, s.Hash, s.Agent.Hash64())
+		}
+		return true
+	})
+}
+
 // TestDenseModelEquivalence drives the open-addressed stripes through a
 // long randomized put/replace/delete schedule against a plain map model;
-// any probe-chain or backward-shift bug surfaces as a divergence.
+// any probe-chain or backward-shift bug surfaces as a divergence. The edge
+// ids ride along, so ids that cross the length-prefix widths and two that
+// share a tag go through the same puts, deletes, resizes and compactions.
 func TestDenseModelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tbl := NewWithStripes(4) // few stripes → long probe chains sooner
 	model := make(map[ids.AgentID]platform.NodeID)
-	idFor := func(i int) ids.AgentID { return ids.AgentID(fmt.Sprintf("m-%d", i)) }
+	edge := edgeIDs()
+	idFor := func(i int) ids.AgentID {
+		if i < len(edge) {
+			return edge[i]
+		}
+		return ids.AgentID(fmt.Sprintf("m-%d", i))
+	}
 	nodes := []platform.NodeID{"n0", "n1", "n2"}
 
 	for step := 0; step < 50000; step++ {
@@ -42,6 +88,9 @@ func TestDenseModelEquivalence(t *testing.T) {
 		if tbl.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model %d", step, tbl.Len(), len(model))
 		}
+		if step%5000 == 4999 {
+			checkHashes(t, tbl)
+		}
 	}
 	// Final full sweep both directions.
 	for id, node := range model {
@@ -52,6 +101,90 @@ func TestDenseModelEquivalence(t *testing.T) {
 	snap := tbl.Snapshot()
 	if len(snap) != len(model) {
 		t.Fatalf("snapshot %d entries, model %d", len(snap), len(model))
+	}
+	checkHashes(t, tbl)
+}
+
+// TestTagTwins keeps two ids that share a stripe and a tag apart through
+// puts, deletes, a resize and an arena compaction.
+func TestTagTwins(t *testing.T) {
+	a, b := tagTwins()
+	tbl := NewWithStripes(4)
+	sa, tagA := tbl.stripeFor(a.Hash64())
+	sb, tagB := tbl.stripeFor(b.Hash64())
+	if sa != sb || tagA != tagB || a == b {
+		t.Fatalf("%q and %q are not tag twins: tags %#x and %#x", a, b, tagA, tagB)
+	}
+	check := func(when string, want map[ids.AgentID]platform.NodeID) {
+		t.Helper()
+		for _, id := range []ids.AgentID{a, b} {
+			node, ok := tbl.Get(id)
+			if w, held := want[id]; ok != held || node != w {
+				t.Fatalf("%s: Get(%s) = %q,%v; want %q,%v", when, id, node, ok, w, held)
+			}
+		}
+		checkHashes(t, tbl)
+	}
+	tbl.Put(a, "na")
+	check("a put", map[ids.AgentID]platform.NodeID{a: "na"})
+	tbl.Put(b, "nb")
+	check("both put", map[ids.AgentID]platform.NodeID{a: "na", b: "nb"})
+	tbl.Put(a, "nc")
+	check("a replaced", map[ids.AgentID]platform.NodeID{a: "nc", b: "nb"})
+	if !tbl.Delete(a) {
+		t.Fatal("Delete(a) missed")
+	}
+	check("a deleted", map[ids.AgentID]platform.NodeID{b: "nb"})
+	tbl.Put(a, "na")
+
+	// Grow the twins' stripe through resizes, then delete three quarters of
+	// the filler, which takes the arena's dead bytes past half and compacts it.
+	slots := len(sa.entries)
+	filler := make([]ids.AgentID, 0, 256)
+	for i := 0; len(filler) < cap(filler); i++ {
+		if id := ids.AgentID(fmt.Sprintf("fill-%d", i)); id.Hash64()&tbl.mask == a.Hash64()&tbl.mask {
+			tbl.Put(id, "nf")
+			filler = append(filler, id)
+		}
+	}
+	if len(sa.entries) <= slots {
+		t.Fatalf("the stripe did not grow past %d slots", slots)
+	}
+	check("after the resizes", map[ids.AgentID]platform.NodeID{a: "na", b: "nb"})
+	arena := &sa.keys[0]
+	for _, id := range filler[:3*len(filler)/4] {
+		tbl.Delete(id)
+	}
+	if &sa.keys[0] == arena {
+		t.Fatal("deleting over half the arena did not compact it")
+	}
+	check("after the compaction", map[ids.AgentID]platform.NodeID{a: "na", b: "nb"})
+	tbl.Delete(b)
+	check("b deleted", map[ids.AgentID]platform.NodeID{a: "na"})
+}
+
+// TestTableBytesTracksFootprint: the byte counter equals the slot arrays and
+// key arenas a walk finds, through growth, compaction and shrinkage.
+func TestTableBytesTracksFootprint(t *testing.T) {
+	tbl := NewWithStripes(4)
+	walk := func() int64 {
+		var n int64
+		for i := range tbl.stripes {
+			n += tbl.stripes[i].footprint()
+		}
+		return n
+	}
+	for i := 0; i < 4096; i++ {
+		tbl.Put(ids.AgentID(fmt.Sprintf("b-%d", i)), "n")
+	}
+	if got, want := tbl.Bytes(), walk(); got != want || got < 4096*(entrySize+7) {
+		t.Fatalf("after 4096 puts Bytes = %d, the stripes hold %d", got, want)
+	}
+	for i := 0; i < 4000; i++ {
+		tbl.Delete(ids.AgentID(fmt.Sprintf("b-%d", i)))
+	}
+	if got, want := tbl.Bytes(), walk(); got != want {
+		t.Fatalf("after the deletes Bytes = %d, the stripes hold %d", got, want)
 	}
 }
 
@@ -129,12 +262,14 @@ func TestNodeInterning(t *testing.T) {
 
 // FuzzDenseOps feeds an arbitrary op tape into the table and the model
 // map; every byte pair is one operation on a small key space, so the fuzzer
-// explores dense collision/shift schedules quickly. Every id a lookup hands
+// explores dense collision/shift schedules quickly. A key byte from 0xC0 up
+// names one of the edge ids. Every id a lookup hands
 // out is held to the end of the tape, across whatever resizes and arena
 // compactions follow, and must still read the id it was.
 func FuzzDenseOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x81, 0x12, 0x83})
 	f.Add([]byte{0xFF, 0x00, 0x42, 0x42, 0x42, 0x01, 0x02, 0x03})
+	edge := edgeIDs()
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		tbl := NewWithStripes(2)
 		model := make(map[ids.AgentID]platform.NodeID)
@@ -142,6 +277,9 @@ func FuzzDenseOps(f *testing.F) {
 		for i := 0; i+1 < len(tape); i += 2 {
 			op, k := tape[i], tape[i+1]
 			id := ids.AgentID(fmt.Sprintf("f-%d", k%64))
+			if k >= 0xC0 {
+				id = edge[int(k-0xC0)%len(edge)]
+			}
 			switch op % 3 {
 			case 0:
 				node := platform.NodeID(fmt.Sprintf("n-%d", op%4))
@@ -177,6 +315,7 @@ func FuzzDenseOps(f *testing.F) {
 				t.Fatalf("final Get(%s) = %q,%v; want %q", id, got, ok, node)
 			}
 		}
+		checkHashes(t, tbl)
 	})
 }
 
@@ -185,10 +324,10 @@ func FuzzDenseOps(f *testing.F) {
 // the table stays whole and usable.
 func TestArenaOverflowPanics(t *testing.T) {
 	defer func(limit uint64) { maxArena = limit }(maxArena)
-	maxArena = 64
+	maxArena = 72
 	tbl := NewWithStripes(1)
 	for i := 0; i < 8; i++ {
-		tbl.Put(ids.AgentID(fmt.Sprintf("id-%04d", i)), "n") // 56 of the 64 bytes
+		tbl.Put(ids.AgentID(fmt.Sprintf("id-%04d", i)), "n") // 64 of the 72 bytes: 7 per id, 1 per length prefix
 	}
 	func() {
 		defer func() {

@@ -19,12 +19,12 @@ import (
 	"agentloc/internal/platform"
 )
 
-// TestSlotIs24BytesAndHoldsNoPointer pins the layout the per-agent memory
+// TestSlotIs16BytesAndHoldsNoPointer pins the layout the per-agent memory
 // budget rests on, and what keeps the collector off the table: no field of a
 // slot is, or holds, anything the collector would follow.
-func TestSlotIs24BytesAndHoldsNoPointer(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 24 {
-		t.Errorf("slot is %d bytes, want 24", got)
+func TestSlotIs16BytesAndHoldsNoPointer(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Errorf("slot is %d bytes, want 16", got)
 	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {

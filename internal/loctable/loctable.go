@@ -8,8 +8,8 @@
 // checkpoint iteration is in flight; there is no global pause.
 //
 // Each stripe stores its entries in a dense open-addressed array — flat
-// 24-byte {hash, key offset, key length, node, load} slots with linear
-// probing and backward-shift deletion — instead of a Go map. At the
+// 16-byte {tag, key offset, node, load} slots with linear probing and
+// backward-shift deletion — instead of a Go map. At the
 // million-agent scale an IAgent is sized for, the flat layout halves the
 // per-entry overhead (no bucket headers, no tombstones, one probe sequence
 // per lookup) and keeps probes on one cache line most of the time. Node ids
@@ -17,13 +17,19 @@
 // million entries pointing at a handful of nodes share a handful of strings.
 //
 // A slot holds no pointer: the agent ids of a stripe live back to back in
-// one byte arena, and a slot names its id by offset and length. Both arrays
-// are pointer-free, so the collector never scans the table however many
-// agents it holds, and an id costs its bytes and nothing else. The arena is
-// append-only; deleted ids are reclaimed by copying the live ones into a
+// one byte arena, each behind a uvarint length prefix (one byte for an id
+// under 128 bytes), and a slot names its id by the prefix's offset. Both
+// arrays are pointer-free, so the collector never scans the table however
+// many agents it holds, and an id costs its bytes plus its prefix. The arena
+// is append-only; deleted ids are reclaimed by copying the live ones into a
 // fresh arena, at every resize and whenever deleted bytes pass half of it.
 // An id the table hands out (Slot.Agent, Range, GetSlot, Snapshot's keys) is
 // a view of the arena, read in place — see stripe.key for why that is safe.
+//
+// A slot keeps 32 bits of the id's hash, its tag: enough to pick the home
+// slot and to skip nearly every other id on the probe chain without reading
+// its bytes, and the key compare every hit makes anyway settles the rest.
+// The full hash is not stored; RangeSlots recomputes it from the id.
 //
 // The slot, with its id's bytes, is also the only per-agent record an IAgent
 // keeps: load is the agent's accumulated request count (paper §4.1: "we
@@ -43,6 +49,7 @@ package loctable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -74,27 +81,29 @@ const (
 // MaxLoad is where a slot's request counter saturates.
 const MaxLoad = math.MaxUint32
 
-// maxArena is the most id bytes one stripe's key arena may hold, since a
-// slot's offset is a uint32. It is a variable only so that a test can reach
-// it without 4 GiB of ids.
+// maxArena is the most bytes, length prefixes included, one stripe's key
+// arena may hold, since a slot's offset is a uint32. It is a variable only so
+// that a test can reach it without 4 GiB of ids.
 var maxArena uint64 = math.MaxUint32
 
-// entry is one dense slot: the agent's mixed hash with the stripe-selection
-// bits shifted out (0 marks a free slot; the value 0 itself is remapped to
-// 1, costing one indistinguishable collision per 2^64 ids), where the
-// agent's id sits in the stripe's key arena, the index of its interned node,
-// and its accumulated request count. It holds no pointer, so neither does a
-// stripe's slot array, which the collector therefore never scans. load is
-// only ever touched with atomic operations while the stripe is read-locked;
-// whole slots are copied (resize, backward shift) under the write lock
-// alone, which is why it is a plain word and not an atomic.Uint32.
+// entry is one dense slot: the agent's tag (see stripeFor; 0 marks a free
+// slot), where the agent's length-prefixed id sits in the stripe's key arena,
+// the index of its interned node, and its accumulated request count. Two ids
+// in a stripe share a tag with probability 2^-32, so a tag match is only
+// ever confirmed by comparing the id's bytes. A slot holds no pointer, so
+// neither does a stripe's slot array, which the collector therefore never
+// scans. load is only ever touched with atomic operations while the stripe
+// is read-locked; whole slots are copied (resize, backward shift) under the
+// write lock alone, which is why it is a plain word and not an atomic.Uint32.
 type entry struct {
-	hash uint64
-	off  uint32 // the id's first byte in stripe.keys
-	klen uint32 // the id's length in bytes
+	tag  uint32
+	off  uint32 // the id's length prefix in stripe.keys
 	node uint32
 	load uint32
 }
+
+// entrySize is a slot's size in bytes.
+const entrySize = int64(unsafe.Sizeof(entry{}))
 
 // addLoad charges n requests to the slot, saturating at MaxLoad. Readers
 // holding the stripe's read lock call it concurrently.
@@ -116,32 +125,67 @@ type stripe struct {
 	mu      sync.RWMutex
 	entries []entry // power-of-two length, nil until first Put
 	used    int
-	// keys is the arena holding every slot's id back to back. It grows only
-	// by append and is replaced whole by resize, never written below its
-	// length: the invariant key rests on.
+	// keys is the arena holding every slot's id back to back, each behind
+	// its uvarint length. It grows only by append and is replaced whole by
+	// resize, never written below its length: the invariant key rests on.
 	keys []byte
-	dead int // bytes of keys that no slot names any more
+	dead int // bytes of keys, prefixes included, that no slot names any more
+}
+
+// footprint is the heap the stripe's slot array and key arena take.
+func (s *stripe) footprint() int64 {
+	return int64(len(s.entries))*entrySize + int64(cap(s.keys))
 }
 
 // key returns slot e's agent id as a view of the key arena, without copying.
-// This is the package's one use of unsafe, and it rests on one invariant: a
-// byte of an arena below its length is never written again — keys grows only
-// by append, which writes past the length, and resize copies the live ids
-// into a fresh array instead of reusing the old one. So a view never changes
-// under its holder, and it stays valid after the stripe lock is released and
-// after any later Put, Delete, resize or compaction; while a view is held it
-// keeps the array it reads alive. The caller holds the stripe lock.
+// This is the package's one unsafe conversion, and it rests on one
+// invariant: a byte of an arena below its length is never written again —
+// keys grows only by append, which writes past the length, and resize copies
+// the live ids into a fresh array instead of reusing the old one. So a view
+// never changes under its holder, and it stays valid after the stripe lock
+// is released and after any later Put, Delete, resize or compaction; while a
+// view is held it keeps the array it reads alive. The caller holds the
+// stripe lock.
 func (s *stripe) key(e *entry) ids.AgentID {
-	if e.klen == 0 {
+	k := s.keyBytes(e)
+	if len(k) == 0 {
 		return ""
 	}
-	return ids.AgentID(unsafe.String(&s.keys[e.off], e.klen))
+	return ids.AgentID(unsafe.String(&k[0], len(k)))
 }
 
 // keyBytes is slot e's id as a slice of the arena. The caller holds the
 // stripe lock and only reads it.
-func (s *stripe) keyBytes(e *entry) []byte {
-	return s.keys[e.off : e.off+e.klen]
+func (s *stripe) keyBytes(e *entry) []byte { return idAt(s.keys, e.off) }
+
+// idAt reads the id whose length prefix starts at keys[off]. An id under 128
+// bytes, whose prefix is one byte, takes the short path.
+func idAt(keys []byte, off uint32) []byte {
+	n := uint32(keys[off])
+	if n >= 0x80 {
+		return longID(keys[off:])
+	}
+	return keys[off+1 : off+1+n]
+}
+
+// longID is idAt past a prefix of two bytes or more.
+func longID(k []byte) []byte {
+	n, w := binary.Uvarint(k)
+	return k[w:][:n]
+}
+
+// appendKey appends agent to the arena behind its length prefix and returns
+// the prefix's offset.
+func (s *stripe) appendKey(agent ids.AgentID) uint32 {
+	off := uint32(len(s.keys))
+	s.keys = binary.AppendUvarint(s.keys, uint64(len(agent)))
+	s.keys = append(s.keys, agent...)
+	return off
+}
+
+// arenaBytes is what an id of n bytes takes in a key arena, prefix included.
+func arenaBytes(n int) int {
+	return n + (bits.Len64(uint64(n)|1)+6)/7
 }
 
 // Table is a sharded agent-location map, safe for concurrent use.
@@ -152,6 +196,7 @@ type Table struct {
 	// slot probing inside a stripe starts from bits that still vary.
 	shift uint
 	count atomic.Int64
+	bytes atomic.Int64 // Bytes
 
 	// nodeMu guards nodes, the per-table node-id intern map, and every store
 	// to nodeList. A cluster has few nodes and a table has up to millions of
@@ -200,16 +245,19 @@ func NewWithStripes(n int) *Table {
 }
 
 // stripeFor selects the stripe serving an agent's Hash64 and returns the
-// hash bits left for slot probing. The hash tree consumes the id's leading bits, so a
-// leaf deep in the tree serves ids that share a long prefix; striping by
-// the hash's LOW bits keeps the stripes of a hot leaf uniformly loaded
-// regardless of the leaf's depth, and probing starts above them.
+// agent's tag: the 32 hash bits just above the stripe-selection bits, with 0
+// remapped to 1 since 0 marks a free slot. The tag's low bits pick the home
+// slot. The hash tree consumes the id's leading bits, so a leaf deep in the
+// tree serves ids that share a long prefix; striping by the hash's LOW bits
+// keeps the stripes of a hot leaf uniformly loaded regardless of the leaf's
+// depth, and probing starts above them. The tag is returned widened to a
+// uint64 so callers can mix it with hash words.
 func (t *Table) stripeFor(h uint64) (*stripe, uint64) {
-	sh := h >> t.shift
-	if sh == 0 {
-		sh = 1
+	tag := h >> t.shift & math.MaxUint32
+	if tag == 0 {
+		tag = 1
 	}
-	return &t.stripes[h&t.mask], sh
+	return &t.stripes[h&t.mask], tag
 }
 
 // acquireNode interns a node id and takes one reference on it, zero-alloc
@@ -297,18 +345,18 @@ func (t *Table) InternedNodes() int {
 	return n
 }
 
-// find locates the slot for (h, agent): the entry's index if present, else
+// find locates the slot for (tag, agent): the entry's index if present, else
 // the free slot where it would be inserted. Caller holds the stripe lock.
 // Load is kept strictly below 1, so the probe always terminates.
-func (s *stripe) find(h uint64, agent ids.AgentID) (int, bool) {
+func (s *stripe) find(tag uint64, agent ids.AgentID) (int, bool) {
 	mask := len(s.entries) - 1
-	i := int(h) & mask
+	i := int(tag) & mask
 	for {
 		e := &s.entries[i]
-		if e.hash == 0 {
+		if e.tag == 0 {
 			return i, false
 		}
-		if e.hash == h && string(s.keyBytes(e)) == string(agent) { // no alloc: comparison only
+		if uint64(e.tag) == tag && string(s.keyBytes(e)) == string(agent) { // no alloc: comparison only
 			return i, true
 		}
 		i = (i + 1) & mask
@@ -317,15 +365,15 @@ func (s *stripe) find(h uint64, agent ids.AgentID) (int, bool) {
 
 // findBytes is find with a raw byte key, comparing id bytes without a
 // string conversion.
-func (s *stripe) findBytes(h uint64, agent []byte) (int, bool) {
+func (s *stripe) findBytes(tag uint64, agent []byte) (int, bool) {
 	mask := len(s.entries) - 1
-	i := int(h) & mask
+	i := int(tag) & mask
 	for {
 		e := &s.entries[i]
-		if e.hash == 0 {
+		if e.tag == 0 {
 			return i, false
 		}
-		if e.hash == h && string(s.keyBytes(e)) == string(agent) { // no alloc: comparison only
+		if uint64(e.tag) == tag && string(s.keyBytes(e)) == string(agent) { // no alloc: comparison only
 			return i, true
 		}
 		i = (i + 1) & mask
@@ -337,25 +385,26 @@ func (s *stripe) findBytes(h uint64, agent []byte) (int, bool) {
 // to the current capacity is the arena's compaction. Entries are unique, so
 // insertion probes to the first free slot without equality checks.
 func (s *stripe) resize(capacity int) {
-	old := s.entries
+	old, oldKeys := s.entries, s.keys
 	s.entries = make([]entry, capacity)
-	keys := make([]byte, 0, len(s.keys)-s.dead)
+	s.keys = make([]byte, 0, len(oldKeys)-s.dead)
 	mask := capacity - 1
 	for i := range old {
 		e := old[i]
-		if e.hash == 0 {
+		if e.tag == 0 {
 			continue
 		}
-		j := int(e.hash) & mask
-		for s.entries[j].hash != 0 {
+		j := int(e.tag) & mask
+		for s.entries[j].tag != 0 {
 			j = (j + 1) & mask
 		}
-		off := len(keys)
-		keys = append(keys, s.keyBytes(&e)...)
+		n := arenaBytes(len(idAt(oldKeys, e.off)))
+		off := len(s.keys)
+		s.keys = append(s.keys, oldKeys[e.off:int(e.off)+n]...)
 		e.off = uint32(off)
 		s.entries[j] = e
 	}
-	s.keys, s.dead = keys, 0
+	s.dead = 0
 }
 
 // removeAt deletes the entry at slot i by backward shifting: every
@@ -363,16 +412,16 @@ func (s *stripe) resize(capacity int) {
 // slot, so the table never needs tombstones and lookups stay O(probe). The
 // entry's id bytes stay in the arena, counted dead.
 func (s *stripe) removeAt(i int) {
-	s.dead += int(s.entries[i].klen)
+	s.dead += arenaBytes(len(s.keyBytes(&s.entries[i])))
 	mask := len(s.entries) - 1
 	j := i
 	for {
 		j = (j + 1) & mask
 		e := &s.entries[j]
-		if e.hash == 0 {
+		if e.tag == 0 {
 			break
 		}
-		home := int(e.hash) & mask
+		home := int(e.tag) & mask
 		// e may fill the hole only if its home slot does not lie strictly
 		// between the hole and its current slot (cyclically): moving it to i
 		// must not place it before its home.
@@ -405,13 +454,13 @@ func (t *Table) GetCounted(agent ids.AgentID, hash uint64) (platform.NodeID, boo
 
 // GetSlot is GetHashed returning the agent's whole slot, load included.
 func (t *Table) GetSlot(agent ids.AgentID, hash uint64) (Slot, bool) {
-	s, h := t.stripeFor(hash)
+	s, tag := t.stripeFor(hash)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.entries == nil {
 		return Slot{}, false
 	}
-	i, ok := s.find(h, agent)
+	i, ok := s.find(tag, agent)
 	if !ok {
 		return Slot{}, false
 	}
@@ -420,13 +469,13 @@ func (t *Table) GetSlot(agent ids.AgentID, hash uint64) (Slot, bool) {
 }
 
 func (t *Table) lookup(agent ids.AgentID, hash, charge uint64) (platform.NodeID, bool) {
-	s, h := t.stripeFor(hash)
+	s, tag := t.stripeFor(hash)
 	s.mu.RLock()
 	if s.entries == nil {
 		s.mu.RUnlock()
 		return "", false
 	}
-	i, ok := s.find(h, agent)
+	i, ok := s.find(tag, agent)
 	var node platform.NodeID
 	if ok {
 		node = t.answer(&s.entries[i], charge)
@@ -457,13 +506,13 @@ func (t *Table) GetCountedBytes(agent []byte, hash uint64) (platform.NodeID, boo
 }
 
 func (t *Table) lookupBytes(agent []byte, hash, charge uint64) (platform.NodeID, bool) {
-	s, h := t.stripeFor(hash)
+	s, tag := t.stripeFor(hash)
 	s.mu.RLock()
 	if s.entries == nil {
 		s.mu.RUnlock()
 		return "", false
 	}
-	i, ok := s.findBytes(h, agent)
+	i, ok := s.findBytes(tag, agent)
 	var node platform.NodeID
 	if ok {
 		node = t.answer(&s.entries[i], charge)
@@ -480,13 +529,13 @@ func (t *Table) AddLoad(agent ids.AgentID, n uint64) bool {
 
 // AddLoadHashed is AddLoad with the agent's precomputed Hash64.
 func (t *Table) AddLoadHashed(agent ids.AgentID, hash, n uint64) bool {
-	s, h := t.stripeFor(hash)
+	s, tag := t.stripeFor(hash)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.entries == nil {
 		return false
 	}
-	i, ok := s.find(h, agent)
+	i, ok := s.find(tag, agent)
 	if ok {
 		s.entries[i].addLoad(n)
 	}
@@ -508,8 +557,9 @@ func (t *Table) Put(agent ids.AgentID, node platform.NodeID) {
 // leaf holds short of a split that never came.
 func (t *Table) PutHashed(agent ids.AgentID, hash uint64, node platform.NodeID, addLoad uint64) {
 	idx := t.acquireNode(node)
-	s, h := t.stripeFor(hash)
+	s, tag := t.stripeFor(hash)
 	s.mu.Lock()
+	footprint := s.footprint()
 	if loadDen*(s.used+1) > loadNum*len(s.entries) {
 		capacity := len(s.entries) * 2
 		if capacity < minStripeCap {
@@ -517,26 +567,26 @@ func (t *Table) PutHashed(agent ids.AgentID, hash uint64, node platform.NodeID, 
 		}
 		s.resize(capacity)
 	}
-	i, existed := s.find(h, agent)
+	i, existed := s.find(tag, agent)
 	e := &s.entries[i]
 	var replaced uint32
 	if existed {
 		replaced = e.node
 		e.node = idx
 	} else {
-		off := uint64(len(s.keys))
-		if off+uint64(len(agent)) > maxArena {
+		if uint64(len(s.keys))+uint64(arenaBytes(len(agent))) > maxArena {
+			t.bytes.Add(s.footprint() - footprint)
 			s.mu.Unlock()
 			t.releaseNode(idx)
 			panic(fmt.Sprintf("loctable: a stripe's key arena cannot pass %d bytes", maxArena))
 		}
-		s.keys = append(s.keys, agent...)
-		*e = entry{hash: h, off: uint32(off), klen: uint32(len(agent)), node: idx}
+		*e = entry{tag: uint32(tag), off: s.appendKey(agent), node: idx}
 		s.used++
 	}
 	if addLoad > 0 {
 		e.addLoad(addLoad)
 	}
+	t.bytes.Add(s.footprint() - footprint)
 	s.mu.Unlock()
 	if existed {
 		// The entry's reference moved to the new node; drop the old one
@@ -556,21 +606,23 @@ func (t *Table) Delete(agent ids.AgentID) bool {
 // shrinks below 1/8 load, and its arena is compacted once deleted ids are
 // more than half of it.
 func (t *Table) DeleteHashed(agent ids.AgentID, hash uint64) bool {
-	s, h := t.stripeFor(hash)
+	s, tag := t.stripeFor(hash)
 	s.mu.Lock()
 	existed := false
 	var removed uint32
 	if s.entries != nil {
 		var i int
-		if i, existed = s.find(h, agent); existed {
+		if i, existed = s.find(tag, agent); existed {
 			removed = s.entries[i].node
 			s.removeAt(i)
+			footprint := s.footprint()
 			switch {
 			case len(s.entries) > minStripeCap && s.used < len(s.entries)/shrinkDivisor:
 				s.resize(len(s.entries) / 2)
 			case 2*s.dead > len(s.keys):
 				s.resize(len(s.entries))
 			}
+			t.bytes.Add(s.footprint() - footprint)
 		}
 	}
 	s.mu.Unlock()
@@ -585,6 +637,11 @@ func (t *Table) DeleteHashed(agent ids.AgentID, hash uint64) bool {
 // stripes, so it never takes a lock.
 func (t *Table) Len() int { return int(t.count.Load()) }
 
+// Bytes returns the heap the table's slot arrays and key arenas take, their
+// spare capacity included. Like Len it reads a counter, kept on every resize
+// and arena growth, and never walks the table.
+func (t *Table) Bytes() int64 { return t.bytes.Load() }
+
 // Slot is one entry as RangeSlots yields it.
 type Slot struct {
 	// Agent is a view of the table's key arena (see stripe.key): immutable and
@@ -594,9 +651,9 @@ type Slot struct {
 	Agent ids.AgentID
 	Node  platform.NodeID
 	// Hash is the agent's Hash64 — the word hashtree.LookupHash walks — so a
-	// consumer can read the id's leading bits without hashing again. (For
-	// the one id in 2^60 whose probe bits are all zero it is off in a low
-	// bit; see entry.)
+	// consumer can read the id's leading bits without hashing again. A slot
+	// keeps only the hash's tag bits, so RangeSlots recomputes it from the id;
+	// GetSlot returns the hash its caller passed.
 	Hash uint64
 	// Load is the agent's accumulated request count.
 	Load uint32
@@ -628,13 +685,14 @@ func (t *Table) RangeStripe(i int, f func(Slot) bool) bool {
 	defer s.mu.RUnlock()
 	for j := range s.entries {
 		e := &s.entries[j]
-		if e.hash == 0 {
+		if e.tag == 0 {
 			continue
 		}
+		agent := s.key(e)
 		if !f(Slot{
-			Agent: s.key(e),
+			Agent: agent,
 			Node:  t.nodeAt(e.node),
-			Hash:  e.hash<<t.shift | uint64(i),
+			Hash:  agent.Hash64(),
 			Load:  atomic.LoadUint32(&e.load),
 		}) {
 			return false
@@ -697,7 +755,7 @@ func (t *Table) GobEncode() ([]byte, error) {
 		chunk.Loads = chunk.Loads[:0]
 		for j := range s.entries {
 			e := &s.entries[j]
-			if e.hash == 0 {
+			if e.tag == 0 {
 				continue
 			}
 			chunk.Agents = append(chunk.Agents, s.key(e))

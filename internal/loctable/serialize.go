@@ -42,7 +42,7 @@ func (t *Table) Serialize() ([]byte, error) {
 		s.mu.RLock()
 		payload = wire.AppendUvarint(payload, uint64(s.used))
 		for j := range s.entries {
-			if e := &s.entries[j]; e.hash != 0 {
+			if e := &s.entries[j]; e.tag != 0 {
 				payload = wire.AppendString(payload, string(s.key(e)))
 				payload = wire.AppendString(payload, string(t.nodeAt(e.node)))
 			}

@@ -38,6 +38,7 @@ func TestTCPEchoAllocBudget(t *testing.T) {
 	if callErr != nil {
 		t.Fatal(callErr)
 	}
+	t.Logf("%.1f allocs per echo round trip", allocs)
 	if allocs > 10 {
 		t.Errorf("echo round trip allocates %.1f times, budget 10", allocs)
 	}
