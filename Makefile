@@ -53,20 +53,23 @@ tidy-check:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# Short fuzzing sweep over every codec, table and cache fuzz target; CI's fuzz
-# workflow runs the same list on a schedule. Committed corpora live in each
-# package's testdata/fuzz.
+# Short fuzzing sweep over every codec, table, cache, split and recovery fuzz
+# target; CI's fuzz workflow runs the same list on a schedule. Committed
+# corpora live in each package's testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzMsgHeader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hashtree -run '^$$' -fuzz FuzzDeserialize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hashtree -run '^$$' -fuzz FuzzDecodeJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hashtree -run '^$$' -fuzz FuzzSplitSequence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/loctable -run '^$$' -fuzz FuzzDeserialize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/loctable -run '^$$' -fuzz FuzzDenseOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHotMsgDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckpointReqDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocateBatchFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocCacheOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLeafSectionDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capindex -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME)
 

@@ -13,12 +13,9 @@ import (
 // gobImporters is every non-test file of this module allowed to import
 // encoding/gob, and what it encodes with it.
 var gobImporters = []string{
-	"internal/capindex/capindex.go",       // relocation form of the capability index
 	"internal/centralized/centralized.go", // baseline scheme's agent state
 	"internal/core/messages.go",           // gob.Register of the control-plane DTOs
-	"internal/core/residence.go",          // relocation form of the residence table
 	"internal/forwarding/forwarding.go",   // baseline scheme's agent state
-	"internal/loctable/loctable.go",       // relocation form of the location table
 	"internal/platform/platform.go",       // mobile-agent state capture
 	"internal/transport/rpc.go",           // the payload codec of messages without a binary form
 	"internal/workload/workload.go",       // roaming TAgents' migrating state

@@ -10,13 +10,12 @@
 // tags per agent, with heavy tag sharing) and are mutated through the same
 // register/update/deregister/handoff paths as locations but at a much
 // lower rate. Keeping them in their own structure keeps the locate hot
-// path untouched and lets the capability state serialize as its own frame
-// (see serialize.go) with an independent format version.
+// path untouched. An IAgent's durable and relocation forms carry each
+// agent's set in its record; serialize.go decodes the frame older builds
+// wrote the whole index as.
 package capindex
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
 	"sync"
 
@@ -190,45 +189,11 @@ func (x *Index) Snapshot() map[ids.AgentID][]string {
 }
 
 // Adopt merges a snapshot in: every listed agent's set is replaced (an
-// explicit empty list removes it). Used on the receiving side of handoffs,
-// where entries arrive owner-by-owner on top of whatever the absorber
-// already indexes, and by Deserialize.
+// explicit empty list removes it). Deserialize builds its index with it.
 func (x *Index) Adopt(m map[ids.AgentID][]string) {
 	x.mu.Lock()
 	for agent, caps := range m {
 		x.setLocked(agent, Normalize(caps))
 	}
 	x.mu.Unlock()
-}
-
-// indexDTO is the gob wire form: the forward map only, with the inverse
-// rebuilt on decode — the same convention the residence table uses, so a
-// migrating IAgent's snapshot never ships redundant index state.
-type indexDTO struct {
-	Agents map[ids.AgentID][]string
-}
-
-// GobEncode implements gob.GobEncoder (IAgents gob-migrate between nodes).
-func (x *Index) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(indexDTO{Agents: x.Snapshot()}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder, rebuilding the inverse index.
-func (x *Index) GobDecode(data []byte) error {
-	var dto indexDTO
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
-		return err
-	}
-	x.mu.Lock()
-	x.byCap = make(map[string]map[ids.AgentID]struct{})
-	x.byAgent = make(map[ids.AgentID][]string, len(dto.Agents))
-	for agent, caps := range dto.Agents {
-		x.setLocked(agent, Normalize(caps))
-	}
-	x.mu.Unlock()
-	return nil
 }

@@ -1,16 +1,17 @@
 package capindex
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"agentloc/internal/ids"
 	"agentloc/internal/wire"
-
-	"errors"
 )
 
 func sorted(agents []ids.AgentID) []string {
@@ -119,6 +120,7 @@ func TestSnapshotAdoptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSerializeRoundTrip: an index comes back whole from its frame.
 func TestSerializeRoundTrip(t *testing.T) {
 	x := New()
 	for i := 0; i < 50; i++ {
@@ -128,7 +130,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		}
 		x.Set(ids.AgentID(fmt.Sprintf("agent-%03d", i)), caps)
 	}
-	y, err := Deserialize(x.Serialize())
+	y, err := Deserialize(fullFrame(x))
 	if err != nil {
 		t.Fatalf("Deserialize: %v", err)
 	}
@@ -138,6 +140,21 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if x.Tags() != y.Tags() {
 		t.Fatalf("tag count drifted: %d vs %d", x.Tags(), y.Tags())
 	}
+}
+
+// fullFrame encodes x as the one capability frame older builds wrote of a
+// whole index, agents in order.
+func fullFrame(x *Index) []byte {
+	snap := x.Snapshot()
+	payload := wire.AppendUvarint(nil, uint64(len(snap)))
+	for _, agent := range slices.Sorted(maps.Keys(snap)) {
+		payload = wire.AppendString(payload, string(agent))
+		payload = wire.AppendUvarint(payload, uint64(len(snap[agent])))
+		for _, c := range snap[agent] {
+			payload = wire.AppendString(payload, c)
+		}
+	}
+	return wire.AppendFrame(nil, SerializeMagic, SerializeVersion, kindFull, payload)
 }
 
 // legacyDeltaFrame hand-builds the one-agent delta frame (kind 1) that older
@@ -155,7 +172,7 @@ func TestApplyRejectsCorrupt(t *testing.T) {
 	x := New()
 	x.Set("keep", []string{"gpu"})
 	// Valid frame, wrong kind byte: re-frame a full payload as kind 9.
-	f, _, err := wire.DecodeFrame(x.Serialize(), SerializeMagic, SerializeVersion)
+	f, _, err := wire.DecodeFrame(fullFrame(x), SerializeMagic, SerializeVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +185,7 @@ func TestApplyRejectsCorrupt(t *testing.T) {
 		nil,
 		[]byte("ACAP"),
 		[]byte("XXXX\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
-		append(x.Serialize(), 0xff), // trailing byte after the frame
+		append(fullFrame(x), 0xff), // trailing byte after the frame
 		wire.AppendFrame(nil, SerializeMagic, SerializeVersion, 9, f.Payload),
 		legacyDeltaFrame("a", "c"),
 		wire.AppendFrame(nil, SerializeMagic, SerializeVersion, kindFull, dup),

@@ -9,14 +9,14 @@ import (
 // Deserialize (the target keeps the name of the Apply entry point it
 // replaced, so its committed corpus stays where it is). The invariants:
 // never panic, never OOM on a hostile length prefix, and any input that
-// decodes must survive a serialize → deserialize round trip with identical
+// decodes must survive an encode → deserialize round trip with identical
 // contents.
 func FuzzApply(f *testing.F) {
 	seed := New()
 	seed.Set("agent-1", []string{"gpu", "ocr"})
 	seed.Set("agent-2", []string{"planner"})
-	f.Add(seed.Serialize())
-	f.Add(New().Serialize())
+	f.Add(fullFrame(seed))
+	f.Add(fullFrame(New()))
 	f.Add(legacyDeltaFrame("agent-1", "gpu"))
 	f.Add(legacyDeltaFrame("agent-1"))
 	f.Add([]byte("ACAP"))
@@ -28,7 +28,7 @@ func FuzzApply(f *testing.F) {
 			return
 		}
 		// Decoded state must round-trip exactly.
-		y, err := Deserialize(x.Serialize())
+		y, err := Deserialize(fullFrame(x))
 		if err != nil {
 			t.Fatalf("re-deserialize of accepted input failed: %v", err)
 		}

@@ -1,8 +1,9 @@
-// Framed binary serialization for the capability index, the trailing field
-// of an IAgent's durable snapshot section: one frame (magic "ACAP") with its
-// own version, independent of the location-table and hash-tree formats. Its
-// payload is the whole index: uvarint agent count, then per agent a
-// length-prefixed id, uvarint tag count, and the tags.
+// The framed binary form of a whole capability index, which older builds
+// wrote as the trailing field of an IAgent's snapshot section and recovery
+// still reads: one frame (magic "ACAP") with its own version, independent of
+// the location-table and hash-tree formats. Its payload is uvarint agent
+// count, then per agent a length-prefixed id, uvarint tag count, and the
+// tags.
 //
 // Deserialize rejects other frame kinds, duplicate agents, oversized
 // ids/tags, impossible counts and trailing bytes with wire's typed errors,
@@ -25,25 +26,7 @@ const SerializeVersion uint16 = 1
 // kindFull is the one frame kind: the whole index.
 const kindFull byte = 0
 
-// maxFieldLen bounds a single agent id or capability tag.
-const maxFieldLen = 1 << 16
-
-// Serialize encodes the whole index as one frame.
-func (x *Index) Serialize() []byte {
-	x.mu.RLock()
-	payload := wire.AppendUvarint(nil, uint64(len(x.byAgent)))
-	for agent, caps := range x.byAgent {
-		payload = wire.AppendString(payload, string(agent))
-		payload = wire.AppendUvarint(payload, uint64(len(caps)))
-		for _, c := range caps {
-			payload = wire.AppendString(payload, c)
-		}
-	}
-	x.mu.RUnlock()
-	return wire.AppendFrame(nil, SerializeMagic, SerializeVersion, kindFull, payload)
-}
-
-// Deserialize decodes one Serialize frame into a fresh index.
+// Deserialize decodes one capability frame into a fresh index.
 func Deserialize(data []byte) (*Index, error) {
 	f, n, err := wire.DecodeFrame(data, SerializeMagic, SerializeVersion)
 	if err != nil {
@@ -65,7 +48,7 @@ func Deserialize(data []byte) (*Index, error) {
 	}
 	agents := make(map[ids.AgentID][]string, count)
 	for i := uint64(0); i < count; i++ {
-		id, err := d.String(maxFieldLen)
+		id, err := d.String(wire.MaxIDLen)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +65,7 @@ func Deserialize(data []byte) (*Index, error) {
 		}
 		caps := make([]string, 0, tags)
 		for j := uint64(0); j < tags; j++ {
-			c, err := d.String(maxFieldLen)
+			c, err := d.String(wire.MaxIDLen)
 			if err != nil {
 				return nil, err
 			}

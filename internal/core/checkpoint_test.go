@@ -292,7 +292,7 @@ func TestCheckpointStreamRacingWrites(t *testing.T) {
 		leaf.pushCheckpoint(ctx)
 	}
 	leaf.pushCheckpoint(ctx)
-	held, table := heldCopy(buddy).Entries, leaf.Table.Snapshot()
+	held, table := heldCopy(buddy).Entries, leaf.Leaf.table.Snapshot()
 	if len(held) != len(table) {
 		t.Errorf("the buddy holds %d entries, the table %d", len(held), len(table))
 	}

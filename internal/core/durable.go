@@ -27,15 +27,19 @@ import (
 //
 //   - SectionHAgent: the primary-copy hash state, the IAgent name counter
 //     and the standby flag. Written at birth and after every state change.
-//   - SectionIAgent: an IAgent's hash-state copy, its full location table
-//     with residence-resolved (final) addresses, and its capability index.
-//     Written at birth, after a rehash adoption, and by the persister's
-//     periodic full dump.
+//   - SectionIAgent: an IAgent's hash-state copy, then its leaf's record
+//     stream (leafState.appendRecords): every agent's resolved address,
+//     handle, capability set and load. Written at birth, after a rehash
+//     adoption, and by the persister's periodic full dump.
 //
-// Recovery layers them per IAgent: the newest section is the base, then the
-// WAL records apply — the WAL is a superset of every mutation since the
-// section was dumped, and the last record per agent wins, so replay
-// converges on the last acknowledged address and capability set.
+// A section and a WAL record are one record codec (snapshot.Record): a
+// section is a leaf's records, a WAL record one change's. Recovery layers them
+// per IAgent: the newest section is the base, then the WAL records apply —
+// the WAL is a superset of every mutation since the section was dumped, each
+// record states what the leaf resolves after its change, and the last record
+// per agent wins, so replay converges on the last acknowledged address,
+// binding and capability set. Loads are those of the section: the WAL does
+// not log them.
 //
 // Restart fencing: a recovered primary HAgent bumps the hash version by
 // one and (with failover enabled) re-pushes the bumped state to every
@@ -49,7 +53,12 @@ import (
 // recovery skips, so they must not be reused.
 const (
 	SectionHAgent byte = 1
-	SectionIAgent byte = 2
+	// SectionIAgentTable is the IAgent section older builds wrote: the hash
+	// state, a location-table dump with every load 0 and no bindings, then
+	// (from the build that added it) the capability index. Recovery still
+	// reads it; nothing writes it.
+	SectionIAgentTable byte = 2
+	SectionIAgent      byte = 5
 )
 
 // KindSnapshotDump asks an agent for its durable snapshot section; the
@@ -63,10 +72,6 @@ type SnapshotDumpResp struct {
 	HashVersion uint64
 	Section     snapshot.Section
 }
-
-// maxDurableField bounds ids and node names inside section payloads,
-// mirroring the snapshot store's own field bound.
-const maxDurableField = 1 << 16
 
 // ---------------------------------------------------------------------------
 // Section payload codecs. All decode errors are wire-typed (ErrCorrupt /
@@ -119,11 +124,11 @@ func decodeState(d *wire.Dec) (*State, error) {
 	}
 	locs := make(map[ids.AgentID]platform.NodeID, n)
 	for i := uint64(0); i < n; i++ {
-		ia, err := d.String(maxDurableField)
+		ia, err := d.String(wire.MaxIDLen)
 		if err != nil {
 			return nil, err
 		}
-		node, err := d.String(maxDurableField)
+		node, err := d.String(wire.MaxIDLen)
 		if err != nil {
 			return nil, err
 		}
@@ -171,66 +176,52 @@ func decodeHAgentSection(sec snapshot.Section) (st *State, nextSeq uint64, stand
 	return st, nextSeq, sb == 1, d.Done()
 }
 
-// iagentSection encodes an IAgent's durable state: its hash-state copy, its
-// full location table (already residence-resolved — sections carry final
-// addresses; bindings re-form at the group's next move, the same convention
-// sibling checkpoints use) and its capability index. The index is a trailing
-// field: a section written before it existed decodes with an empty one.
-func iagentSection(name ids.AgentID, st *State, table *loctable.Table, caps *capindex.Index) (snapshot.Section, error) {
+// iagentSection encodes an IAgent's durable state: its hash-state copy, then
+// its leaf's record stream.
+func iagentSection(name ids.AgentID, st *State, leaf leafState) (snapshot.Section, error) {
 	payload, err := appendState(nil, st)
 	if err != nil {
 		return snapshot.Section{}, err
 	}
-	tableBytes, err := table.Serialize()
-	if err != nil {
-		return snapshot.Section{}, err
-	}
-	payload = wire.AppendBytes(payload, tableBytes)
-	payload = wire.AppendBytes(payload, caps.Serialize())
-	return snapshot.Section{Kind: SectionIAgent, Name: string(name), Payload: payload}, nil
+	return snapshot.Section{Kind: SectionIAgent, Name: string(name), Payload: leaf.appendRecords(payload)}, nil
 }
 
-func decodeIAgentSection(sec snapshot.Section) (*State, *loctable.Table, *capindex.Index, error) {
+// decodeIAgentSection decodes an IAgent section of either kind into a fresh
+// leaf. Of a SectionIAgentTable one, the leaf holds the dumped table, no
+// bindings, and the capability index when the section has one.
+func decodeIAgentSection(sec snapshot.Section) (*State, leafState, error) {
 	d := wire.NewDec(sec.Payload)
 	st, err := decodeState(d)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, leafState{}, err
+	}
+	if sec.Kind == SectionIAgent {
+		leaf := newLeafState()
+		return st, leaf, leaf.applyRecords(d)
 	}
 	tableBytes, err := d.Bytes(wire.MaxFrameLen)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, leafState{}, err
 	}
-	table, err := loctable.Deserialize(tableBytes)
-	if err != nil {
-		return nil, nil, nil, err
+	leaf := leafState{residence: NewResidenceTable(), caps: capindex.New()}
+	if leaf.table, err = loctable.Deserialize(tableBytes); err != nil {
+		return nil, leafState{}, err
 	}
 	if d.Remaining() == 0 {
-		return st, table, capindex.New(), nil
+		return st, leaf, nil
 	}
 	capBytes, err := d.Bytes(wire.MaxFrameLen)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, leafState{}, err
 	}
-	caps, err := capindex.Deserialize(capBytes)
-	if err != nil {
-		return nil, nil, nil, err
+	if leaf.caps, err = capindex.Deserialize(capBytes); err != nil {
+		return nil, leafState{}, err
 	}
-	return st, table, caps, d.Done()
+	return st, leaf, d.Done()
 }
 
 // ---------------------------------------------------------------------------
 // Section persistence. (WAL appends are IAgentBehavior.write's.)
-
-// durableSection assembles this IAgent's full snapshot section: the reader's
-// records, every one at its resolved address.
-func (b *IAgentBehavior) durableSection(self ids.AgentID) (snapshot.Section, error) {
-	resolved := loctable.New()
-	b.leaf().each(nil, func(r record) bool {
-		resolved.PutHashed(r.agent, r.hash, r.node, 0)
-		return true
-	})
-	return iagentSection(self, b.state.Load(), resolved, b.Caps)
-}
 
 // persistSelf writes this IAgent's full section as an incremental snapshot,
 // best effort: a failed write costs compaction, not correctness — the WAL
@@ -240,7 +231,7 @@ func (b *IAgentBehavior) persistSelf(ctx *platform.Context) {
 	if store == nil {
 		return
 	}
-	sec, err := b.durableSection(ctx.Self())
+	sec, err := iagentSection(ctx.Self(), b.state.Load(), b.Leaf)
 	if err != nil {
 		return
 	}
@@ -279,18 +270,21 @@ type RecoveryReport struct {
 	Replayed int
 	// Skipped counts WAL records that referenced an IAgent with no recovered
 	// base section (nothing to apply them to), sections that failed to
-	// decode, and sections of a kind this version does not read — among
-	// them the checkpoint (3) and capability (4) sections older stores wrote.
+	// decode, sections of a kind this version does not read — among them the
+	// checkpoint (3) and capability (4) sections older stores wrote — and
+	// the last section of a leaf a merge retired, which drops its base.
 	Skipped int
 }
 
 // replay rebuilds, from what a store recovered, the behaviour of every agent
 // it holds a section for. Sections, the full snapshot's then the deltas', set
-// each agent's base: a later one replaces an earlier one whole. A primary
-// HAgent comes back fenced — its version bumped by one, which no pre-crash
-// client holds, and NotifyOnRecover set. WAL records apply last, through the
-// leaf's apply: they postdate every section they follow, and the last record
-// per agent is the last acknowledged address and set.
+// each agent's base: a later one replaces an earlier one whole, and an IAgent
+// section whose state no longer holds its leaf — the one a leaf writes as a
+// merge retires it — drops the base. A primary HAgent comes back fenced — its
+// version bumped by one, which no pre-crash client holds, and
+// NotifyOnRecover set. WAL records apply last, through the leaf's apply: they
+// postdate every section they follow, and the last record per agent is the
+// last acknowledged address, binding and set.
 func replay(rec *snapshot.Recovered, cfg Config, report *RecoveryReport) (hagents map[string]*HAgentBehavior, iagents map[string]*IAgentBehavior) {
 	hagents, iagents = map[string]*HAgentBehavior{}, map[string]*IAgentBehavior{}
 	for _, sec := range append(rec.Sections, rec.Deltas...) {
@@ -305,13 +299,18 @@ func replay(rec *snapshot.Recovered, cfg Config, report *RecoveryReport) (hagent
 				st = &State{Ver: st.Ver + 1, Tree: st.Tree, Locations: st.Locations}
 			}
 			hagents[sec.Name] = &HAgentBehavior{Cfg: cfg, InitialState: st.DTO(), NextIAgentSeq: nextSeq, Standby: standby, NotifyOnRecover: !standby}
-		case SectionIAgent:
-			st, table, caps, err := decodeIAgentSection(sec)
+		case SectionIAgent, SectionIAgentTable:
+			st, leaf, err := decodeIAgentSection(sec)
 			if err != nil {
 				report.Skipped++
 				continue
 			}
-			iagents[sec.Name] = &IAgentBehavior{Cfg: cfg, Table: table, Residence: NewResidenceTable(), Caps: caps, StateSnapshot: st.DTO()}
+			if !st.Tree.Contains(sec.Name) {
+				delete(iagents, sec.Name)
+				report.Skipped++
+				continue
+			}
+			iagents[sec.Name] = &IAgentBehavior{Cfg: cfg, Leaf: leaf, StateSnapshot: st.DTO()}
 		default:
 			report.Skipped++
 		}
@@ -322,8 +321,7 @@ func replay(rec *snapshot.Recovered, cfg Config, report *RecoveryReport) (hagent
 			report.Skipped++
 			continue
 		}
-		agent := ids.AgentID(r.Agent)
-		ia.leaf().apply([]change{{agent: agent, hash: agent.Hash64(), node: platform.NodeID(r.Node), caps: r.Caps, delete: r.Op == snapshot.OpDelete}})
+		ia.Leaf.apply([]change{recordChange(r)})
 	}
 	return hagents, iagents
 }
@@ -359,7 +357,7 @@ func RecoverNode(node *platform.Node, cfg Config) (*RecoveryReport, error) {
 		report.HAgents = append(report.HAgents, ids.AgentID(name))
 	}
 	for _, name := range sortedKeys(iagents) {
-		report.Entries += iagents[name].Table.Len()
+		report.Entries += iagents[name].Leaf.table.Len()
 		if err := node.Launch(ids.AgentID(name), iagents[name], platform.WithServiceTime(cfg.IAgentServiceTime)); err != nil {
 			return nil, fmt.Errorf("core: relaunch IAgent %s: %w", name, err)
 		}

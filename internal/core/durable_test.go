@@ -8,10 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"agentloc/internal/capindex"
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
-	"agentloc/internal/loctable"
 	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
 	"agentloc/internal/snapshot"
@@ -38,7 +36,8 @@ func durableNode(t *testing.T, net *transport.Network, id platform.NodeID, dir s
 	return n, reg
 }
 
-// TestDurableSectionCodecs round-trips every section payload codec and
+// TestDurableSectionCodecs round-trips the HAgent and IAgent section codecs,
+// decodes an IAgent section an older build wrote (SectionIAgentTable), and
 // checks corrupt input yields typed errors.
 func TestDurableSectionCodecs(t *testing.T) {
 	st := &State{
@@ -59,65 +58,59 @@ func TestDurableSectionCodecs(t *testing.T) {
 		t.Fatalf("hagent section round trip: ver %d seq %d standby %v", gotState.Ver, nextSeq, standby)
 	}
 
-	table := loctable.New()
-	table.Put("agent-a", "node-1")
-	table.Put("agent-b", "node-2")
-	caps := capindex.New()
-	caps.Set("agent-a", []string{"ocr", "gpu"})
-	isec, err := iagentSection("iagent-1", st, table, caps)
+	leaf := newLeafState()
+	leaf.apply([]change{
+		{agent: "agent-a", hash: ids.AgentID("agent-a").Hash64(), node: "node-1", caps: []string{"ocr", "gpu"}, load: 3},
+		{agent: "agent-b", hash: ids.AgentID("agent-b").Hash64(), node: "node-2", handle: "res@x"},
+		{agent: "agent-c", hash: ids.AgentID("agent-c").Hash64(), node: "node-2", handle: "res@x", load: 1},
+	})
+	isec, err := iagentSection("iagent-1", st, leaf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gotTable, gotCaps, err := decodeIAgentSection(isec)
+	_, got, err := decodeIAgentSection(isec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := gotTable.Get("agent-b"); n != "node-2" {
-		t.Fatalf("iagent section table entry = %q", n)
+	if want := readLeaf(leaf); !reflect.DeepEqual(readLeaf(got), want) {
+		t.Fatalf("iagent section round trip: %v, want %v", readLeaf(got), want)
 	}
-	if !reflect.DeepEqual(gotCaps.Snapshot(), caps.Snapshot()) {
-		t.Fatalf("iagent section caps = %v, want %v", gotCaps.Snapshot(), caps.Snapshot())
+	if members, _ := got.residence.Members("res@x"); len(members) != 2 {
+		t.Fatalf("decoded handle res@x binds %v", members)
 	}
 
-	// A section in the encoding that predates the capability field (state and
-	// table only) still decodes, with an empty index.
-	legacy, err := appendState(nil, st)
+	// A kind-2 section as the older build wrote it: a table dump and the
+	// capability index, every agent unbound at load 0.
+	legacy := parentSection(t, "iagent-1")
+	_, old, err := decodeIAgentSection(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tableBytes, err := table.Serialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy = wire.AppendBytes(legacy, tableBytes)
-	_, gotTable, gotCaps, err = decodeIAgentSection(snapshot.Section{Kind: SectionIAgent, Name: "iagent-1", Payload: legacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := gotTable.Get("agent-a"); n != "node-1" || gotCaps.Len() != 0 {
-		t.Fatalf("legacy iagent section: agent-a at %q, %d capability sets", n, gotCaps.Len())
+	if old.table.Len() == 0 || old.caps.Len() == 0 || old.residence.Len() != 0 {
+		t.Fatalf("older section decodes to %d entries, %d capability sets, %d handles", old.table.Len(), old.caps.Len(), old.residence.Len())
 	}
 
 	// Corrupt payloads must yield typed errors, never panics.
-	for _, sec := range []snapshot.Section{hsec, isec} {
+	for _, sec := range []snapshot.Section{hsec, isec, legacy} {
 		for cut := 0; cut < len(sec.Payload); cut += 7 {
 			trunc := sec
 			trunc.Payload = sec.Payload[:cut]
 			var err error
-			switch sec.Kind {
-			case SectionHAgent:
+			if sec.Kind == SectionHAgent {
 				_, _, _, err = decodeHAgentSection(trunc)
-			case SectionIAgent:
-				_, _, _, err = decodeIAgentSection(trunc)
+			} else {
+				_, _, err = decodeIAgentSection(trunc)
 			}
-			if err == nil {
-				continue // a cut can land on a valid shorter encoding only if codec allows; require typed otherwise
-			}
-			if !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrUnsupportedVersion) {
+			if err != nil && !typedWireError(err) {
 				t.Fatalf("cut %d of kind %d: untyped error %v", cut, sec.Kind, err)
 			}
 		}
 	}
+}
+
+// typedWireError reports whether err is one of wire's typed decode errors.
+func typedWireError(err error) bool {
+	return errors.Is(err, wire.ErrCorrupt) || errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrUnsupportedVersion)
 }
 
 // TestLeavesWriteNoDeltaFiles: on a durable node with checkpointing on, a

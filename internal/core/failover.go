@@ -136,8 +136,9 @@ type CheckpointState struct {
 	Seq         uint64
 	HashVersion uint64
 	// Leaf is a leaf state like the sender's own, of resolved addresses and
-	// capability sets, without bindings: it is applied a push at a time, read
-	// once if the sender fails, and relocates in its gob form.
+	// capability sets, without bindings or loads, which a push does not
+	// carry: it is applied a push at a time, read once if the sender fails,
+	// and relocates as its record stream, like the leaf's own.
 	Leaf leafState
 }
 
@@ -664,7 +665,7 @@ func (b *IAgentBehavior) deltaOpen() bool {
 // noted delta, or the whole table while a full push is owed. Caller holds mu.
 func (b *IAgentBehavior) checkpointLag() int64 {
 	if b.ckFull {
-		return int64(b.Table.Len())
+		return int64(b.Leaf.table.Len())
 	}
 	return int64(len(b.ckDirty))
 }
@@ -730,7 +731,7 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 		// their record, absent ones were deleted.
 		req := CheckpointReq{Entries: make(map[ids.AgentID]platform.NodeID, len(dirty))}
 		for a := range dirty {
-			if rec, ok := b.leaf().get(a); ok {
+			if rec, ok := b.Leaf.get(a); ok {
 				req.add(rec)
 			} else {
 				req.Removed = append(req.Removed, a)
@@ -765,7 +766,7 @@ func (b *IAgentBehavior) streamTable(send func(*CheckpointReq) (Status, error)) 
 		req.Full, req.Caps = false, nil
 		return err == nil && status == StatusOK
 	}
-	b.leaf().each(nil, func(rec record) bool {
+	b.Leaf.each(nil, func(rec record) bool {
 		req.add(rec)
 		return len(req.Entries) < ckChunkEntries || ship()
 	})
@@ -792,7 +793,7 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 	}
 	held := b.Checkpoints[req.From]
 	if !req.Full {
-		if held.Leaf.Table == nil || held.HashVersion != req.HashVersion {
+		if held.Leaf.table == nil || held.HashVersion != req.HashVersion {
 			// No base to apply the delta to; ask for a full push.
 			return CheckpointResp{Status: StatusIgnored, HashVersion: ver}
 		}
@@ -834,7 +835,7 @@ func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.Ag
 		owner, _, err := st.OwnerOfHash(hash)
 		return err == nil && owner == ctx.Self()
 	}, func(r record) bool {
-		if _, local := b.leaf().get(r.agent); !local {
+		if _, local := b.Leaf.get(r.agent); !local {
 			restore = append(restore, change{agent: r.agent, hash: r.hash, node: r.node, caps: r.caps, view: true})
 		}
 		return true

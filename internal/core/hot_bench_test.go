@@ -153,8 +153,8 @@ func fullPush(tb testing.TB, leaf, buddy *IAgentBehavior, ctx *platform.Context)
 	leaf.armFullCheckpoint()
 	leaf.mu.Unlock()
 	leaf.pushCheckpoint(ctx)
-	if held := len(heldCopy(buddy).Entries); held != leaf.Table.Len() {
-		tb.Fatalf("after a full push the buddy holds %d entries of %d", held, leaf.Table.Len())
+	if held := len(heldCopy(buddy).Entries); held != leaf.Leaf.table.Len() {
+		tb.Fatalf("after a full push the buddy holds %d entries of %d", held, leaf.Leaf.table.Len())
 	}
 }
 

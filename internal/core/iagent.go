@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"agentloc/internal/capindex"
 	"agentloc/internal/ids"
 	"agentloc/internal/loctable"
 	"agentloc/internal/metrics"
@@ -31,14 +29,11 @@ import (
 type IAgentBehavior struct {
 	// Cfg is the mechanism configuration.
 	Cfg Config
-	// Table, Residence and Caps are the leaf's state (leafstate.go): where
-	// each served agent is and the requests it drew, its residence binding,
-	// and its capability set. Only write changes them and only the reader
-	// resolves an agent out of them; they are fields of their own so the
-	// relocation form carries them, loads included.
-	Table     *loctable.Table
-	Residence *ResidenceTable
-	Caps      *capindex.Index
+	// Leaf is the leaf's state (leafstate.go): where each served agent is
+	// and the requests it drew, its residence binding, and its capability
+	// set. Only write changes it and only the reader resolves an agent out of
+	// it; it relocates as its record stream, loads and bindings included.
+	Leaf leafState
 	// StateSnapshot is the IAgent's copy of the hash state, kept current
 	// by the HAgent for every rehash the IAgent is involved in.
 	StateSnapshot StateDTO
@@ -97,8 +92,9 @@ var (
 // migration.
 func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 	b.once.Do(func() {
-		fresh := newLeafState()
-		b.Table, b.Residence, b.Caps = cmp.Or(b.Table, fresh.Table), cmp.Or(b.Residence, fresh.Residence), cmp.Or(b.Caps, fresh.Caps)
+		if b.Leaf.table == nil {
+			b.Leaf = newLeafState()
+		}
 		if b.Pending == nil {
 			b.Pending = make(map[ids.AgentID][]Deposited)
 		}
@@ -283,7 +279,7 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		sp.End(err)
 		return ack, err
 	case KindSnapshotDump:
-		sec, err := b.durableSection(ctx.Self())
+		sec, err := iagentSection(ctx.Self(), b.state.Load(), b.Leaf)
 		if err != nil {
 			return nil, fmt.Errorf("IAgent %s: snapshot dump: %w", ctx.Self(), err)
 		}
@@ -356,7 +352,7 @@ func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []Update
 func (b *IAgentBehavior) residenceMove(ctx *platform.Context, req ResidenceMoveReq) (ResidenceMoveResp, error) {
 	b.est.Record()
 	version := b.state.Load().Version()
-	changes, known := b.leaf().move(req.Residence, req.Node)
+	changes, known := b.Leaf.move(req.Residence, req.Node)
 	if !known {
 		return ResidenceMoveResp{Status: StatusUnknownAgent, HashVersion: version}, nil
 	}
@@ -397,7 +393,7 @@ func (b *IAgentBehavior) locateBytes(ctx *platform.Context, agent []byte) Locate
 		b.metStale.Inc()
 		return LocateResp{Status: StatusNotResponsible, HashVersion: version}
 	}
-	node, found := b.leaf().locate(agent, hash)
+	node, found := b.Leaf.locate(agent, hash)
 	if !found {
 		return LocateResp{Status: StatusUnknownAgent, HashVersion: version}
 	}
@@ -416,13 +412,13 @@ func (b *IAgentBehavior) discover(req DiscoverReq) DiscoverResp {
 	b.est.Record()
 	version := b.state.Load().Version()
 	resp := DiscoverResp{Status: StatusOK, HashVersion: version}
-	matched := b.Caps.Match(req.Caps)
+	matched := b.Leaf.caps.Match(req.Caps)
 	if len(matched) == 0 {
 		return resp
 	}
 	resp.Matches = make([]DiscoverMatch, 0, len(matched))
 	for _, agent := range matched {
-		if r, found := b.leaf().get(agent); found {
+		if r, found := b.Leaf.get(agent); found {
 			resp.Matches = append(resp.Matches, DiscoverMatch{Agent: agent, Node: r.node})
 		}
 	}
@@ -488,7 +484,7 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		}
 		return moved[owner]
 	}
-	b.leaf().each(func(hash uint64) bool { _, gone := leaving(hash); return gone }, func(r record) bool {
+	b.Leaf.each(func(hash uint64) bool { _, gone := leaving(hash); return gone }, func(r record) bool {
 		owner, _ := leaving(r.hash)
 		h := handoffTo(owner)
 		h.Entries[r.agent], h.Load[r.agent] = r.node, uint64(r.load)
@@ -662,7 +658,7 @@ func (b *IAgentBehavior) Run(ctx *platform.Context) error {
 				HashVersion: version,
 				Rate:        rate,
 			}
-			req.BitLoad, req.Total = loadReport(b.Table)
+			req.BitLoad, req.Total = loadReport(b.Leaf.table)
 			// A failed or declined request is retried naturally at the
 			// next tick; the rate condition persists while overloaded.
 			b.requestRehash(ctx, KindRequestSplit, req)

@@ -144,7 +144,7 @@ func locatePayload(tb testing.TB, agent ids.AgentID) []byte {
 }
 
 func loadOf(leaf *IAgentBehavior, agent ids.AgentID) (load uint32, found bool) {
-	leaf.Table.RangeSlots(func(s loctable.Slot) bool {
+	leaf.Leaf.table.RangeSlots(func(s loctable.Slot) bool {
 		if s.Agent == agent {
 			load, found = s.Load, true
 		}
@@ -247,7 +247,7 @@ func TestUnknownLocatesCostNothing(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = locatePayload(t, ids.AgentID(fmt.Sprintf("nobody-%d", i)))
 	}
-	entries, before := leaf.Table.Len(), retainedHeap()
+	entries, before := leaf.Leaf.table.Len(), retainedHeap()
 	for _, p := range payloads {
 		resp, _, err := leaf.HandleConcurrent(ctx, KindLocate, p)
 		if err != nil {
@@ -259,8 +259,8 @@ func TestUnknownLocatesCostNothing(t *testing.T) {
 	}
 	after := retainedHeap()
 	runtime.KeepAlive(payloads)
-	if leaf.Table.Len() != entries {
-		t.Errorf("table grew from %d to %d entries", entries, leaf.Table.Len())
+	if leaf.Leaf.table.Len() != entries {
+		t.Errorf("table grew from %d to %d entries", entries, leaf.Leaf.table.Len())
 	}
 	if after > before+64<<10 {
 		t.Errorf("100 000 misses retained %d bytes", after-before)
@@ -298,8 +298,8 @@ func TestIAgentHeapPerAgentBudget(t *testing.T) {
 			if perAgent > 52 {
 				t.Errorf("an agent costs its leaf %.1f B, budget 52", perAgent)
 			}
-			if leaf.Table.Len() != agents+1 {
-				t.Errorf("table holds %d entries, want %d", leaf.Table.Len(), agents+1)
+			if leaf.Leaf.table.Len() != agents+1 {
+				t.Errorf("table holds %d entries, want %d", leaf.Leaf.table.Len(), agents+1)
 			}
 		})
 	}
@@ -340,7 +340,7 @@ func heldCopy(buddy *IAgentBehavior) (held struct {
 	buddy.mu.Lock()
 	defer buddy.mu.Unlock()
 	if ck, ok := buddy.Checkpoints["iagent-1"]; ok {
-		held.Seq, held.Entries = ck.Seq, ck.Leaf.Table.Snapshot()
+		held.Seq, held.Entries = ck.Seq, ck.Leaf.table.Snapshot()
 	}
 	return held
 }
@@ -372,8 +372,8 @@ func TestCheckpointDeltaCarriesWhatFollowedTheSnapshot(t *testing.T) {
 	}
 	leaf.pushCheckpoint(ctx)
 	held := heldCopy(buddy)
-	if held.Seq != 2 || !reflect.DeepEqual(held.Entries, leaf.Table.Snapshot()) {
-		t.Errorf("after the delta the buddy holds seq %d and %d entries, the table %d", held.Seq, len(held.Entries), leaf.Table.Len())
+	if held.Seq != 2 || !reflect.DeepEqual(held.Entries, leaf.Leaf.table.Snapshot()) {
+		t.Errorf("after the delta the buddy holds seq %d and %d entries, the table %d", held.Seq, len(held.Entries), leaf.Leaf.table.Len())
 	}
 	if len(leaf.ckDirty) != 0 {
 		t.Errorf("a delivered delta left %d touched entries", len(leaf.ckDirty))
@@ -413,8 +413,8 @@ func TestCheckpointUpdateRacingTheSnapshot(t *testing.T) {
 	}
 	wg.Wait()
 	leaf.pushCheckpoint(ctx)
-	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.Table.Snapshot()) {
-		t.Errorf("the buddy holds %d entries, the table %d: an update fell between snapshot and delta", len(held.Entries), leaf.Table.Len())
+	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.Leaf.table.Snapshot()) {
+		t.Errorf("the buddy holds %d entries, the table %d: an update fell between snapshot and delta", len(held.Entries), leaf.Leaf.table.Len())
 	}
 }
 
@@ -459,8 +459,8 @@ func TestCheckpointDeltasDroppedAtRandom(t *testing.T) {
 		t.Fatal("no delta was dropped")
 	}
 	leaf.pushCheckpoint(ctx)
-	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.Table.Snapshot()) {
-		t.Errorf("after %d dropped deltas the buddy holds %d entries, the table %d", dropped, len(held.Entries), leaf.Table.Len())
+	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.Leaf.table.Snapshot()) {
+		t.Errorf("after %d dropped deltas the buddy holds %d entries, the table %d", dropped, len(held.Entries), leaf.Leaf.table.Len())
 	}
 }
 
@@ -589,8 +589,8 @@ func TestSplitReportIsFixedSize(t *testing.T) {
 }
 
 // TestRelocatedIAgentKeepsLoads: an IAgent's exported state is what migrates
-// (placement.go); the per-agent loads ride in the table's gob form, so the
-// relocated IAgent's split reports are as informed as before the move.
+// (placement.go); the per-agent loads ride in the leaf's record stream, so
+// the relocated IAgent's split reports are as informed as before the move.
 func TestRelocatedIAgentKeepsLoads(t *testing.T) {
 	leaf, _, ctx := bareLeaf(t, quietConfig(), false)
 	agents := ownedIDs(t, leaf, "a", 200)
@@ -618,7 +618,7 @@ func TestRelocatedIAgentKeepsLoads(t *testing.T) {
 		})
 		return m
 	}
-	before, after := loads(leaf.Table), loads(arrived.Table)
+	before, after := loads(leaf.Leaf.table), loads(arrived.Leaf.table)
 	if len(before) != len(agents) || !reflect.DeepEqual(before, after) {
 		t.Errorf("%d agents' loads left, %d arrived, equal: %v", len(before), len(after), reflect.DeepEqual(before, after))
 	}

@@ -1,0 +1,337 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/gob"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"agentloc/internal/capindex"
+	"agentloc/internal/hashtree"
+	"agentloc/internal/ids"
+	"agentloc/internal/platform"
+	"agentloc/internal/snapshot"
+	"agentloc/internal/transport"
+	"agentloc/internal/wire"
+)
+
+// agentView is one agent as the reader yields it: resolved address, handle,
+// capability set (joined) and load.
+type agentView struct {
+	node   platform.NodeID
+	handle ids.ResidenceID
+	caps   string
+	load   uint32
+}
+
+// readLeaf reads every agent of a leaf through the reader, the ids copied out
+// of the table.
+func readLeaf(s leafState) map[ids.AgentID]agentView {
+	out := map[ids.AgentID]agentView{}
+	s.each(nil, func(r record) bool {
+		out[ids.AgentID(strings.Clone(string(r.agent)))] = agentView{node: r.node, handle: r.handle, caps: strings.Join(r.caps, ","), load: r.load}
+		return true
+	})
+	return out
+}
+
+// parentSection is the newest IAgent section of the given name in the store
+// the previous build wrote (crossversion_test.go).
+func parentSection(tb testing.TB, name string) snapshot.Section {
+	tb.Helper()
+	store, err := snapshot.Open(copyFiles(tb, parentStore, tb.TempDir()), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer store.Close()
+	rec, err := store.Recover()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var sec snapshot.Section
+	for _, s := range append(rec.Sections, rec.Deltas...) {
+		if s.Name == name && s.Kind == SectionIAgentTable {
+			sec = s
+		}
+	}
+	if sec.Payload == nil {
+		tb.Fatalf("the parent store holds no kind-2 section of %s", name)
+	}
+	return sec
+}
+
+// durableLeaf is bareLeaf on a durable node: the IAgent "iagent-1" of a
+// one-leaf state, driven by hand, logging to a store in dir.
+func durableLeaf(t *testing.T, dir string) (*IAgentBehavior, *platform.Context) {
+	t.Helper()
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	node, _ := durableNode(t, net, "node-0", dir)
+	probe := make(ctxProbe, 1)
+	if err := node.Launch("iagent-1", probe); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.CallAgent(context.Background(), "node-0", "iagent-1", "probe", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	st := &State{Ver: 1, Tree: hashtree.New("iagent-1"), Locations: map[ids.AgentID]platform.NodeID{"iagent-1": "node-0"}}
+	return &IAgentBehavior{Cfg: quietConfig(), StateSnapshot: st.DTO()}, <-probe
+}
+
+// recoverCopy runs RecoverNode on a copy of the store in dir, on a node of
+// its own, and reads the recovered "iagent-1" back through its section.
+func recoverCopy(t *testing.T, dir string) map[ids.AgentID]agentView {
+	t.Helper()
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	node, _ := durableNode(t, net, "node-0", copyFiles(t, dir, t.TempDir()))
+	report, err := RecoverNode(node, quietConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(report.IAgents, []ids.AgentID{"iagent-1"}) {
+		t.Fatalf("recovered %v, want iagent-1", report.IAgents)
+	}
+	var resp SnapshotDumpResp
+	if err := node.CallAgent(testCtx(t), "node-0", "iagent-1", KindSnapshotDump, nil, &resp); err != nil {
+		t.Fatal(err)
+	}
+	_, leaf, err := decodeIAgentSection(resp.Section)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return readLeaf(leaf)
+}
+
+// TestLeafRecordSurvivesEveryForm: one leaf with locate-charged loads, a
+// bound group of three whose handle one member's bound update from another
+// node re-pointed, a capability set, and a handoff into the group's handle
+// from a sender that still had it at its old address. Every agent's resolved
+// address, handle and capability set come back through (a) a full snapshot,
+// a crash and RecoverNode, (b) a delta section and the WAL tail after it, and
+// (c) a gob relocation; the load is that of the last section in (a) and (b)
+// and exact in (c).
+func TestLeafRecordSurvivesEveryForm(t *testing.T) {
+	dir := t.TempDir()
+	leaf, ctx := durableLeaf(t, dir)
+	agents := ownedIDs(t, leaf, "a", 8)
+	update(t, leaf, ctx, agents, "node-1")
+	group := ownedIDs(t, leaf, "g", 3)
+	for _, g := range group {
+		serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: g, Node: "node-2", Residence: "res@g"})
+	}
+	serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: agents[3], Node: "node-1", Capabilities: []string{"ocr", "gpu"}})
+	charge := func(n int) {
+		for i, a := range append(slices.Clone(agents), group...) {
+			for range (i+n)%4 + 1 {
+				leaf.locateBytes(ctx, []byte(a))
+			}
+		}
+	}
+	charge(0)
+	leaf.persistSelf(ctx)
+	atSection := readLeaf(leaf.Leaf)
+
+	// After the delta section: the WAL tail alone carries these.
+	serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: group[1], Node: "node-5", Residence: "res@g"})
+	handed := ownedIDs(t, leaf, "h", 1)[0]
+	serve(t, leaf, ctx, KindHandoff, HandoffReq{
+		Entries:    map[ids.AgentID]platform.NodeID{handed: "node-2"},
+		Load:       map[ids.AgentID]uint64{handed: 4},
+		Bindings:   map[ids.AgentID]ids.ResidenceID{handed: "res@g"},
+		Residences: map[ids.ResidenceID]platform.NodeID{"res@g": "node-2"},
+		Caps:       map[ids.AgentID][]string{handed: {"tpu"}},
+	})
+	serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: agents[0], Node: "node-3"})
+	charge(1)
+	live := readLeaf(leaf.Leaf)
+	for _, a := range append(slices.Clone(group), handed) {
+		if v := live[a]; v.node != "node-5" || v.handle != "res@g" {
+			t.Fatalf("live %s = %+v; the group is at node-5", a, v)
+		}
+	}
+	if live[handed].caps != "tpu" || live[handed].load == 0 || live[agents[3]].caps != "gpu,ocr" {
+		t.Fatalf("live leaf: handed-off %+v, advertiser %+v", live[handed], live[agents[3]])
+	}
+
+	same := func(form string, got map[ids.AgentID]agentView, load func(ids.AgentID) uint32) {
+		t.Helper()
+		want := map[ids.AgentID]agentView{}
+		for a, v := range live {
+			v.load = load(a)
+			want[a] = v
+		}
+		if !reflect.DeepEqual(got, want) {
+			for a := range want {
+				if got[a] != want[a] {
+					t.Errorf("%s: %s = %+v, want %+v", form, a, got[a], want[a])
+				}
+			}
+			t.Fatalf("%s: %d agents, want %d", form, len(got), len(want))
+		}
+	}
+	same("delta section and WAL tail", recoverCopy(t, dir), func(a ids.AgentID) uint32 { return atSection[a].load })
+
+	dump, err := leaf.HandleRequest(ctx, KindSnapshotDump, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.Durable().WriteFull([]snapshot.Section{dump.(SnapshotDumpResp).Section}); err != nil {
+		t.Fatal(err)
+	}
+	same("full snapshot", recoverCopy(t, dir), func(a ids.AgentID) uint32 { return live[a].load })
+
+	var moved bytes.Buffer
+	if err := gob.NewEncoder(&moved).Encode(leaf); err != nil {
+		t.Fatal(err)
+	}
+	var arrived IAgentBehavior
+	if err := gob.NewDecoder(&moved).Decode(&arrived); err != nil {
+		t.Fatal(err)
+	}
+	same("gob relocation", readLeaf(arrived.Leaf), func(a ids.AgentID) uint32 { return live[a].load })
+}
+
+// TestZeroLeafRelocates: the IAgent a split spawns carries a zero leafState;
+// it encodes, and arrives with a leaf ensureRuntime sets up.
+func TestZeroLeafRelocates(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&IAgentBehavior{Cfg: quietConfig(), Checkpoints: map[ids.AgentID]CheckpointState{"iagent-2": {Seq: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	var arrived IAgentBehavior
+	if err := gob.NewDecoder(&buf).Decode(&arrived); err != nil {
+		t.Fatal(err)
+	}
+	if arrived.Leaf.table != nil || arrived.Checkpoints["iagent-2"].Seq != 1 {
+		t.Fatalf("a zero leaf arrived as %+v, its held copy as %+v", arrived.Leaf, arrived.Checkpoints["iagent-2"])
+	}
+	if data, err := (leafState{}).GobEncode(); err != nil || len(data) != 0 {
+		t.Fatalf("zero leaf encodes to %q, %v", data, err)
+	}
+}
+
+// TestRecoverSkipsLeafRetiredByMerge: a leaf a merge retired writes a last
+// section whose state no longer holds it; a crash before the next full
+// snapshot must not bring it back.
+func TestRecoverSkipsLeafRetiredByMerge(t *testing.T) {
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	dir := t.TempDir()
+	node, _ := durableNode(t, net, "node-0", dir)
+	cfg := crossVersionConfig()
+	svc, err := Deploy(context.Background(), cfg, []*platform.Node{node})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &testCluster{nodes: []*platform.Node{node}, service: svc}
+	ctx := testCtx(t)
+	homes := map[ids.AgentID]platform.NodeID{}
+	for _, a := range []ids.AgentID{"m-a", "m-b", "m-c", "m-d", "m-e", "m-f", "m-g", "m-h"} {
+		if _, err := svc.ClientFor(node).Register(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+		homes[a] = node.ID()
+	}
+	forceSplit(t, c, ctx, "iagent-1", homes)
+	var resp RehashResp
+	req := RequestMergeReq{IAgent: "iagent-2", HashVersion: hashState(t, c, ctx).Version()}
+	if err := node.CallAgent(ctx, svc.Config().HAgentNode, svc.Config().HAgent, KindRequestMerge, req, &resp); err != nil || resp.Status != StatusOK {
+		t.Fatalf("merge: %v, %v", resp.Status, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); node.Hosts("iagent-2"); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("iagent-2 outlived its merge")
+		}
+	}
+	node.Crash()
+
+	node2, _ := durableNode(t, net, "node-0", dir)
+	report, err := RecoverNode(node2, svc.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(report.IAgents, []ids.AgentID{"iagent-1"}) || report.Entries != len(homes) {
+		t.Fatalf("recovered %v with %d entries, want iagent-1 with %d", report.IAgents, report.Entries, len(homes))
+	}
+	if slices.Contains(node2.Agents(), "iagent-2") {
+		t.Fatalf("the retired iagent-2 runs again: %v", node2.Agents())
+	}
+	client := NewClient(NodeCaller{N: node2}, svc.Config())
+	for a, want := range homes {
+		if got, err := client.Locate(ctx, a); err != nil || got != want {
+			t.Errorf("%s locates at %q (%v), want %q", a, got, err, want)
+		}
+	}
+}
+
+// leafStreamView is a stream's records as a leaf keeps them: by agent, the
+// capability set normalized, IAgent and version dropped.
+func leafStreamView(tb testing.TB, d *wire.Dec) map[string]snapshot.Record {
+	tb.Helper()
+	out := map[string]snapshot.Record{}
+	for d.Remaining() > 0 {
+		data, err := d.Bytes(wire.MaxFrameLen)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec, err := snapshot.DecodeRecord(data)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec.IAgent, rec.HashVersion, rec.Caps = "", 0, capindex.Normalize(rec.Caps)
+		out[rec.Agent] = rec
+	}
+	return out
+}
+
+// FuzzLeafSectionDecode throws arbitrary payloads at the IAgent section
+// decoder, as a SectionIAgentTable (legacy) or a SectionIAgent section. It
+// must never panic and return only typed wire errors, and the records of a
+// SectionIAgent payload that decodes must re-encode to the same records.
+func FuzzLeafSectionDecode(f *testing.F) {
+	st := &State{Ver: 3, Tree: hashtree.New("iagent-1"), Locations: map[ids.AgentID]platform.NodeID{"iagent-1": "node-0"}}
+	full := newLeafState()
+	full.apply([]change{
+		{agent: "every-field", hash: ids.AgentID("every-field").Hash64(), node: "node-1", handle: "res@x", caps: []string{"gpu", "ocr"}, load: 9},
+		{agent: "plain", hash: ids.AgentID("plain").Hash64(), node: "node-2"},
+	})
+	for _, leaf := range []leafState{full, newLeafState()} {
+		sec, err := iagentSection("iagent-1", st, leaf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(false, sec.Payload)
+	}
+	f.Add(true, parentSection(f, "iagent-1").Payload)
+	f.Add(true, []byte{})
+
+	f.Fuzz(func(t *testing.T, legacy bool, payload []byte) {
+		kind := SectionIAgent
+		if legacy {
+			kind = SectionIAgentTable
+		}
+		_, leaf, err := decodeIAgentSection(snapshot.Section{Kind: kind, Name: "iagent-1", Payload: payload})
+		if err != nil {
+			if !typedWireError(err) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		if legacy {
+			return
+		}
+		d := wire.NewDec(payload)
+		if _, err := decodeState(d); err != nil {
+			t.Fatal(err)
+		}
+		want := leafStreamView(t, d)
+		if got := leafStreamView(t, wire.NewDec(leaf.appendRecords(nil))); !reflect.DeepEqual(got, want) {
+			t.Fatalf("records re-encode as %v, decoded %v", got, want)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"agentloc/internal/capindex"
@@ -9,6 +10,7 @@ import (
 	"agentloc/internal/loctable"
 	"agentloc/internal/platform"
 	"agentloc/internal/snapshot"
+	"agentloc/internal/wire"
 )
 
 // leafState is what a leaf knows of the agents hashed to it (paper §2.2):
@@ -16,21 +18,21 @@ import (
 // to, and what it advertises. apply is the only code that writes the three
 // structures and get, each and locate the only code that reads an agent out
 // of them, so the live leaf, a held sibling copy, a handoff, a durable
-// section and a WAL replay cannot disagree on an agent's record. The fields
-// are exported so that a held copy migrates, gob-encoded, with its IAgent.
+// section and a WAL replay cannot disagree on an agent's record.
+//
+// Every form a leaf's state leaves in but the handoff and the checkpoint push
+// is a record stream (appendRecords): one length-prefixed snapshot.Record per
+// agent, the record the reader yields. Its gob form, which an IAgent and the
+// copies it holds relocate in, is that stream; so is the body of its durable
+// section; and a WAL record is one record of it.
 type leafState struct {
-	Table     *loctable.Table
-	Residence *ResidenceTable
-	Caps      *capindex.Index
+	table     *loctable.Table
+	residence *ResidenceTable
+	caps      *capindex.Index
 }
 
 func newLeafState() leafState {
-	return leafState{Table: loctable.New(), Residence: NewResidenceTable(), Caps: capindex.New()}
-}
-
-// leaf is the IAgent's own state.
-func (b *IAgentBehavior) leaf() leafState {
-	return leafState{Table: b.Table, Residence: b.Residence, Caps: b.Caps}
+	return leafState{table: loctable.New(), residence: NewResidenceTable(), caps: capindex.New()}
 }
 
 // change is one mutation of a leaf's state.
@@ -71,22 +73,22 @@ func (s leafState) apply(changes []change) {
 		c := &changes[i]
 		switch {
 		case c.delete:
-			s.Table.DeleteHashed(c.agent, c.hash)
-			s.Residence.Unbind(c.agent)
-			s.Caps.Remove(c.agent)
+			s.table.DeleteHashed(c.agent, c.hash)
+			s.residence.Unbind(c.agent)
+			s.caps.Remove(c.agent)
 			continue
 		case c.node == "":
-			s.Table.AddLoadHashed(c.agent, c.hash, c.load)
+			s.table.AddLoadHashed(c.agent, c.hash, c.load)
 			continue
 		}
-		s.Table.PutHashed(c.agent, c.hash, c.node, c.load)
+		s.table.PutHashed(c.agent, c.hash, c.node, c.load)
 		if c.handle == "" {
-			s.Residence.Unbind(c.agent)
+			s.residence.Unbind(c.agent)
 		} else {
-			s.Residence.Bind(c.kept(), c.handle, c.node, c.handoff)
+			s.residence.Bind(c.kept(), c.handle, c.node, c.handoff)
 		}
 		if len(c.caps) > 0 {
-			s.Caps.Set(c.kept(), c.caps)
+			s.caps.Set(c.kept(), c.caps)
 		}
 	}
 }
@@ -107,7 +109,7 @@ type record struct {
 
 // get reads one agent's record.
 func (s leafState) get(agent ids.AgentID) (record, bool) {
-	slot, ok := s.Table.GetSlot(agent, agent.Hash64())
+	slot, ok := s.table.GetSlot(agent, agent.Hash64())
 	if !ok {
 		return record{}, false
 	}
@@ -120,10 +122,10 @@ func (s leafState) get(agent ids.AgentID) (record, bool) {
 // the walk misses is in the touched set, for the next delta.
 func (s leafState) each(owned func(hash uint64) bool, f func(record) bool) {
 	var slots []loctable.Slot
-	for i := 0; i < s.Table.Stripes(); i++ {
-		bound, capped := s.Residence.Len() > 0, s.Caps.Len() > 0
+	for i := 0; i < s.table.Stripes(); i++ {
+		bound, capped := s.residence.Len() > 0, s.caps.Len() > 0
 		slots = slots[:0]
-		s.Table.RangeStripe(i, func(slot loctable.Slot) bool {
+		s.table.RangeStripe(i, func(slot loctable.Slot) bool {
 			if owned == nil || owned(slot.Hash) {
 				slots = append(slots, slot)
 			}
@@ -142,12 +144,12 @@ func (s leafState) each(owned func(hash uint64) bool, f func(record) bool) {
 func (s leafState) resolve(slot loctable.Slot, bound, capped bool) record {
 	r := record{agent: slot.Agent, hash: slot.Hash, node: slot.Node, load: slot.Load}
 	if bound {
-		if handle, node, ok := s.Residence.Binding(slot.Agent); ok {
+		if handle, node, ok := s.residence.Binding(slot.Agent); ok {
 			r.handle, r.node = handle, node
 		}
 	}
 	if capped {
-		r.caps = s.Caps.CapsOf(slot.Agent)
+		r.caps = s.caps.CapsOf(slot.Agent)
 	}
 	return r
 }
@@ -156,11 +158,11 @@ func (s leafState) resolve(slot loctable.Slot, bound, capped bool) record {
 // frame, the request counted in the slot, and the node alone, so it neither
 // allocates nor touches the capability index.
 func (s leafState) locate(agent []byte, hash uint64) (platform.NodeID, bool) {
-	node, ok := s.Table.GetCountedBytes(agent, hash)
+	node, ok := s.table.GetCountedBytes(agent, hash)
 	if !ok {
 		return "", false
 	}
-	if rn, bound := s.Residence.ResolveBytes(agent); bound {
+	if rn, bound := s.residence.ResolveBytes(agent); bound {
 		node = rn
 	}
 	return node, true
@@ -170,12 +172,89 @@ func (s leafState) locate(agent []byte, hash uint64) (platform.NodeID, bool) {
 // at node, still bound to r and charged one request. Unknown handles report
 // false.
 func (s leafState) move(r ids.ResidenceID, node platform.NodeID) ([]change, bool) {
-	members, known := s.Residence.Members(r)
+	members, known := s.residence.Members(r)
 	changes := make([]change, len(members))
 	for i, a := range members {
 		changes[i] = change{agent: a, hash: a.Hash64(), node: node, handle: r, load: 1}
 	}
 	return changes, known
+}
+
+// appendRecords appends the leaf's record stream to dst: each agent's record
+// as the reader yields it — resolved address, handle, capability set and
+// load — as a length-prefixed snapshot.Record with no IAgent or version.
+func (s leafState) appendRecords(dst []byte) []byte {
+	var rec []byte
+	s.each(nil, func(r record) bool {
+		rec = snapshot.AppendRecord(rec[:0], snapshot.Record{
+			Op: snapshot.OpPut, Agent: string(r.agent), Node: string(r.node),
+			Caps: r.caps, Handle: string(r.handle), Load: uint64(r.load),
+		})
+		dst = wire.AppendBytes(dst, rec)
+		return true
+	})
+	return dst
+}
+
+// applyRecords applies the record stream that fills the rest of d. A stream
+// is what one leaf held, so a record no leaf yields — a delete, one without
+// an address, a load past a slot's count, an agent twice, a handle at two
+// addresses — is corrupt.
+func (s leafState) applyRecords(d *wire.Dec) error {
+	handles := make(map[ids.ResidenceID]platform.NodeID)
+	for d.Remaining() > 0 {
+		data, err := d.Bytes(wire.MaxFrameLen)
+		if err != nil {
+			return err
+		}
+		rec, err := snapshot.DecodeRecord(data)
+		if err != nil {
+			return err
+		}
+		c := recordChange(rec)
+		if _, dup := s.table.GetSlot(c.agent, c.hash); dup || c.delete || c.node == "" || c.load > math.MaxUint32 {
+			return fmt.Errorf("%w: record of %q is not one a leaf holds", wire.ErrCorrupt, rec.Agent)
+		}
+		if c.handle != "" {
+			if at, seen := handles[c.handle]; seen && at != c.node {
+				return fmt.Errorf("%w: handle %q at %q and %q", wire.ErrCorrupt, c.handle, at, c.node)
+			}
+			handles[c.handle] = c.node
+		}
+		s.apply([]change{c})
+	}
+	return nil
+}
+
+// recordChange is the change that makes a leaf hold what rec states: a put
+// charges rec.Load and binds the agent to rec.Handle at rec.Node, or unbinds
+// it.
+func recordChange(rec snapshot.Record) change {
+	agent := ids.AgentID(rec.Agent)
+	return change{
+		agent: agent, hash: agent.Hash64(), node: platform.NodeID(rec.Node), handle: ids.ResidenceID(rec.Handle),
+		caps: rec.Caps, load: rec.Load, delete: rec.Op == snapshot.OpDelete,
+	}
+}
+
+// GobEncode implements gob.GobEncoder: the relocation form of a leaf, live or
+// held, is its record stream. The zero leafState a spawned IAgent carries
+// encodes as an empty one.
+func (s leafState) GobEncode() ([]byte, error) {
+	if s.table == nil {
+		return nil, nil
+	}
+	return s.appendRecords(nil), nil
+}
+
+// GobDecode implements gob.GobDecoder: a fresh leaf, the stream applied.
+func (s *leafState) GobDecode(data []byte) error {
+	fresh := newLeafState()
+	if err := fresh.applyRecords(wire.NewDec(data)); err != nil {
+		return err
+	}
+	*s = fresh
+	return nil
 }
 
 // walBatchRecords bounds the records of one WAL append.
@@ -184,6 +263,10 @@ const walBatchRecords = 4096
 // write makes changes on the live leaf: it logs them to the node's WAL,
 // walBatchRecords to an append, applies them, and notes the agents they
 // touched for the next checkpoint delta; a deleted agent's mail goes with it.
+// A logged record states what the leaf resolves after the change: a handed-off
+// binding to a handle the leaf holds is logged at the held address, which
+// apply keeps, so that replaying it cannot roll the group back. Load is not
+// logged.
 // A failed append fails the write before anything is applied — a change is
 // acknowledged only once it is logged — unless bestEffort: the leaf's own
 // bookkeeping after a handoff or a takeover applies regardless.
@@ -197,9 +280,14 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 		recs := make([]snapshot.Record, 0, min(len(changes), walBatchRecords))
 		for i := range changes {
 			c := &changes[i]
-			rec := snapshot.Record{Op: snapshot.OpPut, IAgent: string(ctx.Self()), Agent: string(c.agent), Node: string(c.node), HashVersion: version, Caps: c.caps}
-			if c.delete {
+			rec := snapshot.Record{Op: snapshot.OpPut, IAgent: string(ctx.Self()), Agent: string(c.agent), Node: string(c.node), HashVersion: version, Caps: c.caps, Handle: string(c.handle)}
+			switch {
+			case c.delete:
 				rec.Op = snapshot.OpDelete
+			case c.handoff && c.handle != "":
+				if at, held := b.Leaf.residence.Address(c.handle); held {
+					rec.Node = string(at)
+				}
 			}
 			if recs = append(recs, rec); len(recs) < walBatchRecords && i < len(changes)-1 {
 				continue
@@ -210,7 +298,7 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 			recs = recs[:0]
 		}
 	}
-	b.leaf().apply(changes)
+	b.Leaf.apply(changes)
 	b.mu.Lock()
 	open := b.deltaOpen()
 	for i := range changes {
@@ -229,6 +317,6 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 // setTableGauges publishes the table's entry count and footprint, both read
 // from the table's counters.
 func (b *IAgentBehavior) setTableGauges() {
-	b.metTable.Set(int64(b.Table.Len()))
-	b.metTableBytes.Set(b.Table.Bytes())
+	b.metTable.Set(int64(b.Leaf.table.Len()))
+	b.metTableBytes.Set(b.Leaf.table.Bytes())
 }

@@ -64,7 +64,7 @@ func (b *HAgentBehavior) relocate(ctx *platform.Context, req RequestRelocateReq)
 func (b *IAgentBehavior) placementTarget(current platform.NodeID) (platform.NodeID, bool) {
 	hist := make(map[platform.NodeID]int)
 	total := 0
-	b.Table.Range(func(_ ids.AgentID, node platform.NodeID) bool {
+	b.Leaf.table.Range(func(_ ids.AgentID, node platform.NodeID) bool {
 		hist[node]++
 		total++
 		return true

@@ -6,25 +6,24 @@ import (
 	"time"
 
 	"agentloc/internal/ids"
-	"agentloc/internal/loctable"
 )
 
 func TestPlacementTargetSelection(t *testing.T) {
 	b := &IAgentBehavior{
-		Cfg:   Config{PlacementMajority: 0.6, PlacementMinAgents: 4},
-		Table: loctable.New(),
+		Cfg:  Config{PlacementMajority: 0.6, PlacementMinAgents: 4},
+		Leaf: newLeafState(),
 	}
 	// Too few agents.
-	b.Table.Put("a", "far")
+	b.Leaf.table.Put("a", "far")
 	if _, ok := b.placementTarget("home"); ok {
 		t.Error("relocated for a single agent")
 	}
 	// Majority elsewhere.
 	for i := 0; i < 7; i++ {
-		b.Table.Put(ids.AgentID(fmt.Sprintf("m-%d", i)), "far")
+		b.Leaf.table.Put(ids.AgentID(fmt.Sprintf("m-%d", i)), "far")
 	}
 	for i := 0; i < 3; i++ {
-		b.Table.Put(ids.AgentID(fmt.Sprintf("h-%d", i)), "home")
+		b.Leaf.table.Put(ids.AgentID(fmt.Sprintf("h-%d", i)), "home")
 	}
 	target, ok := b.placementTarget("home")
 	if !ok || target != "far" {

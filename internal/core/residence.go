@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
-	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -40,9 +37,6 @@ import (
 // for concurrent use; its reads take only a read lock so the locate fast
 // path stays concurrent. The zero value is not usable — call
 // NewResidenceTable (ensureRuntime does). Only leafState.apply writes it.
-//
-// A ResidenceTable gob-encodes as its two plain maps, so IAgents carry it
-// in their migrating state like the location table.
 type ResidenceTable struct {
 	mu sync.RWMutex
 	// addr maps each known handle to the group's current node.
@@ -61,40 +55,6 @@ func NewResidenceTable() *ResidenceTable {
 		bound:   make(map[ids.AgentID]ids.ResidenceID),
 		members: make(map[ids.ResidenceID]map[ids.AgentID]struct{}),
 	}
-}
-
-// residenceTableDTO is the gob wire form: the derived members index is
-// rebuilt on decode.
-type residenceTableDTO struct {
-	Addr  map[ids.ResidenceID]platform.NodeID
-	Bound map[ids.AgentID]ids.ResidenceID
-}
-
-// GobEncode implements gob.GobEncoder.
-func (t *ResidenceTable) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	err := gob.NewEncoder(&buf).Encode(residenceTableDTO{Addr: t.addr, Bound: t.bound})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder.
-func (t *ResidenceTable) GobDecode(data []byte) error {
-	var dto residenceTableDTO
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
-		return err
-	}
-	fresh := NewResidenceTable()
-	maps.Copy(fresh.addr, dto.Addr)
-	for a, r := range dto.Bound {
-		fresh.bound[a] = r
-		fresh.memberSet(r)[a] = struct{}{}
-	}
-	t.mu.Lock()
-	t.addr, t.bound, t.members = fresh.addr, fresh.bound, fresh.members
-	t.mu.Unlock()
-	return nil
 }
 
 // memberSet returns (allocating if needed) the member set of a handle.
@@ -176,6 +136,14 @@ func (t *ResidenceTable) ResolveBytes(agent []byte) (platform.NodeID, bool) {
 	if !ok {
 		return "", false
 	}
+	node, ok := t.addr[r]
+	return node, ok
+}
+
+// Address returns a handle's current address; unknown handles report false.
+func (t *ResidenceTable) Address(r ids.ResidenceID) (platform.NodeID, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	node, ok := t.addr[r]
 	return node, ok
 }

@@ -92,28 +92,33 @@ func TestResidenceTableOverlayAndAdopt(t *testing.T) {
 		Bindings:   map[ids.AgentID]ids.ResidenceID{"a": "res@x", "orphan": "res@gone"},
 		Residences: map[ids.ResidenceID]platform.NodeID{"res@x": "node-0"},
 	})
-	if r, ok := leaf.leaf().get("a"); !ok || r.handle != "res@x" {
+	if r, ok := leaf.Leaf.get("a"); !ok || r.handle != "res@x" {
 		t.Errorf("handed-off member = %+v, %v; want bound to res@x", r, ok)
 	}
-	if r, ok := leaf.leaf().get("orphan"); !ok || r.handle != "" || r.node != "node-3" {
+	if r, ok := leaf.Leaf.get("orphan"); !ok || r.handle != "" || r.node != "node-3" {
 		t.Errorf("orphan = %+v, %v; want unbound at node-3", r, ok)
 	}
 }
 
-func TestResidenceTableGobRoundTrip(t *testing.T) {
-	rt := NewResidenceTable()
-	rt.Bind("a", "res@x", "node-0", false)
-	rt.Bind("b", "res@x", "node-0", false)
-	rt.Bind("c", "res@y", "node-1", false)
+// TestLeafStateGobRebuildsBindings: a leaf relocates as its record stream,
+// and the bindings it carries rebuild the residence record whole.
+func TestLeafStateGobRebuildsBindings(t *testing.T) {
+	leaf := newLeafState()
+	leaf.apply([]change{
+		{agent: "a", hash: ids.AgentID("a").Hash64(), node: "node-0", handle: "res@x"},
+		{agent: "b", hash: ids.AgentID("b").Hash64(), node: "node-0", handle: "res@x"},
+		{agent: "c", hash: ids.AgentID("c").Hash64(), node: "node-1", handle: "res@y"},
+	})
 
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rt); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(leaf); err != nil {
 		t.Fatal(err)
 	}
-	out := NewResidenceTable()
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(out); err != nil {
+	var arrived leafState
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&arrived); err != nil {
 		t.Fatal(err)
 	}
+	out := arrived.residence
 	if out.Len() != 2 {
 		t.Fatalf("decoded table: %d handles", out.Len())
 	}

@@ -23,10 +23,10 @@ import (
 // process-wide interner: the steady state resolves them with zero
 // allocations.
 
-// Wire field limits. Identifier lengths beyond these mark corruption, and a
-// batch's declared entry count is sanity-bounded before any allocation.
+// Wire field limits. Identifier lengths beyond wire.MaxIDLen mark
+// corruption, and a batch's declared entry count is sanity-bounded before any
+// allocation.
 const (
-	maxWireIDLen   = 1 << 16
 	maxWireBatch   = 1 << 20
 	wireBatchGuard = "core: batch length %d exceeds limit"
 )
@@ -64,7 +64,7 @@ func (r LocateReq) AppendWire(dst []byte) []byte {
 }
 
 func (r *LocateReq) DecodeWire(d *wire.Dec) error {
-	s, err := d.String(maxWireIDLen)
+	s, err := d.String(wire.MaxIDLen)
 	r.Agent = ids.AgentID(s)
 	return err
 }
@@ -91,7 +91,7 @@ func locateReqAgent(payload []byte) (agent []byte, err error) {
 		return nil, err
 	}
 	d := wire.NewDec(body)
-	if agent, err = d.Bytes(maxWireIDLen); err == nil {
+	if agent, err = d.Bytes(wire.MaxIDLen); err == nil {
 		err = d.Done()
 	}
 	return agent, err
@@ -112,7 +112,7 @@ func locateBatchReqAgents(payload []byte) ([][]byte, error) {
 	}
 	agents := make([][]byte, n)
 	for i := range agents {
-		if agents[i], err = d.Bytes(maxWireIDLen); err != nil {
+		if agents[i], err = d.Bytes(wire.MaxIDLen); err != nil {
 			return nil, err
 		}
 	}
@@ -130,7 +130,7 @@ func (r *LocateResp) DecodeWire(d *wire.Dec) error {
 	if r.Status, err = decodeStatus(d); err != nil {
 		return err
 	}
-	node, err := d.StringIn(maxWireIDLen, wireIntern)
+	node, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
@@ -183,7 +183,7 @@ func decodeIDs(d *wire.Dec) ([]ids.AgentID, error) {
 	}
 	list := make([]ids.AgentID, n)
 	for i := range list {
-		s, err := d.String(maxWireIDLen)
+		s, err := d.String(wire.MaxIDLen)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +209,7 @@ func decodeTags(d *wire.Dec) ([]string, error) {
 	}
 	tags := make([]string, n)
 	for i := range tags {
-		if tags[i], err = d.StringIn(maxWireIDLen, wireIntern); err != nil {
+		if tags[i], err = d.StringIn(wire.MaxIDLen, wireIntern); err != nil {
 			return nil, err
 		}
 	}
@@ -244,11 +244,11 @@ func (r RegisterReq) AppendWire(dst []byte) []byte {
 }
 
 func (r *RegisterReq) DecodeWire(d *wire.Dec) error {
-	agent, err := d.String(maxWireIDLen)
+	agent, err := d.String(wire.MaxIDLen)
 	if err != nil {
 		return err
 	}
-	node, err := d.StringIn(maxWireIDLen, wireIntern)
+	node, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
@@ -268,15 +268,15 @@ func (r UpdateReq) AppendWire(dst []byte) []byte {
 }
 
 func (r *UpdateReq) DecodeWire(d *wire.Dec) error {
-	agent, err := d.String(maxWireIDLen)
+	agent, err := d.String(wire.MaxIDLen)
 	if err != nil {
 		return err
 	}
-	node, err := d.StringIn(maxWireIDLen, wireIntern)
+	node, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
-	res, err := d.StringIn(maxWireIDLen, wireIntern)
+	res, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
@@ -290,7 +290,7 @@ func (r DeregisterReq) AppendWire(dst []byte) []byte {
 }
 
 func (r *DeregisterReq) DecodeWire(d *wire.Dec) error {
-	s, err := d.String(maxWireIDLen)
+	s, err := d.String(wire.MaxIDLen)
 	r.Agent = ids.AgentID(s)
 	return err
 }
@@ -339,11 +339,11 @@ func (r ResidenceMoveReq) AppendWire(dst []byte) []byte {
 }
 
 func (r *ResidenceMoveReq) DecodeWire(d *wire.Dec) error {
-	res, err := d.StringIn(maxWireIDLen, wireIntern)
+	res, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
-	node, err := d.StringIn(maxWireIDLen, wireIntern)
+	node, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
@@ -383,7 +383,7 @@ func (r *DiscoverReq) DecodeWire(d *wire.Dec) error {
 	if r.Caps, err = decodeTags(d); err != nil {
 		return err
 	}
-	near, err := d.StringIn(maxWireIDLen, wireIntern)
+	near, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
@@ -405,11 +405,11 @@ func (m DiscoverMatch) AppendWire(dst []byte) []byte {
 }
 
 func (m *DiscoverMatch) DecodeWire(d *wire.Dec) error {
-	agent, err := d.String(maxWireIDLen)
+	agent, err := d.String(wire.MaxIDLen)
 	if err != nil {
 		return err
 	}
-	node, err := d.StringIn(maxWireIDLen, wireIntern)
+	node, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
@@ -442,7 +442,7 @@ func (r WhoisReq) AppendWire(dst []byte) []byte {
 }
 
 func (r *WhoisReq) DecodeWire(d *wire.Dec) error {
-	s, err := d.String(maxWireIDLen)
+	s, err := d.String(wire.MaxIDLen)
 	r.Target = ids.AgentID(s)
 	return err
 }
@@ -454,11 +454,11 @@ func (r WhoisResp) AppendWire(dst []byte) []byte {
 }
 
 func (r *WhoisResp) DecodeWire(d *wire.Dec) error {
-	ia, err := d.StringIn(maxWireIDLen, wireIntern)
+	ia, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
-	node, err := d.StringIn(maxWireIDLen, wireIntern)
+	node, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
@@ -504,11 +504,11 @@ func (r *WhoisBatchResp) DecodeWire(d *wire.Dec) error {
 	}
 	r.Leaves = make([]LeafRef, n)
 	for i := range r.Leaves {
-		ia, err := d.StringIn(maxWireIDLen, wireIntern)
+		ia, err := d.StringIn(wire.MaxIDLen, wireIntern)
 		if err != nil {
 			return err
 		}
-		node, err := d.StringIn(maxWireIDLen, wireIntern)
+		node, err := d.StringIn(wire.MaxIDLen, wireIntern)
 		if err != nil {
 			return err
 		}
@@ -583,7 +583,7 @@ func (r *CheckpointReq) DecodeWire(d *wire.Dec) error {
 	if r.HashVersion, err = d.Uvarint(); err != nil {
 		return err
 	}
-	from, err := d.StringIn(maxWireIDLen, wireIntern)
+	from, err := d.StringIn(wire.MaxIDLen, wireIntern)
 	if err != nil {
 		return err
 	}
@@ -608,11 +608,11 @@ func (r *CheckpointReq) DecodeWire(d *wire.Dec) error {
 		r.Entries = make(map[ids.AgentID]platform.NodeID, n)
 	}
 	for i := 0; i < n; i++ {
-		agent, err := d.String(maxWireIDLen)
+		agent, err := d.String(wire.MaxIDLen)
 		if err != nil {
 			return err
 		}
-		node, err := d.StringIn(maxWireIDLen, wireIntern)
+		node, err := d.StringIn(wire.MaxIDLen, wireIntern)
 		if err != nil {
 			return err
 		}
@@ -629,7 +629,7 @@ func (r *CheckpointReq) DecodeWire(d *wire.Dec) error {
 		r.Caps = make(map[ids.AgentID][]string, n)
 	}
 	for i := 0; i < n; i++ {
-		agent, err := d.String(maxWireIDLen)
+		agent, err := d.String(wire.MaxIDLen)
 		if err != nil {
 			return err
 		}

@@ -122,19 +122,19 @@ func TestInternConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestInternGobRoundTrip checks refcounts flow through the gob path (it
-// routes entries through Put on decode).
-func TestInternGobRoundTrip(t *testing.T) {
+// TestInternSerializeRoundTrip checks refcounts flow through Deserialize (it
+// routes entries through Put).
+func TestInternSerializeRoundTrip(t *testing.T) {
 	tab := New()
 	for i := 0; i < 100; i++ {
 		tab.Put(ids.AgentID(fmt.Sprintf("agent-%d", i)), platform.NodeID(fmt.Sprintf("node-%d", i%4)))
 	}
-	data, err := tab.GobEncode()
+	data, err := tab.Serialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out Table
-	if err := out.GobDecode(data); err != nil {
+	out, err := Deserialize(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out.InternedNodes(); got != 4 {

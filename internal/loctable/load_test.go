@@ -1,8 +1,6 @@
 package loctable
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -277,87 +275,6 @@ func TestLoadSaturates(t *testing.T) {
 		}
 		return true
 	})
-}
-
-// TestLoadGobRoundTrip: a gob stream carries the counters, and a stream
-// without the loads slice — what a build from before the counters lived here
-// writes — decodes with zero loads; in the other direction such a build skips
-// the slice it does not know.
-func TestLoadGobRoundTrip(t *testing.T) {
-	src := New()
-	want := make(map[ids.AgentID]uint32)
-	for i := 0; i < 500; i++ {
-		id := ids.AgentID(fmt.Sprintf("g-%d", i))
-		src.PutHashed(id, id.Hash64(), platform.NodeID(fmt.Sprintf("n%d", i%3)), uint64(i%7))
-		want[id] = uint32(i % 7)
-	}
-	data, err := src.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Table
-	if err := back.GobDecode(data); err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != len(want) {
-		t.Fatalf("decoded %d entries, want %d", back.Len(), len(want))
-	}
-	back.RangeSlots(func(s Slot) bool {
-		if s.Load != want[s.Agent] {
-			t.Errorf("%s came back with load %d, want %d", s.Agent, s.Load, want[s.Agent])
-		}
-		if node, _ := src.Get(s.Agent); node != s.Node {
-			t.Errorf("%s came back at %s, want %s", s.Agent, s.Node, node)
-		}
-		return true
-	})
-
-	// The stream as the previous build wrote and reads it: two slices.
-	type oldChunk struct {
-		Agents []ids.AgentID
-		Nodes  []platform.NodeID
-	}
-	var old bytes.Buffer
-	enc := gob.NewEncoder(&old)
-	if err := enc.Encode(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(oldChunk{Agents: []ids.AgentID{"x", "y"}, Nodes: []platform.NodeID{"n0", "n1"}}); err != nil {
-		t.Fatal(err)
-	}
-	var fromOld Table
-	if err := fromOld.GobDecode(old.Bytes()); err != nil {
-		t.Fatalf("old stream: %v", err)
-	}
-	fromOld.RangeSlots(func(s Slot) bool {
-		if s.Load != 0 {
-			t.Errorf("old stream gave %s load %d, want 0", s.Agent, s.Load)
-		}
-		return true
-	})
-	if node, ok := fromOld.Get("y"); !ok || node != "n1" || fromOld.Len() != 2 {
-		t.Errorf("old stream decoded to y=%q,%v Len %d", node, ok, fromOld.Len())
-	}
-
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	var stripes int
-	if err := dec.Decode(&stripes); err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	for i := 0; i < stripes; i++ {
-		var c oldChunk
-		if err := dec.Decode(&c); err != nil {
-			t.Fatalf("old reader, chunk %d: %v", i, err)
-		}
-		if len(c.Agents) != len(c.Nodes) {
-			t.Fatalf("old reader, chunk %d: %d agents, %d nodes", i, len(c.Agents), len(c.Nodes))
-		}
-		got += len(c.Agents)
-	}
-	if got != len(want) {
-		t.Errorf("old reader saw %d entries, want %d", got, len(want))
-	}
 }
 
 // TestLoadConcurrentCounting has 8 goroutines counting on the slots that 2

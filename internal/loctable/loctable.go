@@ -38,19 +38,14 @@
 // under the stripe's read lock — on the cache line the probe has just
 // touched, with nothing to allocate for an agent the table does not hold.
 //
-// A Table gob-encodes stripe-by-stripe (one lock at a time, parallel
-// key/value/load slices per stripe) so migrating a behaviour never
-// materializes the whole table as a single map, and binary
-// Serialize/Deserialize (see serialize.go) give it a durable framed form for
-// snapshot files. Both formats still interoperate with the map-backed
-// implementation in either direction; the loads slice is optional in the gob
-// stream and absent from the binary dump.
+// Binary Serialize/Deserialize (see serialize.go) give a table a framed form
+// without loads, streamed one stripe lock at a time; older builds wrote it in
+// their IAgent snapshot sections. A leaf's own relocation and durable forms
+// are its record stream, in the core layer.
 package loctable
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/bits"
@@ -550,7 +545,7 @@ func (t *Table) Put(agent ids.AgentID, node platform.NodeID) {
 
 // PutHashed is Put with the agent's precomputed Hash64 that also charges
 // addLoad requests to the entry, in the same probe: an update counts itself,
-// a handoff or a gob stream restores the count it carries. A new entry copies
+// a handoff or a relocated record restores the count it carries. A new entry copies
 // the id into the stripe's arena, so the table never keeps the caller's
 // string. One that would take the arena past 4 GiB panics rather than wrap
 // its offset: that is hundreds of millions of ids in one stripe, which no
@@ -719,95 +714,4 @@ func (t *Table) Snapshot() map[ids.AgentID]platform.NodeID {
 		return true
 	})
 	return out
-}
-
-// stripeChunk is the gob wire form of one stripe: parallel slices, so the
-// encoder never builds a whole-table map and the chunk's backing arrays are
-// reused across stripes. Loads is optional: a stream written before the
-// counters lived here decodes with zero loads, and an older reader skips the
-// field.
-type stripeChunk struct {
-	Agents []ids.AgentID
-	Nodes  []platform.NodeID
-	Loads  []uint32
-}
-
-// maxGobStripes bounds the stripe count a decoded header may claim; real
-// tables have a handful of stripes, so anything larger is a mangled stream.
-const maxGobStripes = 1 << 16
-
-// GobEncode implements gob.GobEncoder. The table serializes as a stripe
-// count followed by one chunk per stripe, each copied out under only that
-// stripe's read lock — readers and writers on other stripes proceed while a
-// migration snapshot is encoding, and no whole-table map is ever built.
-func (t *Table) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(len(t.stripes)); err != nil {
-		return nil, err
-	}
-	var chunk stripeChunk
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.RLock()
-		chunk.Agents = chunk.Agents[:0]
-		chunk.Nodes = chunk.Nodes[:0]
-		chunk.Loads = chunk.Loads[:0]
-		for j := range s.entries {
-			e := &s.entries[j]
-			if e.tag == 0 {
-				continue
-			}
-			chunk.Agents = append(chunk.Agents, s.key(e))
-			chunk.Nodes = append(chunk.Nodes, t.nodeAt(e.node))
-			chunk.Loads = append(chunk.Loads, atomic.LoadUint32(&e.load))
-		}
-		s.mu.RUnlock()
-		if err := enc.Encode(chunk); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder. The stripe count of the encoding
-// side is only a chunk count — entries rehash into this table's own
-// stripes, so tables with different stripe configurations interoperate.
-func (t *Table) GobDecode(data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	var stripes int
-	if err := dec.Decode(&stripes); err != nil {
-		return err
-	}
-	if stripes <= 0 || stripes > maxGobStripes {
-		return fmt.Errorf("loctable: gob: impossible stripe count %d", stripes)
-	}
-	if t.stripes == nil {
-		// Initialize in place; assigning a whole Table would copy its locks.
-		fresh := New()
-		t.stripes = fresh.stripes
-		t.mask = fresh.mask
-		t.shift = fresh.shift
-		t.nodes = fresh.nodes
-	}
-	for i := 0; i < stripes; i++ {
-		var chunk stripeChunk
-		if err := dec.Decode(&chunk); err != nil {
-			return err
-		}
-		if len(chunk.Agents) != len(chunk.Nodes) {
-			return fmt.Errorf("loctable: gob: chunk %d has %d agents, %d nodes", i, len(chunk.Agents), len(chunk.Nodes))
-		}
-		if len(chunk.Loads) != 0 && len(chunk.Loads) != len(chunk.Agents) {
-			return fmt.Errorf("loctable: gob: chunk %d has %d agents, %d loads", i, len(chunk.Agents), len(chunk.Loads))
-		}
-		for j, a := range chunk.Agents {
-			var load uint64
-			if chunk.Loads != nil {
-				load = uint64(chunk.Loads[j])
-			}
-			t.PutHashed(a, a.Hash64(), chunk.Nodes[j], load)
-		}
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package loctable
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -126,28 +124,5 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	// Every agent was always re-inserted after a delete.
 	if got := tbl.Len(); got != agents {
 		t.Fatalf("Len after churn = %d, want %d", got, agents)
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	tbl := New()
-	for i := 0; i < 50; i++ {
-		tbl.Put(ids.AgentID(fmt.Sprintf("g-%d", i)), platform.NodeID(fmt.Sprintf("n-%d", i)))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tbl); err != nil {
-		t.Fatal(err)
-	}
-	decoded := new(Table)
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Len() != tbl.Len() {
-		t.Fatalf("decoded %d entries, want %d", decoded.Len(), tbl.Len())
-	}
-	for a, n := range tbl.Snapshot() {
-		if got, ok := decoded.Get(a); !ok || got != n {
-			t.Fatalf("decoded[%s] = %q, %v; want %q", a, got, ok, n)
-		}
 	}
 }

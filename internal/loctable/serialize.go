@@ -28,10 +28,6 @@ var SerializeMagic = [4]byte{'A', 'L', 'O', 'C'}
 // SerializeVersion is the current binary format version.
 const SerializeVersion = 1
 
-// maxIDLen bounds a single encoded agent or node id. Real ids are short
-// strings; a length near the bound is corruption.
-const maxIDLen = 1 << 16
-
 // Serialize encodes the table into its framed binary form. Like Snapshot it
 // is weakly consistent: entries mutated on already-visited stripes during
 // the dump may be missed, which WAL replay on recovery papers over.
@@ -69,7 +65,9 @@ func Deserialize(data []byte) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loctable: deserialize: %w", err)
 	}
-	if stripes == 0 || stripes > maxGobStripes {
+	// Real tables have a handful of stripes; more is a mangled stream.
+	const maxStripes = 1 << 16
+	if stripes == 0 || stripes > maxStripes {
 		return nil, fmt.Errorf("loctable: deserialize: %w: impossible stripe count %d", wire.ErrCorrupt, stripes)
 	}
 	t := New()
@@ -84,11 +82,11 @@ func Deserialize(data []byte) (*Table, error) {
 			return nil, fmt.Errorf("loctable: deserialize stripe %d: %w: %d entries in %d bytes", i, wire.ErrCorrupt, count, d.Remaining())
 		}
 		for j := uint64(0); j < count; j++ {
-			agent, err := d.String(maxIDLen)
+			agent, err := d.String(wire.MaxIDLen)
 			if err != nil {
 				return nil, fmt.Errorf("loctable: deserialize agent: %w", err)
 			}
-			node, err := d.String(maxIDLen)
+			node, err := d.String(wire.MaxIDLen)
 			if err != nil {
 				return nil, fmt.Errorf("loctable: deserialize node: %w", err)
 			}

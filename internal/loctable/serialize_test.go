@@ -2,7 +2,6 @@ package loctable
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -150,41 +149,6 @@ func FuzzDeserialize(f *testing.F) {
 	})
 }
 
-// TestGobStripeStreaming asserts the stripe-by-stripe gob form: the header
-// carries the stripe count, decode rehashes across layouts, and a mangled
-// header is rejected instead of allocating.
-func TestGobStripeStreaming(t *testing.T) {
-	tbl := NewWithStripes(4)
-	for i := 0; i < 40; i++ {
-		tbl.Put(ids.AgentID(fmt.Sprintf("s-%d", i)), platform.NodeID("n"))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tbl); err != nil {
-		t.Fatal(err)
-	}
-	decoded := new(Table)
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Len() != 40 || len(decoded.stripes) != DefaultStripes {
-		t.Fatalf("decoded %d entries over %d stripes", decoded.Len(), len(decoded.stripes))
-	}
-	for a, n := range tbl.Snapshot() {
-		if got, ok := decoded.Get(a); !ok || got != n {
-			t.Fatalf("decoded[%s] = %q, %v", a, got, ok)
-		}
-	}
-
-	// A bogus stripe count in the header errors out up front.
-	var bad bytes.Buffer
-	if err := gob.NewEncoder(&bad).Encode(maxGobStripes + 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := new(Table).GobDecode(bad.Bytes()); err == nil {
-		t.Fatal("accepted impossible stripe count")
-	}
-}
-
 // goldenTable is the table the streams in testdata were written from, by the
 // build whose slots still held the id as a string. Its ids are picked so
 // that each sits in a home slot of its own in a minimum-size stripe: slot
@@ -215,25 +179,18 @@ func goldenTable() *Table {
 	return tbl
 }
 
-// TestGoldenStreams pins both encodings of a table — the gob stream a
-// relocation carries and the binary dump an IAgent section carries — to the
-// bytes the build before the key arena wrote: the same table encodes to
-// them, each decodes to that table, and the decoded table encodes back to
-// them byte for byte.
+// TestGoldenStreams pins the binary dump older IAgent sections carry to the
+// bytes the build before the key arena wrote: the same table encodes to them,
+// they decode to that table, and the decoded table encodes back to them byte
+// for byte.
 func TestGoldenStreams(t *testing.T) {
 	want := goldenTable()
-	decodeGob := func(data []byte) (*Table, error) {
-		tbl := new(Table)
-		return tbl, tbl.GobDecode(data)
-	}
 	for _, tc := range []struct {
 		file   string
 		encode func(*Table) ([]byte, error)
 		decode func([]byte) (*Table, error)
-		loads  bool // the gob stream carries loads, the dump does not
 	}{
-		{"golden-table.gob", (*Table).GobEncode, decodeGob, true},
-		{"golden-table.aloc", (*Table).Serialize, Deserialize, false},
+		{"golden-table.aloc", (*Table).Serialize, Deserialize},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			golden, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -252,9 +209,7 @@ func TestGoldenStreams(t *testing.T) {
 			}
 			back.RangeSlots(func(s Slot) bool {
 				w, ok := want.GetSlot(s.Agent, s.Hash)
-				if !tc.loads {
-					w.Load = 0
-				}
+				w.Load = 0 // the dump carries no loads
 				if !ok || s.Node != w.Node || s.Load != w.Load {
 					t.Errorf("decoded %s at %s load %d; written at %s load %d (held %v)", s.Agent, s.Node, s.Load, w.Node, w.Load, ok)
 				}

@@ -61,22 +61,29 @@ const (
 	OpDelete byte = 2
 )
 
-// maxFieldLen bounds any single encoded id or name.
-const maxFieldLen = 1 << 16
-
-// Record is one durable location update, appended to the WAL before the
-// update is acknowledged.
+// Record is one agent as a leaf holds it: one durable location update,
+// appended to the WAL before the update is acknowledged, and the unit of the
+// record streams the core layer writes a leaf's whole state as.
 type Record struct {
 	Op          byte   // OpPut or OpDelete
 	IAgent      string // id of the IAgent that owns the entry
 	Agent       string // mobile agent id
 	Node        string // agent's node (empty for deletes)
 	HashVersion uint64 // hash-tree version the update was applied under
+	// Caps, Handle and Load are optional trailing fields, in that order: a
+	// record that sets none of them encodes as records did before they
+	// existed, and one written before them decodes with them empty.
+	//
 	// Caps is the agent's capability set. On an OpPut a non-empty set
 	// replaces the agent's and an empty one leaves it unchanged; an OpDelete
-	// removes it. It is encoded as an optional trailing field, so records
-	// written before it existed still decode.
+	// removes it.
 	Caps []string
+	// Handle is the residence handle the agent is bound to at Node; empty
+	// means unbound.
+	Handle string
+	// Load is the agent's request count. The WAL leaves it 0: load is
+	// statistics, not a logged change.
+	Load uint64
 }
 
 // Section is one named blob inside a full or delta snapshot. The core layer
@@ -203,7 +210,7 @@ func (s *Store) AppendBatch(recs []Record) error {
 	for _, rec := range recs {
 		var start int
 		*buf, start = wire.BeginFrame(*buf, Magic, FormatVersion, kindRecord)
-		*buf = wire.EndFrame(appendRecord(*buf, rec), start)
+		*buf = wire.EndFrame(AppendRecord(*buf, rec), start)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -403,23 +410,34 @@ func (s *Store) Close() error {
 // ---------------------------------------------------------------------------
 // Encoding
 
-func appendRecord(dst []byte, rec Record) []byte {
+// AppendRecord appends rec's encoding to dst. A trailing optional field is
+// written only when it or a field after it is set.
+func AppendRecord(dst []byte, rec Record) []byte {
 	dst = append(dst, rec.Op)
 	dst = wire.AppendString(dst, rec.IAgent)
 	dst = wire.AppendString(dst, rec.Agent)
 	dst = wire.AppendString(dst, rec.Node)
 	dst = wire.AppendUvarint(dst, rec.HashVersion)
-	if len(rec.Caps) == 0 {
+	if len(rec.Caps) == 0 && rec.Handle == "" && rec.Load == 0 {
 		return dst
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(rec.Caps)))
 	for _, c := range rec.Caps {
 		dst = wire.AppendString(dst, c)
 	}
-	return dst
+	if rec.Handle == "" && rec.Load == 0 {
+		return dst
+	}
+	dst = wire.AppendString(dst, rec.Handle)
+	if rec.Load == 0 {
+		return dst
+	}
+	return wire.AppendUvarint(dst, rec.Load)
 }
 
-func decodeRecord(payload []byte) (Record, error) {
+// DecodeRecord decodes one AppendRecord encoding, which must fill payload
+// exactly. Errors are wire-typed.
+func DecodeRecord(payload []byte) (Record, error) {
 	d := wire.NewDec(payload)
 	var rec Record
 	var err error
@@ -429,13 +447,13 @@ func decodeRecord(payload []byte) (Record, error) {
 	if rec.Op != OpPut && rec.Op != OpDelete {
 		return rec, fmt.Errorf("%w: unknown record op %d", wire.ErrCorrupt, rec.Op)
 	}
-	if rec.IAgent, err = d.String(maxFieldLen); err != nil {
+	if rec.IAgent, err = d.String(wire.MaxIDLen); err != nil {
 		return rec, err
 	}
-	if rec.Agent, err = d.String(maxFieldLen); err != nil {
+	if rec.Agent, err = d.String(wire.MaxIDLen); err != nil {
 		return rec, err
 	}
-	if rec.Node, err = d.String(maxFieldLen); err != nil {
+	if rec.Node, err = d.String(wire.MaxIDLen); err != nil {
 		return rec, err
 	}
 	if rec.HashVersion, err = d.Uvarint(); err != nil {
@@ -452,11 +470,23 @@ func decodeRecord(payload []byte) (Record, error) {
 		return rec, fmt.Errorf("%w: impossible capability count %d", wire.ErrCorrupt, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		c, err := d.String(maxFieldLen)
+		c, err := d.String(wire.MaxIDLen)
 		if err != nil {
 			return rec, err
 		}
 		rec.Caps = append(rec.Caps, c)
+	}
+	if d.Remaining() == 0 {
+		return rec, nil
+	}
+	if rec.Handle, err = d.String(wire.MaxIDLen); err != nil {
+		return rec, err
+	}
+	if d.Remaining() == 0 {
+		return rec, nil
+	}
+	if rec.Load, err = d.Uvarint(); err != nil {
+		return rec, err
 	}
 	return rec, d.Done()
 }
@@ -474,7 +504,7 @@ func decodeSection(payload []byte) (Section, error) {
 	if sec.Kind, err = d.Byte(); err != nil {
 		return sec, err
 	}
-	if sec.Name, err = d.String(maxFieldLen); err != nil {
+	if sec.Name, err = d.String(wire.MaxIDLen); err != nil {
 		return sec, err
 	}
 	body, err := d.Bytes(wire.MaxFrameLen)
@@ -597,7 +627,7 @@ func (s *Store) loadWAL(path string) []Record {
 			s.errorsTotal("wal_tail").Inc()
 			return recs
 		}
-		rec, err := decodeRecord(frame.Payload)
+		rec, err := DecodeRecord(frame.Payload)
 		if err != nil {
 			s.errorsTotal("wal_tail").Inc()
 			return recs

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -401,14 +402,17 @@ func TestDeltaOrderAndCorruptStop(t *testing.T) {
 }
 
 // TestSectionRoundTrip pins the section codec, including empty payloads, and
-// the record codec with and without its trailing capability set.
+// the record codec with and without each of its trailing optional fields.
 func TestSectionRoundTrip(t *testing.T) {
 	for _, r := range []Record{
 		rec(5),
 		{Op: OpPut, IAgent: "ia-2", Agent: "agent-5", Node: "n", HashVersion: 9, Caps: []string{"gpu"}},
 		{Op: OpDelete, IAgent: "ia-2", Agent: "agent-5", HashVersion: 10},
+		{Op: OpPut, Agent: "agent-6", Node: "n", Handle: "res@x"},
+		{Op: OpPut, Agent: "agent-7", Node: "n", Load: 1 << 40},
+		{Op: OpPut, IAgent: "ia-3", Agent: "agent-8", Node: "n", HashVersion: 2, Caps: []string{"gpu", "ocr"}, Handle: "res@y", Load: 7},
 	} {
-		got, err := decodeRecord(appendRecord(nil, r))
+		got, err := DecodeRecord(AppendRecord(nil, r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,6 +434,33 @@ func TestSectionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordBytesPredateHandleAndLoad: a record that sets neither Handle nor
+// Load encodes to the bytes the build before those fields wrote (the hex is
+// that build's), so every WAL written before them decodes and re-encodes
+// unchanged.
+func TestRecordBytesPredateHandleAndLoad(t *testing.T) {
+	for _, tc := range []struct {
+		rec Record
+		hex string
+	}{
+		{Record{Op: OpPut, IAgent: "iagent-1", Agent: "agent-7", Node: "node-2", HashVersion: 300}, "0108696167656e742d31076167656e742d37066e6f64652d32ac02"},
+		{Record{Op: OpPut, IAgent: "iagent-1", Agent: "agent-8", Node: "node-0", HashVersion: 4, Caps: []string{"gpu", "ocr"}}, "0108696167656e742d31076167656e742d38066e6f64652d30040203677075036f6372"},
+		{Record{Op: OpDelete, IAgent: "iagent-12", Agent: "gone", HashVersion: 9}, "0209696167656e742d313204676f6e650009"},
+	} {
+		old, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendRecord(nil, tc.rec); !bytes.Equal(got, old) {
+			t.Errorf("%+v encodes to %x, the older build wrote %s", tc.rec, got, tc.hex)
+		}
+		back, err := DecodeRecord(old)
+		if err != nil || !reflect.DeepEqual(back, tc.rec) {
+			t.Errorf("%s decodes to %+v (%v), want %+v", tc.hex, back, err, tc.rec)
+		}
+	}
+}
+
 // FuzzRecover feeds arbitrary bytes in as snapshot, delta and WAL files:
 // recovery must never panic and never fail — corrupt stores recover to
 // (possibly empty) valid state.
@@ -441,13 +472,14 @@ func FuzzRecover(f *testing.F) {
 		full = wire.AppendFrame(nil, Magic, FormatVersion, kindHeader, payload)
 		full = wire.AppendFrame(full, Magic, FormatVersion, kindEnd, wire.AppendUvarint(nil, 0))
 	}
-	wal := wire.AppendFrame(nil, Magic, FormatVersion, kindRecord, appendRecord(nil, Record{Op: OpPut, IAgent: "i", Agent: "a", Node: "n"}))
-	capWAL := wire.AppendFrame(wal, Magic, FormatVersion, kindRecord, appendRecord(nil, Record{Op: OpPut, IAgent: "i", Agent: "b", Node: "n", Caps: []string{"gpu", "ocr"}}))
+	wal := wire.AppendFrame(nil, Magic, FormatVersion, kindRecord, AppendRecord(nil, Record{Op: OpPut, IAgent: "i", Agent: "a", Node: "n"}))
+	capWAL := wire.AppendFrame(wal, Magic, FormatVersion, kindRecord, AppendRecord(nil, Record{Op: OpPut, IAgent: "i", Agent: "b", Node: "n", Caps: []string{"gpu", "ocr"}}))
 	f.Add(full, wal)
 	f.Add([]byte("garbage"), []byte{})
 	f.Add(full[:len(full)/2], wal[:len(wal)-1])
 	f.Add([]byte{}, wire.AppendFrame(nil, Magic, FormatVersion+1, kindRecord, nil))
 	f.Add(full, capWAL)
+	f.Add(full, wire.AppendFrame(capWAL, Magic, FormatVersion, kindRecord, AppendRecord(nil, Record{Op: OpPut, IAgent: "i", Agent: "c", Node: "n", Caps: []string{"gpu"}, Handle: "res@x", Load: 3})))
 	f.Fuzz(func(t *testing.T, fullBytes, walBytes []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "full-00000001.snap"), fullBytes, 0o644); err != nil {

@@ -42,6 +42,11 @@ var (
 // decoder.
 const MaxFrameLen = 1 << 30
 
+// MaxIDLen bounds one encoded id, name or tag: an agent, node, IAgent or
+// residence id, a section name, a capability. Real ones are short strings; a
+// length near the bound is corruption.
+const MaxIDLen = 1 << 16
+
 // frameHeaderLen is magic(4) + version(2) + kind(1) + length(4).
 const frameHeaderLen = 11
 
