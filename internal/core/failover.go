@@ -3,13 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 
 	"agentloc/internal/ids"
+	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
+	"agentloc/internal/snapshot"
 	"agentloc/internal/transport"
+	"agentloc/internal/wire"
 )
 
 // This file implements the IAgent tier of the §7 fault-tolerance extension:
@@ -30,10 +32,11 @@ import (
 //     leaf, the hash version bumps, and the §4.3 client refresh machinery
 //     re-routes traffic. The absorbers are told which checkpoint to
 //     activate (AdoptStateReq.PromoteCheckpointOf).
-//   - Each IAgent pushes incremental location-table checkpoints to its
-//     first sibling leaf (KindCheckpoint) — the leaf guaranteed to absorb
-//     it on a simple merge — best effort, like HAgent replication. Entries
-//     the checkpoint misses heal lazily: via the forwarding scheme when
+//   - Each IAgent pushes the records its writes were logged as to its first
+//     sibling leaf (KindCheckpoint) — the leaf guaranteed to absorb it on a
+//     simple merge — best effort, like HAgent replication; the sibling holds
+//     them as a log and folds it into a leaf on takeover. Entries the
+//     checkpoint misses heal lazily: via the forwarding scheme when
 //     combined (forwarding.FallbackClient), or at the agent's next move.
 //     Both leaves must be on the same hash version for a push to land; a
 //     leaf no rehash push reaches learns the published version from its
@@ -99,22 +102,26 @@ type HeartbeatReq struct {
 	HashVersion uint64
 }
 
-// CheckpointReq carries a location-table delta (or full snapshot) from an
-// IAgent to its sibling leaf.
+// CheckpointReq is one push from an IAgent to its sibling leaf: a delta, the
+// suffix of the records its writes were logged as, or a chunk of a full push
+// of its table.
 type CheckpointReq struct {
 	From        ids.AgentID
 	HashVersion uint64
-	// Seq orders pushes from one sender; duplicates are dropped.
+	// Seq numbers a delta's first record; every record logged takes the next
+	// number. A full push's chunks carry the Seq of the delta after it.
 	Seq uint64
-	// Full marks a complete table snapshot replacing any held state.
-	Full    bool
+	// Full marks a chunk of a full push, Offset the records of the chunks
+	// before it: at Offset 0 it replaces the held copy.
+	Full   bool
+	Offset uint64
+	// Live is the sender's entry count, the size of its copy compacted.
+	Live uint64
+	// Records is a stream of records with no IAgent, version or load.
+	Records []byte
+	// Entries has no meaning of its own: the encoder writes each as a put
+	// record after Records, and a decoded push leaves it nil.
 	Entries map[ids.AgentID]platform.NodeID
-	Removed []ids.AgentID
-	// Caps carries the capability sets of the shipped entries (only agents
-	// advertising at least one tag appear), so a promoted checkpoint restores
-	// the secondary index along with the locations. Removed agents drop their
-	// capabilities implicitly.
-	Caps map[ids.AgentID][]string
 }
 
 // CheckpointResp acknowledges (or rejects) a checkpoint push.
@@ -130,28 +137,68 @@ type LeaseQueryResp struct {
 	Standby        bool
 }
 
-// CheckpointState is the copy of one sibling's state held by an IAgent,
+// CheckpointState is the copy of one sibling's leaf held by an IAgent,
 // valid only for the hash version it was pushed under.
 type CheckpointState struct {
-	Seq         uint64
+	Seq         uint64 // of the next record the sender ships
 	HashVersion uint64
-	// Leaf is a leaf state like the sender's own, of resolved addresses and
-	// capability sets, without bindings or loads, which a push does not
-	// carry: it is applied a push at a time, read once if the sender fails,
-	// and relocates as its record stream, like the leaf's own.
-	Leaf leafState
+	Log         recordLog
 }
 
-// add ships one agent's record: its resolved address, and its capability set
-// when it has one.
-func (r *CheckpointReq) add(rec record) {
-	r.Entries[rec.agent] = rec.node
-	if len(rec.caps) > 0 {
-		if r.Caps == nil {
-			r.Caps = make(map[ids.AgentID][]string)
+// recordLog is a held copy: the records a sender shipped, as they arrived.
+// Only a fold reads it.
+type recordLog struct{ snapshot.Log }
+
+// checkStream checks, allocating nothing, that stream is one a push may
+// carry: whole records without IAgent, version or load, a put with an address
+// and a delete without.
+func checkStream(stream []byte) error {
+	var rec snapshot.Record
+	for d := wire.NewDec(stream); d.Remaining() > 0; {
+		data, err := d.Bytes(wire.MaxFrameLen)
+		if err != nil {
+			return err
 		}
-		r.Caps[rec.agent] = rec.caps
+		if err := snapshot.ViewRecord(data, &rec, nil); err != nil {
+			return err
+		}
+		if rec.IAgent != "" || rec.HashVersion != 0 || rec.Load != 0 || (rec.Node == "") != (rec.Op == snapshot.OpDelete) {
+			return fmt.Errorf("%w: record of %q is not one a push carries", wire.ErrCorrupt, rec.Agent)
+		}
 	}
+	return nil
+}
+
+// fold replays the log through apply into a fresh leaf state: the sender's
+// leaf as of its last record, loads aside. Agent ids are views of the log,
+// which the table copies; node ids, handles and tags are interned.
+func (l recordLog) fold() leafState {
+	s := newLeafState()
+	var rec snapshot.Record
+	changes := make([]change, 1)
+	for _, seg := range l.Segments() {
+		for d := wire.NewDec(seg); d.Remaining() > 0; {
+			data, _ := d.Bytes(wire.MaxFrameLen)
+			_ = snapshot.ViewRecord(data, &rec, wireIntern) // checked on arrival
+			changes[0] = recordChange(rec)
+			changes[0].view = true
+			s.apply(changes)
+		}
+	}
+	return s
+}
+
+// GobEncode implements gob.GobEncoder: a held copy relocates folded.
+func (l recordLog) GobEncode() ([]byte, error) { return l.fold().GobEncode() }
+
+// GobDecode implements gob.GobDecoder, checking the stream as a leaf's.
+func (l *recordLog) GobDecode(data []byte) error {
+	if err := newLeafState().applyRecords(wire.NewDec(data)); err != nil {
+		return err
+	}
+	*l = recordLog{}
+	l.Append(data, 0)
+	return nil
 }
 
 // failoverEnabled reports whether the crash-tolerance subsystem is on.
@@ -609,8 +656,8 @@ func (b *IAgentBehavior) refreshState(ctx *platform.Context, src HAgentRef) {
 // installState makes st the leaf's hash state — the one place a running leaf
 // does — and takes the sibling copies it holds across the version bump. A copy
 // whose sender serves the same id space under st as before, with this leaf
-// still its buddy, is still that sender's table: it is restamped, so the
-// sender's next delta finds its base. Any other is dropped: its sender left
+// still its buddy, is still a copy of that sender's leaf: it is restamped, so
+// the sender's next delta finds its base. Any other is dropped: its sender left
 // the tree, hands entries off or pushes elsewhere now, and sends a full copy
 // to its buddy of the day. keep names the one departed sender whose copy must
 // outlive the install: the failed leaf a takeover restores from it. Caller
@@ -644,183 +691,151 @@ func checkpointBuddy(st *State, self ids.AgentID) ids.AgentID {
 	return ids.AgentID(sibs[0])
 }
 
-// armFullCheckpoint makes the next push a full one and drops the delta
-// bookkeeping it supersedes. It is owed at runtime start, when what this leaf
-// serves or whom it pushes to changed, when the buddy holds no base for a
-// delta, and when a full push did not land whole — never for a version
-// mismatch alone, which the refresh off the next heartbeat settles. Caller
-// holds mu (or is still single-threaded in ensureRuntime).
+// armFullCheckpoint makes the next push a full one and drops the suffix it
+// supersedes. It is owed at runtime start, when what this leaf serves or whom
+// it pushes to changed, when the suffix outgrew ckSuffixBytes, when the buddy
+// holds no base for a delta, and when a full push did not land whole — never
+// for a version mismatch alone, which the refresh off the next heartbeat
+// settles. Caller holds mu (or is still single-threaded in ensureRuntime).
 func (b *IAgentBehavior) armFullCheckpoint() {
 	b.ckFull = true
-	b.ckDirty = make(map[ids.AgentID]bool)
+	b.ckSeq += uint64(b.ckLen)
+	b.ckSuffix, b.ckLen = nil, 0 // a push in flight may still read the old one
 }
 
-// deltaOpen reports whether table changes are being collected for a delta
-// push (see write). Caller holds mu.
-func (b *IAgentBehavior) deltaOpen() bool {
-	return b.Cfg.failoverEnabled() && !b.ckFull
-}
-
-// checkpointLag is how many table changes the sibling copy is behind: the
-// noted delta, or the whole table while a full push is owed. Caller holds mu.
+// checkpointLag is how many records the sibling copy is behind: the
+// unacknowledged suffix, or the whole table while a full push is owed. Caller
+// holds mu.
 func (b *IAgentBehavior) checkpointLag() int64 {
 	if b.ckFull {
 		return int64(b.Leaf.table.Len())
 	}
-	return int64(len(b.ckDirty))
+	return int64(b.ckLen)
 }
 
-// ckChunkEntries bounds the entries of one chunk of a full push.
-const ckChunkEntries = 8192
+const (
+	ckChunkEntries = 8192    // records in one chunk of a full push
+	ckSuffixBytes  = 4 << 20 // past it, the suffix gives way to a full push
+	ckSuffixKeep   = 64 << 10
+)
 
-// pushCheckpoint brings the sibling leaf's copy of this table up to date,
-// best effort: the changes noted since the last push, or — when a full push is
-// owed — the whole table, as a stream of ordinary pushes. The first carries
-// Full and empties the buddy's copy, the rest are deltas with consecutive Seq
-// that refill it, each of at most ckChunkEntries entries; what the buddy
-// holds part-way through is a partial but current copy. A delta that is lost,
-// or refused because the two leaves are a hash version apart, puts its agents
-// back in the touched set and waits for the next round.
+// pushCheckpoint brings the sibling leaf's copy of this leaf up to date, best
+// effort: the suffix the buddy has not acknowledged, which an acknowledgement
+// trims, or — when a full push is owed — the table, loads aside, in chunks cut
+// off the reader, which holds no lock while one travels (what the buddy holds
+// part-way through is a partial but current copy).
 func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 	st := b.state.Load()
 	b.mu.Lock()
 	buddy := checkpointBuddy(st, ctx.Self())
-	if buddy == "" {
-		b.ckBuddy = ""
-		b.metCkLag.Set(b.checkpointLag())
-		b.mu.Unlock()
-		return
-	}
 	if buddy != b.ckBuddy {
 		b.ckBuddy = buddy
 		b.armFullCheckpoint()
 	}
-	if !b.ckFull && len(b.ckDirty) == 0 {
-		b.metCkLag.Set(0)
+	full, seq, suffix, n := b.ckFull, b.ckSeq, b.ckSuffix, b.ckLen
+	if buddy == "" || !full && n == 0 {
+		b.metCkLag.Set(b.checkpointLag())
 		b.mu.Unlock()
 		return
 	}
-	// Cleared before the table is read; a failed push puts back what it took.
-	full, dirty := b.ckFull, b.ckDirty
-	b.ckFull = false
-	b.ckDirty = make(map[ids.AgentID]bool)
+	b.ckFull = false // a full push opens the suffix before the table is read
 	b.mu.Unlock()
 
-	sent := b.metCkSentDelta
-	if full {
-		sent = b.metCkSentFull
-	}
-	// Pushes carry resolved addresses: a restored swarm re-binds at its next move.
-	send := func(req *CheckpointReq) (Status, error) {
-		b.ckSeq++
-		req.From, req.HashVersion, req.Seq = ctx.Self(), st.Version(), b.ckSeq
-		sent.Add(uint64(len(req.Entries) + len(req.Removed)))
+	status, err := StatusOK, error(nil)
+	send := func(req *CheckpointReq, sent *metrics.Counter, n int) bool {
+		req.From, req.HashVersion, req.Seq, req.Live = ctx.Self(), st.Version(), seq, uint64(b.Leaf.table.Len())
+		sent.Add(uint64(n))
 		var resp CheckpointResp
 		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
-		err := ctx.Call(cctx, st.Locations[buddy], buddy, KindCheckpoint, req, &resp)
+		err = ctx.Call(cctx, st.Locations[buddy], buddy, KindCheckpoint, req, &resp)
 		cancel()
-		return resp.Status, err
+		status = resp.Status
+		return err == nil && status == StatusOK
 	}
-
-	var status Status
-	var err error
 	if full {
-		status, err = b.streamTable(send)
-	} else {
-		// The leaf says which way each touched agent went: present ones ship
-		// their record, absent ones were deleted.
-		req := CheckpointReq{Entries: make(map[ids.AgentID]platform.NodeID, len(dirty))}
-		for a := range dirty {
-			if rec, ok := b.Leaf.get(a); ok {
-				req.add(rec)
-			} else {
-				req.Removed = append(req.Removed, a)
-			}
+		req, k := CheckpointReq{Full: true}, 0
+		ship := func() bool {
+			ok := send(&req, b.metCkSentFull, k)
+			req.Records, req.Offset, k = req.Records[:0], req.Offset+uint64(k), 0
+			return ok
 		}
-		status, err = send(&req)
+		b.Leaf.each(nil, func(r record) bool {
+			req.Records, k = snapshot.AppendStream(req.Records, r.put(0)), k+1
+			return k < ckChunkEntries || ship()
+		})
+		if err == nil && status == StatusOK && (k > 0 || req.Offset == 0) {
+			ship() // the rest; of an empty table, the chunk that says so
+		}
+	} else {
+		send(&CheckpointReq{Records: suffix}, b.metCkSentDelta, n)
 	}
 
 	b.mu.Lock()
 	switch {
 	case err == nil && status == StatusOK:
+		if !full && !b.ckFull { // the buddy holds the records sent: trim them
+			b.ckSuffix = append(b.ckSuffix[:0], b.ckSuffix[len(suffix):]...)
+			b.ckSeq, b.ckLen = b.ckSeq+uint64(n), b.ckLen-n
+			if b.ckLen == 0 && cap(b.ckSuffix) > ckSuffixKeep {
+				b.ckSuffix = nil // an emptied suffix keeps no big array
+			}
+		}
 	case full || (err == nil && status == StatusIgnored):
 		// A full push that did not land whole is owed again, and one is owed
 		// to a buddy that holds no base for the delta.
 		b.armFullCheckpoint()
-	case b.deltaOpen():
-		maps.Copy(b.ckDirty, dirty)
 	}
 	b.metCkLag.Set(b.checkpointLag())
 	b.mu.Unlock()
 }
 
-// streamTable cuts the leaf's records into pushes of ckChunkEntries entries
-// and sends them until one fails. The reader holds no lock while a chunk
-// travels.
-func (b *IAgentBehavior) streamTable(send func(*CheckpointReq) (Status, error)) (Status, error) {
-	req := CheckpointReq{Full: true, Entries: make(map[ids.AgentID]platform.NodeID, ckChunkEntries)}
-	status, err := StatusOK, error(nil)
-	ship := func() bool {
-		status, err = send(&req)
-		clear(req.Entries)
-		req.Full, req.Caps = false, nil
-		return err == nil && status == StatusOK
+// acceptCheckpoint serves KindCheckpoint: check the sibling's records and
+// append them to the copy held of it, but only when both sides agree on the
+// hash version — a push racing a rehash is rejected so entries can never
+// resurrect on the wrong leaf. A delta appends what follows the records held;
+// one that would leave a gap, like a chunk the copy does not continue, asks
+// for a full push.
+func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) (CheckpointResp, error) {
+	if err := checkStream(req.Records); err != nil {
+		return CheckpointResp{}, err
 	}
-	b.Leaf.each(nil, func(rec record) bool {
-		req.add(rec)
-		return len(req.Entries) < ckChunkEntries || ship()
-	})
-	if err == nil && status == StatusOK && (len(req.Entries) > 0 || req.Full) {
-		ship() // the rest; of an empty table, the Full push that says so
-	}
-	return status, err
-}
-
-// acceptCheckpoint serves KindCheckpoint: apply the sibling's push to the
-// copy held of it, but only when both sides agree on the hash version — a
-// push racing a rehash is rejected so entries can never resurrect on the wrong
-// leaf (the sender tries again once both have the new version). A pushed
-// entry without a capability set keeps the one held.
-func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) CheckpointResp {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ver := b.state.Load().Version()
-	if req.HashVersion != ver {
-		return CheckpointResp{Status: StatusNotResponsible, HashVersion: ver}
+	resp := CheckpointResp{Status: StatusOK, HashVersion: b.state.Load().Version()}
+	if req.HashVersion != resp.HashVersion {
+		resp.Status = StatusNotResponsible
+		return resp, nil
+	}
+	held, ok := b.Checkpoints[req.From]
+	switch ok = ok && held.HashVersion == req.HashVersion; {
+	case req.Full && req.Offset == 0:
+		held = CheckpointState{Seq: req.Seq, HashVersion: req.HashVersion}
+	case !ok || req.Seq > held.Seq || req.Full && (req.Seq != held.Seq || req.Offset != uint64(held.Log.Len())):
+		resp.Status = StatusIgnored
+		return resp, nil
+	case !req.Full: // past what the copy holds; compacted past twice the live entries
+		held.Seq += uint64(held.Log.Append(req.Records, held.Seq-req.Seq))
+		if uint64(held.Log.Len()) > 2*req.Live {
+			folded := held.Log.fold().appendRecords(nil)
+			held.Log = recordLog{}
+			held.Log.Append(folded, 0)
+		}
+	}
+	if req.Full {
+		held.Log.Append(req.Records, 0)
 	}
 	if b.Checkpoints == nil {
 		b.Checkpoints = make(map[ids.AgentID]CheckpointState)
 	}
-	held := b.Checkpoints[req.From]
-	if !req.Full {
-		if held.Leaf.table == nil || held.HashVersion != req.HashVersion {
-			// No base to apply the delta to; ask for a full push.
-			return CheckpointResp{Status: StatusIgnored, HashVersion: ver}
-		}
-		if req.Seq <= held.Seq {
-			return CheckpointResp{Status: StatusOK, HashVersion: ver} // duplicate
-		}
-	}
-	if req.Full {
-		held = CheckpointState{Leaf: newLeafState()}
-	}
-	held.Seq, held.HashVersion = req.Seq, req.HashVersion
-	for a, n := range req.Entries {
-		held.Leaf.apply([]change{{agent: a, hash: a.Hash64(), node: n, caps: req.Caps[a]}})
-	}
-	for _, a := range req.Removed {
-		held.Leaf.apply([]change{{agent: a, hash: a.Hash64(), delete: true}})
-	}
 	b.Checkpoints[req.From] = held
-	return CheckpointResp{Status: StatusOK, HashVersion: ver}
+	return resp, nil
 }
 
-// activateCheckpoint installs the failed IAgent's checkpointed records after
-// a takeover — only those this IAgent owns under the new state (never another
-// absorber's slice; those heal lazily through forwarding or the agent's next
-// location report) and only where it has no fresher entry of its own (local
-// wins). The write is best effort: a restored entry that misses the log
-// re-heals as the checkpoint scheme already tolerates.
+// activateCheckpoint restores the failed IAgent's folded copy after a
+// takeover — only the agents this IAgent owns under the new state (another
+// absorber's slice heals lazily) and only where it has no fresher entry of its
+// own (local wins), each bound like a handed-off agent, re-pointing no handle
+// this leaf holds. The write is best effort, as the checkpoint scheme is.
 func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.AgentID) {
 	st := b.state.Load()
 	b.mu.Lock()
@@ -831,12 +846,12 @@ func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.Ag
 		return
 	}
 	var restore []change
-	ck.Leaf.each(func(hash uint64) bool {
+	ck.Log.fold().each(func(hash uint64) bool {
 		owner, _, err := st.OwnerOfHash(hash)
 		return err == nil && owner == ctx.Self()
 	}, func(r record) bool {
 		if _, local := b.Leaf.get(r.agent); !local {
-			restore = append(restore, change{agent: r.agent, hash: r.hash, node: r.node, caps: r.caps, view: true})
+			restore = append(restore, change{agent: r.agent, hash: r.hash, node: r.node, handle: r.handle, caps: r.caps, handoff: true, view: true})
 		}
 		return true
 	})
@@ -856,7 +871,7 @@ func (b *IAgentBehavior) decodeFailover(ctx *platform.Context, kind string, payl
 		return Ack{Status: StatusOK, HashVersion: b.state.Load().Version()}, true, nil
 	case KindCheckpoint:
 		// A push from across a rehash is refused on its first field, before
-		// any entry is decoded; acceptCheckpoint checks again, under mu.
+		// any record is read; acceptCheckpoint checks again, under mu.
 		if ver, binary := checkpointReqVersion(payload); binary {
 			if cur := b.state.Load().Version(); ver != cur {
 				return CheckpointResp{Status: StatusNotResponsible, HashVersion: cur}, true, nil
@@ -866,7 +881,8 @@ func (b *IAgentBehavior) decodeFailover(ctx *platform.Context, kind string, payl
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, true, err
 		}
-		return b.acceptCheckpoint(req), true, nil
+		resp, err := b.acceptCheckpoint(req)
+		return resp, true, err
 	default:
 		return nil, false, nil
 	}

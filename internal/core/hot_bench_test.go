@@ -153,15 +153,18 @@ func fullPush(tb testing.TB, leaf, buddy *IAgentBehavior, ctx *platform.Context)
 	leaf.armFullCheckpoint()
 	leaf.mu.Unlock()
 	leaf.pushCheckpoint(ctx)
-	if held := len(heldCopy(buddy).Entries); held != leaf.Leaf.table.Len() {
-		tb.Fatalf("after a full push the buddy holds %d entries of %d", held, leaf.Leaf.table.Len())
+	buddy.mu.Lock()
+	held := buddy.Checkpoints["iagent-1"].Log.Len()
+	buddy.mu.Unlock()
+	if held != leaf.Leaf.table.Len() {
+		tb.Fatalf("after a full push the buddy holds %d records of %d", held, leaf.Leaf.table.Len())
 	}
 }
 
 // BenchmarkCheckpointFullPush times a full checkpoint push of a 2^17-entry
-// leaf end to end: cut into chunks off the table, encoded, decoded and applied
-// to the copy the buddy holds — what a leaf pays once when a rehash changes
-// what it serves.
+// leaf end to end: cut into chunks off the table, encoded, decoded, checked
+// and appended to the log the buddy holds — what a leaf pays once when a
+// rehash changes what it serves.
 func BenchmarkCheckpointFullPush(b *testing.B) {
 	leaf, buddy, ctx := fullPushLeaf(b, 1<<17)
 	b.ReportAllocs()

@@ -40,9 +40,9 @@ type IAgentBehavior struct {
 	// Pending holds messages deposited for served agents until their next
 	// check-in (the guaranteed-delivery extension; see discovery.go).
 	Pending map[ids.AgentID][]Deposited
-	// Checkpoints holds sibling IAgents' table copies, pushed via
-	// KindCheckpoint and activated on takeover (crash-tolerance extension;
-	// see failover.go).
+	// Checkpoints holds sibling IAgents' leaf copies, as the record logs
+	// their pushes (KindCheckpoint) carried, folded on takeover
+	// (crash-tolerance extension; see failover.go).
 	Checkpoints map[ids.AgentID]CheckpointState
 
 	once    sync.Once
@@ -59,15 +59,16 @@ type IAgentBehavior struct {
 
 	est *stats.RateEstimator
 
-	// Checkpoint bookkeeping (guarded by mu; ckSeq is pushCheckpoint's alone):
-	// the agents whose table entry was written or deleted since the last push
-	// to the sibling leaf, and whether the next push must be a full one (see
-	// armFullCheckpoint). Changes are only noted while a delta could carry
-	// them — see write.
-	ckDirty map[ids.AgentID]bool
-	ckSeq   uint64
-	ckFull  bool
-	ckBuddy ids.AgentID
+	// Checkpoint bookkeeping (guarded by mu): the suffix — the records
+	// logged since the last one the sibling leaf acknowledged, in stream
+	// form, ckLen of them numbered from ckSeq — and whether the next push
+	// must be a full one (see armFullCheckpoint). Records join the suffix
+	// only while a delta could carry them — see write.
+	ckSuffix []byte
+	ckSeq    uint64
+	ckLen    int
+	ckFull   bool
+	ckBuddy  ids.AgentID
 
 	// Metric handles, rebuilt with the runtime at each hosting node. All
 	// are nil-safe no-ops when the node has no registry.
@@ -78,7 +79,7 @@ type IAgentBehavior struct {
 	// The table's entries and the heap its slots and key arenas take.
 	metTable, metTableBytes *metrics.Gauge
 	metCkLag                *metrics.Gauge
-	// Entries shipped to the sibling leaf, by the kind of push they rode in.
+	// Records shipped to the sibling leaf, by the kind of push they rode in.
 	metCkSentFull, metCkSentDelta *metrics.Counter
 }
 
@@ -117,8 +118,8 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		reg.Describe("agentloc_core_iagent_stale_total", "Requests answered not-responsible (stale client mapping), by IAgent.")
 		reg.Describe("agentloc_core_iagent_table_entries", "Location-table entries held, by IAgent.")
 		reg.Describe("agentloc_core_iagent_table_bytes", "Heap the location table's slot arrays and key arenas take, spare capacity included, by IAgent; divided by agentloc_core_iagent_table_entries it is the table's bytes per agent.")
-		reg.Describe("agentloc_checkpoint_lag_entries", "Location-table updates not yet checkpointed to the sibling leaf, by IAgent.")
-		reg.Describe("agentloc_checkpoint_entries_sent_total", "Location-table entries shipped to the sibling leaf, by IAgent and kind of push (full: the whole table again; delta: what changed).")
+		reg.Describe("agentloc_checkpoint_lag_entries", "Records the sibling leaf has not acknowledged — the checkpoint suffix — or, while a full push is owed, the table's entry count, by IAgent.")
+		reg.Describe("agentloc_checkpoint_entries_sent_total", "Records shipped to the sibling leaf, by IAgent and kind of push (full: the whole table again; delta: the suffix of records logged since the last acknowledged one).")
 		self := string(ctx.Self())
 		requests := func(op string) *metrics.Counter {
 			return reg.Counter("agentloc_core_iagent_requests_total", "iagent", self, "op", op)

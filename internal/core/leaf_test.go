@@ -18,6 +18,7 @@ import (
 	"agentloc/internal/loctable"
 	"agentloc/internal/platform"
 	"agentloc/internal/raceflag"
+	"agentloc/internal/snapshot"
 	"agentloc/internal/transport"
 	"agentloc/internal/wire"
 )
@@ -303,9 +304,10 @@ func TestIAgentHeapPerAgentBudget(t *testing.T) {
 			}
 		})
 	}
-	// What an agent costs the buddy holding its leaf's checkpoint: a slot and
-	// its id's bytes in the copy's own arena (≈ 97 B as a map entry, ≈ 81 B with
-	// the id a string of its own, ≈ 59.7 B with 24-byte slots).
+	// What an agent costs the buddy holding its leaf's checkpoint: its record
+	// in the held log, length prefix included (≈ 97 B as a map entry, ≈ 81 B
+	// with the id a string of its own, ≈ 59.7 B with 24-byte slots, ≈ 44.7 B
+	// while the copy was a table of its own).
 	t.Run("held copy", func(t *testing.T) {
 		leaf, buddy, ctx := fullPushLeaf(t, agents)
 		before := retainedHeap()
@@ -314,25 +316,26 @@ func TestIAgentHeapPerAgentBudget(t *testing.T) {
 		runtime.KeepAlive(leaf)
 		runtime.KeepAlive(buddy)
 		t.Logf("%.1f B/held agent retained", perAgent)
-		if perAgent > 52 {
-			t.Errorf("a held agent costs the buddy %.1f B, budget 52", perAgent)
+		if perAgent > 24 {
+			t.Errorf("a held agent costs the buddy %.1f B, budget 24", perAgent)
 		}
 	})
 }
 
-// TestCheckpointDirtySetOffWhenFailoverOff: with nothing to drain it, the
-// dirty set is never filled.
-func TestCheckpointDirtySetOffWhenFailoverOff(t *testing.T) {
+// TestCheckpointSuffixOffWhenFailoverOff: with nothing to drain it, the
+// checkpoint suffix is never filled.
+func TestCheckpointSuffixOffWhenFailoverOff(t *testing.T) {
 	leaf, _, ctx := bareLeaf(t, quietConfig(), false)
 	agents := ownedIDs(t, leaf, "a", 10_000)
 	update(t, leaf, ctx, agents, "node-1")
 	serve(t, leaf, ctx, KindDeregister, DeregisterReq{Agent: agents[0]})
-	if len(leaf.ckDirty) != 0 {
-		t.Errorf("failover off, yet %d touched entries are kept", len(leaf.ckDirty))
+	if leaf.ckLen != 0 || len(leaf.ckSuffix) != 0 {
+		t.Errorf("failover off, yet %d records (%d bytes) are kept", leaf.ckLen, len(leaf.ckSuffix))
 	}
 }
 
-// heldCopy reads what the buddy holds for iagent-1.
+// heldCopy reads what the buddy holds for iagent-1, folded: the sequence
+// number of the next record it expects, and each agent's resolved address.
 func heldCopy(buddy *IAgentBehavior) (held struct {
 	Seq     uint64
 	Entries map[ids.AgentID]platform.NodeID
@@ -340,52 +343,82 @@ func heldCopy(buddy *IAgentBehavior) (held struct {
 	buddy.mu.Lock()
 	defer buddy.mu.Unlock()
 	if ck, ok := buddy.Checkpoints["iagent-1"]; ok {
-		held.Seq, held.Entries = ck.Seq, ck.Leaf.table.Snapshot()
+		held.Seq, held.Entries = ck.Seq, map[ids.AgentID]platform.NodeID{}
+		for a, v := range readLeaf(ck.Log.fold()) {
+			held.Entries[a] = v.node
+		}
 	}
 	return held
 }
 
-// TestCheckpointDeltaCarriesWhatFollowedTheSnapshot: nothing is noted while
-// a full push is owed; after it lands, the first delta is exactly the
-// changes made since.
+// suffixRecords decodes the leaf's checkpoint suffix.
+func suffixRecords(tb testing.TB, leaf *IAgentBehavior) []snapshot.Record {
+	tb.Helper()
+	leaf.mu.Lock()
+	defer leaf.mu.Unlock()
+	var out []snapshot.Record
+	for d := wire.NewDec(leaf.ckSuffix); d.Remaining() > 0; {
+		data, err := d.Bytes(wire.MaxFrameLen)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec, err := snapshot.DecodeRecord(data)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	if len(out) != leaf.ckLen {
+		tb.Fatalf("the suffix holds %d records, counted %d", len(out), leaf.ckLen)
+	}
+	return out
+}
+
+// TestCheckpointDeltaCarriesWhatFollowedTheSnapshot: nothing joins the
+// suffix while a full push is owed; after it lands, the first delta is
+// exactly the records logged since, in order, and the buddy's fold is the
+// table.
 func TestCheckpointDeltaCarriesWhatFollowedTheSnapshot(t *testing.T) {
 	leaf, buddy, ctx := bareLeaf(t, failoverConfig(), true)
 	agents := ownedIDs(t, leaf, "a", 120)
 	update(t, leaf, ctx, agents[:100], "node-1")
-	if len(leaf.ckDirty) != 0 {
-		t.Fatalf("%d entries noted while the full snapshot that carries them is still owed", len(leaf.ckDirty))
+	if n := len(suffixRecords(t, leaf)); n != 0 {
+		t.Fatalf("%d records logged to the suffix while the full snapshot that carries them is still owed", n)
 	}
 	leaf.pushCheckpoint(ctx)
-	if held := heldCopy(buddy); held.Seq != 1 || len(held.Entries) != 100 {
-		t.Fatalf("after the full push the buddy holds seq %d, %d entries; want 1, 100", held.Seq, len(held.Entries))
+	if held := heldCopy(buddy); held.Seq != 0 || len(held.Entries) != 100 {
+		t.Fatalf("after the full push the buddy holds seq %d, %d entries; want 0, 100", held.Seq, len(held.Entries))
 	}
 
 	update(t, leaf, ctx, agents[95:110], "node-2") // 5 moves, 10 arrivals
 	serve(t, leaf, ctx, KindDeregister, DeregisterReq{Agent: agents[0]})
 	serve(t, leaf, ctx, KindDeregister, DeregisterReq{Agent: agents[109]})
-	want := map[ids.AgentID]bool{agents[0]: true} // updated ∪ removed
+	var want []snapshot.Record
 	for _, a := range agents[95:110] {
-		want[a] = true
+		want = append(want, snapshot.Record{Op: snapshot.OpPut, Agent: string(a), Node: "node-2"})
 	}
-	if !reflect.DeepEqual(leaf.ckDirty, want) {
-		t.Fatalf("delta holds %v;\nwant %v", leaf.ckDirty, want)
+	for _, a := range []ids.AgentID{agents[0], agents[109]} {
+		want = append(want, snapshot.Record{Op: snapshot.OpDelete, Agent: string(a)})
+	}
+	if got := suffixRecords(t, leaf); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the suffix holds %v;\nwant %v", got, want)
 	}
 	leaf.pushCheckpoint(ctx)
 	held := heldCopy(buddy)
-	if held.Seq != 2 || !reflect.DeepEqual(held.Entries, leaf.Leaf.table.Snapshot()) {
+	if held.Seq != uint64(len(want)) || !reflect.DeepEqual(held.Entries, leaf.Leaf.table.Snapshot()) {
 		t.Errorf("after the delta the buddy holds seq %d and %d entries, the table %d", held.Seq, len(held.Entries), leaf.Leaf.table.Len())
 	}
-	if len(leaf.ckDirty) != 0 {
-		t.Errorf("a delivered delta left %d touched entries", len(leaf.ckDirty))
+	if n := len(suffixRecords(t, leaf)); n != 0 {
+		t.Errorf("a delivered delta left %d records in the suffix", n)
 	}
 
-	// A rehash re-arms the full push and drops the delta it supersedes.
+	// A rehash re-arms the full push and drops the suffix it supersedes.
 	update(t, leaf, ctx, agents[110:], "node-2")
 	leaf.mu.Lock()
 	leaf.armFullCheckpoint()
 	leaf.mu.Unlock()
-	if len(leaf.ckDirty) != 0 {
-		t.Errorf("re-arming the full push kept %d dirty entries", len(leaf.ckDirty))
+	if n := len(suffixRecords(t, leaf)); n != 0 {
+		t.Errorf("re-arming the full push kept %d records", n)
 	}
 }
 

@@ -112,19 +112,38 @@ func recoverCopy(t *testing.T, dir string) map[ids.AgentID]agentView {
 // node re-pointed, a capability set, and a handoff into the group's handle
 // from a sender that still had it at its old address. Every agent's resolved
 // address, handle and capability set come back through (a) a full snapshot,
-// a crash and RecoverNode, (b) a delta section and the WAL tail after it, and
-// (c) a gob relocation; the load is that of the last section in (a) and (b)
-// and exact in (c).
+// a crash and RecoverNode, (b) a delta section and the WAL tail after it, (c)
+// a gob relocation and (d) a full checkpoint push, a delta and a takeover by
+// the buddy; the load is that of the last section in (a) and (b), exact in
+// (c), and not restored in (d), whose deltas do not carry it.
 func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	dir := t.TempDir()
 	leaf, ctx := durableLeaf(t, dir)
-	agents := ownedIDs(t, leaf, "a", 8)
-	update(t, leaf, ctx, agents, "node-1")
-	group := ownedIDs(t, leaf, "g", 3)
-	for _, g := range group {
-		serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: g, Node: "node-2", Residence: "res@g"})
+	// The same writes go to a leaf that checkpoints to a buddy, for (d); the
+	// agents are ones it owns.
+	pair, buddy, pairCtx := bareLeaf(t, failoverConfig(), true)
+	agents := ownedIDs(t, pair, "a", 8)
+	group := ownedIDs(t, pair, "g", 3)
+	handed := ownedIDs(t, pair, "h", 1)[0]
+	before := func(leaf *IAgentBehavior, ctx *platform.Context) {
+		update(t, leaf, ctx, agents, "node-1")
+		for _, g := range group {
+			serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: g, Node: "node-2", Residence: "res@g"})
+		}
+		serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: agents[3], Node: "node-1", Capabilities: []string{"ocr", "gpu"}})
 	}
-	serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: agents[3], Node: "node-1", Capabilities: []string{"ocr", "gpu"}})
+	// After the delta section: the WAL tail alone carries these.
+	after := func(leaf *IAgentBehavior, ctx *platform.Context) {
+		serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: group[1], Node: "node-5", Residence: "res@g"})
+		serve(t, leaf, ctx, KindHandoff, HandoffReq{
+			Entries:    map[ids.AgentID]platform.NodeID{handed: "node-2"},
+			Load:       map[ids.AgentID]uint64{handed: 4},
+			Bindings:   map[ids.AgentID]ids.ResidenceID{handed: "res@g"},
+			Residences: map[ids.ResidenceID]platform.NodeID{"res@g": "node-2"},
+			Caps:       map[ids.AgentID][]string{handed: {"tpu"}},
+		})
+		serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: agents[0], Node: "node-3"})
+	}
 	charge := func(n int) {
 		for i, a := range append(slices.Clone(agents), group...) {
 			for range (i+n)%4 + 1 {
@@ -132,21 +151,11 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 			}
 		}
 	}
+	before(leaf, ctx)
 	charge(0)
 	leaf.persistSelf(ctx)
 	atSection := readLeaf(leaf.Leaf)
-
-	// After the delta section: the WAL tail alone carries these.
-	serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: group[1], Node: "node-5", Residence: "res@g"})
-	handed := ownedIDs(t, leaf, "h", 1)[0]
-	serve(t, leaf, ctx, KindHandoff, HandoffReq{
-		Entries:    map[ids.AgentID]platform.NodeID{handed: "node-2"},
-		Load:       map[ids.AgentID]uint64{handed: 4},
-		Bindings:   map[ids.AgentID]ids.ResidenceID{handed: "res@g"},
-		Residences: map[ids.ResidenceID]platform.NodeID{"res@g": "node-2"},
-		Caps:       map[ids.AgentID][]string{handed: {"tpu"}},
-	})
-	serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: agents[0], Node: "node-3"})
+	after(leaf, ctx)
 	charge(1)
 	live := readLeaf(leaf.Leaf)
 	for _, a := range append(slices.Clone(group), handed) {
@@ -194,6 +203,30 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("gob relocation", readLeaf(arrived.Leaf), func(a ids.AgentID) uint32 { return live[a].load })
+
+	before(pair, pairCtx)
+	pair.pushCheckpoint(pairCtx) // the full push
+	after(pair, pairCtx)
+	pair.pushCheckpoint(pairCtx) // the delta
+	st, err := FromDTO(pair.StateSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, _, err := st.Tree.Merge("iagent-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := &State{Ver: st.Ver + 1, Tree: tree, Locations: map[ids.AgentID]platform.NodeID{"iagent-2": "node-0"}}
+	var ack Ack
+	if err := pairCtx.Call(testCtx(t), "node-0", "iagent-2", KindAdoptState, AdoptStateReq{State: merged.DTO(), PromoteCheckpointOf: "iagent-1"}, &ack); err != nil || ack.Status != StatusOK {
+		t.Fatalf("takeover: %v, %v", ack.Status, err)
+	}
+	restored := readLeaf(buddy.Leaf)
+	for a, v := range restored {
+		v.load = 0
+		restored[a] = v
+	}
+	same("takeover", restored, func(ids.AgentID) uint32 { return 0 })
 }
 
 // TestZeroLeafRelocates: the IAgent a split spawns carries a zero leafState;

@@ -20,11 +20,12 @@ import (
 // of them, so the live leaf, a held sibling copy, a handoff, a durable
 // section and a WAL replay cannot disagree on an agent's record.
 //
-// Every form a leaf's state leaves in but the handoff and the checkpoint push
-// is a record stream (appendRecords): one length-prefixed snapshot.Record per
-// agent, the record the reader yields. Its gob form, which an IAgent and the
-// copies it holds relocate in, is that stream; so is the body of its durable
-// section; and a WAL record is one record of it.
+// Every form a leaf's state leaves in but the handoff is a record stream
+// (appendRecords): one length-prefixed snapshot.Record per agent, the record
+// the reader yields. Its gob form, which an IAgent relocates in, is that
+// stream; so is the body of its durable section; a WAL record is one record
+// of it, and a checkpoint push ships a suffix of the records the leaf's
+// writes were logged as (recordLog).
 type leafState struct {
 	table     *loctable.Table
 	residence *ResidenceTable
@@ -119,7 +120,7 @@ func (s leafState) get(agent ids.AgentID) (record, bool) {
 // each calls f with the record of every agent whose hash owned accepts (nil
 // accepts all) until f returns false. It reads a stripe at a time under that
 // stripe's lock alone and calls f with no lock held, so f may block; a write
-// the walk misses is in the touched set, for the next delta.
+// the walk misses is in the checkpoint suffix, for the next delta.
 func (s leafState) each(owned func(hash uint64) bool, f func(record) bool) {
 	var slots []loctable.Slot
 	for i := 0; i < s.table.Stripes(); i++ {
@@ -184,16 +185,16 @@ func (s leafState) move(r ids.ResidenceID, node platform.NodeID) ([]change, bool
 // as the reader yields it — resolved address, handle, capability set and
 // load — as a length-prefixed snapshot.Record with no IAgent or version.
 func (s leafState) appendRecords(dst []byte) []byte {
-	var rec []byte
 	s.each(nil, func(r record) bool {
-		rec = snapshot.AppendRecord(rec[:0], snapshot.Record{
-			Op: snapshot.OpPut, Agent: string(r.agent), Node: string(r.node),
-			Caps: r.caps, Handle: string(r.handle), Load: uint64(r.load),
-		})
-		dst = wire.AppendBytes(dst, rec)
+		dst = snapshot.AppendStream(dst, r.put(r.load))
 		return true
 	})
 	return dst
+}
+
+// put is r as a put record of a stream, carrying load.
+func (r record) put(load uint32) snapshot.Record {
+	return snapshot.Record{Op: snapshot.OpPut, Agent: string(r.agent), Node: string(r.node), Caps: r.caps, Handle: string(r.handle), Load: uint64(load)}
 }
 
 // applyRecords applies the record stream that fills the rest of d. A stream
@@ -260,35 +261,41 @@ func (s *leafState) GobDecode(data []byte) error {
 // walBatchRecords bounds the records of one WAL append.
 const walBatchRecords = 4096
 
+// logged is the record a change is logged as, in the WAL and the checkpoint
+// suffix: what the leaf resolves after it, load aside. A handed-off binding to
+// a handle the leaf holds is logged at the held address, which apply keeps
+// (so the address reads the same before apply and after), so that replaying
+// it cannot roll the group back.
+func (s leafState) logged(c *change) snapshot.Record {
+	rec := snapshot.Record{Op: snapshot.OpPut, Agent: string(c.agent), Node: string(c.node), Caps: c.caps, Handle: string(c.handle)}
+	switch {
+	case c.delete:
+		rec.Op = snapshot.OpDelete
+	case c.handoff && c.handle != "":
+		if at, held := s.residence.Address(c.handle); held {
+			rec.Node = string(at)
+		}
+	}
+	return rec
+}
+
 // write makes changes on the live leaf: it logs them to the node's WAL,
-// walBatchRecords to an append, applies them, and notes the agents they
-// touched for the next checkpoint delta; a deleted agent's mail goes with it.
-// A logged record states what the leaf resolves after the change: a handed-off
-// binding to a handle the leaf holds is logged at the held address, which
-// apply keeps, so that replaying it cannot roll the group back. Load is not
-// logged.
-// A failed append fails the write before anything is applied — a change is
-// acknowledged only once it is logged — unless bestEffort: the leaf's own
-// bookkeeping after a handoff or a takeover applies regardless.
+// walBatchRecords to an append, applies them, and appends their records to
+// the checkpoint suffix; a deleted agent's mail goes with it. A failed append
+// fails the write before anything is applied — a change is acknowledged only
+// once it is logged — unless bestEffort: the leaf's own bookkeeping after a
+// handoff or a takeover applies regardless.
 //
-// Agents are noted only while a delta could carry them (deltaOpen). write
-// applies before it takes mu and a full push clears ckFull under mu before
-// it reads the first stripe, so a change the push missed is noted for the
-// first delta: the set holds at most one checkpoint interval's changes.
+// Records join the suffix only while a delta could carry them (failover on,
+// no full push owed). write applies before it takes mu, and a full push opens
+// the suffix under mu before it reads the first stripe, so a change the push
+// missed is in the suffix.
 func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []change, bestEffort bool) error {
 	if store := ctx.Durable(); store != nil && len(changes) > 0 {
 		recs := make([]snapshot.Record, 0, min(len(changes), walBatchRecords))
 		for i := range changes {
-			c := &changes[i]
-			rec := snapshot.Record{Op: snapshot.OpPut, IAgent: string(ctx.Self()), Agent: string(c.agent), Node: string(c.node), HashVersion: version, Caps: c.caps, Handle: string(c.handle)}
-			switch {
-			case c.delete:
-				rec.Op = snapshot.OpDelete
-			case c.handoff && c.handle != "":
-				if at, held := b.Leaf.residence.Address(c.handle); held {
-					rec.Node = string(at)
-				}
-			}
+			rec := b.Leaf.logged(&changes[i])
+			rec.IAgent, rec.HashVersion = string(ctx.Self()), version
 			if recs = append(recs, rec); len(recs) < walBatchRecords && i < len(changes)-1 {
 				continue
 			}
@@ -300,14 +307,18 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 	}
 	b.Leaf.apply(changes)
 	b.mu.Lock()
-	open := b.deltaOpen()
+	open := b.Cfg.failoverEnabled() && !b.ckFull
 	for i := range changes {
 		if open {
-			b.ckDirty[changes[i].kept()] = true
+			b.ckSuffix = snapshot.AppendStream(b.ckSuffix, b.Leaf.logged(&changes[i]))
+			b.ckLen++
 		}
 		if changes[i].delete {
 			delete(b.Pending, changes[i].agent)
 		}
+	}
+	if len(b.ckSuffix) > ckSuffixBytes {
+		b.armFullCheckpoint()
 	}
 	b.mu.Unlock()
 	b.setTableGauges()

@@ -76,19 +76,6 @@ func (m *modelLeaf) prune() {
 	})
 }
 
-// snapshot is what every survival path must carry of the leaf: resolved
-// addresses and capability sets.
-func (m *modelLeaf) snapshot() (map[ids.AgentID]platform.NodeID, map[ids.AgentID][]string) {
-	nodes, caps := map[ids.AgentID]platform.NodeID{}, map[ids.AgentID][]string{}
-	for a, e := range m.entries {
-		nodes[a] = m.resolved(a)
-		if len(e.caps) > 0 {
-			caps[a] = e.caps
-		}
-	}
-	return nodes, caps
-}
-
 // views is what the reader must yield of the leaf, loads aside: each agent's
 // resolved address, handle and capability set.
 func (m *modelLeaf) views() map[ids.AgentID]agentView {
@@ -99,12 +86,11 @@ func (m *modelLeaf) views() map[ids.AgentID]agentView {
 	return out
 }
 
-// heldModel is what the model expects a buddy to hold of a sender: the
-// sender's snapshot at its last push.
+// heldModel is what the model expects a buddy's held copy to fold to: the
+// sender's views at its last push.
 type heldModel struct {
 	holder ids.AgentID
-	nodes  map[ids.AgentID]platform.NodeID
-	caps   map[ids.AgentID][]string
+	views  map[ids.AgentID]agentView
 }
 
 // leafModelRun drives real leaves on one durable node and a map model side
@@ -205,14 +191,15 @@ func (r *leafModelRun) update(agent ids.AgentID) {
 	m := r.model[leaf]
 	req := UpdateReq{Agent: agent, Node: modelNodes[r.rng.Intn(len(modelNodes))]}
 	if r.rng.Intn(3) == 0 {
-		// A bound update joins its group where the group is, and the group
-		// moves by residence moves to every leaf holding it, as
-		// ResidenceGroup.MoveTo sends them. (An update that re-points a handle
-		// moves its other members without touching their entries, so a
-		// checkpoint delta misses them; see ROADMAP.)
+		// A bound update mostly joins its group where the group is, and the
+		// group moves by residence moves to every leaf holding it, as
+		// ResidenceGroup.MoveTo sends them. Now and then a member reports from
+		// elsewhere, which re-points the handle at its leaf and moves the
+		// other members with it: one logged record, which a held copy's fold
+		// replays the same way.
 		req.Residence = modelHandles[r.rng.Intn(len(modelHandles))]
 		for _, l := range r.live() {
-			if at, ok := r.model[l].addr[req.Residence]; ok {
+			if at, ok := r.model[l].addr[req.Residence]; ok && r.rng.Intn(4) > 0 {
 				req.Node = at
 			}
 		}
@@ -279,8 +266,7 @@ func (r *leafModelRun) push(leaf ids.AgentID) {
 		r.hosts[leaf].leaf.pushCheckpoint(r.ctxs[leaf])
 	}
 	if buddy := checkpointBuddy(r.st, leaf); buddy != "" {
-		nodes, caps := r.model[leaf].snapshot()
-		r.held[leaf] = heldModel{holder: buddy, nodes: nodes, caps: caps}
+		r.held[leaf] = heldModel{holder: buddy, views: r.model[leaf].views()}
 		r.pushes++
 	}
 }
@@ -384,7 +370,8 @@ func (r *leafModelRun) merge(leaf ids.AgentID) {
 // takeover crashes a leaf and lets its siblings absorb it. The buddy holding
 // its copy first takes the new state and a few fresh registrations in the
 // failed leaf's range, as if the takeover's push reached it late: the
-// activation must restore the copy around them (local wins).
+// activation must restore the copy around them (local wins), bindings
+// included, re-pointing no handle the buddy holds.
 func (r *leafModelRun) takeover(failed ids.AgentID) {
 	tree, _, err := r.st.Tree.Merge(string(failed))
 	if err != nil {
@@ -402,7 +389,7 @@ func (r *leafModelRun) takeover(failed ids.AgentID) {
 		}
 		holder.installState(copyOf.holder, st, failed)
 		holder.mu.Unlock()
-		for _, a := range slices.Sorted(maps.Keys(copyOf.nodes)) {
+		for _, a := range slices.Sorted(maps.Keys(copyOf.views)) {
 			if r.owner(st, a) == copyOf.holder && r.rng.Intn(4) == 0 {
 				var ack Ack
 				if r.call(copyOf.holder, KindUpdate, UpdateReq{Agent: a, Node: "node-fresh"}, &ack); ack.Status != StatusOK {
@@ -413,11 +400,19 @@ func (r *leafModelRun) takeover(failed ids.AgentID) {
 			}
 		}
 		m := r.model[copyOf.holder]
-		for a, node := range copyOf.nodes {
-			if _, local := m.entries[a]; !local && r.owner(st, a) == copyOf.holder {
-				m.entries[a] = modelEntry{node: node, caps: copyOf.caps[a]}
-				r.restored++
+		for a, v := range copyOf.views {
+			if _, local := m.entries[a]; local || r.owner(st, a) != copyOf.holder {
+				continue
 			}
+			e := modelEntry{node: v.node, handle: v.handle}
+			if v.caps != "" {
+				e.caps = strings.Split(v.caps, ",")
+			}
+			if _, held := m.addr[v.handle]; v.handle != "" && !held {
+				m.addr[v.handle] = v.node
+			}
+			m.entries[a] = e
+			r.restored++
 		}
 		delete(r.held, failed)
 	}
@@ -484,8 +479,8 @@ func (r *leafModelRun) check(step int, op string) {
 			if !ok || h.holder != leaf {
 				t.Fatalf("step %d (%s): %s holds a copy of %s nobody pushed it", step, op, leaf, src)
 			}
-			if nodes, caps := ck.Leaf.table.Snapshot(), ck.Leaf.caps.Snapshot(); !reflect.DeepEqual(nodes, h.nodes) || !reflect.DeepEqual(caps, h.caps) {
-				t.Fatalf("step %d (%s): %s holds of %s %v %v;\nwant %v %v", step, op, leaf, src, nodes, caps, h.nodes, h.caps)
+			if got := readLeaf(ck.Log.fold()); !reflect.DeepEqual(got, h.views) {
+				t.Fatalf("step %d (%s): %s holds of %s %v;\nwant %v", step, op, leaf, src, got, h.views)
 			}
 		}
 		holder.mu.Unlock()

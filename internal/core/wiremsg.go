@@ -5,13 +5,14 @@ import (
 
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
+	"agentloc/internal/snapshot"
 	"agentloc/internal/wire"
 )
 
 // Hand-rolled binary codecs for the hot-path DTOs: locate (single and
 // batched), update (single and batched), residence-move, whois (single and
-// batched), refresh, and their responses — and for the sibling checkpoint, the
-// one control message that carries a table's worth of entries again and again.
+// batched), refresh, and their responses — and for the sibling checkpoint
+// push, whose body is a record stream, a table's worth at a full push.
 // The rest of the cold control plane — hash state pushes, handoffs,
 // split/merge — stays on gob, where flexibility beats cycles. Each codec
 // implements wire.Marshaler and wire.Unmarshaler, which is what makes
@@ -554,7 +555,8 @@ func (r *RefreshResp) DecodeWire(d *wire.Dec) error {
 // --- sibling checkpoint ----------------------------------------------------
 
 // The hash version leads, so the receiver can refuse a push from across a
-// rehash (checkpointReqVersion) before it decodes a single entry.
+// rehash (checkpointReqVersion) before it reads a single record. The record
+// stream fills the rest of the message.
 func (r CheckpointReq) AppendWire(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, r.HashVersion)
 	dst = wire.AppendString(dst, string(r.From))
@@ -564,20 +566,17 @@ func (r CheckpointReq) AppendWire(dst []byte) []byte {
 		full = 1
 	}
 	dst = append(dst, full)
-	dst = wire.AppendUvarint(dst, uint64(len(r.Entries)))
+	dst = wire.AppendUvarint(dst, r.Offset)
+	dst = wire.AppendUvarint(dst, r.Live)
+	dst = append(dst, r.Records...)
 	for a, n := range r.Entries {
-		dst = wire.AppendString(dst, string(a))
-		dst = wire.AppendString(dst, string(n))
-	}
-	dst = appendIDs(dst, r.Removed)
-	dst = wire.AppendUvarint(dst, uint64(len(r.Caps)))
-	for a, caps := range r.Caps {
-		dst = wire.AppendString(dst, string(a))
-		dst = appendTags(dst, caps)
+		dst = snapshot.AppendStream(dst, snapshot.Record{Op: snapshot.OpPut, Agent: string(a), Node: string(n)})
 	}
 	return dst
 }
 
+// DecodeWire leaves the records a view of d's bytes, unchecked: the receiver
+// checks them (acceptCheckpoint) before it keeps a copy.
 func (r *CheckpointReq) DecodeWire(d *wire.Dec) error {
 	var err error
 	if r.HashVersion, err = d.Uvarint(); err != nil {
@@ -599,43 +598,15 @@ func (r *CheckpointReq) DecodeWire(d *wire.Dec) error {
 		return fmt.Errorf("%w: checkpoint full flag %d", wire.ErrCorrupt, full)
 	}
 	r.Full = full == 1
-	n, err := batchLen(d)
-	if err != nil {
+	if r.Offset, err = d.Uvarint(); err != nil {
 		return err
 	}
-	r.Entries = nil
-	if n > 0 {
-		r.Entries = make(map[ids.AgentID]platform.NodeID, n)
-	}
-	for i := 0; i < n; i++ {
-		agent, err := d.String(wire.MaxIDLen)
-		if err != nil {
-			return err
-		}
-		node, err := d.StringIn(wire.MaxIDLen, wireIntern)
-		if err != nil {
-			return err
-		}
-		r.Entries[ids.AgentID(agent)] = platform.NodeID(node)
-	}
-	if r.Removed, err = decodeIDs(d); err != nil {
+	if r.Live, err = d.Uvarint(); err != nil {
 		return err
 	}
-	if n, err = batchLen(d); err != nil {
-		return err
-	}
-	r.Caps = nil
-	if n > 0 {
-		r.Caps = make(map[ids.AgentID][]string, n)
-	}
-	for i := 0; i < n; i++ {
-		agent, err := d.String(wire.MaxIDLen)
-		if err != nil {
-			return err
-		}
-		if r.Caps[ids.AgentID(agent)], err = decodeTags(d); err != nil {
-			return err
-		}
+	r.Records, r.Entries = nil, nil
+	if rest := d.Rest(); len(rest) > 0 {
+		r.Records = rest
 	}
 	return nil
 }

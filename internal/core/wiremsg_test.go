@@ -9,6 +9,7 @@ import (
 
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
+	"agentloc/internal/snapshot"
 	"agentloc/internal/transport"
 	"agentloc/internal/wire"
 )
@@ -58,18 +59,33 @@ func hotDTOs() []any {
 
 // checkpointDTOs are the sibling-checkpoint messages: binary like the hot
 // DTOs, held to the same two round trips, but fuzzed on their own
-// (FuzzCheckpointReqDecode) because a map has no canonical byte order.
+// (FuzzCheckpointReqDecode), which also checks and folds the record stream.
 func checkpointDTOs() []any {
 	return []any{
-		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 4, Full: true,
-			Entries: map[ids.AgentID]platform.NodeID{"a-1": "node-1", "a-2": "node-2", "a-3": "node-1"},
-			Caps:    map[ids.AgentID][]string{"a-2": {"gpu", "ocr"}}},
-		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 5,
-			Entries: map[ids.AgentID]platform.NodeID{"a-4": "node-0"},
-			Removed: []ids.AgentID{"a-1", "a-3"}},
+		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 4, Full: true, Live: 3, Records: stream(
+			snapshot.Record{Op: snapshot.OpPut, Agent: "a-1", Node: "node-1"},
+			snapshot.Record{Op: snapshot.OpPut, Agent: "a-2", Node: "node-2", Caps: []string{"gpu", "ocr"}},
+			snapshot.Record{Op: snapshot.OpPut, Agent: "a-3", Node: "node-1", Handle: "res@x"})},
+		// A suffix: a move, a bound join, deletes.
+		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 4, Live: 2, Records: stream(
+			snapshot.Record{Op: snapshot.OpPut, Agent: "a-2", Node: "node-0"},
+			snapshot.Record{Op: snapshot.OpPut, Agent: "a-4", Node: "node-5", Handle: "res@x"},
+			snapshot.Record{Op: snapshot.OpDelete, Agent: "a-1"},
+			snapshot.Record{Op: snapshot.OpDelete, Agent: "a-3"})},
 		CheckpointReq{From: "iagent-1", HashVersion: 1, Seq: 1, Full: true}, // an empty table's full push
+		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 4, Full: true, Offset: 8192, Live: 9000, Records: stream(
+			snapshot.Record{Op: snapshot.OpPut, Agent: "a-9", Node: "node-1"})}, // a later chunk
 		CheckpointResp{Status: StatusIgnored, HashVersion: 9},
 	}
+}
+
+// stream is the record stream of recs.
+func stream(recs ...snapshot.Record) []byte {
+	var out []byte
+	for _, rec := range recs {
+		out = snapshot.AppendStream(out, rec)
+	}
+	return out
 }
 
 // newZero builds a pointer to a fresh zero value of v's type, for decoding
@@ -160,34 +176,59 @@ func TestBatchLenRejectsOversizedCount(t *testing.T) {
 	}
 }
 
-// TestCheckpointReqRejectsBadCounts: each of a push's three counts goes
-// through batchLen, so one that the remaining bytes cannot hold — or a
-// payload cut anywhere — is a typed error, not an allocation.
+// TestCheckpointReqRejectsBadCounts: a push's flag, and every length and
+// count of its record stream, are checked — a record its length prefix runs
+// past, a capability count its bytes cannot hold, or a record no push carries
+// is a typed error, and the buddy keeps nothing of it; so is a payload cut
+// anywhere, unless the cut falls between two records.
 func TestCheckpointReqRejectsBadCounts(t *testing.T) {
-	head := wire.AppendUvarint(nil, 7)       // hash version
-	head = wire.AppendString(head, "iagent") // from
-	head = wire.AppendUvarint(head, 1)       // seq
-	head = append(head, 0)                   // not full
-	huge := wire.AppendUvarint(nil, 1<<30)
-	for name, body := range map[string][]byte{
-		"entries": append(append([]byte{}, head...), huge...),
-		"removed": append(append(append([]byte{}, head...), 0), huge...),
-		"caps":    append(append(append([]byte{}, head...), 0, 0), huge...),
-		"tags":    append(wire.AppendString(append(append([]byte{}, head...), 0, 0, 1), "a-1"), huge...),
-		"flag":    append(append([]byte{}, head[:len(head)-1]...), 2, 0, 0, 0),
+	var req CheckpointReq
+	flag := append(wire.AppendString(wire.AppendUvarint(nil, 7), "iagent"), 1, 2, 0, 0)
+	if err := req.DecodeWire(wire.NewDec(flag)); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("flag 2: err = %v, want ErrCorrupt", err)
+	}
+	put := snapshot.Record{Op: snapshot.OpPut, Agent: "a-1", Node: "node-1"}
+	bad := func(edit func(*snapshot.Record)) []byte {
+		rec := put
+		edit(&rec)
+		return stream(rec)
+	}
+	caps := snapshot.AppendRecord(nil, put)
+	caps = wire.AppendUvarint(caps, 1<<30) // a capability count
+	for name, records := range map[string][]byte{
+		"record length":    wire.AppendUvarint(nil, 1<<40),
+		"record past end":  append(wire.AppendUvarint(nil, 40), 1, 0),
+		"capability count": wire.AppendBytes(nil, caps),
+		"iagent":           bad(func(r *snapshot.Record) { r.IAgent = "iagent-1" }),
+		"version":          bad(func(r *snapshot.Record) { r.HashVersion = 3 }),
+		"load":             bad(func(r *snapshot.Record) { r.Load = 1 }),
+		"put, no address":  bad(func(r *snapshot.Record) { r.Node = "" }),
+		"delete, address":  bad(func(r *snapshot.Record) { r.Op = snapshot.OpDelete }),
 	} {
-		var req CheckpointReq
-		if err := req.DecodeWire(wire.NewDec(body)); !errors.Is(err, wire.ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		if err := checkStream(append(stream(put), records...)); !typedWireError(err) {
+			t.Errorf("%s: err = %v, want a typed wire error", name, err)
 		}
 	}
 	whole := checkpointDTOs()[0].(CheckpointReq).AppendWire(nil)
 	for cut := 0; cut < len(whole); cut++ {
-		var req CheckpointReq
 		err := req.DecodeWire(wire.NewDec(whole[:cut]))
-		if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrCorrupt) {
+		if err == nil {
+			err = checkStream(req.Records)
+		}
+		if err != nil && !typedWireError(err) {
 			t.Fatalf("cut at %d of %d: err = %v, want a typed wire error", cut, len(whole), err)
 		}
+	}
+
+	_, buddy, ctx := bareLeaf(t, failoverConfig(), true)
+	push := CheckpointReq{From: "iagent-1", HashVersion: 1, Full: true, Records: append(stream(put), bad(func(r *snapshot.Record) { r.Load = 1 })...)}
+	if err := ctx.Call(testCtx(t), "node-0", "iagent-2", KindCheckpoint, push, &CheckpointResp{}); err == nil {
+		t.Error("the buddy accepted a push with a bad record")
+	}
+	buddy.mu.Lock()
+	defer buddy.mu.Unlock()
+	if _, held := buddy.Checkpoints["iagent-1"]; held {
+		t.Error("the buddy kept part of a push it refused")
 	}
 }
 
@@ -309,9 +350,11 @@ func FuzzHotMsgDecode(f *testing.F) {
 	})
 }
 
-// FuzzCheckpointReqDecode drives the checkpoint push decoder over arbitrary
-// bodies: failures must be typed wire errors, a success must survive its own
-// re-encoding as the same value (the bytes may differ: map order).
+// FuzzCheckpointReqDecode drives the checkpoint push decoder, and the
+// buddy's check of the record stream, over arbitrary bodies: failures must be
+// typed wire errors, and a success must survive its own re-encoding as the
+// same value. A stream that passes the check is held and folded as a buddy
+// would, and the log of the fold folds to the same leaf, as a compaction must.
 func FuzzCheckpointReqDecode(f *testing.F) {
 	for _, v := range checkpointDTOs() {
 		if req, ok := v.(CheckpointReq); ok {
@@ -321,7 +364,7 @@ func FuzzCheckpointReqDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req CheckpointReq
 		if err := req.DecodeWire(wire.NewDec(body)); err != nil {
-			if !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, wire.ErrTruncated) {
+			if !typedWireError(err) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
@@ -332,6 +375,22 @@ func FuzzCheckpointReqDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(req, again) {
 			t.Fatalf("not stable under re-encoding: %+v vs %+v", req, again)
+		}
+		if err := checkStream(req.Records); err != nil {
+			if !typedWireError(err) {
+				t.Fatalf("untyped check error: %v", err)
+			}
+			return
+		}
+		var held recordLog
+		if n := held.Append(req.Records, 0); n != held.Len() {
+			t.Fatalf("added %d records, the log counts %d", n, held.Len())
+		}
+		folded := held.fold()
+		var compacted recordLog
+		compacted.Append(folded.appendRecords(nil), 0)
+		if got, want := readLeaf(compacted.fold()), readLeaf(folded); !reflect.DeepEqual(got, want) {
+			t.Fatalf("a compacted copy folds to %v, the copy to %v", got, want)
 		}
 	})
 }

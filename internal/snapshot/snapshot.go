@@ -27,6 +27,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -132,6 +133,8 @@ type Store struct {
 	replayedTotal *metrics.Counter
 	writesTotal   func(kind string) *metrics.Counter
 	walWrites     *metrics.Counter // writesTotal("wal"), looked up once: it counts per record
+	walAppends    *metrics.Counter // one per AppendBatch write call
+	walSyncs      *metrics.Counter // one per WAL fsync
 }
 
 // Open opens (creating if necessary) the store rooted at dir. Leftover
@@ -144,7 +147,9 @@ func Open(dir string, reg *metrics.Registry) (*Store, error) {
 	}
 	reg.Describe("agentloc_snapshot_errors_total", "Snapshot store errors by reason (corrupt_full, corrupt_delta, wal_tail, write).")
 	reg.Describe("agentloc_recovery_replayed_entries_total", "WAL records replayed during cold-start recovery.")
-	reg.Describe("agentloc_snapshot_writes_total", "Durable writes by kind (full, delta, wal).")
+	reg.Describe("agentloc_snapshot_writes_total", "Durable writes by kind: full and delta count files, wal counts records appended.")
+	reg.Describe("agentloc_snapshot_wal_appends_total", "WAL write calls: one per appended batch of records.")
+	reg.Describe("agentloc_snapshot_wal_syncs_total", "WAL fsyncs made by appends under SyncOnAppend and by Sync (the barriers before a delta and at rotation aside).")
 	s := &Store{
 		dir: dir,
 		errorsTotal: func(reason string) *metrics.Counter {
@@ -154,6 +159,8 @@ func Open(dir string, reg *metrics.Registry) (*Store, error) {
 		writesTotal: func(kind string) *metrics.Counter {
 			return reg.Counter("agentloc_snapshot_writes_total", "kind", kind)
 		},
+		walAppends: reg.Counter("agentloc_snapshot_wal_appends_total"),
+		walSyncs:   reg.Counter("agentloc_snapshot_wal_syncs_total"),
 	}
 	s.walWrites = s.writesTotal("wal")
 	files, err := s.scan()
@@ -226,10 +233,10 @@ func (s *Store) AppendBatch(recs []Record) error {
 		s.errorsTotal("write").Inc()
 		return fmt.Errorf("snapshot: wal append: %w", err)
 	}
+	s.walAppends.Inc()
 	if s.SyncOnAppend {
-		if err := s.wal.Sync(); err != nil {
-			s.errorsTotal("write").Inc()
-			return fmt.Errorf("snapshot: wal sync: %w", err)
+		if err := s.syncWAL(); err != nil {
+			return err
 		}
 	}
 	s.walWrites.Add(uint64(len(recs)))
@@ -244,10 +251,16 @@ func (s *Store) Sync() error {
 	if s.wal == nil {
 		return nil
 	}
+	return s.syncWAL()
+}
+
+// syncWAL fsyncs the open WAL and counts it. Caller holds mu.
+func (s *Store) syncWAL() error {
 	if err := s.wal.Sync(); err != nil {
 		s.errorsTotal("write").Inc()
 		return fmt.Errorf("snapshot: wal sync: %w", err)
 	}
+	s.walSyncs.Inc()
 	return nil
 }
 
@@ -438,57 +451,128 @@ func AppendRecord(dst []byte, rec Record) []byte {
 // DecodeRecord decodes one AppendRecord encoding, which must fill payload
 // exactly. Errors are wire-typed.
 func DecodeRecord(payload []byte) (Record, error) {
-	d := wire.NewDec(payload)
 	var rec Record
+	err := decodeRecord(wire.NewDec(payload), &rec, false, nil)
+	return rec, err
+}
+
+// ViewRecord is DecodeRecord into rec without copying: rec.Agent is a view of
+// payload, valid only while payload stays unchanged; the other strings are
+// views too when in is nil, else they come through in. rec.Caps reuses its
+// array, so a decode allocates nothing once the array and in have grown.
+func ViewRecord(payload []byte, rec *Record, in *wire.Interner) error {
+	*rec = Record{Caps: rec.Caps[:0]}
+	return decodeRecord(wire.NewDec(payload), rec, true, in)
+}
+
+func decodeRecord(d *wire.Dec, rec *Record, view bool, in *wire.Interner) error {
+	str := func(in *wire.Interner) (string, error) {
+		switch {
+		case in != nil:
+			return d.StringIn(wire.MaxIDLen, in)
+		case view:
+			return d.View(wire.MaxIDLen)
+		}
+		return d.String(wire.MaxIDLen)
+	}
 	var err error
 	if rec.Op, err = d.Byte(); err != nil {
-		return rec, err
+		return err
 	}
 	if rec.Op != OpPut && rec.Op != OpDelete {
-		return rec, fmt.Errorf("%w: unknown record op %d", wire.ErrCorrupt, rec.Op)
+		return fmt.Errorf("%w: unknown record op %d", wire.ErrCorrupt, rec.Op)
 	}
-	if rec.IAgent, err = d.String(wire.MaxIDLen); err != nil {
-		return rec, err
+	if rec.IAgent, err = str(in); err != nil {
+		return err
 	}
-	if rec.Agent, err = d.String(wire.MaxIDLen); err != nil {
-		return rec, err
+	if rec.Agent, err = str(nil); err != nil {
+		return err
 	}
-	if rec.Node, err = d.String(wire.MaxIDLen); err != nil {
-		return rec, err
+	if rec.Node, err = str(in); err != nil {
+		return err
 	}
 	if rec.HashVersion, err = d.Uvarint(); err != nil {
-		return rec, err
+		return err
 	}
 	if d.Remaining() == 0 {
-		return rec, nil
+		return nil
 	}
 	n, err := d.Uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	if n > uint64(d.Remaining()) {
-		return rec, fmt.Errorf("%w: impossible capability count %d", wire.ErrCorrupt, n)
+		return fmt.Errorf("%w: impossible capability count %d", wire.ErrCorrupt, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		c, err := d.String(wire.MaxIDLen)
+		c, err := str(in)
 		if err != nil {
-			return rec, err
+			return err
 		}
 		rec.Caps = append(rec.Caps, c)
 	}
 	if d.Remaining() == 0 {
-		return rec, nil
+		return nil
 	}
-	if rec.Handle, err = d.String(wire.MaxIDLen); err != nil {
-		return rec, err
+	if rec.Handle, err = str(in); err != nil {
+		return err
 	}
 	if d.Remaining() == 0 {
-		return rec, nil
+		return nil
 	}
 	if rec.Load, err = d.Uvarint(); err != nil {
-		return rec, err
+		return err
 	}
-	return rec, d.Done()
+	return d.Done()
+}
+
+// AppendStream appends rec to a record stream: its encoding behind its
+// uvarint length.
+func AppendStream(dst []byte, rec Record) []byte {
+	var buf [256]byte // most records fit, and then cost no allocation
+	return wire.AppendBytes(dst, AppendRecord(buf[:0], rec))
+}
+
+// logSegBytes bounds a Log segment that holds more than one record.
+const logSegBytes = 64 << 10
+
+// Log holds a record stream in memory, in segments of at most logSegBytes (a
+// longer record gets one of its own), so that appending never copies what it
+// holds. The zero Log is empty.
+type Log struct {
+	segs [][]byte
+	n    int
+}
+
+// Len is the number of records held.
+func (l Log) Len() int { return l.n }
+
+// Segments returns the held segments, each a record stream of its own, for
+// reading only.
+func (l Log) Segments() [][]byte { return l.segs }
+
+// Append copies the records of stream, whose records must be whole, past the
+// first skip, and reports how many it copied.
+func (l *Log) Append(stream []byte, skip uint64) int {
+	added := 0
+	for len(stream) > 0 {
+		size, w := binary.Uvarint(stream)
+		rec := stream[:w+int(size)]
+		stream = stream[len(rec):]
+		if skip > 0 {
+			skip--
+			continue
+		}
+		last := len(l.segs) - 1
+		if last < 0 || len(l.segs[last])+len(rec) > cap(l.segs[last]) {
+			l.segs = append(l.segs, make([]byte, 0, max(logSegBytes, len(rec))))
+			last++
+		}
+		l.segs[last] = append(l.segs[last], rec...)
+		added++
+	}
+	l.n += added
+	return added
 }
 
 func appendSection(dst []byte, sec Section) []byte {

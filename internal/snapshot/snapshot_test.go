@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"agentloc/internal/metrics"
@@ -311,6 +312,70 @@ func TestAppendBatchMatchesAppends(t *testing.T) {
 	}
 	if v := reg.Counter("agentloc_snapshot_writes_total", "kind", "wal").Value(); v != uint64(len(recs)) {
 		t.Fatalf("wal writes counter = %d, want one per record (%d)", v, len(recs))
+	}
+}
+
+// TestWALCountersCountWhatTheyName: three appends of five records under
+// SyncOnAppend are 15 records, 3 write calls and 3 fsyncs; a Sync adds one
+// fsync and nothing else.
+func TestWALCountersCountWhatTheyName(t *testing.T) {
+	reg := metrics.New()
+	s := openStore(t, t.TempDir(), reg)
+	s.SyncOnAppend = true
+	for batch := 0; batch < 3; batch++ {
+		recs := make([]Record, 5)
+		for i := range recs {
+			recs[i] = rec(batch*5 + i)
+		}
+		if err := s.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() (records, appends, syncs uint64) {
+		return reg.Counter("agentloc_snapshot_writes_total", "kind", "wal").Value(),
+			reg.Counter("agentloc_snapshot_wal_appends_total").Value(),
+			reg.Counter("agentloc_snapshot_wal_syncs_total").Value()
+	}
+	if records, appends, syncs := read(); records != 15 || appends != 3 || syncs != 3 {
+		t.Fatalf("records/appends/syncs = %d/%d/%d, want 15/3/3", records, appends, syncs)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if records, appends, syncs := read(); records != 15 || appends != 3 || syncs != 4 {
+		t.Fatalf("after Sync: records/appends/syncs = %d/%d/%d, want 15/3/4", records, appends, syncs)
+	}
+}
+
+// TestLogKeepsTheStreamInSegments: a Log holds what it was given past the
+// skipped records, byte for byte and in order, in segments of at most
+// logSegBytes unless one record is longer, which gets a segment of its own.
+func TestLogKeepsTheStreamInSegments(t *testing.T) {
+	var stream []byte
+	for i := range 10_000 {
+		stream = AppendStream(stream, rec(i))
+	}
+	long := rec(10_000)
+	long.Caps = []string{strings.Repeat("x", logSegBytes)}
+	stream = AppendStream(stream, long)
+	stream = AppendStream(stream, rec(10_001))
+	var l Log
+	if n := l.Append(stream[:0], 0); n != 0 {
+		t.Fatalf("an empty stream added %d records", n)
+	}
+	first := AppendStream(nil, rec(0))
+	if n := l.Append(stream, 1); n != 10_001 || l.Len() != 10_001 {
+		t.Fatalf("added %d, holds %d; want 10001 past the one skipped", n, l.Len())
+	}
+	var held []byte
+	for _, seg := range l.Segments() {
+		if len(seg) > logSegBytes && len(seg) != len(AppendStream(nil, long)) {
+			t.Errorf("a %d-byte segment holds more than one record", len(seg))
+		}
+		held = append(held, seg...)
+	}
+	if !bytes.Equal(held, stream[len(first):]) {
+		t.Fatalf("the log holds %d bytes that differ from the %d given", len(held), len(stream)-len(first))
 	}
 }
 

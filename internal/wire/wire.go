@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"unsafe"
 )
 
 // Typed decode errors. Callers match them with errors.Is.
@@ -277,6 +278,25 @@ func (d *Dec) Bytes(maxLen int) ([]byte, error) {
 	b := d.data[d.pos : d.pos+int(n)]
 	d.pos += int(n)
 	return b, nil
+}
+
+// View reads one length-prefixed string, bounded by maxLen like String, as a
+// view of the decoder's data: no copy, and valid only while those bytes stay
+// unchanged.
+func (d *Dec) View(maxLen int) (string, error) {
+	b, err := d.Bytes(maxLen)
+	if len(b) == 0 {
+		return "", err
+	}
+	return unsafe.String(&b[0], len(b)), nil
+}
+
+// Rest returns the unread bytes (sharing the underlying array) and consumes
+// them.
+func (d *Dec) Rest() []byte {
+	rest := d.data[d.pos:]
+	d.pos = len(d.data)
+	return rest
 }
 
 // AppendBytes appends a uvarint length prefix followed by b.

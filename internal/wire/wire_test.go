@@ -123,6 +123,31 @@ func TestDecTypedErrors(t *testing.T) {
 	}
 }
 
+// TestDecViewAndRest: View reads a string that shares the decoder's bytes,
+// with String's limits; Rest hands out what is left and consumes it.
+func TestDecViewAndRest(t *testing.T) {
+	b := AppendString(AppendString(nil, "view"), "")
+	b = append(b, 7, 8)
+	d := NewDec(b)
+	v, err := d.View(1 << 20)
+	if err != nil || v != "view" {
+		t.Fatalf("view = %q, %v", v, err)
+	}
+	b[1] = 'V'
+	if v != "View" {
+		t.Fatalf("the view %q does not share the decoder's bytes", v)
+	}
+	if v, err := d.View(1 << 20); err != nil || v != "" {
+		t.Fatalf("empty view = %q, %v", v, err)
+	}
+	if rest := d.Rest(); !bytes.Equal(rest, []byte{7, 8}) || d.Remaining() != 0 {
+		t.Fatalf("rest = %v, %d left", rest, d.Remaining())
+	}
+	if _, err := NewDec(AppendUvarint(nil, 1<<40)).View(1 << 20); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("huge view length: %v", err)
+	}
+}
+
 // TestBeginEndFrameMatchesAppendFrame: a payload encoded in place behind an
 // open header yields the bytes AppendFrame yields for the finished payload,
 // wherever in the buffer the frame starts.
