@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -586,6 +587,32 @@ func TestStateFromDTOMissingLocation(t *testing.T) {
 	if _, err := FromDTO(st.DTO()); err == nil {
 		t.Error("state without IAgent location accepted")
 	}
+}
+
+// FuzzStateDecode throws arbitrary bytes at the one hash-state decoder: it
+// never panics, rejects only with typed wire errors, and an accepted state's
+// encoding is a fixed point — decoding it and encoding again gives the same
+// bytes. The committed corpus holds the PaperTree state and a 64-leaf one.
+func FuzzStateDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte((&State{Ver: 1, Tree: hashtree.New("IA0"), Locations: map[ids.AgentID]platform.NodeID{"IA0": "node-0"}}).DTO()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := FromDTO(data)
+		if err != nil {
+			if !typedWireError(err) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		enc := st.DTO()
+		back, err := FromDTO(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted state: %v", err)
+		}
+		if again := back.DTO(); !bytes.Equal(again, enc) {
+			t.Fatalf("state encodes as %x, then as %x", enc, again)
+		}
+	})
 }
 
 func TestStateOwnerOf(t *testing.T) {

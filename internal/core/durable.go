@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"agentloc/internal/capindex"
-	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
 	"agentloc/internal/loctable"
 	"agentloc/internal/platform"
@@ -25,12 +24,13 @@ import (
 // The snapshot store (internal/snapshot) treats section payloads as opaque
 // bytes; this file owns their meaning:
 //
-//   - SectionHAgent: the primary-copy hash state, the IAgent name counter
-//     and the standby flag. Written at birth and after every state change.
-//   - SectionIAgent: an IAgent's hash-state copy, then its leaf's record
-//     stream (leafState.appendRecords): every agent's resolved address,
-//     handle, capability set and load. Written at birth, after a rehash
-//     adoption, and by the persister's periodic full dump.
+//   - SectionHAgent: the primary-copy hash state (a StateDTO's bytes,
+//     state.go), the IAgent name counter and the standby flag. Written at
+//     birth and after every state change.
+//   - SectionIAgent: an IAgent's hash-state copy, the same bytes, then its
+//     leaf's record stream (leafState.appendRecords): every agent's resolved
+//     address, handle, capability set and load. Written at birth, after a
+//     rehash adoption, and by the persister's periodic full dump.
 //
 // A section and a WAL record are one record codec (snapshot.Record): a
 // section is a leaf's records, a WAL record one change's. Recovery layers them
@@ -77,85 +77,14 @@ type SnapshotDumpResp struct {
 // Section payload codecs. All decode errors are wire-typed (ErrCorrupt /
 // ErrTruncated / ErrUnsupportedVersion), never panics.
 
-// appendState encodes a hash state: version, serialized tree, sorted
-// (iagent, node) location pairs.
-func appendState(dst []byte, st *State) ([]byte, error) {
-	if st == nil || st.Tree == nil {
-		return nil, fmt.Errorf("core: cannot encode nil hash state")
-	}
-	treeBytes, err := st.Tree.Serialize()
-	if err != nil {
-		return nil, err
-	}
-	dst = wire.AppendUvarint(dst, st.Ver)
-	dst = wire.AppendBytes(dst, treeBytes)
-	dst = wire.AppendUvarint(dst, uint64(len(st.Locations)))
-	ias := make([]string, 0, len(st.Locations))
-	for ia := range st.Locations {
-		ias = append(ias, string(ia))
-	}
-	sort.Strings(ias)
-	for _, ia := range ias {
-		dst = wire.AppendString(dst, ia)
-		dst = wire.AppendString(dst, string(st.Locations[ids.AgentID(ia)]))
-	}
-	return dst, nil
-}
-
-func decodeState(d *wire.Dec) (*State, error) {
-	ver, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	treeBytes, err := d.Bytes(wire.MaxFrameLen)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := hashtree.Deserialize(treeBytes)
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("%w: impossible location count %d", wire.ErrCorrupt, n)
-	}
-	locs := make(map[ids.AgentID]platform.NodeID, n)
-	for i := uint64(0); i < n; i++ {
-		ia, err := d.String(wire.MaxIDLen)
-		if err != nil {
-			return nil, err
-		}
-		node, err := d.String(wire.MaxIDLen)
-		if err != nil {
-			return nil, err
-		}
-		locs[ids.AgentID(ia)] = platform.NodeID(node)
-	}
-	st := &State{Ver: ver, Tree: tree, Locations: locs}
-	for _, ia := range tree.IAgents() {
-		if _, ok := locs[ids.AgentID(ia)]; !ok {
-			return nil, fmt.Errorf("%w: state has no location for IAgent %s", wire.ErrCorrupt, ia)
-		}
-	}
-	return st, nil
-}
-
 // hagentSection encodes the HAgent's durable state.
-func hagentSection(name ids.AgentID, st *State, nextSeq uint64, standby bool) (snapshot.Section, error) {
-	payload, err := appendState(nil, st)
-	if err != nil {
-		return snapshot.Section{}, err
-	}
-	payload = wire.AppendUvarint(payload, nextSeq)
+func hagentSection(name ids.AgentID, st *State, nextSeq uint64, standby bool) snapshot.Section {
+	payload := wire.AppendUvarint(appendState(nil, st), nextSeq)
 	var sb byte
 	if standby {
 		sb = 1
 	}
-	payload = append(payload, sb)
-	return snapshot.Section{Kind: SectionHAgent, Name: string(name), Payload: payload}, nil
+	return snapshot.Section{Kind: SectionHAgent, Name: string(name), Payload: append(payload, sb)}
 }
 
 func decodeHAgentSection(sec snapshot.Section) (st *State, nextSeq uint64, standby bool, err error) {
@@ -178,12 +107,8 @@ func decodeHAgentSection(sec snapshot.Section) (st *State, nextSeq uint64, stand
 
 // iagentSection encodes an IAgent's durable state: its hash-state copy, then
 // its leaf's record stream.
-func iagentSection(name ids.AgentID, st *State, leaf leafState) (snapshot.Section, error) {
-	payload, err := appendState(nil, st)
-	if err != nil {
-		return snapshot.Section{}, err
-	}
-	return snapshot.Section{Kind: SectionIAgent, Name: string(name), Payload: leaf.appendRecords(payload)}, nil
+func iagentSection(name ids.AgentID, st *State, leaf leafState) snapshot.Section {
+	return snapshot.Section{Kind: SectionIAgent, Name: string(name), Payload: leaf.appendRecords(appendState(nil, st))}
 }
 
 // decodeIAgentSection decodes an IAgent section of either kind into a fresh
@@ -231,11 +156,7 @@ func (b *IAgentBehavior) persistSelf(ctx *platform.Context) {
 	if store == nil {
 		return
 	}
-	sec, err := iagentSection(ctx.Self(), b.state.Load(), b.Leaf)
-	if err != nil {
-		return
-	}
-	_ = store.AppendDelta(sec)
+	_ = store.AppendDelta(iagentSection(ctx.Self(), b.state.Load(), b.Leaf))
 }
 
 // persistState writes the HAgent's section as an incremental snapshot, best
@@ -246,11 +167,7 @@ func (b *HAgentBehavior) persistState(ctx *platform.Context) {
 	if store == nil {
 		return
 	}
-	sec, err := hagentSection(ctx.Self(), b.state, b.NextIAgentSeq, b.Standby)
-	if err != nil {
-		return
-	}
-	_ = store.AppendDelta(sec)
+	_ = store.AppendDelta(hagentSection(ctx.Self(), b.state, b.NextIAgentSeq, b.Standby))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -38,7 +39,9 @@ func durableNode(t *testing.T, net *transport.Network, id platform.NodeID, dir s
 
 // TestDurableSectionCodecs round-trips the HAgent and IAgent section codecs,
 // decodes an IAgent section an older build wrote (SectionIAgentTable), and
-// checks corrupt input yields typed errors.
+// checks corrupt input yields typed errors. A hash state has one form: what
+// GetHash ships is the state prefix of the HAgent's section, and FromDTO
+// refuses anything but one whole state with a typed error.
 func TestDurableSectionCodecs(t *testing.T) {
 	st := &State{
 		Ver:       7,
@@ -46,10 +49,7 @@ func TestDurableSectionCodecs(t *testing.T) {
 		Locations: map[ids.AgentID]platform.NodeID{"iagent-1": "node-0"},
 	}
 
-	hsec, err := hagentSection("hagent", st, 9, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hsec := hagentSection("hagent", st, 9, true)
 	gotState, nextSeq, standby, err := decodeHAgentSection(hsec)
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +64,7 @@ func TestDurableSectionCodecs(t *testing.T) {
 		{agent: "agent-b", hash: ids.AgentID("agent-b").Hash64(), node: "node-2", handle: "res@x"},
 		{agent: "agent-c", hash: ids.AgentID("agent-c").Hash64(), node: "node-2", handle: "res@x", load: 1},
 	})
-	isec, err := iagentSection("iagent-1", st, leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	isec := iagentSection("iagent-1", st, leaf)
 	_, got, err := decodeIAgentSection(isec)
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +103,66 @@ func TestDurableSectionCodecs(t *testing.T) {
 			}
 		}
 	}
+
+	// FromDTO takes a whole state and nothing else: every cut, a trailing
+	// byte and a leaf without a location are typed errors.
+	enc := st.DTO()
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := FromDTO(enc[:cut]); !typedWireError(err) {
+			t.Fatalf("state cut at %d of %d: %v, want a typed error", cut, len(enc), err)
+		}
+	}
+	if _, err := FromDTO(append(enc, 0)); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("state with a trailing byte: %v, want ErrCorrupt", err)
+	}
+	lost := &State{Ver: 7, Tree: hashtree.PaperTree(), Locations: map[ids.AgentID]platform.NodeID{"IA0": "node-0"}}
+	if _, err := FromDTO(lost.DTO()); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("state with leaves lacking a location: %v, want ErrCorrupt", err)
+	}
+
+	// On a running cluster, after a split and a merge, GetHash ships the
+	// very bytes the HAgent's section begins with.
+	c := newTestCluster(t, quietConfig(), 2)
+	ctx := testCtx(t)
+	cfg := c.service.Config()
+	hagent := func(kind string, req, resp any) {
+		t.Helper()
+		if err := c.nodes[1].CallAgent(ctx, cfg.HAgentNode, cfg.HAgent, kind, req, resp); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+	perAgent := make(map[ids.AgentID]uint64)
+	for agent := range registerMany(t, c, ctx, 16) {
+		perAgent[agent] = 10
+	}
+	var resp RehashResp
+	hagent(KindRequestSplit, RequestSplitReq{IAgent: "iagent-1", HashVersion: 1, Rate: 999, PerAgent: perAgent}, &resp)
+	if resp.Status != StatusOK {
+		t.Fatalf("split = %+v", resp)
+	}
+	hagent(KindRequestMerge, RequestMergeReq{IAgent: "iagent-2", HashVersion: resp.HashVersion}, &resp)
+	if resp.Status != StatusOK || resp.HashVersion != 3 {
+		t.Fatalf("merge = %+v, want OK at v3", resp)
+	}
+	eventually(t, 5*time.Second, func(ctx context.Context) error {
+		var hash GetHashResp
+		var dump SnapshotDumpResp
+		hagent(KindGetHash, GetHashReq{}, &hash)
+		hagent(KindSnapshotDump, nil, &dump)
+		d := wire.NewDec(dump.Section.Payload)
+		if _, err := decodeState(d); err != nil {
+			t.Fatal(err)
+		}
+		prefix := dump.Section.Payload[:len(dump.Section.Payload)-d.Remaining()]
+		if published, err := FromDTO(hash.State); err != nil || published.Ver != dump.HashVersion {
+			time.Sleep(20 * time.Millisecond)
+			return fmt.Errorf("published %v (%v), section at v%d", published, err, dump.HashVersion)
+		}
+		if !bytes.Equal(hash.State, prefix) {
+			t.Fatalf("GetHash shipped %x, the section's state is %x", hash.State, prefix)
+		}
+		return nil
+	})
 }
 
 // typedWireError reports whether err is one of wire's typed decode errors.

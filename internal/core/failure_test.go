@@ -247,8 +247,8 @@ func TestRehashAcrossPartitionConverges(t *testing.T) {
 	}
 	var hash GetHashResp
 	hagent(KindGetHash, GetHashReq{}, &hash)
-	if hash.State.Ver != 2 {
-		t.Errorf("published v%d while the merge's pushes are owed, want v2", hash.State.Ver)
+	if st, err := FromDTO(hash.State); err != nil || st.Ver != 2 {
+		t.Errorf("published %+v, %v while the merge's pushes are owed, want v2", st, err)
 	}
 	hagent(KindRequestSplit, RequestSplitReq{IAgent: "iagent-1", HashVersion: 3, Rate: 999, PerAgent: perAgent}, &resp)
 	if resp.Status != StatusIgnored {
@@ -268,9 +268,13 @@ func TestRehashAcrossPartitionConverges(t *testing.T) {
 		if err := c.nodes[2].CallAgent(ctx, cfg.HAgentNode, c.service.Config().HAgent, KindGetHash, GetHashReq{}, &hash); err != nil {
 			return err
 		}
-		if hash.State.Ver != 3 {
+		st, err := FromDTO(hash.State)
+		if err != nil {
+			return err
+		}
+		if st.Ver != 3 {
 			time.Sleep(20 * time.Millisecond)
-			return fmt.Errorf("published v%d, want v3", hash.State.Ver)
+			return fmt.Errorf("published v%d, want v3", st.Ver)
 		}
 		return nil
 	})

@@ -199,11 +199,7 @@ func (b *HAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		}
 		return b.relocate(ctx, req)
 	case KindSnapshotDump:
-		sec, err := hagentSection(ctx.Self(), b.state, b.NextIAgentSeq, b.Standby)
-		if err != nil {
-			return nil, fmt.Errorf("HAgent: snapshot dump: %w", err)
-		}
-		return SnapshotDumpResp{Status: StatusOK, HashVersion: b.state.Ver, Section: sec}, nil
+		return SnapshotDumpResp{Status: StatusOK, HashVersion: b.state.Ver, Section: hagentSection(ctx.Self(), b.state, b.NextIAgentSeq, b.Standby)}, nil
 	default:
 		return nil, fmt.Errorf("HAgent: unknown request kind %q", kind)
 	}

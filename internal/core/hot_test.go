@@ -188,7 +188,8 @@ func TestCachedLocateAllocBudget(t *testing.T) {
 
 // TestCheckpointFullPushAllocBudget is the budget of BenchmarkCheckpointFullPush's
 // path, sender and receiver together, per shipped entry (the gob form of the
-// same push took 3 to 4, the binary one applied to a table ≈ 1).
+// same push took 3 to 4, the binary one applied to a table ≈ 1; appended to
+// the buddy's held record log it reads 0.00).
 func TestCheckpointFullPushAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -198,8 +199,8 @@ func TestCheckpointFullPushAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(2, func() { fullPush(t, leaf, buddy, ctx) })
 	perEntry := allocs / entries
 	t.Logf("%.2f allocs per entry of a full push", perEntry)
-	if perEntry > 1.5 {
-		t.Errorf("a full push allocates %.2f times per shipped entry, budget 1.5", perEntry)
+	if perEntry > 0.1 {
+		t.Errorf("a full push allocates %.2f times per shipped entry, budget 0.1", perEntry)
 	}
 }
 

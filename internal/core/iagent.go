@@ -280,11 +280,8 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		sp.End(err)
 		return ack, err
 	case KindSnapshotDump:
-		sec, err := iagentSection(ctx.Self(), b.state.Load(), b.Leaf)
-		if err != nil {
-			return nil, fmt.Errorf("IAgent %s: snapshot dump: %w", ctx.Self(), err)
-		}
-		return SnapshotDumpResp{Status: StatusOK, HashVersion: b.state.Load().Version(), Section: sec}, nil
+		st := b.state.Load()
+		return SnapshotDumpResp{Status: StatusOK, HashVersion: st.Version(), Section: iagentSection(ctx.Self(), st, b.Leaf)}, nil
 	default:
 		return nil, fmt.Errorf("IAgent %s: unknown request kind %q", ctx.Self(), kind)
 	}

@@ -334,11 +334,7 @@ func FuzzLeafSectionDecode(f *testing.F) {
 		{agent: "plain", hash: ids.AgentID("plain").Hash64(), node: "node-2"},
 	})
 	for _, leaf := range []leafState{full, newLeafState()} {
-		sec, err := iagentSection("iagent-1", st, leaf)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(false, sec.Payload)
+		f.Add(false, iagentSection("iagent-1", st, leaf).Payload)
 	}
 	f.Add(true, parentSection(f, "iagent-1").Payload)
 	f.Add(true, []byte{})

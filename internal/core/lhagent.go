@@ -267,14 +267,11 @@ func (b *LHAgentBehavior) install(st *State) *hashCopy {
 // over to the configured replicas (the fault-tolerance extension): reads
 // survive a primary outage.
 func (b *LHAgentBehavior) fetch(ctx *platform.Context, ifNewerThan uint64) (*hashCopy, error) {
-	sources := make([]HAgentRef, 0, 1+len(b.Cfg.HAgentFallbacks))
-	sources = append(sources, HAgentRef{Agent: b.Cfg.HAgent, Node: b.Cfg.HAgentNode})
-	sources = append(sources, b.Cfg.HAgentFallbacks...)
 	var (
 		resp GetHashResp
 		err  error
 	)
-	for _, src := range sources {
+	for _, src := range b.Cfg.hagentSources() {
 		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
 		err = ctx.Call(cctx, src.Node, src.Agent, KindGetHash, GetHashReq{IfNewerThan: ifNewerThan}, &resp)
 		cancel()

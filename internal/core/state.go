@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
+	"agentloc/internal/wire"
 )
 
 // State is the hash function state shipped between the HAgent, IAgents and
@@ -21,12 +23,14 @@ type State struct {
 	Locations map[ids.AgentID]platform.NodeID
 }
 
-// StateDTO is the gob/JSON wire form of State.
-type StateDTO struct {
-	Ver       uint64
-	Tree      hashtree.DTO
-	Locations map[ids.AgentID]platform.NodeID
-}
+// StateDTO is a State in its one encoded form: the bytes every message that
+// carries a hash state ships as one gob byte field, and the state prefix of
+// the HAgent and IAgent snapshot sections.
+//
+//	uvarint  state version
+//	bytes    the tree, as hashtree.Serialize frames it
+//	uvarint  location count, then (IAgent, node) string pairs sorted by IAgent
+type StateDTO []byte
 
 // Version returns the state's hash version. A nil state has version 0,
 // which is older than every real state.
@@ -61,33 +65,78 @@ func (s *State) OwnerOfHash(hash uint64) (ids.AgentID, platform.NodeID, error) {
 	return iagent, node, nil
 }
 
-// DTO converts the state to its wire form. The location map is copied.
-func (s *State) DTO() StateDTO {
-	locs := make(map[ids.AgentID]platform.NodeID, len(s.Locations))
-	for k, v := range s.Locations {
-		locs[k] = v
+// DTO encodes the state.
+func (s *State) DTO() StateDTO { return appendState(nil, s) }
+
+// FromDTO decodes a state. Every error is a typed wire error.
+func FromDTO(d StateDTO) (*State, error) {
+	dec := wire.NewDec(d)
+	st, err := decodeState(dec)
+	if err == nil {
+		err = dec.Done()
 	}
-	return StateDTO{Ver: s.Ver, Tree: s.Tree.DTO(), Locations: locs}
+	if err != nil {
+		return nil, fmt.Errorf("core: hash state: %w", err)
+	}
+	return st, nil
 }
 
-// FromDTO rebuilds a State from its wire form.
-func FromDTO(d StateDTO) (*State, error) {
-	tree, err := hashtree.FromDTO(d.Tree)
+func appendState(dst []byte, st *State) []byte {
+	dst = wire.AppendUvarint(dst, st.Ver)
+	dst = wire.AppendBytes(dst, st.Tree.Serialize())
+	dst = wire.AppendUvarint(dst, uint64(len(st.Locations)))
+	ias := make([]string, 0, len(st.Locations))
+	for ia := range st.Locations {
+		ias = append(ias, string(ia))
+	}
+	sort.Strings(ias)
+	for _, ia := range ias {
+		dst = wire.AppendString(dst, ia)
+		dst = wire.AppendString(dst, string(st.Locations[ids.AgentID(ia)]))
+	}
+	return dst
+}
+
+// decodeState reads a state off d. Every leaf must have a location; extra
+// locations are tolerated (the state may race an in-flight dispose).
+func decodeState(d *wire.Dec) (*State, error) {
+	ver, err := d.Uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("core: state tree: %w", err)
+		return nil, err
 	}
-	locs := make(map[ids.AgentID]platform.NodeID, len(d.Locations))
-	for k, v := range d.Locations {
-		locs[k] = v
+	treeBytes, err := d.Bytes(wire.MaxFrameLen)
+	if err != nil {
+		return nil, err
 	}
-	// Every leaf must have a location; extra locations are tolerated (the
-	// DTO may race an in-flight dispose) but missing ones are not.
+	tree, err := hashtree.Deserialize(treeBytes)
+	if err != nil {
+		return nil, err
+	}
+	n, err := d.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: impossible location count %d", wire.ErrCorrupt, n)
+	}
+	locs := make(map[ids.AgentID]platform.NodeID, n)
+	for i := uint64(0); i < n; i++ {
+		ia, err := d.String(wire.MaxIDLen)
+		if err != nil {
+			return nil, err
+		}
+		node, err := d.String(wire.MaxIDLen)
+		if err != nil {
+			return nil, err
+		}
+		locs[ids.AgentID(ia)] = platform.NodeID(node)
+	}
 	for _, ia := range tree.IAgents() {
 		if _, ok := locs[ids.AgentID(ia)]; !ok {
-			return nil, fmt.Errorf("core: state has no location for IAgent %s", ia)
+			return nil, fmt.Errorf("%w: state has no location for IAgent %s", wire.ErrCorrupt, ia)
 		}
 	}
-	return &State{Ver: d.Ver, Tree: tree, Locations: locs}, nil
+	return &State{Ver: ver, Tree: tree, Locations: locs}, nil
 }
 
 // affectedIAgents returns the IAgents whose served pattern differs between

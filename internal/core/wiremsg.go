@@ -14,7 +14,9 @@ import (
 // batched), refresh, and their responses — and for the sibling checkpoint
 // push, whose body is a record stream, a table's worth at a full push.
 // The rest of the cold control plane — hash state pushes, handoffs,
-// split/merge — stays on gob, where flexibility beats cycles. Each codec
+// split/merge — stays on gob, where flexibility beats cycles; a message
+// that carries a hash state carries it as one byte field, the StateDTO
+// bytes the snapshot sections store (state.go). Each codec
 // implements wire.Marshaler and wire.Unmarshaler, which is what makes
 // transport.Encode pick it, for every peer; transport.Decode dispatches on the
 // payload header.

@@ -1,5 +1,7 @@
 package hashtree
 
+import "agentloc/internal/bitstr"
+
 // PaperTree returns the running example used throughout the documentation
 // and the figure tests: a seven-IAgent tree structurally equivalent to the
 // paper's Figure 1. (The paper's exact bit values were lost in the source
@@ -22,28 +24,22 @@ package hashtree
 //	          ├─01─ IA5       hyper-label 1.1.01  (fourth bit unused)
 //	          └─1── IA6       hyper-label 1.1.1
 func PaperTree() *Tree {
-	leaf := func(id string) *NodeDTO { return &NodeDTO{IAgent: id} }
-	inner := func(ll string, l *NodeDTO, rl string, r *NodeDTO) *NodeDTO {
-		return &NodeDTO{LeftLabel: ll, Left: l, RightLabel: rl, Right: r}
-	}
-	d := DTO{
-		Version: 1,
-		Root: *inner(
-			"0", inner(
-				"0", leaf("IA0"),
-				"1", inner("0", leaf("IA1"), "1", leaf("IA2")),
-			),
-			"1", inner(
-				"00", inner("0", leaf("IA3"), "1", leaf("IA4")),
-				"1", inner("01", leaf("IA5"), "1", leaf("IA6")),
-			),
+	return &Tree{version: 1, root: inner(
+		"0", inner(
+			"0", leaf("IA0"),
+			"1", inner("0", leaf("IA1"), "1", leaf("IA2")),
 		),
-	}
-	t, err := FromDTO(d)
-	if err != nil {
-		// PaperTree is a compile-time constant structure; failure here is a
-		// programming error, not a runtime condition.
-		panic("hashtree: PaperTree invalid: " + err.Error())
-	}
-	return t
+		"1", inner(
+			"00", inner("0", leaf("IA3"), "1", leaf("IA4")),
+			"1", inner("01", leaf("IA5"), "1", leaf("IA6")),
+		),
+	)}
+}
+
+// leaf and inner spell a tree literal. Labels are bit strings; the
+// valid-bit rule is Validate's to check, not theirs.
+func leaf(iagent string) *node { return &node{iagent: iagent} }
+
+func inner(leftLabel string, left *node, rightLabel string, right *node) *node {
+	return &node{leftLabel: bitstr.MustParse(leftLabel), left: left, rightLabel: bitstr.MustParse(rightLabel), right: right}
 }

@@ -68,7 +68,7 @@ func TestQuickLookupTotalOnReachableTrees(t *testing.T) {
 	}
 }
 
-// TestQuickEncodingPreservesLookup: the JSON wire form preserves the
+// TestQuickEncodingPreservesLookup: the serialized form preserves the
 // mapping for arbitrary ids on arbitrary reachable trees.
 func TestQuickEncodingPreservesLookup(t *testing.T) {
 	f := func(script []byte, id uint64) bool {
@@ -79,11 +79,7 @@ func TestQuickEncodingPreservesLookup(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		data, err := tree.EncodeJSON()
-		if err != nil {
-			return false
-		}
-		back, err := DecodeJSON(data)
+		back, err := Deserialize(tree.Serialize())
 		if err != nil {
 			return false
 		}
@@ -222,22 +218,20 @@ func TestQuickLookupHashMatchesLookup(t *testing.T) {
 // paper's tree (multi-bit labels), a root label that shifts every routing
 // bit, and a path longer than the id, where both lookups must refuse.
 func TestLookupHashFixedTrees(t *testing.T) {
-	leaf := func(id string) *NodeDTO { return &NodeDTO{IAgent: id} }
-	shifted, err := FromDTO(DTO{Version: 1, RootLabel: "101", Root: NodeDTO{
-		LeftLabel: "011", Left: leaf("L"),
-		RightLabel: "1", Right: &NodeDTO{LeftLabel: "0", Left: leaf("RL"), RightLabel: "10", Right: leaf("RR")},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shifted := &Tree{version: 1, rootLabel: bits("101"), root: inner(
+		"011", leaf("L"),
+		"1", inner("0", leaf("RL"), "10", leaf("RR")),
+	)}
 	// 70 one-bit right edges: the walk needs bit 64 of a 64-bit id.
 	deep := leaf("bottom")
 	for i := 0; i < 70; i++ {
-		deep = &NodeDTO{LeftLabel: "0", Left: leaf("off-" + itoa(i)), RightLabel: "1", Right: deep}
+		deep = inner("0", leaf("off-"+itoa(i)), "1", deep)
 	}
-	tooDeep, err := FromDTO(DTO{Version: 1, Root: *deep})
-	if err != nil {
-		t.Fatal(err)
+	tooDeep := &Tree{version: 1, root: deep}
+	for _, tree := range []*Tree{shifted, tooDeep} {
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := rand.New(rand.NewSource(19))
 	for _, tree := range []*Tree{New("solo"), PaperTree(), shifted, tooDeep} {

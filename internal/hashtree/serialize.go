@@ -7,14 +7,14 @@ import (
 	"agentloc/internal/wire"
 )
 
-// This file gives the hash tree a stable, versioned binary wire form — the
-// durable counterpart of the JSON DTO, modeled on the pachyderm hashtree
-// Serialize/Deserialize interface: magic + format version + CRC in one
-// frame, typed errors (wire.ErrCorrupt / ErrTruncated /
+// This file gives the hash tree its one encoded form, modeled on the
+// pachyderm hashtree Serialize/Deserialize interface: magic + format version
+// + CRC in one frame, typed errors (wire.ErrCorrupt / ErrTruncated /
 // ErrUnsupportedVersion) for anything that is not a well-formed tree, and
-// never a panic on hostile input. Snapshot files embed these bytes
-// verbatim, so the format must only ever change by bumping
-// SerializeVersion and teaching Deserialize the old layouts.
+// never a panic on hostile input. Messages and snapshot files embed these
+// bytes verbatim (inside core's hash-state codec), so the format must only
+// ever change by bumping SerializeVersion and teaching Deserialize the old
+// layouts.
 //
 // Payload layout (format version 1), all via the wire helpers:
 //
@@ -44,11 +44,11 @@ const maxLabelLen = 1 << 16
 const maxSerializedDepth = 4096
 
 // Serialize encodes the tree into its framed binary form.
-func (t *Tree) Serialize() ([]byte, error) {
+func (t *Tree) Serialize() []byte {
 	payload := wire.AppendUvarint(nil, t.version)
 	payload = wire.AppendString(payload, t.rootLabel.Raw())
 	payload = appendNode(payload, t.root)
-	return wire.AppendFrame(nil, SerializeMagic, SerializeVersion, 0, payload), nil
+	return wire.AppendFrame(nil, SerializeMagic, SerializeVersion, 0, payload)
 }
 
 func appendNode(dst []byte, n *node) []byte {

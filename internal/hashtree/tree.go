@@ -67,7 +67,7 @@ type node struct {
 
 func (n *node) isLeaf() bool { return n.left == nil }
 
-// Tree is an immutable hash tree. Construct one with New or FromDTO and
+// Tree is an immutable hash tree. Construct one with New or Deserialize and
 // derive new versions with ApplySplit / Merge.
 type Tree struct {
 	version   uint64

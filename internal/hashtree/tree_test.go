@@ -576,60 +576,6 @@ func TestCandidateOrderPrefersComplex(t *testing.T) {
 	}
 }
 
-func TestDTORoundTrip(t *testing.T) {
-	tr := PaperTree()
-	data, err := tr.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Version() != tr.Version() {
-		t.Errorf("version = %d, want %d", back.Version(), tr.Version())
-	}
-	if back.Describe() != tr.Describe() {
-		t.Errorf("round-trip mismatch:\n%s\nvs\n%s", back.Describe(), tr.Describe())
-	}
-}
-
-func TestFromDTORejectsInvalid(t *testing.T) {
-	tests := []struct {
-		name string
-		dto  DTO
-	}{
-		{"single child", DTO{Root: NodeDTO{LeftLabel: "0", Left: &NodeDTO{IAgent: "A"}}}},
-		{"bad root label", DTO{RootLabel: "x", Root: NodeDTO{IAgent: "A"}}},
-		{"bad valid bit", DTO{Root: NodeDTO{
-			LeftLabel: "1", Left: &NodeDTO{IAgent: "A"},
-			RightLabel: "1", Right: &NodeDTO{IAgent: "B"},
-		}}},
-		{"empty label", DTO{Root: NodeDTO{
-			LeftLabel: "", Left: &NodeDTO{IAgent: "A"},
-			RightLabel: "1", Right: &NodeDTO{IAgent: "B"},
-		}}},
-		{"duplicate iagent", DTO{Root: NodeDTO{
-			LeftLabel: "0", Left: &NodeDTO{IAgent: "A"},
-			RightLabel: "1", Right: &NodeDTO{IAgent: "A"},
-		}}},
-		{"empty leaf", DTO{Root: NodeDTO{IAgent: ""}}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := FromDTO(tt.dto); err == nil {
-				t.Error("FromDTO accepted invalid DTO")
-			}
-		})
-	}
-}
-
-func TestDecodeJSONRejectsGarbage(t *testing.T) {
-	if _, err := DecodeJSON([]byte("{not json")); err == nil {
-		t.Error("DecodeJSON accepted garbage")
-	}
-}
-
 func TestRenderContainsAllIAgents(t *testing.T) {
 	tr := PaperTree()
 	s := tr.String()
@@ -861,9 +807,9 @@ func TestPropertySplitThenMergeRestoresMapping(t *testing.T) {
 	}
 }
 
-// TestPropertyDTORoundTripPreservesLookup round-trips random trees through
-// JSON and verifies the mapping is intact.
-func TestPropertyDTORoundTripPreservesLookup(t *testing.T) {
+// TestPropertySerializeRoundTripPreservesLookup round-trips random trees through
+// Serialize and verifies the mapping is intact.
+func TestPropertySerializeRoundTripPreservesLookup(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	tr := New("IA0")
 	next := 1
@@ -879,11 +825,7 @@ func TestPropertyDTORoundTripPreservesLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data, err := tr.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeJSON(data)
+	back, err := Deserialize(tr.Serialize())
 	if err != nil {
 		t.Fatal(err)
 	}
