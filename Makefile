@@ -75,10 +75,13 @@ fuzz:
 
 # Crash-tolerance soak: the failover, chaos, fault-injection and restart-
 # recovery suites, the leaf-state model, the mail-across-rehash tests and the
-# client's §4.3 loop conformance under the race detector, then the full-cluster kill-and-cold-start scenario on the
-# simulated LAN.
+# client's §4.3 loop conformance under the race detector; the transport tests
+# whose outcome must not hang on scheduling (write coalescing, exact counters,
+# uncorrelated requests) twenty times on one P; then the full-cluster
+# kill-and-cold-start scenario on the simulated LAN.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers' ./...
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Coalesces|CountWhatTheyName|WithoutCorr' ./internal/transport
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
 
 # Every allocation and heap budget with -v: each test logs what it measured,

@@ -6,7 +6,8 @@
 //
 //   - A transport layer (NewNetwork for an in-process simulated LAN with
 //     latency/loss/partition injection; NewTCP for real multi-process
-//     deployment over gob/TCP).
+//     deployment over TCP, envelopes travelling as binary frames whose hot
+//     payloads are hand-rolled binary and control-plane payloads gob).
 //   - A mobile-agent platform (NewNode): nodes host agents, agents are
 //     goroutines with strictly serial mailboxes, they message each other by
 //     agent@node address, and they migrate between nodes carrying their
@@ -67,7 +68,10 @@ func NodeResidence(node NodeID) ResidenceID { return ids.NodeResidence(string(no
 
 // Transport layer.
 type (
-	// Link is an asynchronous envelope carrier between named endpoints.
+	// Link is an asynchronous envelope carrier between named endpoints, the
+	// transport a node is given in NodeConfig.Link. Its methods are sealed:
+	// the only Links are a *Network, a *TCP, or either behind the transport
+	// package's envelope counters (what locnode runs).
 	Link = transport.Link
 	// NetworkConfig tunes the in-process simulated network.
 	NetworkConfig = transport.NetworkConfig

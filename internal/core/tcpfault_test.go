@@ -80,17 +80,26 @@ func TestLocateStalledPeerHonorsContextDeadline(t *testing.T) {
 		t.Fatalf("locate before the stall: %v", err)
 	}
 
-	// A healthy bystander reachable over the same (faulted) link.
+	// A healthy bystander reachable over the same (faulted) link, and a
+	// caller on that link besides node-1's own peer.
 	healthy, err := transport.NewTCP(transport.TCPConfig{ListenOn: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer healthy.Close()
-	healthyGot := make(chan transport.Envelope, 1)
-	if err := healthy.Listen("healthy", func(env transport.Envelope) { healthyGot <- env }); err != nil {
+	pong, err := transport.NewPeer(healthy, "healthy", func(context.Context, transport.Addr, string, []byte) (any, error) {
+		return nil, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer pong.Close()
 	links[1].AddRoute("healthy", healthy.ListenAddr())
+	bystander, err := transport.NewPeer(links[1], "bystander", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bystander.Close()
 
 	f.StallWritesTo(links[0].ListenAddr(), true)
 
@@ -104,15 +113,12 @@ func TestLocateStalledPeerHonorsContextDeadline(t *testing.T) {
 	}()
 
 	// While the Locate is wedged against the stalled peer, the same link
-	// delivers to the healthy one promptly.
+	// carries a call to the healthy one and its answer promptly.
 	time.Sleep(50 * time.Millisecond)
-	if err := links[1].Send(transport.Envelope{From: "node-1", To: "healthy", Kind: "ping"}); err != nil {
-		t.Fatalf("send to healthy peer during stall: %v", err)
-	}
-	select {
-	case <-healthyGot:
-	case <-time.After(2 * time.Second):
-		t.Fatal("healthy peer starved while another peer stalled")
+	pctx, pcancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer pcancel()
+	if err := bystander.Call(pctx, "healthy", "ping", nil, nil); err != nil {
+		t.Fatalf("healthy peer starved while another peer stalled: %v", err)
 	}
 
 	select {

@@ -125,7 +125,7 @@ func (v *valueEcho) AnswerLocal(_ *Context, kind string, req, resp any) (bool, e
 // value never reaches HandleConcurrent or the mailbox; one it declines takes
 // the ordinary path; both count as delivered fast-path requests.
 func TestLocalAnswererSkipsCodec(t *testing.T) {
-	n, link := newCountingNode(t, Config{ID: "solo"})
+	n, sent := newCountingNode(t, Config{ID: "solo"})
 	b := &valueEcho{}
 	b.Tag = "codec"
 	if err := n.Launch("echo", b); err != nil {
@@ -146,8 +146,8 @@ func TestLocalAnswererSkipsCodec(t *testing.T) {
 	if resp.Text != "codec:hi" || b.count() != 1 {
 		t.Errorf("resp %q after %d codec-path requests, want the codec answer and one", resp.Text, b.count())
 	}
-	if link.sent.Load() != 0 {
-		t.Errorf("%d envelopes sent for same-node calls", link.sent.Load())
+	if sent() != 0 {
+		t.Errorf("%d envelopes sent for same-node calls", sent())
 	}
 }
 

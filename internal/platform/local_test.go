@@ -4,40 +4,31 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"agentloc/internal/ids"
+	"agentloc/internal/metrics"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
 )
 
 // Tests for the in-process delivery of same-node calls (Node.callLocal).
 
-// countingLink counts the envelopes a node hands to its link.
-type countingLink struct {
-	transport.Link
-	sent atomic.Int64
-}
-
-func (l *countingLink) Send(env transport.Envelope) error {
-	l.sent.Add(1)
-	return l.Link.Send(env)
-}
-
-func newCountingNode(t *testing.T, cfg Config) (*Node, *countingLink) {
+// newCountingNode runs a node on an instrumented link, the way a deployment
+// does, and returns the count of envelopes the node has handed to it.
+func newCountingNode(t *testing.T, cfg Config) (*Node, func() uint64) {
 	t.Helper()
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	t.Cleanup(func() { net.Close() })
-	link := &countingLink{Link: net}
-	cfg.Link = link
+	reg := metrics.New()
+	cfg.Link = transport.Instrument(net, reg)
 	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	return n, link
+	return n, func() uint64 { return reg.Snapshot().Counter("agentloc_transport_envelopes_sent_total") }
 }
 
 // concurrentEcho serves "echo" on the fast path and everything else through
@@ -53,7 +44,7 @@ func (c *concurrentEcho) HandleConcurrent(ctx *Context, kind string, payload []b
 }
 
 func TestLocalCallSendsNoEnvelope(t *testing.T) {
-	n, link := newCountingNode(t, Config{ID: "n1"})
+	n, sent := newCountingNode(t, Config{ID: "n1"})
 	if err := n.Launch("serial", &echoBehavior{Tag: "s"}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +60,7 @@ func TestLocalCallSendsNoEnvelope(t *testing.T) {
 			t.Errorf("%s: resp = %q, want %q", agent, resp.Text, want)
 		}
 	}
-	if got := link.sent.Load(); got != 0 {
+	if got := sent(); got != 0 {
 		t.Errorf("same-node calls sent %d envelopes, want 0", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,7 +22,7 @@ func newFaultyTCPPair(t *testing.T, clientCfg TCPConfig) (client, server *TCP, g
 	}
 	t.Cleanup(func() { server.Close() })
 	got = make(chan Envelope, 16)
-	if err := server.Listen("server", func(env Envelope) { got <- env }); err != nil {
+	if err := server.listen("server", recv(func(env Envelope) { got <- env })); err != nil {
 		t.Fatal(err)
 	}
 	clientCfg.ListenOn = "127.0.0.1:0"
@@ -45,7 +44,7 @@ func TestTCPDialTimeout(t *testing.T) {
 	// timeout (minutes).
 	client, _, _ := newFaultyTCPPair(t, TCPConfig{DialTimeout: time.Nanosecond})
 	start := time.Now()
-	err := client.Send(Envelope{From: "c", To: "server", Kind: "x"})
+	err := send(client, Envelope{From: "c", To: "server", Kind: "x"})
 	if err == nil {
 		t.Fatal("send succeeded with a 1ns dial timeout")
 	}
@@ -62,7 +61,7 @@ func TestTCPWriteDeadlineUnsticksStalledPeer(t *testing.T) {
 
 	f.StallWrites(true)
 	start := time.Now()
-	err := client.Send(Envelope{From: "c", To: "server", Kind: "stalled"})
+	err := send(client, Envelope{From: "c", To: "server", Kind: "stalled"})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("send to a stalled peer succeeded")
@@ -77,7 +76,7 @@ func TestTCPWriteDeadlineUnsticksStalledPeer(t *testing.T) {
 	// The broken connection was dropped; once the stall clears, the next
 	// send redials and delivers.
 	f.StallWrites(false)
-	if err := client.Send(Envelope{From: "c", To: "server", Kind: "recovered"}); err != nil {
+	if err := send(client, Envelope{From: "c", To: "server", Kind: "recovered"}); err != nil {
 		t.Fatalf("send after stall cleared: %v", err)
 	}
 	select {
@@ -103,7 +102,7 @@ func TestTCPStalledPeerDoesNotBlockHealthyPeer(t *testing.T) {
 	}
 	defer healthy.Close()
 	healthyGot := make(chan Envelope, 1)
-	if err := healthy.Listen("healthy", func(env Envelope) { healthyGot <- env }); err != nil {
+	if err := healthy.listen("healthy", recv(func(env Envelope) { healthyGot <- env })); err != nil {
 		t.Fatal(err)
 	}
 	client.AddRoute("healthy", healthy.ListenAddr())
@@ -112,13 +111,13 @@ func TestTCPStalledPeerDoesNotBlockHealthyPeer(t *testing.T) {
 
 	stalledDone := make(chan error, 1)
 	go func() {
-		stalledDone <- client.Send(Envelope{From: "c", To: "server", Kind: "wedge"})
+		stalledDone <- send(client, Envelope{From: "c", To: "server", Kind: "wedge"})
 	}()
 	// Give the stalled send a moment to take its connection's lock.
 	time.Sleep(50 * time.Millisecond)
 
 	start := time.Now()
-	if err := client.Send(Envelope{From: "c", To: "healthy", Kind: "ping"}); err != nil {
+	if err := send(client, Envelope{From: "c", To: "healthy", Kind: "ping"}); err != nil {
 		t.Fatalf("send to healthy peer: %v", err)
 	}
 	select {
@@ -154,11 +153,11 @@ func (t *TCP) directoryLookup(tb testing.TB, addr Addr) string {
 
 func TestTCPTransparentResendAfterReset(t *testing.T) {
 	// An envelope that hits a connection broken while idle (peer reset)
-	// must be resent over a fresh connection within the same Send call.
+	// must be resent over a fresh connection before its sender hears of it.
 	f := NewFaults()
 	client, _, got := newFaultyTCPPair(t, TCPConfig{Faults: f, RedialBackoff: time.Millisecond})
 
-	if err := client.Send(Envelope{From: "c", To: "server", Kind: "one"}); err != nil {
+	if err := send(client, Envelope{From: "c", To: "server", Kind: "one"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -168,7 +167,7 @@ func TestTCPTransparentResendAfterReset(t *testing.T) {
 	}
 
 	f.ResetAll()
-	if err := client.Send(Envelope{From: "c", To: "server", Kind: "two"}); err != nil {
+	if err := send(client, Envelope{From: "c", To: "server", Kind: "two"}); err != nil {
 		t.Fatalf("send after reset not transparently resent: %v", err)
 	}
 	select {
@@ -191,7 +190,7 @@ func TestTCPDecodeErrorCountedAndTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	if err := server.Listen("server", func(Envelope) {}); err != nil {
+	if err := server.listen("server", recv(func(Envelope) {})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -207,7 +206,7 @@ func TestTCPDecodeErrorCountedAndTraced(t *testing.T) {
 	defer client.Close()
 
 	f.CorruptWrites(true)
-	if err := client.Send(Envelope{From: "c", To: "server", Kind: "garbage"}); err != nil {
+	if err := send(client, Envelope{From: "c", To: "server", Kind: "garbage"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -285,39 +284,21 @@ func TestTCPSlowAccept(t *testing.T) {
 	}
 }
 
-// blockedLink is a Link whose Send blocks until the link is closed — the
-// worst-case transport beneath an RPC call.
-type blockedLink struct {
-	mu      sync.Mutex
-	release chan struct{}
-	handler Handler
-}
+// blockedLink is a Link that takes every envelope and never settles it —
+// neither written nor failed, like a write that never returns: the worst-case
+// transport beneath an RPC call.
+type blockedLink struct{}
 
-func newBlockedLink() *blockedLink { return &blockedLink{release: make(chan struct{})} }
-
-func (l *blockedLink) Listen(addr Addr, h Handler) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.handler = h
-	return nil
-}
-func (l *blockedLink) Unlisten(Addr) {}
-func (l *blockedLink) Send(Envelope) error {
-	<-l.release
-	return ErrClosed
-}
-func (l *blockedLink) Close() error {
-	close(l.release)
-	return nil
-}
+func (blockedLink) post(context.Context, Envelope, any, sendWaiter) error { return nil }
+func (blockedLink) listen(Addr, endpoint) error                           { return nil }
+func (blockedLink) Unlisten(Addr)                                         {}
+func (blockedLink) Close() error                                          { return nil }
 
 func TestPeerCallDeadlineDespiteBlockedSend(t *testing.T) {
-	// Even when the transport's Send blocks indefinitely, Peer.Call must
+	// Even when the transport never gets the request out, Peer.Call must
 	// return at its context deadline — the acceptance bar for the stalled
 	// peer scenario.
-	link := newBlockedLink()
-	defer link.Close()
-	p, err := NewPeer(link, "caller", nil)
+	p, err := NewPeer(blockedLink{}, "caller", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,12 +320,12 @@ func TestNetworkSetDropProb(t *testing.T) {
 	n := NewNetwork(NetworkConfig{})
 	defer n.Close()
 	delivered := make(chan Envelope, 64)
-	if err := n.Listen("b", func(env Envelope) { delivered <- env }); err != nil {
+	if err := n.listen("b", recv(func(env Envelope) { delivered <- env })); err != nil {
 		t.Fatal(err)
 	}
 	n.SetDropProb(1.0)
 	for i := 0; i < 20; i++ {
-		if err := n.Send(Envelope{From: "a", To: "b"}); err != nil {
+		if err := send(n, Envelope{From: "a", To: "b"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,7 +335,7 @@ func TestNetworkSetDropProb(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	n.SetDropProb(0)
-	if err := n.Send(Envelope{From: "a", To: "b"}); err != nil {
+	if err := send(n, Envelope{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -35,16 +35,10 @@ func describeTransportMetrics(r *metrics.Registry) {
 // instrumentedLink wraps a Link, counting envelopes as they cross it.
 type instrumentedLink struct {
 	inner Link
-	out   poster // inner's post, or its Send behind one
 	reg   *metrics.Registry
 }
 
-var (
-	_ Link             = (*instrumentedLink)(nil)
-	_ ContextSender    = (*instrumentedLink)(nil)
-	_ poster           = (*instrumentedLink)(nil)
-	_ endpointListener = (*instrumentedLink)(nil)
-)
+var _ Link = (*instrumentedLink)(nil)
 
 // Instrument wraps link so that every envelope sent or received through it
 // increments agentloc_transport_envelopes_{sent,received}_total{kind} (and
@@ -58,20 +52,7 @@ func Instrument(link Link, reg *metrics.Registry) Link {
 		return link
 	}
 	describeTransportMetrics(reg)
-	return &instrumentedLink{inner: link, out: asPoster(link), reg: reg}
-}
-
-// Listen implements Link, interposing a received-envelope counter before
-// the bound handler.
-func (l *instrumentedLink) Listen(addr Addr, h Handler) error {
-	wrapped := h
-	if h != nil {
-		wrapped = func(env Envelope) {
-			l.reg.Counter(metricReceived, "kind", env.Kind).Inc()
-			h(env)
-		}
-	}
-	return l.inner.Listen(addr, wrapped)
+	return &instrumentedLink{inner: link, reg: reg}
 }
 
 // countedEndpoint is an endpoint behind the received-envelope counter.
@@ -85,38 +66,19 @@ func (c countedEndpoint) deliver(env Envelope, borrowed bool) {
 	c.endpoint.deliver(env, borrowed)
 }
 
-// listenEndpoint implements endpointListener, so a Peer on an instrumented
-// TCP link is still handed its envelopes on the read loop.
-func (l *instrumentedLink) listenEndpoint(addr Addr, ep endpoint) error {
-	ep = countedEndpoint{ep, l.reg}
-	if el, ok := l.inner.(endpointListener); ok {
-		return el.listenEndpoint(addr, ep)
-	}
-	return l.inner.Listen(addr, func(env Envelope) { ep.deliver(env, false) })
+// listen implements Link, interposing the received-envelope counter before
+// the endpoint.
+func (l *instrumentedLink) listen(addr Addr, ep endpoint) error {
+	return l.inner.listen(addr, countedEndpoint{ep, l.reg})
 }
 
 // Unlisten implements Link.
 func (l *instrumentedLink) Unlisten(addr Addr) { l.inner.Unlisten(addr) }
 
-// Send implements Link.
-func (l *instrumentedLink) Send(env Envelope) error {
-	return l.note(env, l.inner.Send(env))
-}
-
-// SendCtx implements ContextSender, forwarding to the inner link's SendCtx
-// when it has one so wrapping a TCP link does not cost it ctx-aware sends.
-func (l *instrumentedLink) SendCtx(ctx context.Context, env Envelope) error {
-	return l.note(env, SendWithContext(ctx, l.inner, env))
-}
-
-// post implements poster.
+// post implements Link, counting the envelope as sent when the inner link
+// accepts it and as a send error when it does not.
 func (l *instrumentedLink) post(ctx context.Context, env Envelope, body any, w sendWaiter) error {
-	return l.note(env, l.out.post(ctx, env, body, w))
-}
-
-// note accounts one send outcome.
-func (l *instrumentedLink) note(env Envelope, err error) error {
-	if err != nil {
+	if err := l.inner.post(ctx, env, body, w); err != nil {
 		l.reg.Counter(metricSendErrs, "kind", env.Kind).Inc()
 		return err
 	}

@@ -16,7 +16,7 @@ type LatencyFunc func(from, to Addr) time.Duration
 // FixedLatency returns a LatencyFunc with constant latency on every
 // envelope, loopback envelopes included. Agent calls within one node never
 // become envelopes (platform delivers them in-process), so this charges
-// loopback only to raw envelope users such as Peer.Call to one's own address.
+// loopback only to a Peer.Call to one's own address.
 func FixedLatency(d time.Duration) LatencyFunc {
 	return func(Addr, Addr) time.Duration { return d }
 }
@@ -61,7 +61,7 @@ type Network struct {
 
 	mu        sync.Mutex
 	rng       *rand.Rand
-	endpoints map[Addr]Handler
+	endpoints map[Addr]endpoint
 	blocked   map[[2]Addr]bool
 	closed    bool
 
@@ -69,10 +69,7 @@ type Network struct {
 	wg   sync.WaitGroup
 }
 
-var (
-	_ Link   = (*Network)(nil)
-	_ poster = (*Network)(nil)
-)
+var _ Link = (*Network)(nil)
 
 // NewNetwork creates a simulated network.
 func NewNetwork(cfg NetworkConfig) *Network {
@@ -90,14 +87,14 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	return &Network{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(seed)),
-		endpoints: make(map[Addr]Handler),
+		endpoints: make(map[Addr]endpoint),
 		blocked:   make(map[[2]Addr]bool),
 		stop:      make(chan struct{}),
 	}
 }
 
-// Listen implements Link.
-func (n *Network) Listen(addr Addr, h Handler) error {
+// listen implements Link.
+func (n *Network) listen(addr Addr, ep endpoint) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -106,7 +103,7 @@ func (n *Network) Listen(addr Addr, h Handler) error {
 	if _, ok := n.endpoints[addr]; ok {
 		return ErrAddrInUse
 	}
-	n.endpoints[addr] = h
+	n.endpoints[addr] = ep
 	return nil
 }
 
@@ -117,10 +114,9 @@ func (n *Network) Unlisten(addr Addr) {
 	delete(n.endpoints, addr)
 }
 
-// Send implements Link. The envelope is delivered to the destination's
-// handler on a fresh goroutine after the configured latency, unless it is
-// dropped by loss or a partition.
-func (n *Network) Send(env Envelope) error {
+// send delivers an envelope to the destination's endpoint on a fresh goroutine
+// after the configured latency, unless it is dropped by loss or a partition.
+func (n *Network) send(env Envelope) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -164,7 +160,7 @@ func (n *Network) Send(env Envelope) error {
 			}
 		}
 		n.mu.Lock()
-		h, ok := n.endpoints[env.To]
+		ep, ok := n.endpoints[env.To]
 		partitioned := n.blocked[pairKey(env.From, env.To)]
 		n.mu.Unlock()
 		if partitioned {
@@ -174,20 +170,20 @@ func (n *Network) Send(env Envelope) error {
 			return
 		}
 		if ok {
-			h(env)
+			ep.deliver(env, false)
 		}
 	}()
 	return nil
 }
 
-// post implements poster: Send never blocks here, so posting is encoding the
+// post implements Link: send never blocks here, so posting is encoding the
 // body and sending, with the outcome known at once.
 func (n *Network) post(_ context.Context, env Envelope, body any, w sendWaiter) error {
 	var err error
 	if env.Payload, err = ownPayload(env.Payload, body); err != nil {
 		return err
 	}
-	if err := n.Send(env); err != nil {
+	if err := n.send(env); err != nil {
 		return err
 	}
 	if w != nil {
@@ -206,8 +202,9 @@ func (n *Network) SetDropProb(p float64) {
 }
 
 // Partition blocks traffic between a and b in both directions. With a == b
-// it blocks only a's raw loopback envelopes: agent calls within one node are
-// delivered in-process by the platform and never reach the link.
+// it blocks only a's loopback envelopes (a Peer.Call to its own address):
+// agent calls within one node are delivered in-process by the platform and
+// never reach the link.
 func (n *Network) Partition(a, b Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -34,7 +34,6 @@ type InlineHandler func(ctx context.Context, from Addr, kind string, payload []b
 // surfaces remote handler failures as *RemoteError.
 type Peer struct {
 	link   Link
-	out    poster
 	addr   Addr
 	h      RequestHandler
 	inline InlineHandler
@@ -88,20 +87,13 @@ func NewServingPeer(link Link, addr Addr, inline InlineHandler, h RequestHandler
 	describeTransportMetrics(reg)
 	p := &Peer{
 		link:    link,
-		out:     asPoster(link),
 		addr:    addr,
 		h:       h,
 		inline:  inline,
 		reg:     reg,
 		pending: make(map[uint64]*callSlot),
 	}
-	var err error
-	if el, ok := link.(endpointListener); ok {
-		err = el.listenEndpoint(addr, p)
-	} else {
-		err = link.Listen(addr, func(env Envelope) { p.deliver(env, false) })
-	}
-	if err != nil {
+	if err := link.listen(addr, p); err != nil {
 		return nil, fmt.Errorf("peer %s: %w", addr, err)
 	}
 	return p, nil
@@ -140,7 +132,7 @@ func (p *Peer) Call(ctx context.Context, to Addr, kind string, req, resp any) er
 		start = time.Now()
 	}
 	res := callResult{}
-	err := p.out.post(ctx, env, req, p)
+	err := p.link.post(ctx, env, req, p)
 	if err == nil {
 		res, err = s.await(ctx)
 	}
@@ -254,19 +246,6 @@ func (p *Peer) connLost(c *tcpConn, err error) {
 	p.mu.Unlock()
 }
 
-// Notify sends a one-way request without waiting for a reply.
-func (p *Peer) Notify(to Addr, kind string, req any) error {
-	payload, err := Encode(req)
-	if err != nil {
-		return fmt.Errorf("notify %s %s: encode: %w", to, kind, err)
-	}
-	env := Envelope{From: p.addr, To: to, Kind: kind, Payload: payload}
-	if err := p.link.Send(env); err != nil {
-		return fmt.Errorf("notify %s %s: %w", to, kind, err)
-	}
-	return nil
-}
-
 // Close unbinds the peer, fails every outstanding Call with ErrClosed and
 // waits for in-flight handler invocations to finish.
 func (p *Peer) Close() {
@@ -289,13 +268,17 @@ func (p *Peer) Close() {
 // the inline handler and, when it declines, to the request handler on a
 // goroutine of their own — handlers may block and may issue their own Calls;
 // serialization, where needed, is the receiver's concern (agent mailboxes
-// provide it).
+// provide it). A request without a correlation id has no call waiting for its
+// answer — no Peer sends one — and is dropped unserved.
 func (p *Peer) deliver(env Envelope, borrowed bool) {
 	if env.Reply {
 		if borrowed {
 			env.Payload = bytes.Clone(env.Payload)
 		}
 		p.complete(env.Corr, callResult{reply: env})
+		return
+	}
+	if env.Corr == 0 {
 		return
 	}
 
@@ -342,54 +325,22 @@ func handlerContext(sc trace.SpanContext) context.Context {
 	return trace.ContextWith(context.Background(), sc)
 }
 
-// reply queues the answer to a request, if the request asked for one. It
-// waits neither for a dial nor for the write (see poster), so it is safe on a
-// read loop. A reply that cannot
+// reply queues the answer to a request. It waits neither for a dial nor for
+// the write (see Link.post), so it is safe on a read loop. A reply that cannot
 // be sent means the requester is unreachable; it will time out, which is the
 // correct observable behaviour.
 func (p *Peer) reply(req Envelope, body any, err error) {
-	if req.Corr == 0 {
-		return // one-way notify
-	}
 	reply := Envelope{From: p.addr, To: req.From, Kind: req.Kind, Corr: req.Corr, Reply: true}
 	if err != nil {
 		reply.ErrMsg, body = err.Error(), nil
 	}
-	if err = p.out.post(context.Background(), reply, body, nil); err != nil {
+	if err = p.link.post(context.Background(), reply, body, nil); err != nil {
 		var encErr *encodeError
 		if errors.As(err, &encErr) {
 			reply.ErrMsg = fmt.Sprintf("encode response: %v", encErr.err)
-			_ = p.out.post(context.Background(), reply, nil, nil)
+			_ = p.link.post(context.Background(), reply, nil, nil)
 		}
 	}
-}
-
-// asPoster returns the link's own post when it has one, and its Send on a
-// goroutine per envelope otherwise.
-func asPoster(link Link) poster {
-	if p, ok := link.(poster); ok {
-		return p
-	}
-	return sendPoster{link}
-}
-
-// sendPoster gives a link from outside this package, which has only a Send
-// that may block, the shape of one that queues: the caller never waits for the
-// Send, at the price of a goroutine per envelope and of their order.
-type sendPoster struct{ link Link }
-
-func (s sendPoster) post(ctx context.Context, env Envelope, body any, w sendWaiter) error {
-	var err error
-	if env.Payload, err = ownPayload(env.Payload, body); err != nil {
-		return err
-	}
-	go func() {
-		err := s.link.Send(env)
-		if w != nil {
-			w.sendDone(env.Corr, nil, err)
-		}
-	}()
-	return nil
 }
 
 // Encode encodes a message payload as every link sends it, to every peer. The

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -79,11 +78,11 @@ type TCPConfig struct {
 // processes are dialed on demand and cached.
 //
 // Every connection has an out-queue and one writer goroutine. Sending is
-// queueing: post (and Send, which waits for the outcome) appends the envelope
-// to the queue of the connection it resolves to, and the writer takes
-// everything queued, frames it and hands it to the socket with one write —
-// so frames on a connection keep their queueing order, concurrent senders
-// share system calls, and nothing but a writer ever waits for a socket.
+// queueing: post appends the envelope to the queue of the connection it
+// resolves to, and the writer takes everything queued, frames it and hands it
+// to the socket with one write — so frames on a connection keep their queueing
+// order, concurrent senders share system calls, and nothing but a writer ever
+// waits for a socket.
 type TCP struct {
 	dialTimeout   time.Duration
 	writeTimeout  time.Duration
@@ -103,7 +102,7 @@ type TCP struct {
 	mu        sync.Mutex
 	listener  net.Listener
 	directory map[Addr]string
-	handlers  map[Addr]tcpHandler
+	endpoints map[Addr]endpoint
 	conns     map[string]*tcpConn
 	// inbound holds every live connection, dialed or accepted, under its
 	// socket, so Close reaches them all.
@@ -114,24 +113,6 @@ type TCP struct {
 	learned map[Addr]*tcpConn
 	closed  bool
 	wg      sync.WaitGroup
-}
-
-// tcpHandler is one local binding: an endpoint (a Peer, which takes
-// envelopes whose payload it may only borrow) or a plain Handler.
-type tcpHandler struct {
-	h  Handler
-	ep endpoint
-}
-
-func (h tcpHandler) deliver(env Envelope, borrowed bool) {
-	if h.ep != nil {
-		h.ep.deliver(env, borrowed)
-		return
-	}
-	if borrowed {
-		env.Payload = bytes.Clone(env.Payload)
-	}
-	h.h(env)
 }
 
 type tcpConn struct {
@@ -157,12 +138,7 @@ type outFrame struct {
 	redial string
 }
 
-var (
-	_ Link             = (*TCP)(nil)
-	_ ContextSender    = (*TCP)(nil)
-	_ poster           = (*TCP)(nil)
-	_ endpointListener = (*TCP)(nil)
-)
+var _ Link = (*TCP)(nil)
 
 // pickTimeout resolves a config knob against its default: zero selects the
 // default, negative disables (returns 0).
@@ -202,7 +178,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		faults:        cfg.Faults,
 		listener:      ln,
 		directory:     dir,
-		handlers:      make(map[Addr]tcpHandler),
+		endpoints:     make(map[Addr]endpoint),
 		conns:         make(map[string]*tcpConn),
 		inbound:       make(map[net.Conn]*tcpConn),
 		learned:       make(map[Addr]*tcpConn),
@@ -223,26 +199,17 @@ func (t *TCP) AddRoute(addr Addr, hostport string) {
 	t.directory[addr] = hostport
 }
 
-// Listen implements Link.
-func (t *TCP) Listen(addr Addr, h Handler) error {
-	return t.bind(addr, tcpHandler{h: h})
-}
-
-// listenEndpoint implements endpointListener.
-func (t *TCP) listenEndpoint(addr Addr, ep endpoint) error {
-	return t.bind(addr, tcpHandler{ep: ep})
-}
-
-func (t *TCP) bind(addr Addr, h tcpHandler) error {
+// listen implements Link.
+func (t *TCP) listen(addr Addr, ep endpoint) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return ErrClosed
 	}
-	if _, ok := t.handlers[addr]; ok {
+	if _, ok := t.endpoints[addr]; ok {
 		return ErrAddrInUse
 	}
-	t.handlers[addr] = h
+	t.endpoints[addr] = ep
 	return nil
 }
 
@@ -250,45 +217,12 @@ func (t *TCP) bind(addr Addr, h tcpHandler) error {
 func (t *TCP) Unlisten(addr Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.handlers, addr)
+	delete(t.endpoints, addr)
 }
 
-// Send implements Link. Envelopes to locally bound addresses loop back
-// without touching the network. Send returns once the envelope is written to
-// its connection; one that met a broken cached connection is transparently
-// resent once over a fresh one first.
-func (t *TCP) Send(env Envelope) error {
-	return t.SendCtx(context.Background(), env)
-}
-
-// syncWaiter is the sendWaiter of a Send: it parks the outcome for the
-// sender to collect.
-type syncWaiter chan error
-
-func (w syncWaiter) sendDone(_ uint64, _ *tcpConn, err error) { w <- err }
-
-var syncWaiterPool = sync.Pool{New: func() any { return make(syncWaiter, 1) }}
-
-// SendCtx implements ContextSender: Send, but the wait — for a dial, a
-// stalled write, the pause before a redial — is given up when ctx ends. The
-// envelope may still go out afterwards.
-func (t *TCP) SendCtx(ctx context.Context, env Envelope) error {
-	w := syncWaiterPool.Get().(syncWaiter)
-	if err := t.post(ctx, env, nil, w); err != nil {
-		syncWaiterPool.Put(w)
-		return err
-	}
-	select {
-	case err := <-w:
-		syncWaiterPool.Put(w)
-		return err
-	case <-ctx.Done():
-		// w still gets its outcome some day, so it cannot be pooled.
-		return fmt.Errorf("tcp send to %s: %w", env.To, ctx.Err())
-	}
-}
-
-// post implements poster.
+// post implements Link. An envelope to a locally bound address loops back
+// without touching the network. One queued on a cached connection that turns
+// out broken is resent once over a fresh one before its sender hears of it.
 func (t *TCP) post(ctx context.Context, env Envelope, body any, w sendWaiter) error {
 	c, local, redial, err := t.route(ctx, env.To, env.Reply)
 	if err != nil {
@@ -321,10 +255,10 @@ func (t *TCP) post(ctx context.Context, env Envelope, body any, w sendWaiter) er
 	return nil
 }
 
-// postLocal loops an envelope back to a handler bound on this link, on a
+// postLocal loops an envelope back to an endpoint bound on this link, on a
 // goroutine of its own (route raised t.wg for it). It is a function of its own
 // so that the envelope escapes to the heap here and not in every post.
-func (t *TCP) postLocal(local *tcpHandler, env Envelope, body any, w sendWaiter) error {
+func (t *TCP) postLocal(local endpoint, env Envelope, body any, w sendWaiter) error {
 	var err error
 	if env.Payload, err = ownPayload(env.Payload, body); err != nil {
 		t.wg.Done()
@@ -341,7 +275,7 @@ func (t *TCP) postLocal(local *tcpHandler, env Envelope, body any, w sendWaiter)
 }
 
 // route resolves where an envelope to the address goes, under one hold of
-// t.mu: a local handler (with t.wg raised for the goroutine that will run
+// t.mu: a local endpoint (with t.wg raised for the goroutine that will run
 // it), or a connection — cached, learned from inbound traffic, or, when there
 // is none yet, dialed within ctx. redial is non-empty for a cached
 // connection: it predates the call, so its liveness is unproven, and a frame
@@ -351,17 +285,16 @@ func (t *TCP) postLocal(local *tcpHandler, env Envelope, body any, w sendWaiter)
 // must not wait, and its request came in on a connection, which is the way
 // back when the link has none of its own. A requester whose connections are
 // all gone has had its call failed already (endpoint.connLost).
-func (t *TCP) route(ctx context.Context, to Addr, reply bool) (c *tcpConn, local *tcpHandler, redial string, err error) {
+func (t *TCP) route(ctx context.Context, to Addr, reply bool) (c *tcpConn, local endpoint, redial string, err error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil, nil, "", ErrClosed
 	}
-	if h, ok := t.handlers[to]; ok {
+	if ep, ok := t.endpoints[to]; ok {
 		t.wg.Add(1)
 		t.mu.Unlock()
-		local := h // a copy made here, so only this branch pays for the pointer
-		return nil, &local, "", nil
+		return nil, ep, "", nil
 	}
 	target, ok := t.directory[to]
 	if !ok {
@@ -554,11 +487,9 @@ func (t *TCP) connGone(c *tcpConn, cause error, unwritten []outFrame) {
 // — connGone may have come and gone in between.
 func (t *TCP) tellLost(c *tcpConn, cause error) {
 	t.mu.Lock()
-	eps := make([]endpoint, 0, len(t.handlers))
-	for _, h := range t.handlers {
-		if h.ep != nil {
-			eps = append(eps, h.ep)
-		}
+	eps := make([]endpoint, 0, len(t.endpoints))
+	for _, ep := range t.endpoints {
+		eps = append(eps, ep)
 	}
 	t.mu.Unlock()
 	for _, ep := range eps {
@@ -710,7 +641,7 @@ func (t *TCP) connTo(ctx context.Context, target string) (c *tcpConn, cached boo
 }
 
 // readLoop decodes the envelope frames arriving on a connection, learning
-// reply routes and handing each envelope to its local handler on this
+// reply routes and handing each envelope to its local endpoint on this
 // goroutine, until the connection closes. Anything but a well-formed envelope
 // frame of a version this build reads — a peer of another format generation,
 // or not a peer at all — ends the connection, counted as a decode error. It
@@ -737,10 +668,10 @@ func (t *TCP) readLoop(back *tcpConn, firstDeadline bool) {
 		if env.From != "" && t.learned[env.From] != back {
 			t.learned[env.From] = back
 		}
-		h, ok := t.handlers[env.To]
+		ep, ok := t.endpoints[env.To]
 		t.mu.Unlock()
 		if ok {
-			h.deliver(env, true)
+			ep.deliver(env, true)
 		}
 	}
 }

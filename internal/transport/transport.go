@@ -1,14 +1,17 @@
 // Package transport is the network substrate beneath the mobile-agent
-// platform. It offers one abstraction — Link, an asynchronous envelope
-// carrier between named endpoints — with two implementations:
+// platform. It carries one kind of traffic, request/response messages, in two
+// layers:
 //
-//   - Network: an in-process simulated LAN with configurable latency,
-//     jitter, message loss and partitions. Experiments and tests run on it.
-//   - TCP: framed envelopes over real TCP connections, demonstrating
-//     multi-process deployment of the same binaries.
-//
-// Package transport also provides Peer, a request/response (RPC) layer over
-// any Link, with correlation ids, deadlines and remote error propagation.
+//   - Peer, the only way onto and off a link: a request/response (RPC)
+//     endpoint with correlation ids, deadlines and remote error propagation.
+//     Calls post envelopes to the link; the link delivers inbound envelopes to
+//     the Peer bound at their address.
+//   - Link, the envelope carrier beneath it, with two implementations:
+//     Network, an in-process simulated LAN with configurable latency, jitter,
+//     message loss and partitions, which experiments and tests run on; and
+//     TCP, framed envelopes over real TCP connections, for multi-process
+//     deployment of the same binaries. Instrument wraps either in envelope
+//     counters.
 package transport
 
 import (
@@ -44,55 +47,31 @@ type Envelope struct {
 	Payload []byte
 }
 
-// Handler consumes inbound envelopes for an endpoint. Handlers may be
-// invoked concurrently and must not block for long.
-type Handler func(Envelope)
-
-// Link is an asynchronous envelope carrier.
+// Link is an asynchronous envelope carrier between named endpoints: what a
+// Peer sends through and is delivered to. Its send and bind methods are
+// unexported, so its implementations are this package's own — Network, TCP
+// and Instrument's counting wrapper — and a Peer drives every one of them the
+// same way.
 type Link interface {
-	// Listen binds an address to a handler. Binding an already-bound
+	// post encodes body (when non-nil; otherwise env.Payload is taken as
+	// already encoded) as the envelope's payload, queues the envelope and
+	// returns: it may wait for a dial, within ctx, but never for a write — and
+	// for a reply not even for a dial. Neither body nor env.Payload is
+	// referenced once post has returned.
+	//
+	// An error from post means nothing was queued: the send cannot happen
+	// (unknown address, refused dial, closed link, unencodable body) and the
+	// caller hears so at once. After a nil error the envelope's fate is told
+	// to w, which may be nil, exactly once. Delivery is not guaranteed: the
+	// simulated network can drop, and TCP peers can fail.
+	post(ctx context.Context, env Envelope, body any, w sendWaiter) error
+	// listen binds an address to an endpoint. Binding an already-bound
 	// address fails.
-	Listen(addr Addr, h Handler) error
+	listen(addr Addr, ep endpoint) error
 	// Unlisten releases an address binding. Unknown addresses are ignored.
 	Unlisten(addr Addr)
-	// Send queues an envelope for delivery. Send returns once the envelope
-	// is accepted; delivery is asynchronous and not guaranteed (the
-	// simulated network can drop, and TCP peers can fail).
-	Send(env Envelope) error
 	// Close releases the link. In-flight envelopes may be dropped.
 	Close() error
-}
-
-// ContextSender is optionally implemented by Links whose Send can block for
-// real time — dialing, redial backoff, write deadlines. SendCtx gives the
-// wait up when ctx expires instead of seeing it through.
-type ContextSender interface {
-	SendCtx(ctx context.Context, env Envelope) error
-}
-
-// SendWithContext sends through SendCtx when the link offers it and falls
-// back to plain Send otherwise (in-memory links never block long enough to
-// matter).
-func SendWithContext(ctx context.Context, l Link, env Envelope) error {
-	if cs, ok := l.(ContextSender); ok {
-		return cs.SendCtx(ctx, env)
-	}
-	return l.Send(env)
-}
-
-// poster is the send side a Peer drives. post encodes body (when non-nil;
-// otherwise env.Payload is taken as already encoded) as the envelope's
-// payload, queues the envelope and returns: it
-// may wait for a dial, within ctx, but never for a write — and for a reply not
-// even for a dial. Neither body nor env.Payload is referenced once post has
-// returned.
-//
-// An error from post means nothing was queued: the send cannot happen
-// (unknown address, refused dial, closed link, unencodable body) and the
-// caller hears so at once. After a nil error the envelope's fate is told to w,
-// which may be nil, exactly once.
-type poster interface {
-	post(ctx context.Context, env Envelope, body any, w sendWaiter) error
 }
 
 // sendWaiter hears what became of a posted envelope: the error that kept it
@@ -123,8 +102,7 @@ func ownPayload(payload []byte, body any) ([]byte, error) {
 	return encoded, nil
 }
 
-// endpoint is the receive side of a Peer, as a link that owns connections
-// sees it (links that do not simply call a Handler).
+// endpoint is the receive side of a Peer, as a link sees it.
 type endpoint interface {
 	// deliver hands over an inbound envelope on the connection's read
 	// loop. With borrowed set, env.Payload aliases the read buffer and is
@@ -133,11 +111,6 @@ type endpoint interface {
 	// connLost reports that a connection died, so calls written to it
 	// need not wait out their deadlines for replies that cannot come.
 	connLost(c *tcpConn, err error)
-}
-
-// endpointListener is implemented by links that deliver to endpoints.
-type endpointListener interface {
-	listenEndpoint(addr Addr, ep endpoint) error
 }
 
 // Common transport errors.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,15 +15,43 @@ import (
 	"agentloc/internal/trace"
 )
 
+// recv is an endpoint for tests of the link itself: it hands every envelope
+// delivered to it, payload owned, to the func.
+type recv func(Envelope)
+
+func (r recv) deliver(env Envelope, borrowed bool) {
+	if borrowed {
+		env.Payload = bytes.Clone(env.Payload)
+	}
+	r(env)
+}
+
+func (recv) connLost(*tcpConn, error) {}
+
+// sent is a sendWaiter that hands on a posted envelope's fate.
+type sent chan error
+
+func (s sent) sendDone(_ uint64, _ *tcpConn, err error) { s <- err }
+
+// send posts env on the link and waits for its fate: the error that kept it
+// off the wire, or nil once it is written (handed over, on a Network).
+func send(l Link, env Envelope) error {
+	w := make(sent, 1)
+	if err := l.post(context.Background(), env, nil, w); err != nil {
+		return err
+	}
+	return <-w
+}
+
 func TestNetworkDeliver(t *testing.T) {
 	n := NewNetwork(NetworkConfig{})
 	defer n.Close()
 
 	got := make(chan Envelope, 1)
-	if err := n.Listen("b", func(env Envelope) { got <- env }); err != nil {
+	if err := n.listen("b", recv(func(env Envelope) { got <- env })); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send(Envelope{From: "a", To: "b", Kind: "ping"}); err != nil {
+	if err := send(n, Envelope{From: "a", To: "b", Kind: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -38,7 +67,7 @@ func TestNetworkDeliver(t *testing.T) {
 func TestNetworkUnknownAddr(t *testing.T) {
 	n := NewNetwork(NetworkConfig{})
 	defer n.Close()
-	if err := n.Send(Envelope{From: "a", To: "nope"}); !errors.Is(err, ErrUnknownAddr) {
+	if err := send(n, Envelope{From: "a", To: "nope"}); !errors.Is(err, ErrUnknownAddr) {
 		t.Errorf("error = %v, want ErrUnknownAddr", err)
 	}
 }
@@ -46,15 +75,15 @@ func TestNetworkUnknownAddr(t *testing.T) {
 func TestNetworkDoubleListen(t *testing.T) {
 	n := NewNetwork(NetworkConfig{})
 	defer n.Close()
-	if err := n.Listen("a", func(Envelope) {}); err != nil {
+	if err := n.listen("a", recv(func(Envelope) {})); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Listen("a", func(Envelope) {}); !errors.Is(err, ErrAddrInUse) {
+	if err := n.listen("a", recv(func(Envelope) {})); !errors.Is(err, ErrAddrInUse) {
 		t.Errorf("error = %v, want ErrAddrInUse", err)
 	}
 	n.Unlisten("a")
-	if err := n.Listen("a", func(Envelope) {}); err != nil {
-		t.Errorf("Listen after Unlisten: %v", err)
+	if err := n.listen("a", recv(func(Envelope) {})); err != nil {
+		t.Errorf("listen after Unlisten: %v", err)
 	}
 }
 
@@ -66,11 +95,11 @@ func TestNetworkClosed(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if err := n.Listen("a", func(Envelope) {}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Listen on closed = %v, want ErrClosed", err)
+	if err := n.listen("a", recv(func(Envelope) {})); !errors.Is(err, ErrClosed) {
+		t.Errorf("listen on closed = %v, want ErrClosed", err)
 	}
-	if err := n.Send(Envelope{To: "a"}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Send on closed = %v, want ErrClosed", err)
+	if err := send(n, Envelope{To: "a"}); !errors.Is(err, ErrClosed) {
+		t.Errorf("send on closed = %v, want ErrClosed", err)
 	}
 }
 
@@ -78,11 +107,11 @@ func TestNetworkLatency(t *testing.T) {
 	n := NewNetwork(NetworkConfig{Latency: FixedLatency(30 * time.Millisecond)})
 	defer n.Close()
 	got := make(chan time.Time, 1)
-	if err := n.Listen("b", func(Envelope) { got <- time.Now() }); err != nil {
+	if err := n.listen("b", recv(func(Envelope) { got <- time.Now() })); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := n.Send(Envelope{From: "a", To: "b"}); err != nil {
+	if err := send(n, Envelope{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -99,11 +128,11 @@ func TestNetworkDropAll(t *testing.T) {
 	n := NewNetwork(NetworkConfig{DropProb: 1.0})
 	defer n.Close()
 	var count atomic.Int32
-	if err := n.Listen("b", func(Envelope) { count.Add(1) }); err != nil {
+	if err := n.listen("b", recv(func(Envelope) { count.Add(1) })); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := n.Send(Envelope{From: "a", To: "b"}); err != nil {
+		if err := send(n, Envelope{From: "a", To: "b"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,11 +146,11 @@ func TestNetworkPartitionAndHeal(t *testing.T) {
 	n := NewNetwork(NetworkConfig{})
 	defer n.Close()
 	var count atomic.Int32
-	if err := n.Listen("b", func(Envelope) { count.Add(1) }); err != nil {
+	if err := n.listen("b", recv(func(Envelope) { count.Add(1) })); err != nil {
 		t.Fatal(err)
 	}
 	n.Partition("a", "b")
-	if err := n.Send(Envelope{From: "a", To: "b"}); err != nil {
+	if err := send(n, Envelope{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -129,7 +158,7 @@ func TestNetworkPartitionAndHeal(t *testing.T) {
 		t.Fatalf("partition leaked %d messages", got)
 	}
 	n.Heal("a", "b")
-	if err := n.Send(Envelope{From: "a", To: "b"}); err != nil {
+	if err := send(n, Envelope{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -148,10 +177,10 @@ func TestNetworkHealAll(t *testing.T) {
 	n.Partition("a", "c")
 	n.HealAll()
 	var count atomic.Int32
-	if err := n.Listen("b", func(Envelope) { count.Add(1) }); err != nil {
+	if err := n.listen("b", recv(func(Envelope) { count.Add(1) })); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send(Envelope{From: "a", To: "b"}); err != nil {
+	if err := send(n, Envelope{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -168,10 +197,10 @@ func TestNetworkFakeClockLatency(t *testing.T) {
 	n := NewNetwork(NetworkConfig{Clock: fc, Latency: FixedLatency(10 * time.Second)})
 	defer n.Close()
 	var count atomic.Int32
-	if err := n.Listen("b", func(Envelope) { count.Add(1) }); err != nil {
+	if err := n.listen("b", recv(func(Envelope) { count.Add(1) })); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send(Envelope{From: "a", To: "b"}); err != nil {
+	if err := send(n, Envelope{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	for fc.PendingWaiters() == 0 {
@@ -284,25 +313,6 @@ func TestPeerCallNilHandler(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Errorf("error = %v, want *RemoteError", err)
-	}
-}
-
-func TestPeerNotify(t *testing.T) {
-	got := make(chan string, 1)
-	client, _, _ := newPeerPair(t, func(_ context.Context, _ Addr, kind string, _ []byte) (any, error) {
-		got <- kind
-		return nil, nil
-	})
-	if err := client.Notify("server", "fire-and-forget", nil); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case k := <-got:
-		if k != "fire-and-forget" {
-			t.Errorf("kind = %q", k)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("notify not delivered")
 	}
 }
 
@@ -445,7 +455,7 @@ func TestTCPUnknownAddr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer link.Close()
-	if err := link.Send(Envelope{To: "ghost"}); !errors.Is(err, ErrUnknownAddr) {
+	if err := send(link, Envelope{To: "ghost"}); !errors.Is(err, ErrUnknownAddr) {
 		t.Errorf("error = %v, want ErrUnknownAddr", err)
 	}
 }
@@ -458,11 +468,11 @@ func TestTCPClosed(t *testing.T) {
 	if err := link.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := link.Send(Envelope{To: "x"}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Send after Close = %v, want ErrClosed", err)
+	if err := send(link, Envelope{To: "x"}); !errors.Is(err, ErrClosed) {
+		t.Errorf("send after Close = %v, want ErrClosed", err)
 	}
-	if err := link.Listen("x", func(Envelope) {}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Listen after Close = %v, want ErrClosed", err)
+	if err := link.listen("x", recv(func(Envelope) {})); !errors.Is(err, ErrClosed) {
+		t.Errorf("listen after Close = %v, want ErrClosed", err)
 	}
 	if err := link.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
@@ -545,11 +555,11 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	defer clientLink.Close()
 
 	got := make(chan string, 8)
-	handler := func(env Envelope) { got <- env.Kind }
-	if err := serverLink.Listen("server", handler); err != nil {
+	handler := recv(func(env Envelope) { got <- env.Kind })
+	if err := serverLink.listen("server", handler); err != nil {
 		t.Fatal(err)
 	}
-	if err := clientLink.Send(Envelope{From: "c", To: "server", Kind: "one"}); err != nil {
+	if err := send(clientLink, Envelope{From: "c", To: "server", Kind: "one"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -567,7 +577,7 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serverLink2.Close()
-	if err := serverLink2.Listen("server", handler); err != nil {
+	if err := serverLink2.listen("server", handler); err != nil {
 		t.Fatal(err)
 	}
 
@@ -576,7 +586,7 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	delivered := false
 	for time.Now().Before(deadline) && !delivered {
-		_ = clientLink.Send(Envelope{From: "c", To: "server", Kind: "two"})
+		_ = send(clientLink, Envelope{From: "c", To: "server", Kind: "two"})
 		select {
 		case <-got:
 			delivered = true
@@ -588,59 +598,10 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	}
 }
 
-func TestTCPSendCtxAbandonsRedialOnCancel(t *testing.T) {
-	// Regression: a send that hits a broken cached connection used to sleep
-	// through the full redial backoff even after the caller's context
-	// expired, pinning the sending goroutine to work nobody waits for. With
-	// a backoff of a minute, a prompt return is only possible if SendCtx
-	// honours the context.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := ln.Addr().String()
-	ln.Close()
-
-	link, err := NewTCP(TCPConfig{
-		ListenOn:      "127.0.0.1:0",
-		Directory:     map[Addr]string{"server": deadAddr},
-		RedialBackoff: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-
-	// Plant a broken cached connection so the send takes the
-	// write-failed-on-cached-conn path into the redial backoff, not a
-	// fresh dial.
-	a, b := net.Pipe()
-	b.Close()
-	a.Close()
-	link.mu.Lock()
-	link.conns[deadAddr] = &tcpConn{conn: a}
-	link.mu.Unlock()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	err = link.SendCtx(ctx, Envelope{From: "c", To: "server", Kind: "x"})
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SendCtx = %v, want context.Canceled", err)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("SendCtx held for %v; the redial backoff ignored the context", elapsed)
-	}
-}
-
 func TestPeerCallReturnsPromptlyWhenCtxExpiresMidRedial(t *testing.T) {
-	// The same scenario through the RPC layer: Call's send goroutine must
-	// inherit the call context, so cancelling the call tears the send out
-	// of the redial pause instead of leaking it for the full backoff.
+	// A call whose request hits a broken cached connection must not sit
+	// through the redial pause — a minute here — after its context expired:
+	// the request is the link's to resend, the call waits only for its ctx.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

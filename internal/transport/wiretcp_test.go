@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -151,6 +152,68 @@ func TestTCPRejectsForeignStreams(t *testing.T) {
 	var re *RemoteError
 	if err := client.Call(ctx, "server", "echo", echoReq{Text: "fail"}, &resp); !errors.As(err, &re) || re.Msg != "handler says no" {
 		t.Errorf("err = %v, want RemoteError(handler says no)", err)
+	}
+}
+
+// TestPeerDropsRequestWithoutCorr: a request with no correlation id has no
+// call waiting for its answer — no Peer sends one — so one that arrives off the
+// wire from outside is dropped before any handler sees it, and the connection
+// it came on goes on serving: a call written after it on the same connection
+// is answered.
+func TestPeerDropsRequestWithoutCorr(t *testing.T) {
+	link, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	var (
+		mu   sync.Mutex
+		seen []string
+	)
+	note := func(s string) {
+		mu.Lock()
+		seen = append(seen, s)
+		mu.Unlock()
+	}
+	srv, err := NewServingPeer(link, "server",
+		func(_ context.Context, _ Addr, kind string, _ []byte) (any, bool, error) {
+			note("inline " + kind)
+			return nil, false, nil
+		},
+		func(_ context.Context, _ Addr, kind string, _ []byte) (any, error) {
+			note("handler " + kind)
+			return nil, nil
+		}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := net.Dial("tcp", link.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var stream []byte
+	for _, env := range []Envelope{
+		{From: "stranger", To: "server", Kind: "agent-request", Payload: []byte("x")},
+		{From: "stranger", To: "server", Kind: "call", Corr: 1},
+	} {
+		stream = wire.AppendFrame(stream, envMagic, envFrameVersion, frameEnvelope, appendEnvBody(nil, &env))
+	}
+	if _, err := raw.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var reply Envelope
+	if err := newEnvReader(raw).decode(&reply); err != nil {
+		t.Fatalf("no answer to the call after the uncorrelated request: %v", err)
+	}
+	if !reply.Reply || reply.Corr != 1 || reply.ErrMsg != "" {
+		t.Errorf("answer = %+v, want the reply to corr 1", reply)
+	}
+	srv.Close() // waits for every handler still running
+	if want := []string{"inline call", "handler call"}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("handlers saw %q, want %q", seen, want)
 	}
 }
 
