@@ -25,7 +25,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -314,23 +313,36 @@ func countSpans(roots []*trace.TreeNode) int {
 
 // fetchTrace GETs one node's /trace dump.
 func fetchTrace(c *http.Client, endpoint string) (*trace.Dump, error) {
-	url := endpoint
-	if !strings.Contains(url, "://") {
-		url = "http://" + url + "/trace"
+	var dump trace.Dump
+	if err := getJSON(c, endpointURL(endpoint, "/trace"), &dump); err != nil {
+		return nil, err
 	}
+	return &dump, nil
+}
+
+// endpointURL completes a host:port to the URL of path on it; a full URL is
+// taken as is.
+func endpointURL(endpoint, path string) string {
+	if strings.Contains(endpoint, "://") {
+		return endpoint
+	}
+	return "http://" + endpoint + path
+}
+
+// getJSON GETs url and decodes its JSON body into v.
+func getJSON(c *http.Client, url string, v any) error {
 	resp, err := c.Get(url)
 	if err != nil {
-		return nil, fmt.Errorf("fetch %s: %w", url, err)
+		return fmt.Errorf("fetch %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetch %s: %s", url, resp.Status)
+		return fmt.Errorf("fetch %s: %s", url, resp.Status)
 	}
-	var dump trace.Dump
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", url, err)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("parse %s: %w", url, err)
 	}
-	return &dump, nil
+	return nil
 }
 
 // eventsCmd fetches a node's decision log over HTTP, optionally filtered to
@@ -339,25 +351,13 @@ func eventsCmd(args []string, timeout time.Duration, w io.Writer) error {
 	if len(args) < 1 || len(args) > 2 {
 		return fmt.Errorf("usage: events <host:port | url> [kind-prefix]")
 	}
-	url := args[0]
-	if !strings.Contains(url, "://") {
-		url = "http://" + url + "/events"
-	}
+	url := endpointURL(args[0], "/events")
 	if len(args) == 2 {
 		url += "?kind=" + neturl.QueryEscape(args[1])
 	}
-	client := &http.Client{Timeout: timeout}
-	resp, err := client.Get(url)
-	if err != nil {
-		return fmt.Errorf("fetch %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fetch %s: %s", url, resp.Status)
-	}
 	var events []trace.Event
-	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
-		return fmt.Errorf("parse %s: %w", url, err)
+	if err := getJSON(&http.Client{Timeout: timeout}, url, &events); err != nil {
+		return err
 	}
 	if len(events) == 0 {
 		fmt.Fprintln(w, "no events")
@@ -369,215 +369,59 @@ func eventsCmd(args []string, timeout time.Duration, w io.Writer) error {
 	return nil
 }
 
-// metricsCmd fetches a node's Prometheus exposition and renders it for
-// humans: scalars as-is, histograms reduced to count/mean/quantiles.
+// metricsCmd fetches a node's registry as the snapshot it serves on /varz
+// and renders it for humans: scalars as-is, histograms reduced to
+// count/mean/quantiles.
 func metricsCmd(args []string, timeout time.Duration, w io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: metrics <host:port | url>")
 	}
-	url := args[0]
-	if !strings.Contains(url, "://") {
-		url = "http://" + url + "/metrics"
-	}
-	client := &http.Client{Timeout: timeout}
-	resp, err := client.Get(url)
-	if err != nil {
-		return fmt.Errorf("fetch %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fetch %s: %s", url, resp.Status)
-	}
-	return prettyMetrics(resp.Body, w)
-}
-
-// histAgg accumulates one histogram series while scanning the exposition.
-type histAgg struct {
-	display string // name{labels} without the le label
-	bounds  []float64
-	cum     []uint64 // cumulative counts, finite buckets in le order
-	sum     float64
-	count   uint64
-}
-
-// prettyMetrics parses Prometheus text format and prints a compact
-// human-readable summary, histograms folded to count/mean/p50/p90/p99.
-func prettyMetrics(r io.Reader, w io.Writer) error {
-	var scalars []string
-	hists := make(map[string]*histAgg)
-	var histOrder []string
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, labels, value, ok := parseSample(line)
-		if !ok {
-			continue // tolerate lines we do not understand
-		}
-		switch {
-		case strings.HasSuffix(name, "_bucket"):
-			base := strings.TrimSuffix(name, "_bucket")
-			le, rest := extractLE(labels)
-			h := histFor(hists, &histOrder, base, rest)
-			if le == "+Inf" {
-				break // total arrives via _count
-			}
-			bound, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				break
-			}
-			h.bounds = append(h.bounds, bound)
-			h.cum = append(h.cum, uint64(value))
-		case strings.HasSuffix(name, "_sum"):
-			histFor(hists, &histOrder, strings.TrimSuffix(name, "_sum"), labels).sum = value
-		case strings.HasSuffix(name, "_count"):
-			histFor(hists, &histOrder, strings.TrimSuffix(name, "_count"), labels).count = uint64(value)
-		default:
-			scalars = append(scalars, fmt.Sprintf("%-64s %s", name+labels, formatValue(name, value)))
-		}
-	}
-	if err := sc.Err(); err != nil {
+	var snap metrics.Snapshot
+	if err := getJSON(&http.Client{Timeout: timeout}, endpointURL(args[0], "/varz"), &snap); err != nil {
 		return err
 	}
-
-	sort.Strings(scalars)
-	for _, line := range scalars {
-		fmt.Fprintln(w, line)
-	}
-	sort.Strings(histOrder)
-	for _, key := range histOrder {
-		h := hists[key]
-		snap := h.snapshot()
-		fmt.Fprintf(w, "%-64s count=%d mean=%s p50=%s p90=%s p99=%s\n",
-			h.display, snap.Count,
-			formatValue(h.display, snap.Mean()),
-			formatValue(h.display, snap.Quantile(0.50)),
-			formatValue(h.display, snap.Quantile(0.90)),
-			formatValue(h.display, snap.Quantile(0.99)))
-	}
+	prettyMetrics(snap, w)
 	return nil
 }
 
-// histFor returns (creating on first sight) the aggregate for a histogram
-// series identified by base name plus non-le labels.
-func histFor(hists map[string]*histAgg, order *[]string, base, labels string) *histAgg {
-	key := base + labels
-	h, ok := hists[key]
-	if !ok {
-		h = &histAgg{display: base + labels}
-		hists[key] = h
-		*order = append(*order, key)
-	}
-	return h
-}
-
-// snapshot converts the cumulative scrape into a metrics.HistogramSnapshot
-// so the CLI reuses the library's mean/quantile math.
-func (h *histAgg) snapshot() metrics.HistogramSnapshot {
-	counts := make([]uint64, len(h.bounds)+1)
-	var prev uint64
-	for i, c := range h.cum {
-		counts[i] = c - prev
-		prev = c
-	}
-	counts[len(h.bounds)] = h.count - prev // +Inf overflow
-	return metrics.HistogramSnapshot{Bounds: h.bounds, Counts: counts, Count: h.count, Sum: h.sum}
-}
-
-// parseSample splits one exposition sample into name, raw label block
-// (including braces, empty if none) and value.
-func parseSample(line string) (name, labels string, value float64, ok bool) {
-	rest := line
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		j := closingBrace(line, i)
-		if j < 0 {
-			return "", "", 0, false
-		}
-		name, labels, rest = line[:i], line[i:j+1], strings.TrimSpace(line[j+1:])
-	} else {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return "", "", 0, false
-		}
-		name, rest = fields[0], fields[1]
-	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		return "", "", 0, false
-	}
-	return name, labels, v, true
-}
-
-// closingBrace finds the index of the '}' matching the '{' at open,
-// honouring quoted label values with escapes.
-func closingBrace(s string, open int) int {
-	inQuote := false
-	for i := open + 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			if inQuote {
-				i++
+// prettyMetrics prints a compact human-readable summary of a snapshot: one
+// line per counter or gauge series, then the histograms folded to
+// count/mean/p50/p90/p99.
+func prettyMetrics(snap metrics.Snapshot, w io.Writer) {
+	var scalars, hists []string
+	for _, fam := range snap.Families {
+		for _, s := range fam.Series {
+			name := seriesName(fam.Name, s.Labels)
+			h := s.Histogram
+			if h == nil {
+				scalars = append(scalars, fmt.Sprintf("%-64s %s", name, formatValue(name, s.Value)))
+				continue
 			}
-		case '"':
-			inQuote = !inQuote
-		case '}':
-			if !inQuote {
-				return i
-			}
+			hists = append(hists, fmt.Sprintf("%-64s count=%d mean=%s p50=%s p90=%s p99=%s",
+				name, h.Count,
+				formatValue(name, h.Mean()),
+				formatValue(name, h.Quantile(0.50)),
+				formatValue(name, h.Quantile(0.90)),
+				formatValue(name, h.Quantile(0.99))))
 		}
 	}
-	return -1
+	sort.Strings(scalars)
+	sort.Strings(hists)
+	for _, line := range append(scalars, hists...) {
+		fmt.Fprintln(w, line)
+	}
 }
 
-// extractLE removes the le label from a label block, returning its value
-// and the remaining block ("" when no other labels are left).
-func extractLE(labels string) (le, rest string) {
-	if labels == "" {
-		return "", ""
+// seriesName renders a series as the exposition names it: name{k="v",...}.
+func seriesName(name string, labels []metrics.Label) string {
+	if len(labels) == 0 {
+		return name
 	}
-	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
-	var kept []string
-	for _, pair := range splitLabelPairs(inner) {
-		if v, ok := strings.CutPrefix(pair, "le="); ok {
-			le = strings.Trim(v, `"`)
-			continue
-		}
-		kept = append(kept, pair)
+	pairs := make([]string, len(labels))
+	for i, l := range labels {
+		pairs[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
 	}
-	if len(kept) == 0 {
-		return le, ""
-	}
-	return le, "{" + strings.Join(kept, ",") + "}"
-}
-
-// splitLabelPairs splits `a="1",b="2"` on commas outside quotes.
-func splitLabelPairs(s string) []string {
-	var out []string
-	inQuote := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			if inQuote {
-				i++
-			}
-		case '"':
-			inQuote = !inQuote
-		case ',':
-			if !inQuote {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
+	return name + "{" + strings.Join(pairs, ",") + "}"
 }
 
 // formatValue renders seconds-unit metrics as durations and everything else

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,73 +16,46 @@ import (
 	"agentloc/internal/transport"
 )
 
-const sampleExposition = `# HELP agentloc_core_requests_total Requests served.
-# TYPE agentloc_core_requests_total counter
-agentloc_core_requests_total{op="locate"} 42
-agentloc_core_requests_total{op="update"} 7
-# TYPE agentloc_core_hashtree_leaves gauge
-agentloc_core_hashtree_leaves 3
-# TYPE agentloc_core_locate_latency_seconds histogram
-agentloc_core_locate_latency_seconds_bucket{le="0.25"} 1
-agentloc_core_locate_latency_seconds_bucket{le="0.5"} 3
-agentloc_core_locate_latency_seconds_bucket{le="1"} 4
-agentloc_core_locate_latency_seconds_bucket{le="+Inf"} 5
-agentloc_core_locate_latency_seconds_sum 5.625
-agentloc_core_locate_latency_seconds_count 5
-# TYPE agentloc_transport_rpc_latency_seconds histogram
-agentloc_transport_rpc_latency_seconds_bucket{kind="loc.locate",le="0.001"} 2
-agentloc_transport_rpc_latency_seconds_bucket{kind="loc.locate",le="+Inf"} 2
-agentloc_transport_rpc_latency_seconds_sum{kind="loc.locate"} 0.0005
-agentloc_transport_rpc_latency_seconds_count{kind="loc.locate"} 2
-`
-
+// TestPrettyMetrics scrapes a registry the way locnode serves it and checks
+// the rendering: scalars one line a series, histograms folded to
+// count/mean/quantiles with seconds shown as durations.
 func TestPrettyMetrics(t *testing.T) {
+	reg := metrics.New()
+	reg.Counter("agentloc_core_requests_total", "op", "locate").Add(42)
+	reg.Counter("agentloc_core_requests_total", "op", "update").Add(7)
+	reg.Gauge("agentloc_core_hashtree_leaves").Set(3)
+	locate := reg.Histogram("agentloc_core_locate_latency_seconds", []float64{0.25, 0.5, 1})
+	for _, v := range []float64{0.125, 0.375, 0.5, 0.75, 3.875} {
+		locate.Observe(v)
+	}
+	rpc := reg.Histogram("agentloc_transport_rpc_latency_seconds", []float64{0.001}, "kind", "loc.locate")
+	rpc.Observe(0.00025)
+	rpc.Observe(0.00025)
+	srv := httptest.NewServer(metrics.Handler(reg, nil))
+	t.Cleanup(srv.Close)
+
 	var b strings.Builder
-	if err := prettyMetrics(strings.NewReader(sampleExposition), &b); err != nil {
+	if err := metricsCmd([]string{strings.TrimPrefix(srv.URL, "http://")}, 5*time.Second, &b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{
-		`agentloc_core_requests_total{op="locate"}`,
-		"agentloc_core_hashtree_leaves",
-		"agentloc_core_locate_latency_seconds",
-		"count=5",
-		`agentloc_transport_rpc_latency_seconds{kind="loc.locate"}`,
-		"count=2",
-		"mean=1.125s", // 5.625 / 5, rendered as a duration
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	// Each line is the series padded to 64 columns, a space, then its value.
+	var got [][2]string
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if len(line) < 66 || line[64] != ' ' {
+			t.Fatalf("line %q is not a 64-column series name and a value", line)
 		}
+		got = append(got, [2]string{strings.TrimSpace(line[:64]), line[65:]})
 	}
-	// Histograms must be folded, not echoed raw.
-	if strings.Contains(out, "_bucket") || strings.Contains(out, "le=") {
-		t.Errorf("raw bucket lines leaked into output:\n%s", out)
+	want := [][2]string{
+		{"agentloc_core_hashtree_leaves", "3"},
+		{`agentloc_core_requests_total{op="locate"}`, "42"},
+		{`agentloc_core_requests_total{op="update"}`, "7"},
+		// mean = 5.625 s / 5
+		{"agentloc_core_locate_latency_seconds", "count=5 mean=1.125s p50=437.5ms p90=1s p99=1s"},
+		{`agentloc_transport_rpc_latency_seconds{kind="loc.locate"}`, "count=2 mean=250µs p50=500µs p90=900µs p99=990µs"},
 	}
-}
-
-func TestParseSample(t *testing.T) {
-	name, labels, v, ok := parseSample(`agentloc_x_total{kind="a,b",node="n"} 12`)
-	if !ok || name != "agentloc_x_total" || labels != `{kind="a,b",node="n"}` || v != 12 {
-		t.Errorf("parseSample = %q %q %v %v", name, labels, v, ok)
-	}
-	name, labels, v, ok = parseSample("agentloc_plain 1.5")
-	if !ok || name != "agentloc_plain" || labels != "" || v != 1.5 {
-		t.Errorf("parseSample plain = %q %q %v %v", name, labels, v, ok)
-	}
-	if _, _, _, ok := parseSample("garbage line with words"); ok {
-		t.Error("garbage accepted")
-	}
-}
-
-func TestExtractLE(t *testing.T) {
-	le, rest := extractLE(`{kind="x",le="0.5"}`)
-	if le != "0.5" || rest != `{kind="x"}` {
-		t.Errorf("extractLE = %q %q", le, rest)
-	}
-	le, rest = extractLE(`{le="+Inf"}`)
-	if le != "+Inf" || rest != "" {
-		t.Errorf("extractLE inf = %q %q", le, rest)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rendered\n%q\nwant\n%q", got, want)
 	}
 }
 

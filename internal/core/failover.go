@@ -596,11 +596,19 @@ func (b *HAgentBehavior) standbySweep(ctx *platform.Context) {
 		ctx.Emit("failover.no-quorum", fmt.Sprintf("primary lease expired here but only %d/%d replicas agree", votes, len(refs)))
 		return
 	}
+	b.promote(ctx, fmt.Sprintf("with %d/%d votes", votes, len(refs)))
+}
+
+// promote turns this standby into the primary, the one way both promotions —
+// an explicit KindPromote and the lease detector's quorum — take: it counts
+// the failover, persists the section, so a durable node recovers the replica
+// as the (fenced) primary rather than a standby, and logs why.
+func (b *HAgentBehavior) promote(ctx *platform.Context, why string) {
 	b.Standby = false
 	b.failovers++
 	b.reg.Counter("agentloc_failover_total", "tier", "hagent").Inc()
 	b.persistState(ctx)
-	ctx.Emit("failover.promote", fmt.Sprintf("promoted to primary at v%d with %d/%d votes", b.state.Ver, votes, len(refs)))
+	ctx.Emit("failover.promote", fmt.Sprintf("promoted to primary at v%d %s", b.state.Ver, why))
 }
 
 // ---------------------------------------------------------------------------

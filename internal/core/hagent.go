@@ -221,7 +221,7 @@ func (b *HAgentBehavior) ensureMetrics(ctx *platform.Context) {
 	b.reg.Describe("agentloc_core_hash_version", "Version of the primary hash state.")
 	b.reg.Describe("agentloc_iagent_heartbeats_total", "IAgent lease renewals received, by IAgent.")
 	b.reg.Describe("agentloc_iagent_suspect", "1 while the IAgent's lease is expired and unconfirmed, else 0.")
-	b.reg.Describe("agentloc_failover_total", "Automatic takeovers (tier=iagent) and promotions (tier=hagent).")
+	b.reg.Describe("agentloc_failover_total", "Automatic takeovers (tier=iagent) and promotions, automatic or requested (tier=hagent).")
 	// Pre-create the failover series so a healthy node exports zeros
 	// (the PR 2 convention: absence is indistinguishable from silence).
 	b.reg.Counter("agentloc_failover_total", "tier", "iagent")

@@ -126,12 +126,6 @@ type RefreshResp struct {
 	HashVersion uint64
 }
 
-// RegisterReq registers a newly created agent at its current node.
-type RegisterReq struct {
-	Agent ids.AgentID
-	Node  platform.NodeID
-}
-
 // UpdateReq informs the IAgent of an agent's new location after a move.
 type UpdateReq struct {
 	Agent ids.AgentID

@@ -77,7 +77,9 @@ func (b *HAgentBehavior) handleReplication(ctx *platform.Context, kind string, p
 		b.lastPrimaryBeat = ctx.Clock().Now()
 		return Ack{Status: StatusOK, HashVersion: b.state.Ver}, true, nil
 	case KindPromote:
-		b.Standby = false
+		if b.Standby {
+			b.promote(ctx, "on request")
+		}
 		return PromoteResp{HashVersion: b.state.Ver}, true, nil
 	default:
 		return nil, false, nil

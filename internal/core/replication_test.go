@@ -7,7 +7,10 @@ import (
 
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
+	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
+	"agentloc/internal/snapshot"
+	"agentloc/internal/trace"
 	"agentloc/internal/transport"
 )
 
@@ -168,5 +171,81 @@ func TestLHAgentFailsOverToReplicaForReads(t *testing.T) {
 		if got != home {
 			t.Errorf("locate %s = %s, want %s", agent, got, home)
 		}
+	}
+}
+
+// TestExplicitPromotionSurvivesRestart: an operator's KindPromote is the same
+// promotion as the lease detector's — counted, logged and persisted — so a
+// durable node that crashes after it recovers the replica as the primary,
+// fenced one version past the state it was promoted at, not as a standby.
+func TestExplicitPromotionSurvivesRestart(t *testing.T) {
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	caller, err := platform.NewNode(platform.Config{ID: "node-0", Link: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { caller.Close() })
+	// The replica's node is durableNode's, with an event log.
+	dir, reg, trc := t.TempDir(), metrics.New(), trace.NewLog(64)
+	store, err := snapshot.Open(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SyncOnAppend = true
+	host, err := platform.NewNode(platform.Config{ID: "node-1", Link: net, Metrics: reg, Durable: store, Trace: trc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { host.Close(); store.Close() })
+
+	cfg := quietConfig()
+	initial := &State{
+		Ver:       1,
+		Tree:      hashtree.New("iagent-1"),
+		Locations: map[ids.AgentID]platform.NodeID{"iagent-1": caller.ID()},
+	}
+	refs, err := DeployReplicas(cfg, initial.DTO(), []*platform.Node{host})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := refs[0]
+	ctx := testCtx(t)
+	var prom PromoteResp
+	if err := caller.CallAgent(ctx, ref.Node, ref.Agent, KindPromote, nil, &prom); err != nil {
+		t.Fatal(err)
+	}
+	if prom.HashVersion != 1 {
+		t.Fatalf("promoted at version %d, want 1", prom.HashVersion)
+	}
+	if got := reg.Snapshot().Counter("agentloc_failover_total", "tier", "hagent"); got != 1 {
+		t.Errorf("agentloc_failover_total{tier=hagent} = %d after the promotion, want 1", got)
+	}
+	if ev := trc.Filter("failover.promote"); len(ev) != 1 {
+		t.Errorf("failover.promote events = %v, want one", ev)
+	}
+	// A second request finds a primary: nothing more to promote or count.
+	if err := caller.CallAgent(ctx, ref.Node, ref.Agent, KindPromote, nil, &prom); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counter("agentloc_failover_total", "tier", "hagent"); got != 1 {
+		t.Errorf("agentloc_failover_total{tier=hagent} = %d after promoting a primary, want still 1", got)
+	}
+
+	host.Crash()
+	host2, _ := durableNode(t, net, "node-1", dir)
+	rep, err := RecoverNode(host2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.HAgents) != 1 || rep.HAgents[0] != ref.Agent {
+		t.Fatalf("recovered HAgents %v, want [%s]", rep.HAgents, ref.Agent)
+	}
+	var stats HashStatsResp
+	if err := caller.CallAgent(ctx, ref.Node, ref.Agent, KindHashStats, nil, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Standby || stats.HashVersion != 2 {
+		t.Errorf("recovered as standby=%v at version %d, want the primary fenced at version 2", stats.Standby, stats.HashVersion)
 	}
 }

@@ -239,25 +239,7 @@ func (r *LocateBatchResp) DecodeWire(d *wire.Dec) error {
 	return err
 }
 
-// --- register / update / deregister ---------------------------------------
-
-func (r RegisterReq) AppendWire(dst []byte) []byte {
-	dst = wire.AppendString(dst, string(r.Agent))
-	return wire.AppendString(dst, string(r.Node))
-}
-
-func (r *RegisterReq) DecodeWire(d *wire.Dec) error {
-	agent, err := d.String(wire.MaxIDLen)
-	if err != nil {
-		return err
-	}
-	node, err := d.StringIn(wire.MaxIDLen, wireIntern)
-	if err != nil {
-		return err
-	}
-	r.Agent, r.Node = ids.AgentID(agent), platform.NodeID(node)
-	return nil
-}
+// --- update / deregister ---------------------------------------
 
 func (r UpdateReq) AppendWire(dst []byte) []byte {
 	dst = wire.AppendString(dst, string(r.Agent))

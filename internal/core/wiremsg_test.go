@@ -27,7 +27,6 @@ func hotDTOs() []any {
 			{Status: StatusOK, Node: "n1", HashVersion: 7},
 			{Status: StatusUnknownAgent, HashVersion: 7},
 		}},
-		RegisterReq{Agent: "fresh", Node: "node-0"},
 		UpdateReq{Agent: "roamer", Node: "node-9", Residence: "res-2"},
 		UpdateReq{Agent: "loner", Node: "node-9"}, // empty residence clears a binding
 		UpdateReq{Agent: "skilled", Node: "node-1", Capabilities: []string{"gpu", "ocr"}},
@@ -301,7 +300,6 @@ func FuzzHotMsgDecode(f *testing.F) {
 		func() wire.Unmarshaler { return &LocateResp{} },
 		func() wire.Unmarshaler { return &LocateBatchReq{} },
 		func() wire.Unmarshaler { return &LocateBatchResp{} },
-		func() wire.Unmarshaler { return &RegisterReq{} },
 		func() wire.Unmarshaler { return &UpdateReq{} },
 		func() wire.Unmarshaler { return &DeregisterReq{} },
 		func() wire.Unmarshaler { return &Ack{} },

@@ -93,17 +93,17 @@ func (h *hosted) contextFor(sc trace.SpanContext) *Context {
 // a same-node caller gets its deadline back only once the behaviour returns
 // (fast-path kinds are lock-free reads; a remote caller is released by
 // Peer.Call regardless).
-func (h *hosted) serve(ctx context.Context, sc trace.SpanContext, req agentRequest) (any, error) {
+func (h *hosted) serve(ctx context.Context, sc trace.SpanContext, kind string, payload []byte) (any, error) {
 	cb, ok := h.behavior.(ConcurrentBehavior)
 	if !ok {
-		return h.submit(ctx, sc, req)
+		return h.submit(ctx, sc, kind, payload)
 	}
 	if h.stopped.Load() {
 		return nil, h.gone("left")
 	}
-	body, handled, err := cb.HandleConcurrent(h.contextFor(sc), req.Kind, req.Payload)
+	body, handled, err := cb.HandleConcurrent(h.contextFor(sc), kind, payload)
 	if !handled {
-		return h.submit(ctx, sc, req)
+		return h.submit(ctx, sc, kind, payload)
 	}
 	h.node.fastRequests.Inc()
 	if cerr := h.chargeServiceTime(ctx); cerr != nil {
@@ -130,8 +130,8 @@ func (h *hosted) chargeServiceTime(ctx context.Context) error {
 // ctx to expire first: the request then stays queued (the behaviour still
 // sees it, as it would a request whose remote caller gave up) and its result
 // is dropped into the buffered channel.
-func (h *hosted) submit(ctx context.Context, sc trace.SpanContext, req agentRequest) (any, error) {
-	w := work{req: req, span: sc, result: make(chan workResult, 1)}
+func (h *hosted) submit(ctx context.Context, sc trace.SpanContext, kind string, payload []byte) (any, error) {
+	w := work{kind: kind, payload: payload, span: sc, result: make(chan workResult, 1)}
 	if !h.mailbox.push(w) {
 		return nil, h.gone("left")
 	}
@@ -161,7 +161,7 @@ func (h *hosted) mailboxLoop() {
 		if h.serviceTime > 0 {
 			h.node.clk.Sleep(h.serviceTime)
 		}
-		body, err := h.behavior.HandleRequest(h.contextFor(w.span), w.req.Kind, w.req.Payload)
+		body, err := h.behavior.HandleRequest(h.contextFor(w.span), w.kind, w.payload)
 		w.result <- workResult{body: body, err: err}
 	}
 }
@@ -275,7 +275,7 @@ func (c *Context) Sleep(d time.Duration) bool {
 // one), so multi-hop chains stay in one causal tree.
 func (c *Context) Call(ctx context.Context, at NodeID, agent ids.AgentID, kind string, req, resp any) error {
 	ctx = trace.ContextEnsure(ctx, c.span)
-	return c.host.node.callAgent(ctx, c.host.id, at, agent, kind, req, resp)
+	return c.host.node.CallAgent(ctx, at, agent, kind, req, resp)
 }
 
 // LaunchAt creates a new agent on the target node (agents beget agents —
@@ -342,9 +342,10 @@ func (c *Context) Dispose() {
 
 // work is one queued request with its trace context and reply channel.
 type work struct {
-	req    agentRequest
-	span   trace.SpanContext
-	result chan workResult
+	kind    string
+	payload []byte
+	span    trace.SpanContext
+	result  chan workResult
 }
 
 type workResult struct {

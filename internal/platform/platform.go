@@ -30,7 +30,6 @@ import (
 	"agentloc/internal/snapshot"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
-	"agentloc/internal/wire"
 )
 
 // NodeID names a node. It doubles as the node's transport address.
@@ -131,26 +130,13 @@ func IsAgentNotFound(err error) bool {
 	return errors.As(err, &re) && strings.HasPrefix(re.Msg, agentNotFoundPrefix)
 }
 
-// Wire message kinds handled by every node.
+// Node-level message kinds, handled by every node. Everything else a node
+// serves is addressed to one of its agents: one envelope naming the agent, of
+// the message's own kind, carrying the message.
 const (
-	kindAgentRequest  = "platform.agent-request"
 	kindAgentTransfer = "platform.agent-transfer"
 	kindNodePing      = "platform.ping"
 )
-
-// agentRequest wraps a request addressed to an agent at the node. A sender
-// whose request has a binary form leaves it in body, unencoded, and the
-// wrapper appends it behind its own fields (see wiremsg.go) — no intermediate
-// buffer; any other request is gob-encoded into Payload by the sender. Payload
-// is what a receiver decodes.
-type agentRequest struct {
-	Agent   ids.AgentID
-	From    ids.AgentID // requesting agent, if any
-	Kind    string
-	Payload []byte
-
-	body wire.Marshaler
-}
 
 // agentTransfer carries a migrating agent's serialized state.
 type agentTransfer struct {
@@ -212,11 +198,11 @@ type Node struct {
 
 	// Handles cached off the hot paths; all are nil-safe no-ops when the
 	// node has no registry.
-	hostedGauge   *metrics.Gauge
-	migrations    *metrics.Counter
-	transfersIn   *metrics.Counter
-	agentRequests *metrics.Counter
-	fastRequests  *metrics.Counter
+	hostedGauge  *metrics.Gauge
+	migrations   *metrics.Counter
+	transfersIn  *metrics.Counter
+	requests     *metrics.Counter
+	fastRequests *metrics.Counter
 
 	mu     sync.Mutex
 	agents map[ids.AgentID]*hosted
@@ -260,7 +246,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.hostedGauge = cfg.Metrics.Gauge("agentloc_platform_agents_hosted", "node", node)
 	n.migrations = cfg.Metrics.Counter("agentloc_platform_migrations_total", "node", node)
 	n.transfersIn = cfg.Metrics.Counter("agentloc_platform_transfers_in_total", "node", node)
-	n.agentRequests = cfg.Metrics.Counter("agentloc_platform_agent_requests_total", "node", node)
+	n.requests = cfg.Metrics.Counter("agentloc_platform_agent_requests_total", "node", node)
 	n.fastRequests = cfg.Metrics.Counter("agentloc_platform_agent_requests_fastpath_total", "node", node)
 	peer, err := transport.NewServingPeer(cfg.Link, cfg.ID.Addr(), n.handleInline, n.handle, cfg.Metrics)
 	if err != nil {
@@ -375,41 +361,18 @@ func (n *Node) Hosts(id ids.AgentID) bool {
 // CallAgent sends a request to an agent hosted at the given node and waits
 // for its response. It is the entry point for non-agent callers (clients,
 // experiment drivers); agents use Context.Call.
+//
+// A call to an agent on this node is delivered in-process (callLocal); every
+// other call is one envelope across the link, addressed to the agent, with req
+// encoded by the link straight into the frame.
 func (n *Node) CallAgent(ctx context.Context, at NodeID, agent ids.AgentID, kind string, req, resp any) error {
-	return n.callAgent(ctx, "", at, agent, kind, req, resp)
-}
-
-// callAgent implements agent-addressed calls with an optional sender id. A
-// call to an agent on this node is delivered in-process (callLocal); every
-// other call crosses the link, a request with a binary form riding unencoded
-// inside its wrapper until the link encodes both into the frame.
-func (n *Node) callAgent(ctx context.Context, from ids.AgentID, at NodeID, agent ids.AgentID, kind string, req, resp any) error {
 	if at == n.id {
-		return n.callLocal(ctx, from, agent, kind, req, resp)
+		return n.callLocal(ctx, agent, kind, req, resp)
 	}
-	wrapped := agentRequest{Agent: agent, From: from, Kind: kind}
-	if m, ok := req.(wire.Marshaler); ok {
-		wrapped.body = m
-	} else {
-		payload, err := transport.Encode(req)
-		if err != nil {
-			return fmt.Errorf("call %s@%s %s: encode: %w", agent, at, kind, err)
-		}
-		wrapped.Payload = payload
-	}
-	var raw rawResponse
-	if err := n.peer.Call(ctx, at.Addr(), kindAgentRequest, &wrapped, &raw); err != nil {
-		return err
-	}
-	if resp != nil {
-		if err := transport.Decode(raw.Payload, resp); err != nil {
-			return fmt.Errorf("call %s@%s %s: decode: %w", agent, at, kind, err)
-		}
-	}
-	return nil
+	return n.peer.CallAgent(ctx, at.Addr(), string(agent), kind, req, resp)
 }
 
-// callLocal is callAgent for an agent hosted on this node: the request is
+// callLocal is CallAgent for an agent hosted on this node: the request is
 // handed over on the caller's goroutine — no envelope, no link, no network
 // hop, so neither SpanContext.Hop nor the transport counters move. A
 // LocalAnswerer that accepts the kind fills in resp directly; everything else
@@ -421,7 +384,7 @@ func (n *Node) callAgent(ctx context.Context, from ids.AgentID, at NodeID, agent
 // ConcurrentBehavior accepts runs on this goroutine, so the call returns at
 // the deadline only while it is parked in the mailbox or being charged its
 // service time, not in the middle of HandleConcurrent (see hosted.serve).
-func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind string, req, resp any) error {
+func (n *Node) callLocal(ctx context.Context, agent ids.AgentID, kind string, req, resp any) error {
 	sc := trace.FromContext(ctx)
 	result, answered, err := n.answerLocal(ctx, sc, agent, kind, req, resp)
 	if !answered {
@@ -429,7 +392,7 @@ func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind stri
 		if payload, err = transport.Encode(req); err != nil {
 			return fmt.Errorf("call %s@%s %s: encode: %w", agent, n.id, kind, err)
 		}
-		result, err = n.deliver(ctx, sc, agentRequest{Agent: agent, From: from, Kind: kind, Payload: payload})
+		result, err = n.deliver(ctx, sc, agent, kind, payload)
 	}
 	switch {
 	case err == nil:
@@ -438,39 +401,19 @@ func (n *Node) callLocal(ctx context.Context, from, agent ids.AgentID, kind stri
 	case errors.Is(err, ErrNodeClosed):
 		return fmt.Errorf("call %s@%s %s: %w", agent, n.id, kind, ErrNodeClosed)
 	default:
-		return &transport.RemoteError{Kind: kindAgentRequest, To: n.id.Addr(), Msg: err.Error()}
+		return &transport.RemoteError{Kind: kind, To: n.id.Addr(), Msg: err.Error()}
 	}
 	if answered || resp == nil {
 		return nil
 	}
 	body, err := transport.Encode(result)
 	if err != nil {
-		return &transport.RemoteError{Kind: kindAgentRequest, To: n.id.Addr(), Msg: fmt.Sprintf("agent %s: encode response: %v", agent, err)}
+		return &transport.RemoteError{Kind: kind, To: n.id.Addr(), Msg: fmt.Sprintf("agent %s: encode response: %v", agent, err)}
 	}
 	if err := transport.Decode(body, resp); err != nil {
 		return fmt.Errorf("call %s@%s %s: decode: %w", agent, n.id, kind, err)
 	}
 	return nil
-}
-
-// rawResponse carries an agent's response, split between body and Payload as
-// agentRequest splits a request; Payload is what the receiver decodes.
-type rawResponse struct {
-	Payload []byte
-
-	body wire.Marshaler
-}
-
-// responseFor wraps a behaviour's result for the wire.
-func responseFor(agent ids.AgentID, result any) (*rawResponse, error) {
-	if m, ok := result.(wire.Marshaler); ok {
-		return &rawResponse{body: m}, nil
-	}
-	payload, err := transport.Encode(result)
-	if err != nil {
-		return nil, fmt.Errorf("agent %s: encode response: %w", agent, err)
-	}
-	return &rawResponse{Payload: payload}, nil
 }
 
 // Ping checks that a node is reachable.
@@ -563,57 +506,35 @@ func (n *Node) Crash() {
 // handleInline is the node's transport.InlineHandler: on the connection's read
 // loop it answers pings, and agent requests whose target is a
 // ConcurrentBehavior with no service time that accepts them. Everything else —
-// mailbox kinds, transfers, a wrapper that does not parse — is declined and
-// reaches handle on a goroutine of its own.
-func (n *Node) handleInline(ctx context.Context, _ transport.Addr, kind string, payload []byte) (any, bool, error) {
-	switch kind {
-	case kindNodePing:
-		return nil, true, nil
-	case kindAgentRequest:
-		_, body, ok := wire.MsgHeader(payload)
-		if !ok {
-			return nil, false, nil
-		}
-		var req agentRequest
-		d := wire.GetDec(body)
-		err := req.DecodeWire(d)
-		if err == nil {
-			err = d.Done()
-		}
-		wire.PutDec(d)
-		if err != nil {
-			return nil, false, nil // handle reports it
-		}
-		n.mu.Lock()
-		h, hosted := n.agents[req.Agent]
-		n.mu.Unlock()
-		if !hosted {
-			return nil, false, nil
-		}
-		cb, ok := h.behavior.(ConcurrentBehavior)
-		if !ok || h.serviceTime > 0 || h.stopped.Load() {
-			return nil, false, nil
-		}
-		sc := trace.FromContext(ctx)
-		sp := n.tracer.StartSpan(sc, "server", req.Kind)
-		if sp != nil {
-			sc = sp.Context()
-		}
-		result, handled, err := cb.HandleConcurrent(h.contextFor(sc), req.Kind, req.Payload)
-		if !handled {
-			return nil, false, nil // sp is dropped unrecorded
-		}
-		n.agentRequests.Inc()
-		n.fastRequests.Inc()
-		sp.End(err)
-		if err != nil {
-			return nil, true, err
-		}
-		resp, err := responseFor(req.Agent, result)
-		return resp, true, err
-	default:
+// mailbox kinds, transfers — is declined and reaches handle on a goroutine of
+// its own.
+func (n *Node) handleInline(ctx context.Context, _ transport.Addr, agent, kind string, payload []byte) (any, bool, error) {
+	if agent == "" {
+		return nil, kind == kindNodePing, nil
+	}
+	n.mu.Lock()
+	h, hosted := n.agents[ids.AgentID(agent)]
+	n.mu.Unlock()
+	if !hosted {
 		return nil, false, nil
 	}
+	cb, ok := h.behavior.(ConcurrentBehavior)
+	if !ok || h.serviceTime > 0 || h.stopped.Load() {
+		return nil, false, nil
+	}
+	sc := trace.FromContext(ctx)
+	sp := n.tracer.StartSpan(sc, "server", kind)
+	if sp != nil {
+		sc = sp.Context()
+	}
+	result, handled, err := cb.HandleConcurrent(h.contextFor(sc), kind, payload)
+	if !handled {
+		return nil, false, nil // sp is dropped unrecorded
+	}
+	n.requests.Inc()
+	n.fastRequests.Inc()
+	sp.End(err)
+	return result, true, err
 }
 
 // answerLocal offers a same-node call to the target's AnswerLocal, if it has
@@ -643,7 +564,7 @@ func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.
 	if !handled {
 		return nil, false, nil // sp is dropped unrecorded
 	}
-	n.agentRequests.Inc()
+	n.requests.Inc()
 	n.fastRequests.Inc()
 	if err == nil {
 		err = h.chargeServiceTime(ctx)
@@ -652,21 +573,15 @@ func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.
 	return nil, true, err
 }
 
-// handle serves the node's wire protocol.
-func (n *Node) handle(ctx context.Context, from transport.Addr, kind string, payload []byte) (any, error) {
+// handle serves the node's wire protocol: a request addressed to an agent goes
+// to the agent, the node-level kinds are the node's own.
+func (n *Node) handle(ctx context.Context, _ transport.Addr, agent, kind string, payload []byte) (any, error) {
+	if agent != "" {
+		return n.deliver(ctx, trace.FromContext(ctx), ids.AgentID(agent), kind, payload)
+	}
 	switch kind {
 	case kindNodePing:
 		return nil, nil
-	case kindAgentRequest:
-		var req agentRequest
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, fmt.Errorf("node %s: bad agent request: %w", n.id, err)
-		}
-		result, err := n.deliver(ctx, trace.FromContext(ctx), req)
-		if err != nil {
-			return nil, err
-		}
-		return responseFor(req.Agent, result)
 	case kindAgentTransfer:
 		var xfer agentTransfer
 		if err := transport.Decode(payload, &xfer); err != nil {
@@ -691,13 +606,13 @@ func (n *Node) handle(ctx context.Context, from transport.Addr, kind string, pay
 // request is parked in the mailbox. For sampled requests a server span wraps
 // the whole delivery (mailbox queueing included), and its context becomes the
 // parent of whatever calls the behaviour makes.
-func (n *Node) deliver(ctx context.Context, sc trace.SpanContext, req agentRequest) (any, error) {
+func (n *Node) deliver(ctx context.Context, sc trace.SpanContext, agent ids.AgentID, kind string, payload []byte) (any, error) {
 	n.mu.Lock()
-	h, ok := n.agents[req.Agent]
+	h, ok := n.agents[agent]
 	closed := n.closed
 	n.mu.Unlock()
 	if !ok {
-		err := fmt.Errorf("%s%s not at %s", agentNotFoundPrefix, req.Agent, n.id)
+		err := fmt.Errorf("%s%s not at %s", agentNotFoundPrefix, agent, n.id)
 		if closed {
 			// Still agent-not-found to a remote caller (only the text crosses
 			// the wire); a local caller can tell the node itself is gone.
@@ -705,12 +620,12 @@ func (n *Node) deliver(ctx context.Context, sc trace.SpanContext, req agentReque
 		}
 		return nil, err
 	}
-	n.agentRequests.Inc()
-	sp := n.tracer.StartSpan(sc, "server", req.Kind)
+	n.requests.Inc()
+	sp := n.tracer.StartSpan(sc, "server", kind)
 	if sp != nil {
 		sc = sp.Context()
 	}
-	result, err := h.serve(ctx, sc, req)
+	result, err := h.serve(ctx, sc, kind, payload)
 	sp.End(err)
 	return result, err
 }

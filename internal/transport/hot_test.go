@@ -425,8 +425,8 @@ func TestTCPReplyIsNeverDialedFor(t *testing.T) {
 			}
 			defer srvLink.Close()
 			srv, err := NewServingPeer(srvLink, "server",
-				func(context.Context, Addr, string, []byte) (any, bool, error) { return nil, inline, nil },
-				func(context.Context, Addr, string, []byte) (any, error) { return nil, nil }, nil)
+				func(context.Context, Addr, string, string, []byte) (any, bool, error) { return nil, inline, nil },
+				func(context.Context, Addr, string, string, []byte) (any, error) { return nil, nil }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -503,7 +503,7 @@ func TestInlineServedWhileRepliesCannotBeWritten(t *testing.T) {
 	}
 	defer srvLink.Close()
 	var served atomic.Int64
-	srv, err := NewServingPeer(srvLink, "server", func(context.Context, Addr, string, []byte) (any, bool, error) {
+	srv, err := NewServingPeer(srvLink, "server", func(context.Context, Addr, string, string, []byte) (any, bool, error) {
 		served.Add(1)
 		return nil, true, nil
 	}, nil, nil)

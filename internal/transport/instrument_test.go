@@ -73,7 +73,7 @@ func TestTransportCountersCountWhatTheyName(t *testing.T) {
 			}
 			cliReg, srvReg := metrics.New(), metrics.New()
 			release := make(chan struct{})
-			server, err := NewServingPeer(Instrument(srvLink, srvReg), "server", nil, func(_ context.Context, _ Addr, kind string, _ []byte) (any, error) {
+			server, err := NewServingPeer(Instrument(srvLink, srvReg), "server", nil, func(_ context.Context, _ Addr, _, kind string, _ []byte) (any, error) {
 				if kind == "block" {
 					<-release
 				}

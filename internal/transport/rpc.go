@@ -21,13 +21,18 @@ import (
 // own, so a handler may block and may issue Calls.
 type RequestHandler func(ctx context.Context, from Addr, kind string, payload []byte) (any, error)
 
+// AgentHandler is a RequestHandler that also hears the agent the request is
+// addressed to: empty for a request to the endpoint itself (Call), the
+// callee's name for one sent with CallAgent.
+type AgentHandler func(ctx context.Context, from Addr, agent, kind string, payload []byte) (any, error)
+
 // InlineHandler is offered every inbound request first, on the goroutine that
 // read it off the connection. It answers — handled true — only what it can
 // answer at once: it must neither block nor call out, because until it returns
 // nothing else arrives from that peer, the replies to its own calls included.
 // payload is valid only until it returns. Declining costs nothing but the
-// look: the request then goes to the RequestHandler on its own goroutine.
-type InlineHandler func(ctx context.Context, from Addr, kind string, payload []byte) (body any, handled bool, err error)
+// look: the request then goes to the AgentHandler on its own goroutine.
+type InlineHandler func(ctx context.Context, from Addr, agent, kind string, payload []byte) (body any, handled bool, err error)
 
 // Peer is a request/response endpoint over a Link. One Peer serves one
 // address; it matches replies to outstanding calls by correlation id and
@@ -35,7 +40,7 @@ type InlineHandler func(ctx context.Context, from Addr, kind string, payload []b
 type Peer struct {
 	link   Link
 	addr   Addr
-	h      RequestHandler
+	h      AgentHandler
 	inline InlineHandler
 	reg    *metrics.Registry
 
@@ -72,9 +77,15 @@ var slotPool = sync.Pool{New: func() any {
 }}
 
 // NewPeer binds a Peer to addr on the link. The handler serves inbound
-// requests; it may be nil for call-only peers.
+// requests, whatever agent they name; it may be nil for call-only peers.
 func NewPeer(link Link, addr Addr, h RequestHandler) (*Peer, error) {
-	return NewServingPeer(link, addr, nil, h, nil)
+	var ah AgentHandler
+	if h != nil {
+		ah = func(ctx context.Context, from Addr, _, kind string, payload []byte) (any, error) {
+			return h(ctx, from, kind, payload)
+		}
+	}
+	return NewServingPeer(link, addr, nil, ah, nil)
 }
 
 // NewServingPeer is NewPeer with an InlineHandler in front of the request
@@ -83,7 +94,7 @@ func NewPeer(link Link, addr Addr, h RequestHandler) (*Peer, error) {
 // abandoned on context expiry count into
 // agentloc_transport_rpc_timeouts_total{kind}. A nil registry yields an
 // uninstrumented peer.
-func NewServingPeer(link Link, addr Addr, inline InlineHandler, h RequestHandler, reg *metrics.Registry) (*Peer, error) {
+func NewServingPeer(link Link, addr Addr, inline InlineHandler, h AgentHandler, reg *metrics.Registry) (*Peer, error) {
 	describeTransportMetrics(reg)
 	p := &Peer{
 		link:    link,
@@ -102,11 +113,17 @@ func NewServingPeer(link Link, addr Addr, inline InlineHandler, h RequestHandler
 // Addr returns the peer's own address.
 func (p *Peer) Addr() Addr { return p.addr }
 
-// Call sends a request and waits for the reply, a send failure or the end of
-// ctx, whichever comes first. req and resp are encoded and decoded in the
-// codec their type selects (see Encode); either may be nil. A remote handler
-// error is returned as *RemoteError.
+// Call sends a request to the endpoint at to and waits for the reply, a send
+// failure or the end of ctx, whichever comes first. req and resp are encoded
+// and decoded in the codec their type selects (see Encode); either may be nil.
+// A remote handler error is returned as *RemoteError.
 func (p *Peer) Call(ctx context.Context, to Addr, kind string, req, resp any) error {
+	return p.CallAgent(ctx, to, "", kind, req, resp)
+}
+
+// CallAgent is Call addressed to an agent at to: one envelope that names the
+// agent and carries req as its payload.
+func (p *Peer) CallAgent(ctx context.Context, to Addr, agent, kind string, req, resp any) error {
 	s := slotPool.Get().(*callSlot)
 	p.mu.Lock()
 	if p.closed {
@@ -120,7 +137,7 @@ func (p *Peer) Call(ctx context.Context, to Addr, kind string, req, resp any) er
 	p.pending[corr] = s
 	p.mu.Unlock()
 
-	env := Envelope{From: p.addr, To: to, Kind: kind, Corr: corr}
+	env := Envelope{From: p.addr, To: to, Agent: agent, Kind: kind, Corr: corr}
 	// Stamp the caller's trace context onto the wire, charging one network
 	// hop. The receiver parents its spans under env.Trace.SpanID.
 	if sc := trace.FromContext(ctx); sc.Valid() {
@@ -291,16 +308,21 @@ func (p *Peer) deliver(env Envelope, borrowed bool) {
 	p.mu.Unlock()
 
 	if p.inline != nil {
-		body, handled, err := p.inline(handlerContext(env.Trace), env.From, env.Kind, env.Payload)
+		body, handled, err := p.inline(handlerContext(env.Trace), env.From, env.Agent, env.Kind, env.Payload)
 		if handled {
-			p.reply(env, body, err)
+			p.reply(env.From, env.Kind, env.Corr, body, err)
 			p.wg.Done()
 			return
 		}
 	}
+	payload := env.Payload
 	if borrowed {
-		env.Payload = bytes.Clone(env.Payload)
+		payload = bytes.Clone(payload)
 	}
+	// The goroutine gets the fields it uses, not env: an Envelope is too big
+	// for a closure to capture by value, and capturing it by reference would
+	// move every delivered envelope to the heap.
+	from, agent, kind, corr, sc := env.From, env.Agent, env.Kind, env.Corr, env.Trace
 	go func() {
 		defer p.wg.Done()
 		var (
@@ -308,11 +330,11 @@ func (p *Peer) deliver(env Envelope, borrowed bool) {
 			err  error
 		)
 		if p.h != nil {
-			body, err = p.h(handlerContext(env.Trace), env.From, env.Kind, env.Payload)
+			body, err = p.h(handlerContext(sc), from, agent, kind, payload)
 		} else {
 			err = fmt.Errorf("no handler at %s", p.addr)
 		}
-		p.reply(env, body, err)
+		p.reply(from, kind, corr, body, err)
 	}()
 }
 
@@ -325,12 +347,12 @@ func handlerContext(sc trace.SpanContext) context.Context {
 	return trace.ContextWith(context.Background(), sc)
 }
 
-// reply queues the answer to a request. It waits neither for a dial nor for
-// the write (see Link.post), so it is safe on a read loop. A reply that cannot
-// be sent means the requester is unreachable; it will time out, which is the
-// correct observable behaviour.
-func (p *Peer) reply(req Envelope, body any, err error) {
-	reply := Envelope{From: p.addr, To: req.From, Kind: req.Kind, Corr: req.Corr, Reply: true}
+// reply queues the answer to request corr from to. It waits neither for a
+// dial nor for the write (see Link.post), so it is safe on a read loop. A
+// reply that cannot be sent means the requester is unreachable; it will time
+// out, which is the correct observable behaviour.
+func (p *Peer) reply(to Addr, kind string, corr uint64, body any, err error) {
+	reply := Envelope{From: p.addr, To: to, Kind: kind, Corr: corr, Reply: true}
 	if err != nil {
 		reply.ErrMsg, body = err.Error(), nil
 	}

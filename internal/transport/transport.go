@@ -31,7 +31,11 @@ type Addr string
 type Envelope struct {
 	// From and To identify the sending and receiving endpoints.
 	From, To Addr
-	// Kind names the request type (e.g. "locate", "agent-transfer").
+	// Agent names the agent at To a request is addressed to; it is empty
+	// for a request to the endpoint itself and on every reply.
+	Agent string
+	// Kind names the request type (e.g. "loc.locate", "platform.ping"); a
+	// reply repeats its request's.
 	Kind string
 	// Corr correlates a reply with its request.
 	Corr uint64

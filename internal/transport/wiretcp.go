@@ -14,12 +14,16 @@ import (
 // each carrying one encoded Envelope. Nothing is agreed per connection: the
 // frame header names the stream format's version, the payload inside the
 // envelope names its own codec (see Decode), and a reader that meets a frame
-// it cannot read — another magic, a newer version, another kind — closes the
-// connection.
+// it cannot read — another magic, another version, another kind — closes the
+// connection. An agent call is one envelope: the envelope names the agent and
+// the message's own kind, and its payload is the message.
 var envMagic = [4]byte{0xA7, 'A', 'E', 'V'}
 
-// envFrameVersion is the frame-level format version of the TCP stream.
-const envFrameVersion = 1
+// envFrameVersion is the frame-level format version of the TCP stream. A
+// reader takes this version only: version 1, whose envelopes carried no
+// Agent and whose agent calls nested a second request inside the payload, is
+// refused like any other.
+const envFrameVersion = 2
 
 // frameEnvelope is the one frame kind on the stream. Kinds 1 and 2 — the hello
 // and helloAck of builds that negotiated a codec per connection — are retired
@@ -43,13 +47,15 @@ const (
 
 // appendEnvBody appends the binary encoding of env:
 //
-//	str From | str To | str Kind | uvarint Corr | flags |
+//	str From | str To | str Agent | str Kind | uvarint Corr | flags |
 //	[str ErrMsg] | [u64 TraceID, u64 SpanID, Hop] | bytes Payload
 //
-// The bracketed groups are present iff their flag bit is set.
+// The bracketed groups are present iff their flag bit is set. Payload is the
+// message itself, in the codec its type selects (see Encode).
 func appendEnvBody(dst []byte, env *Envelope) []byte {
 	dst = wire.AppendString(dst, string(env.From))
 	dst = wire.AppendString(dst, string(env.To))
+	dst = wire.AppendString(dst, env.Agent)
 	dst = wire.AppendString(dst, env.Kind)
 	dst = wire.AppendUvarint(dst, env.Corr)
 	var flags byte
@@ -78,10 +84,11 @@ func appendEnvBody(dst []byte, env *Envelope) []byte {
 	return wire.AppendBytes(dst, env.Payload)
 }
 
-// nameTable interns the addresses and kinds of one connection's envelopes: a
-// connection carries a handful of distinct From/To/Kind values, millions of
-// times. Only the connection's read loop touches it, so it needs no lock. A
-// nil table interns nothing.
+// nameTable interns the addresses, agents and kinds of one connection's
+// envelopes: a connection carries a handful of distinct From/To/Agent/Kind
+// values — the mechanism's own agents, nearly always — millions of times.
+// Only the connection's read loop touches it, so it needs no lock. A nil
+// table interns nothing.
 type nameTable map[string]string
 
 // maxConnNames bounds a nameTable; past it (a peer inventing addresses) names
@@ -100,7 +107,7 @@ func (n nameTable) intern(b []byte) string {
 }
 
 // decodeEnvBody decodes one envelope body. env.Payload aliases data; From,
-// To and Kind come from names.
+// To, Agent and Kind come from names.
 func decodeEnvBody(data []byte, env *Envelope, names nameTable) error {
 	d := wire.NewDec(data)
 	from, err := d.Bytes(maxEnvIDLen)
@@ -108,6 +115,10 @@ func decodeEnvBody(data []byte, env *Envelope, names nameTable) error {
 		return err
 	}
 	to, err := d.Bytes(maxEnvIDLen)
+	if err != nil {
+		return err
+	}
+	agent, err := d.Bytes(maxEnvIDLen)
 	if err != nil {
 		return err
 	}
@@ -123,7 +134,7 @@ func decodeEnvBody(data []byte, env *Envelope, names nameTable) error {
 	if err != nil {
 		return err
 	}
-	*env = Envelope{From: Addr(names.intern(from)), To: Addr(names.intern(to)), Kind: names.intern(kind), Corr: corr, Reply: flags&envFlagReply != 0}
+	*env = Envelope{From: Addr(names.intern(from)), To: Addr(names.intern(to)), Agent: names.intern(agent), Kind: names.intern(kind), Corr: corr, Reply: flags&envFlagReply != 0}
 	if flags&envFlagErr != 0 {
 		if env.ErrMsg, err = d.String(maxEnvErrLen); err != nil {
 			return err
@@ -162,11 +173,15 @@ func newEnvReader(conn io.Reader) envReader {
 }
 
 // decode reads the next envelope. env.Payload aliases the decoder's buffer and
-// is valid only until the next decode.
+// is valid only until the next decode. The frame reader takes every version up
+// to envFrameVersion; an older one is refused here, not misread.
 func (r envReader) decode(env *Envelope) error {
 	f, err := r.frames.Next()
 	if err != nil {
 		return err
+	}
+	if f.Version != envFrameVersion {
+		return fmt.Errorf("%w: frame version %d, this build reads %d", wire.ErrUnsupportedVersion, f.Version, envFrameVersion)
 	}
 	if f.Kind != frameEnvelope {
 		return fmt.Errorf("%w: unexpected frame kind %d", wire.ErrCorrupt, f.Kind)

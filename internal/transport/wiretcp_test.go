@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ import (
 func TestEnvBodyRoundTrip(t *testing.T) {
 	cases := []Envelope{
 		{},
-		{From: "a", To: "b", Kind: "loc.locate", Corr: 7, Payload: []byte("hi")},
+		{From: "a", To: "b", Agent: "iagent-1", Kind: "loc.locate", Corr: 7, Payload: []byte("hi")},
 		{From: "a", To: "b", Kind: "k", Corr: 1, Reply: true, ErrMsg: "boom"},
 		{From: "n-1", To: "n-2", Kind: "loc.update", Corr: 9,
 			Trace:   trace.SpanContext{TraceID: 0xDEAD, SpanID: 0xBEEF, Hop: 3, Sampled: true},
@@ -155,6 +156,69 @@ func TestTCPRejectsForeignStreams(t *testing.T) {
 	}
 }
 
+// TestTCPRefusesOldFrameVersion: a version-1 envelope frame — the form of
+// builds whose envelopes named no agent — is refused, not misread. The frame
+// below is one such build's request; read as version 2 it would parse whole,
+// as a request to agent "call" of kind "\x00". The connection is closed,
+// counted once as a decode error, and no handler sees anything.
+func TestTCPRefusesOldFrameVersion(t *testing.T) {
+	reg := metrics.New()
+	link, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	var served atomic.Int64
+	srv, err := NewServingPeer(link, "server",
+		func(context.Context, Addr, string, string, []byte) (any, bool, error) {
+			served.Add(1)
+			return nil, false, nil
+		},
+		func(context.Context, Addr, string, string, []byte) (any, error) {
+			served.Add(1)
+			return nil, nil
+		}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// Version 1: str From | str To | str Kind | uvarint Corr | flags | bytes Payload.
+	var v1 []byte
+	v1 = wire.AppendString(v1, "stranger")
+	v1 = wire.AppendString(v1, "server")
+	v1 = wire.AppendString(v1, "call")
+	v1 = wire.AppendUvarint(v1, 1)
+	v1 = append(v1, 0)
+	v1 = wire.AppendBytes(v1, []byte{0, 0})
+	var misread Envelope
+	if err := decodeEnvBody(v1, &misread, nil); err != nil || misread.Agent != "call" {
+		t.Fatalf("the v1 body no longer parses as a v2 one (%+v, %v): the test shows nothing", misread, err)
+	}
+
+	raw, err := net.Dial("tcp", link.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(wire.AppendFrame(nil, envMagic, 1, frameEnvelope, v1)); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection still open after a v1 frame (read %d bytes, err %v)", n, err)
+	}
+	decodeErrs := func() uint64 { return reg.Snapshot().Counter(metricConnErrs, "reason", "decode") }
+	waitFor(t, "the decode error counted", func() bool { return decodeErrs() >= 1 })
+	srv.Close() // waits for every handler still running
+	if got, all := decodeErrs(), reg.Snapshot().Counter(metricConnErrs); got != 1 || all != 1 {
+		t.Errorf("conn_errors_total{reason=decode} = %d of %d in all, want 1 of 1", got, all)
+	}
+	if n := served.Load(); n != 0 {
+		t.Errorf("handlers ran %d times for a refused frame", n)
+	}
+}
+
 // TestPeerDropsRequestWithoutCorr: a request with no correlation id has no
 // call waiting for its answer — no Peer sends one — so one that arrives off the
 // wire from outside is dropped before any handler sees it, and the connection
@@ -176,11 +240,11 @@ func TestPeerDropsRequestWithoutCorr(t *testing.T) {
 		mu.Unlock()
 	}
 	srv, err := NewServingPeer(link, "server",
-		func(_ context.Context, _ Addr, kind string, _ []byte) (any, bool, error) {
+		func(_ context.Context, _ Addr, _, kind string, _ []byte) (any, bool, error) {
 			note("inline " + kind)
 			return nil, false, nil
 		},
-		func(_ context.Context, _ Addr, kind string, _ []byte) (any, error) {
+		func(_ context.Context, _ Addr, _, kind string, _ []byte) (any, error) {
 			note("handler " + kind)
 			return nil, nil
 		}, nil)
@@ -319,7 +383,9 @@ func TestEncodeVCodecSwitch(t *testing.T) {
 
 func FuzzEnvelopeDecode(f *testing.F) {
 	seeds := []Envelope{
-		{From: "a", To: "b", Kind: "loc.locate", Corr: 1, Payload: []byte("x")},
+		// A request addressed to an agent, a node-level request and a reply.
+		{From: "node-1", To: "node-0", Agent: "iagent-1", Kind: "loc.locate", Corr: 1, Payload: []byte("x")},
+		{From: "node-1", To: "node-0", Kind: "platform.ping", Corr: 2},
 		{From: "n1", To: "n2", Kind: "k", Reply: true, ErrMsg: "e",
 			Trace: trace.SpanContext{TraceID: 5, SpanID: 6, Hop: 2, Sampled: true}},
 	}
