@@ -16,6 +16,7 @@
 package capindex
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -126,7 +127,9 @@ func (x *Index) CapsOf(agent ids.AgentID) []string {
 // matches nothing — "all agents" is a location-table scan, not a
 // capability query. Intersection walks the rarest tag's set, so a query
 // with one selective tag stays cheap regardless of how common the others
-// are. The result order is unspecified.
+// are. The result is allocated once, at its exact size, so a common tag
+// with a rare intersection does not size it. The result order is
+// unspecified.
 func (x *Index) Match(caps []string) []ids.AgentID {
 	norm := Normalize(caps)
 	if len(norm) == 0 {
@@ -144,7 +147,10 @@ func (x *Index) Match(caps []string) []ids.AgentID {
 			rarest = i
 		}
 	}
-	var out []ids.AgentID
+	// The intersection is gathered in pooled scratch space and copied out at
+	// its size: one walk of the rarest set, one allocation.
+	buf := matchScratch.Get().(*[]ids.AgentID)
+	scratch := (*buf)[:0]
 outer:
 	for agent := range x.byCap[norm[rarest]] {
 		for i, c := range norm {
@@ -155,10 +161,20 @@ outer:
 				continue outer
 			}
 		}
-		out = append(out, agent)
+		scratch = append(scratch, agent)
 	}
+	var out []ids.AgentID
+	if len(scratch) > 0 {
+		out = slices.Clone(scratch)
+	}
+	clear(scratch)
+	*buf = scratch[:0]
+	matchScratch.Put(buf)
 	return out
 }
+
+// matchScratch holds the space Match gathers intersections in.
+var matchScratch = sync.Pool{New: func() any { return new([]ids.AgentID) }}
 
 // Len returns the number of agents with at least one capability.
 func (x *Index) Len() int {

@@ -152,7 +152,7 @@ func (c *Client) call(ctx context.Context, kind string, req, resp any) error {
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.CallTimeout)
 		defer cancel()
 	}
-	return c.caller.Call(ctx, c.cfg.Node, c.cfg.Agent, kind, req, resp)
+	return c.caller.Go(ctx, c.cfg.Node, c.cfg.Agent, kind, req, resp).Wait()
 }
 
 // Register announces a newly created agent's location.

@@ -210,7 +210,7 @@ func (c *Client) report(ctx context.Context, kind string, self ids.AgentID) (cor
 	}
 	var ack core.Ack
 	req := core.UpdateReq{Agent: self, Node: c.caller.LocalNode()}
-	if err := c.caller.Call(ctx, node, tracker, kind, req, &ack); err != nil {
+	if err := c.caller.Go(ctx, node, tracker, kind, req, &ack).Wait(); err != nil {
 		return core.Assignment{}, fmt.Errorf("consistent %s %s: %w", kind, self, err)
 	}
 	return core.Assignment{IAgent: tracker, Node: node}, nil
@@ -223,7 +223,7 @@ func (c *Client) Deregister(ctx context.Context, self ids.AgentID, _ core.Assign
 		return err
 	}
 	var ack core.Ack
-	if err := c.caller.Call(ctx, node, tracker, core.KindDeregister, core.DeregisterReq{Agent: self}, &ack); err != nil {
+	if err := c.caller.Go(ctx, node, tracker, core.KindDeregister, core.DeregisterReq{Agent: self}, &ack).Wait(); err != nil {
 		return fmt.Errorf("consistent deregister %s: %w", self, err)
 	}
 	return nil
@@ -236,7 +236,7 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 		return "", err
 	}
 	var resp core.LocateResp
-	if err := c.caller.Call(ctx, node, tracker, core.KindLocate, core.LocateReq{Agent: target}, &resp); err != nil {
+	if err := c.caller.Go(ctx, node, tracker, core.KindLocate, core.LocateReq{Agent: target}, &resp).Wait(); err != nil {
 		return "", fmt.Errorf("consistent locate %s: %w", target, err)
 	}
 	if resp.Status == core.StatusUnknownAgent {

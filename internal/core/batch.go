@@ -213,7 +213,7 @@ func (b *UpdateBatcher) flushDest(key batchKey, pending []pendingUpdate) {
 		sp.Annotate("entries", strconv.Itoa(len(pending)))
 		ctx = trace.ContextWith(ctx, sp.Context())
 	}
-	err := b.caller.Call(ctx, key.node, key.iagent, KindUpdateBatch, req, &resp)
+	err := b.caller.Go(ctx, key.node, key.iagent, KindUpdateBatch, req, &resp).Wait()
 	sp.End(err)
 	// Only successful batch RPCs count as flushed; failures are tallied
 	// separately so the ok series stays an honest delivery count.

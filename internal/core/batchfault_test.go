@@ -223,7 +223,11 @@ type echoBatchCaller struct{}
 
 func (echoBatchCaller) LocalNode() platform.NodeID { return "node-0" }
 
-func (echoBatchCaller) Call(_ context.Context, _ platform.NodeID, _ ids.AgentID, kind string, req, resp any) error {
+func (e echoBatchCaller) Go(_ context.Context, _ platform.NodeID, _ ids.AgentID, kind string, req, resp any) transport.Pending {
+	return transport.Settled(e.call(kind, req, resp))
+}
+
+func (echoBatchCaller) call(kind string, req, resp any) error {
 	if kind != KindUpdateBatch {
 		return fmt.Errorf("unexpected %s", kind)
 	}

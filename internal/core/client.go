@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"agentloc/internal/clock"
@@ -94,8 +93,9 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 // (through its platform.Context) or an external process (through a
 // platform.Node).
 type Caller interface {
-	// Call sends a request to an agent at a node.
-	Call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error
+	// Go sends a request to an agent at a node; the Pending's Wait, called
+	// exactly once, collects the answer (platform.Node.Go).
+	Go(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending
 	// LocalNode is the caller's own node — where its LHAgent lives.
 	LocalNode() platform.NodeID
 }
@@ -107,9 +107,9 @@ type NodeCaller struct {
 
 var _ Caller = NodeCaller{}
 
-// Call implements Caller.
-func (c NodeCaller) Call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
-	return c.N.CallAgent(ctx, at, agent, kind, req, resp)
+// Go implements Caller.
+func (c NodeCaller) Go(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
+	return c.N.Go(ctx, at, agent, kind, req, resp)
 }
 
 // LocalNode implements Caller.
@@ -130,9 +130,9 @@ type CtxCaller struct {
 
 var _ Caller = CtxCaller{}
 
-// Call implements Caller.
-func (c CtxCaller) Call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
-	return c.Ctx.Call(ctx, at, agent, kind, req, resp)
+// Go implements Caller.
+func (c CtxCaller) Go(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
+	return c.Ctx.Go(ctx, at, agent, kind, req, resp)
 }
 
 // LocalNode implements Caller.
@@ -289,29 +289,85 @@ func NewClient(caller Caller, cfg Config) *Client {
 // caller's context — a lost reply costs one timeout and a retry instead of
 // hanging a deadline-less caller forever. The mechanism's agents bound
 // their internal calls the same way. The bound travels as a
-// transport.DeadlineContext: the transport arms a reusable timer from it, and
-// whoever else selects on Done (a mailbox wait, a service-time charge, a dial)
-// still sees it fire.
+// transport.DeadlineContext: the transport and a mailbox wait arm reusable
+// timers from it, and whoever else selects on Done (a service-time charge, a
+// dial) still sees it fire.
 func (c *Client) call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
-	if n := rpcCountFrom(ctx); n != nil {
-		n.Add(1)
-	}
 	if c.cfg.CallTimeout > 0 {
 		dc := transport.WithDeadline(ctx, time.Now().Add(c.cfg.CallTimeout))
 		defer dc.Release()
 		ctx = dc
 	}
-	return c.caller.Call(ctx, at, agent, kind, req, resp)
+	return c.post(ctx, at, agent, kind, req, resp).Wait()
+}
+
+// post starts one protocol RPC under ctx as it is — bounding it is the
+// caller's business — and counts it toward the operation's RPCs.
+func (c *Client) post(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
+	if n := rpcCountFrom(ctx); n != nil {
+		*n++
+	}
+	return c.caller.Go(ctx, at, agent, kind, req, resp)
+}
+
+// leg is one leaf's call in a fan-out, and how it ended.
+type leg struct {
+	call transport.Pending
+	sp   *trace.ActiveSpan
+	err  error
+}
+
+// fanOut sends kind to every leaf and waits for every answer, without a
+// goroutine per leaf: the requests to remote leaves are posted first, all
+// under one cfg.CallTimeout deadline, then the leaves on the caller's node are
+// served in place, then each answer is waited for in the order it was posted
+// — so a slow leaf costs the others nothing, and a stalled one costs the
+// fan-out one deadline however many legs it holds. req gives leaf i's request
+// and may annotate its child span (named span), resp where its answer goes.
+// The legs come back index-aligned with leaves.
+func (c *Client) fanOut(ctx context.Context, span, kind string, leaves []LeafRef, req func(i int, sp *trace.ActiveSpan) any, resp func(i int) any) []leg {
+	if c.cfg.CallTimeout > 0 {
+		dc := transport.WithDeadline(ctx, time.Now().Add(c.cfg.CallTimeout))
+		defer dc.Release()
+		ctx = dc
+	}
+	legs := make([]leg, len(leaves))
+	post := func(i int) {
+		sp, cctx := c.childSpan(ctx, span)
+		sp.Annotate("leaf", string(leaves[i].IAgent))
+		legs[i].sp = sp
+		legs[i].call = c.post(cctx, leaves[i].Node, leaves[i].IAgent, kind, req(i, sp), resp(i))
+	}
+	wait := func(i int) {
+		legs[i].err = legs[i].call.Wait()
+		legs[i].sp.End(legs[i].err)
+	}
+	remoteFirst := func(step func(int)) {
+		for i, l := range leaves {
+			if l.Node != c.local {
+				step(i)
+			}
+		}
+		for i, l := range leaves {
+			if l.Node == c.local {
+				step(i)
+			}
+		}
+	}
+	remoteFirst(post)
+	remoteFirst(wait)
+	return legs
 }
 
 // rpcCountKey carries the operation's RPC counter through the call chain, so
 // every protocol round — whois, IAgent calls, refreshes, retries — counts
-// toward the op no matter which helper issued it. The counter is atomic
-// because a Discover scatter issues its calls from several goroutines.
+// toward the op no matter which helper issued it. Every call of an operation
+// is issued from the goroutine running it, fan-outs included, so the counter
+// is a plain integer.
 type rpcCountKey struct{}
 
-func rpcCountFrom(ctx context.Context) *atomic.Int64 {
-	n, _ := ctx.Value(rpcCountKey{}).(*atomic.Int64)
+func rpcCountFrom(ctx context.Context) *int64 {
+	n, _ := ctx.Value(rpcCountKey{}).(*int64)
 	return n
 }
 
@@ -321,11 +377,11 @@ func rpcCountFrom(ctx context.Context) *atomic.Int64 {
 // a nil counter, allocating nothing. An enclosing operation's counter cannot
 // leak in that way: only a traced operation encloses others with a counter,
 // and what it encloses is traced too, its span a child of the enclosing one's.
-func withRPCCount(ctx context.Context, read bool) (context.Context, *atomic.Int64) {
+func withRPCCount(ctx context.Context, read bool) (context.Context, *int64) {
 	if !read {
 		return ctx, nil
 	}
-	n := new(atomic.Int64)
+	n := new(int64)
 	return context.WithValue(ctx, rpcCountKey{}, n), n
 }
 
@@ -333,7 +389,7 @@ func withRPCCount(ctx context.Context, read bool) (context.Context, *atomic.Int6
 // context that carries it plus the RPC counter, nil when the operation is
 // untraced. The caller must end both with endOp and should pass the returned
 // context to every protocol call of the operation.
-func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, context.Context, *atomic.Int64) {
+func (c *Client) startOp(ctx context.Context, name string) (*trace.ActiveSpan, context.Context, *int64) {
 	sp, ctx := c.opSpan(ctx, name)
 	ctx, n := withRPCCount(ctx, sp != nil)
 	return sp, ctx, n
@@ -358,9 +414,9 @@ func (c *Client) opSpan(ctx context.Context, name string) (*trace.ActiveSpan, co
 }
 
 // endOp closes an operation span with its RPC count. Both may be nil.
-func endOp(sp *trace.ActiveSpan, rpcs *atomic.Int64, err error) {
+func endOp(sp *trace.ActiveSpan, rpcs *int64, err error) {
 	if rpcs != nil {
-		sp.Annotate("rpcs", strconv.FormatInt(rpcs.Load(), 10))
+		sp.Annotate("rpcs", strconv.FormatInt(*rpcs, 10))
 	}
 	sp.End(err)
 }
@@ -479,7 +535,7 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 	}
 	c.cache.put(target, resp.Node, assign.HashVersion)
 	if rpcs != nil {
-		c.hops.Observe(float64(rpcs.Load()))
+		c.hops.Observe(float64(*rpcs))
 	}
 	return resp.Node, nil
 }
@@ -489,19 +545,15 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 // local LHAgent assigns the remaining targets to their IAgents at one hash
 // version, and each IAgent's share travels as one KindLocateBatch frame, the
 // frames in flight together. The result maps each successfully located agent
-// to its node; unregistered agents are simply absent. Agents whose batched
-// answer proves the local hash copy stale fall back to the singleton Locate
-// path, which owns the §4.3 refresh-and-retry loop.
+// to its node; unregistered agents are simply absent, and a target named
+// twice is looked up twice, to the same answer. Agents whose batched answer
+// proves the local hash copy stale fall back to the singleton Locate path,
+// which owns the §4.3 refresh-and-retry loop.
 func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[ids.AgentID]platform.NodeID, error) {
 	sp, ctx, rpcs := c.startOp(ctx, "locate-batch")
 	out := make(map[ids.AgentID]platform.NodeID, len(targets))
 	misses := make([]ids.AgentID, 0, len(targets))
-	seen := make(map[ids.AgentID]struct{}, len(targets))
 	for _, t := range targets {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
 		if node, ok := c.cache.get(t); ok {
 			out[t] = node
 			continue
@@ -537,49 +589,44 @@ func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[id
 		fill[o]++
 	}
 
-	// At most discoverFanout frames in flight; the last leaf's is sent from
-	// this goroutine.
-	resps := make([]LocateBatchResp, len(who.Leaves))
-	errs := make([]error, len(who.Leaves))
-	var wg sync.WaitGroup
-	slots := make(chan struct{}, discoverFanout)
-	last := groups[len(groups)-1]
-	for _, g := range groups[:len(groups)-1] {
-		wg.Add(1)
-		slots <- struct{}{}
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			errs[g] = c.askLeaf(ctx, who.Leaves[g], agents[at[g]:at[g+1]], &resps[g])
-		}()
+	// One frame per leaf with a share, all in flight together.
+	reqs := make([]LocateBatchReq, len(groups))
+	resps := make([]LocateBatchResp, len(groups))
+	leaves := make([]LeafRef, len(groups))
+	for k, g := range groups {
+		leaves[k] = who.Leaves[g]
+		reqs[k].Agents = agents[at[g]:at[g+1]]
 	}
-	slots <- struct{}{}
-	errs[last] = c.askLeaf(ctx, who.Leaves[last], agents[at[last]:at[last+1]], &resps[last])
-	wg.Wait()
+	legs := c.fanOut(ctx, "iagent.locate-batch", KindLocateBatch, leaves, func(k int, sp *trace.ActiveSpan) any {
+		sp.Annotate("agents", strconv.Itoa(len(reqs[k].Agents)))
+		return &reqs[k]
+	}, func(k int) any { return &resps[k] })
 
 	// Fold the answers in leaf order, once every frame is back.
 	var retry []ids.AgentID
-	for _, g := range groups {
-		share, resp := agents[at[g]:at[g+1]], resps[g]
-		if errs[g] != nil || len(resp.Results) != len(share) {
+	for k, share := range reqs {
+		resp := resps[k]
+		if legs[k].err != nil || len(resp.Results) != len(share.Agents) {
 			// Transport trouble or a malformed reply; the singleton path
 			// carries the retry logic. Whatever the cache holds for these
 			// agents is unproven now — a concurrent op may have cached a
 			// location this very reply was about to contradict — so drop it
 			// rather than let a partial failure leave stale entries behind.
-			for _, a := range share {
+			for _, a := range share.Agents {
 				c.cache.invalidate(a)
 			}
-			retry = append(retry, share...)
+			retry = append(retry, share.Agents...)
 			continue
 		}
 		for i, r := range resp.Results {
+			a := share.Agents[i]
 			switch r.Status {
 			case StatusOK:
 				c.cache.fence(r.HashVersion)
-				c.cache.put(share[i], r.Node, max(who.HashVersion, r.HashVersion))
-				out[share[i]] = r.Node
+				c.cache.put(a, r.Node, max(who.HashVersion, r.HashVersion))
+				out[a] = r.Node
 			case StatusUnknownAgent:
-				c.cache.invalidate(share[i])
+				c.cache.invalidate(a)
 			default:
 				// NotResponsible: our copy went stale for this slice of the
 				// id space. Fence the cache at the leaf's version — fence
@@ -587,8 +634,8 @@ func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[id
 				// version cannot roll the fence back — invalidate the now
 				// unproven entries, and refresh-and-retry one by one.
 				c.cache.fence(r.HashVersion)
-				c.cache.invalidate(share[i])
-				retry = append(retry, share[i])
+				c.cache.invalidate(a)
+				retry = append(retry, a)
 			}
 		}
 	}
@@ -623,15 +670,6 @@ func (c *Client) whoisBatch(ctx context.Context, targets []ids.AgentID) (WhoisBa
 	}
 	c.cache.fence(resp.HashVersion)
 	return resp, nil
-}
-
-// askLeaf sends one IAgent its share of a LocateBatch.
-func (c *Client) askLeaf(ctx context.Context, leaf LeafRef, agents []ids.AgentID, resp *LocateBatchResp) error {
-	sp, ctx := c.childSpan(ctx, "iagent.locate-batch")
-	sp.Annotate("agents", strconv.Itoa(len(agents)))
-	err := c.call(ctx, leaf.Node, leaf.IAgent, KindLocateBatch, &LocateBatchReq{Agents: agents}, resp)
-	sp.End(err)
-	return err
 }
 
 // InvalidateLocation drops the client's cached location for the target, if

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
+	"agentloc/internal/trace"
 )
 
 // This file implements the client side of the capability-discovery tier: a
@@ -41,20 +41,16 @@ type Match struct {
 	Node  platform.NodeID
 }
 
-const (
-	// discoverFanout bounds how many leaves a Discover queries concurrently
-	// during its scatter-gather.
-	discoverFanout = 8
-	// discoverPerLeafLimit caps the matches requested from each leaf when the
-	// query itself sets no limit: enough to merge a meaningful Near-preference
-	// ranking without shipping a leaf's whole index.
-	discoverPerLeafLimit = 256
-)
+// discoverPerLeafLimit caps the matches requested from each leaf when the
+// query itself sets no limit: enough to merge a meaningful Near-preference
+// ranking without shipping a leaf's whole index.
+const discoverPerLeafLimit = 256
 
 // Discover finds agents advertising every capability in q.Caps by fanning
-// the query out across the responsible leaves (at most discoverFanout
-// in flight) and merging the per-leaf answers: matches at q.Near first, then
-// by agent id, truncated to q.Limit. An empty q.Caps matches nothing.
+// the query out across the responsible leaves (every leaf's frame in flight
+// together, see Client.fanOut) and merging the per-leaf answers: matches at
+// q.Near first, then by agent id, truncated to q.Limit. An empty q.Caps
+// matches nothing. A match's Agent shares the bytes of the leaf's reply.
 //
 // Like every client operation it tolerates a stale hash copy: leaves that
 // moved, merged or answered not-responsible trigger a refresh of the local
@@ -72,7 +68,8 @@ func (c *Client) Discover(ctx context.Context, q Query) ([]Match, error) {
 		perLeaf = q.Limit
 	}
 
-	found := make(map[ids.AgentID]platform.NodeID)
+	req := DiscoverReq{Caps: q.Caps, Near: q.Near, Limit: perLeaf}
+	var found []Match
 	// minVersion is the copy the next round demands; heard, the newest hash
 	// version the LHAgent or a leaf has actually answered with. Only heard
 	// fences the cache: a demanded version may never exist.
@@ -92,7 +89,8 @@ func (c *Client) Discover(ctx context.Context, q Query) ([]Match, error) {
 			return nil, err
 		}
 		heard = max(heard, version)
-		stale := c.scatter(ctx, leaves, q, perLeaf, &heard, found)
+		var stale int
+		found, stale = c.scatter(ctx, leaves, &req, &heard, found)
 		switch {
 		case stale == 0 && heard == version:
 			// Every leaf answered at the version the scatter set was drawn
@@ -137,54 +135,48 @@ func (c *Client) leafSet(ctx context.Context, minVersion uint64) ([]LeafRef, uin
 	return resp.Leaves, resp.HashVersion, nil
 }
 
-// scatter queries every leaf with at most fanout calls in flight, folding
-// successful answers into found (last writer wins — the leaves partition the
-// id space, so overlap only happens across retry rounds where fresher
-// answers should win anyway). It returns the number of leaves that did not
-// answer authoritatively and raises *heard to the newest hash version a leaf
-// answered with.
-func (c *Client) scatter(ctx context.Context, leaves []LeafRef, q Query, perLeaf int, heard *uint64, found map[ids.AgentID]platform.NodeID) int {
-	var (
-		mu    sync.Mutex
-		stale int
-		wg    sync.WaitGroup
-	)
-	slots := make(chan struct{}, discoverFanout)
-	for _, leaf := range leaves {
-		wg.Add(1)
-		slots <- struct{}{}
-		go func(leaf LeafRef) {
-			defer func() { <-slots; wg.Done() }()
-			csp, cctx := c.childSpan(ctx, "iagent.discover")
-			csp.Annotate("leaf", string(leaf.IAgent))
-			var resp DiscoverResp
-			req := DiscoverReq{Caps: q.Caps, Near: q.Near, Limit: perLeaf}
-			err := c.call(cctx, leaf.Node, leaf.IAgent, KindDiscover, &req, &resp)
-			csp.End(err)
-			mu.Lock()
-			defer mu.Unlock()
-			*heard = max(*heard, resp.HashVersion)
-			if err != nil || resp.Status != StatusOK {
-				stale++
-				return
-			}
-			for _, m := range resp.Matches {
-				found[m.Agent] = m.Node
-			}
-		}(leaf)
+// scatter asks every leaf for its matches to req and appends the
+// authoritative answers to found. It returns found and the number of leaves
+// that did not answer authoritatively, and raises *heard to the newest hash
+// version a leaf answered with.
+func (c *Client) scatter(ctx context.Context, leaves []LeafRef, req *DiscoverReq, heard *uint64, found []Match) ([]Match, int) {
+	resps := make([]DiscoverResp, len(leaves))
+	legs := c.fanOut(ctx, "iagent.discover", KindDiscover, leaves,
+		func(int, *trace.ActiveSpan) any { return req },
+		func(i int) any { return &resps[i] })
+	stale, n := 0, 0
+	for i, l := range legs {
+		*heard = max(*heard, resps[i].HashVersion)
+		if l.err != nil || resps[i].Status != StatusOK {
+			stale++
+			resps[i].Matches = nil
+		}
+		n += len(resps[i].Matches)
 	}
-	wg.Wait()
-	return stale
+	found = slices.Grow(found, n)
+	for _, r := range resps {
+		for _, m := range r.Matches {
+			found = append(found, Match(m))
+		}
+	}
+	return found, stale
 }
 
 // mergeMatches orders the gathered matches — q.Near first, then agent id —
-// and truncates to q.Limit.
-func mergeMatches(found map[ids.AgentID]platform.NodeID, q Query) []Match {
-	matches := make([]Match, 0, len(found))
-	for agent, node := range found {
-		matches = append(matches, Match{Agent: agent, Node: node})
+// and truncates to q.Limit. The leaves partition the id space, so an agent
+// is found twice only across retry rounds, and the later round's answer
+// wins.
+func mergeMatches(found []Match, q Query) []Match {
+	slices.SortStableFunc(found, func(a, b Match) int { return cmp.Compare(a.Agent, b.Agent) })
+	matches := found[:0]
+	for i, m := range found {
+		if i+1 == len(found) || found[i+1].Agent != m.Agent {
+			matches = append(matches, m)
+		}
 	}
-	slices.SortFunc(matches, nearFirst[Match](q.Near))
+	if q.Near != "" {
+		slices.SortFunc(matches, nearFirst[Match](q.Near))
+	}
 	if q.Limit > 0 && len(matches) > q.Limit {
 		matches = matches[:q.Limit]
 	}

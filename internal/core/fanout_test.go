@@ -1,0 +1,245 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"agentloc/internal/ids"
+	"agentloc/internal/platform"
+	"agentloc/internal/transport"
+)
+
+// Tests for the two scatter-gathers over leaves, LocateBatch and Discover,
+// which post every leaf's request from the calling goroutine and wait for
+// the answers there (Client.fanOut).
+
+// goroutineID names the calling goroutine, from its stack header
+// ("goroutine 123 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+// goroutineCaller records, per kind, the goroutine each call was started on.
+type goroutineCaller struct {
+	Caller
+	mu   sync.Mutex
+	from map[string][]string
+}
+
+func (g *goroutineCaller) Go(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
+	id := goroutineID()
+	g.mu.Lock()
+	g.from[kind] = append(g.from[kind], id)
+	g.mu.Unlock()
+	return g.Caller.Go(ctx, at, agent, kind, req, resp)
+}
+
+// fanOutCluster registers n agents advertising "fan" from node-0 and splits
+// the first leaf until the tree has at least leaves leaves.
+func fanOutCluster(t *testing.T, c *testCluster, n, leaves int) (homes map[ids.AgentID]platform.NodeID, targets []ids.AgentID) {
+	t.Helper()
+	ctx := testCtx(t)
+	reg := c.service.ClientFor(c.nodes[0])
+	homes = make(map[ids.AgentID]platform.NodeID, n)
+	for i := 0; i < n; i++ {
+		a := ids.AgentID(fmt.Sprintf("fan-%03d", i))
+		if _, err := reg.RegisterWithCapabilities(ctx, a, []string{"fan"}); err != nil {
+			t.Fatal(err)
+		}
+		homes[a] = c.nodes[0].ID()
+		targets = append(targets, a)
+	}
+	for len(hashState(t, c, ctx).Locations) < leaves {
+		forceSplit(t, c, ctx, "iagent-1", homes)
+	}
+	return homes, targets
+}
+
+// Neither fan-out starts a goroutine per leg: every leaf's request, to a
+// remote leaf or one on the caller's own node, is started on the goroutine
+// that called LocateBatch or Discover.
+func TestFanOutsPostFromCallingGoroutine(t *testing.T) {
+	c := newTestCluster(t, quietConfig(), 3)
+	homes, targets := fanOutCluster(t, c, 64, 4)
+	ctx := testCtx(t)
+	gc := &goroutineCaller{Caller: NodeCaller{N: c.nodes[1]}, from: make(map[string][]string)}
+	client := NewClient(gc, quietConfig())
+
+	got, err := client.LocateBatch(ctx, targets)
+	if err != nil || len(got) != len(targets) {
+		t.Fatalf("LocateBatch located %d of %d: %v", len(got), len(targets), err)
+	}
+	requireSameSet(t, "fan", discoverSet(t, ctx, client, Query{Caps: []string{"fan"}}), homes)
+
+	self := goroutineID()
+	for _, kind := range []string{KindLocateBatch, KindDiscover} {
+		from := gc.from[kind]
+		if len(from) < 4 {
+			t.Errorf("%s went to %d leaves, want at least 4", kind, len(from))
+		}
+		for _, id := range from {
+			if id != self {
+				t.Errorf("a %s leg was started on goroutine %s, not the caller's %s", kind, id, self)
+			}
+		}
+	}
+}
+
+// A target named more than once is located like any other: the batch keeps
+// no set of the targets it has seen, and its leaves answer each copy alike.
+func TestLocateBatchRepeatedTargets(t *testing.T) {
+	c := newTestCluster(t, quietConfig(), 3)
+	homes, targets := fanOutCluster(t, c, 16, 2)
+	got, err := c.service.ClientFor(c.nodes[1]).LocateBatch(testCtx(t), append(targets, targets[:5]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSet(t, "located", got, homes)
+}
+
+// A leaf whose node does not read — its writes stall — costs a fan-out one
+// call deadline, however many of the legs it holds: Discover and LocateBatch
+// return with the other leaves' answers, and no call is left waiting.
+func TestFanOutsSurviveStalledLeaf(t *testing.T) {
+	f := transport.NewFaults()
+	cfg := quietConfig()
+	cfg.PlacementNodes = []platform.NodeID{"node-2", "node-0"}
+	c, links := newTCPCluster(t, cfg, 3, func(i int, tc *transport.TCPConfig) {
+		if i == 1 {
+			tc.Faults = f
+		}
+	})
+	homes, targets := fanOutCluster(t, c, 64, 4)
+	st := hashState(t, c, testCtx(t))
+	healthy := make(map[ids.AgentID]platform.NodeID)
+	stalledLegs := 0
+	for _, node := range st.Locations {
+		if node == "node-2" {
+			stalledLegs++
+		}
+	}
+	for a, home := range homes {
+		if _, node, err := st.OwnerOf(a); err != nil {
+			t.Fatal(err)
+		} else if node != "node-2" {
+			healthy[a] = home
+		}
+	}
+	if stalledLegs < 2 || len(healthy) == 0 || len(healthy) == len(homes) {
+		t.Fatalf("placement gave %d leaves on node-2 and %d of %d agents elsewhere; the test wants at least 2 and some",
+			stalledLegs, len(healthy), len(homes))
+	}
+
+	ccfg := quietConfig()
+	ccfg.CallTimeout = 100 * time.Millisecond
+	ccfg.RetryBackoffBase = time.Millisecond
+	ccfg.RetryBackoffMax = 2 * time.Millisecond
+	client := NewClient(NodeCaller{N: c.nodes[1]}, ccfg)
+	// Warm the connections and node-1's hash copy before the stall.
+	requireSameSet(t, "fan", discoverSet(t, testCtx(t), client, Query{Caps: []string{"fan"}}), homes)
+
+	f.StallWritesTo(links[2].ListenAddr(), true)
+	defer f.StallWritesTo(links[2].ListenAddr(), false)
+
+	// Every round of the Discover waits out one deadline for the stalled
+	// legs, then re-enumerates; it gives up after maxProtocolRetries rounds
+	// with what the healthy leaves answered.
+	start := time.Now()
+	matches, err := client.Discover(context.Background(), Query{Caps: []string{"fan"}})
+	took := time.Since(start)
+	if !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("discover past a stalled leaf: err %v, want ErrRetriesExhausted", err)
+	}
+	got := make(map[ids.AgentID]platform.NodeID, len(matches))
+	for _, m := range matches {
+		got[m.Agent] = m.Node
+	}
+	requireSameSet(t, "fan (healthy leaves)", got, healthy)
+	if limit := maxProtocolRetries * ccfg.CallTimeout * 3 / 2; took > limit {
+		t.Errorf("discover took %v over %d rounds, more than one %v deadline a round (limit %v)",
+			took, maxProtocolRetries, ccfg.CallTimeout, limit)
+	}
+	noneOutstanding(t, c.nodes[1], "Discover")
+
+	// A LocateBatch bounded by two deadlines: the fan-out spends one, the
+	// stalled share's singleton retries the other.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*ccfg.CallTimeout)
+	defer cancel()
+	start = time.Now()
+	located, err := client.LocateBatch(ctx, targets)
+	took = time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("LocateBatch past a stalled leaf: err %v, want a deadline", err)
+	}
+	requireSameSet(t, "located (healthy leaves)", located, healthy)
+	if limit := 3 * ccfg.CallTimeout; took > limit {
+		t.Errorf("LocateBatch took %v, past its %v context by more than a deadline", took, 2*ccfg.CallTimeout)
+	}
+	noneOutstanding(t, c.nodes[1], "LocateBatch")
+}
+
+// noneOutstanding fails unless the node's calls have all been answered or
+// given up on shortly after op returned. Not at once: a retry that refreshed
+// the hash copy may have left the LHAgent fetching from the HAgent after its
+// caller gave up, and that call ends on its own; a leaked one never does.
+func noneOutstanding(t *testing.T, n *platform.Node, op string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); n.Outstanding() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d calls still waiting after %s returned", n.Outstanding(), op)
+			return
+		}
+	}
+}
+
+// Concurrent Discovers over TCP answer exactly, and the answers stay exact
+// after the connections have carried more traffic: a match's agent id is a
+// view of its reply's payload, which the call owns, never of a read buffer.
+func TestDiscoverAnswersSurviveConcurrentTraffic(t *testing.T) {
+	c, _ := newTCPCluster(t, quietConfig(), 3, nil)
+	homes, targets := fanOutCluster(t, c, 48, 3)
+	ctx := testCtx(t)
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		answers [][]Match
+	)
+	for w := 0; w < 6; w++ {
+		client := c.service.ClientFor(c.nodes[w%len(c.nodes)])
+		near := c.nodes[(w+1)%len(c.nodes)].ID()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				matches, err := client.Discover(ctx, Query{Caps: []string{"fan"}, Near: near})
+				if err != nil {
+					t.Errorf("discover: %v", err)
+					return
+				}
+				if _, err := client.LocateBatch(ctx, targets); err != nil {
+					t.Errorf("locate batch: %v", err)
+					return
+				}
+				mu.Lock()
+				answers = append(answers, matches)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, matches := range answers {
+		got := make(map[ids.AgentID]platform.NodeID, len(matches))
+		for _, m := range matches {
+			got[m.Agent] = m.Node
+		}
+		requireSameSet(t, "fan", got, homes)
+	}
+}

@@ -45,9 +45,10 @@ func TestLocateRemoteAllocBudget(t *testing.T) {
 // TestMoveRemoteAllocBudget is the budget of an unbatched remote move: a
 // MoveNotifyTo with a cached assignment, one update over loopback TCP through
 // the IAgent's mailbox, write and table, both nodes' allocations counted
-// (measured: 14; 18 while the call rode inside a platform wrapper, 20 while
-// an untraced move built an RPC counter nothing read, 21 while the untraced
-// attempt still built its span name).
+// (measured: 11; 14 while the mailbox request built its result channel and
+// the call's deadline built a Done channel and timer, 18 while the call rode
+// inside a platform wrapper, 20 while an untraced move built an RPC counter
+// nothing read, 21 while the untraced attempt still built its span name).
 func TestMoveRemoteAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -76,16 +77,18 @@ func TestMoveRemoteAllocBudget(t *testing.T) {
 		t.Fatal(moveErr)
 	}
 	t.Logf("%.1f allocs per unbatched remote move", allocs)
-	if allocs > 14 {
-		t.Errorf("an unbatched remote move allocates %.1f times, budget 14", allocs)
+	if allocs > 11 {
+		t.Errorf("an unbatched remote move allocates %.1f times, budget 11", allocs)
 	}
 }
 
 // TestLocateBatchAllocBudget is the budget of BenchmarkLocateBatchTCP's path:
 // a 64-target LocateBatch over four leaves on the far node — one whois-batch,
 // four frames over loopback TCP, both nodes' allocations counted (measured:
-// 53; 65 while each frame rode inside a platform wrapper, 338 with one whois
-// per target and ids decoded into strings).
+// 39, posted from the caller's goroutine under one deadline; 53 with a
+// goroutine, a deadline and a request per frame and a map to drop repeated
+// targets, 65 while each frame rode inside a platform wrapper, 338 with one
+// whois per target and ids decoded into strings).
 func TestLocateBatchAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -102,19 +105,21 @@ func TestLocateBatchAllocBudget(t *testing.T) {
 		t.Fatal(batchErr)
 	}
 	t.Logf("%.1f allocs per 64-target LocateBatch", allocs)
-	if allocs > 56 {
-		t.Errorf("a 64-target LocateBatch allocates %.1f times, budget 56", allocs)
+	if allocs > 42 {
+		t.Errorf("a 64-target LocateBatch allocates %.1f times, budget 42", allocs)
 	}
 }
 
 // TestDiscoverAllocBudget is the budget of a capability query over four
 // leaves on the far node, all 64 agents matching: one leaves query at the
 // local LHAgent, four discover frames over loopback TCP, the leaves' answers
-// and the merge, both nodes' allocations counted (measured: 153, the budget
-// leaving room for the scatter's goroutines, which do not always find a free
-// one to reuse; 165 to 167 while each frame rode inside a platform wrapper,
-// and 182 while both sorts went through sort.Slice and every untraced
-// operation built an RPC counter).
+// and the merge, both nodes' allocations counted (measured: 41, every frame
+// posted from the caller's goroutine under one deadline and one request, each
+// match's agent id a view of its reply, the leaf's match list sized once;
+// 153 with a goroutine, a deadline and a request per frame, a string per
+// match and a map to merge them; 165 to 167 while each frame rode inside a
+// platform wrapper, and 182 while both sorts went through sort.Slice and
+// every untraced operation built an RPC counter).
 func TestDiscoverAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -137,8 +142,8 @@ func TestDiscoverAllocBudget(t *testing.T) {
 		t.Fatal(discErr)
 	}
 	t.Logf("%.1f allocs per 4-leaf Discover of 64 matches", allocs)
-	if allocs > 156 {
-		t.Errorf("a 4-leaf Discover allocates %.1f times, budget 156", allocs)
+	if allocs > 44 {
+		t.Errorf("a 4-leaf Discover allocates %.1f times, budget 44", allocs)
 	}
 }
 

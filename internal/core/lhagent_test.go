@@ -189,10 +189,10 @@ func BenchmarkWhoisLocal(b *testing.B) {
 }
 
 // TestDiscoverCountsEveryScatterRPC is the regression test for the op RPC
-// counter, which Client.scatter bumps from one goroutine per leaf: under
-// -race the old plain int was a reported data race, and a lost increment
-// shows as an rpcs attribute below leaves + 1 (one KindLeaves, then one
-// KindDiscover per leaf).
+// counter across a scatter: a lost increment shows as an rpcs attribute
+// below leaves + 1 (one KindLeaves, then one KindDiscover per leaf). The
+// counter is a plain int, which -race checks: every leg is posted from the
+// calling goroutine.
 func TestDiscoverCountsEveryScatterRPC(t *testing.T) {
 	c, recs := newTracedCluster(t, quietConfig(), 3)
 	ctx := testCtx(t)

@@ -15,6 +15,7 @@ import (
 	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
 	"agentloc/internal/trace"
+	"agentloc/internal/transport"
 	"agentloc/internal/wire"
 )
 
@@ -40,7 +41,11 @@ func (s *scriptCaller) LocalNode() platform.NodeID { return "node-0" }
 func (s *scriptCaller) Metrics() *metrics.Registry { return s.reg }
 func (s *scriptCaller) Tracer() *trace.Recorder    { return s.rec }
 
-func (s *scriptCaller) Call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
+func (s *scriptCaller) Go(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
+	return transport.Settled(s.call(kind, req, resp))
+}
+
+func (s *scriptCaller) call(kind string, req, resp any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch kind {

@@ -17,7 +17,7 @@ import (
 	"agentloc/internal/transport"
 )
 
-// countingCaller wraps a Caller and counts Call invocations by kind, so
+// countingCaller wraps a Caller and counts the calls it starts by kind, so
 // tests can assert that a cached Locate really does zero RPCs.
 type countingCaller struct {
 	Caller
@@ -29,11 +29,11 @@ func newCountingCaller(inner Caller) *countingCaller {
 	return &countingCaller{Caller: inner, calls: make(map[string]int)}
 }
 
-func (c *countingCaller) Call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
+func (c *countingCaller) Go(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
 	c.mu.Lock()
 	c.calls[kind]++
 	c.mu.Unlock()
-	return c.Caller.Call(ctx, at, agent, kind, req, resp)
+	return c.Caller.Go(ctx, at, agent, kind, req, resp)
 }
 
 func (c *countingCaller) count(kind string) int {

@@ -389,8 +389,11 @@ func (m DiscoverMatch) AppendWire(dst []byte) []byte {
 	return wire.AppendString(dst, string(m.Node))
 }
 
+// DecodeWire reads the agent id as a view of d's data (wire.Dec.View): a
+// DiscoverMatch is only ever decoded from a reply, whose payload belongs to
+// the call (transport.Decode), so a discovery costs no string per match.
 func (m *DiscoverMatch) DecodeWire(d *wire.Dec) error {
-	agent, err := d.String(wire.MaxIDLen)
+	agent, err := d.View(wire.MaxIDLen)
 	if err != nil {
 		return err
 	}

@@ -292,10 +292,10 @@ var _ interface {
 func (c *Client) Register(ctx context.Context, self ids.AgentID) (core.Assignment, error) {
 	here := c.caller.LocalNode()
 	var ack core.Ack
-	if err := c.caller.Call(ctx, c.cfg.Node, c.cfg.Registry, KindRegister, RegisterReq{Agent: self, Node: here}, &ack); err != nil {
+	if err := c.caller.Go(ctx, c.cfg.Node, c.cfg.Registry, KindRegister, RegisterReq{Agent: self, Node: here}, &ack).Wait(); err != nil {
 		return core.Assignment{}, fmt.Errorf("forwarding register %s: %w", self, err)
 	}
-	if err := c.caller.Call(ctx, here, ForwarderID(here), KindArrived, ArrivedReq{Agent: self}, &ack); err != nil {
+	if err := c.caller.Go(ctx, here, ForwarderID(here), KindArrived, ArrivedReq{Agent: self}, &ack).Wait(); err != nil {
 		return core.Assignment{}, fmt.Errorf("forwarding register %s: %w", self, err)
 	}
 	return core.Assignment{IAgent: c.cfg.Registry, Node: here}, nil
@@ -309,12 +309,12 @@ func (c *Client) MoveNotify(ctx context.Context, self ids.AgentID, cached core.A
 	here := c.caller.LocalNode()
 	var ack core.Ack
 	if cached.Node != "" && cached.Node != here {
-		err := c.caller.Call(ctx, cached.Node, ForwarderID(cached.Node), KindDeparted, DepartedReq{Agent: self, To: here}, &ack)
+		err := c.caller.Go(ctx, cached.Node, ForwarderID(cached.Node), KindDeparted, DepartedReq{Agent: self, To: here}, &ack).Wait()
 		if err != nil {
 			return core.Assignment{}, fmt.Errorf("forwarding departure %s: %w", self, err)
 		}
 	}
-	if err := c.caller.Call(ctx, here, ForwarderID(here), KindArrived, ArrivedReq{Agent: self}, &ack); err != nil {
+	if err := c.caller.Go(ctx, here, ForwarderID(here), KindArrived, ArrivedReq{Agent: self}, &ack).Wait(); err != nil {
 		return core.Assignment{}, fmt.Errorf("forwarding arrival %s: %w", self, err)
 	}
 	return core.Assignment{IAgent: c.cfg.Registry, Node: here}, nil
@@ -324,11 +324,11 @@ func (c *Client) MoveNotify(ctx context.Context, self ids.AgentID, cached core.A
 // node's forwarder.
 func (c *Client) Deregister(ctx context.Context, self ids.AgentID, cached core.Assignment) error {
 	var ack core.Ack
-	if err := c.caller.Call(ctx, c.cfg.Node, c.cfg.Registry, KindDeregister, DeregisterReq{Agent: self}, &ack); err != nil {
+	if err := c.caller.Go(ctx, c.cfg.Node, c.cfg.Registry, KindDeregister, DeregisterReq{Agent: self}, &ack).Wait(); err != nil {
 		return fmt.Errorf("forwarding deregister %s: %w", self, err)
 	}
 	if cached.Node != "" {
-		err := c.caller.Call(ctx, cached.Node, ForwarderID(cached.Node), KindDeregister, DeregisterReq{Agent: self}, &ack)
+		err := c.caller.Go(ctx, cached.Node, ForwarderID(cached.Node), KindDeregister, DeregisterReq{Agent: self}, &ack).Wait()
 		if err != nil {
 			return fmt.Errorf("forwarding deregister %s: %w", self, err)
 		}
@@ -360,7 +360,7 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 func (c *Client) locate(ctx context.Context, target ids.AgentID) (platform.NodeID, int, error) {
 	lsp, lctx := c.childSpan(ctx, "lookup")
 	var looked LookupResp
-	err := c.caller.Call(lctx, c.cfg.Node, c.cfg.Registry, KindLookup, LookupReq{Agent: target}, &looked)
+	err := c.caller.Go(lctx, c.cfg.Node, c.cfg.Registry, KindLookup, LookupReq{Agent: target}, &looked).Wait()
 	lsp.End(err)
 	if err != nil {
 		return "", 0, fmt.Errorf("forwarding lookup %s: %w", target, err)
@@ -374,7 +374,7 @@ func (c *Client) locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 		hsp.Annotate("hop", fmt.Sprintf("%d", hop))
 		hsp.Annotate("at", string(at))
 		var resp QueryResp
-		if err := c.caller.Call(hctx, at, ForwarderID(at), KindQuery, QueryReq{Agent: target}, &resp); err != nil {
+		if err := c.caller.Go(hctx, at, ForwarderID(at), KindQuery, QueryReq{Agent: target}, &resp).Wait(); err != nil {
 			hsp.End(err)
 			return "", hop, fmt.Errorf("forwarding chase %s at %s: %w", target, at, err)
 		}
@@ -386,7 +386,7 @@ func (c *Client) locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 				// Compression is an optimization; its failure must not
 				// fail the locate.
 				csp, cctx := c.childSpan(ctx, "compress")
-				_ = c.caller.Call(cctx, c.cfg.Node, c.cfg.Registry, KindCompress, RegisterReq{Agent: target, Node: at}, &ack)
+				_ = c.caller.Go(cctx, c.cfg.Node, c.cfg.Registry, KindCompress, RegisterReq{Agent: target, Node: at}, &ack).Wait()
 				csp.End(nil)
 			}
 			return at, hop, nil

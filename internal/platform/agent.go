@@ -13,6 +13,7 @@ import (
 	"agentloc/internal/metrics"
 	"agentloc/internal/snapshot"
 	"agentloc/internal/trace"
+	"agentloc/internal/transport"
 )
 
 // hosted is an agent instance resident at a node.
@@ -129,19 +130,45 @@ func (h *hosted) chargeServiceTime(ctx context.Context) error {
 // submit queues a request and waits for the mailbox to process it, or for
 // ctx to expire first: the request then stays queued (the behaviour still
 // sees it, as it would a request whose remote caller gave up) and its result
-// is dropped into the buffered channel.
+// is dropped into the buffered channel, which is then not reused. A
+// transport.DeadlineContext is waited on with the waiter's own timer, without
+// building its Done channel.
 func (h *hosted) submit(ctx context.Context, sc trace.SpanContext, kind string, payload []byte) (any, error) {
-	w := work{kind: kind, payload: payload, span: sc, result: make(chan workResult, 1)}
-	if !h.mailbox.push(w) {
+	wt := waiterPool.Get().(*waiter)
+	if !h.mailbox.push(work{kind: kind, payload: payload, span: sc, result: wt.ch}) {
+		waiterPool.Put(wt)
 		return nil, h.gone("left")
 	}
+	done, expired := transport.WaitChans(ctx, wt.timer)
 	select {
-	case res := <-w.result:
+	case res := <-wt.ch:
+		if expired != nil {
+			wt.timer.Stop()
+		}
+		waiterPool.Put(wt)
 		return res.body, res.err
-	case <-ctx.Done():
+	case <-done:
+		wt.timer.Stop()
 		return nil, ctx.Err()
+	case <-expired:
+		return nil, context.DeadlineExceeded
 	}
 }
+
+// waiter is what a caller waits on for a mailbox's answer: the one-slot
+// channel the mailbox loop sends the result on and a timer for the caller's
+// deadline. Waiters are pooled; one whose caller gave up is left to the
+// mailbox loop's one send, and to the collector.
+type waiter struct {
+	ch    chan workResult
+	timer *time.Timer // stopped between requests
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan workResult, 1), timer: t}
+}}
 
 // gone builds the agent-not-found error for a request that reached a stopped
 // or departing agent; why completes "<agent> <why> <node>".
@@ -274,8 +301,13 @@ func (c *Context) Sleep(d time.Duration) bool {
 // serving request's trace context rides along (unless ctx already carries
 // one), so multi-hop chains stay in one causal tree.
 func (c *Context) Call(ctx context.Context, at NodeID, agent ids.AgentID, kind string, req, resp any) error {
+	return c.Go(ctx, at, agent, kind, req, resp).Wait()
+}
+
+// Go is Call split in two, as Node.Go splits Node.CallAgent.
+func (c *Context) Go(ctx context.Context, at NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
 	ctx = trace.ContextEnsure(ctx, c.span)
-	return c.host.node.CallAgent(ctx, at, agent, kind, req, resp)
+	return c.host.node.Go(ctx, at, agent, kind, req, resp)
 }
 
 // LaunchAt creates a new agent on the target node (agents beget agents —
@@ -356,11 +388,15 @@ type workResult struct {
 // mailbox is an unbounded FIFO queue. Unboundedness is deliberate: the
 // experiments measure queueing delay at overloaded agents, so the queue
 // must be able to grow — exactly like the message queue of an Aglets
-// agent.
+// agent. It is a ring: items[head] is the oldest of n queued requests, and a
+// popped slot is cleared at once, so it holds no payload or result channel
+// past its request, and a queue that drains keeps its space.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []work
+	head   int
+	n      int
 	closed bool
 }
 
@@ -377,7 +413,12 @@ func (m *mailbox) push(w work) bool {
 	if m.closed {
 		return false
 	}
-	m.items = append(m.items, w)
+	if m.n == len(m.items) {
+		m.items = m.queued(max(2*m.n, 4))
+		m.head = 0
+	}
+	m.items[(m.head+m.n)%len(m.items)] = w
+	m.n++
 	m.cond.Signal()
 	return true
 }
@@ -387,15 +428,26 @@ func (m *mailbox) push(w work) bool {
 func (m *mailbox) pop() (work, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.items) == 0 && !m.closed {
+	for m.n == 0 && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.items) == 0 {
+	if m.n == 0 {
 		return work{}, false
 	}
-	w := m.items[0]
-	m.items = m.items[1:]
+	w := m.items[m.head]
+	m.items[m.head] = work{}
+	m.head = (m.head + 1) % len(m.items)
+	m.n--
 	return w, true
+}
+
+// queued copies the queued items, oldest first, into a new slice of length
+// size ≥ n. Caller holds mu.
+func (m *mailbox) queued(size int) []work {
+	out := make([]work, size)
+	k := copy(out, m.items[m.head:min(m.head+m.n, len(m.items))])
+	copy(out[k:m.n], m.items)
+	return out
 }
 
 // close shuts the mailbox and returns the undelivered items.
@@ -406,8 +458,8 @@ func (m *mailbox) close() []work {
 		return nil
 	}
 	m.closed = true
-	pending := m.items
-	m.items = nil
+	pending := m.queued(m.n)
+	m.items, m.head, m.n = nil, 0, 0
 	m.cond.Broadcast()
 	return pending
 }
@@ -416,7 +468,7 @@ func (m *mailbox) close() []work {
 func (m *mailbox) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.items)
+	return m.n
 }
 
 // QueueLen reports the agent's current mailbox backlog. Zero for unknown

@@ -361,15 +361,21 @@ func (n *Node) Hosts(id ids.AgentID) bool {
 // CallAgent sends a request to an agent hosted at the given node and waits
 // for its response. It is the entry point for non-agent callers (clients,
 // experiment drivers); agents use Context.Call.
-//
-// A call to an agent on this node is delivered in-process (callLocal); every
-// other call is one envelope across the link, addressed to the agent, with req
-// encoded by the link straight into the frame.
 func (n *Node) CallAgent(ctx context.Context, at NodeID, agent ids.AgentID, kind string, req, resp any) error {
+	return n.Go(ctx, at, agent, kind, req, resp).Wait()
+}
+
+// Go is CallAgent split in two: it starts the call, and the returned
+// Pending's Wait, which must be called exactly once, finishes it. A call to an
+// agent on this node is delivered in-process (callLocal) before Go returns,
+// and the Pending carries its outcome; every other call is one envelope across
+// the link, addressed to the agent, with req encoded by the link straight into
+// the frame, and Go returns once it is posted (transport.Peer.Go).
+func (n *Node) Go(ctx context.Context, at NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
 	if at == n.id {
-		return n.callLocal(ctx, agent, kind, req, resp)
+		return transport.Settled(n.callLocal(ctx, agent, kind, req, resp))
 	}
-	return n.peer.CallAgent(ctx, at.Addr(), string(agent), kind, req, resp)
+	return n.peer.Go(ctx, at.Addr(), string(agent), kind, req, resp)
 }
 
 // callLocal is CallAgent for an agent hosted on this node: the request is
@@ -415,6 +421,10 @@ func (n *Node) callLocal(ctx context.Context, agent ids.AgentID, kind string, re
 	}
 	return nil
 }
+
+// Outstanding reports how many of the node's calls to other nodes are waiting
+// for a reply (transport.Peer.Outstanding).
+func (n *Node) Outstanding() int { return n.peer.Outstanding() }
 
 // Ping checks that a node is reachable.
 func (n *Node) Ping(ctx context.Context, at NodeID) error {

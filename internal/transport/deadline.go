@@ -8,11 +8,12 @@ import (
 
 // DeadlineContext bounds one call without paying for context.WithTimeout: it
 // reports the deadline at once, but its Done channel — a channel, a timer and
-// a hook on the parent — is built only when a consumer asks for it. Peer.Call
-// never asks: it reads the deadline, arms the reusable timer of its call slot
-// and selects on the parent's Done. Everything else that selects on Done (a
-// request parked in a mailbox, a service-time charge, a dial) gets a channel
-// that closes at the deadline or with the parent, as any context's would.
+// a hook on the parent — is built only when a consumer asks for it. A waiter
+// that owns a reusable timer need not ask (WaitChans): a call waiting for its
+// reply and a request parked in a mailbox arm their own timer from the
+// deadline and select on the parent's Done. Everything else that selects on
+// Done (a service-time charge, a dial) gets a channel that closes at the
+// deadline or with the parent, as any context's would.
 //
 // Release it when the call is over, as one would call a CancelFunc: a Done
 // channel that was built is closed and gives its timer back.
@@ -107,4 +108,18 @@ func (c *DeadlineContext) Release() {
 	if c.unparent != nil {
 		c.unparent()
 	}
+}
+
+// WaitChans returns what a wait bounded by ctx selects on besides what it
+// waits for: ctx's Done and, for a DeadlineContext, the parent's Done instead
+// and the deadline armed on t — so the context's own Done channel is never
+// built. t must not be running; when expired is not nil the caller stops t
+// once the wait is over.
+func WaitChans(ctx context.Context, t *time.Timer) (done <-chan struct{}, expired <-chan time.Time) {
+	dc, ok := ctx.(*DeadlineContext)
+	if !ok {
+		return ctx.Done(), nil
+	}
+	t.Reset(time.Until(dc.deadline))
+	return dc.Context.Done(), t.C
 }

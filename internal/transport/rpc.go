@@ -52,16 +52,27 @@ type Peer struct {
 	wg sync.WaitGroup
 }
 
-// callSlot is where one outstanding Call waits. Slots are pooled; what keeps
-// a recycled slot from hearing its previous call's late reply is that results
-// are delivered under Peer.mu to the slot pending[corr] names, and a call
-// takes its entry out of pending before its slot goes back to the pool.
+// callSlot is where one outstanding call waits, from Go to Wait. Slots are
+// pooled; what keeps a recycled slot from hearing its previous call's late
+// reply is that results are delivered under Peer.mu to the slot pending[corr]
+// names, and a call takes its entry out of pending before its slot goes back
+// to the pool.
 type callSlot struct {
 	ch    chan callResult // capacity 1: at most one result per correlation id
 	timer *time.Timer     // stopped between calls
 	// conn, guarded by Peer.mu while the slot is in pending, is the
 	// connection the request was written to, once it has been.
 	conn *tcpConn
+
+	// The call itself, written by Go and read by Wait, both on the caller's
+	// goroutine, and cleared before the slot goes back to the pool.
+	p     *Peer
+	ctx   context.Context
+	to    Addr
+	kind  string
+	resp  any
+	corr  uint64
+	start time.Time
 }
 
 // callResult ends a call: the reply envelope, or why none will come.
@@ -113,23 +124,54 @@ func NewServingPeer(link Link, addr Addr, inline InlineHandler, h AgentHandler, 
 // Addr returns the peer's own address.
 func (p *Peer) Addr() Addr { return p.addr }
 
+// Outstanding reports how many calls are waiting for a reply (diagnostics
+// and tests): a call counts from Go until its reply arrives or its Wait gives
+// up on it.
+func (p *Peer) Outstanding() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.pending)
+}
+
 // Call sends a request to the endpoint at to and waits for the reply, a send
 // failure or the end of ctx, whichever comes first. req and resp are encoded
 // and decoded in the codec their type selects (see Encode); either may be nil.
 // A remote handler error is returned as *RemoteError.
 func (p *Peer) Call(ctx context.Context, to Addr, kind string, req, resp any) error {
-	return p.CallAgent(ctx, to, "", kind, req, resp)
+	return p.Go(ctx, to, "", kind, req, resp).Wait()
 }
 
 // CallAgent is Call addressed to an agent at to: one envelope that names the
 // agent and carries req as its payload.
 func (p *Peer) CallAgent(ctx context.Context, to Addr, agent, kind string, req, resp any) error {
+	return p.Go(ctx, to, agent, kind, req, resp).Wait()
+}
+
+// Pending is a call Go has posted and Wait has yet to collect. It holds a
+// pooled call slot and the pending entry of its correlation id until Wait, so
+// every Pending is waited exactly once; a copy shares the slot and must not be
+// waited as well.
+type Pending struct {
+	s   *callSlot // nil when the call ended before it was posted
+	err error     // why the post failed, or the settled outcome when s is nil
+}
+
+// Settled returns a Pending whose Wait returns err at once: the outcome of a
+// call answered without the link, or one that could not start.
+func Settled(err error) Pending { return Pending{err: err} }
+
+// Go is the first half of CallAgent: it registers the call and posts the
+// request, and returns without waiting for the reply, which the returned
+// Pending's Wait collects. ctx bounds both halves. A caller with several calls
+// to make posts them all before waiting for any, so they are in flight
+// together without a goroutine each.
+func (p *Peer) Go(ctx context.Context, to Addr, agent, kind string, req, resp any) Pending {
 	s := slotPool.Get().(*callSlot)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		slotPool.Put(s)
-		return ErrClosed
+		return Settled(ErrClosed)
 	}
 	p.nextCorr++
 	corr := p.nextCorr
@@ -137,6 +179,7 @@ func (p *Peer) CallAgent(ctx context.Context, to Addr, agent, kind string, req, 
 	p.pending[corr] = s
 	p.mu.Unlock()
 
+	s.p, s.ctx, s.to, s.kind, s.resp, s.corr = p, ctx, to, kind, resp, corr
 	env := Envelope{From: p.addr, To: to, Agent: agent, Kind: kind, Corr: corr}
 	// Stamp the caller's trace context onto the wire, charging one network
 	// hop. The receiver parents its spans under env.Trace.SpanID.
@@ -144,12 +187,22 @@ func (p *Peer) CallAgent(ctx context.Context, to Addr, agent, kind string, req, 
 		sc.Hop++
 		env.Trace = sc
 	}
-	var start time.Time
 	if p.reg != nil {
-		start = time.Now()
+		s.start = time.Now()
 	}
-	res := callResult{}
-	err := p.link.post(ctx, env, req, p)
+	return Pending{s: s, err: p.link.post(ctx, env, req, p)}
+}
+
+// Wait is the second half of CallAgent: it waits for the reply Go's request
+// gets, a send failure or the end of Go's ctx, gives the call slot back and
+// decodes the reply into Go's resp.
+func (c Pending) Wait() error {
+	s := c.s
+	if s == nil {
+		return c.err
+	}
+	p, ctx, to, kind, resp, start := s.p, s.ctx, s.to, s.kind, s.resp, s.start
+	res, err := callResult{}, c.err
 	if err == nil {
 		res, err = s.await(ctx)
 	}
@@ -158,13 +211,14 @@ func (p *Peer) CallAgent(ctx context.Context, to Addr, agent, kind string, req, 
 		// raced the removal was sent under p.mu before it, so the drain below
 		// sees it and the slot goes back empty.
 		p.mu.Lock()
-		delete(p.pending, corr)
+		delete(p.pending, s.corr)
 		p.mu.Unlock()
 		select {
 		case <-s.ch:
 		default:
 		}
 	}
+	s.p, s.ctx, s.resp = nil, nil, nil
 	slotPool.Put(s)
 
 	if err == nil {
@@ -192,21 +246,19 @@ func (p *Peer) CallAgent(ctx context.Context, to Addr, agent, kind string, req, 
 	return nil
 }
 
-// await blocks until the slot's result arrives or ctx ends. A DeadlineContext
-// is waited on without building its Done channel: the slot's own timer stands
-// in for the deadline and the parent's Done for cancellation.
+// await blocks until the slot's result arrives or ctx ends, on the slot's own
+// timer (see WaitChans). A result that is already there wins over an expiry
+// that is too: a fan-out waits for its calls one after another, and a reply
+// that came in while an earlier call used up the deadline still counts.
 func (s *callSlot) await(ctx context.Context) (callResult, error) {
-	var (
-		done    <-chan struct{}
-		expired <-chan time.Time
-	)
-	if dc, ok := ctx.(*DeadlineContext); ok {
-		done = dc.Context.Done()
-		s.timer.Reset(time.Until(dc.deadline))
+	select {
+	case res := <-s.ch:
+		return res, nil
+	default:
+	}
+	done, expired := WaitChans(ctx, s.timer)
+	if expired != nil {
 		defer s.timer.Stop()
-		expired = s.timer.C
-	} else {
-		done = ctx.Done()
 	}
 	select {
 	case res := <-s.ch:
@@ -405,6 +457,11 @@ func AppendV(dst []byte, v any, ver uint16) ([]byte, error) {
 // hand-rolled codec, anything else is gob — the control plane's payload codec.
 // An empty payload leaves v untouched. A binary payload of a newer format
 // version than this build reads is wire.ErrUnsupportedVersion.
+//
+// A reply payload belongs to its call: the links hand Wait a payload nothing
+// else holds or reuses (TCP copies the frame out of its read buffer, Network
+// and a same-node call encode afresh), so a reply's decoder may keep views of
+// data — strings that share its bytes — for as long as the value lives.
 func Decode(data []byte, v any) error {
 	if len(data) == 0 {
 		return nil

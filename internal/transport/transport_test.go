@@ -295,6 +295,36 @@ func TestPeerCallTimeout(t *testing.T) {
 	}
 }
 
+// Calls posted together with Go share a deadline and are waited one after
+// another: a reply that arrived while an earlier call waited the deadline out
+// is still collected, and neither call leaves a pending entry behind.
+func TestPeerGoCollectsRepliesPastSharedDeadline(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	client, _, _ := newPeerPair(t, func(_ context.Context, _ Addr, kind string, _ []byte) (any, error) {
+		if kind == "stall" {
+			<-block
+		}
+		return echoResp{Text: kind}, nil
+	})
+	for i := 0; i < 20; i++ {
+		dc := WithDeadline(context.Background(), time.Now().Add(20*time.Millisecond))
+		var stalled, quick echoResp
+		first := client.Go(dc, "server", "", "stall", nil, &stalled)
+		second := client.Go(dc, "server", "", "quick", nil, &quick)
+		if err := first.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("stalled call = %v, want deadline exceeded", err)
+		}
+		if err := second.Wait(); err != nil || quick.Text != "quick" {
+			t.Fatalf("answered call after the deadline = %q, %v; want its reply", quick.Text, err)
+		}
+		dc.Release()
+		if n := client.Outstanding(); n != 0 {
+			t.Fatalf("%d calls still pending", n)
+		}
+	}
+}
+
 func TestPeerCallToUnknownAddr(t *testing.T) {
 	client, _, _ := newPeerPair(t, nil)
 	ctx := context.Background()

@@ -293,12 +293,14 @@ func TestTCPStalledAcceptIsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer link.Close()
+	// The link arms its deadline when it accepts, which may be before Dial
+	// returns here: the clock starts before the dial.
+	start := time.Now()
 	raw, err := net.Dial("tcp", link.ListenAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	start := time.Now()
 	if _, err := raw.Write(append(envMagic[:], 0)); err != nil { // 5 of the header's 11 bytes
 		t.Fatal(err)
 	}
