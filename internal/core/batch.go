@@ -13,15 +13,11 @@ import (
 	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
 	"agentloc/internal/trace"
+	"agentloc/internal/transport"
 )
 
 // ErrBatcherClosed is returned by Do after Close.
 var ErrBatcherClosed = errors.New("core: update batcher closed")
-
-// defaultFlushTimeout bounds a flush RPC when Config.CallTimeout is unset.
-// Without it a single stalled peer would wedge the flush goroutine — and
-// therefore Close — forever on a deadline-less call.
-const defaultFlushTimeout = 2 * time.Second
 
 // UpdateBatcher coalesces move-update traffic: updates bound for the same
 // IAgent within one flush tick travel as a single KindUpdateBatch RPC
@@ -168,53 +164,53 @@ func (b *UpdateBatcher) flushLoop() {
 	}
 }
 
-// flush sends one KindUpdateBatch RPC per destination with queued entries
-// and fans the per-entry acks back out. Destinations flush concurrently: a
-// stalled IAgent costs only its own batch a timeout instead of head-of-line
-// blocking every other peer's batch for the tick.
+// flush sends one KindUpdateBatch RPC per destination with queued entries,
+// all as one fan-out, and fans each destination's per-entry acks back out as
+// its reply lands: a stalled IAgent costs only its own batch the deadline
+// instead of head-of-line blocking every other peer's batch for the tick, and
+// the deadline — callTimeout, set or not — keeps a stalled peer from wedging
+// the flush loop, and with it Close, forever.
 func (b *UpdateBatcher) flush() {
 	b.mu.Lock()
 	queues := b.queues
 	b.queues = make(map[batchKey][]pendingUpdate)
 	b.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for key, pending := range queues {
-		wg.Add(1)
-		go func(key batchKey, pending []pendingUpdate) {
-			defer wg.Done()
-			b.flushDest(key, pending)
-		}(key, pending)
+	if len(queues) == 0 {
+		return
 	}
-	wg.Wait()
+
+	keys := make([]batchKey, 0, len(queues))
+	for key := range queues {
+		keys = append(keys, key)
+	}
+	resps := make([]UpdateBatchResp, len(keys))
+	spans := make([]*trace.ActiveSpan, len(keys))
+	fanOut(context.Background(), b.cfg.callTimeout(), b.caller.LocalNode(), len(keys),
+		func(i int) platform.NodeID { return keys[i].node },
+		func(ctx context.Context, i int) transport.Pending {
+			key, pending := keys[i], queues[keys[i]]
+			req := UpdateBatchReq{Updates: make([]UpdateReq, len(pending))}
+			for j, p := range pending {
+				req.Updates[j] = p.req
+			}
+			// The flush runs on the batcher's own goroutine, outside any one
+			// caller's trace, so each batch records as a root control span.
+			if sp := b.tracer.StartRoot("control", "batch.flush"); sp != nil {
+				sp.Annotate("dest", string(key.iagent))
+				sp.Annotate("entries", strconv.Itoa(len(pending)))
+				ctx = trace.ContextWith(ctx, sp.Context())
+				spans[i] = sp
+			}
+			return b.caller.Go(ctx, key.node, key.iagent, KindUpdateBatch, req, &resps[i])
+		},
+		func(i int, err error) {
+			spans[i].End(err)
+			b.ack(queues[keys[i]], resps[i], err)
+		})
 }
 
-// flushDest sends one destination's batch RPC and fans the per-entry acks
-// back out. The RPC is always deadline-bounded — CallTimeout when set, a
-// small default otherwise — so a stalled peer cannot wedge the flush
-// goroutine (and with it Close) forever.
-func (b *UpdateBatcher) flushDest(key batchKey, pending []pendingUpdate) {
-	req := UpdateBatchReq{Updates: make([]UpdateReq, len(pending))}
-	for i, p := range pending {
-		req.Updates[i] = p.req
-	}
-	var resp UpdateBatchResp
-	timeout := b.cfg.CallTimeout
-	if timeout <= 0 {
-		timeout = defaultFlushTimeout
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	// The flush runs on the batcher's own goroutines, outside any one
-	// caller's trace, so it records as a root control span.
-	sp := b.tracer.StartRoot("control", "batch.flush")
-	if sp != nil {
-		sp.Annotate("dest", string(key.iagent))
-		sp.Annotate("entries", strconv.Itoa(len(pending)))
-		ctx = trace.ContextWith(ctx, sp.Context())
-	}
-	err := b.caller.Go(ctx, key.node, key.iagent, KindUpdateBatch, req, &resp).Wait()
-	sp.End(err)
+// ack fans one destination's batch outcome back out to its entries.
+func (b *UpdateBatcher) ack(pending []pendingUpdate, resp UpdateBatchResp, err error) {
 	// Only successful batch RPCs count as flushed; failures are tallied
 	// separately so the ok series stays an honest delivery count.
 	if err != nil {

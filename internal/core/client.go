@@ -285,77 +285,42 @@ func NewClient(caller Caller, cfg Config) *Client {
 	return c
 }
 
-// call issues one protocol RPC, bounded by cfg.CallTimeout on top of the
+// call issues one protocol RPC, bounded by cfg.callTimeout on top of the
 // caller's context — a lost reply costs one timeout and a retry instead of
-// hanging a deadline-less caller forever. The mechanism's agents bound
-// their internal calls the same way. The bound travels as a
-// transport.DeadlineContext: the transport and a mailbox wait arm reusable
-// timers from it, and whoever else selects on Done (a service-time charge, a
-// dial) still sees it fire.
+// hanging a deadline-less caller forever, CallTimeout set or not. The
+// mechanism's agents bound their internal calls the same way (callWithin).
+// The bound travels as a transport.DeadlineContext: the transport and a
+// mailbox wait arm reusable timers from it, and whoever else selects on Done
+// (a service-time charge, a dial) still sees it fire.
 func (c *Client) call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
-	if c.cfg.CallTimeout > 0 {
-		dc := transport.WithDeadline(ctx, time.Now().Add(c.cfg.CallTimeout))
-		defer dc.Release()
-		ctx = dc
-	}
-	return c.post(ctx, at, agent, kind, req, resp).Wait()
+	countRPC(ctx)
+	return callWithin(ctx, c.cfg.callTimeout(), c.caller, at, agent, kind, req, resp)
 }
 
-// post starts one protocol RPC under ctx as it is — bounding it is the
-// caller's business — and counts it toward the operation's RPCs.
-func (c *Client) post(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
-	if n := rpcCountFrom(ctx); n != nil {
-		*n++
-	}
-	return c.caller.Go(ctx, at, agent, kind, req, resp)
-}
-
-// leg is one leaf's call in a fan-out, and how it ended.
+// leg is one leaf's call in a fan-out: its span, and how it ended.
 type leg struct {
-	call transport.Pending
-	sp   *trace.ActiveSpan
-	err  error
+	sp  *trace.ActiveSpan
+	err error
 }
 
-// fanOut sends kind to every leaf and waits for every answer, without a
-// goroutine per leaf: the requests to remote leaves are posted first, all
-// under one cfg.CallTimeout deadline, then the leaves on the caller's node are
-// served in place, then each answer is waited for in the order it was posted
-// — so a slow leaf costs the others nothing, and a stalled one costs the
-// fan-out one deadline however many legs it holds. req gives leaf i's request
-// and may annotate its child span (named span), resp where its answer goes.
-// The legs come back index-aligned with leaves.
+// fanOut sends kind to every leaf as one fan-out under cfg.callTimeout
+// (fanOut), each leg in a child span named span that ends as the leg lands.
+// req gives leaf i's request and may annotate its span, resp where its answer
+// goes. The legs come back index-aligned with leaves.
 func (c *Client) fanOut(ctx context.Context, span, kind string, leaves []LeafRef, req func(i int, sp *trace.ActiveSpan) any, resp func(i int) any) []leg {
-	if c.cfg.CallTimeout > 0 {
-		dc := transport.WithDeadline(ctx, time.Now().Add(c.cfg.CallTimeout))
-		defer dc.Release()
-		ctx = dc
-	}
 	legs := make([]leg, len(leaves))
-	post := func(i int) {
-		sp, cctx := c.childSpan(ctx, span)
-		sp.Annotate("leaf", string(leaves[i].IAgent))
-		legs[i].sp = sp
-		legs[i].call = c.post(cctx, leaves[i].Node, leaves[i].IAgent, kind, req(i, sp), resp(i))
-	}
-	wait := func(i int) {
-		legs[i].err = legs[i].call.Wait()
-		legs[i].sp.End(legs[i].err)
-	}
-	remoteFirst := func(step func(int)) {
-		for i, l := range leaves {
-			if l.Node != c.local {
-				step(i)
-			}
-		}
-		for i, l := range leaves {
-			if l.Node == c.local {
-				step(i)
-			}
-		}
-	}
-	remoteFirst(post)
-	remoteFirst(wait)
+	fanOut(ctx, c.cfg.callTimeout(), c.local, len(leaves), func(i int) platform.NodeID { return leaves[i].Node },
+		func(ctx context.Context, i int) transport.Pending {
+			sp, cctx := c.childSpan(ctx, span)
+			sp.Annotate("leaf", string(leaves[i].IAgent))
+			legs[i].sp = sp
+			countRPC(cctx)
+			return c.caller.Go(cctx, leaves[i].Node, leaves[i].IAgent, kind, req(i, sp), resp(i))
+		},
+		func(i int, err error) {
+			legs[i].err = err
+			legs[i].sp.End(err)
+		})
 	return legs
 }
 
@@ -366,9 +331,11 @@ func (c *Client) fanOut(ctx context.Context, span, kind string, leaves []LeafRef
 // is a plain integer.
 type rpcCountKey struct{}
 
-func rpcCountFrom(ctx context.Context) *int64 {
-	n, _ := ctx.Value(rpcCountKey{}).(*int64)
-	return n
+// countRPC counts one protocol RPC toward ctx's operation, if it counts them.
+func countRPC(ctx context.Context) {
+	if n, _ := ctx.Value(rpcCountKey{}).(*int64); n != nil {
+		*n++
+	}
 }
 
 // withRPCCount returns a context carrying a fresh RPC counter for one

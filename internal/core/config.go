@@ -39,7 +39,9 @@ type Config struct {
 	// IAgents (and of the centralized baseline agent — both are "the same
 	// agent" per paper §5). It is what makes an overloaded agent slow.
 	IAgentServiceTime time.Duration
-	// CallTimeout bounds each protocol RPC.
+	// CallTimeout bounds each protocol RPC, and each fan-out's calls between
+	// them. Zero selects 2s (callTimeout); Validate, which every deployed
+	// agent's config passes, wants it set.
 	CallTimeout time.Duration
 
 	// RetryBackoffBase sizes the pause between §4.3 refresh-and-retry
@@ -172,6 +174,16 @@ func (c Config) Validate() error {
 	default:
 		return nil
 	}
+}
+
+// callTimeout is the bound on one call, or on one fan-out's calls between
+// them: CallTimeout, or 2s when it is unset, so that no call waits as long as
+// the link allows.
+func (c Config) callTimeout() time.Duration {
+	if c.CallTimeout > 0 {
+		return c.CallTimeout
+	}
+	return 2 * time.Second
 }
 
 // LHAgentID returns the well-known id of the LHAgent at a node. The paper

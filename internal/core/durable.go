@@ -367,16 +367,10 @@ func (p *Persister) loop() {
 // sections nothing is written — rotating an empty snapshot would only
 // shorten the WAL replay horizon.
 func (p *Persister) WriteFullSnapshot() (int, error) {
-	timeout := p.cfg.CallTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
 	var sections []snapshot.Section
 	for _, id := range p.node.Agents() {
 		var resp SnapshotDumpResp
-		cctx, cancel := context.WithTimeout(context.Background(), timeout)
-		err := p.node.CallAgent(cctx, p.node.ID(), id, KindSnapshotDump, nil, &resp)
-		cancel()
+		err := callWithin(context.Background(), p.cfg.callTimeout(), NodeCaller{p.node}, p.node.ID(), id, KindSnapshotDump, nil, &resp)
 		if err != nil || resp.Status != StatusOK {
 			continue
 		}

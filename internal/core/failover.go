@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -66,9 +65,10 @@ const (
 	KindLeaseQuery = "hash.lease-query"
 	// KindOwedPushes and KindPushed are the HAgent's self-addressed retry
 	// protocol for state pushes an IAgent has not acknowledged: the Run
-	// loop fetches what is owed, delivers it outside the mailbox (an
-	// unreachable IAgent costs a full CallTimeout, which must not stall
-	// every LHAgent's fetch behind it), and reports what landed.
+	// loop fetches what is owed, delivers it as one fan-out outside the
+	// mailbox — the IAgents still unreachable cost the pass one deadline
+	// between them, which no LHAgent's fetch or heartbeat queued in the
+	// mailbox waits out — and reports what landed.
 	KindOwedPushes = "hash.owed-pushes"
 	KindPushed     = "hash.pushed"
 )
@@ -220,25 +220,11 @@ func (c Config) leaseTTL() time.Duration {
 // checkpointEvery returns the checkpoint cadence: the heartbeat interval.
 func (c Config) checkpointEvery() time.Duration { return c.HeartbeatInterval }
 
-// probeTimeout bounds the direct probe of a suspect; it must not wedge the
-// HAgent's mailbox for a full CallTimeout when the lease itself is short.
+// probeTimeout bounds the HAgent's liveness calls — suspect probes, replica
+// beats, lease votes: callTimeout, or the lease when that is shorter, so a
+// sweep holds the mailbox no longer than the leases it judges.
 func (c Config) probeTimeout() time.Duration {
-	d := c.leaseTTL()
-	if c.CallTimeout > 0 && c.CallTimeout < d {
-		d = c.CallTimeout
-	}
-	if d <= 0 {
-		d = time.Second
-	}
-	return d
-}
-
-// hagentSources lists the HAgents an IAgent may speak to, primary first.
-func (c Config) hagentSources() []HAgentRef {
-	out := make([]HAgentRef, 0, 1+len(c.HAgentFallbacks))
-	out = append(out, HAgentRef{Agent: c.HAgent, Node: c.HAgentNode})
-	out = append(out, c.HAgentFallbacks...)
-	return out
+	return min(c.callTimeout(), c.leaseTTL())
 }
 
 // ---------------------------------------------------------------------------
@@ -284,9 +270,7 @@ func (b *HAgentBehavior) Run(ctx *platform.Context) error {
 
 // callSelf mails the HAgent's own mailbox from its Run loop.
 func (b *HAgentBehavior) callSelf(ctx *platform.Context, kind string, req, resp any) error {
-	cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
-	defer cancel()
-	return ctx.Call(cctx, ctx.Node(), ctx.Self(), kind, req, resp)
+	return callWithin(ctx.Lifetime(), b.Cfg.callTimeout(), CtxCaller{ctx}, ctx.Node(), ctx.Self(), kind, req, resp)
 }
 
 // retryPushes is one pass of the retry loop, on the Run goroutine: fetch what
@@ -300,28 +284,29 @@ func (b *HAgentBehavior) retryPushes(ctx *platform.Context) {
 	if len(owed.Pushes) == 0 {
 		return
 	}
-	var done PushedReq
-	for _, p := range owed.Pushes {
-		if b.deliverPush(ctx, p, owed.State) {
-			done.IAgents = append(done.IAgents, p.IAgent)
-		}
-	}
+	done := PushedReq{IAgents: b.deliverPushes(ctx, owed.Pushes, owed.State)}
 	if err := b.callSelf(ctx, KindPushed, done, nil); err != nil {
 		b.wake()
 	}
 }
 
-// deliverPush sends one owed push and reports whether it is settled:
-// acknowledged — the receiver adopted the state and finished its handoffs —
-// or moot, because a retired receiver is already gone. It reads nothing but
-// Cfg, so the Run goroutine may call it.
-func (b *HAgentBehavior) deliverPush(ctx *platform.Context, p OwedPush, st StateDTO) bool {
-	req := AdoptStateReq{State: st, PromoteCheckpointOf: p.Promote}
-	var ack Ack
-	cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
-	err := ctx.Call(cctx, p.Node, p.IAgent, KindAdoptState, req, &ack)
-	cancel()
-	return err == nil || (p.Retired && platform.IsAgentNotFound(err))
+// deliverPushes sends the owed pushes as one fan-out and returns the IAgents
+// whose push is settled: acknowledged — the receiver adopted the state and
+// finished its handoffs — or moot, because a retired receiver is already gone.
+// It reads nothing but Cfg, so the Run goroutine may call it.
+func (b *HAgentBehavior) deliverPushes(ctx *platform.Context, pushes []OwedPush, st StateDTO) []ids.AgentID {
+	calls := make([]call, len(pushes))
+	for i, p := range pushes {
+		calls[i] = call{at: p.Node, agent: p.IAgent, kind: KindAdoptState,
+			req: AdoptStateReq{State: st, PromoteCheckpointOf: p.Promote}}
+	}
+	var settled []ids.AgentID
+	for i, err := range fanOutCalls(ctx, b.Cfg.callTimeout(), calls) {
+		if err == nil || (pushes[i].Retired && platform.IsAgentNotFound(err)) {
+			settled = append(settled, pushes[i].IAgent)
+		}
+	}
+	return settled
 }
 
 // wake re-arms the retry loop.
@@ -399,6 +384,7 @@ func (b *HAgentBehavior) sweep(ctx *platform.Context) Ack {
 	}
 	now := ctx.Clock().Now()
 	ttl := b.Cfg.leaseTTL()
+	var probes []call
 	for _, ia := range b.iagentsSorted() {
 		last, seen := b.lastBeat[ia]
 		if !seen {
@@ -414,13 +400,12 @@ func (b *HAgentBehavior) sweep(ctx *platform.Context) Ack {
 			b.reg.Gauge("agentloc_iagent_suspect", "iagent", string(ia)).Set(1)
 			ctx.Emit("failover.suspect", fmt.Sprintf("%s missed %d beats", ia, b.Cfg.suspectMisses()))
 		}
-		// A suspect gets one direct probe before the takeover: a lost
-		// heartbeat is not a lost IAgent.
-		node := b.state.Locations[ia]
-		pctx, cancel := context.WithTimeout(context.Background(), b.Cfg.probeTimeout())
-		var ack Ack
-		err := ctx.Call(pctx, node, ia, KindIAgentPing, nil, &ack)
-		cancel()
+		probes = append(probes, call{at: b.state.Locations[ia], agent: ia, kind: KindIAgentPing})
+	}
+	// Every suspect gets one direct probe before the takeover — a lost
+	// heartbeat is not a lost IAgent — and the probes go out together.
+	for i, err := range fanOutCalls(ctx, b.Cfg.probeTimeout(), probes) {
+		ia := probes[i].agent
 		if err == nil {
 			b.lastBeat[ia] = ctx.Clock().Now()
 			b.clearSuspect(ctx, ia)
@@ -512,17 +497,15 @@ func (b *HAgentBehavior) owedPushes() []OwedPush {
 	return out
 }
 
-// flushPendingNotify is the first, in-mailbox attempt at the owed pushes —
-// the rehash that queued them completes before the HAgent serves anything
-// else, as long as every IAgent answers. Failures stay queued for the Run
-// loop. Every push carries the current state, so a receiver several
+// flushPendingNotify is the first, in-mailbox attempt at the owed pushes, all
+// in flight together — the rehash that queued them completes before the
+// HAgent serves anything else, as long as every IAgent answers, and IAgents
+// that do not cost it one deadline between them. Failures stay queued for the
+// Run loop. Every push carries the current state, so a receiver several
 // rehashes behind catches up in one step.
 func (b *HAgentBehavior) flushPendingNotify(ctx *platform.Context) {
-	st := b.state.DTO()
-	for _, p := range b.owedPushes() {
-		if b.deliverPush(ctx, p, st) {
-			delete(b.pendingNotify, p.IAgent)
-		}
+	for _, ia := range b.deliverPushes(ctx, b.owedPushes(), b.state.DTO()) {
+		delete(b.pendingNotify, ia)
 	}
 	b.settle(ctx)
 }
@@ -541,15 +524,7 @@ func (b *HAgentBehavior) settle(ctx *platform.Context) {
 // beatReplicas renews the primary's lease at every replica, best effort —
 // the liveness analogue of propagate.
 func (b *HAgentBehavior) beatReplicas(ctx *platform.Context) {
-	for _, ref := range b.Cfg.HAgentReplicas {
-		if ref.Agent == ctx.Self() && ref.Node == ctx.Node() {
-			continue
-		}
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.probeTimeout())
-		var ack Ack
-		_ = ctx.Call(cctx, ref.Node, ref.Agent, KindHAgentBeat, nil, &ack)
-		cancel()
-	}
+	fanOutCalls(ctx, b.Cfg.probeTimeout(), b.toReplicas(ctx, KindHAgentBeat, nil))
 }
 
 // primaryLeaseExpired reports a standby's local view of the primary's
@@ -579,16 +554,13 @@ func (b *HAgentBehavior) standbySweep(ctx *platform.Context) {
 	if len(refs) == 0 || refs[0].Agent != ctx.Self() || refs[0].Node != ctx.Node() {
 		return // only the first replica initiates promotion
 	}
+	polls := b.toReplicas(ctx, KindLeaseQuery, nil)
+	for i := range polls {
+		polls[i].resp = &LeaseQueryResp{}
+	}
 	votes := 1 // self: the local lease is expired
-	for _, ref := range refs {
-		if ref.Agent == ctx.Self() && ref.Node == ctx.Node() {
-			continue
-		}
-		var resp LeaseQueryResp
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.probeTimeout())
-		err := ctx.Call(cctx, ref.Node, ref.Agent, KindLeaseQuery, nil, &resp)
-		cancel()
-		if err == nil && resp.PrimaryExpired {
+	for i, err := range fanOutCalls(ctx, b.Cfg.probeTimeout(), polls) {
+		if err == nil && polls[i].resp.(*LeaseQueryResp).PrimaryExpired {
 			votes++
 		}
 	}
@@ -621,17 +593,10 @@ func (b *HAgentBehavior) promote(ctx *platform.Context, why string) {
 // pulled at once.
 func (b *IAgentBehavior) sendHeartbeat(ctx *platform.Context) {
 	req := HeartbeatReq{IAgent: ctx.Self(), HashVersion: b.state.Load().Version()}
-	for _, src := range b.Cfg.hagentSources() {
-		var ack Ack
-		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
-		err := ctx.Call(cctx, src.Node, src.Agent, KindHeartbeat, req, &ack)
-		cancel()
-		if err == nil {
-			if ack.HashVersion > req.HashVersion {
-				b.refreshState(ctx, src)
-			}
-			return
-		}
+	var ack Ack
+	src, err := askHAgents(ctx.Lifetime(), b.Cfg, CtxCaller{ctx}, KindHeartbeat, req, &ack, func(err error) bool { return err == nil })
+	if err == nil && ack.HashVersion > req.HashVersion {
+		b.refreshState(ctx, src)
 	}
 }
 
@@ -644,9 +609,7 @@ func (b *IAgentBehavior) sendHeartbeat(ctx *platform.Context) {
 // buddy holds of it and what it has measured all still stand.
 func (b *IAgentBehavior) refreshState(ctx *platform.Context, src HAgentRef) {
 	var resp GetHashResp
-	cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
-	err := ctx.Call(cctx, src.Node, src.Agent, KindGetHash, GetHashReq{IfNewerThan: b.state.Load().Version()}, &resp)
-	cancel()
+	err := callWithin(ctx.Lifetime(), b.Cfg.callTimeout(), CtxCaller{ctx}, src.Node, src.Agent, KindGetHash, GetHashReq{IfNewerThan: b.state.Load().Version()}, &resp)
 	if err != nil || resp.Unchanged {
 		return
 	}
@@ -754,9 +717,7 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 		req.From, req.HashVersion, req.Seq, req.Live = ctx.Self(), st.Version(), seq, uint64(b.Leaf.table.Len())
 		sent.Add(uint64(n))
 		var resp CheckpointResp
-		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
-		err = ctx.Call(cctx, st.Locations[buddy], buddy, KindCheckpoint, req, &resp)
-		cancel()
+		err = callWithin(ctx.Lifetime(), b.Cfg.callTimeout(), CtxCaller{ctx}, st.Locations[buddy], buddy, KindCheckpoint, req, &resp)
 		status = resp.Status
 		return err == nil && status == StatusOK
 	}

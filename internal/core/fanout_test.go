@@ -243,3 +243,90 @@ func TestDiscoverAnswersSurviveConcurrentTraffic(t *testing.T) {
 		requireSameSet(t, "fan", got, homes)
 	}
 }
+
+// The HAgent's pushes of a round go out together: with three of its push
+// targets — here the replicas, whose nodes the HAgent's node cannot write to —
+// stalled, a split costs one call deadline, not one per target, and a GetHash
+// queued behind the split in the HAgent's mailbox is answered as soon.
+func TestHAgentStalledPushesCostOneDeadline(t *testing.T) {
+	f := transport.NewFaults()
+	cfg := quietConfig()
+	cfg.CallTimeout = 400 * time.Millisecond
+	// New IAgents stay on the HAgent's node, so the split's launch and
+	// handoffs never cross a stalled link: only the replica pushes do.
+	cfg.PlacementNodes = []platform.NodeID{"node-0"}
+	for i := 1; i <= 3; i++ {
+		cfg.HAgentReplicas = append(cfg.HAgentReplicas, HAgentRef{
+			Agent: ids.AgentID(fmt.Sprintf("%s-replica-%d", cfg.HAgent, i)),
+			Node:  platform.NodeID(fmt.Sprintf("node-%d", i)),
+		})
+	}
+	c, links := newTCPCluster(t, cfg, 4, func(i int, tc *transport.TCPConfig) {
+		if i == 0 {
+			tc.Faults = f
+		}
+	})
+	initial := hashState(t, c, testCtx(t))
+	refs, err := DeployReplicas(c.service.Config(), initial.DTO(), c.nodes[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(refs) != fmt.Sprint(cfg.HAgentReplicas) {
+		t.Fatalf("replicas deployed as %v, want %v", refs, cfg.HAgentReplicas)
+	}
+	ctx := testCtx(t)
+	cfg = c.service.Config()
+	homes := registerMany(t, c, ctx, 32)
+	// A first split opens the HAgent's connections to the replicas' nodes.
+	forceSplit(t, c, ctx, "iagent-1", homes)
+
+	for _, l := range links[1:] {
+		f.StallWritesTo(l.ListenAddr(), true)
+		defer f.StallWritesTo(l.ListenAddr(), false)
+	}
+	st := hashState(t, c, ctx)
+	perAgent := make(map[ids.AgentID]uint64)
+	for agent := range homes {
+		if owner, _, _ := st.OwnerOf(agent); owner == "iagent-1" {
+			perAgent[agent] = 5
+		}
+	}
+	type result struct {
+		took time.Duration
+		err  error
+	}
+	split := make(chan result, 1)
+	start := time.Now()
+	go func() {
+		var resp RehashResp
+		err := c.nodes[0].CallAgent(ctx, cfg.HAgentNode, cfg.HAgent, KindRequestSplit,
+			RequestSplitReq{IAgent: "iagent-1", HashVersion: st.Version(), Rate: 999, PerAgent: perAgent}, &resp)
+		if err == nil && resp.Status != StatusOK {
+			err = fmt.Errorf("split status %v", resp.Status)
+		}
+		split <- result{time.Since(start), err}
+	}()
+	// Once the HAgent's node has a call waiting, the split is pushing to the
+	// replicas; the GetHash queues behind it.
+	for c.nodes[0].Outstanding() == 0 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("the split's replica pushes never went out (%d calls out)", c.nodes[0].Outstanding())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	asked := time.Now()
+	var resp GetHashResp
+	err = c.nodes[0].CallAgent(ctx, cfg.HAgentNode, cfg.HAgent, KindGetHash, GetHashReq{IfNewerThan: st.Version()}, &resp)
+	answered := time.Since(asked)
+	s := <-split
+
+	limit := cfg.CallTimeout * 3 / 2
+	if s.err != nil || s.took > limit {
+		t.Errorf("split past three stalled replicas took %v (%v), want one %v deadline (limit %v)", s.took, s.err, cfg.CallTimeout, limit)
+	}
+	if err != nil || resp.Unchanged || answered > limit {
+		t.Errorf("GetHash queued behind the split answered after %v (unchanged %v, %v), want within %v", answered, resp.Unchanged, err, limit)
+	}
+	t.Logf("split %v, GetHash behind it %v; CallTimeout %v", s.took, answered, cfg.CallTimeout)
+	noneOutstanding(t, c.nodes[0], "the split")
+}

@@ -300,7 +300,9 @@ func (b *HAgentBehavior) split(ctx *platform.Context, req RequestSplitReq) (Reha
 	// Launch the new IAgent, pre-loaded with the new state, before
 	// notifying anyone: handoffs target it immediately.
 	newBehavior := &IAgentBehavior{Cfg: b.Cfg, StateSnapshot: newState.DTO()}
-	cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
+	// Not callWithin: a launch is no call through a Caller but a transfer
+	// the node makes.
+	cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.callTimeout())
 	err = ctx.LaunchAt(cctx, newNode, newID, newBehavior, b.Cfg.IAgentServiceTime)
 	cancel()
 	if err != nil {
@@ -396,7 +398,6 @@ func (b *HAgentBehavior) owe(ia, promote ids.AgentID, lastNode platform.NodeID) 
 func (b *HAgentBehavior) publish(ctx *platform.Context) {
 	b.published = b.state
 	b.propagate(ctx)
-	b.propagateEager(ctx)
 }
 
 // nextPlacement picks the node for a newly created IAgent, round-robin over

@@ -587,10 +587,7 @@ func loadReport(table *loctable.Table) (bitLoad [64]uint64, total uint64) {
 func (b *IAgentBehavior) callWithRetry(ctx *platform.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
-		err = ctx.Call(cctx, at, agent, kind, req, resp)
-		cancel()
-		if err == nil {
+		if err = callWithin(context.Background(), b.Cfg.callTimeout(), CtxCaller{ctx}, at, agent, kind, req, resp); err == nil {
 			return nil
 		}
 	}
@@ -671,13 +668,6 @@ func (b *IAgentBehavior) Run(ctx *platform.Context) error {
 // back to the configured replicas. A replica that has not been promoted
 // answers Standby — keep walking; only a primary's answer counts.
 func (b *IAgentBehavior) requestRehash(ctx *platform.Context, kind string, req any) {
-	for _, src := range b.Cfg.hagentSources() {
-		var resp RehashResp
-		cctx, cancel := context.WithTimeout(ctx.Lifetime(), b.Cfg.CallTimeout)
-		err := ctx.Call(cctx, src.Node, src.Agent, kind, req, &resp)
-		cancel()
-		if err == nil && !resp.Standby {
-			return
-		}
-	}
+	var resp RehashResp
+	_, _ = askHAgents(ctx.Lifetime(), b.Cfg, CtxCaller{ctx}, kind, req, &resp, func(err error) bool { return err == nil && !resp.Standby })
 }

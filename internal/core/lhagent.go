@@ -267,18 +267,8 @@ func (b *LHAgentBehavior) install(st *State) *hashCopy {
 // over to the configured replicas (the fault-tolerance extension): reads
 // survive a primary outage.
 func (b *LHAgentBehavior) fetch(ctx *platform.Context, ifNewerThan uint64) (*hashCopy, error) {
-	var (
-		resp GetHashResp
-		err  error
-	)
-	for _, src := range b.Cfg.hagentSources() {
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
-		err = ctx.Call(cctx, src.Node, src.Agent, KindGetHash, GetHashReq{IfNewerThan: ifNewerThan}, &resp)
-		cancel()
-		if err == nil {
-			break
-		}
-	}
+	var resp GetHashResp
+	_, err := askHAgents(context.Background(), b.Cfg, CtxCaller{ctx}, KindGetHash, GetHashReq{IfNewerThan: ifNewerThan}, &resp, func(err error) bool { return err == nil })
 	if err != nil {
 		return nil, fmt.Errorf("LHAgent %s: fetch hash: %w", ctx.Self(), err)
 	}

@@ -104,9 +104,7 @@ func (b *IAgentBehavior) maybeRelocate(ctx *platform.Context) (bool, error) {
 		HashVersion: version,
 	}
 	var resp RehashResp
-	cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
-	err := ctx.Call(cctx, b.Cfg.HAgentNode, b.Cfg.HAgent, KindRequestRelocate, req, &resp)
-	cancel()
+	err := callWithin(context.Background(), b.Cfg.callTimeout(), CtxCaller{ctx}, b.Cfg.HAgentNode, b.Cfg.HAgent, KindRequestRelocate, req, &resp)
 	if err != nil || resp.Status != StatusOK {
 		return false, err // declined or unreachable; retry next round
 	}
@@ -123,7 +121,9 @@ func (b *IAgentBehavior) maybeRelocate(ctx *platform.Context) (bool, error) {
 	b.StateSnapshot = ns.DTO()
 	b.mu.Unlock()
 
-	mctx, mcancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
+	// Not callWithin: a Move is no call through a Caller, and it cancels
+	// ctx.Lifetime() on its way, so its bound cannot hang off that.
+	mctx, mcancel := context.WithTimeout(context.Background(), b.Cfg.callTimeout())
 	defer mcancel()
 	if err := ctx.Move(mctx, target); err != nil {
 		return false, fmt.Errorf("IAgent %s: relocate to %s: %w", ctx.Self(), target, err)

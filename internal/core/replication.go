@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"agentloc/internal/ids"
@@ -86,41 +85,38 @@ func (b *HAgentBehavior) handleReplication(ctx *platform.Context, kind string, p
 	}
 }
 
-// propagateEager pushes the new state to every LHAgent when the ablation
-// flag is on; the paper's design instead lets LHAgents refresh on demand
-// (§4.3), trading propagation traffic for occasional stale-copy retries.
-func (b *HAgentBehavior) propagateEager(ctx *platform.Context) {
-	if !b.Cfg.EagerPropagation {
+// propagate pushes the current state to every configured replica and, when
+// the eager ablation flag is on, to every LHAgent — one fan-out, best effort.
+// Replica lag is tolerable by design; persistent failures surface through the
+// replica's own staleness, not by failing rehashes. An unreachable LHAgent
+// just stays stale, exactly as in the paper's design, which lets LHAgents
+// refresh on demand (§4.3), trading propagation traffic for occasional
+// stale-copy retries.
+func (b *HAgentBehavior) propagate(ctx *platform.Context) {
+	if len(b.Cfg.HAgentReplicas) == 0 && !b.Cfg.EagerPropagation {
 		return
 	}
-	req := AdoptLHStateReq{State: b.state.DTO()}
-	for _, node := range b.Cfg.PlacementNodes {
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
-		// Best effort: an unreachable LHAgent just stays stale, exactly
-		// as in the on-demand design.
-		_ = ctx.Call(cctx, node, LHAgentID(node), KindLHAdopt, req, nil)
-		cancel()
+	st := b.state.DTO()
+	calls := b.toReplicas(ctx, KindReplicate, ReplicateReq{State: st})
+	if b.Cfg.EagerPropagation {
+		req := AdoptLHStateReq{State: st}
+		for _, node := range b.Cfg.PlacementNodes {
+			calls = append(calls, call{at: node, agent: LHAgentID(node), kind: KindLHAdopt, req: req})
+		}
 	}
+	fanOutCalls(ctx, b.Cfg.callTimeout(), calls)
 }
 
-// propagate pushes the current state to every configured replica, best
-// effort. Replica lag is tolerable by design; persistent failures surface
-// through the replica's own staleness, not by failing rehashes.
-func (b *HAgentBehavior) propagate(ctx *platform.Context) {
-	if len(b.Cfg.HAgentReplicas) == 0 {
-		return
-	}
-	req := ReplicateReq{State: b.state.DTO()}
+// toReplicas addresses kind with req to every configured replica but this
+// HAgent.
+func (b *HAgentBehavior) toReplicas(ctx *platform.Context, kind string, req any) []call {
+	calls := make([]call, 0, len(b.Cfg.HAgentReplicas))
 	for _, ref := range b.Cfg.HAgentReplicas {
-		if ref.Agent == ctx.Self() && ref.Node == ctx.Node() {
-			continue
+		if ref.Agent != ctx.Self() || ref.Node != ctx.Node() {
+			calls = append(calls, call{at: ref.Node, agent: ref.Agent, kind: kind, req: req})
 		}
-		cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.CallTimeout)
-		var ack Ack
-		// Failure to reach a replica must not fail the rehash.
-		_ = ctx.Call(cctx, ref.Node, ref.Agent, KindReplicate, req, &ack)
-		cancel()
 	}
+	return calls
 }
 
 // DeployReplicas launches standby HAgents on the given nodes and returns

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"agentloc/internal/clock"
+	"agentloc/internal/platform"
+	"agentloc/internal/transport"
 )
 
 // newBackoffClient builds a Client good enough for exercising the retry
@@ -157,5 +160,53 @@ func TestConfigValidateBackoff(t *testing.T) {
 				t.Fatal("Validate() = nil, want error")
 			}
 		})
+	}
+}
+
+// A client whose config leaves CallTimeout at zero still bounds its calls, by
+// callTimeout's 2s: a Locate whose target's node — which hosts the target's
+// IAgent and the HAgent its LHAgent must fetch a hash copy from — the client's
+// node cannot reach returns an error instead of waiting for a reply the
+// network dropped. The agents' own bound is an hour, so nothing else ends the
+// call.
+func TestZeroCallTimeoutLocateIsBounded(t *testing.T) {
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	nodes := make([]*platform.Node, 2)
+	for i := range nodes {
+		n, err := platform.NewNode(platform.Config{ID: platform.NodeID(fmt.Sprintf("node-%d", i)), Link: net})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	cfg := quietConfig()
+	cfg.CallTimeout = time.Hour
+	svc, err := Deploy(context.Background(), cfg, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.ClientFor(nodes[0]).Register(testCtx(t), "cut-off"); err != nil {
+		t.Fatal(err)
+	}
+	net.Partition(nodes[0].ID().Addr(), nodes[1].ID().Addr())
+
+	ccfg := quietConfig()
+	ccfg.CallTimeout = 0
+	client := NewClient(NodeCaller{N: nodes[1]}, ccfg)
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := client.Locate(context.Background(), "cut-off")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if took := time.Since(start); err == nil || took > ccfg.callTimeout()+time.Second {
+			t.Errorf("Locate across a partition returned %v after %v, want an error within %v", err, took, ccfg.callTimeout())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Locate across a partition still waiting after 10s: its calls are unbounded")
 	}
 }

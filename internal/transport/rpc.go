@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -63,6 +64,10 @@ type callSlot struct {
 	// conn, guarded by Peer.mu while the slot is in pending, is the
 	// connection the request was written to, once it has been.
 	conn *tcpConn
+	// landed, guarded by Peer.mu while the slot is in pending, hears idx
+	// when the result is delivered: the channel of the Reap waiting for it.
+	landed chan<- int
+	idx    int
 
 	// The call itself, written by Go and read by Wait, both on the caller's
 	// goroutine, and cleared before the slot goes back to the pool.
@@ -149,8 +154,8 @@ func (p *Peer) CallAgent(ctx context.Context, to Addr, agent, kind string, req, 
 
 // Pending is a call Go has posted and Wait has yet to collect. It holds a
 // pooled call slot and the pending entry of its correlation id until Wait, so
-// every Pending is waited exactly once; a copy shares the slot and must not be
-// waited as well.
+// every Pending is waited exactly once — by its caller or by Reap; a copy
+// shares the slot and must not be waited as well.
 type Pending struct {
 	s   *callSlot // nil when the call ended before it was posted
 	err error     // why the post failed, or the settled outcome when s is nil
@@ -163,7 +168,7 @@ func Settled(err error) Pending { return Pending{err: err} }
 // Go is the first half of CallAgent: it registers the call and posts the
 // request, and returns without waiting for the reply, which the returned
 // Pending's Wait collects. ctx bounds both halves. A caller with several calls
-// to make posts them all before waiting for any, so they are in flight
+// to make posts them all before waiting for any (Reap), so they are in flight
 // together without a goroutine each.
 func (p *Peer) Go(ctx context.Context, to Addr, agent, kind string, req, resp any) Pending {
 	s := slotPool.Get().(*callSlot)
@@ -218,7 +223,7 @@ func (c Pending) Wait() error {
 		default:
 		}
 	}
-	s.p, s.ctx, s.resp = nil, nil, nil
+	s.p, s.ctx, s.resp, s.landed = nil, nil, nil, nil
 	slotPool.Put(s)
 
 	if err == nil {
@@ -248,8 +253,8 @@ func (c Pending) Wait() error {
 
 // await blocks until the slot's result arrives or ctx ends, on the slot's own
 // timer (see WaitChans). A result that is already there wins over an expiry
-// that is too: a fan-out waits for its calls one after another, and a reply
-// that came in while an earlier call used up the deadline still counts.
+// that is too: a Reap whose deadline passed waits for every call still out
+// then, and a reply that came in before it got to that call still counts.
 func (s *callSlot) await(ctx context.Context) (callResult, error) {
 	select {
 	case res := <-s.ch:
@@ -270,6 +275,86 @@ func (s *callSlot) await(ctx context.Context) (callResult, error) {
 	}
 }
 
+// Reap waits for calls posted under ctx, or contexts derived from it, and
+// hands each to land with its Wait's outcome as it lands: a Settled call, one
+// whose post failed and one already answered at once, the others as their
+// replies arrive, so a slow call delays none of the rest. When ctx ends first,
+// every call still out is waited then, ending with the answer already in its
+// slot or with ctx's error. Every call is waited exactly once, on the caller's
+// goroutine.
+func Reap(ctx context.Context, calls []Pending, land func(i int, err error)) {
+	r := reaperPool.Get().(*reaper)
+	if cap(r.landed) < len(calls) {
+		r.landed = make(chan int, len(calls))
+	}
+	r.reaped = slices.Grow(r.reaped[:0], len(calls))[:len(calls)]
+	clear(r.reaped)
+	for i, c := range calls {
+		if !c.watch(r.landed, i) {
+			r.landed <- i
+		}
+	}
+	reap := func(i int) {
+		r.reaped[i] = true
+		land(i, calls[i].Wait())
+	}
+	done, expired := WaitChans(ctx, r.timer)
+wait:
+	for range calls {
+		select {
+		case i := <-r.landed:
+			reap(i)
+		case <-done:
+			break wait
+		case <-expired:
+			break wait
+		}
+	}
+	if expired != nil {
+		r.timer.Stop()
+	}
+	for i, ok := range r.reaped {
+		if !ok {
+			reap(i)
+		}
+	}
+	for len(r.landed) > 0 { // calls answered after ctx ended told it too
+		<-r.landed
+	}
+	reaperPool.Put(r)
+}
+
+// reaper is a Reap's pooled scratch space: the channel its calls' slots tell,
+// sized to take one send from each, which calls have been waited, and the
+// timer for ctx's deadline.
+type reaper struct {
+	landed chan int
+	reaped []bool
+	timer  *time.Timer
+}
+
+var reaperPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &reaper{timer: t}
+}}
+
+// watch has the call's slot tell landed i when its result is delivered, or
+// reports false: the call is settled, its post failed or its result is in.
+func (c Pending) watch(landed chan<- int, i int) bool {
+	s := c.s
+	if s == nil || c.err != nil {
+		return false
+	}
+	s.p.mu.Lock()
+	defer s.p.mu.Unlock()
+	if s.p.pending[s.corr] != s {
+		return false
+	}
+	s.landed, s.idx = landed, i
+	return true
+}
+
 // complete hands the call waiting under corr its result; a call that already
 // ended — answered, failed or given up — is not there any more, and the result
 // is dropped.
@@ -277,9 +362,19 @@ func (p *Peer) complete(corr uint64, res callResult) {
 	p.mu.Lock()
 	if s := p.pending[corr]; s != nil {
 		delete(p.pending, corr)
-		s.ch <- res
+		s.settle(res)
 	}
 	p.mu.Unlock()
+}
+
+// settle hands the slot its call's result, telling a Reap first, so nothing
+// is sent to its channel once the result can be received. The caller holds
+// Peer.mu and has taken the slot out of pending.
+func (s *callSlot) settle(res callResult) {
+	if s.landed != nil {
+		s.landed <- s.idx
+	}
+	s.ch <- res
 }
 
 // sendDone implements sendWaiter: a request that could not be written fails
@@ -309,7 +404,7 @@ func (p *Peer) connLost(c *tcpConn, err error) {
 	for corr, s := range p.pending {
 		if s.conn == c {
 			delete(p.pending, corr)
-			s.ch <- callResult{err: fmt.Errorf("connection lost: %w", err)}
+			s.settle(callResult{err: fmt.Errorf("connection lost: %w", err)})
 		}
 	}
 	p.mu.Unlock()
@@ -326,7 +421,7 @@ func (p *Peer) Close() {
 	p.closed = true
 	for corr, s := range p.pending {
 		delete(p.pending, corr)
-		s.ch <- callResult{err: ErrClosed}
+		s.settle(callResult{err: ErrClosed})
 	}
 	p.mu.Unlock()
 	p.link.Unlisten(p.addr)
