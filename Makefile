@@ -79,15 +79,17 @@ fuzz:
 # whose outcome must not hang on scheduling (write coalescing, exact counters,
 # uncorrelated requests, a refused old frame, one envelope per agent call),
 # the call-group tests (landing order, a settled leg, a stalled leg, an answer
-# past the deadline, nothing left registered) and the fan-out tests (legs
+# past the deadline, nothing left registered), the fan-out tests (legs
 # posted from the caller, a stalled leaf costing one deadline, discovery
 # answers surviving concurrent traffic, the HAgent's stalled pushes costing
-# one deadline) twenty times on one P; then the full-cluster
+# one deadline) and the pooled-call test (one client's mixed operations
+# across a flapping partition, checked against the writers' model) twenty
+# times on one P; then the full-cluster
 # kill-and-cold-start scenario on the simulated LAN.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers' ./...
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Coalesces|CountWhatTheyName|WithoutCorr|OldFrameVersion|OneEnvelope' ./internal/transport
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|DiscoverAnswersSurvive' ./internal/core
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|DiscoverAnswersSurvive|PooledCallsSurvive' ./internal/core
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Reap' ./internal/transport
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'HAgentStalledPushes' ./internal/core
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick

@@ -289,9 +289,11 @@ func NewClient(caller Caller, cfg Config) *Client {
 // caller's context — a lost reply costs one timeout and a retry instead of
 // hanging a deadline-less caller forever, CallTimeout set or not. The
 // mechanism's agents bound their internal calls the same way (callWithin).
-// The bound travels as a transport.DeadlineContext: the transport and a
+// The bound travels as a pooled transport.DeadlineContext: the transport and a
 // mailbox wait arm reusable timers from it, and whoever else selects on Done
-// (a service-time charge, a dial) still sees it fire.
+// (a service-time charge, a dial) still sees it fire. req and resp cross the
+// Caller as interface values, so a single-agent operation's calls pass
+// pointers into a pooled callFrame, and allocate nothing the caller keeps.
 func (c *Client) call(ctx context.Context, at platform.NodeID, agent ids.AgentID, kind string, req, resp any) error {
 	countRPC(ctx)
 	return callWithin(ctx, c.cfg.callTimeout(), c.caller, at, agent, kind, req, resp)
@@ -399,14 +401,46 @@ func (c *Client) childSpan(ctx context.Context, name string) (*trace.ActiveSpan,
 	return sp, ctx
 }
 
+// callFrame is where a single-agent operation's call keeps its request and
+// response: its whois, its refresh or its request to the IAgent. The Caller
+// takes them as interface values, so values of the call's own would each move
+// to the heap; a pooled frame is already there. A call takes a frame for
+// itself alone, not for its whole operation, so an update waiting in the
+// batcher holds none, and gives it back cleared once nothing holds its values:
+// a call has encoded its request before Go returns and decoded its reply
+// before Wait returns.
+type callFrame struct {
+	whois      WhoisReq
+	assigned   WhoisResp
+	refresh    RefreshReq
+	refreshed  RefreshResp
+	locate     LocateReq
+	located    LocateResp
+	update     UpdateReq
+	deregister DeregisterReq
+	ack        Ack
+}
+
+var framePool = sync.Pool{New: func() any { return new(callFrame) }}
+
+func getFrame() *callFrame { return framePool.Get().(*callFrame) }
+
+func (f *callFrame) release() {
+	*f = callFrame{}
+	framePool.Put(f)
+}
+
 // Whois asks the local LHAgent which IAgent serves the target.
 func (c *Client) Whois(ctx context.Context, target ids.AgentID) (Assignment, error) {
 	sp, ctx := c.childSpan(ctx, "whois")
-	var resp WhoisResp
-	if err := c.call(ctx, c.local, c.lhagent, KindWhois, &WhoisReq{Target: target}, &resp); err != nil {
+	f := getFrame()
+	defer f.release()
+	f.whois = WhoisReq{Target: target}
+	if err := c.call(ctx, c.local, c.lhagent, KindWhois, &f.whois, &f.assigned); err != nil {
 		sp.End(err)
 		return Assignment{}, fmt.Errorf("whois %s: %w", target, err)
 	}
+	resp := f.assigned
 	sp.Annotate("iagent", string(resp.IAgent))
 	sp.End(nil)
 	c.cache.fence(resp.HashVersion)
@@ -462,9 +496,11 @@ func (c *Client) MoveNotifyBound(ctx context.Context, self ids.AgentID, res ids.
 func (c *Client) Deregister(ctx context.Context, self ids.AgentID, cached Assignment) error {
 	sp, ctx, rpcs := c.startOp(ctx, "deregister")
 	_, err := c.run(ctx, &c.ops.deregister, self, cached, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
-		var ack Ack
-		err := c.call(ctx, assign.Node, assign.IAgent, KindDeregister, &DeregisterReq{Agent: self}, &ack)
-		return ack.Status, ack.HashVersion, err
+		f := getFrame()
+		defer f.release()
+		f.deregister = DeregisterReq{Agent: self}
+		err := c.call(ctx, assign.Node, assign.IAgent, KindDeregister, &f.deregister, &f.ack)
+		return f.ack.Status, f.ack.HashVersion, err
 	})
 	if err == nil {
 		// Read your own writes: the next Locate asks the server.
@@ -490,21 +526,24 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 	}
 	sp.Annotate("cache", "miss")
 	ctx, rpcs := withRPCCount(ctx, sp != nil || c.hops != nil)
-	var resp LocateResp
+	var node platform.NodeID
 	assign, err := c.run(ctx, &c.ops.locate, target, Assignment{}, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
-		resp = LocateResp{}
-		err := c.call(ctx, assign.Node, assign.IAgent, KindLocate, &LocateReq{Agent: target}, &resp)
-		return resp.Status, resp.HashVersion, err
+		f := getFrame()
+		defer f.release()
+		f.locate = LocateReq{Agent: target}
+		err := c.call(ctx, assign.Node, assign.IAgent, KindLocate, &f.locate, &f.located)
+		node = f.located.Node
+		return f.located.Status, f.located.HashVersion, err
 	})
 	endOp(sp, rpcs, err)
 	if err != nil {
 		return "", err
 	}
-	c.cache.put(target, resp.Node, assign.HashVersion)
+	c.cache.put(target, node, assign.HashVersion)
 	if rpcs != nil {
 		c.hops.Observe(float64(*rpcs))
 	}
-	return resp.Node, nil
+	return node, nil
 }
 
 // LocateBatch resolves the locations of several agents with as few RPCs as
@@ -663,16 +702,17 @@ func (c *Client) report(ctx context.Context, kind string, self ids.AgentID, res 
 	sp, ctx, rpcs := c.startOp(ctx, op.name)
 	assign, err := c.run(ctx, op, self, cached, func(ctx context.Context, assign Assignment) (Status, uint64, error) {
 		req := UpdateReq{Agent: self, Node: node, Residence: res, Capabilities: caps}
-		var ack Ack
-		var err error
 		if op == &c.ops.batched {
 			// The batch.wait span covers the full queue-to-ack delay: time
 			// parked in the outgoing batch plus the coalesced RPC's round trip.
-			ack, err = c.batcher.Do(ctx, assign, req)
-		} else {
-			err = c.call(ctx, assign.Node, assign.IAgent, kind, &req, &ack)
+			ack, err := c.batcher.Do(ctx, assign, req)
+			return ack.Status, ack.HashVersion, err
 		}
-		return ack.Status, ack.HashVersion, err
+		f := getFrame()
+		defer f.release()
+		f.update = req
+		err := c.call(ctx, assign.Node, assign.IAgent, kind, &f.update, &f.ack)
+		return f.ack.Status, f.ack.HashVersion, err
 	})
 	if err == nil {
 		c.cache.invalidate(self)
@@ -686,10 +726,10 @@ func (c *Client) report(ctx context.Context, kind string, self ids.AgentID, res 
 // request to the responsible IAgent, and on a stale or failed answer a
 // refresh of the local hash copy, a backoff and a retry, at most
 // maxProtocolRetries rounds. send issues the operation's request to the
-// assigned IAgent, zeroing its reply first, and returns the reply's status
-// and hash version with the call's error; it runs in the attempt's child
-// span. An unknown-agent answer is ErrNotRegistered, and a mapping proved
-// stale drops the agent's cache entry before the retry. On success run
+// assigned IAgent and returns the reply's status and hash version with the
+// call's error; it runs in the attempt's child span. An unknown-agent answer
+// is ErrNotRegistered, and a mapping proved stale drops the agent's cache
+// entry before the retry. On success run
 // observes the operation's latency and returns the assignment that
 // answered, raised to the IAgent's version.
 func (c *Client) run(ctx context.Context, op *clientOp, agent ids.AgentID, assign Assignment, send func(context.Context, Assignment) (Status, uint64, error)) (Assignment, error) {
@@ -765,8 +805,10 @@ func (c *Client) interpret(ctx context.Context, assign Assignment, status Status
 		minVersion = max(minVersion, remoteVersion)
 	}
 	sp, ctx := c.childSpan(ctx, "refresh")
-	var resp RefreshResp
-	err := c.call(ctx, c.local, c.lhagent, KindRefresh, &RefreshReq{MinVersion: minVersion}, &resp)
+	f := getFrame()
+	f.refresh = RefreshReq{MinVersion: minVersion}
+	err := c.call(ctx, c.local, c.lhagent, KindRefresh, &f.refresh, &f.refreshed)
+	f.release()
 	sp.End(err)
 	switch {
 	case err == nil:

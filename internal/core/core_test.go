@@ -26,6 +26,8 @@ type testCluster struct {
 	// cluster was built with tracing (newTCPCluster does; newTestCluster
 	// leaves it nil).
 	tracers []*trace.Recorder
+	// net is the simulated LAN newTestCluster builds; nil on other links.
+	net *transport.Network
 }
 
 func newTestCluster(t *testing.T, cfg Config, numNodes int) *testCluster {
@@ -41,11 +43,51 @@ func newTestCluster(t *testing.T, cfg Config, numNodes int) *testCluster {
 		t.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
+	releasesAll(t, nodes)
 	svc, err := Deploy(context.Background(), cfg, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testCluster{nodes: nodes, service: svc}
+	return &testCluster{nodes: nodes, service: svc, net: net}
+}
+
+// releasesAll has the test end by proving its nodes gave back every call they
+// took: once every hosted agent is stopped — which ends the calls agents make
+// on their own account, and waits for the ones they make inside a request — no
+// node may still have a call registered. A call's Wait takes it out of its
+// peer's pending set however it ends, so one left there is a leak. Register it
+// after the nodes' Close, which empties the set, so that it runs first.
+func releasesAll(t *testing.T, nodes []*platform.Node) {
+	t.Cleanup(func() {
+		var wg sync.WaitGroup
+		for _, n := range nodes {
+			for _, a := range n.Agents() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = n.Kill(a)
+				}()
+			}
+		}
+		wg.Wait()
+		for _, n := range nodes {
+			noneOutstanding(t, n, "the test")
+		}
+	})
+}
+
+// noneOutstanding fails unless the node's calls have all been answered or
+// given up on shortly after op returned. Not at once: a retry that refreshed
+// the hash copy may have left the LHAgent fetching from the HAgent after its
+// caller gave up, and that call ends on its own; a leaked one never does.
+func noneOutstanding(t *testing.T, n *platform.Node, op string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); n.Outstanding() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%s: %d calls still waiting after %s returned", n.ID(), n.Outstanding(), op)
+			return
+		}
+	}
 }
 
 // quietConfig never rehashes on its own: thresholds far away.

@@ -471,6 +471,7 @@ func newTCPMetricsCluster(t *testing.T, cfg Config, numNodes int, reg *metrics.R
 		t.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
+	releasesAll(t, nodes)
 	svc, err := Deploy(context.Background(), cfg, nodes)
 	if err != nil {
 		t.Fatal(err)

@@ -25,6 +25,7 @@ func newLossyCluster(t *testing.T, cfg Config, numNodes int, dropProb float64) (
 		t.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
+	releasesAll(t, nodes)
 	svc, err := Deploy(context.Background(), cfg, nodes)
 	if err != nil {
 		t.Fatal(err)

@@ -186,20 +186,6 @@ func TestFanOutsSurviveStalledLeaf(t *testing.T) {
 	noneOutstanding(t, c.nodes[1], "LocateBatch")
 }
 
-// noneOutstanding fails unless the node's calls have all been answered or
-// given up on shortly after op returned. Not at once: a retry that refreshed
-// the hash copy may have left the LHAgent fetching from the HAgent after its
-// caller gave up, and that call ends on its own; a leaked one never does.
-func noneOutstanding(t *testing.T, n *platform.Node, op string) {
-	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); n.Outstanding() != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Errorf("%d calls still waiting after %s returned", n.Outstanding(), op)
-			return
-		}
-	}
-}
-
 // Concurrent Discovers over TCP answer exactly, and the answers stay exact
 // after the connections have carried more traffic: a match's agent id is a
 // view of its reply's payload, which the call owns, never of a read buffer.

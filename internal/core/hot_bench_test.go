@@ -134,7 +134,7 @@ func BenchmarkIAgentServeLocate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, _, err := leaf.HandleConcurrent(ctx, KindLocate, payloads[i%len(payloads)])
-		if err != nil || resp.(LocateResp).Status != StatusOK {
+		if err != nil || resp.(*LocateResp).Status != StatusOK {
 			b.Fatal(resp, err)
 		}
 	}

@@ -52,6 +52,9 @@ type IAgentBehavior struct {
 	// are immutable once published); installState, the one writer of a running
 	// leaf, holds mu so a version check and the store it guards stay atomic.
 	state atomic.Pointer[State]
+	// answers is the served locate's answers at the current version
+	// (locateAnswer).
+	answers atomic.Pointer[locateAnswers]
 
 	mu      sync.Mutex
 	dead    bool
@@ -87,6 +90,7 @@ var (
 	_ platform.Behavior           = (*IAgentBehavior)(nil)
 	_ platform.Runner             = (*IAgentBehavior)(nil)
 	_ platform.ConcurrentBehavior = (*IAgentBehavior)(nil)
+	_ platform.LocalAnswerer      = (*IAgentBehavior)(nil)
 )
 
 // ensureRuntime rebuilds the unexported machinery after creation or
@@ -163,7 +167,7 @@ func (b *IAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, pa
 		if err != nil {
 			return nil, true, err
 		}
-		return b.locateBytes(ctx, agent), true, nil
+		return b.locateAnswer(b.locateBytes(ctx, agent)), true, nil
 	case KindLocateBatch:
 		if err := b.ensureRuntime(ctx); err != nil {
 			return nil, true, err
@@ -201,6 +205,24 @@ func (b *IAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, pa
 	default:
 		return nil, false, nil
 	}
+}
+
+// AnswerLocal implements platform.LocalAnswerer: a client on the leaf's own
+// node has its locate served as a remote one is by HandleConcurrent, the
+// answer stored through its response pointer instead of passing the codec.
+func (b *IAgentBehavior) AnswerLocal(ctx *platform.Context, kind string, req, resp any) (bool, error) {
+	in, ok := req.(*LocateReq)
+	out, rok := resp.(*LocateResp)
+	if !ok || !rok || kind != KindLocate {
+		return false, nil
+	}
+	if err := b.ensureRuntime(ctx); err != nil {
+		return true, err
+	}
+	b.metLocate.Inc()
+	// The id's copy is on the stack for an id of up to 32 bytes.
+	*out = b.locateBytes(ctx, []byte(in.Agent))
+	return true, nil
 }
 
 // HandleRequest implements platform.Behavior. The platform delivers these
@@ -396,6 +418,59 @@ func (b *IAgentBehavior) locateBytes(ctx *platform.Context, agent []byte) Locate
 		return LocateResp{Status: StatusUnknownAgent, HashVersion: version}
 	}
 	return LocateResp{Status: StatusOK, Node: node, HashVersion: version}
+}
+
+// locateAnswers is every answer a served locate gives at one hash version:
+// not responsible, unknown agent, and found at each node asked about so far.
+// It is immutable once published, so a locate returns a pointer into it and
+// builds or boxes nothing per request.
+type locateAnswers struct {
+	stale, unknown LocateResp
+	at             map[platform.NodeID]*LocateResp
+}
+
+// maxLocateAnswers bounds the nodes a leaf keeps an answer for; past it, a
+// locate builds its own.
+const maxLocateAnswers = 1 << 10
+
+// locateAnswer returns the shared, immutable copy of a served locate's
+// answer, which a single locate returns without boxing a value. The set is
+// rebuilt when the version moves and copied with one more node when the node
+// is new to it; a request that read the hash state just before a newer one was
+// installed gets an answer of its own.
+func (b *IAgentBehavior) locateAnswer(r LocateResp) *LocateResp {
+	status, node, version := r.Status, r.Node, r.HashVersion
+	for {
+		cur := b.answers.Load()
+		if cur == nil || cur.stale.HashVersion < version {
+			b.answers.CompareAndSwap(cur, &locateAnswers{
+				stale:   LocateResp{Status: StatusNotResponsible, HashVersion: version},
+				unknown: LocateResp{Status: StatusUnknownAgent, HashVersion: version},
+			})
+			continue
+		}
+		if cur.stale.HashVersion > version {
+			return &LocateResp{Status: status, Node: node, HashVersion: version}
+		}
+		switch status {
+		case StatusNotResponsible:
+			return &cur.stale
+		case StatusUnknownAgent:
+			return &cur.unknown
+		}
+		if shared := cur.at[node]; shared != nil {
+			return shared
+		}
+		if len(cur.at) >= maxLocateAnswers {
+			return &LocateResp{Status: status, Node: node, HashVersion: version}
+		}
+		next := &locateAnswers{stale: cur.stale, unknown: cur.unknown, at: make(map[platform.NodeID]*LocateResp, len(cur.at)+1)}
+		for n, shared := range cur.at {
+			next.at[n] = shared
+		}
+		next.at[node] = &LocateResp{Status: status, Node: node, HashVersion: version}
+		b.answers.CompareAndSwap(cur, next)
+	}
 }
 
 // discover answers a capability query against the secondary index, each

@@ -39,6 +39,7 @@ func newMeteredCluster(t *testing.T, cfg Config, numNodes int) (*testCluster, *m
 		t.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
+	releasesAll(t, nodes)
 	svc, err := Deploy(context.Background(), cfg, nodes)
 	if err != nil {
 		t.Fatal(err)

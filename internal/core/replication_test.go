@@ -29,6 +29,7 @@ func newReplicatedCluster(t *testing.T, numNodes int) (*testCluster, HAgentRef) 
 		t.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
+	releasesAll(t, nodes)
 
 	cfg := quietConfig()
 	ref := HAgentRef{Agent: "hagent-replica-1", Node: nodes[numNodes-1].ID()}

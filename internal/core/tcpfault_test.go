@@ -48,6 +48,7 @@ func newTCPCluster(t *testing.T, cfg Config, numNodes int, mut func(i int, tc *t
 		t.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
+	releasesAll(t, nodes)
 	svc, err := Deploy(context.Background(), cfg, nodes)
 	if err != nil {
 		t.Fatal(err)

@@ -36,6 +36,7 @@ func newTracedCluster(t *testing.T, cfg Config, numNodes int) (*testCluster, []*
 		t.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
+	releasesAll(t, nodes)
 	svc, err := Deploy(context.Background(), cfg, nodes)
 	if err != nil {
 		t.Fatal(err)

@@ -390,8 +390,8 @@ func (m DiscoverMatch) AppendWire(dst []byte) []byte {
 }
 
 // DecodeWire reads the agent id as a view of d's data (wire.Dec.View): a
-// DiscoverMatch is only ever decoded from a reply, whose payload belongs to
-// the call (transport.Decode), so a discovery costs no string per match.
+// DiscoverMatch is only ever decoded from a reply, which DiscoverResp keeps
+// (KeepsViews), so a discovery costs no string per match.
 func (m *DiscoverMatch) DecodeWire(d *wire.Dec) error {
 	agent, err := d.View(wire.MaxIDLen)
 	if err != nil {
@@ -410,6 +410,10 @@ func (r DiscoverResp) AppendWire(dst []byte) []byte {
 	dst = wire.AppendUvarint(dst, r.HashVersion)
 	return appendList(dst, r.Matches)
 }
+
+// KeepsViews implements transport.ViewKeeper: every match's agent id is a
+// view of the reply, so the reply's buffer stays with the response.
+func (*DiscoverResp) KeepsViews() {}
 
 func (r *DiscoverResp) DecodeWire(d *wire.Dec) error {
 	var err error

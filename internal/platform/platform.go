@@ -30,6 +30,7 @@ import (
 	"agentloc/internal/snapshot"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
+	"agentloc/internal/wire"
 )
 
 // NodeID names a node. It doubles as the node's transport address.
@@ -383,7 +384,11 @@ func (n *Node) Go(ctx context.Context, at NodeID, agent ids.AgentID, kind string
 // hop, so neither SpanContext.Hop nor the transport counters move. A
 // LocalAnswerer that accepts the kind fills in resp directly; everything else
 // passes request and response through the codec once each, so the behaviour
-// and the caller never share memory, exactly as across the wire.
+// and the caller never share memory, exactly as across the wire. Both are
+// encoded into pooled buffers: the request's goes back once the request has
+// been served — one its caller abandoned in a mailbox keeps it — and the
+// response's once it is decoded, unless the response keeps views of it
+// (transport.ViewKeeper).
 // Failures keep the shapes the remote path gives them: a behaviour error is a
 // *transport.RemoteError (so IsAgentNotFound classifies "agent not here"), and
 // an expired ctx unwraps to ctx.Err(). One gap against Peer.Call: a request a
@@ -392,14 +397,35 @@ func (n *Node) Go(ctx context.Context, at NodeID, agent ids.AgentID, kind string
 // service time, not in the middle of HandleConcurrent (see hosted.serve).
 func (n *Node) callLocal(ctx context.Context, agent ids.AgentID, kind string, req, resp any) error {
 	sc := trace.FromContext(ctx)
-	result, answered, err := n.answerLocal(ctx, sc, agent, kind, req, resp)
-	if !answered {
-		var payload []byte
-		if payload, err = transport.Encode(req); err != nil {
+	answered, err := n.answerLocal(ctx, sc, agent, kind, req, resp)
+	if answered {
+		return n.localOutcome(ctx, agent, kind, nil, err, nil)
+	}
+	var buf *[]byte
+	var payload []byte
+	if req != nil {
+		buf = wire.GetBuf()
+		if *buf, err = transport.AppendV(*buf, req, wire.MsgVersion); err != nil {
+			wire.PutBuf(buf)
 			return fmt.Errorf("call %s@%s %s: encode: %w", agent, n.id, kind, err)
 		}
-		result, err = n.deliver(ctx, sc, agent, kind, payload)
+		payload = *buf
 	}
+	result, err := n.deliver(ctx, sc, agent, kind, payload)
+	// A request is left parked in a mailbox only when ctx ends first, and then
+	// its call ends with ctx's error; any other outcome means the request was
+	// served, or refused before it was queued.
+	served := err == nil || !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+	err = n.localOutcome(ctx, agent, kind, result, err, resp)
+	if buf != nil && served {
+		wire.PutBuf(buf) // after the result, which may share its bytes, is encoded
+	}
+	return err
+}
+
+// localOutcome turns a same-node call's outcome into what the remote path
+// would return, decoding a delivered result into resp through a pooled buffer.
+func (n *Node) localOutcome(ctx context.Context, agent ids.AgentID, kind string, result any, err error, resp any) error {
 	switch {
 	case err == nil:
 	case ctx.Err() != nil:
@@ -409,14 +435,19 @@ func (n *Node) callLocal(ctx context.Context, agent ids.AgentID, kind string, re
 	default:
 		return &transport.RemoteError{Kind: kind, To: n.id.Addr(), Msg: err.Error()}
 	}
-	if answered || resp == nil {
+	if resp == nil || result == nil {
 		return nil
 	}
-	body, err := transport.Encode(result)
-	if err != nil {
+	buf := wire.GetBuf()
+	if *buf, err = transport.AppendV(*buf, result, wire.MsgVersion); err != nil {
+		wire.PutBuf(buf)
 		return &transport.RemoteError{Kind: kind, To: n.id.Addr(), Msg: fmt.Sprintf("agent %s: encode response: %v", agent, err)}
 	}
-	if err := transport.Decode(body, resp); err != nil {
+	err = transport.Decode(*buf, resp)
+	if _, keeps := resp.(transport.ViewKeeper); !keeps {
+		wire.PutBuf(buf)
+	}
+	if err != nil {
 		return fmt.Errorf("call %s@%s %s: decode: %w", agent, n.id, kind, err)
 	}
 	return nil
@@ -552,19 +583,19 @@ func (n *Node) handleInline(ctx context.Context, _ transport.Addr, agent, kind s
 // server span for sampled requests, the service time charged on the caller's
 // goroutine within ctx. answered=false means nothing happened and the call
 // takes the ordinary path.
-func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.AgentID, kind string, req, resp any) (result any, answered bool, err error) {
+func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.AgentID, kind string, req, resp any) (answered bool, err error) {
 	if resp == nil {
-		return nil, false, nil
+		return false, nil
 	}
 	n.mu.Lock()
 	h, ok := n.agents[agent]
 	n.mu.Unlock()
 	if !ok {
-		return nil, false, nil
+		return false, nil
 	}
 	la, ok := h.behavior.(LocalAnswerer)
 	if !ok || h.stopped.Load() {
-		return nil, false, nil
+		return false, nil
 	}
 	sp := n.tracer.StartSpan(sc, "server", kind)
 	if sp != nil {
@@ -572,7 +603,7 @@ func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.
 	}
 	handled, err := la.AnswerLocal(h.contextFor(sc), kind, req, resp)
 	if !handled {
-		return nil, false, nil // sp is dropped unrecorded
+		return false, nil // sp is dropped unrecorded
 	}
 	n.requests.Inc()
 	n.fastRequests.Inc()
@@ -580,7 +611,7 @@ func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.
 		err = h.chargeServiceTime(ctx)
 	}
 	sp.End(err)
-	return nil, true, err
+	return true, err
 }
 
 // handle serves the node's wire protocol: a request addressed to an agent goes

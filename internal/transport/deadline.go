@@ -16,7 +16,11 @@ import (
 // deadline or with the parent, as any context's would.
 //
 // Release it when the call is over, as one would call a CancelFunc: a Done
-// channel that was built is closed and gives its timer back.
+// channel that was built is closed and gives its timer back. A context whose
+// Done was never built is pooled at Release, so a bounded call costs no
+// allocation; it must not be used after Release. One whose Done was built is
+// left to the collector — its timer or parent hook may still fire — and stays
+// usable, reporting context.Canceled.
 type DeadlineContext struct {
 	context.Context // the parent
 	deadline        time.Time
@@ -35,8 +39,12 @@ func WithDeadline(parent context.Context, d time.Time) *DeadlineContext {
 	if pd, ok := parent.Deadline(); ok && pd.Before(d) {
 		d = pd
 	}
-	return &DeadlineContext{Context: parent, deadline: d}
+	c := deadlinePool.Get().(*DeadlineContext)
+	c.Context, c.deadline = parent, d
+	return c
 }
+
+var deadlinePool = sync.Pool{New: func() any { return new(DeadlineContext) }}
 
 // Deadline implements context.Context.
 func (c *DeadlineContext) Deadline() (time.Time, bool) { return c.deadline, true }
@@ -90,17 +98,22 @@ func (c *DeadlineContext) closeLocked() {
 	}
 }
 
-// Release ends the context the way a CancelFunc would: Err reports
-// context.Canceled from here on (unless the deadline or the parent got there
-// first), and a Done channel, if one was built, is closed and its timer and
-// parent hook stopped.
+// Release ends the context the way a CancelFunc would. A context that never
+// built Done goes back to the pool: nothing but its caller can hold it, since
+// whatever outlives a call — a timer, a parent hook, a derived context — asks
+// for Done first. Otherwise Err reports context.Canceled from here on (unless
+// the deadline or the parent got there first), and Done is closed and its
+// timer and parent hook stopped.
 func (c *DeadlineContext) Release() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.released = true
 	if c.done == nil {
+		c.Context = nil
+		c.mu.Unlock()
+		deadlinePool.Put(c)
 		return
 	}
+	defer c.mu.Unlock()
+	c.released = true
 	c.closeLocked()
 	if c.timer != nil {
 		c.timer.Stop()

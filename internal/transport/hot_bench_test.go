@@ -63,6 +63,7 @@ func newEchoPair(tb testing.TB, clientCfg TCPConfig) (client *Peer) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(client.Close)
+	releasesAll(tb, client)
 	var out hotResp
 	if err := client.Call(context.Background(), "echo-server", "echo", &hotReq{Agent: "warm-up"}, &out); err != nil {
 		tb.Fatal(err)

@@ -24,7 +24,7 @@ type RequestHandler func(ctx context.Context, from Addr, kind string, payload []
 
 // AgentHandler is a RequestHandler that also hears the agent the request is
 // addressed to: empty for a request to the endpoint itself (Call), the
-// callee's name for one sent with CallAgent.
+// callee's name for one posted to an agent (Go).
 type AgentHandler func(ctx context.Context, from Addr, agent, kind string, payload []byte) (any, error)
 
 // InlineHandler is offered every inbound request first, on the goroutine that
@@ -61,6 +61,11 @@ type Peer struct {
 type callSlot struct {
 	ch    chan callResult // capacity 1: at most one result per correlation id
 	timer *time.Timer     // stopped between calls
+	// buf is the slot's reply buffer: a reply the link lent out of its read
+	// buffer is copied here, under Peer.mu as it is delivered, and decoded
+	// from here by Wait. A response that keeps views of its payload
+	// (ViewKeeper) takes the buffer with it, and the slot starts a new one.
+	buf []byte
 	// conn, guarded by Peer.mu while the slot is in pending, is the
 	// connection the request was written to, once it has been.
 	conn *tcpConn
@@ -146,12 +151,6 @@ func (p *Peer) Call(ctx context.Context, to Addr, kind string, req, resp any) er
 	return p.Go(ctx, to, "", kind, req, resp).Wait()
 }
 
-// CallAgent is Call addressed to an agent at to: one envelope that names the
-// agent and carries req as its payload.
-func (p *Peer) CallAgent(ctx context.Context, to Addr, agent, kind string, req, resp any) error {
-	return p.Go(ctx, to, agent, kind, req, resp).Wait()
-}
-
 // Pending is a call Go has posted and Wait has yet to collect. It holds a
 // pooled call slot and the pending entry of its correlation id until Wait, so
 // every Pending is waited exactly once — by its caller or by Reap; a copy
@@ -165,11 +164,12 @@ type Pending struct {
 // call answered without the link, or one that could not start.
 func Settled(err error) Pending { return Pending{err: err} }
 
-// Go is the first half of CallAgent: it registers the call and posts the
-// request, and returns without waiting for the reply, which the returned
-// Pending's Wait collects. ctx bounds both halves. A caller with several calls
-// to make posts them all before waiting for any (Reap), so they are in flight
-// together without a goroutine each.
+// Go starts a call: it registers the call and posts the request — one
+// envelope that names agent, empty for the endpoint itself, and carries req as
+// its payload — and returns without waiting for the reply, which the returned
+// Pending's Wait collects. ctx bounds both. A caller with several calls to make
+// posts them all before waiting for any (Reap), so they are in flight together
+// without a goroutine each.
 func (p *Peer) Go(ctx context.Context, to Addr, agent, kind string, req, resp any) Pending {
 	s := slotPool.Get().(*callSlot)
 	p.mu.Lock()
@@ -198,16 +198,32 @@ func (p *Peer) Go(ctx context.Context, to Addr, agent, kind string, req, resp an
 	return Pending{s: s, err: p.link.post(ctx, env, req, p)}
 }
 
-// Wait is the second half of CallAgent: it waits for the reply Go's request
-// gets, a send failure or the end of Go's ctx, gives the call slot back and
-// decodes the reply into Go's resp.
+// Wait finishes the call Go started: it waits for the reply, a send failure
+// or the end of Go's ctx, decodes the reply into Go's resp and gives the call
+// slot back.
 func (c Pending) Wait() error {
 	s := c.s
 	if s == nil {
 		return c.err
 	}
+	err := s.finish(c.err)
+	s.p, s.ctx, s.resp, s.landed = nil, nil, nil, nil
+	if cap(s.buf) > maxSlotBuf {
+		s.buf = nil
+	}
+	slotPool.Put(s)
+	return err
+}
+
+// maxSlotBuf bounds the reply buffer a pooled slot keeps: a rare large reply,
+// such as a hash state, is not worth holding on to.
+const maxSlotBuf = 64 << 10
+
+// finish is Wait on a slot that is still the call's: posted with err as the
+// post's outcome.
+func (s *callSlot) finish(err error) error {
 	p, ctx, to, kind, resp, start := s.p, s.ctx, s.to, s.kind, s.resp, s.start
-	res, err := callResult{}, c.err
+	res := callResult{}
 	if err == nil {
 		res, err = s.await(ctx)
 	}
@@ -223,9 +239,6 @@ func (c Pending) Wait() error {
 		default:
 		}
 	}
-	s.p, s.ctx, s.resp, s.landed = nil, nil, nil, nil
-	slotPool.Put(s)
-
 	if err == nil {
 		err = res.err
 	} else if ctx.Err() != nil {
@@ -243,12 +256,25 @@ func (c Pending) Wait() error {
 	if res.reply.ErrMsg != "" {
 		return &RemoteError{Kind: kind, To: to, Msg: res.reply.ErrMsg}
 	}
-	if resp != nil {
-		if err := Decode(res.reply.Payload, resp); err != nil {
-			return fmt.Errorf("call %s %s: decode: %w", to, kind, err)
-		}
+	if resp == nil {
+		return nil
+	}
+	err = Decode(res.reply.Payload, resp)
+	if _, keeps := resp.(ViewKeeper); keeps {
+		s.buf = nil
+	}
+	if err != nil {
+		return fmt.Errorf("call %s %s: decode: %w", to, kind, err)
 	}
 	return nil
+}
+
+// ViewKeeper is implemented by a response whose decoder keeps views of its
+// payload (wire.Dec.View) instead of copying out what it reads. Such a
+// response takes the buffer its reply was decoded from with it; every other
+// response leaves the buffer to be reused by the next call.
+type ViewKeeper interface {
+	KeepsViews()
 }
 
 // await blocks until the slot's result arrives or ctx ends, on the slot's own
@@ -357,11 +383,16 @@ func (c Pending) watch(landed chan<- int, i int) bool {
 
 // complete hands the call waiting under corr its result; a call that already
 // ended — answered, failed or given up — is not there any more, and the result
-// is dropped.
-func (p *Peer) complete(corr uint64, res callResult) {
+// is dropped. A borrowed reply payload, valid only until complete returns, is
+// copied into the slot's reply buffer.
+func (p *Peer) complete(corr uint64, res callResult, borrowed bool) {
 	p.mu.Lock()
 	if s := p.pending[corr]; s != nil {
 		delete(p.pending, corr)
+		if borrowed {
+			s.buf = append(s.buf[:0], res.reply.Payload...)
+			res.reply.Payload = s.buf
+		}
 		s.settle(res)
 	}
 	p.mu.Unlock()
@@ -382,7 +413,7 @@ func (s *callSlot) settle(res callResult) {
 // which connection, for connLost.
 func (p *Peer) sendDone(corr uint64, on *tcpConn, err error) {
 	if err != nil {
-		p.complete(corr, callResult{err: err})
+		p.complete(corr, callResult{err: err}, false)
 		return
 	}
 	if on == nil {
@@ -436,10 +467,7 @@ func (p *Peer) Close() {
 // answer — no Peer sends one — and is dropped unserved.
 func (p *Peer) deliver(env Envelope, borrowed bool) {
 	if env.Reply {
-		if borrowed {
-			env.Payload = bytes.Clone(env.Payload)
-		}
-		p.complete(env.Corr, callResult{reply: env})
+		p.complete(env.Corr, callResult{reply: env}, borrowed)
 		return
 	}
 	if env.Corr == 0 {
@@ -553,10 +581,11 @@ func AppendV(dst []byte, v any, ver uint16) ([]byte, error) {
 // An empty payload leaves v untouched. A binary payload of a newer format
 // version than this build reads is wire.ErrUnsupportedVersion.
 //
-// A reply payload belongs to its call: the links hand Wait a payload nothing
-// else holds or reuses (TCP copies the frame out of its read buffer, Network
-// and a same-node call encode afresh), so a reply's decoder may keep views of
-// data — strings that share its bytes — for as long as the value lives.
+// A reply payload belongs to its call until Wait returns: a call slot's reply
+// buffer, into which TCP's read buffer is copied, or what Network and a
+// same-node call encoded afresh. Only a response that is a ViewKeeper may keep
+// views of data — strings that share its bytes — past that, and it takes the
+// buffer with it.
 func Decode(data []byte, v any) error {
 	if len(data) == 0 {
 		return nil

@@ -236,7 +236,24 @@ func newPeerPair(t *testing.T, h RequestHandler) (*Peer, *Peer, *Network) {
 		t.Fatal(err)
 	}
 	t.Cleanup(client.Close)
+	releasesAll(t, server)
+	releasesAll(t, client)
 	return client, server, n
+}
+
+// releasesAll fails the test unless p's calls have all left its pending set
+// shortly after the test: a call's Wait takes its slot out however the call
+// ends, so one still registered is a leak. Register it after p's Close, which
+// empties the set, so that it runs first.
+func releasesAll(tb testing.TB, p *Peer) {
+	tb.Cleanup(func() {
+		for deadline := time.Now().Add(2 * time.Second); p.Outstanding() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				tb.Errorf("%s: %d calls still registered after the test", p.Addr(), p.Outstanding())
+				return
+			}
+		}
+	})
 }
 
 func TestPeerCall(t *testing.T) {
