@@ -82,14 +82,16 @@ fuzz:
 # past the deadline, nothing left registered), the fan-out tests (legs
 # posted from the caller, a stalled leaf costing one deadline, discovery
 # answers surviving concurrent traffic, the HAgent's stalled pushes costing
-# one deadline) and the pooled-call test (one client's mixed operations
-# across a flapping partition, checked against the writers' model) twenty
-# times on one P; then the full-cluster
+# one deadline), the pooled-call test (one client's mixed operations
+# across a flapping partition, checked against the writers' model) and the
+# LHAgent read tests (concurrent reads across adopts and refreshes, one fetch
+# for many readers, a waiter keeping its own deadline) twenty times on one P,
+# the LHAgent ones under the race detector too; then the full-cluster
 # kill-and-cold-start scenario on the simulated LAN.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers' ./...
+	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers|LHAgent' ./...
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Coalesces|CountWhatTheyName|WithoutCorr|OldFrameVersion|OneEnvelope' ./internal/transport
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|DiscoverAnswersSurvive|PooledCallsSurvive' ./internal/core
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|DiscoverAnswersSurvive|PooledCallsSurvive|LHAgent' ./internal/core
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Reap' ./internal/transport
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'HAgentStalledPushes' ./internal/core
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick

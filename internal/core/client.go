@@ -299,6 +299,17 @@ func (c *Client) call(ctx context.Context, at platform.NodeID, agent ids.AgentID
 	return callWithin(ctx, c.cfg.callTimeout(), c.caller, at, agent, kind, req, resp)
 }
 
+// ask makes one read of the local LHAgent. The LHAgent answers on this
+// goroutine, after fetching a copy when its own is missing or too old, which
+// costs up to one cfg.callTimeout per HAgent it asks; the read is bounded by as
+// many on top of ctx, so a primary HAgent that does not answer leaves it time
+// to reach a fallback.
+func (c *Client) ask(ctx context.Context, kind string, req, resp any) error {
+	countRPC(ctx)
+	hagents := time.Duration(1 + len(c.cfg.HAgentFallbacks))
+	return callWithin(ctx, hagents*c.cfg.callTimeout(), c.caller, c.local, c.lhagent, kind, req, resp)
+}
+
 // leg is one leaf's call in a fan-out: its span, and how it ended.
 type leg struct {
 	sp  *trace.ActiveSpan
@@ -436,7 +447,7 @@ func (c *Client) Whois(ctx context.Context, target ids.AgentID) (Assignment, err
 	f := getFrame()
 	defer f.release()
 	f.whois = WhoisReq{Target: target}
-	if err := c.call(ctx, c.local, c.lhagent, KindWhois, &f.whois, &f.assigned); err != nil {
+	if err := c.ask(ctx, KindWhois, &f.whois, &f.assigned); err != nil {
 		sp.End(err)
 		return Assignment{}, fmt.Errorf("whois %s: %w", target, err)
 	}
@@ -666,7 +677,7 @@ func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[id
 func (c *Client) whoisBatch(ctx context.Context, targets []ids.AgentID) (WhoisBatchResp, error) {
 	sp, ctx := c.childSpan(ctx, "whois-batch")
 	var resp WhoisBatchResp
-	err := c.call(ctx, c.local, c.lhagent, KindWhoisBatch, &WhoisBatchReq{Targets: targets}, &resp)
+	err := c.ask(ctx, KindWhoisBatch, &WhoisBatchReq{Targets: targets}, &resp)
 	if err == nil && len(resp.Owner) != len(targets) {
 		err = fmt.Errorf("%w: %d owners for %d targets", wire.ErrCorrupt, len(resp.Owner), len(targets))
 	}
@@ -807,7 +818,7 @@ func (c *Client) interpret(ctx context.Context, assign Assignment, status Status
 	sp, ctx := c.childSpan(ctx, "refresh")
 	f := getFrame()
 	f.refresh = RefreshReq{MinVersion: minVersion}
-	err := c.call(ctx, c.local, c.lhagent, KindRefresh, &f.refresh, &f.refreshed)
+	err := c.ask(ctx, KindRefresh, &f.refresh, &f.refreshed)
 	f.release()
 	sp.End(err)
 	switch {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,7 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, cfg Config, numNodes int) *testCluster {
 	t.Helper()
+	goroutinesReturn(t)
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	t.Cleanup(func() { net.Close() })
 	nodes := make([]*platform.Node, numNodes)
@@ -76,10 +78,31 @@ func releasesAll(t *testing.T, nodes []*platform.Node) {
 	})
 }
 
+// goroutinesReturn has the test end by proving it ended every goroutine it
+// started: the count must fall back to where it stood when the check was
+// installed. Install it before anything the test's cleanups close, so that it
+// runs after all of them. It polls up to a deadline, since a goroutine told
+// to stop may take a moment to exit; a leaked one never does.
+func goroutinesReturn(tb testing.TB) {
+	before := runtime.NumGoroutine()
+	tb.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				tb.Errorf("%d goroutines still running after the test, %d before it:\n%s",
+					runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
 // noneOutstanding fails unless the node's calls have all been answered or
-// given up on shortly after op returned. Not at once: a retry that refreshed
-// the hash copy may have left the LHAgent fetching from the HAgent after its
-// caller gave up, and that call ends on its own; a leaked one never does.
+// given up on shortly after op returned. Not at once: a call an agent's own
+// loop (a heartbeat, a checkpoint push) has in flight ends on its own; a
+// leaked one never does.
 func noneOutstanding(t *testing.T, n *platform.Node, op string) {
 	t.Helper()
 	for deadline := time.Now().Add(2 * time.Second); n.Outstanding() != 0; time.Sleep(time.Millisecond) {
@@ -409,9 +432,9 @@ func TestStaleLHAgentRefresh(t *testing.T) {
 		}
 	}
 
-	// The retries converged because the LHAgent's fast path declined the
-	// refresh it could not satisfy and the mailbox fetched the new copy: the
-	// installed version is now the post-split one.
+	// The retries converged because the LHAgent fetched the new copy for the
+	// refresh its copy could not satisfy: the installed version is now the
+	// post-split one.
 	var fresh RefreshResp
 	lh := LHAgentID(c.nodes[2].ID())
 	if err := c.nodes[2].CallAgent(ctx, c.nodes[2].ID(), lh, KindRefresh, &RefreshReq{}, &fresh); err != nil {

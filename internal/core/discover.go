@@ -127,7 +127,7 @@ func (c *Client) Discover(ctx context.Context, q Query) ([]Match, error) {
 func (c *Client) leafSet(ctx context.Context, minVersion uint64) ([]LeafRef, uint64, error) {
 	sp, ctx := c.childSpan(ctx, "leaves")
 	var resp LeavesResp
-	err := c.call(ctx, c.local, c.lhagent, KindLeaves, &LeavesReq{MinVersion: minVersion}, &resp)
+	err := c.ask(ctx, KindLeaves, &LeavesReq{MinVersion: minVersion}, &resp)
 	sp.End(err)
 	if err != nil {
 		return nil, 0, fmt.Errorf("discover: enumerate leaves: %w", err)

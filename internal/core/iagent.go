@@ -210,7 +210,7 @@ func (b *IAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, pa
 // AnswerLocal implements platform.LocalAnswerer: a client on the leaf's own
 // node has its locate served as a remote one is by HandleConcurrent, the
 // answer stored through its response pointer instead of passing the codec.
-func (b *IAgentBehavior) AnswerLocal(ctx *platform.Context, kind string, req, resp any) (bool, error) {
+func (b *IAgentBehavior) AnswerLocal(_ context.Context, ctx *platform.Context, kind string, req, resp any) (bool, error) {
 	in, ok := req.(*LocateReq)
 	out, rok := resp.(*LocateResp)
 	if !ok || !rok || kind != KindLocate {

@@ -177,11 +177,14 @@ func TestIAgentServeLocateCountsInSlot(t *testing.T) {
 			t.Fatalf("read-loop locate = %+v", got)
 		}
 	}
-	gobPayload, err := transport.EncodeV(LocateReq{Agent: "hot"}, 0)
-	if err != nil {
+	var gobPayload bytes.Buffer
+	if err := gob.NewEncoder(&gobPayload).Encode(LocateReq{Agent: "hot"}); err != nil {
 		t.Fatal(err)
 	}
-	if resp, handled, err := leaf.HandleConcurrent(ctx, KindLocate, gobPayload); !handled || !errors.Is(err, wire.ErrCorrupt) {
+	if err := transport.Decode(gobPayload.Bytes(), &LocateReq{}); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("Decode of a gob locate = %v, want wire.ErrCorrupt", err)
+	}
+	if resp, handled, err := leaf.HandleConcurrent(ctx, KindLocate, gobPayload.Bytes()); !handled || !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("gob locate = %+v, handled %v, err %v; want refused with wire.ErrCorrupt", resp, handled, err)
 	}
 	if load, _ := loadOf(leaf, "hot"); load != 4 { // the update and three locates

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"agentloc/internal/ids"
@@ -21,17 +23,17 @@ type AdoptLHStateReq struct {
 }
 
 // LHAgentBehavior is a Local Hash Agent: one lives at every node and holds
-// a secondary copy of the hash function (paper §2.2). The copy may be
-// stale; it is refreshed on demand from the HAgent when a stale mapping is
-// detected (paper §4.3).
+// a secondary copy of the hash function (paper §2.2) for the agents of that
+// node. The copy may be stale; it is refreshed on demand from the HAgent when
+// a stale mapping is detected (paper §4.3).
 //
 // Concurrency rule: the four read kinds (whois, whois-batch, leaves, refresh)
-// are answered from an atomic snapshot of the copy, on the caller's goroutine,
-// whenever the snapshot already satisfies the request (HandleConcurrent);
-// anything that must talk to the HAgent — the first copy, a stale copy — goes
-// through the serial mailbox, which keeps fetches single-flight. Every answer
-// comes from one copy, so a whois-batch resolves all its targets at one
-// version.
+// are answered in place, on the goroutine of a caller on the LHAgent's own
+// node (AnswerLocal), from an atomic snapshot of the copy. A read the
+// snapshot does not satisfy — no copy yet, or one older than the request
+// demands — fetches from the HAgent on that same goroutine, one fetch at a
+// time (copyAtLeast). Every answer comes from one copy, so a whois-batch
+// resolves all its targets at one version. Only eager adopts use the mailbox.
 type LHAgentBehavior struct {
 	// Cfg is the mechanism configuration (HAgent id and node).
 	Cfg Config
@@ -39,6 +41,9 @@ type LHAgentBehavior struct {
 	// copy is the installed hash copy; nil until the first fetch or adopt.
 	// Only a strictly newer version ever replaces it (install).
 	copy atomic.Pointer[hashCopy]
+
+	mu       sync.Mutex
+	fetching chan struct{} // closed when the fetch in flight ends; nil while none is
 }
 
 // hashCopy is one installed copy of the hash function with its leaf list
@@ -57,85 +62,86 @@ func newHashCopy(st *State) *hashCopy {
 	return &hashCopy{State: st, leaves: leaves}
 }
 
-var (
-	_ platform.ConcurrentBehavior = (*LHAgentBehavior)(nil)
-	_ platform.LocalAnswerer      = (*LHAgentBehavior)(nil)
-)
+var _ platform.LocalAnswerer = (*LHAgentBehavior)(nil)
 
-// AnswerLocal implements platform.LocalAnswerer: the client on this node —
-// every whois is one — gets the four read kinds answered from the installed
-// copy by value, under HandleConcurrent's condition (the copy exists and is
-// fresh enough) and with its answers, minus the codec on both sides.
-func (b *LHAgentBehavior) AnswerLocal(ctx *platform.Context, kind string, req, resp any) (bool, error) {
-	cp := b.copy.Load()
-	if cp == nil {
-		return false, nil
-	}
-	switch req := req.(type) {
-	case *WhoisReq:
-		out, ok := resp.(*WhoisResp)
+// errReadElsewhere refuses a read that reached the mailbox: a remote caller's,
+// or a same-node one AnswerLocal does not recognise.
+var errReadElsewhere = errors.New("reads are answered in place, for a caller on the LHAgent's own node")
+
+// AnswerLocal implements platform.LocalAnswerer, and is the LHAgent's one
+// read path: whois resolves the IAgent responsible for a target — the first
+// step of every operation — and whois-batch does so for a LocateBatch's
+// targets; leaves enumerates the responsible IAgents, the scatter set of a
+// Discover fan-out; refresh reports the version. The request may come by
+// value or by pointer, the response through a pointer to its type. A missing
+// copy, or one older than a refresh's or leaves' MinVersion, is fetched
+// first, within cctx (copyAtLeast). What is stored through resp is the
+// caller's own: the leaf lists are copied out of the shared snapshot.
+func (b *LHAgentBehavior) AnswerLocal(cctx context.Context, ctx *platform.Context, kind string, req, resp any) (bool, error) {
+	switch out := resp.(type) {
+	case *WhoisResp:
+		in, ok := reqAs[WhoisReq](req)
 		if !ok || kind != KindWhois {
 			return false, nil
 		}
-		var err error
-		if *out, err = cp.whois(ctx.Self(), req.Target); err != nil {
-			return true, err
+		cp, err := b.copyAtLeast(cctx, ctx, 0)
+		if err == nil {
+			*out, err = cp.whois(ctx.Self(), in.Target)
 		}
-	case *WhoisBatchReq:
-		out, ok := resp.(*WhoisBatchResp)
+		return true, err
+	case *WhoisBatchResp:
+		in, ok := reqAs[WhoisBatchReq](req)
 		if !ok || kind != KindWhoisBatch {
 			return false, nil
 		}
-		var err error
-		if *out, err = cp.whoisBatch(ctx.Self(), req.Targets); err != nil {
-			return true, err
+		cp, err := b.copyAtLeast(cctx, ctx, 0)
+		if err == nil {
+			*out, err = cp.whoisBatch(ctx.Self(), in.Targets)
 		}
-		// The caller gets its own leaf list, as with leaves below.
-		out.Leaves = append([]LeafRef(nil), out.Leaves...)
-	case *RefreshReq:
-		out, ok := resp.(*RefreshResp)
-		if !ok || kind != KindRefresh || cp.Version() < req.MinVersion {
+		return true, err
+	case *RefreshResp:
+		in, ok := reqAs[RefreshReq](req)
+		if !ok || kind != KindRefresh {
 			return false, nil
 		}
-		*out = RefreshResp{HashVersion: cp.Version()}
-	case *LeavesReq:
-		out, ok := resp.(*LeavesResp)
-		if !ok || kind != KindLeaves || cp.Version() < req.MinVersion {
+		cp, err := b.copyAtLeast(cctx, ctx, in.MinVersion)
+		if err == nil {
+			*out = RefreshResp{HashVersion: cp.Version()}
+		}
+		return true, err
+	case *LeavesResp:
+		in, ok := reqAs[LeavesReq](req)
+		if !ok || kind != KindLeaves {
 			return false, nil
 		}
-		// The copy's leaf list is shared between answers; the caller gets
-		// its own.
-		*out = LeavesResp{HashVersion: cp.Version(), Leaves: append([]LeafRef(nil), cp.leaves...)}
-	default:
-		return false, nil
+		cp, err := b.copyAtLeast(cctx, ctx, in.MinVersion)
+		if err == nil {
+			*out = LeavesResp{HashVersion: cp.Version(), Leaves: append([]LeafRef(nil), cp.leaves...)}
+		}
+		return true, err
 	}
-	return true, nil
+	return false, nil
 }
 
-// HandleConcurrent implements platform.ConcurrentBehavior: the read kinds are
-// answered straight from the installed copy when it is present and at least
-// as fresh as the request demands. Everything else — a missing
-// or stale copy, which needs a fetch from the HAgent, and adopt — declines
-// and is served by the mailbox.
-func (b *LHAgentBehavior) HandleConcurrent(ctx *platform.Context, kind string, payload []byte) (any, bool, error) {
-	cp := b.copy.Load()
-	if cp == nil {
-		return nil, false, nil
+// reqAs reads a request passed as a T or a non-nil *T.
+func reqAs[T any](req any) (T, bool) {
+	switch r := req.(type) {
+	case T:
+		return r, true
+	case *T:
+		if r != nil {
+			return *r, true
+		}
 	}
-	req, minVersion, err := decodeRead(kind, payload)
-	if req == nil || (err == nil && cp.Version() < minVersion) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	resp, err := cp.answer(ctx.Self(), req)
-	return resp, true, err
+	var zero T
+	return zero, false
 }
 
-// HandleRequest implements platform.Behavior.
+// HandleRequest implements platform.Behavior: the mailbox serves eager adopts
+// only. A read that reaches it is refused (errReadElsewhere).
 func (b *LHAgentBehavior) HandleRequest(ctx *platform.Context, kind string, payload []byte) (any, error) {
-	if kind == KindLHAdopt {
+	switch kind {
+	case KindLHAdopt:
 		var req AdoptLHStateReq
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
@@ -145,63 +151,10 @@ func (b *LHAgentBehavior) HandleRequest(ctx *platform.Context, kind string, payl
 			return nil, fmt.Errorf("LHAgent %s: adopt: %w", ctx.Self(), err)
 		}
 		return RefreshResp{HashVersion: b.install(st).Version()}, nil
-	}
-	req, minVersion, err := decodeRead(kind, payload)
-	if req == nil {
+	case KindWhois, KindWhoisBatch, KindLeaves, KindRefresh:
+		return nil, fmt.Errorf("LHAgent %s: %s: %w", ctx.Self(), kind, errReadElsewhere)
+	default:
 		return nil, fmt.Errorf("LHAgent %s: unknown request kind %q", ctx.Self(), kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	cp, err := b.copyAtLeast(ctx, minVersion)
-	if err != nil {
-		return nil, err
-	}
-	return cp.answer(ctx.Self(), req)
-}
-
-// decodeRead decodes a request of one of the read kinds, and reports the hash
-// version the copy must have reached to answer it (0: any copy will do). req
-// is nil for every other kind.
-func decodeRead(kind string, payload []byte) (req any, minVersion uint64, err error) {
-	switch kind {
-	case KindWhois:
-		req = &WhoisReq{}
-	case KindWhoisBatch:
-		req = &WhoisBatchReq{}
-	case KindRefresh:
-		req = &RefreshReq{}
-	case KindLeaves:
-		req = &LeavesReq{}
-	default:
-		return nil, 0, nil
-	}
-	err = transport.Decode(payload, req)
-	switch r := req.(type) {
-	case *RefreshReq:
-		minVersion = r.MinVersion
-	case *LeavesReq:
-		minVersion = r.MinVersion
-	}
-	return req, minVersion, err
-}
-
-// answer serves one decoded read from the copy. Whois resolves the IAgent
-// responsible for the target — the fast path of every operation — and
-// whois-batch does so for a LocateBatch's targets; leaves enumerates the
-// responsible IAgents — the scatter set of a Discover fan-out; refresh reports
-// the version. The leaf list is shared between answers: the platform copies
-// every response through the codec, and nothing mutates it.
-func (c *hashCopy) answer(self ids.AgentID, req any) (any, error) {
-	switch req := req.(type) {
-	case *WhoisReq:
-		return c.whois(self, req.Target)
-	case *WhoisBatchReq:
-		return c.whoisBatch(self, req.Targets)
-	case *LeavesReq:
-		return LeavesResp{HashVersion: c.Version(), Leaves: c.leaves}, nil
-	default:
-		return RefreshResp{HashVersion: c.Version()}, nil
 	}
 }
 
@@ -216,7 +169,7 @@ func (c *hashCopy) whois(self, target ids.AgentID) (WhoisResp, error) {
 
 // whoisBatch resolves every target against this one copy.
 func (c *hashCopy) whoisBatch(self ids.AgentID, targets []ids.AgentID) (WhoisBatchResp, error) {
-	resp := WhoisBatchResp{HashVersion: c.Version(), Leaves: c.leaves, Owner: make([]uint32, len(targets))}
+	resp := WhoisBatchResp{HashVersion: c.Version(), Leaves: append([]LeafRef(nil), c.leaves...), Owner: make([]uint32, len(targets))}
 	for i, t := range targets {
 		iagent, _, err := c.OwnerOf(t)
 		if err != nil {
@@ -232,23 +185,46 @@ func (c *hashCopy) whoisBatch(self ids.AgentID, targets []ids.AgentID) (WhoisBat
 // copyAtLeast returns the installed copy once it exists and is at least
 // minVersion fresh, pulling from the HAgent otherwise (the first copy lazily;
 // a newer one on paper §4.3's update-propagation path, so a caller burned by
-// a stale mapping or leaf list can demand a fresher one). One fetch is all it
-// tries: the answer carries whatever version that produced.
-func (b *LHAgentBehavior) copyAtLeast(ctx *platform.Context, minVersion uint64) (*hashCopy, error) {
-	cp := b.copy.Load()
-	if cp == nil {
-		return b.fetch(ctx, 0)
+// a stale mapping or leaf list can demand a fresher one). The fetch runs on
+// the caller's goroutine within cctx, and one at a time: a reader that finds
+// one in flight waits for it within its own cctx, then looks again, and
+// fetches for itself only if the copy is still too old. One fetch is all a
+// reader tries: the answer carries whatever version that produced.
+func (b *LHAgentBehavior) copyAtLeast(cctx context.Context, ctx *platform.Context, minVersion uint64) (*hashCopy, error) {
+	for {
+		if cp := b.copy.Load(); cp != nil && cp.Version() >= minVersion {
+			return cp, nil
+		}
+		b.mu.Lock()
+		if cp := b.copy.Load(); cp != nil && cp.Version() >= minVersion { // a fetch just ended
+			b.mu.Unlock()
+			return cp, nil
+		}
+		inFlight := b.fetching
+		if inFlight == nil {
+			b.fetching = make(chan struct{})
+		}
+		b.mu.Unlock()
+		if inFlight == nil {
+			cp, err := b.fetch(cctx, ctx)
+			b.mu.Lock()
+			close(b.fetching)
+			b.fetching = nil
+			b.mu.Unlock()
+			return cp, err
+		}
+		select {
+		case <-inFlight:
+		case <-cctx.Done():
+			return nil, cctx.Err()
+		}
 	}
-	if cp.Version() >= minVersion {
-		return cp, nil
-	}
-	return b.fetch(ctx, cp.Version())
 }
 
 // install makes st the local copy unless the installed one is already at
 // least as new, and returns whichever copy is installed afterwards. Versions
-// therefore never go backwards, whoever races: mailbox fetches and adopts are
-// serial, but the CAS keeps the rule local to this function.
+// therefore never go backwards, whoever races: fetches are single-flight and
+// adopts serial, but the CAS keeps the rule local to this function.
 func (b *LHAgentBehavior) install(st *State) *hashCopy {
 	next := newHashCopy(st)
 	for {
@@ -262,13 +238,17 @@ func (b *LHAgentBehavior) install(st *State) *hashCopy {
 	}
 }
 
-// fetch pulls the primary copy from the HAgent if it is newer than the
-// local version, and installs it. When the primary is unreachable it fails
-// over to the configured replicas (the fault-tolerance extension): reads
-// survive a primary outage.
-func (b *LHAgentBehavior) fetch(ctx *platform.Context, ifNewerThan uint64) (*hashCopy, error) {
+// fetch pulls the primary copy from the HAgent, within cctx, if it is newer
+// than the installed one, and installs it. When the primary is unreachable it
+// fails over to the configured replicas (the fault-tolerance extension):
+// reads survive a primary outage.
+func (b *LHAgentBehavior) fetch(cctx context.Context, ctx *platform.Context) (*hashCopy, error) {
+	var ifNewerThan uint64
+	if cp := b.copy.Load(); cp != nil {
+		ifNewerThan = cp.Version()
+	}
 	var resp GetHashResp
-	_, err := askHAgents(context.Background(), b.Cfg, CtxCaller{ctx}, KindGetHash, GetHashReq{IfNewerThan: ifNewerThan}, &resp, func(err error) bool { return err == nil })
+	_, err := askHAgents(cctx, b.Cfg, CtxCaller{ctx}, KindGetHash, GetHashReq{IfNewerThan: ifNewerThan}, &resp, func(err error) bool { return err == nil })
 	if err != nil {
 		return nil, fmt.Errorf("LHAgent %s: fetch hash: %w", ctx.Self(), err)
 	}

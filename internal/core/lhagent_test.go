@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -266,4 +269,296 @@ func TestNodeCloseWithSiblingLeavesIsPrompt(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("Close took %v with CallTimeout %v; background calls were not abandoned", d, cfg.CallTimeout)
 	}
+}
+
+// gatedHAgent is versionedHAgent behind a gate: each GetHash counts itself,
+// then waits for the gate to open, or for the agent to stop.
+type gatedHAgent struct {
+	versionedHAgent
+	gets atomic.Int64
+	gate chan struct{}
+}
+
+func newGatedHAgent() *gatedHAgent {
+	h := &gatedHAgent{gate: make(chan struct{})}
+	h.ver.Store(1)
+	return h
+}
+
+func (h *gatedHAgent) HandleRequest(ctx *platform.Context, kind string, payload []byte) (any, error) {
+	h.gets.Add(1)
+	select {
+	case <-h.gate:
+	case <-ctx.Done():
+		return nil, errors.New("gatedHAgent: stopped")
+	}
+	return h.versionedHAgent.HandleRequest(ctx, kind, payload)
+}
+
+// newLHAgentNodes runs an LHAgent on node-0 whose HAgents are on the nodes
+// after it: hagents[0], the primary, on node-1, and each further one on the
+// next node as a fallback. It returns the nodes, the LHAgent's id and the
+// configuration it runs with.
+func newLHAgentNodes(t *testing.T, cfg Config, hagents ...platform.Behavior) ([]*platform.Node, ids.AgentID, Config) {
+	t.Helper()
+	goroutinesReturn(t)
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	nodes := make([]*platform.Node, 1+len(hagents))
+	for i := range nodes {
+		n, err := platform.NewNode(platform.Config{ID: platform.NodeID(fmt.Sprintf("node-%d", i)), Link: net})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	releasesAll(t, nodes)
+	cfg.HAgentNode = "node-1"
+	for i, h := range hagents {
+		id := cfg.HAgent
+		if i > 0 {
+			id = ids.AgentID(fmt.Sprintf("hagent-fallback-%d", i))
+			cfg.HAgentFallbacks = append(cfg.HAgentFallbacks, HAgentRef{Agent: id, Node: nodes[i+1].ID()})
+		}
+		if err := nodes[i+1].Launch(id, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lh := LHAgentID("node-0")
+	if err := nodes[0].Launch(lh, &LHAgentBehavior{Cfg: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	return nodes, lh, cfg
+}
+
+// doneWatch counts the calls of its Done method: a reader waiting out another
+// reader's fetch makes one.
+type doneWatch struct {
+	context.Context
+	asked *atomic.Int64
+}
+
+func (w doneWatch) Done() <-chan struct{} {
+	w.asked.Add(1)
+	return w.Context.Done()
+}
+
+// lhRead makes read i of a mixed set — whois, whois-batch, leaves and refresh
+// in turn, the last two demanding at least minVersion — and returns the hash
+// version it was answered at.
+func lhRead(ctx context.Context, n *platform.Node, lh ids.AgentID, i int, minVersion uint64) (uint64, error) {
+	target := ids.AgentID(fmt.Sprintf("t-%d", i))
+	switch i % 4 {
+	case 0:
+		var resp WhoisResp
+		err := n.CallAgent(ctx, n.ID(), lh, KindWhois, &WhoisReq{Target: target}, &resp)
+		return resp.HashVersion, err
+	case 1:
+		var resp WhoisBatchResp
+		err := n.CallAgent(ctx, n.ID(), lh, KindWhoisBatch, &WhoisBatchReq{Targets: []ids.AgentID{target, "x"}}, &resp)
+		return resp.HashVersion, err
+	case 2:
+		var resp LeavesResp
+		err := n.CallAgent(ctx, n.ID(), lh, KindLeaves, &LeavesReq{MinVersion: minVersion}, &resp)
+		return resp.HashVersion, err
+	default:
+		var resp RefreshResp
+		err := n.CallAgent(ctx, n.ID(), lh, KindRefresh, &RefreshReq{MinVersion: minVersion}, &resp)
+		return resp.HashVersion, err
+	}
+}
+
+// TestLHAgentFetchIsSingleFlight: 64 concurrent reads of mixed kinds on the
+// LHAgent's node, made while the one fetch they need is held at the HAgent,
+// cost one GetHash between them — once when there is no copy yet, and once
+// when the copy is older than the leaves and refresh reads demand (whois and
+// whois-batch answer from the stale copy at once).
+func TestLHAgentFetchIsSingleFlight(t *testing.T) {
+	hagent := newGatedHAgent()
+	nodes, lh, _ := newLHAgentNodes(t, quietConfig(), hagent)
+	ctx := testCtx(t)
+	const readers = 64
+	for _, phase := range []struct {
+		name       string
+		minVersion uint64 // of the leaves and refresh reads
+		waiting    int64  // readers that wait for the fetch
+		want       uint64 // the version the fetch installs
+	}{
+		{"missing copy", 0, readers, 2},
+		{"stale copy", 3, readers / 2, 3},
+	} {
+		hagent.gets.Store(0)
+		hagent.gate = make(chan struct{})
+		var asked atomic.Int64
+		rctx := doneWatch{Context: ctx, asked: &asked}
+		got := make([]uint64, readers)
+		errs := make([]error, readers)
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = lhRead(rctx, nodes[0], lh, i, phase.minVersion)
+			}()
+		}
+		// Hold the fetch until every other waiting reader waits for it.
+		for deadline := time.Now().Add(5 * time.Second); hagent.gets.Load() == 0 || asked.Load() < phase.waiting-1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d GetHash, %d readers waiting", phase.name, hagent.gets.Load(), asked.Load())
+			}
+		}
+		close(hagent.gate)
+		wg.Wait()
+		if n := hagent.gets.Load(); n != 1 {
+			t.Errorf("%s: %d reads made %d GetHash, want 1", phase.name, readers, n)
+		}
+		for i := range got {
+			fetched := i%4 >= 2 || phase.minVersion == 0
+			switch {
+			case errs[i] != nil:
+				t.Errorf("%s: read %d: %v", phase.name, i, errs[i])
+			case fetched && got[i] != phase.want:
+				t.Errorf("%s: read %d answered v%d, want v%d", phase.name, i, got[i], phase.want)
+			case !fetched && got[i] != phase.want-1:
+				t.Errorf("%s: read %d answered v%d from the stale copy, want v%d", phase.name, i, got[i], phase.want-1)
+			}
+		}
+	}
+}
+
+// TestLHAgentWaiterKeepsItsDeadline: a reader waiting out another reader's
+// fetch from a stalled HAgent returns its own context's error at its own
+// deadline; the fetching reader's call ends with its context, and the node is
+// left with no call outstanding.
+func TestLHAgentWaiterKeepsItsDeadline(t *testing.T) {
+	hagent := newGatedHAgent()
+	defer close(hagent.gate)
+	cfg := quietConfig()
+	cfg.CallTimeout = 30 * time.Second
+	nodes, lh, _ := newLHAgentNodes(t, cfg, hagent)
+
+	fctx, cancel := context.WithCancel(testCtx(t))
+	defer cancel()
+	fetcher := make(chan error, 1)
+	go func() {
+		_, err := lhRead(fctx, nodes[0], lh, 3, 0)
+		fetcher <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); hagent.gets.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first reader never reached the HAgent")
+		}
+	}
+
+	const wait = 50 * time.Millisecond
+	for i := 0; i < 4; i++ {
+		wctx, wcancel := context.WithTimeout(testCtx(t), wait)
+		start := time.Now()
+		_, err := lhRead(wctx, nodes[0], lh, i, 0)
+		took := time.Since(start)
+		wcancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("read %d behind a stalled fetch: %v, want its deadline", i, err)
+		}
+		if took > wait+100*time.Millisecond {
+			t.Errorf("read %d took %v past a %v deadline", i, took, wait)
+		}
+	}
+	cancel()
+	if err := <-fetcher; !errors.Is(err, context.Canceled) {
+		t.Errorf("the fetching reader: %v, want its cancellation", err)
+	}
+	noneOutstanding(t, nodes[0], "the reads")
+	if n := hagent.gets.Load(); n != 1 {
+		t.Errorf("%d GetHash, want 1", n)
+	}
+}
+
+// TestLHAgentReadsAreSameNodeOnly: every read kind sent to another node's
+// LHAgent is refused with the same-node error; only eager adopts cross.
+func TestLHAgentReadsAreSameNodeOnly(t *testing.T) {
+	if _, ok := any(&LHAgentBehavior{}).(platform.ConcurrentBehavior); ok {
+		t.Error("the LHAgent serves requests off the read loop")
+	}
+	c := newTestCluster(t, quietConfig(), 2)
+	ctx := testCtx(t)
+	lh := LHAgentID(c.nodes[0].ID())
+	for kind, call := range map[string][2]any{
+		KindWhois:      {&WhoisReq{Target: "x"}, &WhoisResp{}},
+		KindWhoisBatch: {&WhoisBatchReq{Targets: []ids.AgentID{"x"}}, &WhoisBatchResp{}},
+		KindLeaves:     {&LeavesReq{}, &LeavesResp{}},
+		KindRefresh:    {&RefreshReq{}, &RefreshResp{}},
+	} {
+		err := c.nodes[1].CallAgent(ctx, c.nodes[0].ID(), lh, kind, call[0], call[1])
+		var re *transport.RemoteError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, errReadElsewhere.Error()) {
+			t.Errorf("%s from node-1: %v, want a remote error naming %q", kind, err, errReadElsewhere)
+		}
+	}
+	st := stateAt(7)
+	var adopted RefreshResp
+	if err := c.nodes[1].CallAgent(ctx, c.nodes[0].ID(), lh, KindLHAdopt, AdoptLHStateReq{State: st.DTO()}, &adopted); err != nil || adopted.HashVersion != 7 {
+		t.Errorf("adopt from node-1: v%d, %v; want v7", adopted.HashVersion, err)
+	}
+}
+
+// TestLHAgentReadsByValueOrPointer: a read passed by value is answered as the
+// same read passed by pointer — the first of them a refresh past a split,
+// which the copy at hand cannot answer.
+func TestLHAgentReadsByValueOrPointer(t *testing.T) {
+	c := newTestCluster(t, quietConfig(), 2)
+	ctx := testCtx(t)
+	homes := registerMany(t, c, ctx, 16)
+	forceSplit(t, c, ctx, "iagent-1", homes)
+	n, lh := c.nodes[1], LHAgentID(c.nodes[1].ID())
+	targets := []ids.AgentID{"a", "b", "c", "agent-0003"}
+	for _, tc := range []struct {
+		kind         string
+		byValue, ptr any
+		newResp      func() any
+	}{
+		{KindRefresh, RefreshReq{MinVersion: 2}, &RefreshReq{MinVersion: 2}, func() any { return &RefreshResp{} }},
+		{KindLeaves, LeavesReq{MinVersion: 2}, &LeavesReq{MinVersion: 2}, func() any { return &LeavesResp{} }},
+		{KindWhois, WhoisReq{Target: "agent-0003"}, &WhoisReq{Target: "agent-0003"}, func() any { return &WhoisResp{} }},
+		{KindWhoisBatch, WhoisBatchReq{Targets: targets}, &WhoisBatchReq{Targets: targets}, func() any { return &WhoisBatchResp{} }},
+	} {
+		byValue, byPtr := tc.newResp(), tc.newResp()
+		if err := n.CallAgent(ctx, n.ID(), lh, tc.kind, tc.byValue, byValue); err != nil {
+			t.Fatalf("%s by value: %v", tc.kind, err)
+		}
+		if err := n.CallAgent(ctx, n.ID(), lh, tc.kind, tc.ptr, byPtr); err != nil {
+			t.Fatalf("%s by pointer: %v", tc.kind, err)
+		}
+		if !reflect.DeepEqual(byValue, byPtr) {
+			t.Errorf("%s: by value %+v, by pointer %+v", tc.kind, byValue, byPtr)
+		}
+		if v := reflect.ValueOf(byValue).Elem().FieldByName("HashVersion").Uint(); v < 2 {
+			t.Errorf("%s answered at v%d, before the split", tc.kind, v)
+		}
+	}
+}
+
+// TestLHAgentReadOutlastsStalledPrimary: a client's read whose copy must be
+// fetched while the primary HAgent does not answer reaches the fallback in
+// the same read — the read is bounded by its operation's context, the
+// fetch's call to each HAgent by CallTimeout.
+func TestLHAgentReadOutlastsStalledPrimary(t *testing.T) {
+	primary := newGatedHAgent()
+	defer close(primary.gate)
+	fallback := &versionedHAgent{}
+	fallback.ver.Store(1)
+	cfg := quietConfig()
+	cfg.CallTimeout = 250 * time.Millisecond
+	nodes, _, cfg := newLHAgentNodes(t, cfg, primary, fallback)
+	client := NewClient(NodeCaller{N: nodes[0]}, cfg)
+	start := time.Now()
+	who, err := client.Whois(testCtx(t), "x")
+	if err != nil || who.HashVersion != 2 {
+		t.Fatalf("whois past a stalled primary: %+v, %v; want the fallback's v2", who, err)
+	}
+	if took := time.Since(start); took > 3*cfg.CallTimeout {
+		t.Errorf("whois took %v, more than the stalled call's %v and a margin", took, cfg.CallTimeout)
+	}
+	noneOutstanding(t, nodes[0], "the whois")
 }

@@ -10,9 +10,11 @@ import (
 )
 
 // Hand-rolled binary codecs for the hot-path DTOs: locate (single and
-// batched), update (single and batched), residence-move, whois (single and
-// batched), refresh, and their responses — and for the sibling checkpoint
-// push, whose body is a record stream, a table's worth at a full push.
+// batched), update (single and batched), deregister, residence-move,
+// discover, and their responses — and for the sibling checkpoint push, whose
+// body is a record stream, a table's worth at a full push. The LHAgent's reads
+// (whois, whois-batch, leaves, refresh) have none: they are answered in place
+// on the caller's own node and never cross a link.
 // The rest of the cold control plane — hash state pushes, handoffs,
 // split/merge — stays on gob, where flexibility beats cycles; a message
 // that carries a hash state carries it as one byte field, the StateDTO
@@ -424,122 +426,6 @@ func (r *DiscoverResp) DecodeWire(d *wire.Dec) error {
 		return err
 	}
 	r.Matches, err = decodeList[DiscoverMatch](d)
-	return err
-}
-
-// --- whois / refresh ------------------------------------------------------
-
-func (r WhoisReq) AppendWire(dst []byte) []byte {
-	return wire.AppendString(dst, string(r.Target))
-}
-
-func (r *WhoisReq) DecodeWire(d *wire.Dec) error {
-	s, err := d.String(wire.MaxIDLen)
-	r.Target = ids.AgentID(s)
-	return err
-}
-
-func (r WhoisResp) AppendWire(dst []byte) []byte {
-	dst = wire.AppendString(dst, string(r.IAgent))
-	dst = wire.AppendString(dst, string(r.Node))
-	return wire.AppendUvarint(dst, r.HashVersion)
-}
-
-func (r *WhoisResp) DecodeWire(d *wire.Dec) error {
-	ia, err := d.StringIn(wire.MaxIDLen, wireIntern)
-	if err != nil {
-		return err
-	}
-	node, err := d.StringIn(wire.MaxIDLen, wireIntern)
-	if err != nil {
-		return err
-	}
-	r.IAgent, r.Node = ids.AgentID(ia), platform.NodeID(node)
-	r.HashVersion, err = d.Uvarint()
-	return err
-}
-
-func (r WhoisBatchReq) AppendWire(dst []byte) []byte {
-	return appendIDs(dst, r.Targets)
-}
-
-func (r *WhoisBatchReq) DecodeWire(d *wire.Dec) error {
-	var err error
-	r.Targets, err = decodeIDs(d)
-	return err
-}
-
-func (r WhoisBatchResp) AppendWire(dst []byte) []byte {
-	dst = wire.AppendUvarint(dst, r.HashVersion)
-	dst = wire.AppendUvarint(dst, uint64(len(r.Leaves)))
-	for _, l := range r.Leaves {
-		dst = wire.AppendString(dst, string(l.IAgent))
-		dst = wire.AppendString(dst, string(l.Node))
-	}
-	dst = wire.AppendUvarint(dst, uint64(len(r.Owner)))
-	for _, o := range r.Owner {
-		dst = wire.AppendUvarint(dst, uint64(o))
-	}
-	return dst
-}
-
-// DecodeWire refuses an owner index outside the leaf list, so a decoded
-// answer can be indexed without a check.
-func (r *WhoisBatchResp) DecodeWire(d *wire.Dec) error {
-	var err error
-	if r.HashVersion, err = d.Uvarint(); err != nil {
-		return err
-	}
-	n, err := batchLen(d)
-	if err != nil {
-		return err
-	}
-	r.Leaves = make([]LeafRef, n)
-	for i := range r.Leaves {
-		ia, err := d.StringIn(wire.MaxIDLen, wireIntern)
-		if err != nil {
-			return err
-		}
-		node, err := d.StringIn(wire.MaxIDLen, wireIntern)
-		if err != nil {
-			return err
-		}
-		r.Leaves[i] = LeafRef{IAgent: ids.AgentID(ia), Node: platform.NodeID(node)}
-	}
-	if n, err = batchLen(d); err != nil {
-		return err
-	}
-	r.Owner = make([]uint32, n)
-	for i := range r.Owner {
-		o, err := d.Uvarint()
-		if err != nil {
-			return err
-		}
-		if o >= uint64(len(r.Leaves)) {
-			return fmt.Errorf("%w: owner %d of %d leaves", wire.ErrCorrupt, o, len(r.Leaves))
-		}
-		r.Owner[i] = uint32(o)
-	}
-	return nil
-}
-
-func (r RefreshReq) AppendWire(dst []byte) []byte {
-	return wire.AppendUvarint(dst, r.MinVersion)
-}
-
-func (r *RefreshReq) DecodeWire(d *wire.Dec) error {
-	var err error
-	r.MinVersion, err = d.Uvarint()
-	return err
-}
-
-func (r RefreshResp) AppendWire(dst []byte) []byte {
-	return wire.AppendUvarint(dst, r.HashVersion)
-}
-
-func (r *RefreshResp) DecodeWire(d *wire.Dec) error {
-	var err error
-	r.HashVersion, err = d.Uvarint()
 	return err
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -15,9 +16,8 @@ import (
 )
 
 // hotDTOs enumerates every hot-path DTO with a representative non-zero
-// value. Each must round-trip bit-exactly through the binary codec AND
-// still round-trip through gob (the reference form, EncodeV at 0), from the same
-// call sites.
+// value. Each must round-trip bit-exactly through the binary codec, and its
+// gob form must be refused.
 func hotDTOs() []any {
 	return []any{
 		LocateReq{Agent: "agent-7"},
@@ -46,6 +46,14 @@ func hotDTOs() []any {
 			{Agent: "a2", Node: "n2"},
 		}},
 		DiscoverResp{Status: StatusNotResponsible, HashVersion: 10},
+	}
+}
+
+// readDTOs are the LHAgent's reads. They have no wire codec: they are
+// answered in place on the caller's node and never cross a link, so should one
+// be encoded it is gob, like any control-plane message.
+func readDTOs() []any {
+	return []any{
 		WhoisReq{Target: "whom"},
 		WhoisResp{IAgent: "ia-01", Node: "node-1", HashVersion: 5},
 		RefreshReq{MinVersion: 17},
@@ -54,6 +62,25 @@ func hotDTOs() []any {
 		WhoisBatchResp{HashVersion: 6, Leaves: []LeafRef{{IAgent: "iagent-1", Node: "node-0"}, {IAgent: "iagent-2", Node: "node-1"}},
 			Owner: []uint32{1, 0, 1}},
 	}
+}
+
+// hasCodec reports whether v's type, or a pointer to it, implements either
+// half of the wire codec.
+func hasCodec(v any) bool {
+	p := newZero(v)
+	_, m := p.(wire.Marshaler)
+	_, u := p.(wire.Unmarshaler)
+	return m || u
+}
+
+// gobForm is v's gob encoding, built without transport.
+func gobForm(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatalf("gob: %v", err)
+	}
+	return buf.Bytes()
 }
 
 // checkpointDTOs are the sibling-checkpoint messages: binary like the hot
@@ -93,15 +120,23 @@ func newZero(v any) any {
 	return reflect.New(reflect.TypeOf(v)).Interface()
 }
 
+// TestHotDTOBinaryRoundTrip: every message round-trips through transport,
+// in binary exactly when its type has a codec — every hot DTO, and none of
+// the LHAgent's reads.
 func TestHotDTOBinaryRoundTrip(t *testing.T) {
-	for _, v := range append(hotDTOs(), checkpointDTOs()...) {
+	for _, v := range readDTOs() {
+		if hasCodec(v) {
+			t.Errorf("%T has a wire codec; the LHAgent's reads never cross a link", v)
+		}
+	}
+	for _, v := range append(append(hotDTOs(), checkpointDTOs()...), readDTOs()...) {
 		t.Run(fmt.Sprintf("%T", v), func(t *testing.T) {
 			payload, err := transport.EncodeV(v, wire.MsgVersion)
 			if err != nil {
 				t.Fatalf("EncodeV: %v", err)
 			}
-			if _, _, ok := wire.MsgHeader(payload); !ok {
-				t.Fatalf("EncodeV(%T) did not produce a binary message — Marshaler not satisfied on the value", v)
+			if _, _, binary := wire.MsgHeader(payload); binary != hasCodec(v) {
+				t.Fatalf("EncodeV(%T) binary %v, codec %v — Marshaler not satisfied on the value", v, binary, hasCodec(v))
 			}
 			got := newZero(v)
 			if err := transport.Decode(payload, got); err != nil {
@@ -114,18 +149,22 @@ func TestHotDTOBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHotDTOGobFallbackRoundTrip: gob is the one form of a message without a
+// codec and no form at all of one with a codec — transport.Decode refuses it
+// rather than fall back.
 func TestHotDTOGobFallbackRoundTrip(t *testing.T) {
-	for _, v := range append(hotDTOs(), checkpointDTOs()...) {
+	for _, v := range append(append(hotDTOs(), checkpointDTOs()...), readDTOs()...) {
 		t.Run(fmt.Sprintf("%T", v), func(t *testing.T) {
-			payload, err := transport.EncodeV(v, 0) // the gob reference form
-			if err != nil {
-				t.Fatalf("EncodeV: %v", err)
-			}
-			if _, _, ok := wire.MsgHeader(payload); ok {
-				t.Fatal("version-0 encode produced a binary message")
-			}
+			payload := gobForm(t, v)
 			got := newZero(v)
-			if err := transport.Decode(payload, got); err != nil {
+			err := transport.Decode(payload, got)
+			if hasCodec(v) {
+				if !errors.Is(err, wire.ErrCorrupt) {
+					t.Fatalf("Decode of the gob form of %T = %v, want wire.ErrCorrupt", v, err)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
 			if !reflect.DeepEqual(reflect.ValueOf(got).Elem().Interface(), v) {
@@ -157,7 +196,7 @@ func TestBatchLenRejectsOversizedCount(t *testing.T) {
 	body := wire.AppendUvarint(nil, 1<<30)
 	for _, target := range []wire.Unmarshaler{
 		&LocateBatchReq{}, &LocateBatchResp{}, &UpdateBatchReq{}, &UpdateBatchResp{},
-		&DiscoverReq{}, &WhoisBatchReq{},
+		&DiscoverReq{},
 	} {
 		d := wire.NewDec(body)
 		if err := target.DecodeWire(d); !errors.Is(err, wire.ErrCorrupt) {
@@ -167,11 +206,6 @@ func TestBatchLenRejectsOversizedCount(t *testing.T) {
 	// So must the leaf's read of a batch off the frame.
 	if _, err := locateBatchReqAgents(append(wire.AppendMsgHeader(nil, wire.MsgVersion), body...)); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("frame-served batch: err = %v, want ErrCorrupt", err)
-	}
-	// A whois-batch answer naming a leaf it does not list is refused.
-	resp := WhoisBatchResp{HashVersion: 1, Leaves: []LeafRef{{IAgent: "iagent-1", Node: "node-0"}}, Owner: []uint32{1}}
-	if err := new(WhoisBatchResp).DecodeWire(wire.NewDec(resp.AppendWire(nil))); !errors.Is(err, wire.ErrCorrupt) {
-		t.Errorf("owner past the leaf list: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -243,11 +277,7 @@ func TestCheckpointReqVersionIsReadFirst(t *testing.T) {
 			t.Errorf("version of a %d-byte payload = %d (binary %v), want 9", len(p), ver, binary)
 		}
 	}
-	gobForm, err := transport.EncodeV(checkpointDTOs()[0], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range [][]byte{gobForm, nil, payload[:4]} {
+	for _, p := range [][]byte{gobForm(t, checkpointDTOs()[0]), nil, payload[:4]} {
 		if _, binary := checkpointReqVersion(p); binary {
 			t.Errorf("a %d-byte non-binary payload was read as a binary push", len(p))
 		}
@@ -290,11 +320,6 @@ func TestInternReusesNodeIDStorage(t *testing.T) {
 // (canonical-form round trip); failures must be typed wire errors, never
 // panics.
 func FuzzHotMsgDecode(f *testing.F) {
-	for i, v := range hotDTOs() {
-		if m, ok := v.(wire.Marshaler); ok {
-			f.Add(uint8(i), m.AppendWire(nil))
-		}
-	}
 	factories := []func() wire.Unmarshaler{
 		func() wire.Unmarshaler { return &LocateReq{} },
 		func() wire.Unmarshaler { return &LocateResp{} },
@@ -309,12 +334,14 @@ func FuzzHotMsgDecode(f *testing.F) {
 		func() wire.Unmarshaler { return &ResidenceMoveResp{} },
 		func() wire.Unmarshaler { return &DiscoverReq{} },
 		func() wire.Unmarshaler { return &DiscoverResp{} },
-		func() wire.Unmarshaler { return &WhoisReq{} },
-		func() wire.Unmarshaler { return &WhoisResp{} },
-		func() wire.Unmarshaler { return &RefreshReq{} },
-		func() wire.Unmarshaler { return &RefreshResp{} },
-		func() wire.Unmarshaler { return &WhoisBatchReq{} },
-		func() wire.Unmarshaler { return &WhoisBatchResp{} },
+	}
+	// Each hot DTO seeds its own decoder.
+	for _, v := range hotDTOs() {
+		for i, fresh := range factories {
+			if reflect.TypeOf(fresh()).Elem() == reflect.TypeOf(v) {
+				f.Add(uint8(i), v.(wire.Marshaler).AppendWire(nil))
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		target := factories[int(which)%len(factories)]()

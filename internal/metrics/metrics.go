@@ -268,15 +268,6 @@ var DefLatencyBuckets = []float64{
 // forwarding-chain lengths.
 var CountBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 
-// LinearBuckets returns count bounds starting at start, spaced by width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns count bounds starting at start, each factor
 // times the previous.
 func ExponentialBuckets(start, factor float64, count int) []float64 {

@@ -266,10 +266,6 @@ func (c *Context) Tracer() *trace.Recorder { return c.host.node.tracer }
 // agent: a behaviour that migrates writes to its new host's store.
 func (c *Context) Durable() *snapshot.Store { return c.host.node.durable }
 
-// TraceContext returns the trace context of the request being served (the
-// zero value from a Run goroutine or an untraced request).
-func (c *Context) TraceContext() trace.SpanContext { return c.span }
-
 // StartSpan opens a child span of the request being served. It returns nil
 // (safe to use) when the request is untraced or the node has no recorder.
 func (c *Context) StartSpan(tier, name string) *trace.ActiveSpan {

@@ -111,7 +111,7 @@ type valueEcho struct {
 	concurrentEcho
 }
 
-func (v *valueEcho) AnswerLocal(_ *Context, kind string, req, resp any) (bool, error) {
+func (v *valueEcho) AnswerLocal(_ context.Context, _ *Context, kind string, req, resp any) (bool, error) {
 	in, ok := req.(*echoReq)
 	out, ok2 := resp.(*echoResp)
 	if kind != "echo" || !ok || !ok2 {

@@ -83,14 +83,16 @@ type ConcurrentBehavior interface {
 
 // LocalAnswerer is optionally implemented by behaviours that can answer some
 // kinds for a caller on their own node without the codec: req is the caller's
-// request value, resp the pointer it wants the answer stored through.
-// HandleConcurrent's rules apply — concurrent with everything, no blocking, no
-// calling out, a declined offer leaves no trace — and what is stored through
-// resp must share no mutable memory with the behaviour. handled=false sends
-// the call down the ordinary path, codec included.
+// request value, resp the pointer it wants the answer stored through, and
+// cctx the caller's context. AnswerLocal runs on the caller's goroutine,
+// concurrently with everything else the behaviour does. It may block or call
+// out, but only within cctx: once cctx ends it must return, with cctx's error
+// if it has no answer. A declined offer leaves no trace, and what is stored
+// through resp must share no mutable memory with the behaviour.
+// handled=false sends the call down the ordinary path, codec included.
 type LocalAnswerer interface {
 	Behavior
-	AnswerLocal(ctx *Context, kind string, req, resp any) (handled bool, err error)
+	AnswerLocal(cctx context.Context, ctx *Context, kind string, req, resp any) (handled bool, err error)
 }
 
 // RegisterBehavior registers a migrating behaviour's concrete type with
@@ -382,9 +384,11 @@ func (n *Node) Go(ctx context.Context, at NodeID, agent ids.AgentID, kind string
 // callLocal is CallAgent for an agent hosted on this node: the request is
 // handed over on the caller's goroutine — no envelope, no link, no network
 // hop, so neither SpanContext.Hop nor the transport counters move. A
-// LocalAnswerer that accepts the kind fills in resp directly; everything else
-// passes request and response through the codec once each, so the behaviour
-// and the caller never share memory, exactly as across the wire. Both are
+// LocalAnswerer that accepts the kind fills in resp directly, within ctx: it
+// may block, to fetch what it answers from, but returns once ctx ends.
+// Everything else passes request and response through the codec once each, so
+// the behaviour and the caller never share memory, exactly as across the
+// wire. Both are
 // encoded into pooled buffers: the request's goes back once the request has
 // been served — one its caller abandoned in a mailbox keeps it — and the
 // response's once it is decoded, unless the response keeps views of it
@@ -601,7 +605,7 @@ func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.
 	if sp != nil {
 		sc = sp.Context()
 	}
-	handled, err := la.AnswerLocal(h.contextFor(sc), kind, req, resp)
+	handled, err := la.AnswerLocal(ctx, h.contextFor(sc), kind, req, resp)
 	if !handled {
 		return false, nil // sp is dropped unrecorded
 	}

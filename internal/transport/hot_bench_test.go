@@ -34,6 +34,7 @@ func (r *hotResp) DecodeWire(d *wire.Dec) error {
 // One warm-up call leaves the connection dialed.
 func newEchoPair(tb testing.TB, clientCfg TCPConfig) (client *Peer) {
 	tb.Helper()
+	goroutinesReturn(tb)
 	srvLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})
 	if err != nil {
 		tb.Fatal(err)

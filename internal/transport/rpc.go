@@ -548,10 +548,8 @@ func Encode(v any) ([]byte, error) {
 	return EncodeV(v, wire.MsgVersion)
 }
 
-// EncodeV is Encode at message format version ver, for holding one value in
-// both codecs: below wire.MsgVersion — 0 by convention — a wire.Marshaler is
-// gob-encoded like any other value, which is the reference form its binary
-// round trip is checked against.
+// EncodeV is Encode with ver stamped into a binary payload's header; it
+// changes nothing else, and a gob payload has no header to stamp.
 func EncodeV(v any, ver uint16) ([]byte, error) {
 	if v == nil {
 		return nil, nil
@@ -565,8 +563,8 @@ func AppendV(dst []byte, v any, ver uint16) ([]byte, error) {
 	if v == nil {
 		return dst, nil
 	}
-	if m, ok := v.(wire.Marshaler); ok && ver >= wire.MsgVersion {
-		return m.AppendWire(wire.AppendMsgHeader(dst, wire.MsgVersion)), nil
+	if m, ok := v.(wire.Marshaler); ok {
+		return m.AppendWire(wire.AppendMsgHeader(dst, uint8(ver))), nil
 	}
 	buf := bytes.NewBuffer(dst)
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
@@ -575,11 +573,13 @@ func AppendV(dst []byte, v any, ver uint16) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode decodes a payload into v, dispatching on the payload itself: the
-// binary-message header (unreachable as a gob prefix) selects the
-// hand-rolled codec, anything else is gob — the control plane's payload codec.
-// An empty payload leaves v untouched. A binary payload of a newer format
-// version than this build reads is wire.ErrUnsupportedVersion.
+// Decode decodes a payload into v in the one form v's type has: binary, behind
+// the message header, for a wire.Unmarshaler — a payload without the header
+// is wire.ErrCorrupt — and gob, the control plane's payload codec, for
+// anything else. The header cannot open a gob payload, so a binary payload for
+// a type without a decoder is wire.ErrCorrupt too. An empty payload leaves v
+// untouched. A binary payload of a newer format version than this build reads
+// is wire.ErrUnsupportedVersion.
 //
 // A reply payload belongs to its call until Wait returns: a call slot's reply
 // buffer, into which TCP's read buffer is copied, or what Network and a
@@ -590,21 +590,23 @@ func Decode(data []byte, v any) error {
 	if len(data) == 0 {
 		return nil
 	}
-	if ver, body, ok := wire.MsgHeader(data); ok {
-		u, uok := v.(wire.Unmarshaler)
-		if !uok {
-			return fmt.Errorf("%w: binary payload for %T, which has no wire decoder", wire.ErrCorrupt, v)
-		}
-		if ver > wire.MsgVersion {
-			return fmt.Errorf("%w: message version %d, this build reads ≤ %d", wire.ErrUnsupportedVersion, ver, wire.MsgVersion)
-		}
-		d := wire.GetDec(body)
-		err := u.DecodeWire(d)
-		if err == nil {
-			err = d.Done()
-		}
-		wire.PutDec(d)
-		return err
+	u, hasDecoder := v.(wire.Unmarshaler)
+	ver, body, binary := wire.MsgHeader(data)
+	switch {
+	case hasDecoder && !binary:
+		return fmt.Errorf("%w: payload for %T has no binary message header", wire.ErrCorrupt, v)
+	case !hasDecoder && binary:
+		return fmt.Errorf("%w: binary payload for %T, which has no wire decoder", wire.ErrCorrupt, v)
+	case !binary:
+		return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	case ver > wire.MsgVersion:
+		return fmt.Errorf("%w: message version %d, this build reads ≤ %d", wire.ErrUnsupportedVersion, ver, wire.MsgVersion)
 	}
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	d := wire.GetDec(body)
+	err := u.DecodeWire(d)
+	if err == nil {
+		err = d.Done()
+	}
+	wire.PutDec(d)
+	return err
 }

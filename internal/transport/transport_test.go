@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -224,6 +225,7 @@ type echoResp struct{ Text string }
 
 func newPeerPair(t *testing.T, h RequestHandler) (*Peer, *Peer, *Network) {
 	t.Helper()
+	goroutinesReturn(t)
 	n := NewNetwork(NetworkConfig{})
 	t.Cleanup(func() { n.Close() })
 	server, err := NewPeer(n, "server", h)
@@ -239,6 +241,27 @@ func newPeerPair(t *testing.T, h RequestHandler) (*Peer, *Peer, *Network) {
 	releasesAll(t, server)
 	releasesAll(t, client)
 	return client, server, n
+}
+
+// goroutinesReturn has the test end by proving it ended every goroutine it
+// started: the count must fall back to where it stood when the check was
+// installed. Install it before anything the test's cleanups close, so that it
+// runs after all of them. It polls up to a deadline, since a goroutine told
+// to stop may take a moment to exit; a leaked one never does.
+func goroutinesReturn(tb testing.TB) {
+	before := runtime.NumGoroutine()
+	tb.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				tb.Errorf("%d goroutines still running after the test, %d before it:\n%s",
+					runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 // releasesAll fails the test unless p's calls have all left its pending set

@@ -27,6 +27,7 @@ func (*viewResp) KeepsViews() {}
 // does.
 func newInlinePair(t *testing.T) *Peer {
 	t.Helper()
+	goroutinesReturn(t)
 	srvLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)

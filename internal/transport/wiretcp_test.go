@@ -320,8 +320,8 @@ func TestTCPStalledAcceptIsClosed(t *testing.T) {
 	}
 }
 
-// EncodeV's codec switch: Marshaler values go binary only at wire.MsgVersion;
-// Decode reads either form.
+// EncodeV's codec switch: a Marshaler value always goes binary, and Decode
+// reads that form only.
 type wireEcho struct {
 	Text string
 }
@@ -357,19 +357,23 @@ func TestEncodeVCodecSwitch(t *testing.T) {
 		t.Errorf("binary round trip = %q", got.Text)
 	}
 
-	g, err := EncodeV(v, 0)
+	// The version argument stamps the header and changes nothing else.
+	stamped, err := EncodeV(v, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := wire.MsgHeader(g); ok {
-		t.Fatal("version-0 encode produced a binary payload")
+	_, want, _ := wire.MsgHeader(bin)
+	if ver, body, ok := wire.MsgHeader(stamped); !ok || ver != 0 || !bytes.Equal(body, want) {
+		t.Fatalf("EncodeV at version 0 = %x; want version 0 and the binary body %x", stamped, want)
 	}
-	got = wireEcho{}
-	if err := Decode(g, &got); err != nil {
+
+	// The gob form of a type with a codec is no form of it.
+	var g bytes.Buffer
+	if err := gob.NewEncoder(&g).Encode(v); err != nil {
 		t.Fatal(err)
 	}
-	if got.Text != "payload" {
-		t.Errorf("gob round trip = %q", got.Text)
+	if err := Decode(g.Bytes(), &got); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("gob decode into a wire.Unmarshaler = %v, want ErrCorrupt", err)
 	}
 
 	// Trailing bytes after a well-formed binary body are corruption.

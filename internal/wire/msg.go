@@ -8,11 +8,12 @@
 //
 //	0xA7 'A' 'L' | version uint8 | body
 //
-// The first byte is the discriminator against encoding/gob: a fresh gob
-// stream begins with a message-length varint whose first byte is either a
-// small value (< 0x80) or a multi-byte-length marker (>= 0xF8), so 0xA7 can
-// never open a gob payload. transport.Decode dispatches on it: messages with
-// a hand-rolled codec arrive in this form, the control plane's in gob.
+// The first byte tells it apart from encoding/gob: a fresh gob stream begins
+// with a message-length varint whose first byte is either a small value
+// (< 0x80) or a multi-byte-length marker (>= 0xF8), so 0xA7 can never open a
+// gob payload. Messages with a hand-rolled codec travel in this form only,
+// the control plane's in gob only; transport.Decode refuses either form for
+// a type of the other.
 package wire
 
 import (
@@ -23,8 +24,7 @@ import (
 // MsgVersion is the hot-path message format version this build writes into
 // every binary payload's header, and the highest it reads: the version
 // travels with the message, nothing is agreed per peer. A payload stamped
-// higher fails its decode with ErrUnsupportedVersion. Version 0 never appears
-// on the wire; transport.EncodeV takes it to mean "the gob form".
+// higher fails its decode with ErrUnsupportedVersion.
 const MsgVersion = 1
 
 // msgMagic opens every binary message payload. See the package comment on
