@@ -123,46 +123,10 @@ func (x *Index) CapsOf(agent ids.AgentID) []string {
 }
 
 // Match returns the agents advertising every one of the given tags
-// (AND-intersection). Tags are normalized first; an empty normalized query
-// matches nothing — "all agents" is a location-table scan, not a
-// capability query. Intersection walks the rarest tag's set, so a query
-// with one selective tag stays cheap regardless of how common the others
-// are. The result is allocated once, at its exact size, so a common tag
-// with a rare intersection does not size it. The result order is
-// unspecified.
+// (AND-intersection), allocated once at its exact size (AppendMatch).
 func (x *Index) Match(caps []string) []ids.AgentID {
-	norm := Normalize(caps)
-	if len(norm) == 0 {
-		return nil
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	rarest := -1
-	for i, c := range norm {
-		set, ok := x.byCap[c]
-		if !ok {
-			return nil
-		}
-		if rarest < 0 || len(set) < len(x.byCap[norm[rarest]]) {
-			rarest = i
-		}
-	}
-	// The intersection is gathered in pooled scratch space and copied out at
-	// its size: one walk of the rarest set, one allocation.
 	buf := matchScratch.Get().(*[]ids.AgentID)
-	scratch := (*buf)[:0]
-outer:
-	for agent := range x.byCap[norm[rarest]] {
-		for i, c := range norm {
-			if i == rarest {
-				continue
-			}
-			if _, ok := x.byCap[c][agent]; !ok {
-				continue outer
-			}
-		}
-		scratch = append(scratch, agent)
-	}
+	scratch := x.AppendMatch((*buf)[:0], caps)
 	var out []ids.AgentID
 	if len(scratch) > 0 {
 		out = slices.Clone(scratch)
@@ -175,6 +139,48 @@ outer:
 
 // matchScratch holds the space Match gathers intersections in.
 var matchScratch = sync.Pool{New: func() any { return new([]ids.AgentID) }}
+
+// AppendMatch appends to dst the agents advertising every one of the given
+// tags (AND-intersection) and returns the extended slice. Empty tags are
+// ignored and a repeated one costs only a second look, so caps is read as it
+// comes, without normalizing a copy; a query with no tag left matches
+// nothing — "all agents" is a location-table scan, not a capability query.
+// Intersection walks the rarest tag's set, so a query with one selective tag
+// stays cheap regardless of how common the others are. The order of what is
+// appended is unspecified.
+func (x *Index) AppendMatch(dst []ids.AgentID, caps []string) []ids.AgentID {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	rarest := -1
+	for i, c := range caps {
+		if c == "" {
+			continue
+		}
+		set, ok := x.byCap[c]
+		if !ok {
+			return dst
+		}
+		if rarest < 0 || len(set) < len(x.byCap[caps[rarest]]) {
+			rarest = i
+		}
+	}
+	if rarest < 0 {
+		return dst
+	}
+outer:
+	for agent := range x.byCap[caps[rarest]] {
+		for i, c := range caps {
+			if i == rarest || c == "" {
+				continue
+			}
+			if _, ok := x.byCap[c][agent]; !ok {
+				continue outer
+			}
+		}
+		dst = append(dst, agent)
+	}
+	return dst
+}
 
 // Len returns the number of agents with at least one capability.
 func (x *Index) Len() int {

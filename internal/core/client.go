@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -319,9 +320,8 @@ type leg struct {
 // fanOut sends kind to every leaf as one fan-out under cfg.callTimeout
 // (fanOut), each leg in a child span named span that ends as the leg lands.
 // req gives leaf i's request and may annotate its span, resp where its answer
-// goes. The legs come back index-aligned with leaves.
-func (c *Client) fanOut(ctx context.Context, span, kind string, leaves []LeafRef, req func(i int, sp *trace.ActiveSpan) any, resp func(i int) any) []leg {
-	legs := make([]leg, len(leaves))
+// goes. legs, index-aligned with leaves, hears how each leg ended.
+func (c *Client) fanOut(ctx context.Context, span, kind string, leaves []LeafRef, legs []leg, req func(i int, sp *trace.ActiveSpan) any, resp func(i int) any) {
 	fanOut(ctx, c.cfg.callTimeout(), c.local, len(leaves), func(i int) platform.NodeID { return leaves[i].Node },
 		func(ctx context.Context, i int) transport.Pending {
 			sp, cctx := c.childSpan(ctx, span)
@@ -334,7 +334,6 @@ func (c *Client) fanOut(ctx context.Context, span, kind string, leaves []LeafRef
 			legs[i].err = err
 			legs[i].sp.End(err)
 		})
-	return legs
 }
 
 // rpcCountKey carries the operation's RPC counter through the call chain, so
@@ -565,65 +564,69 @@ func (c *Client) Locate(ctx context.Context, target ids.AgentID) (platform.NodeI
 // to its node; unregistered agents are simply absent, and a target named
 // twice is looked up twice, to the same answer. Agents whose batched answer
 // proves the local hash copy stale fall back to the singleton Locate path,
-// which owns the §4.3 refresh-and-retry loop.
+// which owns the §4.3 refresh-and-retry loop. The map is all the batch
+// allocates: everything else lives in a pooled batchCall.
 func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[ids.AgentID]platform.NodeID, error) {
 	sp, ctx, rpcs := c.startOp(ctx, "locate-batch")
 	out := make(map[ids.AgentID]platform.NodeID, len(targets))
-	misses := make([]ids.AgentID, 0, len(targets))
+	f := batchPool.Get().(*batchCall)
+	defer f.release()
 	for _, t := range targets {
 		if node, ok := c.cache.get(t); ok {
 			out[t] = node
 			continue
 		}
-		misses = append(misses, t)
+		f.misses = append(f.misses, t)
 	}
-	if len(misses) == 0 {
+	if len(f.misses) == 0 {
 		endOp(sp, rpcs, nil)
 		return out, nil
 	}
 
-	who, err := c.whoisBatch(ctx, misses)
-	if err != nil {
+	if err := c.whoisBatch(ctx, f); err != nil {
 		endOp(sp, rpcs, err)
 		return nil, err
 	}
+	who := &f.who
 	// Counting sort by owning leaf: leaf g's share is agents[at[g]:at[g+1]].
-	at := make([]int, len(who.Leaves)+1)
+	f.at = sized(f.at, len(who.Leaves)+1)
 	for _, o := range who.Owner {
-		at[o+1]++
+		f.at[o+1]++
 	}
-	groups := make([]int, 0, len(who.Leaves)) // the leaves with a share, in leaf order
 	for g := range who.Leaves {
-		if at[g+1] > 0 {
-			groups = append(groups, g)
+		if f.at[g+1] > 0 {
+			f.groups = append(f.groups, g) // the leaves with a share, in leaf order
 		}
-		at[g+1] += at[g]
+		f.at[g+1] += f.at[g]
 	}
-	agents := make([]ids.AgentID, len(misses))
-	fill := append([]int(nil), at...)
+	f.agents = sized(f.agents, len(f.misses))
+	f.fill = append(f.fill[:0], f.at...)
 	for i, o := range who.Owner {
-		agents[fill[o]] = misses[i]
-		fill[o]++
+		f.agents[f.fill[o]] = f.misses[i]
+		f.fill[o]++
 	}
 
 	// One frame per leaf with a share, all in flight together.
-	reqs := make([]LocateBatchReq, len(groups))
-	resps := make([]LocateBatchResp, len(groups))
-	leaves := make([]LeafRef, len(groups))
-	for k, g := range groups {
-		leaves[k] = who.Leaves[g]
-		reqs[k].Agents = agents[at[g]:at[g+1]]
+	n := len(f.groups)
+	f.leaves, f.reqs, f.legs = sized(f.leaves, n), sized(f.reqs, n), sized(f.legs, n)
+	f.resps = slices.Grow(f.resps[:0], n)[:n]
+	for k, g := range f.groups {
+		f.leaves[k] = who.Leaves[g]
+		f.reqs[k].Agents = f.agents[f.at[g]:f.at[g+1]]
+		f.resps[k].Results = f.resps[k].Results[:0]
 	}
-	legs := c.fanOut(ctx, "iagent.locate-batch", KindLocateBatch, leaves, func(k int, sp *trace.ActiveSpan) any {
-		sp.Annotate("agents", strconv.Itoa(len(reqs[k].Agents)))
-		return &reqs[k]
-	}, func(k int) any { return &resps[k] })
+	c.fanOut(ctx, "iagent.locate-batch", KindLocateBatch, f.leaves, f.legs, func(k int, sp *trace.ActiveSpan) any {
+		if sp != nil {
+			sp.Annotate("agents", strconv.Itoa(len(f.reqs[k].Agents)))
+		}
+		return &f.reqs[k]
+	}, func(k int) any { return &f.resps[k] })
 
 	// Fold the answers in leaf order, once every frame is back.
 	var retry []ids.AgentID
-	for k, share := range reqs {
-		resp := resps[k]
-		if legs[k].err != nil || len(resp.Results) != len(share.Agents) {
+	for k, share := range f.reqs {
+		resp := f.resps[k]
+		if f.legs[k].err != nil || len(resp.Results) != len(share.Agents) {
 			// Transport trouble or a malformed reply; the singleton path
 			// carries the retry logic. Whatever the cache holds for these
 			// agents is unproven now — a concurrent op may have cached a
@@ -672,21 +675,71 @@ func (c *Client) LocateBatch(ctx context.Context, targets []ids.AgentID) (map[id
 	return out, firstErr
 }
 
-// whoisBatch asks the local LHAgent which IAgents serve the targets, all
-// resolved against one hash version.
-func (c *Client) whoisBatch(ctx context.Context, targets []ids.AgentID) (WhoisBatchResp, error) {
+// whoisBatch asks the local LHAgent which IAgents serve f's misses, all
+// resolved against one hash version, into f.who.
+func (c *Client) whoisBatch(ctx context.Context, f *batchCall) error {
 	sp, ctx := c.childSpan(ctx, "whois-batch")
-	var resp WhoisBatchResp
-	err := c.ask(ctx, KindWhoisBatch, &WhoisBatchReq{Targets: targets}, &resp)
-	if err == nil && len(resp.Owner) != len(targets) {
-		err = fmt.Errorf("%w: %d owners for %d targets", wire.ErrCorrupt, len(resp.Owner), len(targets))
+	f.ask.Targets = f.misses
+	err := c.ask(ctx, KindWhoisBatch, &f.ask, &f.who)
+	if err == nil && len(f.who.Owner) != len(f.misses) {
+		err = fmt.Errorf("%w: %d owners for %d targets", wire.ErrCorrupt, len(f.who.Owner), len(f.misses))
 	}
 	sp.End(err)
 	if err != nil {
-		return WhoisBatchResp{}, fmt.Errorf("whois batch of %d: %w", len(targets), err)
+		return fmt.Errorf("whois batch of %d: %w", len(f.misses), err)
 	}
-	c.cache.fence(resp.HashVersion)
-	return resp, nil
+	c.cache.fence(f.who.HashVersion)
+	return nil
+}
+
+// batchCall is where a LocateBatch keeps everything but its result: the
+// targets the cache missed, the whois-batch's request and answer, the counting
+// sort that groups the misses by leaf, and each leg's leaf, request, answer
+// and outcome. Like a callFrame it is pooled, taken for one batch and given
+// back cleared, with the room it grew to; the leaf list is the LHAgent's
+// installed copy's, and each leg decodes into the room its answer had.
+type batchCall struct {
+	misses, agents   []ids.AgentID
+	ask              WhoisBatchReq
+	who              WhoisBatchResp
+	at, fill, groups []int
+	leaves           []LeafRef
+	reqs             []LocateBatchReq
+	resps            []LocateBatchResp
+	legs             []leg
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchCall) }}
+
+// maxPooledBatch bounds the targets a pooled batchCall keeps room for: a rare
+// huge batch is not worth holding on to.
+const maxPooledBatch = 1 << 12
+
+func (f *batchCall) release() {
+	if cap(f.misses) > maxPooledBatch {
+		return
+	}
+	f.misses, f.agents = reuse(f.misses), reuse(f.agents)
+	f.ask = WhoisBatchReq{}
+	f.who = WhoisBatchResp{Owner: f.who.Owner[:0]}
+	f.at, f.fill, f.groups = f.at[:0], f.fill[:0], f.groups[:0]
+	f.leaves, f.reqs, f.legs = reuse(f.leaves), reuse(f.reqs), reuse(f.legs)
+	f.resps = f.resps[:0] // the results hold statuses and interned node ids
+	batchPool.Put(f)
+}
+
+// sized returns s at length n, zeroed, in the room s has when it has enough.
+func sized[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// reuse empties s for another call, clearing all its room so that nothing it
+// referenced stays reachable from a pool.
+func reuse[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // InvalidateLocation drops the client's cached location for the target, if

@@ -14,6 +14,7 @@ import (
 // newLossyCluster deploys the mechanism over a network that drops messages.
 func newLossyCluster(t *testing.T, cfg Config, numNodes int, dropProb float64) (*testCluster, *transport.Network) {
 	t.Helper()
+	goroutinesReturn(t)
 	net := transport.NewNetwork(transport.NetworkConfig{DropProb: dropProb, Seed: 99})
 	t.Cleanup(func() { net.Close() })
 	nodes := make([]*platform.Node, numNodes)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -187,8 +189,8 @@ func TestFanOutsSurviveStalledLeaf(t *testing.T) {
 }
 
 // Concurrent Discovers over TCP answer exactly, and the answers stay exact
-// after the connections have carried more traffic: a match's agent id is a
-// view of its reply's payload, which the call owns, never of a read buffer.
+// after the connections have carried more traffic: a match's agent id is
+// copied out of its reply, never a view of a read buffer.
 func TestDiscoverAnswersSurviveConcurrentTraffic(t *testing.T) {
 	c, _ := newTCPCluster(t, quietConfig(), 3, nil)
 	homes, targets := fanOutCluster(t, c, 48, 3)
@@ -227,6 +229,96 @@ func TestDiscoverAnswersSurviveConcurrentTraffic(t *testing.T) {
 			got[m.Agent] = m.Node
 		}
 		requireSameSet(t, "fan", got, homes)
+	}
+}
+
+// A fan-out's answer is its caller's own: a LocateBatch map and a Discover
+// result read the same, byte for byte, after the client that returned them
+// has made two hundred more batches and discoveries from four goroutines,
+// with locates and moves among them, over TCP. Nothing a result holds is a
+// view of a reply buffer or of the pooled scratch the later calls reuse —
+// which, were it one, those calls would overwrite: each later discovery asks
+// for another tag, so its ids differ from the kept one's.
+func TestFanOutAnswersOutliveLaterCalls(t *testing.T) {
+	c, _ := newTCPCluster(t, quietConfig(), 3, nil)
+	homes, targets := fanOutCluster(t, c, 48, 3)
+	ctx := testCtx(t)
+	reg := c.service.ClientFor(c.nodes[0])
+	for i, a := range targets {
+		if _, err := reg.Advertise(ctx, a, []string{"fan", fmt.Sprintf("group-%d", i%4)}, Assignment{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	movers := make([]ids.AgentID, 8)
+	for i := range movers {
+		movers[i] = ids.AgentID(fmt.Sprintf("mover-%d", i))
+		if _, err := reg.Register(ctx, movers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := c.service.ClientFor(c.nodes[1])
+	located, err := client.LocateBatch(ctx, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSet(t, "located", located, homes)
+	found, err := client.Discover(ctx, Query{Caps: []string{"fan"}, Near: "node-2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) != len(targets) {
+		t.Fatalf("discovered %d of %d", len(found), len(targets))
+	}
+	wantLocated := make(map[string]string, len(located))
+	for a, n := range located {
+		wantLocated[strings.Clone(string(a))] = strings.Clone(string(n))
+	}
+	wantFound := make([]string, len(found))
+	for i, m := range found {
+		wantFound[i] = strings.Clone(string(m.Agent) + "@" + string(m.Node))
+	}
+
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				k := (w*50 + i) % len(targets)
+				if _, err := client.LocateBatch(ctx, slices.Concat(targets[k:], targets[:k])); err != nil {
+					t.Errorf("locate batch: %v", err)
+					return
+				}
+				if _, err := client.Discover(ctx, Query{Caps: []string{fmt.Sprintf("group-%d", (w+i)%4)}}); err != nil {
+					t.Errorf("discover: %v", err)
+					return
+				}
+				if _, err := client.Locate(ctx, targets[k]); err != nil {
+					t.Errorf("locate: %v", err)
+					return
+				}
+				mover := movers[(w*50+i)%len(movers)]
+				if _, err := client.MoveNotifyTo(ctx, mover, c.nodes[i%len(c.nodes)].ID(), Assignment{}); err != nil {
+					t.Errorf("move: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if len(located) != len(wantLocated) {
+		t.Errorf("the kept LocateBatch map has %d entries, had %d", len(located), len(wantLocated))
+	}
+	for a, n := range located {
+		if want, ok := wantLocated[string(a)]; !ok || string(n) != want {
+			t.Errorf("the kept LocateBatch map reads %q → %q, was %q (present %v)", a, n, want, ok)
+		}
+	}
+	for i, m := range found {
+		if got := string(m.Agent) + "@" + string(m.Node); got != wantFound[i] {
+			t.Errorf("kept match %d reads %q, was %q", i, got, wantFound[i])
+		}
 	}
 }
 

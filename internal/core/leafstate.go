@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"agentloc/internal/capindex"
@@ -292,7 +293,8 @@ func (s leafState) logged(c *change) snapshot.Record {
 // missed is in the suffix.
 func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []change, bestEffort bool) error {
 	if store := ctx.Durable(); store != nil && len(changes) > 0 {
-		recs := make([]snapshot.Record, 0, min(len(changes), walBatchRecords))
+		var one [1]snapshot.Record // a single change's, the usual write, on the stack
+		recs := slices.Grow(one[:0], min(len(changes), walBatchRecords))
 		for i := range changes {
 			rec := b.Leaf.logged(&changes[i])
 			rec.IAgent, rec.HashVersion = string(ctx.Self()), version

@@ -107,8 +107,9 @@ type leafModelRun struct {
 	model map[ids.AgentID]*modelLeaf
 	held  map[ids.AgentID]heldModel // by sender
 	named int
-	// What the run exercised, so a seed that skips a path is noticed.
-	splits, merges, takeovers, restored, localWins, pushes, dumps int
+	// What the run exercised, so a seed that skips a path is noticed; single
+	// and batched count updates sent alone and in a batch of one.
+	single, batched, splits, merges, takeovers, restored, localWins, pushes, dumps int
 }
 
 var (
@@ -207,8 +208,21 @@ func (r *leafModelRun) update(agent ids.AgentID) {
 	if r.rng.Intn(3) == 0 {
 		req.Capabilities = []string{modelTags[r.rng.Intn(len(modelTags))], modelTags[r.rng.Intn(len(modelTags))]}
 	}
+	// Most updates come alone, as a move reports, the write's one record on
+	// the stack; some ride in a batch of one, as the batcher sends them.
 	var ack Ack
-	if r.call(leaf, KindUpdate, req, &ack); ack.Status != StatusOK {
+	if r.rng.Intn(4) == 0 {
+		var resp UpdateBatchResp
+		r.call(leaf, KindUpdateBatch, UpdateBatchReq{Updates: []UpdateReq{req}}, &resp)
+		if len(resp.Acks) == 1 {
+			ack = resp.Acks[0]
+		}
+		r.batched++
+	} else {
+		r.call(leaf, KindUpdate, req, &ack)
+		r.single++
+	}
+	if ack.Status != StatusOK {
 		r.t.Fatalf("update of %s at %s: %v", agent, leaf, ack.Status)
 	}
 	e := m.entries[agent]
@@ -615,16 +629,18 @@ func TestLeafStateModel(t *testing.T) {
 			}
 			r.check(step, op)
 		}
-		t.Logf("seed %d: %d splits, %d merges, %d takeovers (%d restored, %d local wins), %d pushes, %d dumps",
-			seed, r.splits, r.merges, r.takeovers, r.restored, r.localWins, r.pushes, r.dumps)
+		t.Logf("seed %d: %d updates alone, %d batched, %d splits, %d merges, %d takeovers (%d restored, %d local wins), %d pushes, %d dumps",
+			seed, r.single, r.batched, r.splits, r.merges, r.takeovers, r.restored, r.localWins, r.pushes, r.dumps)
+		total.single += r.single
+		total.batched += r.batched
 		total.takeovers += r.takeovers
 		total.restored += r.restored
 		total.localWins += r.localWins
 		total.splits += r.splits
 		total.merges += r.merges
 	}
-	if total.splits == 0 || total.merges == 0 || total.takeovers == 0 || total.restored == 0 || total.localWins == 0 {
-		t.Errorf("the seeds left a path unexercised: %d splits, %d merges, %d takeovers, %d restored, %d local wins",
-			total.splits, total.merges, total.takeovers, total.restored, total.localWins)
+	if total.single == 0 || total.batched == 0 || total.splits == 0 || total.merges == 0 || total.takeovers == 0 || total.restored == 0 || total.localWins == 0 {
+		t.Errorf("the seeds left a path unexercised: %d updates alone, %d batched, %d splits, %d merges, %d takeovers, %d restored, %d local wins",
+			total.single, total.batched, total.splits, total.merges, total.takeovers, total.restored, total.localWins)
 	}
 }

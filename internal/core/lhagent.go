@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,8 +76,10 @@ var errReadElsewhere = errors.New("reads are answered in place, for a caller on 
 // Discover fan-out; refresh reports the version. The request may come by
 // value or by pointer, the response through a pointer to its type. A missing
 // copy, or one older than a refresh's or leaves' MinVersion, is fetched
-// first, within cctx (copyAtLeast). What is stored through resp is the
-// caller's own: the leaf lists are copied out of the shared snapshot.
+// first, within cctx (copyAtLeast). A leaf list stored through resp is the
+// installed copy's own, which nothing writes once it is installed: the caller
+// reads it and must not modify it. A whois-batch writes its owners into the
+// capacity of resp's Owner.
 func (b *LHAgentBehavior) AnswerLocal(cctx context.Context, ctx *platform.Context, kind string, req, resp any) (bool, error) {
 	switch out := resp.(type) {
 	case *WhoisResp:
@@ -96,7 +99,7 @@ func (b *LHAgentBehavior) AnswerLocal(cctx context.Context, ctx *platform.Contex
 		}
 		cp, err := b.copyAtLeast(cctx, ctx, 0)
 		if err == nil {
-			*out, err = cp.whoisBatch(ctx.Self(), in.Targets)
+			err = cp.whoisBatch(ctx.Self(), in.Targets, out)
 		}
 		return true, err
 	case *RefreshResp:
@@ -116,7 +119,7 @@ func (b *LHAgentBehavior) AnswerLocal(cctx context.Context, ctx *platform.Contex
 		}
 		cp, err := b.copyAtLeast(cctx, ctx, in.MinVersion)
 		if err == nil {
-			*out = LeavesResp{HashVersion: cp.Version(), Leaves: append([]LeafRef(nil), cp.leaves...)}
+			*out = LeavesResp{HashVersion: cp.Version(), Leaves: cp.leaves}
 		}
 		return true, err
 	}
@@ -167,19 +170,22 @@ func (c *hashCopy) whois(self, target ids.AgentID) (WhoisResp, error) {
 	return WhoisResp{IAgent: iagent, Node: node, HashVersion: c.Version()}, nil
 }
 
-// whoisBatch resolves every target against this one copy.
-func (c *hashCopy) whoisBatch(self ids.AgentID, targets []ids.AgentID) (WhoisBatchResp, error) {
-	resp := WhoisBatchResp{HashVersion: c.Version(), Leaves: append([]LeafRef(nil), c.leaves...), Owner: make([]uint32, len(targets))}
+// whoisBatch resolves every target against this one copy into out: the
+// copy's own leaf list, and the owners written into out.Owner's capacity.
+func (c *hashCopy) whoisBatch(self ids.AgentID, targets []ids.AgentID, out *WhoisBatchResp) error {
+	owner := slices.Grow(out.Owner[:0], len(targets))[:len(targets)]
 	for i, t := range targets {
 		iagent, _, err := c.OwnerOf(t)
 		if err != nil {
-			return WhoisBatchResp{}, fmt.Errorf("LHAgent %s: %w", self, err)
+			*out = WhoisBatchResp{Owner: owner[:0]}
+			return fmt.Errorf("LHAgent %s: %w", self, err)
 		}
 		// Every leaf with a location is in the sorted list, and OwnerOf
 		// found iagent's.
-		resp.Owner[i] = uint32(sort.Search(len(c.leaves), func(j int) bool { return c.leaves[j].IAgent >= iagent }))
+		owner[i] = uint32(sort.Search(len(c.leaves), func(j int) bool { return c.leaves[j].IAgent >= iagent }))
 	}
-	return resp, nil
+	*out = WhoisBatchResp{HashVersion: c.Version(), Leaves: c.leaves, Owner: owner}
+	return nil
 }
 
 // copyAtLeast returns the installed copy once it exists and is at least

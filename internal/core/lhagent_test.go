@@ -118,7 +118,7 @@ func TestLHAgentConcurrentReads(t *testing.T) {
 				observe("leaves", leaves.HashVersion)
 
 				// Every eighth round demands a copy newer than the one just
-				// seen: the fast path declines and the mailbox fetches.
+				// seen: the read fetches it from the HAgent on this goroutine.
 				min := uint64(0)
 				if i%8 == r%8 {
 					min = seen + 1
@@ -390,7 +390,7 @@ func TestLHAgentFetchIsSingleFlight(t *testing.T) {
 	} {
 		hagent.gets.Store(0)
 		hagent.gate = make(chan struct{})
-		var asked atomic.Int64
+		var asked, answered atomic.Int64
 		rctx := doneWatch{Context: ctx, asked: &asked}
 		got := make([]uint64, readers)
 		errs := make([]error, readers)
@@ -400,12 +400,15 @@ func TestLHAgentFetchIsSingleFlight(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				got[i], errs[i] = lhRead(rctx, nodes[0], lh, i, phase.minVersion)
+				answered.Add(1)
 			}()
 		}
-		// Hold the fetch until every other waiting reader waits for it.
-		for deadline := time.Now().Add(5 * time.Second); hagent.gets.Load() == 0 || asked.Load() < phase.waiting-1; time.Sleep(time.Millisecond) {
+		// Hold the fetch until every other waiting reader waits for it and
+		// every reader the installed copy satisfies has been answered: one the
+		// scheduler started late would otherwise read the fetched copy.
+		for deadline := time.Now().Add(5 * time.Second); hagent.gets.Load() == 0 || asked.Load() < phase.waiting-1 || answered.Load() < readers-phase.waiting; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d GetHash, %d readers waiting", phase.name, hagent.gets.Load(), asked.Load())
+				t.Fatalf("%s: %d GetHash, %d readers waiting, %d answered", phase.name, hagent.gets.Load(), asked.Load(), answered.Load())
 			}
 		}
 		close(hagent.gate)

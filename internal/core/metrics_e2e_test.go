@@ -22,6 +22,7 @@ import (
 // node — the same topology experiment.Run builds.
 func newMeteredCluster(t *testing.T, cfg Config, numNodes int) (*testCluster, *metrics.Registry) {
 	t.Helper()
+	goroutinesReturn(t)
 	reg := metrics.New()
 	net := transport.NewNetwork(transport.NetworkConfig{Metrics: reg})
 	t.Cleanup(func() { net.Close() })

@@ -18,6 +18,7 @@ import (
 // last node.
 func newReplicatedCluster(t *testing.T, numNodes int) (*testCluster, HAgentRef) {
 	t.Helper()
+	goroutinesReturn(t)
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	t.Cleanup(func() { net.Close() })
 	nodes := make([]*platform.Node, numNodes)

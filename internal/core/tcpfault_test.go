@@ -18,6 +18,7 @@ import (
 // timeouts.
 func newTCPCluster(t *testing.T, cfg Config, numNodes int, mut func(i int, tc *transport.TCPConfig)) (*testCluster, []*transport.TCP) {
 	t.Helper()
+	goroutinesReturn(t)
 	links := make([]*transport.TCP, numNodes)
 	for i := range links {
 		tc := transport.TCPConfig{ListenOn: "127.0.0.1:0"}

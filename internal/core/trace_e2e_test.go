@@ -18,6 +18,7 @@ import (
 // in-process analogue of hitting each locnode's /trace endpoint.
 func newTracedCluster(t *testing.T, cfg Config, numNodes int) (*testCluster, []*trace.Recorder) {
 	t.Helper()
+	goroutinesReturn(t)
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	t.Cleanup(func() { net.Close() })
 	nodes := make([]*platform.Node, numNodes)
