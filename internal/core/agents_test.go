@@ -10,6 +10,7 @@ import (
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
+	"agentloc/internal/snapshot"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
 )
@@ -107,10 +108,7 @@ func TestIAgentHandoffCarriesLoad(t *testing.T) {
 	ctx := testCtx(t)
 
 	// Hand entries straight to the IAgent; they must become locatable.
-	req := HandoffReq{
-		Entries: map[ids.AgentID]platform.NodeID{"adoptee": c.nodes[0].ID()},
-		Load:    map[ids.AgentID]uint64{"adoptee": 7},
-	}
+	req := HandoffReq{Records: stream(snapshot.Record{Op: snapshot.OpPut, Agent: "adoptee", Node: string(c.nodes[0].ID()), Load: 7})}
 	var ack Ack
 	err := c.nodes[0].CallAgent(ctx, c.nodes[0].ID(), "iagent-1", KindHandoff, req, &ack)
 	if err != nil {

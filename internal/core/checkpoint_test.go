@@ -302,3 +302,35 @@ func TestCheckpointStreamRacingWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestFullPushWaitsForBuddyVersion: a buddy that has yet to pull the sender's
+// hash version refuses a full push on its empty first chunk, so no record
+// ships while it lags, however many heartbeats pass; once it holds the
+// version, the table ships once.
+func TestFullPushWaitsForBuddyVersion(t *testing.T) {
+	leaf, buddy, ctx := bareLeaf(t, failoverConfig(), true)
+	update(t, leaf, ctx, ownedIDs(t, leaf, "a", 64), "node-1")
+	sent := metrics.New().Counter("full-push records")
+	leaf.metCkSentFull = sent
+	st, err := FromDTO(leaf.StateSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead := &State{Ver: st.Ver + 1, Tree: st.Tree, Locations: st.Locations}
+	leaf.mu.Lock()
+	leaf.installState("iagent-1", ahead, "")
+	leaf.mu.Unlock()
+	for range 3 {
+		leaf.pushCheckpoint(ctx)
+	}
+	if n := sent.Value(); n != 0 {
+		t.Errorf("three pushes to a lagging buddy shipped %d records, want none", n)
+	}
+	buddy.mu.Lock()
+	buddy.installState("iagent-2", ahead, "")
+	buddy.mu.Unlock()
+	leaf.pushCheckpoint(ctx)
+	if n, held := sent.Value(), buddy.Checkpoints["iagent-1"].Log.Len(); n != 64 || held != 64 {
+		t.Errorf("the push to a caught-up buddy shipped %d records and left it %d, want 64 and 64", n, held)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -220,10 +221,10 @@ func TestIAgentServeLocateKeyAllocs(t *testing.T) {
 // add, not one lock cycle per request it ever drew, and saturates.
 func TestHandoffLoadIsOneAdd(t *testing.T) {
 	leaf, _, ctx := bareLeaf(t, quietConfig(), false)
-	req := HandoffReq{
-		Entries: map[ids.AgentID]platform.NodeID{"adoptee": "node-3", "quiet": "node-3"},
-		Load:    map[ids.AgentID]uint64{"adoptee": 1 << 31},
-	}
+	req := HandoffReq{Records: stream(
+		snapshot.Record{Op: snapshot.OpPut, Agent: "adoptee", Node: "node-3", Load: 1 << 31},
+		snapshot.Record{Op: snapshot.OpPut, Agent: "quiet", Node: "node-3"},
+	)}
 	start := time.Now()
 	if ack := serve(t, leaf, ctx, KindHandoff, req).(Ack); ack.Status != StatusOK {
 		t.Fatalf("handoff: %v", ack.Status)
@@ -240,6 +241,36 @@ func TestHandoffLoadIsOneAdd(t *testing.T) {
 	serve(t, leaf, ctx, KindHandoff, req) // a retried handoff adds again
 	if load, _ := loadOf(leaf, "adoptee"); load != loctable.MaxLoad {
 		t.Errorf("load after a second 2^31 = %d, want saturated", load)
+	}
+}
+
+// TestHandoffRefusesWhatNoLeafHandsOff: a handoff whose stream holds a record
+// no leaf hands off — a delete, a put without an address, a load past a
+// slot's count, an IAgent's stamp — or ends in a stray byte is refused as
+// corrupt, and the leaf keeps nothing of it: neither the good record before
+// the bad one nor the mail.
+func TestHandoffRefusesWhatNoLeafHandsOff(t *testing.T) {
+	for name, bad := range map[string][]byte{
+		"delete":           snapshot.AppendStream(nil, snapshot.Record{Op: snapshot.OpDelete, Agent: "x"}),
+		"no address":       snapshot.AppendStream(nil, snapshot.Record{Op: snapshot.OpPut, Agent: "x"}),
+		"load past a slot": snapshot.AppendStream(nil, snapshot.Record{Op: snapshot.OpPut, Agent: "x", Node: "node-1", Load: math.MaxUint32 + 1}),
+		"stamped":          snapshot.AppendStream(nil, snapshot.Record{Op: snapshot.OpPut, IAgent: "iagent-9", Agent: "x", Node: "node-1"}),
+		"trailing byte":    {1},
+	} {
+		leaf, _, ctx := bareLeaf(t, quietConfig(), false)
+		req := HandoffReq{Records: stream(snapshot.Record{Op: snapshot.OpPut, Agent: "good", Node: "node-1", Load: 3})}
+		req.Records = append(req.Records, bad...)
+		req.Pending = map[ids.AgentID][]Deposited{"good": {{From: "sender", Kind: "note", Payload: []byte("hi")}}}
+		payload, err := transport.EncodeV(req, wire.MsgVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := leaf.HandleRequest(ctx, KindHandoff, payload); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: handoff answered %v, want wire.ErrCorrupt", name, err)
+		}
+		if n := leaf.Leaf.table.Len(); n != 0 || len(leaf.Pending) != 0 {
+			t.Errorf("%s: the refused handoff left %d agents and mail for %d", name, n, len(leaf.Pending))
+		}
 	}
 }
 

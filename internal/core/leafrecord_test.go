@@ -113,9 +113,10 @@ func recoverCopy(t *testing.T, dir string) map[ids.AgentID]agentView {
 // from a sender that still had it at its old address. Every agent's resolved
 // address, handle and capability set come back through (a) a full snapshot,
 // a crash and RecoverNode, (b) a delta section and the WAL tail after it, (c)
-// a gob relocation and (d) a full checkpoint push, a delta and a takeover by
-// the buddy; the load is that of the last section in (a) and (b), exact in
-// (c), and not restored in (d), whose deltas do not carry it.
+// a gob relocation, (d) a full checkpoint push, a delta and a takeover by
+// the buddy and (e) a merge's handoff to the buddy; the load is that of the
+// last section in (a) and (b), exact in (c) and (e), and not restored in (d),
+// whose deltas do not carry it.
 func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	dir := t.TempDir()
 	leaf, ctx := durableLeaf(t, dir)
@@ -135,16 +136,12 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	// After the delta section: the WAL tail alone carries these.
 	after := func(leaf *IAgentBehavior, ctx *platform.Context) {
 		serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: group[1], Node: "node-5", Residence: "res@g"})
-		serve(t, leaf, ctx, KindHandoff, HandoffReq{
-			Entries:    map[ids.AgentID]platform.NodeID{handed: "node-2"},
-			Load:       map[ids.AgentID]uint64{handed: 4},
-			Bindings:   map[ids.AgentID]ids.ResidenceID{handed: "res@g"},
-			Residences: map[ids.ResidenceID]platform.NodeID{"res@g": "node-2"},
-			Caps:       map[ids.AgentID][]string{handed: {"tpu"}},
-		})
+		serve(t, leaf, ctx, KindHandoff, HandoffReq{Records: stream(snapshot.Record{
+			Op: snapshot.OpPut, Agent: string(handed), Node: "node-2", Handle: "res@g", Caps: []string{"tpu"}, Load: 4,
+		})})
 		serve(t, leaf, ctx, KindUpdate, UpdateReq{Agent: agents[0], Node: "node-3"})
 	}
-	charge := func(n int) {
+	charge := func(leaf *IAgentBehavior, ctx *platform.Context, n int) {
 		for i, a := range append(slices.Clone(agents), group...) {
 			for range (i+n)%4 + 1 {
 				leaf.locateBytes(ctx, []byte(a))
@@ -152,11 +149,11 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 		}
 	}
 	before(leaf, ctx)
-	charge(0)
+	charge(leaf, ctx, 0)
 	leaf.persistSelf(ctx)
 	atSection := readLeaf(leaf.Leaf)
 	after(leaf, ctx)
-	charge(1)
+	charge(leaf, ctx, 1)
 	live := readLeaf(leaf.Leaf)
 	for _, a := range append(slices.Clone(group), handed) {
 		if v := live[a]; v.node != "node-5" || v.handle != "res@g" {
@@ -204,21 +201,37 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	}
 	same("gob relocation", readLeaf(arrived.Leaf), func(a ids.AgentID) uint32 { return live[a].load })
 
+	// merged is the state a merge of iagent-1 into iagent-2 leaves.
+	merged := func(leaf *IAgentBehavior) *State {
+		st, err := FromDTO(leaf.StateSnapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, _, err := st.Tree.Merge("iagent-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &State{Ver: st.Ver + 1, Tree: tree, Locations: map[ids.AgentID]platform.NodeID{"iagent-2": "node-0"}}
+	}
+	sender, receiver, senderCtx := bareLeaf(t, quietConfig(), true)
+	before(sender, senderCtx)
+	charge(sender, senderCtx, 0)
+	after(sender, senderCtx)
+	charge(sender, senderCtx, 1)
+	if ack := serve(t, sender, senderCtx, KindAdoptState, AdoptStateReq{State: merged(sender).DTO()}).(Ack); ack.Status != StatusOK {
+		t.Fatalf("merge: %v", ack.Status)
+	}
+	if n := sender.Leaf.table.Len(); n != 0 {
+		t.Fatalf("the merged leaf kept %d agents", n)
+	}
+	same("handoff", readLeaf(receiver.Leaf), func(a ids.AgentID) uint32 { return live[a].load })
+
 	before(pair, pairCtx)
 	pair.pushCheckpoint(pairCtx) // the full push
 	after(pair, pairCtx)
 	pair.pushCheckpoint(pairCtx) // the delta
-	st, err := FromDTO(pair.StateSnapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, _, err := st.Tree.Merge("iagent-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := &State{Ver: st.Ver + 1, Tree: tree, Locations: map[ids.AgentID]platform.NodeID{"iagent-2": "node-0"}}
 	var ack Ack
-	if err := pairCtx.Call(testCtx(t), "node-0", "iagent-2", KindAdoptState, AdoptStateReq{State: merged.DTO(), PromoteCheckpointOf: "iagent-1"}, &ack); err != nil || ack.Status != StatusOK {
+	if err := pairCtx.Call(testCtx(t), "node-0", "iagent-2", KindAdoptState, AdoptStateReq{State: merged(pair).DTO(), PromoteCheckpointOf: "iagent-1"}, &ack); err != nil || ack.Status != StatusOK {
 		t.Fatalf("takeover: %v, %v", ack.Status, err)
 	}
 	restored := readLeaf(buddy.Leaf)

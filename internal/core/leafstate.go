@@ -21,12 +21,12 @@ import (
 // of them, so the live leaf, a held sibling copy, a handoff, a durable
 // section and a WAL replay cannot disagree on an agent's record.
 //
-// Every form a leaf's state leaves in but the handoff is a record stream
-// (appendRecords): one length-prefixed snapshot.Record per agent, the record
-// the reader yields. Its gob form, which an IAgent relocates in, is that
-// stream; so is the body of its durable section; a WAL record is one record
-// of it, and a checkpoint push ships a suffix of the records the leaf's
-// writes were logged as (recordLog).
+// Every form a leaf's state leaves in is a record stream (appendRecords): one
+// length-prefixed snapshot.Record per agent, the record the reader yields.
+// Its gob form, which an IAgent relocates in, is that stream; so is the body
+// of its durable section; a handoff carries the records of the agents a
+// rehash moves; a WAL record is one record of it, and a checkpoint push ships
+// a suffix of the records the leaf's writes were logged as (recordLog).
 type leafState struct {
 	table     *loctable.Table
 	residence *ResidenceTable

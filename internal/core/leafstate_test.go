@@ -110,6 +110,9 @@ type leafModelRun struct {
 	// What the run exercised, so a seed that skips a path is noticed; single
 	// and batched count updates sent alone and in a batch of one.
 	single, batched, splits, merges, takeovers, restored, localWins, pushes, dumps int
+	// handoffs counts the (sender, receiver) pairs a rehash moved agents
+	// between: the handoffs with records in them.
+	handoffs int
 }
 
 var (
@@ -313,11 +316,13 @@ func (r *leafModelRun) adopt(leaf ids.AgentID, st *State, promote ids.AgentID) {
 // the receiver holds, capability sets.
 func (r *leafModelRun) handOff(from ids.AgentID, st *State) {
 	src := r.model[from]
+	receivers := map[ids.AgentID]bool{}
 	for a, e := range src.entries {
 		to := r.owner(st, a)
 		if to == from {
 			continue
 		}
+		receivers[to] = true
 		dst, at := r.model[to], src.resolved(a)
 		if _, held := dst.addr[e.handle]; e.handle != "" && !held {
 			dst.addr[e.handle] = at
@@ -326,6 +331,7 @@ func (r *leafModelRun) handOff(from ids.AgentID, st *State) {
 		delete(src.entries, a)
 	}
 	src.prune()
+	r.handoffs += len(receivers)
 }
 
 // retire forgets a leaf that left the tree, and every copy it held.
@@ -629,8 +635,8 @@ func TestLeafStateModel(t *testing.T) {
 			}
 			r.check(step, op)
 		}
-		t.Logf("seed %d: %d updates alone, %d batched, %d splits, %d merges, %d takeovers (%d restored, %d local wins), %d pushes, %d dumps",
-			seed, r.single, r.batched, r.splits, r.merges, r.takeovers, r.restored, r.localWins, r.pushes, r.dumps)
+		t.Logf("seed %d: %d updates alone, %d batched, %d splits, %d merges (%d handoffs), %d takeovers (%d restored, %d local wins), %d pushes, %d dumps",
+			seed, r.single, r.batched, r.splits, r.merges, r.handoffs, r.takeovers, r.restored, r.localWins, r.pushes, r.dumps)
 		total.single += r.single
 		total.batched += r.batched
 		total.takeovers += r.takeovers
@@ -638,9 +644,10 @@ func TestLeafStateModel(t *testing.T) {
 		total.localWins += r.localWins
 		total.splits += r.splits
 		total.merges += r.merges
+		total.handoffs += r.handoffs
 	}
-	if total.single == 0 || total.batched == 0 || total.splits == 0 || total.merges == 0 || total.takeovers == 0 || total.restored == 0 || total.localWins == 0 {
-		t.Errorf("the seeds left a path unexercised: %d updates alone, %d batched, %d splits, %d merges, %d takeovers, %d restored, %d local wins",
-			total.single, total.batched, total.splits, total.merges, total.takeovers, total.restored, total.localWins)
+	if total.single == 0 || total.batched == 0 || total.splits == 0 || total.merges == 0 || total.handoffs == 0 || total.takeovers == 0 || total.restored == 0 || total.localWins == 0 {
+		t.Errorf("the seeds left a path unexercised: %d updates alone, %d batched, %d splits, %d merges, %d handoffs, %d takeovers, %d restored, %d local wins",
+			total.single, total.batched, total.splits, total.merges, total.handoffs, total.takeovers, total.restored, total.localWins)
 	}
 }

@@ -41,7 +41,8 @@ type LHAgentBehavior struct {
 
 	// copy is the installed hash copy; nil until the first fetch or adopt.
 	// Only a strictly newer version ever replaces it (install).
-	copy atomic.Pointer[hashCopy]
+	copy   atomic.Pointer[hashCopy]
+	hagent atomic.Int32 // the HAgent that answered the last fetch (askHAgents)
 
 	mu       sync.Mutex
 	fetching chan struct{} // closed when the fetch in flight ends; nil while none is
@@ -254,7 +255,7 @@ func (b *LHAgentBehavior) fetch(cctx context.Context, ctx *platform.Context) (*h
 		ifNewerThan = cp.Version()
 	}
 	var resp GetHashResp
-	_, err := askHAgents(cctx, b.Cfg, CtxCaller{ctx}, KindGetHash, GetHashReq{IfNewerThan: ifNewerThan}, &resp, func(err error) bool { return err == nil })
+	_, err := askHAgents(cctx, b.Cfg, CtxCaller{ctx}, &b.hagent, KindGetHash, GetHashReq{IfNewerThan: ifNewerThan}, &resp, func(err error) bool { return err == nil })
 	if err != nil {
 		return nil, fmt.Errorf("LHAgent %s: fetch hash: %w", ctx.Self(), err)
 	}

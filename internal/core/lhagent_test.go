@@ -13,6 +13,7 @@ import (
 
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
+	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
@@ -297,7 +298,8 @@ func (h *gatedHAgent) HandleRequest(ctx *platform.Context, kind string, payload 
 
 // newLHAgentNodes runs an LHAgent on node-0 whose HAgents are on the nodes
 // after it: hagents[0], the primary, on node-1, and each further one on the
-// next node as a fallback. It returns the nodes, the LHAgent's id and the
+// next node as a fallback. Each node counts the envelopes its link carries in
+// a registry of its own. It returns the nodes, the LHAgent's id and the
 // configuration it runs with.
 func newLHAgentNodes(t *testing.T, cfg Config, hagents ...platform.Behavior) ([]*platform.Node, ids.AgentID, Config) {
 	t.Helper()
@@ -306,7 +308,8 @@ func newLHAgentNodes(t *testing.T, cfg Config, hagents ...platform.Behavior) ([]
 	t.Cleanup(func() { net.Close() })
 	nodes := make([]*platform.Node, 1+len(hagents))
 	for i := range nodes {
-		n, err := platform.NewNode(platform.Config{ID: platform.NodeID(fmt.Sprintf("node-%d", i)), Link: net})
+		reg := metrics.New()
+		n, err := platform.NewNode(platform.Config{ID: platform.NodeID(fmt.Sprintf("node-%d", i)), Link: transport.Instrument(net, reg), Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -564,4 +567,32 @@ func TestLHAgentReadOutlastsStalledPrimary(t *testing.T) {
 		t.Errorf("whois took %v, more than the stalled call's %v and a margin", took, cfg.CallTimeout)
 	}
 	noneOutstanding(t, nodes[0], "the whois")
+}
+
+// TestLHAgentFetchStartsAtLastAnswer: once a fetch has waited out a stalled
+// primary and a fallback answered it, the fetches after it start at that
+// fallback and never call the primary again — counted in calls, not time.
+func TestLHAgentFetchStartsAtLastAnswer(t *testing.T) {
+	primary := newGatedHAgent()
+	defer close(primary.gate)
+	fallback := &versionedHAgent{}
+	fallback.ver.Store(1)
+	cfg := quietConfig()
+	cfg.CallTimeout = 250 * time.Millisecond
+	nodes, lh, _ := newLHAgentNodes(t, cfg, primary, fallback)
+	ctx := testCtx(t)
+	for want := uint64(2); want <= 5; want++ {
+		if v, err := lhRead(ctx, nodes[0], lh, 3, want); err != nil || v != want {
+			t.Fatalf("refresh to v%d: v%d, %v", want, v, err)
+		}
+	}
+	// Counted where the calls land: a call queued behind the stalled one
+	// never reaches the gated handler.
+	if n := nodes[1].Metrics().Snapshot().Counter("agentloc_transport_envelopes_received_total", "kind", KindGetHash); n != 1 {
+		t.Errorf("the primary was called %d times, want once: by the first fetch only", n)
+	}
+	if n := fallback.ver.Load() - 1; n != 4 {
+		t.Errorf("the fallback answered %d fetches, want 4", n)
+	}
+	noneOutstanding(t, nodes[0], "the fetches")
 }

@@ -10,6 +10,7 @@ import (
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
+	"agentloc/internal/snapshot"
 )
 
 func TestResidenceTableBindMoveUnbind(t *testing.T) {
@@ -85,18 +86,18 @@ func TestResidenceTableOverlayAndAdopt(t *testing.T) {
 		t.Errorf("moving res@x changes %d members, want a and c", len(moves))
 	}
 
-	// A handed-off binding without an address is unusable and dropped.
+	// A handed-off record binds its agent to its handle at its address; one
+	// without a handle arrives unbound.
 	leaf, _, ctx := bareLeaf(t, quietConfig(), false)
-	serve(t, leaf, ctx, KindHandoff, HandoffReq{
-		Entries:    map[ids.AgentID]platform.NodeID{"a": "node-0", "orphan": "node-3"},
-		Bindings:   map[ids.AgentID]ids.ResidenceID{"a": "res@x", "orphan": "res@gone"},
-		Residences: map[ids.ResidenceID]platform.NodeID{"res@x": "node-0"},
-	})
-	if r, ok := leaf.Leaf.get("a"); !ok || r.handle != "res@x" {
-		t.Errorf("handed-off member = %+v, %v; want bound to res@x", r, ok)
+	serve(t, leaf, ctx, KindHandoff, HandoffReq{Records: stream(
+		snapshot.Record{Op: snapshot.OpPut, Agent: "a", Node: "node-0", Handle: "res@x"},
+		snapshot.Record{Op: snapshot.OpPut, Agent: "loner", Node: "node-3"},
+	)})
+	if r, ok := leaf.Leaf.get("a"); !ok || r.handle != "res@x" || r.node != "node-0" {
+		t.Errorf("handed-off member = %+v, %v; want bound to res@x at node-0", r, ok)
 	}
-	if r, ok := leaf.Leaf.get("orphan"); !ok || r.handle != "" || r.node != "node-3" {
-		t.Errorf("orphan = %+v, %v; want unbound at node-3", r, ok)
+	if r, ok := leaf.Leaf.get("loner"); !ok || r.handle != "" || r.node != "node-3" {
+		t.Errorf("loner = %+v, %v; want unbound at node-3", r, ok)
 	}
 }
 

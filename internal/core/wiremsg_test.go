@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"agentloc/internal/ids"
@@ -105,6 +106,18 @@ func checkpointDTOs() []any {
 	}
 }
 
+// handoffDTOs are rehash handoffs: binary like the hot DTOs, held to the same
+// two round trips, and fuzzed on their own (FuzzHandoffReqDecode) — an entry,
+// a bound agent, an advertising agent, and mail.
+func handoffDTOs() []any {
+	return []any{
+		HandoffReq{Records: stream(snapshot.Record{Op: snapshot.OpPut, Agent: "a-1", Node: "node-1", Load: 3})},
+		HandoffReq{Records: stream(snapshot.Record{Op: snapshot.OpPut, Agent: "a-2", Node: "node-2", Handle: "res@x", Load: 1})},
+		HandoffReq{Records: stream(snapshot.Record{Op: snapshot.OpPut, Agent: "a-3", Node: "node-1", Caps: []string{"gpu", "ocr"}})},
+		HandoffReq{Pending: map[ids.AgentID][]Deposited{"a-4": {{From: "sender", Kind: "note", Payload: []byte("hi")}, {Kind: "empty"}}}},
+	}
+}
+
 // stream is the record stream of recs.
 func stream(recs ...snapshot.Record) []byte {
 	var out []byte
@@ -129,7 +142,7 @@ func TestHotDTOBinaryRoundTrip(t *testing.T) {
 			t.Errorf("%T has a wire codec; the LHAgent's reads never cross a link", v)
 		}
 	}
-	for _, v := range append(append(hotDTOs(), checkpointDTOs()...), readDTOs()...) {
+	for _, v := range slices.Concat(hotDTOs(), checkpointDTOs(), handoffDTOs(), readDTOs()) {
 		t.Run(fmt.Sprintf("%T", v), func(t *testing.T) {
 			payload, err := transport.EncodeV(v, wire.MsgVersion)
 			if err != nil {
@@ -153,7 +166,7 @@ func TestHotDTOBinaryRoundTrip(t *testing.T) {
 // codec and no form at all of one with a codec — transport.Decode refuses it
 // rather than fall back.
 func TestHotDTOGobFallbackRoundTrip(t *testing.T) {
-	for _, v := range append(append(hotDTOs(), checkpointDTOs()...), readDTOs()...) {
+	for _, v := range slices.Concat(hotDTOs(), checkpointDTOs(), handoffDTOs(), readDTOs()) {
 		t.Run(fmt.Sprintf("%T", v), func(t *testing.T) {
 			payload := gobForm(t, v)
 			got := newZero(v)
@@ -416,6 +429,73 @@ func FuzzCheckpointReqDecode(f *testing.F) {
 		compacted.Append(folded.appendRecords(nil), 0)
 		if got, want := readLeaf(compacted.fold()), readLeaf(folded); !reflect.DeepEqual(got, want) {
 			t.Fatalf("a compacted copy folds to %v, the copy to %v", got, want)
+		}
+	})
+}
+
+// TestHandoffEntriesEncodeAsRecords: a handoff's Entries and Load are written
+// as put records with their loads after Records, and a decoded handoff leaves
+// both nil.
+func TestHandoffEntriesEncodeAsRecords(t *testing.T) {
+	req := HandoffReq{
+		Records: stream(snapshot.Record{Op: snapshot.OpPut, Agent: "a-1", Node: "node-1", Caps: []string{"gpu"}}),
+		Entries: map[ids.AgentID]platform.NodeID{"a-2": "node-2", "a-3": "node-3"},
+		Load:    map[ids.AgentID]uint64{"a-2": 5},
+	}
+	var back HandoffReq
+	if err := back.DecodeWire(wire.NewDec(req.AppendWire(nil))); err != nil {
+		t.Fatal(err)
+	}
+	if back.Entries != nil || back.Load != nil {
+		t.Fatalf("a decoded handoff has entries %v and loads %v", back.Entries, back.Load)
+	}
+	want := map[string]snapshot.Record{
+		"a-1": {Op: snapshot.OpPut, Agent: "a-1", Node: "node-1", Caps: []string{"gpu"}},
+		"a-2": {Op: snapshot.OpPut, Agent: "a-2", Node: "node-2", Load: 5},
+		"a-3": {Op: snapshot.OpPut, Agent: "a-3", Node: "node-3"},
+	}
+	if got := leafStreamView(t, wire.NewDec(back.Records)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("records %v, want %v", got, want)
+	}
+}
+
+// FuzzHandoffReqDecode drives the handoff decoder, and the receiver's check
+// of its record stream, over arbitrary bodies: failures must be typed wire
+// errors, and a success must survive its own re-encoding as the same value. A
+// stream that passes the check applies to a fresh leaf, which then holds each
+// agent it names.
+func FuzzHandoffReqDecode(f *testing.F) {
+	for _, v := range handoffDTOs() {
+		f.Add(v.(HandoffReq).AppendWire(nil))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req HandoffReq
+		if err := req.DecodeWire(wire.NewDec(body)); err != nil {
+			if !typedWireError(err) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		var again HandoffReq
+		if err := again.DecodeWire(wire.NewDec(req.AppendWire(nil))); err != nil {
+			t.Fatalf("re-decode of a re-encoded handoff failed: %v", err)
+		}
+		if !reflect.DeepEqual(req, again) {
+			t.Fatalf("not stable under re-encoding: %+v vs %+v", req, again)
+		}
+		changes, err := handoffChanges(req.Records)
+		if err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("refused with %v, want wire.ErrCorrupt", err)
+			}
+			return
+		}
+		leaf := newLeafState()
+		leaf.apply(changes)
+		for _, c := range changes {
+			if _, ok := leaf.get(c.agent); !ok {
+				t.Fatalf("handed-off %q is not held", c.agent)
+			}
 		}
 	})
 }
