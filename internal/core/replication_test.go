@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"agentloc/internal/clock"
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
 	"agentloc/internal/metrics"
@@ -249,5 +252,65 @@ func TestExplicitPromotionSurvivesRestart(t *testing.T) {
 	}
 	if stats.Standby || stats.HashVersion != 2 {
 		t.Errorf("recovered as standby=%v at version %d, want the primary fenced at version 2", stats.Standby, stats.HashVersion)
+	}
+}
+
+// TestStandbySendsBeatsToLivePrimary: a standby HAgent keeps the lease of a
+// heartbeat it receives but answers it Ignored while it hears the primary, so
+// a walk that starts at the standby — the HAgent that answered last — ends at
+// the primary and moves the hint back there. Once the primary has gone quiet
+// past its lease, the standby's answer ends the walk.
+func TestStandbySendsBeatsToLivePrimary(t *testing.T) {
+	goroutinesReturn(t)
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	nodes := make([]*platform.Node, 2)
+	for i := range nodes {
+		n, err := platform.NewNode(platform.Config{ID: platform.NodeID(fmt.Sprintf("node-%d", i)), Link: net, Clock: fake})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	releasesAll(t, nodes)
+	cfg := failoverConfig()
+	standby := HAgentRef{Agent: "hagent-replica-1", Node: "node-1"}
+	cfg.HAgentReplicas, cfg.HAgentFallbacks = []HAgentRef{standby}, []HAgentRef{standby}
+	svc, err := Deploy(context.Background(), cfg, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = svc.Config()
+	initial := &State{Ver: 1, Tree: hashtree.New("iagent-1"), Locations: map[ids.AgentID]platform.NodeID{"iagent-1": "node-0"}}
+	if _, err := DeployReplicas(cfg, initial.DTO(), nodes[1:]); err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	// beat walks from the standby, as a leaf's heartbeat does after the
+	// standby answered it last.
+	beat := func() (HAgentRef, int32, error) {
+		var last atomic.Int32
+		last.Store(1)
+		var ack Ack
+		src, err := askHAgents(ctx, cfg, NodeCaller{N: nodes[0]}, &last, KindHeartbeat, HeartbeatReq{IAgent: "iagent-1"}, &ack,
+			func(err error) bool { return err == nil && ack.Status == StatusOK })
+		return src, last.Load(), err
+	}
+	if src, last, err := beat(); err != nil || src.Agent != cfg.HAgent || last != 0 {
+		t.Errorf("with the primary alive a beat ended at %s (%v) and left the hint at %d; want the primary and 0", src.Agent, err, last)
+	}
+	if err := nodes[0].Kill(cfg.HAgent); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		fake.Advance(cfg.HeartbeatInterval)
+		if src, last, err := beat(); err == nil && src == standby && last == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the standby never ended a beat's walk after the primary went quiet")
+		}
 	}
 }
