@@ -342,82 +342,6 @@ func BenchmarkAblationPropagation(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionPlacement quantifies the locality win of the placement
-// extension: a move notification from the node hosting the majority of the
-// agents is a local call once the IAgent has relocated there.
-func BenchmarkExtensionPlacement(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"placement-off", false}, {"placement-on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-			defer cancel()
-			net := transport.NewNetwork(transport.NetworkConfig{
-				Latency: transport.LANLatency(500 * time.Microsecond),
-			})
-			defer net.Close()
-			nodes := make([]*platform.Node, 3)
-			for i := range nodes {
-				n, err := platform.NewNode(platform.Config{ID: platform.NodeID(fmt.Sprintf("pl-%d", i)), Link: net})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer n.Close()
-				nodes[i] = n
-			}
-			cfg := core.DefaultConfig()
-			cfg.TMax = 1e9
-			cfg.TMin = 0
-			cfg.IAgentServiceTime = 0
-			cfg.PlacementEnabled = mode.enabled
-			cfg.PlacementInterval = 100 * time.Millisecond
-			cfg.PlacementMajority = 0.5
-			cfg.PlacementMinAgents = 5
-			cfg.CheckInterval = 50 * time.Millisecond
-			svc, err := core.Deploy(ctx, cfg, nodes)
-			if err != nil {
-				b.Fatal(err)
-			}
-
-			// All agents live on the last node; the IAgent starts on the
-			// first.
-			majority := svc.ClientFor(nodes[2])
-			agents := make([]ids.AgentID, 10)
-			assigns := make([]core.Assignment, 10)
-			for i := range agents {
-				agents[i] = ids.AgentID(fmt.Sprintf("pl-agent-%d", i))
-				assigns[i], err = majority.Register(ctx, agents[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if mode.enabled {
-				// Wait for the relocation.
-				deadline := time.Now().Add(20 * time.Second)
-				for time.Now().Before(deadline) {
-					stats, err := svc.Stats(ctx)
-					if err == nil && stats.Relocations >= 1 {
-						break
-					}
-					time.Sleep(50 * time.Millisecond)
-				}
-			}
-
-			r := rand.New(rand.NewSource(5))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := r.Intn(len(agents))
-				assign, err := majority.MoveNotify(ctx, agents[k], assigns[k])
-				if err != nil {
-					b.Fatal(err)
-				}
-				assigns[k] = assign
-			}
-		})
-	}
-}
-
 // Micro-benchmarks for the core data structures on the hot path.
 
 func BenchmarkHashTreeLookup(b *testing.B) {

@@ -123,18 +123,6 @@ func (b Bits) Prefix(n int) Bits { return Bits{s: b.s[:n]} }
 // HasPrefix reports whether p is a prefix of b.
 func (b Bits) HasPrefix(p Bits) bool { return strings.HasPrefix(b.s, p.s) }
 
-// SetAt returns a copy of b with the bit at index i set to bit (any nonzero
-// value is treated as 1). It panics if i is out of range.
-func (b Bits) SetAt(i int, bit byte) Bits {
-	buf := []byte(b.s)
-	if bit != 0 {
-		buf[i] = '1'
-	} else {
-		buf[i] = '0'
-	}
-	return Bits{s: string(buf)}
-}
-
 // Equal reports whether two bit strings are identical. Bits is also
 // comparable with ==; Equal exists for readability at call sites.
 func (b Bits) Equal(other Bits) bool { return b.s == other.s }

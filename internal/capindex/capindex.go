@@ -10,7 +10,7 @@
 // tags per agent, with heavy tag sharing) and are mutated through the same
 // register/update/deregister/handoff paths as locations but at a much
 // lower rate. Keeping them in their own structure keeps the locate hot
-// path untouched. An IAgent's durable and relocation forms carry each
+// path untouched. An IAgent's durable form and its handoffs carry each
 // agent's set in its record; serialize.go decodes the frame older builds
 // wrote the whole index as.
 package capindex
@@ -186,14 +186,6 @@ outer:
 func (x *Index) Len() int {
 	x.mu.RLock()
 	n := len(x.byAgent)
-	x.mu.RUnlock()
-	return n
-}
-
-// Tags returns the number of distinct capability tags indexed.
-func (x *Index) Tags() int {
-	x.mu.RLock()
-	n := len(x.byCap)
 	x.mu.RUnlock()
 	return n
 }

@@ -238,7 +238,7 @@ func TestRehashResendsOnlyTouchedLeaves(t *testing.T) {
 	rehash("split", func() { forceSplit(t, c, ctx, "iagent-1", homes) })
 
 	leaf1.mu.Lock()
-	_, held := leaf1.Checkpoints["iagent-4"]
+	_, held := leaf1.checkpoints["iagent-4"]
 	leaf1.mu.Unlock()
 	if !held {
 		t.Fatalf("iagent-1 holds no copy of the leaf split off it; the merge below would prove nothing")
@@ -252,10 +252,10 @@ func TestRehashResendsOnlyTouchedLeaves(t *testing.T) {
 	})
 	leaf1.mu.Lock()
 	defer leaf1.mu.Unlock()
-	if _, held := leaf1.Checkpoints["iagent-4"]; held {
+	if _, held := leaf1.checkpoints["iagent-4"]; held {
 		t.Error("iagent-1 still holds a copy of iagent-4, which the merge retired")
 	}
-	for src, ck := range leaf1.Checkpoints {
+	for src, ck := range leaf1.checkpoints {
 		if ck.HashVersion != leaf1.state.Load().Version() {
 			t.Errorf("held copy of %s is stamped v%d, the leaf is at v%d", src, ck.HashVersion, leaf1.state.Load().Version())
 		}
@@ -292,7 +292,7 @@ func TestCheckpointStreamRacingWrites(t *testing.T) {
 		leaf.pushCheckpoint(ctx)
 	}
 	leaf.pushCheckpoint(ctx)
-	held, table := heldCopy(buddy).Entries, leaf.Leaf.table.Snapshot()
+	held, table := heldCopy(buddy).Entries, leaf.leaf.table.Snapshot()
 	if len(held) != len(table) {
 		t.Errorf("the buddy holds %d entries, the table %d", len(held), len(table))
 	}
@@ -330,7 +330,7 @@ func TestFullPushWaitsForBuddyVersion(t *testing.T) {
 	buddy.installState("iagent-2", ahead, "")
 	buddy.mu.Unlock()
 	leaf.pushCheckpoint(ctx)
-	if n, held := sent.Value(), buddy.Checkpoints["iagent-1"].Log.Len(); n != 64 || held != 64 {
+	if n, held := sent.Value(), buddy.checkpoints["iagent-1"].Log.Len(); n != 64 || held != 64 {
 		t.Errorf("the push to a caught-up buddy shipped %d records and left it %d, want 64 and 64", n, held)
 	}
 }

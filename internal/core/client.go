@@ -36,7 +36,7 @@ const maxProtocolRetries = 8
 
 // backoffDelay computes the pause before retry attempt n: a full-jitter
 // draw from [1, base·2^(n-1)], capped at the configured maximum. Transient
-// windows (an IAgent in transit during relocation, a rehash mid-handoff)
+// windows (a leaf mid-takeover, a rehash mid-handoff)
 // need real time to close, not just another immediate attempt — and a
 // rehash stales every cached copy at once, so without jitter the whole
 // client population would retry in lockstep and re-overload the very
@@ -742,13 +742,6 @@ func reuse[T any](s []T) []T {
 	return s[:0]
 }
 
-// InvalidateLocation drops the client's cached location for the target, if
-// any. Callers use it when acting on a located node fails — the cache never
-// learns that on its own, because a cache hit does no RPC.
-func (c *Client) InvalidateLocation(target ids.AgentID) {
-	c.cache.invalidate(target)
-}
-
 // report serves register, update and advertise: it reports the agent at
 // node, through the batcher for an update when one is attached. An
 // acknowledged report drops the reporting client's cache entry for the
@@ -842,7 +835,7 @@ func (c *Client) run(ctx context.Context, op *clientOp, agent ids.AgentID, assig
 //   - not responsible: the IAgent is ahead of us; the copy catches up to at
 //     least its version;
 //   - agent not found: the IAgent is not at the node the mapping claimed —
-//     merged away or relocated;
+//     merged away;
 //   - any other call error while our own deadline stands: the node is
 //     unreachable, possibly crashed with its IAgents merged away by the
 //     failure detector. If the hash really is unchanged the refresh is cheap

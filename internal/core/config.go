@@ -64,19 +64,6 @@ type Config struct {
 	// empty.
 	PlacementNodes []platform.NodeID
 
-	// PlacementEnabled turns on the locality extension (paper §7): an
-	// IAgent migrates toward the node hosting the majority of the agents
-	// it serves.
-	PlacementEnabled bool
-	// PlacementInterval is how often an IAgent evaluates its placement.
-	PlacementInterval time.Duration
-	// PlacementMajority is the fraction of served agents that must share
-	// a node before the IAgent moves there (e.g. 0.5).
-	PlacementMajority float64
-	// PlacementMinAgents is the minimum served population before
-	// placement is considered — moving for two agents is churn.
-	PlacementMinAgents int
-
 	// HAgentReplicas are standby HAgents the primary pushes every state
 	// change to (the §7 fault-tolerance extension).
 	HAgentReplicas []HAgentRef
@@ -131,10 +118,6 @@ func DefaultConfig() Config {
 		CallTimeout:       10 * time.Second,
 		RetryBackoffBase:  5 * time.Millisecond,
 		RetryBackoffMax:   250 * time.Millisecond,
-
-		PlacementInterval:  2 * time.Second,
-		PlacementMajority:  0.6,
-		PlacementMinAgents: 5,
 	}
 }
 
@@ -159,10 +142,6 @@ func (c Config) Validate() error {
 		return errors.New("core: config: RetryBackoffMax must be non-negative")
 	case c.RetryBackoffBase > 0 && c.RetryBackoffMax > 0 && c.RetryBackoffMax < c.RetryBackoffBase:
 		return fmt.Errorf("core: config: RetryBackoffMax %v must be ≥ RetryBackoffBase %v", c.RetryBackoffMax, c.RetryBackoffBase)
-	case c.PlacementEnabled && c.PlacementInterval <= 0:
-		return errors.New("core: config: PlacementInterval must be positive when placement is enabled")
-	case c.PlacementEnabled && (c.PlacementMajority <= 0 || c.PlacementMajority > 1):
-		return errors.New("core: config: PlacementMajority must be in (0, 1]")
 	case c.HeartbeatInterval < 0:
 		return errors.New("core: config: HeartbeatInterval must be non-negative")
 	case c.SuspectAfterMisses < 0:

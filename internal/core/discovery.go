@@ -76,7 +76,7 @@ func (b *IAgentBehavior) deposit(ctx *platform.Context, req DepositReq) Ack {
 	}
 	// A deposit counts as a request to its target, if the table holds it; the
 	// charge is split statistics, so it is neither logged nor checkpointed.
-	b.Leaf.apply([]change{{agent: req.Target, hash: hash, load: 1}})
+	b.leaf.apply([]change{{agent: req.Target, hash: hash, load: 1}})
 	b.mu.Lock()
 	b.Pending[req.Target] = append(b.Pending[req.Target], req.Message)
 	b.mu.Unlock()

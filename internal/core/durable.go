@@ -156,12 +156,12 @@ func (b *IAgentBehavior) persistSelf(ctx *platform.Context) {
 	if store == nil {
 		return
 	}
-	_ = store.AppendDelta(iagentSection(ctx.Self(), b.state.Load(), b.Leaf))
+	_ = store.AppendDelta(iagentSection(ctx.Self(), b.state.Load(), b.leaf))
 }
 
 // persistState writes the HAgent's section as an incremental snapshot, best
-// effort, called after every state change (split, merge, relocation,
-// takeover, promotion, replication).
+// effort, called after every state change (split, merge, takeover,
+// promotion, replication).
 func (b *HAgentBehavior) persistState(ctx *platform.Context) {
 	store := ctx.Durable()
 	if store == nil {
@@ -227,7 +227,7 @@ func replay(rec *snapshot.Recovered, cfg Config, report *RecoveryReport) (hagent
 				report.Skipped++
 				continue
 			}
-			iagents[sec.Name] = &IAgentBehavior{Cfg: cfg, Leaf: leaf, StateSnapshot: st.DTO()}
+			iagents[sec.Name] = &IAgentBehavior{Cfg: cfg, leaf: leaf, StateSnapshot: st.DTO()}
 		default:
 			report.Skipped++
 		}
@@ -238,7 +238,7 @@ func replay(rec *snapshot.Recovered, cfg Config, report *RecoveryReport) (hagent
 			report.Skipped++
 			continue
 		}
-		ia.Leaf.apply([]change{recordChange(r)})
+		ia.leaf.apply([]change{recordChange(r)})
 	}
 	return hagents, iagents
 }
@@ -274,7 +274,7 @@ func RecoverNode(node *platform.Node, cfg Config) (*RecoveryReport, error) {
 		report.HAgents = append(report.HAgents, ids.AgentID(name))
 	}
 	for _, name := range sortedKeys(iagents) {
-		report.Entries += iagents[name].Leaf.table.Len()
+		report.Entries += iagents[name].leaf.table.Len()
 		if err := node.Launch(ids.AgentID(name), iagents[name], platform.WithServiceTime(cfg.IAgentServiceTime)); err != nil {
 			return nil, fmt.Errorf("core: relaunch IAgent %s: %w", name, err)
 		}

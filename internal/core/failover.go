@@ -34,9 +34,11 @@ import (
 //   - Each IAgent pushes the records its writes were logged as to its first
 //     sibling leaf (KindCheckpoint) — the leaf guaranteed to absorb it on a
 //     simple merge — best effort, like HAgent replication; the sibling holds
-//     them as a log and folds it into a leaf on takeover. Entries the
-//     checkpoint misses heal lazily: via the forwarding scheme when
-//     combined (forwarding.FallbackClient), or at the agent's next move.
+//     them as a log and folds it into a leaf on takeover. What the leaf
+//     logged after the sibling's last acknowledged record dies with it: an
+//     entry the held copy missed answers a stale OK (the older location the
+//     copy holds) or a miss (if it holds none) until the agent's next move
+//     notification rewrites it.
 //     Both leaves must be on the same hash version for a push to land; a
 //     leaf no rehash push reaches learns the published version from its
 //     heartbeat's ack and pulls it (refreshState).
@@ -186,19 +188,6 @@ func (l recordLog) fold() leafState {
 		}
 	}
 	return s
-}
-
-// GobEncode implements gob.GobEncoder: a held copy relocates folded.
-func (l recordLog) GobEncode() ([]byte, error) { return l.fold().GobEncode() }
-
-// GobDecode implements gob.GobDecoder, checking the stream as a leaf's.
-func (l *recordLog) GobDecode(data []byte) error {
-	if err := newLeafState().applyRecords(wire.NewDec(data)); err != nil {
-		return err
-	}
-	*l = recordLog{}
-	l.Append(data, 0)
-	return nil
 }
 
 // failoverEnabled reports whether the crash-tolerance subsystem is on.
@@ -641,14 +630,14 @@ func (b *IAgentBehavior) refreshState(ctx *platform.Context, src HAgentRef) {
 func (b *IAgentBehavior) installState(self ids.AgentID, st *State, keep ids.AgentID) {
 	cur := b.state.Load()
 	b.state.Store(st)
-	for src, held := range b.Checkpoints {
+	for src, held := range b.checkpoints {
 		switch {
 		case src == keep:
 		case held.HashVersion == cur.Version() && sameLeaf(cur.Tree, st.Tree, string(src)) && checkpointBuddy(st, src) == self:
 			held.HashVersion = st.Version()
-			b.Checkpoints[src] = held
+			b.checkpoints[src] = held
 		default:
-			delete(b.Checkpoints, src)
+			delete(b.checkpoints, src)
 		}
 	}
 }
@@ -684,7 +673,7 @@ func (b *IAgentBehavior) armFullCheckpoint() {
 // holds mu.
 func (b *IAgentBehavior) checkpointLag() int64 {
 	if b.ckFull {
-		return int64(b.Leaf.table.Len())
+		return int64(b.leaf.table.Len())
 	}
 	return int64(b.ckLen)
 }
@@ -719,7 +708,7 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 
 	status, err := StatusOK, error(nil)
 	send := func(req *CheckpointReq, sent *metrics.Counter, n int) bool {
-		req.From, req.HashVersion, req.Seq, req.Live = ctx.Self(), st.Version(), seq, uint64(b.Leaf.table.Len())
+		req.From, req.HashVersion, req.Seq, req.Live = ctx.Self(), st.Version(), seq, uint64(b.leaf.table.Len())
 		sent.Add(uint64(n))
 		var resp CheckpointResp
 		err = callWithin(ctx.Lifetime(), b.Cfg.callTimeout(), CtxCaller{ctx}, st.Locations[buddy], buddy, KindCheckpoint, req, &resp)
@@ -736,7 +725,7 @@ func (b *IAgentBehavior) pushCheckpoint(ctx *platform.Context) {
 		// The first chunk is empty: a buddy yet to pull this version refuses it
 		// before a record ships, instead of receiving the table each heartbeat.
 		if ship() {
-			b.Leaf.each(nil, func(r record) bool {
+			b.leaf.each(nil, func(r record) bool {
 				req.Records, k = snapshot.AppendStream(req.Records, r.put(0)), k+1
 				return k < ckChunkEntries || ship()
 			})
@@ -784,7 +773,7 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) (CheckpointResp, er
 		resp.Status = StatusNotResponsible
 		return resp, nil
 	}
-	held, ok := b.Checkpoints[req.From]
+	held, ok := b.checkpoints[req.From]
 	switch ok = ok && held.HashVersion == req.HashVersion; {
 	case req.Full && req.Offset == 0:
 		held = CheckpointState{Seq: req.Seq, HashVersion: req.HashVersion}
@@ -802,10 +791,10 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) (CheckpointResp, er
 	if req.Full {
 		held.Log.Append(req.Records, 0)
 	}
-	if b.Checkpoints == nil {
-		b.Checkpoints = make(map[ids.AgentID]CheckpointState)
+	if b.checkpoints == nil {
+		b.checkpoints = make(map[ids.AgentID]CheckpointState)
 	}
-	b.Checkpoints[req.From] = held
+	b.checkpoints[req.From] = held
 	return resp, nil
 }
 
@@ -817,8 +806,8 @@ func (b *IAgentBehavior) acceptCheckpoint(req CheckpointReq) (CheckpointResp, er
 func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.AgentID) {
 	st := b.state.Load()
 	b.mu.Lock()
-	ck, ok := b.Checkpoints[failed]
-	delete(b.Checkpoints, failed)
+	ck, ok := b.checkpoints[failed]
+	delete(b.checkpoints, failed)
 	b.mu.Unlock()
 	if !ok {
 		return
@@ -828,7 +817,7 @@ func (b *IAgentBehavior) activateCheckpoint(ctx *platform.Context, failed ids.Ag
 		owner, _, err := st.OwnerOfHash(hash)
 		return err == nil && owner == ctx.Self()
 	}, func(r record) bool {
-		if _, local := b.Leaf.get(r.agent); !local {
+		if _, local := b.leaf.get(r.agent); !local {
 			restore = append(restore, change{agent: r.agent, hash: r.hash, node: r.node, handle: r.handle, caps: r.caps, handoff: true, view: true})
 		}
 		return true

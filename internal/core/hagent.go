@@ -28,7 +28,6 @@ type HashStatsResp struct {
 	NumIAgents  int
 	Splits      uint64
 	Merges      uint64
-	Relocations uint64
 	Locations   map[ids.AgentID]platform.NodeID
 	TreeRender  string
 	// Failover introspection (crash-tolerance extension).
@@ -49,7 +48,7 @@ type HAgentBehavior struct {
 	// NextIAgentSeq numbers newly created IAgents.
 	NextIAgentSeq uint64
 	// Standby marks a replica: it accepts state pushes and serves reads
-	// but declines rehash and relocation requests until promoted.
+	// but declines rehash requests until promoted.
 	Standby bool
 	// NotifyOnRecover marks an HAgent relaunched from a snapshot store with
 	// its hash version fenced (bumped past anything a pre-crash client
@@ -69,11 +68,10 @@ type HAgentBehavior struct {
 	// clients by a state whose handoffs are still in flight would send them
 	// to an owner that answers "unknown agent" for entries it is about to
 	// receive.
-	published   *State
-	placeIdx    int
-	splits      uint64
-	merges      uint64
-	relocations uint64
+	published *State
+	placeIdx  int
+	splits    uint64
+	merges    uint64
 
 	// Failure-detector state, all mutated inside the serial mailbox (the
 	// Run loop only mails KindLivenessSweep to self).
@@ -147,7 +145,7 @@ func (b *HAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 	// while a state push is still owed, the last one is not finished.
 	if b.Standby || len(b.pendingNotify) > 0 {
 		switch kind {
-		case KindRequestSplit, KindRequestMerge, KindRequestRelocate:
+		case KindRequestSplit, KindRequestMerge:
 			return RehashResp{Status: StatusIgnored, HashVersion: b.state.Ver, Standby: b.Standby}, nil
 		}
 	}
@@ -167,7 +165,6 @@ func (b *HAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 			NumIAgents:  b.state.Tree.NumLeaves(),
 			Splits:      b.splits,
 			Merges:      b.merges,
-			Relocations: b.relocations,
 			Locations:   copyLocations(b.state.Locations),
 			TreeRender:  b.state.Tree.Describe(),
 			Suspects:    b.suspectsSorted(),
@@ -192,12 +189,6 @@ func (b *HAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		resp, err := b.merge(ctx, req)
 		sp.End(err)
 		return resp, err
-	case KindRequestRelocate:
-		var req RequestRelocateReq
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return b.relocate(ctx, req)
 	case KindSnapshotDump:
 		return SnapshotDumpResp{Status: StatusOK, HashVersion: b.state.Ver, Section: hagentSection(ctx.Self(), b.state, b.NextIAgentSeq, b.Standby)}, nil
 	default:
@@ -215,7 +206,6 @@ func (b *HAgentBehavior) ensureMetrics(ctx *platform.Context) {
 	b.metInit = true
 	b.reg = ctx.Metrics()
 	b.reg.Describe("agentloc_core_rehash_total", "Completed rehash operations, by operation and split/merge kind.")
-	b.reg.Describe("agentloc_core_relocations_total", "IAgent directory relocations accepted by the HAgent.")
 	b.reg.Describe("agentloc_core_hashtree_leaves", "Leaves (live IAgents) in the primary hash tree.")
 	b.reg.Describe("agentloc_core_hashtree_depth", "Height of the primary hash tree.")
 	b.reg.Describe("agentloc_core_hash_version", "Version of the primary hash state.")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -112,7 +111,7 @@ func (s *heldSender) records(from, to int) []byte {
 }
 
 func (s *heldSender) held() CheckpointState {
-	return s.buddy.Checkpoints["iagent-1"]
+	return s.buddy.checkpoints["iagent-1"]
 }
 
 // check folds the held copy and compares it with the sender's leaf as it was
@@ -130,12 +129,12 @@ func (s *heldSender) check(step int, what string) {
 
 // TestHeldCopyFoldsToTheChanges feeds seeded random push sequences — full
 // pushes in chunks, deltas that continue the copy, resend records it holds
-// or leave a gap, stale chunks, and relocations of the copy — to a buddy, and
+// or leave a gap, and stale chunks — to a buddy, and
 // checks after every push that the held copy folds to the sender's leaf as
 // of the last record the copy holds: the same changes applied to a leaf
 // state.
 func TestHeldCopyFoldsToTheChanges(t *testing.T) {
-	var paths [6]int // continued, duplicate, gapped, stale chunk, relocated, compacted
+	var paths [5]int // continued, duplicate, gapped, stale chunk, compacted
 	for seed := int64(1); seed <= 8; seed++ {
 		s := newHeldSender(t, seed)
 		for range 20 {
@@ -178,29 +177,17 @@ func TestHeldCopyFoldsToTheChanges(t *testing.T) {
 				if st := s.push(stale); st != StatusIgnored {
 					t.Fatalf("step %d: a chunk the copy does not continue was answered %v", step, st)
 				}
-			case n < 19:
-				what = "relocation"
-				paths[4]++
-				var buf bytes.Buffer
-				if err := gob.NewEncoder(&buf).Encode(held); err != nil {
-					t.Fatal(err)
-				}
-				var arrived CheckpointState
-				if err := gob.NewDecoder(&buf).Decode(&arrived); err != nil {
-					t.Fatal(err)
-				}
-				s.buddy.Checkpoints["iagent-1"] = arrived
 			default:
 				what = "full push"
 				s.full(1 + s.rng.Intn(8))
 			}
-			if after := s.held(); after.Log.Len() < held.Log.Len() && what != "full push" && what != "gapped range" && what != "relocation" {
-				paths[5]++
+			if after := s.held(); after.Log.Len() < held.Log.Len() && what != "full push" && what != "gapped range" {
+				paths[4]++
 			}
 			s.check(step, what)
 		}
 	}
-	t.Logf("continued %d, duplicate %d, gapped %d, stale chunk %d, relocated %d, compacted %d", paths[0], paths[1], paths[2], paths[3], paths[4], paths[5])
+	t.Logf("continued %d, duplicate %d, gapped %d, stale chunk %d, compacted %d", paths[0], paths[1], paths[2], paths[3], paths[4])
 	for i, n := range paths {
 		if n == 0 {
 			t.Errorf("path %d never ran", i)
@@ -208,8 +195,8 @@ func TestHeldCopyFoldsToTheChanges(t *testing.T) {
 	}
 }
 
-// TestHeldCopyFoldAllocBudget: folding a held copy — at a takeover, a
-// compaction or a relocation — costs the leaf it builds and not an
+// TestHeldCopyFoldAllocBudget: folding a held copy — at a takeover or a
+// compaction — costs the leaf it builds and not an
 // allocation per record: 2^18 put records, one in 64 bound and one in 64
 // advertising (a bound or advertising agent costs the maps that keep it a
 // copy of its id and a cell or two).

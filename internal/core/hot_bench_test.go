@@ -154,10 +154,10 @@ func fullPush(tb testing.TB, leaf, buddy *IAgentBehavior, ctx *platform.Context)
 	leaf.mu.Unlock()
 	leaf.pushCheckpoint(ctx)
 	buddy.mu.Lock()
-	held := buddy.Checkpoints["iagent-1"].Log.Len()
+	held := buddy.checkpoints["iagent-1"].Log.Len()
 	buddy.mu.Unlock()
-	if held != leaf.Leaf.table.Len() {
-		tb.Fatalf("after a full push the buddy holds %d records of %d", held, leaf.Leaf.table.Len())
+	if held != leaf.leaf.table.Len() {
+		tb.Fatalf("after a full push the buddy holds %d records of %d", held, leaf.leaf.table.Len())
 	}
 }
 

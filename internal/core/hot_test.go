@@ -435,7 +435,7 @@ func TestHandoffAllocBudget(t *testing.T) {
 		}
 		next++
 	})
-	if n := leaves[1].Leaf.table.Len(); n != records {
+	if n := leaves[1].leaf.table.Len(); n != records {
 		t.Fatalf("the leaf holds %d of %d handed-off records", n, records)
 	}
 	t.Logf("%.0f allocs to encode and decode a %d-record handoff, %.3f per record served into a leaf", codec, records, served/records)

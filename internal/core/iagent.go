@@ -26,27 +26,30 @@ import (
 // per-agent record it keeps: the accumulated request count of paper §4.1
 // lives in the slot, beside the location the request asked for.
 //
-// Exported fields are the durable state that survives migration (IAgents
-// are themselves mobile agents); runtime machinery is rebuilt lazily at the
-// hosting node.
+// An IAgent never moves once launched. Exported fields are what it is
+// launched with — on another node, a split's newborn crosses the wire as
+// them (ctx.LaunchAt) — and runtime machinery is built lazily at the hosting
+// node (ensureRuntime).
 type IAgentBehavior struct {
 	// Cfg is the mechanism configuration.
 	Cfg Config
-	// Leaf is the leaf's state (leafstate.go): where each served agent is
-	// and the requests it drew, its residence binding, and its capability
-	// set. Only write changes it and only the reader resolves an agent out of
-	// it; it relocates as its record stream, loads and bindings included.
-	Leaf leafState
-	// StateSnapshot is the IAgent's copy of the hash state, kept current
-	// by the HAgent for every rehash the IAgent is involved in.
+	// StateSnapshot is the hash state the IAgent is launched with, read once
+	// by ensureRuntime; nothing keeps it current after that (the live copy
+	// is state).
 	StateSnapshot StateDTO
 	// Pending holds messages deposited for served agents until their next
 	// check-in (the guaranteed-delivery extension; see discovery.go).
 	Pending map[ids.AgentID][]Deposited
-	// Checkpoints holds sibling IAgents' leaf copies, as the record logs
+
+	// leaf is the leaf's state (leafstate.go): where each served agent is
+	// and the requests it drew, its residence binding, and its capability
+	// set. Only write changes it and only the reader resolves an agent out of
+	// it. A newborn's is empty until ensureRuntime builds it.
+	leaf leafState
+	// checkpoints holds sibling IAgents' leaf copies, as the record logs
 	// their pushes (KindCheckpoint) carried, folded on takeover
 	// (crash-tolerance extension; see failover.go).
-	Checkpoints map[ids.AgentID]CheckpointState
+	checkpoints map[ids.AgentID]CheckpointState
 
 	// inbox is the mailbox's decode target for a register or an update,
 	// cleared after each (HandleRequest).
@@ -102,12 +105,11 @@ var (
 	_ platform.LocalAnswerer      = (*IAgentBehavior)(nil)
 )
 
-// ensureRuntime rebuilds the unexported machinery after creation or
-// migration.
+// ensureRuntime builds the unexported machinery at the hosting node, once.
 func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 	b.once.Do(func() {
-		if b.Leaf.table == nil {
-			b.Leaf = newLeafState()
+		if b.leaf.table == nil {
+			b.leaf = newLeafState()
 		}
 		if b.Pending == nil {
 			b.Pending = make(map[ids.AgentID][]Deposited)
@@ -122,8 +124,8 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		b.settled = ctx.Clock().Now()
 		b.mu.Unlock()
 		b.est = stats.NewRateEstimator(ctx.Clock(), b.Cfg.RateWindow)
-		// First push after creation or migration is a full snapshot: the
-		// buddy may hold nothing (or a stale base) for this sender.
+		// The first push is a full snapshot: the buddy may hold nothing (or
+		// a stale base) for this sender.
 		b.armFullCheckpoint()
 
 		reg := ctx.Metrics()
@@ -148,8 +150,8 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 		b.metCkSentFull = reg.Counter("agentloc_checkpoint_entries_sent_total", "iagent", self, "kind", "full")
 		b.metCkSentDelta = reg.Counter("agentloc_checkpoint_entries_sent_total", "iagent", self, "kind", "delta")
 
-		// Durable nodes get a full section at birth (and after migration):
-		// the base every later WAL record applies to.
+		// Durable nodes get a full section at birth: the base every later
+		// WAL record applies to.
 		b.persistSelf(ctx)
 	})
 	return b.initErr
@@ -333,7 +335,7 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		return ack, err
 	case KindSnapshotDump:
 		st := b.state.Load()
-		return SnapshotDumpResp{Status: StatusOK, HashVersion: st.Version(), Section: iagentSection(ctx.Self(), st, b.Leaf)}, nil
+		return SnapshotDumpResp{Status: StatusOK, HashVersion: st.Version(), Section: iagentSection(ctx.Self(), st, b.leaf)}, nil
 	default:
 		return nil, fmt.Errorf("IAgent %s: unknown request kind %q", ctx.Self(), kind)
 	}
@@ -398,7 +400,7 @@ func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []Update
 func (b *IAgentBehavior) residenceMove(ctx *platform.Context, req ResidenceMoveReq) (ResidenceMoveResp, error) {
 	b.est.Record()
 	version := b.state.Load().Version()
-	changes, known := b.Leaf.move(req.Residence, req.Node)
+	changes, known := b.leaf.move(req.Residence, req.Node)
 	if !known {
 		return ResidenceMoveResp{Status: StatusUnknownAgent, HashVersion: version}, nil
 	}
@@ -439,7 +441,7 @@ func (b *IAgentBehavior) locateBytes(ctx *platform.Context, agent []byte) Locate
 		b.metStale.Inc()
 		return LocateResp{Status: StatusNotResponsible, HashVersion: version}
 	}
-	node, found := b.Leaf.locate(agent, hash)
+	node, found := b.leaf.locate(agent, hash)
 	if !found {
 		return LocateResp{Status: StatusUnknownAgent, HashVersion: version}
 	}
@@ -571,9 +573,9 @@ func (s *discoverScratch) release() {
 func (b *IAgentBehavior) discover(s *discoverScratch, near platform.NodeID, limit int) DiscoverResp {
 	b.est.Record()
 	resp := DiscoverResp{Status: StatusOK, HashVersion: b.state.Load().Version()}
-	s.agents = b.Leaf.caps.AppendMatch(s.agents, s.caps)
+	s.agents = b.leaf.caps.AppendMatch(s.agents, s.caps)
 	for _, agent := range s.agents {
-		if r, found := b.Leaf.get(agent); found {
+		if r, found := b.leaf.get(agent); found {
 			s.matches = append(s.matches, DiscoverMatch{Agent: agent, Node: r.node})
 		}
 	}
@@ -633,7 +635,7 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 		}
 		return moved[owner]
 	}
-	b.Leaf.each(func(hash uint64) bool { _, gone := leaving(hash); return gone }, func(r record) bool {
+	b.leaf.each(func(hash uint64) bool { _, gone := leaving(hash); return gone }, func(r record) bool {
 		owner, _ := leaving(r.hash)
 		h := handoffTo(owner)
 		h.Records = snapshot.AppendStream(h.Records, r.put(r.load))
@@ -769,22 +771,11 @@ func (b *IAgentBehavior) Run(ctx *platform.Context) error {
 	if err := b.ensureRuntime(ctx); err != nil {
 		return err
 	}
-	lastPlacement := ctx.Clock().Now()
 	lastBeat := time.Time{} // zero: beat on the first tick
 	lastCk := ctx.Clock().Now()
 	for {
 		if !ctx.Sleep(b.Cfg.CheckInterval) {
 			return nil // agent stopped
-		}
-		if b.Cfg.PlacementEnabled && ctx.Clock().Now().Sub(lastPlacement) >= b.Cfg.PlacementInterval {
-			lastPlacement = ctx.Clock().Now()
-			moved, err := b.maybeRelocate(ctx)
-			if err != nil {
-				continue // transient; try again next round
-			}
-			if moved {
-				return nil // Run resumes at the destination node
-			}
 		}
 		b.mu.Lock()
 		dead := b.dead
@@ -820,7 +811,7 @@ func (b *IAgentBehavior) Run(ctx *platform.Context) error {
 				HashVersion: version,
 				Rate:        rate,
 			}
-			req.BitLoad, req.Total = loadReport(b.Leaf.table)
+			req.BitLoad, req.Total = loadReport(b.leaf.table)
 			// A failed or declined request is retried naturally at the
 			// next tick; the rate condition persists while overloaded.
 			b.requestRehash(ctx, KindRequestSplit, req)

@@ -146,7 +146,7 @@ func locatePayload(tb testing.TB, agent ids.AgentID) []byte {
 }
 
 func loadOf(leaf *IAgentBehavior, agent ids.AgentID) (load uint32, found bool) {
-	leaf.Leaf.table.RangeSlots(func(s loctable.Slot) bool {
+	leaf.leaf.table.RangeSlots(func(s loctable.Slot) bool {
 		if s.Agent == agent {
 			load, found = s.Load, true
 		}
@@ -268,7 +268,7 @@ func TestHandoffRefusesWhatNoLeafHandsOff(t *testing.T) {
 		if _, err := leaf.HandleRequest(ctx, KindHandoff, payload); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: handoff answered %v, want wire.ErrCorrupt", name, err)
 		}
-		if n := leaf.Leaf.table.Len(); n != 0 || len(leaf.Pending) != 0 {
+		if n := leaf.leaf.table.Len(); n != 0 || len(leaf.Pending) != 0 {
 			t.Errorf("%s: the refused handoff left %d agents and mail for %d", name, n, len(leaf.Pending))
 		}
 	}
@@ -283,7 +283,7 @@ func TestUnknownLocatesCostNothing(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = locatePayload(t, ids.AgentID(fmt.Sprintf("nobody-%d", i)))
 	}
-	entries, before := leaf.Leaf.table.Len(), retainedHeap()
+	entries, before := leaf.leaf.table.Len(), retainedHeap()
 	for _, p := range payloads {
 		resp, _, err := leaf.HandleConcurrent(ctx, KindLocate, p)
 		if err != nil {
@@ -295,8 +295,8 @@ func TestUnknownLocatesCostNothing(t *testing.T) {
 	}
 	after := retainedHeap()
 	runtime.KeepAlive(payloads)
-	if leaf.Leaf.table.Len() != entries {
-		t.Errorf("table grew from %d to %d entries", entries, leaf.Leaf.table.Len())
+	if leaf.leaf.table.Len() != entries {
+		t.Errorf("table grew from %d to %d entries", entries, leaf.leaf.table.Len())
 	}
 	if after > before+64<<10 {
 		t.Errorf("100 000 misses retained %d bytes", after-before)
@@ -334,8 +334,8 @@ func TestIAgentHeapPerAgentBudget(t *testing.T) {
 			if perAgent > 52 {
 				t.Errorf("an agent costs its leaf %.1f B, budget 52", perAgent)
 			}
-			if leaf.Leaf.table.Len() != agents+1 {
-				t.Errorf("table holds %d entries, want %d", leaf.Leaf.table.Len(), agents+1)
+			if leaf.leaf.table.Len() != agents+1 {
+				t.Errorf("table holds %d entries, want %d", leaf.leaf.table.Len(), agents+1)
 			}
 		})
 	}
@@ -377,7 +377,7 @@ func heldCopy(buddy *IAgentBehavior) (held struct {
 }) {
 	buddy.mu.Lock()
 	defer buddy.mu.Unlock()
-	if ck, ok := buddy.Checkpoints["iagent-1"]; ok {
+	if ck, ok := buddy.checkpoints["iagent-1"]; ok {
 		held.Seq, held.Entries = ck.Seq, map[ids.AgentID]platform.NodeID{}
 		for a, v := range readLeaf(ck.Log.fold()) {
 			held.Entries[a] = v.node
@@ -440,8 +440,8 @@ func TestCheckpointDeltaCarriesWhatFollowedTheSnapshot(t *testing.T) {
 	}
 	leaf.pushCheckpoint(ctx)
 	held := heldCopy(buddy)
-	if held.Seq != uint64(len(want)) || !reflect.DeepEqual(held.Entries, leaf.Leaf.table.Snapshot()) {
-		t.Errorf("after the delta the buddy holds seq %d and %d entries, the table %d", held.Seq, len(held.Entries), leaf.Leaf.table.Len())
+	if held.Seq != uint64(len(want)) || !reflect.DeepEqual(held.Entries, leaf.leaf.table.Snapshot()) {
+		t.Errorf("after the delta the buddy holds seq %d and %d entries, the table %d", held.Seq, len(held.Entries), leaf.leaf.table.Len())
 	}
 	if n := len(suffixRecords(t, leaf)); n != 0 {
 		t.Errorf("a delivered delta left %d records in the suffix", n)
@@ -481,8 +481,8 @@ func TestCheckpointUpdateRacingTheSnapshot(t *testing.T) {
 	}
 	wg.Wait()
 	leaf.pushCheckpoint(ctx)
-	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.Leaf.table.Snapshot()) {
-		t.Errorf("the buddy holds %d entries, the table %d: an update fell between snapshot and delta", len(held.Entries), leaf.Leaf.table.Len())
+	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.leaf.table.Snapshot()) {
+		t.Errorf("the buddy holds %d entries, the table %d: an update fell between snapshot and delta", len(held.Entries), leaf.leaf.table.Len())
 	}
 }
 
@@ -527,8 +527,8 @@ func TestCheckpointDeltasDroppedAtRandom(t *testing.T) {
 		t.Fatal("no delta was dropped")
 	}
 	leaf.pushCheckpoint(ctx)
-	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.Leaf.table.Snapshot()) {
-		t.Errorf("after %d dropped deltas the buddy holds %d entries, the table %d", dropped, len(held.Entries), leaf.Leaf.table.Len())
+	if held := heldCopy(buddy); !reflect.DeepEqual(held.Entries, leaf.leaf.table.Snapshot()) {
+		t.Errorf("after %d dropped deltas the buddy holds %d entries, the table %d", dropped, len(held.Entries), leaf.leaf.table.Len())
 	}
 }
 
@@ -653,41 +653,5 @@ func TestSplitReportIsFixedSize(t *testing.T) {
 	t.Logf("split request for %d agents: %d B", table.Len(), len(payload))
 	if len(payload) > 1024 {
 		t.Errorf("split request is %d B, budget 1 KiB", len(payload))
-	}
-}
-
-// TestRelocatedIAgentKeepsLoads: an IAgent's exported state is what migrates
-// (placement.go); the per-agent loads ride in the leaf's record stream, so
-// the relocated IAgent's split reports are as informed as before the move.
-func TestRelocatedIAgentKeepsLoads(t *testing.T) {
-	leaf, _, ctx := bareLeaf(t, quietConfig(), false)
-	agents := ownedIDs(t, leaf, "a", 200)
-	update(t, leaf, ctx, agents, "node-1")
-	for i, a := range agents {
-		for j := 0; j < i%5; j++ {
-			leaf.locateBytes(ctx, []byte(a))
-		}
-	}
-	var moved bytes.Buffer
-	if err := gob.NewEncoder(&moved).Encode(leaf); err != nil {
-		t.Fatal(err)
-	}
-	var arrived IAgentBehavior
-	if err := gob.NewDecoder(&moved).Decode(&arrived); err != nil {
-		t.Fatal(err)
-	}
-	loads := func(table *loctable.Table) map[ids.AgentID]uint32 {
-		m := make(map[ids.AgentID]uint32)
-		table.RangeSlots(func(s loctable.Slot) bool {
-			if s.Load > 0 {
-				m[s.Agent] = s.Load
-			}
-			return true
-		})
-		return m
-	}
-	before, after := loads(leaf.Leaf.table), loads(arrived.Leaf.table)
-	if len(before) != len(agents) || !reflect.DeepEqual(before, after) {
-		t.Errorf("%d agents' loads left, %d arrived, equal: %v", len(before), len(after), reflect.DeepEqual(before, after))
 	}
 }

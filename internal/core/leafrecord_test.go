@@ -113,14 +113,14 @@ func recoverCopy(t *testing.T, dir string) map[ids.AgentID]agentView {
 // from a sender that still had it at its old address. Every agent's resolved
 // address, handle and capability set come back through (a) a full snapshot,
 // a crash and RecoverNode, (b) a delta section and the WAL tail after it, (c)
-// a gob relocation, (d) a full checkpoint push, a delta and a takeover by
-// the buddy and (e) a merge's handoff to the buddy; the load is that of the
-// last section in (a) and (b), exact in (c) and (e), and not restored in (d),
-// whose deltas do not carry it.
+// a full checkpoint push, a delta and a takeover by the buddy and (d) a
+// merge's handoff to the buddy; the load is that of the last section in (a)
+// and (b), exact in (d), and not restored in (c), whose deltas do not carry
+// it.
 func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	dir := t.TempDir()
 	leaf, ctx := durableLeaf(t, dir)
-	// The same writes go to a leaf that checkpoints to a buddy, for (d); the
+	// The same writes go to a leaf that checkpoints to a buddy, for (c); the
 	// agents are ones it owns.
 	pair, buddy, pairCtx := bareLeaf(t, failoverConfig(), true)
 	agents := ownedIDs(t, pair, "a", 8)
@@ -151,10 +151,10 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	before(leaf, ctx)
 	charge(leaf, ctx, 0)
 	leaf.persistSelf(ctx)
-	atSection := readLeaf(leaf.Leaf)
+	atSection := readLeaf(leaf.leaf)
 	after(leaf, ctx)
 	charge(leaf, ctx, 1)
-	live := readLeaf(leaf.Leaf)
+	live := readLeaf(leaf.leaf)
 	for _, a := range append(slices.Clone(group), handed) {
 		if v := live[a]; v.node != "node-5" || v.handle != "res@g" {
 			t.Fatalf("live %s = %+v; the group is at node-5", a, v)
@@ -191,16 +191,6 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	}
 	same("full snapshot", recoverCopy(t, dir), func(a ids.AgentID) uint32 { return live[a].load })
 
-	var moved bytes.Buffer
-	if err := gob.NewEncoder(&moved).Encode(leaf); err != nil {
-		t.Fatal(err)
-	}
-	var arrived IAgentBehavior
-	if err := gob.NewDecoder(&moved).Decode(&arrived); err != nil {
-		t.Fatal(err)
-	}
-	same("gob relocation", readLeaf(arrived.Leaf), func(a ids.AgentID) uint32 { return live[a].load })
-
 	// merged is the state a merge of iagent-1 into iagent-2 leaves.
 	merged := func(leaf *IAgentBehavior) *State {
 		st, err := FromDTO(leaf.StateSnapshot)
@@ -221,10 +211,10 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	if ack := serve(t, sender, senderCtx, KindAdoptState, AdoptStateReq{State: merged(sender).DTO()}).(Ack); ack.Status != StatusOK {
 		t.Fatalf("merge: %v", ack.Status)
 	}
-	if n := sender.Leaf.table.Len(); n != 0 {
+	if n := sender.leaf.table.Len(); n != 0 {
 		t.Fatalf("the merged leaf kept %d agents", n)
 	}
-	same("handoff", readLeaf(receiver.Leaf), func(a ids.AgentID) uint32 { return live[a].load })
+	same("handoff", readLeaf(receiver.leaf), func(a ids.AgentID) uint32 { return live[a].load })
 
 	before(pair, pairCtx)
 	pair.pushCheckpoint(pairCtx) // the full push
@@ -234,7 +224,7 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	if err := pairCtx.Call(testCtx(t), "node-0", "iagent-2", KindAdoptState, AdoptStateReq{State: merged(pair).DTO(), PromoteCheckpointOf: "iagent-1"}, &ack); err != nil || ack.Status != StatusOK {
 		t.Fatalf("takeover: %v, %v", ack.Status, err)
 	}
-	restored := readLeaf(buddy.Leaf)
+	restored := readLeaf(buddy.leaf)
 	for a, v := range restored {
 		v.load = 0
 		restored[a] = v
@@ -242,22 +232,43 @@ func TestLeafRecordSurvivesEveryForm(t *testing.T) {
 	same("takeover", restored, func(ids.AgentID) uint32 { return 0 })
 }
 
-// TestZeroLeafRelocates: the IAgent a split spawns carries a zero leafState;
-// it encodes, and arrives with a leaf ensureRuntime sets up.
-func TestZeroLeafRelocates(t *testing.T) {
+// TestSplitNewbornCrossesAsLaunched: the IAgent a split launches on another
+// node crosses the wire as gob, boxed as a platform.Behavior the way the
+// platform ships it. It arrives with its StateSnapshot byte for byte and with
+// no leaf and no held copies; ensureRuntime then builds the leaf, which
+// serves at the launched version.
+func TestSplitNewbornCrossesAsLaunched(t *testing.T) {
+	model, _, ctx := bareLeaf(t, quietConfig(), true)
+	newborn := &IAgentBehavior{Cfg: model.Cfg, StateSnapshot: model.StateSnapshot}
+	type box struct{ B platform.Behavior }
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&IAgentBehavior{Cfg: quietConfig(), Checkpoints: map[ids.AgentID]CheckpointState{"iagent-2": {Seq: 1}}}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(box{newborn}); err != nil {
 		t.Fatal(err)
 	}
-	var arrived IAgentBehavior
-	if err := gob.NewDecoder(&buf).Decode(&arrived); err != nil {
+	var got box
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if arrived.Leaf.table != nil || arrived.Checkpoints["iagent-2"].Seq != 1 {
-		t.Fatalf("a zero leaf arrived as %+v, its held copy as %+v", arrived.Leaf, arrived.Checkpoints["iagent-2"])
+	arrived, ok := got.B.(*IAgentBehavior)
+	if !ok {
+		t.Fatalf("arrived as %T", got.B)
 	}
-	if data, err := (leafState{}).GobEncode(); err != nil || len(data) != 0 {
-		t.Fatalf("zero leaf encodes to %q, %v", data, err)
+	if !bytes.Equal(arrived.StateSnapshot, newborn.StateSnapshot) {
+		t.Fatalf("StateSnapshot arrived as %x, launched as %x", arrived.StateSnapshot, newborn.StateSnapshot)
+	}
+	if arrived.leaf.table != nil || arrived.checkpoints != nil {
+		t.Fatalf("a newborn arrived with a leaf %+v and held copies %v", arrived.leaf, arrived.checkpoints)
+	}
+	if err := arrived.ensureRuntime(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if arrived.leaf.table == nil || arrived.leaf.table.Len() != 0 || arrived.state.Load().Version() != 1 {
+		t.Fatalf("ensureRuntime built a leaf of %v at version %d", arrived.leaf.table, arrived.state.Load().Version())
+	}
+	agent := ownedIDs(t, arrived, "a", 1)[0]
+	serve(t, arrived, ctx, KindUpdate, UpdateReq{Agent: agent, Node: "node-3"})
+	if r, ok := arrived.leaf.get(agent); !ok || r.node != "node-3" {
+		t.Fatalf("the newborn's leaf holds %s as %+v, %v", agent, r, ok)
 	}
 }
 

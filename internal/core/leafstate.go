@@ -23,10 +23,10 @@ import (
 //
 // Every form a leaf's state leaves in is a record stream (appendRecords): one
 // length-prefixed snapshot.Record per agent, the record the reader yields.
-// Its gob form, which an IAgent relocates in, is that stream; so is the body
-// of its durable section; a handoff carries the records of the agents a
-// rehash moves; a WAL record is one record of it, and a checkpoint push ships
-// a suffix of the records the leaf's writes were logged as (recordLog).
+// The body of its durable section is that stream; a handoff carries the
+// records of the agents a rehash moves; a WAL record is one record of it, and
+// a checkpoint push ships a suffix of the records the leaf's writes were
+// logged as (recordLog). A leaf never leaves whole: an IAgent does not move.
 type leafState struct {
 	table     *loctable.Table
 	residence *ResidenceTable
@@ -239,26 +239,6 @@ func recordChange(rec snapshot.Record) change {
 	}
 }
 
-// GobEncode implements gob.GobEncoder: the relocation form of a leaf, live or
-// held, is its record stream. The zero leafState a spawned IAgent carries
-// encodes as an empty one.
-func (s leafState) GobEncode() ([]byte, error) {
-	if s.table == nil {
-		return nil, nil
-	}
-	return s.appendRecords(nil), nil
-}
-
-// GobDecode implements gob.GobDecoder: a fresh leaf, the stream applied.
-func (s *leafState) GobDecode(data []byte) error {
-	fresh := newLeafState()
-	if err := fresh.applyRecords(wire.NewDec(data)); err != nil {
-		return err
-	}
-	*s = fresh
-	return nil
-}
-
 // walBatchRecords bounds the records of one WAL append.
 const walBatchRecords = 4096
 
@@ -296,7 +276,7 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 		var one [1]snapshot.Record // a single change's, the usual write, on the stack
 		recs := slices.Grow(one[:0], min(len(changes), walBatchRecords))
 		for i := range changes {
-			rec := b.Leaf.logged(&changes[i])
+			rec := b.leaf.logged(&changes[i])
 			rec.IAgent, rec.HashVersion = string(ctx.Self()), version
 			if recs = append(recs, rec); len(recs) < walBatchRecords && i < len(changes)-1 {
 				continue
@@ -307,12 +287,12 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 			recs = recs[:0]
 		}
 	}
-	b.Leaf.apply(changes)
+	b.leaf.apply(changes)
 	b.mu.Lock()
 	open := b.Cfg.failoverEnabled() && !b.ckFull
 	for i := range changes {
 		if open {
-			b.ckSuffix = snapshot.AppendStream(b.ckSuffix, b.Leaf.logged(&changes[i]))
+			b.ckSuffix = snapshot.AppendStream(b.ckSuffix, b.leaf.logged(&changes[i]))
 			b.ckLen++
 		}
 		if changes[i].delete {
@@ -330,6 +310,6 @@ func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []
 // setTableGauges publishes the table's entry count and footprint, both read
 // from the table's counters.
 func (b *IAgentBehavior) setTableGauges() {
-	b.metTable.Set(int64(b.Leaf.table.Len()))
-	b.metTableBytes.Set(b.Leaf.table.Bytes())
+	b.metTable.Set(int64(b.leaf.table.Len()))
+	b.metTableBytes.Set(b.leaf.table.Bytes())
 }

@@ -449,7 +449,7 @@ func (r *leafModelRun) syncHeld() {
 	for src, h := range r.held {
 		holder := r.hosts[h.holder].leaf
 		holder.mu.Lock()
-		_, kept := holder.Checkpoints[src]
+		_, kept := holder.checkpoints[src]
 		holder.mu.Unlock()
 		if !kept {
 			delete(r.held, src)
@@ -494,7 +494,7 @@ func (r *leafModelRun) check(step int, op string) {
 		}
 		holder := r.hosts[leaf].leaf
 		holder.mu.Lock()
-		for src, ck := range holder.Checkpoints {
+		for src, ck := range holder.checkpoints {
 			h, ok := r.held[src]
 			if !ok || h.holder != leaf {
 				t.Fatalf("step %d (%s): %s holds a copy of %s nobody pushed it", step, op, leaf, src)
@@ -508,7 +508,7 @@ func (r *leafModelRun) check(step int, op string) {
 	for src, h := range r.held {
 		holder := r.hosts[h.holder].leaf
 		holder.mu.Lock()
-		_, ok := holder.Checkpoints[src]
+		_, ok := holder.checkpoints[src]
 		holder.mu.Unlock()
 		if !ok {
 			t.Fatalf("step %d (%s): %s lost its copy of %s", step, op, h.holder, src)
@@ -524,7 +524,7 @@ func (r *leafModelRun) check(step int, op string) {
 		if ia == nil {
 			t.Fatalf("step %d (%s): nothing recovers %s", step, op, leaf)
 		}
-		got := readLeaf(ia.Leaf)
+		got := readLeaf(ia.leaf)
 		for a, v := range got {
 			v.load = 0
 			got[a] = v

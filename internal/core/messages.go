@@ -332,11 +332,10 @@ type LeavesResp struct {
 	Leaves      []LeafRef
 }
 
-// register the protocol's concrete types and behaviours with gob so agents
-// can migrate and payloads round-trip. Encoding type registries are the
+// register the IAgent behaviour with gob: the one core behaviour that crosses
+// the wire, as the newborn a split launches on another node (ctx.LaunchAt).
+// No core behaviour moves once launched. Encoding type registries are the
 // canonical acceptable use of init.
 func init() {
 	gob.Register(&IAgentBehavior{})
-	gob.Register(&HAgentBehavior{})
-	gob.Register(&LHAgentBehavior{})
 }

@@ -19,7 +19,7 @@ import (
 //     a briefly lagging replica is no worse than a stale LHAgent (the
 //     client protocol already tolerates staleness).
 //   - Replicas answer reads (KindGetHash / KindHashStats) but decline
-//     rehash/relocate requests with StatusIgnored.
+//     rehash requests with StatusIgnored.
 //   - LHAgents try the primary first and fail over to replicas for reads,
 //     so agents stay locatable while the primary is down.
 //   - Promotion is either explicit (KindPromote, for operators and

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 	"time"
@@ -93,44 +91,11 @@ func TestResidenceTableOverlayAndAdopt(t *testing.T) {
 		snapshot.Record{Op: snapshot.OpPut, Agent: "a", Node: "node-0", Handle: "res@x"},
 		snapshot.Record{Op: snapshot.OpPut, Agent: "loner", Node: "node-3"},
 	)})
-	if r, ok := leaf.Leaf.get("a"); !ok || r.handle != "res@x" || r.node != "node-0" {
+	if r, ok := leaf.leaf.get("a"); !ok || r.handle != "res@x" || r.node != "node-0" {
 		t.Errorf("handed-off member = %+v, %v; want bound to res@x at node-0", r, ok)
 	}
-	if r, ok := leaf.Leaf.get("loner"); !ok || r.handle != "" || r.node != "node-3" {
+	if r, ok := leaf.leaf.get("loner"); !ok || r.handle != "" || r.node != "node-3" {
 		t.Errorf("loner = %+v, %v; want unbound at node-3", r, ok)
-	}
-}
-
-// TestLeafStateGobRebuildsBindings: a leaf relocates as its record stream,
-// and the bindings it carries rebuild the residence record whole.
-func TestLeafStateGobRebuildsBindings(t *testing.T) {
-	leaf := newLeafState()
-	leaf.apply([]change{
-		{agent: "a", hash: ids.AgentID("a").Hash64(), node: "node-0", handle: "res@x"},
-		{agent: "b", hash: ids.AgentID("b").Hash64(), node: "node-0", handle: "res@x"},
-		{agent: "c", hash: ids.AgentID("c").Hash64(), node: "node-1", handle: "res@y"},
-	})
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(leaf); err != nil {
-		t.Fatal(err)
-	}
-	var arrived leafState
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&arrived); err != nil {
-		t.Fatal(err)
-	}
-	out := arrived.residence
-	if out.Len() != 2 {
-		t.Fatalf("decoded table: %d handles", out.Len())
-	}
-	for agent, want := range map[ids.AgentID]platform.NodeID{"a": "node-0", "b": "node-0", "c": "node-1"} {
-		if _, n, ok := out.Binding(agent); !ok || n != want {
-			t.Errorf("decoded Binding(%s) = %s, %v; want %s", agent, n, ok, want)
-		}
-	}
-	// The members index is rebuilt, so group moves still cover everyone.
-	if members, ok := out.Members("res@x"); !ok || len(members) != 2 {
-		t.Fatalf("decoded Members = %v, %v", members, ok)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 )
 
 // State is the hash function state shipped between the HAgent, IAgents and
-// LHAgents: the hash tree plus the current node of every IAgent. The HAgent
-// bumps Ver on every change — rehashes *and* IAgent relocations (the
-// placement extension moves IAgents without touching the tree).
+// LHAgents: the hash tree plus the node of every IAgent. The HAgent bumps Ver
+// on every split, merge and takeover, and once more when it recovers fenced
+// from its store. An IAgent never moves once launched, so an entry of
+// Locations changes only with the tree.
 type State struct {
 	// Ver is the state version; stale copies are detected by comparing it.
 	Ver uint64

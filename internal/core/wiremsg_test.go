@@ -273,7 +273,7 @@ func TestCheckpointReqRejectsBadCounts(t *testing.T) {
 	}
 	buddy.mu.Lock()
 	defer buddy.mu.Unlock()
-	if _, held := buddy.Checkpoints["iagent-1"]; held {
+	if _, held := buddy.checkpoints["iagent-1"]; held {
 		t.Error("the buddy kept part of a push it refused")
 	}
 }

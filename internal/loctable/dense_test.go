@@ -214,8 +214,8 @@ func TestDenseShrinkReleasesCapacity(t *testing.T) {
 	}
 }
 
-// TestGetBytesMatchesGet pins the byte-key fast path against the string
-// path, including its zero-allocation contract on hits.
+// TestGetBytesMatchesGet pins the byte-key fast path (GetCountedBytes)
+// against the string path, including its zero-allocation contract on hits.
 func TestGetBytesMatchesGet(t *testing.T) {
 	tbl := New()
 	for i := 0; i < 300; i++ {
@@ -224,21 +224,23 @@ func TestGetBytesMatchesGet(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		key := []byte(fmt.Sprintf("b-%d", i))
 		wantNode, want := tbl.Get(ids.AgentID(key))
-		gotNode, got := tbl.GetBytes(key)
+		gotNode, got := tbl.GetCountedBytes(key, ids.HashBytes(key))
 		if got != want || gotNode != wantNode {
-			t.Fatalf("GetBytes(%s) = %q,%v; Get = %q,%v", key, gotNode, got, wantNode, want)
+			t.Fatalf("GetCountedBytes(%s) = %q,%v; Get = %q,%v", key, gotNode, got, wantNode, want)
 		}
 	}
-	if _, ok := tbl.GetBytes([]byte("b-absent")); ok {
-		t.Fatal("GetBytes found an absent key")
+	absent := []byte("b-absent")
+	if _, ok := tbl.GetCountedBytes(absent, ids.HashBytes(absent)); ok {
+		t.Fatal("GetCountedBytes found an absent key")
 	}
 	key := []byte("b-17")
+	hash := ids.HashBytes(key)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := tbl.GetBytes(key); !ok {
+		if _, ok := tbl.GetCountedBytes(key, hash); !ok {
 			t.Fatal("lost b-17")
 		}
 	}); allocs != 0 {
-		t.Errorf("GetBytes allocates %v per hit, want 0", allocs)
+		t.Errorf("GetCountedBytes allocates %v per hit, want 0", allocs)
 	}
 }
 

@@ -139,8 +139,8 @@ func checkViews(t *testing.T, step int, views []heldView) (outlived int) {
 	return outlived
 }
 
-// TestLoadModelEquivalence drives puts, counted lookups (by string and by
-// bytes), AddLoad and deletes against a map model, over a population that
+// TestLoadModelEquivalence drives puts, counted lookups, AddLoadHashed and
+// deletes against a map model, over a population that
 // swells and collapses so stripes grow, shrink, backward-shift and compact
 // their key arenas with counters in them. Ids taken from GetSlot and
 // RangeSlots are held across all of it and must keep reading the same bytes.
@@ -197,14 +197,8 @@ func TestLoadModelEquivalence(t *testing.T) {
 			}
 			m.node = node
 			m.add(n)
-		case 3, 4, 7: // counted lookup, either key form
-			var node platform.NodeID
-			var ok bool
-			if rng.Intn(2) == 0 {
-				node, ok = tbl.GetCounted(id, hash)
-			} else {
-				node, ok = tbl.GetCountedBytes([]byte(id), hash)
-			}
+		case 3, 4, 7: // counted lookup
+			node, ok := tbl.GetCountedBytes([]byte(id), hash)
 			if ok != held || (held && node != m.node) {
 				t.Fatalf("step %d: counted lookup of %s = %q,%v; model %v", step, id, node, ok, m)
 			}
@@ -221,13 +215,13 @@ func TestLoadModelEquivalence(t *testing.T) {
 				compactions++
 			}
 			delete(model, id)
-		case 8: // AddLoad, sometimes enough to saturate
+		case 8: // AddLoadHashed, sometimes enough to saturate
 			n := uint64(rng.Intn(5))
 			if rng.Intn(50) == 0 {
 				n = MaxLoad - 1
 			}
-			if got := tbl.AddLoad(id, n); got != held {
-				t.Fatalf("step %d: AddLoad(%s) = %v, model %v", step, id, got, held)
+			if got := tbl.AddLoadHashed(id, hash, n); got != held {
+				t.Fatalf("step %d: AddLoadHashed(%s) = %v, model %v", step, id, got, held)
 			}
 			if held {
 				m.add(n)
@@ -264,11 +258,12 @@ func TestLoadModelEquivalence(t *testing.T) {
 // TestLoadSaturates: the counter stops at MaxLoad however it gets there.
 func TestLoadSaturates(t *testing.T) {
 	tbl := New()
-	tbl.PutHashed("hot", ids.AgentID("hot").Hash64(), "n0", 1<<31)
-	tbl.AddLoad("hot", 1<<31)
-	tbl.GetCounted("hot", ids.AgentID("hot").Hash64())
-	tbl.AddLoad("hot", 1<<63)
-	tbl.AddLoad("hot", ^uint64(0))
+	hot := ids.AgentID("hot").Hash64()
+	tbl.PutHashed("hot", hot, "n0", 1<<31)
+	tbl.AddLoadHashed("hot", hot, 1<<31)
+	tbl.GetCountedBytes([]byte("hot"), hot)
+	tbl.AddLoadHashed("hot", hot, 1<<63)
+	tbl.AddLoadHashed("hot", hot, ^uint64(0))
 	tbl.RangeSlots(func(s Slot) bool {
 		if s.Load != MaxLoad {
 			t.Errorf("load = %d, want saturated at %d", s.Load, uint32(MaxLoad))
@@ -296,12 +291,12 @@ func TestLoadConcurrentCounting(t *testing.T) {
 			for i := 0; i < perCounter; i++ {
 				a := id("s", (g+i)%stable)
 				if i%2 == 0 {
-					tbl.GetCounted(a, a.Hash64())
+					tbl.AddLoadHashed(a, a.Hash64(), 1)
 				} else {
 					tbl.GetCountedBytes([]byte(a), a.Hash64())
 				}
 				c := id("c", i%churn)
-				tbl.GetCounted(c, c.Hash64()) // may or may not be there
+				tbl.GetCountedBytes([]byte(c), c.Hash64()) // may or may not be there
 			}
 		}(g)
 	}

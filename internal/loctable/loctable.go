@@ -40,8 +40,8 @@
 //
 // Binary Serialize/Deserialize (see serialize.go) give a table a framed form
 // without loads, streamed one stripe lock at a time; older builds wrote it in
-// their IAgent snapshot sections. A leaf's own relocation and durable forms
-// are its record stream, in the core layer.
+// their IAgent snapshot sections. A leaf's own durable form and handoffs are
+// its record stream, in the core layer.
 package loctable
 
 import (
@@ -330,16 +330,6 @@ func (t *Table) releaseNode(idx uint32) {
 	t.nodeMu.Unlock()
 }
 
-// InternedNodes reports how many distinct node ids the table currently
-// interns. Exposed for churn tests: it must track the live node set, not
-// every node the table has ever seen.
-func (t *Table) InternedNodes() int {
-	t.nodeMu.RLock()
-	n := len(t.nodes)
-	t.nodeMu.RUnlock()
-	return n
-}
-
 // find locates the slot for (tag, agent): the entry's index if present, else
 // the free slot where it would be inserted. Caller holds the stripe lock.
 // Load is kept strictly below 1, so the probe always terminates.
@@ -437,14 +427,19 @@ func (t *Table) Get(agent ids.AgentID) (platform.NodeID, bool) {
 // GetHashed is Get for a caller that already holds agent.Hash64() — an
 // IAgent hashes an id once for the responsibility check and the probe.
 func (t *Table) GetHashed(agent ids.AgentID, hash uint64) (platform.NodeID, bool) {
-	return t.lookup(agent, hash, 0)
-}
-
-// GetCounted is GetHashed that also charges one request to the agent's load
-// counter, in the same probe. An agent the table does not hold has nowhere
-// to count: misses cost no memory.
-func (t *Table) GetCounted(agent ids.AgentID, hash uint64) (platform.NodeID, bool) {
-	return t.lookup(agent, hash, 1)
+	s, tag := t.stripeFor(hash)
+	s.mu.RLock()
+	if s.entries == nil {
+		s.mu.RUnlock()
+		return "", false
+	}
+	i, ok := s.find(tag, agent)
+	var node platform.NodeID
+	if ok {
+		node = t.nodeAt(s.entries[i].node)
+	}
+	s.mu.RUnlock()
+	return node, ok
 }
 
 // GetSlot is GetHashed returning the agent's whole slot, load included.
@@ -463,44 +458,11 @@ func (t *Table) GetSlot(agent ids.AgentID, hash uint64) (Slot, bool) {
 	return Slot{Agent: s.key(e), Node: t.nodeAt(e.node), Hash: hash, Load: atomic.LoadUint32(&e.load)}, true
 }
 
-func (t *Table) lookup(agent ids.AgentID, hash, charge uint64) (platform.NodeID, bool) {
-	s, tag := t.stripeFor(hash)
-	s.mu.RLock()
-	if s.entries == nil {
-		s.mu.RUnlock()
-		return "", false
-	}
-	i, ok := s.find(tag, agent)
-	var node platform.NodeID
-	if ok {
-		node = t.answer(&s.entries[i], charge)
-	}
-	s.mu.RUnlock()
-	return node, ok
-}
-
-// answer resolves a found slot's node and charges the lookup to it. Caller
-// holds the stripe's read lock.
-func (t *Table) answer(e *entry, charge uint64) platform.NodeID {
-	if charge > 0 {
-		e.addLoad(charge)
-	}
-	return t.nodeAt(e.node)
-}
-
-// GetBytes is Get with a raw byte key: decode paths that hold the agent id
-// as bytes can probe the table without allocating a string.
-func (t *Table) GetBytes(agent []byte) (platform.NodeID, bool) {
-	return t.lookupBytes(agent, ids.HashBytes(agent), 0)
-}
-
-// GetCountedBytes is GetCounted with a raw byte key and its
-// ids.HashBytes: a served locate allocates nothing for its key.
+// GetCountedBytes looks an agent up by its id as raw bytes and its
+// ids.HashBytes, and charges one request to the agent's load counter in the
+// same probe: a served locate allocates nothing for its key. An agent the
+// table does not hold has nowhere to count: misses cost no memory.
 func (t *Table) GetCountedBytes(agent []byte, hash uint64) (platform.NodeID, bool) {
-	return t.lookupBytes(agent, hash, 1)
-}
-
-func (t *Table) lookupBytes(agent []byte, hash, charge uint64) (platform.NodeID, bool) {
 	s, tag := t.stripeFor(hash)
 	s.mu.RLock()
 	if s.entries == nil {
@@ -510,19 +472,17 @@ func (t *Table) lookupBytes(agent []byte, hash, charge uint64) (platform.NodeID,
 	i, ok := s.findBytes(tag, agent)
 	var node platform.NodeID
 	if ok {
-		node = t.answer(&s.entries[i], charge)
+		e := &s.entries[i]
+		e.addLoad(1)
+		node = t.nodeAt(e.node)
 	}
 	s.mu.RUnlock()
 	return node, ok
 }
 
-// AddLoad charges n requests to an agent's load counter (saturating at
-// MaxLoad), reporting whether the table holds the agent.
-func (t *Table) AddLoad(agent ids.AgentID, n uint64) bool {
-	return t.AddLoadHashed(agent, agent.Hash64(), n)
-}
-
-// AddLoadHashed is AddLoad with the agent's precomputed Hash64.
+// AddLoadHashed charges n requests to an agent's load counter (saturating at
+// MaxLoad), reporting whether the table holds the agent. hash is the agent's
+// Hash64.
 func (t *Table) AddLoadHashed(agent ids.AgentID, hash, n uint64) bool {
 	s, tag := t.stripeFor(hash)
 	s.mu.RLock()
@@ -545,8 +505,8 @@ func (t *Table) Put(agent ids.AgentID, node platform.NodeID) {
 
 // PutHashed is Put with the agent's precomputed Hash64 that also charges
 // addLoad requests to the entry, in the same probe: an update counts itself,
-// a handoff or a relocated record restores the count it carries. A new entry copies
-// the id into the stripe's arena, so the table never keeps the caller's
+// a handoff or a recovered record restores the count it carries. A new entry
+// copies the id into the stripe's arena, so the table never keeps the caller's
 // string. One that would take the arena past 4 GiB panics rather than wrap
 // its offset: that is hundreds of millions of ids in one stripe, which no
 // leaf holds short of a split that never came.

@@ -466,15 +466,3 @@ func (m *mailbox) Len() int {
 	defer m.mu.Unlock()
 	return m.n
 }
-
-// QueueLen reports the agent's current mailbox backlog. Zero for unknown
-// agents.
-func (n *Node) QueueLen(id ids.AgentID) int {
-	n.mu.Lock()
-	h, ok := n.agents[id]
-	n.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return h.mailbox.Len()
-}

@@ -457,11 +457,6 @@ func (n *Node) localOutcome(ctx context.Context, agent ids.AgentID, kind string,
 // for a reply (transport.Peer.Outstanding).
 func (n *Node) Outstanding() int { return n.peer.Outstanding() }
 
-// Ping checks that a node is reachable.
-func (n *Node) Ping(ctx context.Context, at NodeID) error {
-	return n.peer.Call(ctx, at.Addr(), kindNodePing, nil, nil)
-}
-
 // LaunchAt launches an agent on a remote node. The behaviour must be
 // registered with RegisterBehavior.
 func (n *Node) LaunchAt(ctx context.Context, at NodeID, id ids.AgentID, b Behavior, serviceTime time.Duration) error {

@@ -32,7 +32,7 @@ const rateBuckets = 64
 // it sits on the locate fast path, where a shared mutex would serialize the
 // very readers the sharded table lets run in parallel. Pending events are
 // assigned to the bucket current when they are folded in (at the next Rate
-// or RecordN call); with folds every rate-check interval the skew is far
+// call); with folds every rate-check interval the skew is far
 // below the window and cannot flip a split/merge decision.
 type RateEstimator struct {
 	pending atomic.Int64 // events recorded since the last fold
@@ -64,20 +64,9 @@ func NewRateEstimator(clk clock.Clock, window time.Duration) *RateEstimator {
 }
 
 // Record notes one event. It is wait-free: the event is counted now and
-// folded into the sliding window at the next Rate or RecordN call.
+// folded into the sliding window at the next Rate call.
 func (r *RateEstimator) Record() {
 	r.pending.Add(1)
-}
-
-// RecordN notes n simultaneous events at the current time.
-func (r *RateEstimator) RecordN(n int) {
-	if n <= 0 {
-		return
-	}
-	r.pending.Add(int64(n))
-	r.mu.Lock()
-	r.fold()
-	r.mu.Unlock()
 }
 
 // Rate returns the estimated events per second over the window.

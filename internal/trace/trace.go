@@ -1,7 +1,7 @@
 // Package trace provides a lightweight per-node event log. The platform
 // offers it to hosted agents (platform.Context.Emit), and the location
 // mechanism records its high-level decisions — splits, merges, state
-// adoptions, handoffs, relocations — so operators and tests can reconstruct
+// adoptions, takeovers, promotions — so operators and tests can reconstruct
 // what the mechanism did and when, without wading through message dumps.
 package trace
 
@@ -61,15 +61,6 @@ func (l *Log) Emit(actor, kind, detail string) {
 		return
 	}
 	l.emitAt(time.Now(), actor, kind, detail)
-}
-
-// EmitAt records an event with an explicit timestamp (tests use fake
-// clocks).
-func (l *Log) EmitAt(at time.Time, actor, kind, detail string) {
-	if l == nil {
-		return
-	}
-	l.emitAt(at, actor, kind, detail)
 }
 
 func (l *Log) emitAt(at time.Time, actor, kind, detail string) {

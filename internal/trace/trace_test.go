@@ -37,7 +37,7 @@ func TestEmitAndSnapshot(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	l := NewLog(3)
 	for i := 0; i < 7; i++ {
-		l.EmitAt(time.Unix(int64(i), 0), "a", "k", "d")
+		l.emitAt(time.Unix(int64(i), 0), "a", "k", "d")
 	}
 	events := l.Snapshot()
 	if len(events) != 3 {
@@ -82,7 +82,7 @@ func TestFilter(t *testing.T) {
 
 func TestRenderAndString(t *testing.T) {
 	l := NewLog(4)
-	l.EmitAt(time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC), "hagent", "rehash.split", "details here")
+	l.emitAt(time.Date(2003, 5, 19, 12, 0, 0, 0, time.UTC), "hagent", "rehash.split", "details here")
 	out := l.Render()
 	for _, want := range []string{"rehash.split", "hagent", "details here", "12:00:00.000"} {
 		if !strings.Contains(out, want) {
