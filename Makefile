@@ -85,15 +85,17 @@ fuzz:
 # answers surviving concurrent traffic, a kept batch map and discovery result
 # outliving two hundred later calls, the HAgent's stalled pushes costing
 # one deadline), the pooled-call test (one client's mixed operations
-# across a flapping partition, checked against the writers' model) and the
+# across a flapping partition, checked against the writers' model), the
 # LHAgent read tests (concurrent reads across adopts and refreshes, one fetch
-# for many readers, a waiter keeping its own deadline) twenty times on one P,
+# for many readers, a waiter keeping its own deadline) and the queued-request
+# tests (updates queued in a busy leaf's mailbox answered at its stop, two
+# pipelined updates each recorded under its own id) twenty times on one P,
 # the LHAgent ones under the race detector too; then the full-cluster
 # kill-and-cold-start scenario on the simulated LAN.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers|LHAgent' ./...
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Coalesces|CountWhatTheyName|WithoutCorr|OldFrameVersion|OneEnvelope' ./internal/transport
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|FanOutAnswers|DiscoverAnswersSurvive|PooledCallsSurvive|LHAgent' ./internal/core
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|FanOutAnswers|DiscoverAnswersSurvive|PooledCallsSurvive|LHAgent|QueuedUpdates|PipelinedUpdates' ./internal/core
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Reap' ./internal/transport
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'HAgentStalledPushes' ./internal/core
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick

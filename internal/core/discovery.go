@@ -85,7 +85,7 @@ func (b *IAgentBehavior) deposit(ctx *platform.Context, req DepositReq) Ack {
 
 // checkIn serves KindCheckIn on the IAgent: an update plus mail delivery.
 func (b *IAgentBehavior) checkIn(ctx *platform.Context, req CheckInReq) (CheckInResp, error) {
-	ack, err := b.recordLocation(ctx, UpdateReq{Agent: req.Agent, Node: req.Node})
+	ack, err := b.recordLocation(ctx, UpdateReq{Agent: req.Agent, Node: req.Node}, false)
 	if err != nil {
 		return CheckInResp{}, err
 	}

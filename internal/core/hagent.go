@@ -289,7 +289,12 @@ func (b *HAgentBehavior) split(ctx *platform.Context, req RequestSplitReq) (Reha
 
 	// Launch the new IAgent, pre-loaded with the new state, before
 	// notifying anyone: handoffs target it immediately.
-	newBehavior := &IAgentBehavior{Cfg: b.Cfg, StateSnapshot: newState.DTO()}
+	// Its Cfg crosses to another node as gob, which cannot carry the
+	// process-local Clock; a leaf reads none (the clock it runs on is its
+	// node's).
+	cfg := b.Cfg
+	cfg.Clock = nil
+	newBehavior := &IAgentBehavior{Cfg: cfg, StateSnapshot: newState.DTO()}
 	// Not callWithin: a launch is no call through a Caller but a transfer
 	// the node makes.
 	cctx, cancel := context.WithTimeout(context.Background(), b.Cfg.callTimeout())

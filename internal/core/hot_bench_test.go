@@ -100,6 +100,33 @@ func BenchmarkLocateRemoteTCP(b *testing.B) {
 	}
 }
 
+// BenchmarkMoveRemoteTCP times an unbatched Client.MoveNotifyTo with a cached
+// assignment through the whole remote path — codec, a real loopback socket,
+// the read loop queueing the update on the IAgent's mailbox, the write and
+// table, the mailbox loop's reply and back — without the benchmark's 2^20
+// set-up.
+func BenchmarkMoveRemoteTCP(b *testing.B) {
+	client, targets := newHotTCPPair(b, 1024, 1)
+	ctx := context.Background()
+	assigns := make([]Assignment, len(targets))
+	for i, a := range targets {
+		assign, err := client.MoveNotifyTo(ctx, a, "node-0", Assignment{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		assigns[i] = assign
+	}
+	nodes := []platform.NodeID{"node-1", "node-0"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(targets)
+		if _, err := client.MoveNotifyTo(ctx, targets[k], nodes[i%2], assigns[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLocateBatchTCP times a 64-target Client.LocateBatch across four
 // leaves on the far node: one whois-batch at the local LHAgent, then one
 // frame per leaf over loopback TCP, in flight together.

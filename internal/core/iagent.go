@@ -272,9 +272,11 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		// UpdateReq with an empty Residence), so decode the superset; the
 		// binding stays cleared either way. The request is decoded into the
 		// mailbox's own value, cleared once it is written: HandleRequest runs
-		// one request at a time, and the write copies what it keeps.
+		// one request at a time. Its agent id is a view of the payload, which
+		// is valid until HandleRequest returns: the write copies what it
+		// keeps.
 		req := &b.inbox
-		err := transport.Decode(payload, req)
+		err := decodeUpdateView(payload, req)
 		if kind == KindRegister {
 			b.metRegister.Inc()
 			req.Residence = ""
@@ -283,7 +285,7 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		}
 		var ack Ack
 		if err == nil {
-			ack, err = b.recordLocation(ctx, *req)
+			ack, err = b.recordLocation(ctx, *req, true)
 		}
 		*req = UpdateReq{}
 		if err != nil {
@@ -297,7 +299,7 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		}
 		b.metUpdate.Add(uint64(len(req.Updates)))
 		acks := make([]Ack, len(req.Updates))
-		if err := b.recordLocations(ctx, req.Updates, acks, make([]change, 0, len(req.Updates))); err != nil {
+		if err := b.recordLocations(ctx, req.Updates, acks, make([]change, 0, len(req.Updates)), false); err != nil {
 			return nil, err
 		}
 		return UpdateBatchResp{Acks: acks}, nil
@@ -354,10 +356,10 @@ func (b *IAgentBehavior) responsible(ctx *platform.Context, hash uint64) (bool, 
 
 // recordLocation serves one register or update request, its ack and its
 // change on the stack.
-func (b *IAgentBehavior) recordLocation(ctx *platform.Context, u UpdateReq) (Ack, error) {
+func (b *IAgentBehavior) recordLocation(ctx *platform.Context, u UpdateReq, view bool) (Ack, error) {
 	var ack [1]Ack
 	var one [1]change
-	err := b.recordLocations(ctx, []UpdateReq{u}, ack[:], one[:0])
+	err := b.recordLocations(ctx, []UpdateReq{u}, ack[:], one[:0], view)
 	return ack[0], err
 }
 
@@ -370,8 +372,9 @@ func (b *IAgentBehavior) recordLocation(ctx *platform.Context, u UpdateReq) (Ack
 // move means the agent left its group. A non-empty Capabilities replaces the
 // agent's capability set; empty means no capability change, so plain moves
 // never wipe an advertised set. The responsible entries are one write: logged,
-// the whole batch at once, before any is applied or acknowledged.
-func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []UpdateReq, acks []Ack, changes []change) error {
+// the whole batch at once, before any is applied or acknowledged. view says
+// the updates' agent ids are views of the request frame (decodeUpdateView).
+func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []UpdateReq, acks []Ack, changes []change, view bool) error {
 	var version uint64
 	for i, u := range updates {
 		b.est.Record()
@@ -384,7 +387,7 @@ func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []Update
 		}
 		acks[i] = Ack{Status: StatusOK, HashVersion: version}
 		// An update counts as a request.
-		changes = append(changes, change{agent: u.Agent, hash: hash, node: u.Node, handle: u.Residence, caps: u.Capabilities, load: 1})
+		changes = append(changes, change{agent: u.Agent, hash: hash, node: u.Node, handle: u.Residence, caps: u.Capabilities, load: 1, view: view})
 	}
 	return b.write(ctx, version, changes, false)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"agentloc/internal/capindex"
+	"agentloc/internal/clock"
 	"agentloc/internal/hashtree"
 	"agentloc/internal/ids"
 	"agentloc/internal/platform"
@@ -269,6 +271,40 @@ func TestSplitNewbornCrossesAsLaunched(t *testing.T) {
 	serve(t, arrived, ctx, KindUpdate, UpdateReq{Agent: agent, Node: "node-3"})
 	if r, ok := arrived.leaf.get(agent); !ok || r.node != "node-3" {
 		t.Fatalf("the newborn's leaf holds %s as %+v, %v", agent, r, ok)
+	}
+}
+
+// TestFakeClockClusterSplitsOntoAnotherNode: a split's newborn crosses to
+// another node as gob, and the Config it is launched with must leave the
+// clients' Clock behind — gob cannot encode a clock.Fake, and the launch
+// failed with "gob: type not registered for interface: clock.Fake".
+func TestFakeClockClusterSplitsOntoAnotherNode(t *testing.T) {
+	cfg := quietConfig()
+	cfg.Clock = clock.NewFake(time.Unix(1000, 0))
+	cfg.PlacementNodes = []platform.NodeID{"node-1"} // the HAgent is on node-0
+	c := newTestCluster(t, cfg, 2)
+	ctx := testCtx(t)
+	client := c.service.ClientFor(c.nodes[0])
+	agents := make([]ids.AgentID, 16)
+	for i := range agents {
+		agents[i] = ids.AgentID(fmt.Sprintf("fc-%02d", i))
+		if _, err := client.Register(ctx, agents[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	splitLeaf(t, c.service, "iagent-1", agents)
+	if !c.nodes[1].Hosts("iagent-2") {
+		t.Fatalf("the newborn is not on node-1, which hosts %v", c.nodes[1].Agents())
+	}
+	// A stale copy's retry waits on the client's clock, so the check reads
+	// through a client on the real one.
+	real := cfg
+	real.Clock = nil
+	reader := NewClient(NodeCaller{N: c.nodes[0]}, real)
+	for _, a := range agents {
+		if at, err := reader.Locate(ctx, a); err != nil || at != "node-0" {
+			t.Fatalf("Locate(%s) = %s, %v after the split; want node-0", a, at, err)
+		}
 	}
 }
 

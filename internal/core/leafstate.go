@@ -50,8 +50,9 @@ type change struct {
 	// handle's address only where this leaf holds none (ResidenceTable.Bind).
 	handoff bool
 	delete  bool // drops the entry, its binding and its capability set
-	// view marks an agent id read out of a table (a reader record): a view of
-	// that table's key arena, which a map keeping the id would pin.
+	// view marks an agent id that is a view: of a table's key arena (a reader
+	// record), which a map keeping the id would pin, or of a request frame
+	// (a handoff, a register or an update), which is reused once served.
 	view bool
 }
 

@@ -259,8 +259,29 @@ func (r UpdateReq) AppendWire(dst []byte) []byte {
 	return appendTags(dst, r.Capabilities)
 }
 
-func (r *UpdateReq) DecodeWire(d *wire.Dec) error {
-	agent, err := d.String(wire.MaxIDLen)
+func (r *UpdateReq) DecodeWire(d *wire.Dec) error { return r.decode(d, false) }
+
+// decodeUpdateView decodes a binary-coded UpdateReq with its agent id a view
+// of payload, valid only as long as payload is: a change made of it sets view.
+func decodeUpdateView(payload []byte, r *UpdateReq) error {
+	body, err := binaryBody(payload, "update request")
+	if err != nil {
+		return err
+	}
+	d := wire.NewDec(body)
+	if err = r.decode(d, true); err == nil {
+		err = d.Done()
+	}
+	return err
+}
+
+// decode is DecodeWire, with the agent id a view of d's data when view is set.
+func (r *UpdateReq) decode(d *wire.Dec, view bool) error {
+	read := d.String
+	if view {
+		read = d.View
+	}
+	agent, err := read(wire.MaxIDLen)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"agentloc/internal/snapshot"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
+	"agentloc/internal/wire"
 )
 
 // hosted is an agent instance resident at a node.
@@ -84,16 +86,15 @@ func (h *hosted) contextFor(sc trace.SpanContext) *Context {
 	return &Context{host: h, span: sc}
 }
 
-// serve dispatches one request: behaviours implementing ConcurrentBehavior
-// get first refusal on the delivering goroutine; anything they decline (and
-// every request to a plain Behavior) goes through the serial mailbox. The
-// service time of a fast-path request is charged on the caller's goroutine,
-// so concurrent requests overlap their service times instead of queueing —
-// the point of the fast path. ctx bounds that charge and the wait in the
-// mailbox, not HandleConcurrent itself: it runs on the caller's goroutine, so
-// a same-node caller gets its deadline back only once the behaviour returns
-// (fast-path kinds are lock-free reads; a remote caller is released by
-// Peer.Call regardless).
+// serve dispatches one same-node request (a remote one takes handleInline's
+// path): behaviours implementing ConcurrentBehavior get first refusal on the
+// caller's goroutine; anything they decline (and every request to a plain
+// Behavior) goes through the serial mailbox. The service time of a fast-path
+// request is charged on the caller's goroutine, so concurrent requests overlap
+// their service times instead of queueing — the point of the fast path. ctx
+// bounds that charge and the wait in the mailbox, not HandleConcurrent itself:
+// it runs on the caller's goroutine, so the caller gets its deadline back only
+// once the behaviour returns (fast-path kinds are lock-free reads).
 func (h *hosted) serve(ctx context.Context, sc trace.SpanContext, kind string, payload []byte) (any, error) {
 	cb, ok := h.behavior.(ConcurrentBehavior)
 	if !ok {
@@ -176,6 +177,39 @@ func (h *hosted) gone(why string) error {
 	return fmt.Errorf("%s%s %s %s", agentNotFoundPrefix, h.id, why, h.node.id)
 }
 
+// offer gives a remote request to the behaviour's HandleConcurrent and, if it
+// is taken, answers it once its service time is charged. It reports false when
+// the request is declined, or the agent is stopping, and left to the mailbox.
+func (h *hosted) offer(cb ConcurrentBehavior, w *work) bool {
+	if h.stopped.Load() {
+		return false
+	}
+	body, handled, err := cb.HandleConcurrent(h.contextFor(w.span), w.kind, w.payload)
+	if !handled {
+		return false
+	}
+	h.node.fastRequests.Inc()
+	_ = h.chargeServiceTime(context.Background()) // no deadline ends it early
+	w.answer(body, err)
+	return true
+}
+
+// offerOrEnqueue is offer, on a goroutine of its own, for an agent with a
+// service time; a declined request goes on to the mailbox from there.
+func (h *hosted) offerOrEnqueue(cb ConcurrentBehavior, w work) {
+	if !h.offer(cb, &w) {
+		h.enqueue(w)
+	}
+}
+
+// enqueue pushes a remote request onto the mailbox, or answers it at once when
+// the agent has left.
+func (h *hosted) enqueue(w work) {
+	if !h.mailbox.push(w) {
+		w.answer(nil, h.gone("left"))
+	}
+}
+
 // mailboxLoop processes requests strictly serially, charging the service
 // time per request.
 func (h *hosted) mailboxLoop() {
@@ -188,8 +222,7 @@ func (h *hosted) mailboxLoop() {
 		if h.serviceTime > 0 {
 			h.node.clk.Sleep(h.serviceTime)
 		}
-		body, err := h.behavior.HandleRequest(h.contextFor(w.span), w.kind, w.payload)
-		w.result <- workResult{body: body, err: err}
+		w.answer(h.behavior.HandleRequest(h.contextFor(w.span), w.kind, w.payload))
 	}
 }
 
@@ -203,7 +236,7 @@ func (h *hosted) signalStop(why string) bool {
 	}
 	h.cancel()
 	for _, w := range h.mailbox.close() {
-		w.result <- workResult{err: h.gone(why)}
+		w.answer(nil, h.gone(why))
 	}
 	return true
 }
@@ -368,17 +401,59 @@ func (c *Context) Dispose() {
 	h.detachForMove()
 }
 
-// work is one queued request with its trace context and reply channel.
+// work is one request for the mailbox, with its trace context and whom the
+// answer goes to: a same-node caller waiting on result, or, with result nil, a
+// remote requester through reply. A remote request carries its server span,
+// ended as the answer is posted, and owns its payload: a copy of the frame,
+// taken from the pool into buf when it is small.
 type work struct {
 	kind    string
 	payload []byte
 	span    trace.SpanContext
 	result  chan workResult
+
+	reply transport.Replier
+	sp    *trace.ActiveSpan
+	buf   *[]byte
 }
 
 type workResult struct {
 	body any
 	err  error
+}
+
+// maxPooledFrame bounds the frame copy a remote request takes from the pool:
+// a bigger one — a checkpoint chunk, a bulk-load batch — gets a buffer of its
+// own instead of sitting in the pool after it.
+const maxPooledFrame = 64 << 10
+
+// ownFrame copies the payload, which the connection's read buffer lends only
+// until the read loop reads on, into memory the request owns.
+func (w *work) ownFrame() {
+	switch {
+	case len(w.payload) == 0:
+	case len(w.payload) > maxPooledFrame:
+		w.payload = bytes.Clone(w.payload)
+	default:
+		w.buf = wire.GetBuf()
+		*w.buf = append(*w.buf, w.payload...)
+		w.payload = *w.buf
+	}
+}
+
+// answer hands the request's outcome to whoever waits for it. A remote
+// request's span ends and its reply is posted — encoded before Reply returns,
+// so the frame copy can go back to the pool then.
+func (w *work) answer(body any, err error) {
+	if w.result != nil {
+		w.result <- workResult{body: body, err: err}
+		return
+	}
+	w.sp.End(err)
+	w.reply.Reply(body, err)
+	if w.buf != nil && cap(*w.buf) <= maxPooledFrame {
+		wire.PutBuf(w.buf)
+	}
 }
 
 // mailbox is an unbounded FIFO queue. Unboundedness is deliberate: the

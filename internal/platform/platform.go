@@ -71,10 +71,12 @@ type Runner interface {
 // guarantees.
 //
 // The delivering goroutine of a remote request is the connection's read loop
-// (when the agent has no service time to charge): until HandleConcurrent
-// returns, nothing else arrives from that peer. So it must neither block nor
-// call out — what needs either is declined, and a declined offer must leave
-// no trace, because the request is offered again on its way to the mailbox.
+// (when the agent has no service time to charge; otherwise a goroutine of the
+// request's own, which charges it): until HandleConcurrent returns, nothing
+// else arrives from that peer. So it must neither block nor call out — what
+// needs either is declined. A declined request is queued for the mailbox — a
+// remote one straight from where it was offered, with a copy of its payload —
+// and served there by HandleRequest, so a declined offer must leave no trace.
 // payload is valid only until HandleConcurrent returns.
 type ConcurrentBehavior interface {
 	Behavior
@@ -512,9 +514,10 @@ func stopAll(agents []*hosted) {
 // Crash kills the node abruptly, for fault injection: the transport binding
 // drops immediately — in-flight and future calls fail as if the process
 // died — and hosted agents are torn down in the background without the
-// graceful drain of Close. Crash returns as soon as the node is unreachable,
-// not when the teardown finishes; crash a node mid-workload and its peers
-// see failures at once.
+// graceful drain of Close. Crash returns as soon as the node is unreachable
+// and the requests its agents were serving are answered, not when the
+// teardown finishes; crash a node mid-workload and its peers see failures at
+// once — a request still queued in a mailbox is answered agent-not-found.
 func (n *Node) Crash() {
 	n.mu.Lock()
 	if n.closed {
@@ -530,8 +533,13 @@ func (n *Node) Crash() {
 	n.mu.Unlock()
 	n.hostedGauge.Add(-int64(len(agents)))
 
-	// Unbind first: the crash is externally visible before any internal
-	// goroutine has wound down.
+	// The agents are signalled, which answers the requests queued in their
+	// mailboxes, and the peer closed, which waits for the ones being served:
+	// the crash is externally visible before any agent's goroutine has wound
+	// down.
+	for _, h := range agents {
+		h.signalStop("stopped at")
+	}
 	n.peer.Close()
 	go func() {
 		stopAll(agents)
@@ -539,38 +547,49 @@ func (n *Node) Crash() {
 	}()
 }
 
-// handleInline is the node's transport.InlineHandler: on the connection's read
-// loop it answers pings, and agent requests whose target is a
-// ConcurrentBehavior with no service time that accepts them. Everything else —
-// mailbox kinds, transfers — is declined and reaches handle on a goroutine of
-// its own.
-func (n *Node) handleInline(ctx context.Context, _ transport.Addr, agent, kind string, payload []byte) (any, bool, error) {
+// handleInline is the node's transport.InlineHandler, run on the connection's
+// read loop; it takes every request but the node-level kinds other than ping
+// (transfers), which reach handle on a goroutine of their own. A ping, and a
+// request for an agent the node does not host, is answered at once. An agent
+// request is offered to a ConcurrentBehavior's HandleConcurrent, answered at
+// once when accepted; everything else is pushed onto the agent's mailbox with
+// a copy of its frame, and the mailbox loop replies once the behaviour has
+// served it (hosted.mailboxLoop) — no goroutine waits for it. The one
+// exception is a ConcurrentBehavior with a service time, whose charge is a
+// sleep a read loop must not take: the offer, the charge and the reply, or
+// the push, run on a goroutine of the request's own. The request's server
+// span opens here and ends as its answer is posted.
+func (n *Node) handleInline(ctx context.Context, r transport.Replier, agent, kind string, payload []byte) bool {
 	if agent == "" {
-		return nil, kind == kindNodePing, nil
+		if kind != kindNodePing {
+			return false
+		}
+		r.Reply(nil, nil)
+		return true
 	}
-	n.mu.Lock()
-	h, hosted := n.agents[ids.AgentID(agent)]
-	n.mu.Unlock()
-	if !hosted {
-		return nil, false, nil
+	h, err := n.hostOf(ids.AgentID(agent))
+	if err != nil {
+		r.Reply(nil, err)
+		return true
 	}
-	cb, ok := h.behavior.(ConcurrentBehavior)
-	if !ok || h.serviceTime > 0 || h.stopped.Load() {
-		return nil, false, nil
-	}
+	n.requests.Inc()
 	sc := trace.FromContext(ctx)
 	sp := n.tracer.StartSpan(sc, "server", kind)
 	if sp != nil {
 		sc = sp.Context()
 	}
-	result, handled, err := cb.HandleConcurrent(h.contextFor(sc), kind, payload)
-	if !handled {
-		return nil, false, nil // sp is dropped unrecorded
+	w := work{kind: kind, payload: payload, span: sc, reply: r, sp: sp}
+	cb, concurrent := h.behavior.(ConcurrentBehavior)
+	if concurrent && h.serviceTime > 0 {
+		w.ownFrame()
+		go h.offerOrEnqueue(cb, w)
+		return true
 	}
-	n.requests.Inc()
-	n.fastRequests.Inc()
-	sp.End(err)
-	return result, true, err
+	if !concurrent || !h.offer(cb, &w) {
+		w.ownFrame()
+		h.enqueue(w)
+	}
+	return true
 }
 
 // answerLocal offers a same-node call to the target's AnswerLocal, if it has
@@ -609,31 +628,42 @@ func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.
 	return true, err
 }
 
-// handle serves the node's wire protocol: a request addressed to an agent goes
-// to the agent, the node-level kinds are the node's own.
-func (n *Node) handle(ctx context.Context, _ transport.Addr, agent, kind string, payload []byte) (any, error) {
-	if agent != "" {
-		return n.deliver(ctx, trace.FromContext(ctx), ids.AgentID(agent), kind, payload)
-	}
-	switch kind {
-	case kindNodePing:
-		return nil, nil
-	case kindAgentTransfer:
-		var xfer agentTransfer
-		if err := transport.Decode(payload, &xfer); err != nil {
-			return nil, fmt.Errorf("node %s: bad agent transfer: %w", n.id, err)
-		}
-		if xfer.Behavior.B == nil {
-			return nil, fmt.Errorf("node %s: transfer of %s carried no behavior", n.id, xfer.Agent)
-		}
-		err := n.Launch(xfer.Agent, xfer.Behavior.B, WithServiceTime(time.Duration(xfer.ServiceTimeNS)))
-		if err == nil {
-			n.transfersIn.Inc()
-		}
-		return nil, err
-	default:
+// handle serves the node-level kinds handleInline declines: agent transfers.
+func (n *Node) handle(_ context.Context, _ transport.Addr, _, kind string, payload []byte) (any, error) {
+	if kind != kindAgentTransfer {
 		return nil, fmt.Errorf("node %s: unknown message kind %q", n.id, kind)
 	}
+	var xfer agentTransfer
+	if err := transport.Decode(payload, &xfer); err != nil {
+		return nil, fmt.Errorf("node %s: bad agent transfer: %w", n.id, err)
+	}
+	if xfer.Behavior.B == nil {
+		return nil, fmt.Errorf("node %s: transfer of %s carried no behavior", n.id, xfer.Agent)
+	}
+	err := n.Launch(xfer.Agent, xfer.Behavior.B, WithServiceTime(time.Duration(xfer.ServiceTimeNS)))
+	if err == nil {
+		n.transfersIn.Inc()
+	}
+	return nil, err
+}
+
+// hostOf returns the agent hosted under id, or the agent-not-found error a
+// request for it is answered with.
+func (n *Node) hostOf(id ids.AgentID) (*hosted, error) {
+	n.mu.Lock()
+	h, ok := n.agents[id]
+	closed := n.closed
+	n.mu.Unlock()
+	if ok {
+		return h, nil
+	}
+	err := fmt.Errorf("%s%s not at %s", agentNotFoundPrefix, id, n.id)
+	if closed {
+		// Still agent-not-found to a remote caller (only the text crosses
+		// the wire); a local caller can tell the node itself is gone.
+		err = fmt.Errorf("%w: %w", err, ErrNodeClosed)
+	}
+	return nil, err
 }
 
 // deliver routes a request to the target agent — through HandleConcurrent
@@ -643,17 +673,8 @@ func (n *Node) handle(ctx context.Context, _ transport.Addr, agent, kind string,
 // the whole delivery (mailbox queueing included), and its context becomes the
 // parent of whatever calls the behaviour makes.
 func (n *Node) deliver(ctx context.Context, sc trace.SpanContext, agent ids.AgentID, kind string, payload []byte) (any, error) {
-	n.mu.Lock()
-	h, ok := n.agents[agent]
-	closed := n.closed
-	n.mu.Unlock()
-	if !ok {
-		err := fmt.Errorf("%s%s not at %s", agentNotFoundPrefix, agent, n.id)
-		if closed {
-			// Still agent-not-found to a remote caller (only the text crosses
-			// the wire); a local caller can tell the node itself is gone.
-			err = fmt.Errorf("%w: %w", err, ErrNodeClosed)
-		}
+	h, err := n.hostOf(agent)
+	if err != nil {
 		return nil, err
 	}
 	n.requests.Inc()

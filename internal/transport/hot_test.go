@@ -427,7 +427,12 @@ func TestTCPReplyIsNeverDialedFor(t *testing.T) {
 			}
 			defer srvLink.Close()
 			srv, err := NewServingPeer(srvLink, "server",
-				func(context.Context, Addr, string, string, []byte) (any, bool, error) { return nil, inline, nil },
+				func(_ context.Context, r Replier, _, _ string, _ []byte) bool {
+					if inline {
+						r.Reply(nil, nil)
+					}
+					return inline
+				},
 				func(context.Context, Addr, string, string, []byte) (any, error) { return nil, nil }, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -505,9 +510,10 @@ func TestInlineServedWhileRepliesCannotBeWritten(t *testing.T) {
 	}
 	defer srvLink.Close()
 	var served atomic.Int64
-	srv, err := NewServingPeer(srvLink, "server", func(context.Context, Addr, string, string, []byte) (any, bool, error) {
+	srv, err := NewServingPeer(srvLink, "server", func(_ context.Context, r Replier, _, _ string, _ []byte) bool {
 		served.Add(1)
-		return nil, true, nil
+		r.Reply(nil, nil)
+		return true
 	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)

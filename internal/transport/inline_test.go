@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"testing"
+	"time"
 
 	"agentloc/internal/raceflag"
 )
@@ -19,8 +20,9 @@ func newInlinePair(t *testing.T) *Peer {
 	}
 	t.Cleanup(func() { srvLink.Close() })
 	plain := &hotResp{Version: 7}
-	inline := func(context.Context, Addr, string, string, []byte) (any, bool, error) {
-		return plain, true, nil
+	inline := func(_ context.Context, r Replier, _, _ string, _ []byte) bool {
+		r.Reply(plain, nil)
+		return true
 	}
 	srv, err := NewServingPeer(srvLink, "inline-server", inline, nil, nil)
 	if err != nil {
@@ -70,5 +72,57 @@ func TestInlineRoundTripAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocs per inline round trip", allocs)
 	if allocs > 0 {
 		t.Errorf("an inline round trip allocates %.1f times, budget 0", allocs)
+	}
+}
+
+// TestInlineHandlerRepliesLater: a request an InlineHandler takes may be
+// answered after the handler has returned, from another goroutine: the call
+// gets that answer, and Close waits until it is given.
+func TestInlineHandlerRepliesLater(t *testing.T) {
+	goroutinesReturn(t)
+	srvLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvLink.Close()
+	taken := make(chan Replier, 1)
+	srv, err := NewServingPeer(srvLink, "later-server", func(_ context.Context, r Replier, _, _ string, _ []byte) bool {
+		taken <- r
+		return true
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", Directory: map[Addr]string{"later-server": srvLink.ListenAddr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cliLink.Close()
+	client, err := NewPeer(cliLink, "later-client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var resp hotResp
+	called := make(chan error, 1)
+	go func() { called <- client.Call(ctx, "later-server", "later", nil, &resp) }()
+	r := <-taken
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a request it took was unanswered")
+	case <-time.After(50 * time.Millisecond):
+	}
+	r.Reply(&hotResp{Version: 9}, nil)
+	<-closed
+	if err := <-called; err != nil || resp.Version != 9 {
+		t.Fatalf("the call ended with %+v, %v; want version 9", resp, err)
 	}
 }

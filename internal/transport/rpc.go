@@ -28,12 +28,32 @@ type RequestHandler func(ctx context.Context, from Addr, kind string, payload []
 type AgentHandler func(ctx context.Context, from Addr, agent, kind string, payload []byte) (any, error)
 
 // InlineHandler is offered every inbound request first, on the goroutine that
-// read it off the connection. It answers — handled true — only what it can
-// answer at once: it must neither block nor call out, because until it returns
-// nothing else arrives from that peer, the replies to its own calls included.
-// payload is valid only until it returns. Declining costs nothing but the
-// look: the request then goes to the AgentHandler on its own goroutine.
-type InlineHandler func(ctx context.Context, from Addr, agent, kind string, payload []byte) (body any, handled bool, err error)
+// read it off the connection. It takes the request — returns true — only when
+// it can do so at once: it must neither block nor call out, because until it
+// returns nothing else arrives from that peer, the replies to its own calls
+// included. A request it takes is answered through r, exactly once: before it
+// returns, or later from any goroutine (Replier). payload is valid only until
+// it returns, so a request kept for later keeps a copy. Declining costs nothing
+// but the look: the request then goes to the AgentHandler on its own
+// goroutine.
+type InlineHandler func(ctx context.Context, r Replier, agent, kind string, payload []byte) bool
+
+// Replier answers one request an InlineHandler took. It holds the request's
+// place in Peer.Close's wait until Reply, which must be called exactly once.
+type Replier struct {
+	p    *Peer
+	to   Addr
+	kind string
+	corr uint64
+}
+
+// Reply queues the answer — body, or err when it is non-nil — for the
+// requester's connection and releases the request. It waits for no socket
+// (Peer.reply), so it is safe on a read loop.
+func (r Replier) Reply(body any, err error) {
+	r.p.reply(r.to, r.kind, r.corr, body, err)
+	r.p.wg.Done()
+}
 
 // Peer is a request/response endpoint over a Link. One Peer serves one
 // address; it matches replies to outstanding calls by correlation id and
@@ -430,7 +450,8 @@ func (p *Peer) connLost(c *tcpConn, err error) {
 }
 
 // Close unbinds the peer, fails every outstanding Call with ErrClosed and
-// waits for in-flight handler invocations to finish.
+// waits for in-flight handler invocations to finish, and for every request an
+// InlineHandler took to be answered through its Replier.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -470,13 +491,9 @@ func (p *Peer) deliver(env Envelope, borrowed bool) {
 	p.wg.Add(1)
 	p.mu.Unlock()
 
-	if p.inline != nil {
-		body, handled, err := p.inline(handlerContext(env.Trace), env.From, env.Agent, env.Kind, env.Payload)
-		if handled {
-			p.reply(env.From, env.Kind, env.Corr, body, err)
-			p.wg.Done()
-			return
-		}
+	r := Replier{p: p, to: env.From, kind: env.Kind, corr: env.Corr}
+	if p.inline != nil && p.inline(handlerContext(env.Trace), r, env.Agent, env.Kind, env.Payload) {
+		return
 	}
 	payload := env.Payload
 	if borrowed {
@@ -485,19 +502,18 @@ func (p *Peer) deliver(env Envelope, borrowed bool) {
 	// The goroutine gets the fields it uses, not env: an Envelope is too big
 	// for a closure to capture by value, and capturing it by reference would
 	// move every delivered envelope to the heap.
-	from, agent, kind, corr, sc := env.From, env.Agent, env.Kind, env.Corr, env.Trace
+	from, agent, sc := env.From, env.Agent, env.Trace
 	go func() {
-		defer p.wg.Done()
 		var (
 			body any
 			err  error
 		)
 		if p.h != nil {
-			body, err = p.h(handlerContext(sc), from, agent, kind, payload)
+			body, err = p.h(handlerContext(sc), from, agent, r.kind, payload)
 		} else {
 			err = fmt.Errorf("no handler at %s", p.addr)
 		}
-		p.reply(from, kind, corr, body, err)
+		r.Reply(body, err)
 	}()
 }
 

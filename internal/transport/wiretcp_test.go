@@ -170,9 +170,9 @@ func TestTCPRefusesOldFrameVersion(t *testing.T) {
 	defer link.Close()
 	var served atomic.Int64
 	srv, err := NewServingPeer(link, "server",
-		func(context.Context, Addr, string, string, []byte) (any, bool, error) {
+		func(context.Context, Replier, string, string, []byte) bool {
 			served.Add(1)
-			return nil, false, nil
+			return false
 		},
 		func(context.Context, Addr, string, string, []byte) (any, error) {
 			served.Add(1)
@@ -240,9 +240,9 @@ func TestPeerDropsRequestWithoutCorr(t *testing.T) {
 		mu.Unlock()
 	}
 	srv, err := NewServingPeer(link, "server",
-		func(_ context.Context, _ Addr, _, kind string, _ []byte) (any, bool, error) {
+		func(_ context.Context, _ Replier, _, kind string, _ []byte) bool {
 			note("inline " + kind)
-			return nil, false, nil
+			return false
 		},
 		func(_ context.Context, _ Addr, _, kind string, _ []byte) (any, error) {
 			note("handler " + kind)
