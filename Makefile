@@ -90,7 +90,10 @@ fuzz:
 # for many readers, a waiter keeping its own deadline) and the queued-request
 # tests (updates queued in a busy leaf's mailbox answered at its stop, two
 # pipelined updates each recorded under its own id) twenty times on one P,
-# the LHAgent ones under the race detector too; then the full-cluster
+# the LHAgent ones under the race detector too; the platform's same-node call
+# tests (an answer crossing from the mailbox goroutine into the caller's call
+# slot: a lost wake-up or a recycled slot hearing a late reply shows here) and
+# its crash and close tests, twenty times on one P; then the full-cluster
 # kill-and-cold-start scenario on the simulated LAN.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers|LHAgent' ./...
@@ -98,6 +101,7 @@ chaos:
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|FanOutAnswers|DiscoverAnswersSurvive|PooledCallsSurvive|LHAgent|QueuedUpdates|PipelinedUpdates' ./internal/core
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Reap' ./internal/transport
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'HAgentStalledPushes' ./internal/core
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'LocalCall|CallAgentLocal|CallLocalAgent|Crash|NodeClose' ./internal/platform
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
 
 # Every allocation and heap budget with -v: each test logs what it measured,

@@ -14,7 +14,7 @@ import (
 // encoding/gob, and what it encodes with it.
 var gobImporters = []string{
 	"internal/centralized/centralized.go", // baseline scheme's agent state
-	"internal/core/messages.go",           // gob.Register of the control-plane DTOs
+	"internal/core/messages.go",           // gob.Register of IAgentBehavior, a split's newborn on the wire
 	"internal/forwarding/forwarding.go",   // baseline scheme's agent state
 	"internal/platform/platform.go",       // mobile-agent state capture
 	"internal/transport/rpc.go",           // the payload codec of messages without a binary form

@@ -28,10 +28,13 @@ func callWithin(parent context.Context, timeout time.Duration, c Caller, at plat
 // parent, and hands each to land with its outcome as its reply lands, all on
 // the calling goroutine (transport.Reap). post(ctx, i) makes call i, to node
 // at(i): the calls to other nodes than local are posted first, then the ones
-// to local, which a platform.Node serves in place as they are posted while the
-// others are in flight. A slow call delays none of the others, and calls that
-// stall cost the fan-out one deadline between them. Every call lands exactly
-// once.
+// to local. A same-node call to a mailbox is queued and in flight like a
+// remote one, but one that a ConcurrentBehavior accepts — a leaf's
+// locate-batch or discover leg — or a LocalAnswerer answers is served as it
+// is posted, on this goroutine; posted last, it runs while the remote calls
+// are in flight instead of before they leave. A slow call delays none of the
+// others, and calls that stall cost the fan-out one deadline between them.
+// Every call lands exactly once.
 func fanOut(parent context.Context, timeout time.Duration, local platform.NodeID, n int, at func(i int) platform.NodeID, post func(ctx context.Context, i int) transport.Pending, land func(i int, err error)) {
 	if n == 0 {
 		return

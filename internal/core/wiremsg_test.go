@@ -47,6 +47,7 @@ func hotDTOs() []any {
 			{Agent: "a2", Node: "n2"},
 		}},
 		DiscoverResp{Status: StatusNotResponsible, HashVersion: 10},
+		CheckpointResp{Status: StatusIgnored, HashVersion: 9},
 	}
 }
 
@@ -84,9 +85,10 @@ func gobForm(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// checkpointDTOs are the sibling-checkpoint messages: binary like the hot
-// DTOs, held to the same two round trips, but fuzzed on their own
+// checkpointDTOs are sibling-checkpoint pushes: binary like the hot DTOs,
+// held to the same two round trips, but fuzzed on their own
 // (FuzzCheckpointReqDecode), which also checks and folds the record stream.
+// The push's answer, CheckpointResp, is among the hot DTOs.
 func checkpointDTOs() []any {
 	return []any{
 		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 4, Full: true, Live: 3, Records: stream(
@@ -102,7 +104,6 @@ func checkpointDTOs() []any {
 		CheckpointReq{From: "iagent-1", HashVersion: 1, Seq: 1, Full: true}, // an empty table's full push
 		CheckpointReq{From: "iagent-3", HashVersion: 9, Seq: 4, Full: true, Offset: 8192, Live: 9000, Records: stream(
 			snapshot.Record{Op: snapshot.OpPut, Agent: "a-9", Node: "node-1"})}, // a later chunk
-		CheckpointResp{Status: StatusIgnored, HashVersion: 9},
 	}
 }
 
@@ -347,6 +348,7 @@ func FuzzHotMsgDecode(f *testing.F) {
 		func() wire.Unmarshaler { return &ResidenceMoveResp{} },
 		func() wire.Unmarshaler { return &DiscoverReq{} },
 		func() wire.Unmarshaler { return &DiscoverResp{} },
+		func() wire.Unmarshaler { return &CheckpointResp{} },
 	}
 	// Each hot DTO seeds its own decoder.
 	for _, v := range hotDTOs() {

@@ -86,36 +86,8 @@ func (h *hosted) contextFor(sc trace.SpanContext) *Context {
 	return &Context{host: h, span: sc}
 }
 
-// serve dispatches one same-node request (a remote one takes handleInline's
-// path): behaviours implementing ConcurrentBehavior get first refusal on the
-// caller's goroutine; anything they decline (and every request to a plain
-// Behavior) goes through the serial mailbox. The service time of a fast-path
-// request is charged on the caller's goroutine, so concurrent requests overlap
-// their service times instead of queueing — the point of the fast path. ctx
-// bounds that charge and the wait in the mailbox, not HandleConcurrent itself:
-// it runs on the caller's goroutine, so the caller gets its deadline back only
-// once the behaviour returns (fast-path kinds are lock-free reads).
-func (h *hosted) serve(ctx context.Context, sc trace.SpanContext, kind string, payload []byte) (any, error) {
-	cb, ok := h.behavior.(ConcurrentBehavior)
-	if !ok {
-		return h.submit(ctx, sc, kind, payload)
-	}
-	if h.stopped.Load() {
-		return nil, h.gone("left")
-	}
-	body, handled, err := cb.HandleConcurrent(h.contextFor(sc), kind, payload)
-	if !handled {
-		return h.submit(ctx, sc, kind, payload)
-	}
-	h.node.fastRequests.Inc()
-	if cerr := h.chargeServiceTime(ctx); cerr != nil {
-		return nil, cerr
-	}
-	return body, err
-}
-
 // chargeServiceTime charges a request served outside the mailbox its service
-// time on the caller's goroutine, within ctx.
+// time on the calling goroutine, within ctx.
 func (h *hosted) chargeServiceTime(ctx context.Context) error {
 	if h.serviceTime <= 0 {
 		return nil
@@ -128,58 +100,17 @@ func (h *hosted) chargeServiceTime(ctx context.Context) error {
 	}
 }
 
-// submit queues a request and waits for the mailbox to process it, or for
-// ctx to expire first: the request then stays queued (the behaviour still
-// sees it, as it would a request whose remote caller gave up) and its result
-// is dropped into the buffered channel, which is then not reused. A
-// transport.DeadlineContext is waited on with the waiter's own timer, without
-// building its Done channel.
-func (h *hosted) submit(ctx context.Context, sc trace.SpanContext, kind string, payload []byte) (any, error) {
-	wt := waiterPool.Get().(*waiter)
-	if !h.mailbox.push(work{kind: kind, payload: payload, span: sc, result: wt.ch}) {
-		waiterPool.Put(wt)
-		return nil, h.gone("left")
-	}
-	done, expired := transport.WaitChans(ctx, wt.timer)
-	select {
-	case res := <-wt.ch:
-		if expired != nil {
-			wt.timer.Stop()
-		}
-		waiterPool.Put(wt)
-		return res.body, res.err
-	case <-done:
-		wt.timer.Stop()
-		return nil, ctx.Err()
-	case <-expired:
-		return nil, context.DeadlineExceeded
-	}
-}
-
-// waiter is what a caller waits on for a mailbox's answer: the one-slot
-// channel the mailbox loop sends the result on and a timer for the caller's
-// deadline. Waiters are pooled; one whose caller gave up is left to the
-// mailbox loop's one send, and to the collector.
-type waiter struct {
-	ch    chan workResult
-	timer *time.Timer // stopped between requests
-}
-
-var waiterPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &waiter{ch: make(chan workResult, 1), timer: t}
-}}
-
 // gone builds the agent-not-found error for a request that reached a stopped
 // or departing agent; why completes "<agent> <why> <node>".
 func (h *hosted) gone(why string) error {
 	return fmt.Errorf("%s%s %s %s", agentNotFoundPrefix, h.id, why, h.node.id)
 }
 
-// offer gives a remote request to the behaviour's HandleConcurrent and, if it
-// is taken, answers it once its service time is charged. It reports false when
-// the request is declined, or the agent is stopping, and left to the mailbox.
+// offer gives a request to the behaviour's HandleConcurrent and, if it is
+// taken, answers it once its service time is charged, which only the agent's
+// stop cuts short: the requester's deadline does not travel with the request.
+// It reports false when the request is declined, or the agent is stopping,
+// and left to the mailbox.
 func (h *hosted) offer(cb ConcurrentBehavior, w *work) bool {
 	if h.stopped.Load() {
 		return false
@@ -189,7 +120,7 @@ func (h *hosted) offer(cb ConcurrentBehavior, w *work) bool {
 		return false
 	}
 	h.node.fastRequests.Inc()
-	_ = h.chargeServiceTime(context.Background()) // no deadline ends it early
+	_ = h.chargeServiceTime(h.life)
 	w.answer(body, err)
 	return true
 }
@@ -202,7 +133,7 @@ func (h *hosted) offerOrEnqueue(cb ConcurrentBehavior, w work) {
 	}
 }
 
-// enqueue pushes a remote request onto the mailbox, or answers it at once when
+// enqueue pushes a request onto the mailbox, or answers it at once when
 // the agent has left.
 func (h *hosted) enqueue(w work) {
 	if !h.mailbox.push(w) {
@@ -401,34 +332,27 @@ func (c *Context) Dispose() {
 	h.detachForMove()
 }
 
-// work is one request for the mailbox, with its trace context and whom the
-// answer goes to: a same-node caller waiting on result, or, with result nil, a
-// remote requester through reply. A remote request carries its server span,
-// ended as the answer is posted, and owns its payload: a copy of the frame,
-// taken from the pool into buf when it is small.
+// work is one request for the mailbox, with its trace context, the Replier
+// its answer goes to and its server span, ended as the answer is given. It
+// owns its payload: a copy of the frame, taken from the pool into buf when it
+// is small.
 type work struct {
 	kind    string
 	payload []byte
 	span    trace.SpanContext
-	result  chan workResult
 
 	reply transport.Replier
 	sp    *trace.ActiveSpan
 	buf   *[]byte
 }
 
-type workResult struct {
-	body any
-	err  error
-}
-
-// maxPooledFrame bounds the frame copy a remote request takes from the pool:
+// maxPooledFrame bounds the frame copy a queued request takes from the pool:
 // a bigger one — a checkpoint chunk, a bulk-load batch — gets a buffer of its
 // own instead of sitting in the pool after it.
 const maxPooledFrame = 64 << 10
 
-// ownFrame copies the payload, which the connection's read buffer lends only
-// until the read loop reads on, into memory the request owns.
+// ownFrame copies the payload, which the handler is lent only until it
+// returns, into memory the request owns.
 func (w *work) ownFrame() {
 	switch {
 	case len(w.payload) == 0:
@@ -441,14 +365,10 @@ func (w *work) ownFrame() {
 	}
 }
 
-// answer hands the request's outcome to whoever waits for it. A remote
-// request's span ends and its reply is posted — encoded before Reply returns,
-// so the frame copy can go back to the pool then.
+// answer ends the request's span and gives its answer through its Replier —
+// encoded before Reply returns, so the frame copy can go back to the pool
+// then.
 func (w *work) answer(body any, err error) {
-	if w.result != nil {
-		w.result <- workResult{body: body, err: err}
-		return
-	}
 	w.sp.End(err)
 	w.reply.Reply(body, err)
 	if w.buf != nil && cap(*w.buf) <= maxPooledFrame {

@@ -13,7 +13,8 @@ import (
 	"agentloc/internal/transport"
 )
 
-// Tests for the in-process delivery of same-node calls (Node.callLocal).
+// Tests for same-node calls: through the node's own peer without the link, or
+// answered in place by a LocalAnswerer.
 
 // newCountingNode runs a node on an instrumented link, the way a deployment
 // does, and returns the count of envelopes the node has handed to it.
@@ -32,7 +33,7 @@ func newCountingNode(t *testing.T, cfg Config) (*Node, func() uint64) {
 }
 
 // concurrentEcho serves "echo" on the fast path and everything else through
-// the mailbox, so one agent exercises both halves of hosted.serve.
+// the mailbox, so one agent exercises both halves of handleInline.
 type concurrentEcho struct{ echoBehavior }
 
 func (c *concurrentEcho) HandleConcurrent(ctx *Context, kind string, payload []byte) (any, bool, error) {
@@ -62,6 +63,74 @@ func TestLocalCallSendsNoEnvelope(t *testing.T) {
 	}
 	if got := sent(); got != 0 {
 		t.Errorf("same-node calls sent %d envelopes, want 0", got)
+	}
+}
+
+// TestLocalCallCostsTransportNothing: a same-node call — served through the
+// mailbox, on the fast path, or given up on in the mailbox at its deadline —
+// is no RPC: it records no latency sample and no timeout. The same node's
+// calls to another node record both, so the series are live.
+func TestLocalCallCostsTransportNothing(t *testing.T) {
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	t.Cleanup(func() { net.Close() })
+	reg := metrics.New()
+	nodes := make(map[NodeID]*Node)
+	for _, id := range []NodeID{"n1", "n2"} {
+		n, err := NewNode(Config{ID: id, Link: net, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[id] = n
+	}
+	n := nodes["n1"]
+	stuck := func(at NodeID) {
+		b := &blockingBehavior{entered: make(chan struct{}, 1), release: make(chan struct{})}
+		if err := nodes[at].Launch("stuck", b); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { close(b.release) }) // before the nodes' Close
+	}
+	stuck("n1")
+	stuck("n2")
+	if err := n.Launch("serial", &echoBehavior{Tag: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Launch("fast", &concurrentEcho{echoBehavior{Tag: "f"}}); err != nil {
+		t.Fatal(err)
+	}
+	within := func(d time.Duration, at NodeID, agent ids.AgentID) error {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		var resp echoResp
+		return n.CallAgent(ctx, at, agent, "echo", echoReq{Text: "hi"}, &resp)
+	}
+	rpcs := func() (latency, timeouts uint64) {
+		snap := reg.Snapshot()
+		return snap.HistogramSnap("agentloc_transport_rpc_latency_seconds").Count,
+			snap.Counter("agentloc_transport_rpc_timeouts_total")
+	}
+
+	for _, agent := range []ids.AgentID{"serial", "fast"} {
+		if err := within(5*time.Second, "n1", agent); err != nil {
+			t.Fatalf("%s: %v", agent, err)
+		}
+	}
+	if err := within(20*time.Millisecond, "n1", "stuck"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("same-node call to a stuck mailbox = %v, want its deadline", err)
+	}
+	if lat, tmo := rpcs(); lat != 0 || tmo != 0 {
+		t.Errorf("same-node calls recorded %d RPC latencies and %d RPC timeouts, want none", lat, tmo)
+	}
+
+	if err := within(5*time.Second, "n2", "serial"); !IsAgentNotFound(err) {
+		t.Fatalf("remote call to a missing agent = %v, want agent-not-found", err)
+	}
+	if err := within(20*time.Millisecond, "n2", "stuck"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("remote call to a stuck mailbox = %v, want its deadline", err)
+	}
+	if lat, tmo := rpcs(); lat != 1 || tmo != 1 {
+		t.Errorf("one answered and one expired remote call recorded %d RPC latencies and %d RPC timeouts, want 1 and 1", lat, tmo)
 	}
 }
 

@@ -16,6 +16,7 @@
 package platform
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -30,7 +31,6 @@ import (
 	"agentloc/internal/snapshot"
 	"agentloc/internal/trace"
 	"agentloc/internal/transport"
-	"agentloc/internal/wire"
 )
 
 // NodeID names a node. It doubles as the node's transport address.
@@ -70,14 +70,15 @@ type Runner interface {
 // the one-request-at-a-time queueing model that the plain Behavior contract
 // guarantees.
 //
-// The delivering goroutine of a remote request is the connection's read loop
-// (when the agent has no service time to charge; otherwise a goroutine of the
-// request's own, which charges it): until HandleConcurrent returns, nothing
-// else arrives from that peer. So it must neither block nor call out — what
-// needs either is declined. A declined request is queued for the mailbox — a
-// remote one straight from where it was offered, with a copy of its payload —
-// and served there by HandleRequest, so a declined offer must leave no trace.
-// payload is valid only until HandleConcurrent returns.
+// The delivering goroutine is the connection's read loop for a request from
+// another node and the caller's goroutine for one from this node — or, when
+// the agent has a service time to charge, a goroutine of the request's own,
+// which charges it. On a read loop nothing else arrives from that peer until
+// HandleConcurrent returns, so it must neither block nor call out — what
+// needs either is declined. A declined request is queued for the mailbox
+// straight from where it was offered, with a copy of its payload, and served
+// there by HandleRequest, so a declined offer must leave no trace. payload is
+// valid only until HandleConcurrent returns.
 type ConcurrentBehavior interface {
 	Behavior
 	HandleConcurrent(ctx *Context, kind string, payload []byte) (result any, handled bool, err error)
@@ -91,7 +92,9 @@ type ConcurrentBehavior interface {
 // out, but only within cctx: once cctx ends it must return, with cctx's error
 // if it has no answer. A declined offer leaves no trace, and what is stored
 // through resp must share no mutable memory with the behaviour.
-// handled=false sends the call down the ordinary path, codec included.
+// handled=false sends the call down the ordinary path: through the node's
+// peer, without the link but with the codec, to handleInline as a request
+// from another node would go.
 type LocalAnswerer interface {
 	Behavior
 	AnswerLocal(cctx context.Context, ctx *Context, kind string, req, resp any) (handled bool, err error)
@@ -253,7 +256,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.transfersIn = cfg.Metrics.Counter("agentloc_platform_transfers_in_total", "node", node)
 	n.requests = cfg.Metrics.Counter("agentloc_platform_agent_requests_total", "node", node)
 	n.fastRequests = cfg.Metrics.Counter("agentloc_platform_agent_requests_fastpath_total", "node", node)
-	peer, err := transport.NewServingPeer(cfg.Link, cfg.ID.Addr(), n.handleInline, n.handle, cfg.Metrics)
+	peer, err := transport.NewServingPeer(cfg.Link, cfg.ID.Addr(), n.handleInline, cfg.Metrics)
 	if err != nil {
 		return nil, fmt.Errorf("node %s: %w", cfg.ID, err)
 	}
@@ -372,87 +375,19 @@ func (n *Node) CallAgent(ctx context.Context, at NodeID, agent ids.AgentID, kind
 
 // Go is CallAgent split in two: it starts the call, and the returned
 // Pending's Wait, which must be called exactly once, finishes it. A call to an
-// agent on this node is delivered in-process (callLocal) before Go returns,
-// and the Pending carries its outcome; every other call is one envelope across
-// the link, addressed to the agent, with req encoded by the link straight into
-// the frame, and Go returns once it is posted (transport.Peer.Go).
+// agent on this node is first offered to its LocalAnswerer (answerLocal); the
+// Pending then carries the outcome. Every other call goes through the node's
+// peer (transport.Peer.Go): to another node as one envelope across the link,
+// addressed to the agent, with req encoded by the link straight into the
+// frame; to this node without the link, handed to handleInline as a request
+// off the wire would be.
 func (n *Node) Go(ctx context.Context, at NodeID, agent ids.AgentID, kind string, req, resp any) transport.Pending {
 	if at == n.id {
-		return transport.Settled(n.callLocal(ctx, agent, kind, req, resp))
+		if answered, err := n.answerLocal(ctx, agent, kind, req, resp); answered {
+			return transport.Settled(err)
+		}
 	}
 	return n.peer.Go(ctx, at.Addr(), string(agent), kind, req, resp)
-}
-
-// callLocal is CallAgent for an agent hosted on this node: the request is
-// handed over on the caller's goroutine — no envelope, no link, no network
-// hop, so neither SpanContext.Hop nor the transport counters move. A
-// LocalAnswerer that accepts the kind fills in resp directly, within ctx: it
-// may block, to fetch what it answers from, but returns once ctx ends.
-// Everything else passes request and response through the codec once each, so
-// the behaviour and the caller never share memory, exactly as across the
-// wire. Both are encoded into pooled buffers: the request's goes back once the
-// request has been served — one its caller abandoned in a mailbox keeps it —
-// and the response's once it is decoded.
-// Failures keep the shapes the remote path gives them: a behaviour error is a
-// *transport.RemoteError (so IsAgentNotFound classifies "agent not here"), and
-// an expired ctx unwraps to ctx.Err(). One gap against Peer.Call: a request a
-// ConcurrentBehavior accepts runs on this goroutine, so the call returns at
-// the deadline only while it is parked in the mailbox or being charged its
-// service time, not in the middle of HandleConcurrent (see hosted.serve).
-func (n *Node) callLocal(ctx context.Context, agent ids.AgentID, kind string, req, resp any) error {
-	sc := trace.FromContext(ctx)
-	answered, err := n.answerLocal(ctx, sc, agent, kind, req, resp)
-	if answered {
-		return n.localOutcome(ctx, agent, kind, nil, err, nil)
-	}
-	var buf *[]byte
-	var payload []byte
-	if req != nil {
-		buf = wire.GetBuf()
-		if *buf, err = transport.AppendV(*buf, req, wire.MsgVersion); err != nil {
-			wire.PutBuf(buf)
-			return fmt.Errorf("call %s@%s %s: encode: %w", agent, n.id, kind, err)
-		}
-		payload = *buf
-	}
-	result, err := n.deliver(ctx, sc, agent, kind, payload)
-	// A request is left parked in a mailbox only when ctx ends first, and then
-	// its call ends with ctx's error; any other outcome means the request was
-	// served, or refused before it was queued.
-	served := err == nil || !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-	err = n.localOutcome(ctx, agent, kind, result, err, resp)
-	if buf != nil && served {
-		wire.PutBuf(buf) // after the result, which may share its bytes, is encoded
-	}
-	return err
-}
-
-// localOutcome turns a same-node call's outcome into what the remote path
-// would return, decoding a delivered result into resp through a pooled buffer.
-func (n *Node) localOutcome(ctx context.Context, agent ids.AgentID, kind string, result any, err error, resp any) error {
-	switch {
-	case err == nil:
-	case ctx.Err() != nil:
-		return fmt.Errorf("call %s@%s %s: %w", agent, n.id, kind, ctx.Err())
-	case errors.Is(err, ErrNodeClosed):
-		return fmt.Errorf("call %s@%s %s: %w", agent, n.id, kind, ErrNodeClosed)
-	default:
-		return &transport.RemoteError{Kind: kind, To: n.id.Addr(), Msg: err.Error()}
-	}
-	if resp == nil || result == nil {
-		return nil
-	}
-	buf := wire.GetBuf()
-	if *buf, err = transport.AppendV(*buf, result, wire.MsgVersion); err != nil {
-		wire.PutBuf(buf)
-		return &transport.RemoteError{Kind: kind, To: n.id.Addr(), Msg: fmt.Sprintf("agent %s: encode response: %v", agent, err)}
-	}
-	err = transport.Decode(*buf, resp)
-	wire.PutBuf(buf)
-	if err != nil {
-		return fmt.Errorf("call %s@%s %s: decode: %w", agent, n.id, kind, err)
-	}
-	return nil
 }
 
 // Outstanding reports how many of the node's calls to other nodes are waiting
@@ -547,30 +482,36 @@ func (n *Node) Crash() {
 	}()
 }
 
-// handleInline is the node's transport.InlineHandler, run on the connection's
-// read loop; it takes every request but the node-level kinds other than ping
-// (transfers), which reach handle on a goroutine of their own. A ping, and a
-// request for an agent the node does not host, is answered at once. An agent
-// request is offered to a ConcurrentBehavior's HandleConcurrent, answered at
-// once when accepted; everything else is pushed onto the agent's mailbox with
-// a copy of its frame, and the mailbox loop replies once the behaviour has
-// served it (hosted.mailboxLoop) — no goroutine waits for it. The one
-// exception is a ConcurrentBehavior with a service time, whose charge is a
-// sleep a read loop must not take: the offer, the charge and the reply, or
-// the push, run on a goroutine of the request's own. The request's server
-// span opens here and ends as its answer is posted.
-func (n *Node) handleInline(ctx context.Context, r transport.Replier, agent, kind string, payload []byte) bool {
+// handleInline is the node's transport.InlineHandler: every request the node
+// serves comes through here, on the connection's read loop or, from an agent
+// or client on this node, on the caller's goroutine. A ping, and a request for
+// an agent the node does not host, is answered at once; an agent transfer is
+// decoded and launched on a goroutine of its own, with a copy of its frame. An
+// agent request is offered to a ConcurrentBehavior's HandleConcurrent,
+// answered at once when accepted; everything else is pushed onto the agent's
+// mailbox with a copy of its frame, and the mailbox loop replies once the
+// behaviour has served it (hosted.mailboxLoop) — no goroutine waits for it.
+// The one exception is a ConcurrentBehavior with a service time, whose charge
+// is a sleep a read loop must not take: the offer, the charge and the reply,
+// or the push, run on a goroutine of the request's own. The request's server
+// span opens here and ends as its answer is given.
+func (n *Node) handleInline(ctx context.Context, r transport.Replier, agent, kind string, payload []byte) {
 	if agent == "" {
-		if kind != kindNodePing {
-			return false
+		switch kind {
+		case kindNodePing:
+			r.Reply(nil, nil)
+		case kindAgentTransfer:
+			payload = bytes.Clone(payload)
+			go func() { r.Reply(nil, n.acceptTransfer(payload)) }()
+		default:
+			r.Reply(nil, fmt.Errorf("node %s: unknown message kind %q", n.id, kind))
 		}
-		r.Reply(nil, nil)
-		return true
+		return
 	}
 	h, err := n.hostOf(ids.AgentID(agent))
 	if err != nil {
 		r.Reply(nil, err)
-		return true
+		return
 	}
 	n.requests.Inc()
 	sc := trace.FromContext(ctx)
@@ -583,34 +524,38 @@ func (n *Node) handleInline(ctx context.Context, r transport.Replier, agent, kin
 	if concurrent && h.serviceTime > 0 {
 		w.ownFrame()
 		go h.offerOrEnqueue(cb, w)
-		return true
+		return
 	}
 	if !concurrent || !h.offer(cb, &w) {
 		w.ownFrame()
 		h.enqueue(w)
 	}
-	return true
 }
 
 // answerLocal offers a same-node call to the target's AnswerLocal, if it has
 // one, with the accounting a delivered request gets: the request counters, a
 // server span for sampled requests, the service time charged on the caller's
-// goroutine within ctx. answered=false means nothing happened and the call
-// takes the ordinary path.
-func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.AgentID, kind string, req, resp any) (answered bool, err error) {
-	if resp == nil {
-		return false, nil
-	}
+// goroutine within ctx. A call on a closed node is answered too, with
+// ErrNodeClosed. answered=false means nothing happened and the call takes the
+// ordinary path. An error has the shape the ordinary path gives it: the
+// behaviour's is a *transport.RemoteError, an expired ctx's unwraps to
+// ctx.Err().
+func (n *Node) answerLocal(ctx context.Context, agent ids.AgentID, kind string, req, resp any) (answered bool, err error) {
 	n.mu.Lock()
 	h, ok := n.agents[agent]
+	closed := n.closed
 	n.mu.Unlock()
-	if !ok {
+	if closed {
+		return true, fmt.Errorf("call %s@%s %s: %w", agent, n.id, kind, ErrNodeClosed)
+	}
+	if !ok || resp == nil {
 		return false, nil
 	}
 	la, ok := h.behavior.(LocalAnswerer)
 	if !ok || h.stopped.Load() {
 		return false, nil
 	}
+	sc := trace.FromContext(ctx)
 	sp := n.tracer.StartSpan(sc, "server", kind)
 	if sp != nil {
 		sc = sp.Context()
@@ -625,64 +570,41 @@ func (n *Node) answerLocal(ctx context.Context, sc trace.SpanContext, agent ids.
 		err = h.chargeServiceTime(ctx)
 	}
 	sp.End(err)
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		err = fmt.Errorf("call %s@%s %s: %w", agent, n.id, kind, ctx.Err())
+	case !errors.Is(err, ErrNodeClosed):
+		err = &transport.RemoteError{Kind: kind, To: n.id.Addr(), Msg: err.Error()}
+	}
 	return true, err
 }
 
-// handle serves the node-level kinds handleInline declines: agent transfers.
-func (n *Node) handle(_ context.Context, _ transport.Addr, _, kind string, payload []byte) (any, error) {
-	if kind != kindAgentTransfer {
-		return nil, fmt.Errorf("node %s: unknown message kind %q", n.id, kind)
-	}
+// acceptTransfer launches the agent a transfer carries.
+func (n *Node) acceptTransfer(payload []byte) error {
 	var xfer agentTransfer
 	if err := transport.Decode(payload, &xfer); err != nil {
-		return nil, fmt.Errorf("node %s: bad agent transfer: %w", n.id, err)
+		return fmt.Errorf("node %s: bad agent transfer: %w", n.id, err)
 	}
 	if xfer.Behavior.B == nil {
-		return nil, fmt.Errorf("node %s: transfer of %s carried no behavior", n.id, xfer.Agent)
+		return fmt.Errorf("node %s: transfer of %s carried no behavior", n.id, xfer.Agent)
 	}
 	err := n.Launch(xfer.Agent, xfer.Behavior.B, WithServiceTime(time.Duration(xfer.ServiceTimeNS)))
 	if err == nil {
 		n.transfersIn.Inc()
 	}
-	return nil, err
+	return err
 }
 
 // hostOf returns the agent hosted under id, or the agent-not-found error a
-// request for it is answered with.
+// request for it is answered with — on a closed node too, which hosts
+// nothing: only the error's text reaches the caller.
 func (n *Node) hostOf(id ids.AgentID) (*hosted, error) {
 	n.mu.Lock()
 	h, ok := n.agents[id]
-	closed := n.closed
 	n.mu.Unlock()
-	if ok {
-		return h, nil
+	if !ok {
+		return nil, fmt.Errorf("%s%s not at %s", agentNotFoundPrefix, id, n.id)
 	}
-	err := fmt.Errorf("%s%s not at %s", agentNotFoundPrefix, id, n.id)
-	if closed {
-		// Still agent-not-found to a remote caller (only the text crosses
-		// the wire); a local caller can tell the node itself is gone.
-		err = fmt.Errorf("%w: %w", err, ErrNodeClosed)
-	}
-	return nil, err
-}
-
-// deliver routes a request to the target agent — through HandleConcurrent
-// when the behaviour offers it and accepts the request, otherwise into the
-// serial mailbox — and waits for the result, or for ctx to expire while the
-// request is parked in the mailbox. For sampled requests a server span wraps
-// the whole delivery (mailbox queueing included), and its context becomes the
-// parent of whatever calls the behaviour makes.
-func (n *Node) deliver(ctx context.Context, sc trace.SpanContext, agent ids.AgentID, kind string, payload []byte) (any, error) {
-	h, err := n.hostOf(agent)
-	if err != nil {
-		return nil, err
-	}
-	n.requests.Inc()
-	sp := n.tracer.StartSpan(sc, "server", kind)
-	if sp != nil {
-		sc = sp.Context()
-	}
-	result, err := h.serve(ctx, sc, kind, payload)
-	sp.End(err)
-	return result, err
+	return h, nil
 }

@@ -427,13 +427,13 @@ func TestTCPReplyIsNeverDialedFor(t *testing.T) {
 			}
 			defer srvLink.Close()
 			srv, err := NewServingPeer(srvLink, "server",
-				func(_ context.Context, r Replier, _, _ string, _ []byte) bool {
+				func(_ context.Context, r Replier, _, _ string, _ []byte) {
 					if inline {
 						r.Reply(nil, nil)
+					} else {
+						go r.Reply(nil, nil)
 					}
-					return inline
-				},
-				func(context.Context, Addr, string, string, []byte) (any, error) { return nil, nil }, nil)
+				}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -510,11 +510,10 @@ func TestInlineServedWhileRepliesCannotBeWritten(t *testing.T) {
 	}
 	defer srvLink.Close()
 	var served atomic.Int64
-	srv, err := NewServingPeer(srvLink, "server", func(_ context.Context, r Replier, _, _ string, _ []byte) bool {
+	srv, err := NewServingPeer(srvLink, "server", func(_ context.Context, r Replier, _, _ string, _ []byte) {
 		served.Add(1)
 		r.Reply(nil, nil)
-		return true
-	}, nil, nil)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,10 @@ func newInlinePair(t *testing.T) *Peer {
 	}
 	t.Cleanup(func() { srvLink.Close() })
 	plain := &hotResp{Version: 7}
-	inline := func(_ context.Context, r Replier, _, _ string, _ []byte) bool {
+	inline := func(_ context.Context, r Replier, _, _ string, _ []byte) {
 		r.Reply(plain, nil)
-		return true
 	}
-	srv, err := NewServingPeer(srvLink, "inline-server", inline, nil, nil)
+	srv, err := NewServingPeer(srvLink, "inline-server", inline, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +85,9 @@ func TestInlineHandlerRepliesLater(t *testing.T) {
 	}
 	defer srvLink.Close()
 	taken := make(chan Replier, 1)
-	srv, err := NewServingPeer(srvLink, "later-server", func(_ context.Context, r Replier, _, _ string, _ []byte) bool {
+	srv, err := NewServingPeer(srvLink, "later-server", func(_ context.Context, r Replier, _, _ string, _ []byte) {
 		taken <- r
-		return true
-	}, nil, nil)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

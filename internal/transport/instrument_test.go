@@ -73,18 +73,20 @@ func TestTransportCountersCountWhatTheyName(t *testing.T) {
 			}
 			cliReg, srvReg := metrics.New(), metrics.New()
 			release := make(chan struct{})
-			server, err := NewServingPeer(Instrument(srvLink, srvReg), "server", nil, func(_ context.Context, _ Addr, _, kind string, _ []byte) (any, error) {
-				if kind == "block" {
-					<-release
-				}
-				return echoResp{Text: kind}, nil
+			server, err := NewServingPeer(Instrument(srvLink, srvReg), "server", func(_ context.Context, r Replier, _, kind string, _ []byte) {
+				go func() {
+					if kind == "block" {
+						<-release
+					}
+					r.Reply(echoResp{Text: kind}, nil)
+				}()
 			}, srvReg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(server.Close)
 			t.Cleanup(func() { close(release) }) // before server.Close, which waits for the handler
-			client, err := NewServingPeer(Instrument(cliLink, cliReg), "client", nil, nil, cliReg)
+			client, err := NewServingPeer(Instrument(cliLink, cliReg), "client", nil, cliReg)
 			if err != nil {
 				t.Fatal(err)
 			}

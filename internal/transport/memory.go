@@ -14,9 +14,8 @@ import (
 type LatencyFunc func(from, to Addr) time.Duration
 
 // FixedLatency returns a LatencyFunc with constant latency on every
-// envelope, loopback envelopes included. Agent calls within one node never
-// become envelopes (platform delivers them in-process), so this charges
-// loopback only to a Peer.Call to one's own address.
+// envelope. A Peer's call to its own address never becomes an envelope
+// (Peer.Go), so a call within one node is never charged it.
 func FixedLatency(d time.Duration) LatencyFunc {
 	return func(Addr, Addr) time.Duration { return d }
 }
@@ -202,9 +201,8 @@ func (n *Network) SetDropProb(p float64) {
 }
 
 // Partition blocks traffic between a and b in both directions. With a == b
-// it blocks only a's loopback envelopes (a Peer.Call to its own address):
-// agent calls within one node are delivered in-process by the platform and
-// never reach the link.
+// it blocks nothing: a Peer's call to its own address never reaches the link
+// (Peer.Go), so a node cannot be cut off from itself.
 func (n *Network) Partition(a, b Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -22,36 +22,45 @@ import (
 // own, so a handler may block and may issue Calls.
 type RequestHandler func(ctx context.Context, from Addr, kind string, payload []byte) (any, error)
 
-// AgentHandler is a RequestHandler that also hears the agent the request is
-// addressed to: empty for a request to the endpoint itself (Call), the
-// callee's name for one posted to an agent (Go).
-type AgentHandler func(ctx context.Context, from Addr, agent, kind string, payload []byte) (any, error)
+// InlineHandler serves every request that reaches a Peer, with the agent it
+// names (empty for a request to the endpoint itself) and its kind. It runs on
+// the goroutine that read the request off the connection or, for a call the
+// peer makes to its own address, on the caller's goroutine, and it must
+// neither block nor call out: until it returns nothing else arrives from that
+// peer, the replies to its own calls included. It answers the request through
+// r exactly once: before it returns, or later from any goroutine (Replier) —
+// what has to block or call out first goes to a goroutine or a queue of the
+// handler's choosing. payload is valid only until it returns, so a request
+// kept for later keeps a copy.
+type InlineHandler func(ctx context.Context, r Replier, agent, kind string, payload []byte)
 
-// InlineHandler is offered every inbound request first, on the goroutine that
-// read it off the connection. It takes the request — returns true — only when
-// it can do so at once: it must neither block nor call out, because until it
-// returns nothing else arrives from that peer, the replies to its own calls
-// included. A request it takes is answered through r, exactly once: before it
-// returns, or later from any goroutine (Replier). payload is valid only until
-// it returns, so a request kept for later keeps a copy. Declining costs nothing
-// but the look: the request then goes to the AgentHandler on its own
-// goroutine.
-type InlineHandler func(ctx context.Context, r Replier, agent, kind string, payload []byte) bool
-
-// Replier answers one request an InlineHandler took. It holds the request's
-// place in Peer.Close's wait until Reply, which must be called exactly once.
+// Replier answers one request an InlineHandler was handed. It holds the
+// request's place in Peer.Close's wait until Reply, which must be called
+// exactly once.
 type Replier struct {
 	p    *Peer
 	to   Addr
 	kind string
 	corr uint64
+	// self marks a call the peer made to its own address: its answer goes
+	// straight to the call's slot, not onto the link, and, with discard set,
+	// the call wants no response, so a body is not even encoded.
+	self, discard bool
 }
 
-// Reply queues the answer — body, or err when it is non-nil — for the
-// requester's connection and releases the request. It waits for no socket
-// (Peer.reply), so it is safe on a read loop.
+// Reply answers the request — body, or err when it is non-nil — and releases
+// it: it queues the reply for the requester's connection (Peer.reply) or, for
+// a call the peer made to itself, completes the call (Peer.answer). It waits
+// for no socket, so it is safe on a read loop.
 func (r Replier) Reply(body any, err error) {
-	r.p.reply(r.to, r.kind, r.corr, body, err)
+	if r.self {
+		if r.discard {
+			body = nil
+		}
+		r.p.answer(r.corr, body, err)
+	} else {
+		r.p.reply(r.to, r.kind, r.corr, body, err)
+	}
 	r.p.wg.Done()
 }
 
@@ -61,7 +70,6 @@ func (r Replier) Reply(body any, err error) {
 type Peer struct {
 	link   Link
 	addr   Addr
-	h      AgentHandler
 	inline InlineHandler
 	reg    *metrics.Registry
 
@@ -82,9 +90,10 @@ type callSlot struct {
 	ch    chan callResult // capacity 1: at most one result per correlation id
 	timer *time.Timer     // stopped between calls
 	// buf is the slot's reply buffer: a reply the link lent out of its read
-	// buffer is copied here, under Peer.mu as it is delivered, and decoded
-	// from here by Wait. The next call through the slot reuses it, so no
-	// response may keep a view of it (Decode).
+	// buffer, or the answer to a call to the peer's own address, is copied
+	// here, under Peer.mu as it is delivered, and decoded from here by Wait.
+	// The next call through the slot reuses it, so no response may keep a
+	// view of it (Decode).
 	buf []byte
 	// conn, guarded by Peer.mu while the slot is in pending, is the
 	// connection the request was written to, once it has been.
@@ -118,30 +127,36 @@ var slotPool = sync.Pool{New: func() any {
 }}
 
 // NewPeer binds a Peer to addr on the link. The handler serves inbound
-// requests, whatever agent they name; it may be nil for call-only peers.
+// requests, whatever agent they name, each on a goroutine of its own with a
+// copy of its payload; it may be nil for call-only peers.
 func NewPeer(link Link, addr Addr, h RequestHandler) (*Peer, error) {
-	var ah AgentHandler
+	var inline InlineHandler
 	if h != nil {
-		ah = func(ctx context.Context, from Addr, _, kind string, payload []byte) (any, error) {
-			return h(ctx, from, kind, payload)
+		inline = func(ctx context.Context, r Replier, _, kind string, payload []byte) {
+			payload = bytes.Clone(payload)
+			go func() { r.Reply(h(ctx, r.to, kind, payload)) }()
 		}
 	}
-	return NewServingPeer(link, addr, nil, ah, nil)
+	return NewServingPeer(link, addr, inline, nil)
 }
 
-// NewServingPeer is NewPeer with an InlineHandler in front of the request
-// handler (nil: every request goes to h) and RPC instrumentation: completed
-// calls observe agentloc_transport_rpc_latency_seconds{kind} and calls
-// abandoned on context expiry count into
+// NewServingPeer binds a Peer whose requests h serves (nil: every request is
+// answered with an error) and instruments its calls to other addresses:
+// completed calls observe agentloc_transport_rpc_latency_seconds{kind} and
+// calls abandoned on context expiry count into
 // agentloc_transport_rpc_timeouts_total{kind}. A nil registry yields an
 // uninstrumented peer.
-func NewServingPeer(link Link, addr Addr, inline InlineHandler, h AgentHandler, reg *metrics.Registry) (*Peer, error) {
+func NewServingPeer(link Link, addr Addr, h InlineHandler, reg *metrics.Registry) (*Peer, error) {
 	describeTransportMetrics(reg)
+	if h == nil {
+		h = func(_ context.Context, r Replier, _, _ string, _ []byte) {
+			r.Reply(nil, fmt.Errorf("no handler at %s", addr))
+		}
+	}
 	p := &Peer{
 		link:    link,
 		addr:    addr,
-		h:       h,
-		inline:  inline,
+		inline:  h,
 		reg:     reg,
 		pending: make(map[uint64]*callSlot),
 	}
@@ -181,7 +196,7 @@ type Pending struct {
 }
 
 // Settled returns a Pending whose Wait returns err at once: the outcome of a
-// call answered without the link, or one that could not start.
+// call answered before it reached a Peer, or one that could not start.
 func Settled(err error) Pending { return Pending{err: err} }
 
 // Go starts a call: it registers the call and posts the request — one
@@ -190,8 +205,14 @@ func Settled(err error) Pending { return Pending{err: err} }
 // Pending's Wait collects. ctx bounds both. A caller with several calls to make
 // posts them all before waiting for any (Reap), so they are in flight together
 // without a goroutine each.
+//
+// A call to the peer's own address never reaches the link: req is encoded
+// into a pooled buffer and handed to the peer's own handler on the caller's
+// goroutine (serveSelf), and its Replier completes the call. It adds no hop,
+// moves no transport counter and records no RPC latency or timeout.
 func (p *Peer) Go(ctx context.Context, to Addr, agent, kind string, req, resp any) Pending {
 	s := slotPool.Get().(*callSlot)
+	self := to == p.addr
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -202,13 +223,21 @@ func (p *Peer) Go(ctx context.Context, to Addr, agent, kind string, req, resp an
 	corr := p.nextCorr
 	s.conn = nil
 	p.pending[corr] = s
+	if self {
+		p.wg.Add(1)
+	}
 	p.mu.Unlock()
 
 	s.p, s.ctx, s.to, s.kind, s.resp, s.corr = p, ctx, to, kind, resp, corr
+	sc := trace.FromContext(ctx)
+	if self {
+		r := Replier{p: p, to: to, kind: kind, corr: corr, self: true, discard: resp == nil}
+		return Pending{s: s, err: p.serveSelf(sc, r, agent, req)}
+	}
 	env := Envelope{From: p.addr, To: to, Agent: agent, Kind: kind, Corr: corr}
 	// Stamp the caller's trace context onto the wire, charging one network
 	// hop. The receiver parents its spans under env.Trace.SpanID.
-	if sc := trace.FromContext(ctx); sc.Valid() {
+	if sc.Valid() {
 		sc.Hop++
 		env.Trace = sc
 	}
@@ -216,6 +245,22 @@ func (p *Peer) Go(ctx context.Context, to Addr, agent, kind string, req, resp an
 		s.start = time.Now()
 	}
 	return Pending{s: s, err: p.link.post(ctx, env, req, p)}
+}
+
+// serveSelf hands the request of a call the peer makes to itself to its
+// handler, with r to answer it. The payload is a pooled buffer, the handler's
+// until it returns; a request that cannot be encoded fails the call, as post
+// would.
+func (p *Peer) serveSelf(sc trace.SpanContext, r Replier, agent string, req any) error {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	var err error
+	if *buf, err = AppendV(*buf, req, wire.MsgVersion); err != nil {
+		p.wg.Done()
+		return &encodeError{err}
+	}
+	p.inline(handlerContext(sc), r, agent, r.kind, *buf)
+	return nil
 }
 
 // Wait finishes the call Go started: it waits for the reply, a send failure
@@ -243,6 +288,10 @@ const maxSlotBuf = 64 << 10
 // post's outcome.
 func (s *callSlot) finish(err error) error {
 	p, ctx, to, kind, resp, start := s.p, s.ctx, s.to, s.kind, s.resp, s.start
+	reg := p.reg
+	if to == p.addr {
+		reg = nil // a call to ourselves is not an RPC
+	}
 	res := callResult{}
 	if err == nil {
 		res, err = s.await(ctx)
@@ -262,15 +311,15 @@ func (s *callSlot) finish(err error) error {
 	if err == nil {
 		err = res.err
 	} else if ctx.Err() != nil {
-		p.reg.Counter(metricRPCTmo, "kind", kind).Inc()
+		reg.Counter(metricRPCTmo, "kind", kind).Inc()
 	}
 	if err != nil {
 		return fmt.Errorf("call %s %s: %w", to, kind, err)
 	}
-	if p.reg != nil {
+	if reg != nil {
 		// Remote errors still complete the round trip, so they count
 		// toward latency; only abandoned calls are excluded.
-		p.reg.Histogram(metricRPCLat, metrics.DefLatencyBuckets, "kind", kind).
+		reg.Histogram(metricRPCLat, metrics.DefLatencyBuckets, "kind", kind).
 			ObserveDuration(time.Since(start))
 	}
 	if res.reply.ErrMsg != "" {
@@ -450,8 +499,8 @@ func (p *Peer) connLost(c *tcpConn, err error) {
 }
 
 // Close unbinds the peer, fails every outstanding Call with ErrClosed and
-// waits for in-flight handler invocations to finish, and for every request an
-// InlineHandler took to be answered through its Replier.
+// waits for every request its handler was handed to be answered through its
+// Replier.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -469,11 +518,10 @@ func (p *Peer) Close() {
 }
 
 // deliver implements endpoint: replies go to their waiting calls, requests to
-// the inline handler and, when it declines, to the request handler on a
-// goroutine of their own — handlers may block and may issue their own Calls;
-// serialization, where needed, is the receiver's concern (agent mailboxes
-// provide it). A request without a correlation id has no call waiting for its
-// answer — no Peer sends one — and is dropped unserved.
+// the handler, on the link's goroutine; serialization, where needed, is the
+// receiver's concern (agent mailboxes provide it). A request without a
+// correlation id has no call waiting for its answer — no Peer sends one — and
+// is dropped unserved.
 func (p *Peer) deliver(env Envelope, borrowed bool) {
 	if env.Reply {
 		p.complete(env.Corr, callResult{reply: env}, borrowed)
@@ -492,29 +540,7 @@ func (p *Peer) deliver(env Envelope, borrowed bool) {
 	p.mu.Unlock()
 
 	r := Replier{p: p, to: env.From, kind: env.Kind, corr: env.Corr}
-	if p.inline != nil && p.inline(handlerContext(env.Trace), r, env.Agent, env.Kind, env.Payload) {
-		return
-	}
-	payload := env.Payload
-	if borrowed {
-		payload = bytes.Clone(payload)
-	}
-	// The goroutine gets the fields it uses, not env: an Envelope is too big
-	// for a closure to capture by value, and capturing it by reference would
-	// move every delivered envelope to the heap.
-	from, agent, sc := env.From, env.Agent, env.Trace
-	go func() {
-		var (
-			body any
-			err  error
-		)
-		if p.h != nil {
-			body, err = p.h(handlerContext(sc), from, agent, r.kind, payload)
-		} else {
-			err = fmt.Errorf("no handler at %s", p.addr)
-		}
-		r.Reply(body, err)
-	}()
+	p.inline(handlerContext(env.Trace), r, env.Agent, env.Kind, env.Payload)
 }
 
 // handlerContext is the context a handler runs under: the envelope's trace
@@ -542,6 +568,25 @@ func (p *Peer) reply(to Addr, kind string, corr uint64, body any, err error) {
 			_ = p.link.post(context.Background(), reply, nil, nil)
 		}
 	}
+}
+
+// answer completes the call the peer made to itself under corr with the
+// handler's outcome, as a reply off the link would: the body is encoded into
+// a pooled buffer, which complete copies into the call's slot.
+func (p *Peer) answer(corr uint64, body any, err error) {
+	var res callResult
+	if err != nil {
+		res.reply.ErrMsg = err.Error()
+	} else if body != nil {
+		buf := wire.GetBuf()
+		defer wire.PutBuf(buf)
+		if *buf, err = AppendV(*buf, body, wire.MsgVersion); err != nil {
+			res.reply.ErrMsg = fmt.Sprintf("encode response: %v", err)
+		} else {
+			res.reply.Payload = *buf
+		}
+	}
+	p.complete(corr, res, true)
 }
 
 // Encode encodes a message payload as every link sends it, to every peer. The
@@ -586,8 +631,9 @@ func AppendV(dst []byte, v any, ver uint16) ([]byte, error) {
 // is wire.ErrUnsupportedVersion.
 //
 // A reply payload belongs to its call until Wait returns: a call slot's reply
-// buffer, into which TCP's read buffer is copied, or what Network and a
-// same-node call encoded afresh, which is reused once the call is over. So a
+// buffer, into which TCP's read buffer and the answer to a call to one's own
+// address are copied, or what Network encoded afresh, which is reused once the
+// call is over. So a
 // decoder copies out whatever it keeps: no response keeps a view of data —
 // a string that shares its bytes — past Decode.
 func Decode(data []byte, v any) error {

@@ -5,7 +5,8 @@
 //   - Peer, the only way onto and off a link: a request/response (RPC)
 //     endpoint with correlation ids, deadlines and remote error propagation.
 //     Calls post envelopes to the link; the link delivers inbound envelopes to
-//     the Peer bound at their address.
+//     the Peer bound at their address. A call to the Peer's own address is
+//     handed to its handler without the link.
 //   - Link, the envelope carrier beneath it, with two implementations:
 //     Network, an in-process simulated LAN with configurable latency, jitter,
 //     message loss and partitions, which experiments and tests run on; and

@@ -170,13 +170,9 @@ func TestTCPRefusesOldFrameVersion(t *testing.T) {
 	defer link.Close()
 	var served atomic.Int64
 	srv, err := NewServingPeer(link, "server",
-		func(context.Context, Replier, string, string, []byte) bool {
+		func(_ context.Context, r Replier, _, _ string, _ []byte) {
 			served.Add(1)
-			return false
-		},
-		func(context.Context, Addr, string, string, []byte) (any, error) {
-			served.Add(1)
-			return nil, nil
+			r.Reply(nil, nil)
 		}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -240,13 +236,9 @@ func TestPeerDropsRequestWithoutCorr(t *testing.T) {
 		mu.Unlock()
 	}
 	srv, err := NewServingPeer(link, "server",
-		func(_ context.Context, _ Replier, _, kind string, _ []byte) bool {
-			note("inline " + kind)
-			return false
-		},
-		func(_ context.Context, _ Addr, _, kind string, _ []byte) (any, error) {
+		func(_ context.Context, r Replier, _, kind string, _ []byte) {
 			note("handler " + kind)
-			return nil, nil
+			r.Reply(nil, nil)
 		}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +268,7 @@ func TestPeerDropsRequestWithoutCorr(t *testing.T) {
 		t.Errorf("answer = %+v, want the reply to corr 1", reply)
 	}
 	srv.Close() // waits for every handler still running
-	if want := []string{"inline call", "handler call"}; !reflect.DeepEqual(seen, want) {
+	if want := []string{"handler call"}; !reflect.DeepEqual(seen, want) {
 		t.Errorf("handlers saw %q, want %q", seen, want)
 	}
 }
