@@ -78,7 +78,12 @@ fuzz:
 # recovery suites, the leaf-state model, the mail-across-rehash tests and the
 # client's §4.3 loop conformance under the race detector; the transport tests
 # whose outcome must not hang on scheduling (write coalescing, exact counters,
-# uncorrelated requests, a refused old frame, one envelope per agent call),
+# uncorrelated requests, a refused old frame, one envelope per agent call) and
+# the reply-path tests (a reply riding its request's connection, never dialed
+# for, sent to a peer without a directory entry, queued while its connection
+# takes nothing, and a late reply missing a recycled call slot: a reply crosses
+# from a mailbox goroutine onto a connection it did not route to, and a lost
+# wake-up or a recycled slot hearing a late reply shows here),
 # the call-group tests (landing order, a settled leg, a stalled leg, an answer
 # past the deadline, nothing left registered), the fan-out tests (legs
 # posted from the caller, a stalled leaf costing one deadline, discovery
@@ -97,7 +102,7 @@ fuzz:
 # kill-and-cold-start scenario on the simulated LAN.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers|LHAgent' ./...
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'Coalesces|CountWhatTheyName|WithoutCorr|OldFrameVersion|OneEnvelope' ./internal/transport
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'Coalesces|CountWhatTheyName|WithoutCorr|OldFrameVersion|OneEnvelope|ReplyRides|ReplyIsNeverDialed|LearnedRoute|InlineServedWhileReplies|LateReply' ./internal/transport
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|FanOutAnswers|DiscoverAnswersSurvive|PooledCallsSurvive|LHAgent|QueuedUpdates|PipelinedUpdates' ./internal/core
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Reap' ./internal/transport
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'HAgentStalledPushes' ./internal/core

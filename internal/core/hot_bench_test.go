@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"agentloc/internal/ids"
@@ -12,9 +16,10 @@ import (
 
 // newHotTCPPair deploys the mechanism on two untraced nodes over loopback
 // TCP: the HAgent and every IAgent on node-0, the returned client on node-1,
-// so every Locate is a local whois plus one socket round trip. It registers n
-// agents, splits iagent-1 until the hash function has the given number of
-// leaves, and returns the agents' ids.
+// so every Locate is a local whois plus one socket round trip. Each node has
+// dialed the other, as in a cluster whose nodes all call each other. It
+// registers n agents, splits iagent-1 until the hash function has the given
+// number of leaves, and returns the agents' ids.
 func newHotTCPPair(tb testing.TB, n, leaves int) (*Client, []ids.AgentID) {
 	tb.Helper()
 	links := make([]*transport.TCP, 2)
@@ -42,6 +47,13 @@ func newHotTCPPair(tb testing.TB, n, leaves int) (*Client, []ids.AgentID) {
 	svc, err := Deploy(context.Background(), cfg, nodes)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	// Nothing in the set-up calls from node-0 to node-1, so node-0 would
+	// never dial back. Any round trip dials; an LHAgent refuses a read from
+	// another node with a remote error.
+	var remote *transport.RemoteError
+	if err := nodes[0].CallAgent(context.Background(), "node-1", LHAgentID("node-1"), KindLeaves, &LeavesReq{}, &LeavesResp{}); !errors.As(err, &remote) {
+		tb.Fatalf("node-0's call to node-1 ended with %v, want a remote error", err)
 	}
 	client := svc.ClientFor(nodes[1])
 	targets := make([]ids.AgentID, n)
@@ -87,17 +99,53 @@ func splitLeaf(tb testing.TB, svc *Service, leaf ids.AgentID, agents []ids.Agent
 // BenchmarkLocateRemoteTCP times Client.Locate through the whole remote
 // path — whois at the local LHAgent, codec, a real loopback socket, the
 // IAgent's concurrent fast path, the table and back — without the
-// benchmark's 2^20 set-up.
+// benchmark's 2^20 set-up. tcp_segs/op counts the TCP segments sent per
+// Locate, both directions and pure ACKs included; it is left out where the
+// kernel's counters cannot be read.
 func BenchmarkLocateRemoteTCP(b *testing.B) {
 	client, targets := newHotTCPPair(b, 1024, 1)
 	ctx := context.Background()
 	b.ReportAllocs()
+	segs, segsOK := tcpOutSegs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := client.Locate(ctx, targets[i%len(targets)]); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if end, ok := tcpOutSegs(); ok && segsOK {
+		b.ReportMetric(float64(end-segs)/float64(b.N), "tcp_segs/op")
+	}
+}
+
+// tcpOutSegs reads the Tcp OutSegs counter of /proc/net/snmp: the segments
+// every TCP socket of this network namespace has sent, each side of a
+// loopback connection counting its own. ok is false where it cannot be read.
+func tcpOutSegs() (n uint64, ok bool) {
+	data, err := os.ReadFile("/proc/net/snmp")
+	if err != nil {
+		return 0, false
+	}
+	var names []string
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || fields[0] != "Tcp:" {
+			continue
+		}
+		if names == nil { // the header line precedes the values
+			names = fields
+			continue
+		}
+		for i, name := range names {
+			if name == "OutSegs" && i < len(fields) {
+				n, err := strconv.ParseUint(fields[i], 10, 64)
+				return n, err == nil
+			}
+		}
+		return 0, false
+	}
+	return 0, false
 }
 
 // BenchmarkMoveRemoteTCP times an unbatched Client.MoveNotifyTo with a cached

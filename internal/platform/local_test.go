@@ -178,8 +178,9 @@ func TestLocalCallHonoursDeadlineInMailbox(t *testing.T) {
 	}
 }
 
-// A fast-path request's service time is charged on the caller's goroutine;
-// the caller's deadline cuts the charge short.
+// A fast-path request with a service time is charged on a goroutine of its
+// own, which the caller's deadline does not reach; the deadline cuts the
+// caller's wait for the answer short.
 func TestLocalCallHonoursDeadlineInServiceTime(t *testing.T) {
 	n, _ := newCountingNode(t, Config{ID: "n1"})
 	if err := n.Launch("slow", &concurrentEcho{echoBehavior{Tag: "s"}}, WithServiceTime(5*time.Second)); err != nil {

@@ -461,6 +461,62 @@ func TestTCPReplyIsNeverDialedFor(t *testing.T) {
 	}
 }
 
+// TestReplyRidesRequestConnection: between two links that have each dialed the
+// other, a reply goes back on the connection its request came in on, not on
+// the replier's own connection to the requester. With the replier's own
+// connection stalled, every call from the other side is still answered.
+func TestReplyRidesRequestConnection(t *testing.T) {
+	f := NewFaults()
+	aLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer aLink.Close()
+	bLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0", Faults: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bLink.Close()
+	aLink.AddRoute("b", bLink.ListenAddr())
+	bLink.AddRoute("a", aLink.ListenAddr())
+
+	answer := func(_ context.Context, r Replier, _, _ string, _ []byte) { r.Reply(nil, nil) }
+	a, err := NewServingPeer(aLink, "a", answer, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewServingPeer(bLink, "b", answer, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	releasesAll(t, a)
+	releasesAll(t, b)
+
+	call := func(from *Peer, to Addr) error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		return from.Call(ctx, to, "x", nil, nil)
+	}
+	// Both directions dialed: each link now holds a connection of its own to
+	// the other besides the one the other dialed.
+	if err := call(b, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := call(a, "b"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Only b's own connection to a takes nothing more.
+	f.StallWritesTo(aLink.ListenAddr(), true)
+	for i := 0; i < 10; i++ {
+		if err := call(a, "b"); err != nil {
+			t.Fatalf("call %d from a to b: %v — its reply did not ride the request's connection", i, err)
+		}
+	}
+}
+
 // TestPeerLateReplyMissesRecycledSlot: a reply that arrives after its call
 // gave up must not be taken for the answer to a later call, although the
 // later call waits in the same pooled slot.

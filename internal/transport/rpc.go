@@ -42,6 +42,9 @@ type Replier struct {
 	to   Addr
 	kind string
 	corr uint64
+	// via is the connection the request came in on, which its reply goes
+	// back on (Envelope.via).
+	via *tcpConn
 	// self marks a call the peer made to its own address: its answer goes
 	// straight to the call's slot, not onto the link, and, with discard set,
 	// the call wants no response, so a body is not even encoded.
@@ -59,7 +62,7 @@ func (r Replier) Reply(body any, err error) {
 		}
 		r.p.answer(r.corr, body, err)
 	} else {
-		r.p.reply(r.to, r.kind, r.corr, body, err)
+		r.p.reply(r, body, err)
 	}
 	r.p.wg.Done()
 }
@@ -83,12 +86,12 @@ type Peer struct {
 
 // callSlot is where one outstanding call waits, from Go to Wait. Slots are
 // pooled; what keeps a recycled slot from hearing its previous call's late
-// reply is that results are delivered under Peer.mu to the slot pending[corr]
+// reply is that results are written under Peer.mu to the slot pending[corr]
 // names, and a call takes its entry out of pending before its slot goes back
 // to the pool.
 type callSlot struct {
-	ch    chan callResult // capacity 1: at most one result per correlation id
-	timer *time.Timer     // stopped between calls
+	done  chan struct{} // capacity 1: signalled once the result is in
+	timer *time.Timer   // stopped between calls
 	// buf is the slot's reply buffer: a reply the link lent out of its read
 	// buffer, or the answer to a call to the peer's own address, is copied
 	// here, under Peer.mu as it is delivered, and decoded from here by Wait.
@@ -103,6 +106,14 @@ type callSlot struct {
 	landed chan<- int
 	idx    int
 
+	// The result, written under Peer.mu by whoever takes the slot out of
+	// pending, before done is signalled, and read by Wait after it: why no
+	// reply will come, or the reply's remote error or payload — buf, or a
+	// payload the link encoded for this call alone.
+	err    error
+	errMsg string
+	reply  []byte
+
 	// The call itself, written by Go and read by Wait, both on the caller's
 	// goroutine, and cleared before the slot goes back to the pool.
 	p     *Peer
@@ -114,16 +125,10 @@ type callSlot struct {
 	start time.Time
 }
 
-// callResult ends a call: the reply envelope, or why none will come.
-type callResult struct {
-	reply Envelope
-	err   error
-}
-
 var slotPool = sync.Pool{New: func() any {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &callSlot{ch: make(chan callResult, 1), timer: t}
+	return &callSlot{done: make(chan struct{}, 1), timer: t}
 }}
 
 // NewPeer binds a Peer to addr on the link. The handler serves inbound
@@ -273,6 +278,7 @@ func (c Pending) Wait() error {
 	}
 	err := s.finish(c.err)
 	s.p, s.ctx, s.resp, s.landed = nil, nil, nil, nil
+	s.err, s.errMsg, s.reply = nil, "", nil
 	if cap(s.buf) > maxSlotBuf {
 		s.buf = nil
 	}
@@ -292,24 +298,23 @@ func (s *callSlot) finish(err error) error {
 	if to == p.addr {
 		reg = nil // a call to ourselves is not an RPC
 	}
-	res := callResult{}
 	if err == nil {
-		res, err = s.await(ctx)
+		err = s.await(ctx)
 	}
 	if err != nil {
 		// Nobody delivered: the entry is still ours to remove. A result that
-		// raced the removal was sent under p.mu before it, so the drain below
-		// sees it and the slot goes back empty.
+		// raced the removal was signalled under p.mu before it, so the drain
+		// below sees it and the slot goes back empty (Wait clears the result).
 		p.mu.Lock()
 		delete(p.pending, s.corr)
 		p.mu.Unlock()
 		select {
-		case <-s.ch:
+		case <-s.done:
 		default:
 		}
 	}
 	if err == nil {
-		err = res.err
+		err = s.err
 	} else if ctx.Err() != nil {
 		reg.Counter(metricRPCTmo, "kind", kind).Inc()
 	}
@@ -322,13 +327,13 @@ func (s *callSlot) finish(err error) error {
 		reg.Histogram(metricRPCLat, metrics.DefLatencyBuckets, "kind", kind).
 			ObserveDuration(time.Since(start))
 	}
-	if res.reply.ErrMsg != "" {
-		return &RemoteError{Kind: kind, To: to, Msg: res.reply.ErrMsg}
+	if s.errMsg != "" {
+		return &RemoteError{Kind: kind, To: to, Msg: s.errMsg}
 	}
 	if resp == nil {
 		return nil
 	}
-	if err = Decode(res.reply.Payload, resp); err != nil {
+	if err = Decode(s.reply, resp); err != nil {
 		return fmt.Errorf("call %s %s: decode: %w", to, kind, err)
 	}
 	return nil
@@ -338,10 +343,10 @@ func (s *callSlot) finish(err error) error {
 // timer (see WaitChans). A result that is already there wins over an expiry
 // that is too: a Reap whose deadline passed waits for every call still out
 // then, and a reply that came in before it got to that call still counts.
-func (s *callSlot) await(ctx context.Context) (callResult, error) {
+func (s *callSlot) await(ctx context.Context) error {
 	select {
-	case res := <-s.ch:
-		return res, nil
+	case <-s.done:
+		return nil
 	default:
 	}
 	done, expired := WaitChans(ctx, s.timer)
@@ -349,12 +354,12 @@ func (s *callSlot) await(ctx context.Context) (callResult, error) {
 		defer s.timer.Stop()
 	}
 	select {
-	case res := <-s.ch:
-		return res, nil
+	case <-s.done:
+		return nil
 	case <-done:
-		return callResult{}, ctx.Err()
+		return ctx.Err()
 	case <-expired:
-		return callResult{}, context.DeadlineExceeded
+		return context.DeadlineExceeded
 	}
 }
 
@@ -438,47 +443,51 @@ func (c Pending) watch(landed chan<- int, i int) bool {
 	return true
 }
 
-// complete hands the call waiting under corr its result; a call that already
-// ended — answered, failed or given up — is not there any more, and the result
-// is dropped. A borrowed reply payload, valid only until complete returns, is
-// copied into the slot's reply buffer.
-func (p *Peer) complete(corr uint64, res callResult, borrowed bool) {
+// complete hands the call waiting under corr its reply — the remote error
+// errMsg, or payload; a call that already ended — answered, failed or given up
+// — is not there any more, and the reply is dropped. A borrowed payload, valid
+// only until complete returns, is copied into the slot's reply buffer.
+func (p *Peer) complete(corr uint64, errMsg string, payload []byte, borrowed bool) {
 	p.mu.Lock()
 	if s := p.pending[corr]; s != nil {
 		delete(p.pending, corr)
 		if borrowed {
-			s.buf = append(s.buf[:0], res.reply.Payload...)
-			res.reply.Payload = s.buf
+			s.buf = append(s.buf[:0], payload...)
+			payload = s.buf
 		}
-		s.settle(res)
+		s.errMsg, s.reply = errMsg, payload
+		s.settle(nil)
 	}
 	p.mu.Unlock()
 }
 
-// settle hands the slot its call's result, telling a Reap first, so nothing
-// is sent to its channel once the result can be received. The caller holds
-// Peer.mu and has taken the slot out of pending.
-func (s *callSlot) settle(res callResult) {
+// settle ends the slot's call — with err when no reply will come — and
+// signals done, telling a Reap first, so nothing is sent to its channel once
+// the result can be read. The caller holds Peer.mu, has taken the slot out of
+// pending and has written any reply into it.
+func (s *callSlot) settle(err error) {
+	s.err = err
 	if s.landed != nil {
 		s.landed <- s.idx
 	}
-	s.ch <- res
+	s.done <- struct{}{}
 }
 
 // sendDone implements sendWaiter: a request that could not be written fails
 // its call at once, with the link's error; one that was written remembers on
 // which connection, for connLost.
 func (p *Peer) sendDone(corr uint64, on *tcpConn, err error) {
-	if err != nil {
-		p.complete(corr, callResult{err: err}, false)
-		return
-	}
-	if on == nil {
+	if err == nil && on == nil {
 		return
 	}
 	p.mu.Lock()
 	if s := p.pending[corr]; s != nil {
-		s.conn = on
+		if err != nil {
+			delete(p.pending, corr)
+			s.settle(err)
+		} else {
+			s.conn = on
+		}
 	}
 	p.mu.Unlock()
 }
@@ -492,7 +501,7 @@ func (p *Peer) connLost(c *tcpConn, err error) {
 	for corr, s := range p.pending {
 		if s.conn == c {
 			delete(p.pending, corr)
-			s.settle(callResult{err: fmt.Errorf("connection lost: %w", err)})
+			s.settle(fmt.Errorf("connection lost: %w", err))
 		}
 	}
 	p.mu.Unlock()
@@ -510,7 +519,7 @@ func (p *Peer) Close() {
 	p.closed = true
 	for corr, s := range p.pending {
 		delete(p.pending, corr)
-		s.settle(callResult{err: ErrClosed})
+		s.settle(ErrClosed)
 	}
 	p.mu.Unlock()
 	p.link.Unlisten(p.addr)
@@ -524,7 +533,7 @@ func (p *Peer) Close() {
 // is dropped unserved.
 func (p *Peer) deliver(env Envelope, borrowed bool) {
 	if env.Reply {
-		p.complete(env.Corr, callResult{reply: env}, borrowed)
+		p.complete(env.Corr, env.ErrMsg, env.Payload, borrowed)
 		return
 	}
 	if env.Corr == 0 {
@@ -539,7 +548,7 @@ func (p *Peer) deliver(env Envelope, borrowed bool) {
 	p.wg.Add(1)
 	p.mu.Unlock()
 
-	r := Replier{p: p, to: env.From, kind: env.Kind, corr: env.Corr}
+	r := Replier{p: p, to: env.From, kind: env.Kind, corr: env.Corr, via: env.via}
 	p.inline(handlerContext(env.Trace), r, env.Agent, env.Kind, env.Payload)
 }
 
@@ -552,12 +561,14 @@ func handlerContext(sc trace.SpanContext) context.Context {
 	return trace.ContextWith(context.Background(), sc)
 }
 
-// reply queues the answer to request corr from to. It waits neither for a
-// dial nor for the write (see Link.post), so it is safe on a read loop. A
-// reply that cannot be sent means the requester is unreachable; it will time
-// out, which is the correct observable behaviour.
-func (p *Peer) reply(to Addr, kind string, corr uint64, body any, err error) {
-	reply := Envelope{From: p.addr, To: to, Kind: kind, Corr: corr, Reply: true}
+// reply queues the answer to the request r was handed for, on the connection
+// the request came in on when it came over one. It waits neither for a dial
+// nor for the write (see Link.post), so it is safe on a read loop. A reply
+// that cannot be sent means the requester is unreachable; its call fails with
+// the connection or at its deadline, which is the correct observable
+// behaviour.
+func (p *Peer) reply(r Replier, body any, err error) {
+	reply := Envelope{From: p.addr, To: r.to, Kind: r.kind, Corr: r.corr, Reply: true, via: r.via}
 	if err != nil {
 		reply.ErrMsg, body = err.Error(), nil
 	}
@@ -574,19 +585,22 @@ func (p *Peer) reply(to Addr, kind string, corr uint64, body any, err error) {
 // handler's outcome, as a reply off the link would: the body is encoded into
 // a pooled buffer, which complete copies into the call's slot.
 func (p *Peer) answer(corr uint64, body any, err error) {
-	var res callResult
+	var (
+		errMsg  string
+		payload []byte
+	)
 	if err != nil {
-		res.reply.ErrMsg = err.Error()
+		errMsg = err.Error()
 	} else if body != nil {
 		buf := wire.GetBuf()
 		defer wire.PutBuf(buf)
 		if *buf, err = AppendV(*buf, body, wire.MsgVersion); err != nil {
-			res.reply.ErrMsg = fmt.Sprintf("encode response: %v", err)
+			errMsg = fmt.Sprintf("encode response: %v", err)
 		} else {
-			res.reply.Payload = *buf
+			payload = *buf
 		}
 	}
-	p.complete(corr, res, true)
+	p.complete(corr, errMsg, payload, true)
 }
 
 // Encode encodes a message payload as every link sends it, to every peer. The

@@ -83,6 +83,11 @@ type TCPConfig struct {
 // to the socket with one write — so frames on a connection keep their queueing
 // order, concurrent senders share system calls, and nothing but a writer ever
 // waits for a socket.
+//
+// A reply goes out on the connection its request was read from, whichever side
+// dialed it. So each connection carries requests one way and their replies the
+// other, and the ACK for each frame rides the next frame going back instead of
+// costing a segment of its own.
 type TCP struct {
 	dialTimeout   time.Duration
 	writeTimeout  time.Duration
@@ -97,8 +102,9 @@ type TCP struct {
 	stop context.CancelFunc
 
 	// mu guards the routing state below. The send path takes it once per
-	// envelope (route), the receive path once (readLoop); it is never held
-	// across a dial, a write or a handler. Lock order: mu before tcpConn.mu.
+	// envelope it routes (route; a reply is not routed), the receive path
+	// once (readLoop); it is never held across a dial, a write or a handler.
+	// Lock order: mu before tcpConn.mu.
 	mu        sync.Mutex
 	listener  net.Listener
 	directory map[Addr]string
@@ -107,9 +113,9 @@ type TCP struct {
 	// inbound holds every live connection, dialed or accepted, under its
 	// socket, so Close reaches them all.
 	inbound map[net.Conn]*tcpConn
-	// learned maps sender addresses to the inbound connection they last
-	// spoke on, so replies reach peers that have no directory entry
-	// (ephemeral clients).
+	// learned maps sender addresses to the connection they last spoke on,
+	// so requests reach peers that have no directory entry (ephemeral
+	// clients).
 	learned map[Addr]*tcpConn
 	closed  bool
 	wg      sync.WaitGroup
@@ -134,7 +140,7 @@ type outFrame struct {
 	// broken: the dial target, for a frame queued on a cached connection —
 	// one that predated it, whose peer may have restarted without the
 	// sender being able to know — and empty for a frame that gets no second
-	// try (fresh dial, learned route, already resent).
+	// try (fresh dial, learned route, reply, already resent).
 	redial string
 }
 
@@ -220,11 +226,22 @@ func (t *TCP) Unlisten(addr Addr) {
 	delete(t.endpoints, addr)
 }
 
-// post implements Link. An envelope to a locally bound address loops back
-// without touching the network. One queued on a cached connection that turns
-// out broken is resent once over a fresh one before its sender hears of it.
+// post implements Link. A reply to a request read off a connection is queued
+// on that connection, with no route lookup, dial or redial: its requester
+// waits for it there, and hears from connLost when that connection dies, so a
+// reply whose connection is dead is dropped. Any other envelope to a locally
+// bound address loops back without touching the network, and one queued on a
+// cached connection that turns out broken is resent once over a fresh one
+// before its sender hears of it.
 func (t *TCP) post(ctx context.Context, env Envelope, body any, w sendWaiter) error {
-	c, local, redial, err := t.route(ctx, env.To, env.Reply)
+	var (
+		c, redial = env.via, ""
+		local     endpoint
+		err       error
+	)
+	if c == nil {
+		c, local, redial, err = t.route(ctx, env.To)
+	}
 	if err != nil {
 		return err
 	}
@@ -276,16 +293,12 @@ func (t *TCP) postLocal(local endpoint, env Envelope, body any, w sendWaiter) er
 
 // route resolves where an envelope to the address goes, under one hold of
 // t.mu: a local endpoint (with t.wg raised for the goroutine that will run
-// it), or a connection — cached, learned from inbound traffic, or, when there
-// is none yet, dialed within ctx. redial is non-empty for a cached
-// connection: it predates the call, so its liveness is unproven, and a frame
-// that finds it broken is resent once to that dial target.
-//
-// A reply is never dialed for: it may be on its way out of a read loop, which
-// must not wait, and its request came in on a connection, which is the way
-// back when the link has none of its own. A requester whose connections are
-// all gone has had its call failed already (endpoint.connLost).
-func (t *TCP) route(ctx context.Context, to Addr, reply bool) (c *tcpConn, local endpoint, redial string, err error) {
+// it), or a connection — cached, learned from inbound traffic for a peer
+// without a directory entry, or, when there is none yet, dialed within ctx.
+// redial is non-empty for a cached connection: it predates the call, so its
+// liveness is unproven, and a frame that finds it broken is resent once to
+// that dial target. Replies do not come here (see post).
+func (t *TCP) route(ctx context.Context, to Addr) (c *tcpConn, local endpoint, redial string, err error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -298,8 +311,8 @@ func (t *TCP) route(ctx context.Context, to Addr, reply bool) (c *tcpConn, local
 	}
 	target, ok := t.directory[to]
 	if !ok {
-		// No directory entry: reply over the connection the peer spoke
-		// on, if it did. There is nowhere to redial an ephemeral peer.
+		// No directory entry: send over the connection the peer spoke on,
+		// if it did. There is nowhere to redial an ephemeral peer.
 		c = t.learned[to]
 		t.mu.Unlock()
 		if c == nil {
@@ -310,14 +323,6 @@ func (t *TCP) route(ctx context.Context, to Addr, reply bool) (c *tcpConn, local
 	if c = t.conns[target]; c != nil {
 		t.mu.Unlock()
 		return c, nil, target, nil
-	}
-	if reply {
-		c = t.learned[to]
-		t.mu.Unlock()
-		if c == nil {
-			return nil, nil, "", fmt.Errorf("tcp reply to %s: no connection left to it", to)
-		}
-		return c, nil, "", nil
 	}
 	t.mu.Unlock()
 	c, cached, err := t.connTo(ctx, target)
@@ -631,8 +636,8 @@ func (t *TCP) connTo(ctx context.Context, target string) (c *tcpConn, cached boo
 		return existing, true, nil
 	}
 	t.conns[target] = c
-	// Outgoing connections are full duplex: replies (and any traffic the
-	// peer chooses to send us) come back on the same socket.
+	// Outgoing connections are full duplex: replies come back on the same
+	// socket, and the peer may send requests on it too, answered on it.
 	t.inbound[conn] = c
 	t.wg.Add(1)
 	t.mu.Unlock()
@@ -641,8 +646,9 @@ func (t *TCP) connTo(ctx context.Context, target string) (c *tcpConn, cached boo
 }
 
 // readLoop decodes the envelope frames arriving on a connection, learning
-// reply routes and handing each envelope to its local endpoint on this
-// goroutine, until the connection closes. Anything but a well-formed envelope
+// routes to senders without a directory entry and handing each envelope to its
+// local endpoint on this goroutine, stamped with the connection its reply is
+// to go back on, until the connection closes. Anything but a well-formed envelope
 // frame of a version this build reads — a peer of another format generation,
 // or not a peer at all — ends the connection, counted as a decode error. It
 // never writes to a socket: whatever a handler sends, the reply to a request
@@ -671,6 +677,7 @@ func (t *TCP) readLoop(back *tcpConn, firstDeadline bool) {
 		ep, ok := t.endpoints[env.To]
 		t.mu.Unlock()
 		if ok {
+			env.via = back
 			ep.deliver(env, true)
 		}
 	}

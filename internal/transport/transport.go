@@ -50,6 +50,11 @@ type Envelope struct {
 	Trace trace.SpanContext
 	// Payload is the encoded message body (see Encode).
 	Payload []byte
+
+	// via is the TCP connection a request was read from, and on its reply
+	// the connection the reply goes back on; nil for anything that did not
+	// come off a TCP connection. It is not on the wire.
+	via *tcpConn
 }
 
 // Link is an asynchronous envelope carrier between named endpoints: what a
@@ -60,9 +65,10 @@ type Envelope struct {
 type Link interface {
 	// post encodes body (when non-nil; otherwise env.Payload is taken as
 	// already encoded) as the envelope's payload, queues the envelope and
-	// returns: it may wait for a dial, within ctx, but never for a write — and
-	// for a reply not even for a dial. Neither body nor env.Payload is
-	// referenced once post has returned.
+	// returns: it may wait for a dial, within ctx, but never for a write. A
+	// reply waits for neither: it goes back the way its request came (on TCP,
+	// the connection the request was read from), or nowhere. Neither body nor
+	// env.Payload is referenced once post has returned.
 	//
 	// An error from post means nothing was queued: the send cannot happen
 	// (unknown address, refused dial, closed link, unencodable body) and the
