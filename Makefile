@@ -97,8 +97,9 @@ fuzz:
 # pipelined updates each recorded under its own id) twenty times on one P,
 # the LHAgent ones under the race detector too; the platform's same-node call
 # tests (an answer crossing from the mailbox goroutine into the caller's call
-# slot: a lost wake-up or a recycled slot hearing a late reply shows here) and
-# its crash and close tests, twenty times on one P; then the full-cluster
+# slot: a lost wake-up or a recycled slot hearing a late reply shows here), its
+# crash and close tests and its mailbox closure tests (a closure never beside a
+# request, answered at a stop, given up at its deadline), twenty times on one P; then the full-cluster
 # kill-and-cold-start scenario on the simulated LAN.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers|LHAgent' ./...
@@ -106,7 +107,7 @@ chaos:
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|FanOutAnswers|DiscoverAnswersSurvive|PooledCallsSurvive|LHAgent|QueuedUpdates|PipelinedUpdates' ./internal/core
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Reap' ./internal/transport
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'HAgentStalledPushes' ./internal/core
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'LocalCall|CallAgentLocal|CallLocalAgent|Crash|NodeClose' ./internal/platform
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'LocalCall|CallAgentLocal|CallLocalAgent|Crash|NodeClose|MailboxDo' ./internal/platform
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
 
 # Every allocation and heap budget with -v: each test logs what it measured,

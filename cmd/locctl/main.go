@@ -94,13 +94,14 @@ func run(args []string) error {
 	}
 	defer link.Close()
 
-	// The control node is an ephemeral cluster member: cluster nodes can
-	// reach it back through the From address of its own requests only, so
-	// it is fine that they have no directory entry for it — all control
-	// traffic is request/response over our outgoing connections... except
-	// over TCP responses flow on separate connections, so the cluster
-	// DOES need to reach us. Register our listen address with every peer
-	// by using a stable id derived from the listen port.
+	// The control node is an ephemeral cluster member: no cluster node has
+	// a directory entry for it, and none needs one. Every reply rides the
+	// connection its request came in on, and a cluster node that calls it
+	// sends over the connection it last spoke on (the TCP link's learned
+	// route). Its id is derived from the listen address, a port the OS picks
+	// afresh for each run, only so that two control nodes running at once
+	// never share one: a shared id would have each overwrite the other's
+	// learned route at every cluster node and mix their spans in the traces.
 	ctlID := platform.NodeID("locctl-" + strings.ReplaceAll(link.ListenAddr(), ":", "-"))
 	// The control node traces every operation it issues (sample 1): locctl
 	// is a probe, so its spans are the client-tier roots that the trace

@@ -152,7 +152,7 @@ func (b *IAgentBehavior) ensureRuntime(ctx *platform.Context) error {
 
 		// Durable nodes get a full section at birth: the base every later
 		// WAL record applies to.
-		b.persistSelf(ctx)
+		persist(ctx, b)
 	})
 	return b.initErr
 }
@@ -335,9 +335,6 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		ack, err := b.handoff(ctx, req)
 		sp.End(err)
 		return ack, err
-	case KindSnapshotDump:
-		st := b.state.Load()
-		return SnapshotDumpResp{Status: StatusOK, HashVersion: st.Version(), Section: iagentSection(ctx.Self(), st, b.leaf)}, nil
 	default:
 		return nil, fmt.Errorf("IAgent %s: unknown request kind %q", ctx.Self(), kind)
 	}
@@ -679,7 +676,7 @@ func (b *IAgentBehavior) adoptState(ctx *platform.Context, req AdoptStateReq) (A
 	if status == StatusIgnored && len(moved) == 0 {
 		return Ack{Status: status, HashVersion: st.Version()}, nil
 	}
-	b.persistSelf(ctx)
+	persist(ctx, b)
 
 	if !stillPresent {
 		b.mu.Lock()

@@ -70,7 +70,7 @@ func (b *HAgentBehavior) handleReplication(ctx *platform.Context, kind string, p
 			b.updateTreeGauges()
 			// A durable standby persists each adopted state, so the node it
 			// lives on can cold-start the replica at the version it held.
-			b.persistState(ctx)
+			persist(ctx, b)
 		}
 		// A state push proves the primary alive just as well as a beat.
 		b.lastPrimaryBeat = ctx.Clock().Now()

@@ -68,14 +68,10 @@ func (h *hosted) start(wg *sync.WaitGroup) {
 			// A Run error means the agent's active loop died; the agent
 			// remains reachable through its mailbox, matching a mobile
 			// agent whose autonomous behaviour ended.
-			_ = runner.Run(h.context())
+			_ = runner.Run(h.plain)
 		}()
 	}
 }
-
-// context builds the Context handed to behaviour callbacks outside any
-// request (Run goroutines).
-func (h *hosted) context() *Context { return h.plain }
 
 // contextFor builds the per-request Context, carrying the request's trace
 // context so the behaviour's onward calls stay in the caller's causal tree.
@@ -103,7 +99,7 @@ func (h *hosted) chargeServiceTime(ctx context.Context) error {
 // gone builds the agent-not-found error for a request that reached a stopped
 // or departing agent; why completes "<agent> <why> <node>".
 func (h *hosted) gone(why string) error {
-	return fmt.Errorf("%s%s %s %s", agentNotFoundPrefix, h.id, why, h.node.id)
+	return agentGone(fmt.Sprintf("%s %s %s", h.id, why, h.node.id))
 }
 
 // offer gives a request to the behaviour's HandleConcurrent and, if it is
@@ -141,8 +137,8 @@ func (h *hosted) enqueue(w work) {
 	}
 }
 
-// mailboxLoop processes requests strictly serially, charging the service
-// time per request.
+// mailboxLoop processes requests, and closures queued by Do, strictly
+// serially, charging the service time per item.
 func (h *hosted) mailboxLoop() {
 	defer close(h.boxDone)
 	for {
@@ -153,7 +149,33 @@ func (h *hosted) mailboxLoop() {
 		if h.serviceTime > 0 {
 			h.node.clk.Sleep(h.serviceTime)
 		}
+		if w.do != nil {
+			w.do(h.behavior, h.plain)
+			w.answer(nil, nil)
+			continue
+		}
 		w.answer(h.behavior.HandleRequest(h.contextFor(w.span), w.kind, w.payload))
+	}
+}
+
+// do queues f for the mailbox and waits for it (Node.Do). The mailbox, to run
+// f, and do, to give it up as ctx ends, race to take it: first wins.
+func (h *hosted) do(ctx context.Context, f func(Behavior, *Context)) error {
+	var taken atomic.Bool
+	done := make(chan error, 1)
+	h.enqueue(work{done: done, do: func(b Behavior, c *Context) {
+		if taken.CompareAndSwap(false, true) {
+			f(b, c)
+		}
+	}})
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		if taken.CompareAndSwap(false, true) {
+			return ctx.Err()
+		}
+		return <-done // f is running
 	}
 }
 
@@ -316,6 +338,11 @@ func (c *Context) Move(ctx context.Context, target NodeID) error {
 	return nil
 }
 
+// Do is Node.Do on the agent's own mailbox, for its Run goroutine.
+func (c *Context) Do(ctx context.Context, f func(Behavior, *Context)) error {
+	return c.host.do(ctx, f)
+}
+
 // Dispose permanently removes the agent from its node. Like Move it is
 // intended for Run goroutines; a behaviour's HandleRequest must not call
 // it (it would deadlock waiting for its own mailbox).
@@ -335,7 +362,8 @@ func (c *Context) Dispose() {
 // work is one request for the mailbox, with its trace context, the Replier
 // its answer goes to and its server span, ended as the answer is given. It
 // owns its payload: a copy of the frame, taken from the pool into buf when it
-// is small.
+// is small. A closure Do queued is work with only do, and done for its
+// answer, set.
 type work struct {
 	kind    string
 	payload []byte
@@ -344,6 +372,9 @@ type work struct {
 	reply transport.Replier
 	sp    *trace.ActiveSpan
 	buf   *[]byte
+
+	do   func(Behavior, *Context)
+	done chan error
 }
 
 // maxPooledFrame bounds the frame copy a queued request takes from the pool:
@@ -369,6 +400,10 @@ func (w *work) ownFrame() {
 // encoded before Reply returns, so the frame copy can go back to the pool
 // then.
 func (w *work) answer(body any, err error) {
+	if w.done != nil {
+		w.done <- err
+		return
+	}
 	w.sp.End(err)
 	w.reply.Reply(body, err)
 	if w.buf != nil && cap(*w.buf) <= maxPooledFrame {

@@ -349,7 +349,7 @@ func TestMoveNonRunnerRejected(t *testing.T) {
 	nodes["n1"].mu.Lock()
 	h := nodes["n1"].agents["e1"]
 	nodes["n1"].mu.Unlock()
-	err := h.context().Move(callCtx(t), "n2")
+	err := h.plain.Move(callCtx(t), "n2")
 	if !errors.Is(err, ErrNotRunner) {
 		t.Errorf("error = %v, want ErrNotRunner", err)
 	}

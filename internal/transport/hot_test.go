@@ -585,7 +585,8 @@ func TestInlineServedWhileRepliesCannotBeWritten(t *testing.T) {
 	}
 	defer client.Close()
 
-	// One answered call first, so the server has learned its way back.
+	// One answered call first, so the connection the server's replies go out
+	// on is open.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := client.Call(ctx, "server", "warm-up", nil, nil); err != nil {

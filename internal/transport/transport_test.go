@@ -549,7 +549,7 @@ func TestTCPClosed(t *testing.T) {
 	}
 }
 
-func TestTCPLearnedRouteReply(t *testing.T) {
+func TestTCPReplyRidesToPeerWithoutEntry(t *testing.T) {
 	// The server has NO directory entry for the client; its replies must
 	// flow back over the connection the request arrived on.
 	serverLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})
@@ -593,6 +593,58 @@ func TestTCPLearnedRouteReply(t *testing.T) {
 	}
 	if resp.Text != "learned:hi" {
 		t.Errorf("resp = %q", resp.Text)
+	}
+}
+
+// TestTCPLearnedRouteCallsBack: a peer without a directory entry at the other
+// end — a node given only the other's address, as README's node-0 is node-2's
+// — can be called once it has called: the request goes out on the connection
+// it spoke on (TCP.learned). Before it speaks there is no route to it.
+func TestTCPLearnedRouteCallsBack(t *testing.T) {
+	serverLink, err := NewTCP(TCPConfig{ListenOn: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serverLink.Close()
+	clientLink, err := NewTCP(TCPConfig{
+		ListenOn:  "127.0.0.1:0",
+		Directory: map[Addr]string{"server": serverLink.ListenAddr()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clientLink.Close()
+	echo := func(tag string) RequestHandler {
+		return func(_ context.Context, _ Addr, _ string, payload []byte) (any, error) {
+			var req echoReq
+			if err := Decode(payload, &req); err != nil {
+				return nil, err
+			}
+			return echoResp{Text: tag + req.Text}, nil
+		}
+	}
+	server, err := NewPeer(serverLink, "server", echo("server:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client, err := NewPeer(clientLink, "client", echo("client:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := server.Call(ctx, "client", "echo", echoReq{Text: "early"}, nil); !errors.Is(err, ErrUnknownAddr) {
+		t.Fatalf("call to a peer that never spoke = %v, want ErrUnknownAddr", err)
+	}
+	var resp echoResp
+	if err := client.Call(ctx, "server", "echo", echoReq{Text: "hi"}, &resp); err != nil || resp.Text != "server:hi" {
+		t.Fatalf("client's call = %q, %v", resp.Text, err)
+	}
+	if err := server.Call(ctx, "client", "echo", echoReq{Text: "back"}, &resp); err != nil || resp.Text != "client:back" {
+		t.Fatalf("call back over the learned route = %q, %v", resp.Text, err)
 	}
 }
 
