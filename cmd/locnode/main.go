@@ -236,7 +236,9 @@ func run(args []string, stop <-chan struct{}, w io.Writer) error {
 	if persister != nil {
 		// Stop writes a final full snapshot so the next cold start replays
 		// as little WAL as possible.
-		persister.Stop()
+		if err := persister.Stop(); err != nil {
+			fmt.Fprintf(w, "locnode %s: %v\n", *id, err)
+		}
 	}
 	if httpSrv != nil {
 		// Drain in-flight scrapes before tearing the node down, bounded so

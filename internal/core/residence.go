@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -206,12 +207,7 @@ func (g *ResidenceGroup) ID() ids.ResidenceID { return g.id }
 func (g *ResidenceGroup) Members() []ids.AgentID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]ids.AgentID, 0, len(g.members))
-	for a := range g.members {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(g.members))
 }
 
 // Join binds a member to the group at the caller's node: a bound location

@@ -130,7 +130,9 @@ func RunRestart(ctx context.Context, p Params, dataDir string, restartAll bool, 
 		persister.Stop()
 		return res, fmt.Errorf("experiment: full snapshot: %w", err)
 	}
-	persister.Stop()
+	if err := persister.Stop(); err != nil {
+		return res, fmt.Errorf("experiment: final full snapshot: %w", err)
+	}
 
 	for i := 0; i < count; i++ {
 		agent := ids.AgentID(fmt.Sprintf("ragent-%d", i))
