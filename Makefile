@@ -111,9 +111,10 @@ chaos:
 	$(GO) run ./cmd/locsim restart -chaos-restart-all -quick
 
 # Every allocation and heap budget with -v: each test logs what it measured,
-# so a change that moves one quotes the numbers from this one command.
+# so a change that moves one quotes the numbers from this one command. The
+# location table's load band rides along, since the heap budgets rest on it.
 budgets:
-	$(GO) test -count=1 -v -run 'AllocBudget|HeapPerAgent|TableIsNotScanned' ./internal/...
+	$(GO) test -count=1 -v -run 'AllocBudget|HeapPerAgent|TableIsNotScanned|StripeLoadBand' ./internal/...
 
 ci: build fmt-check tidy-check vet lint short race benchmark-check
 

@@ -111,7 +111,7 @@ func decodeIAgentSection(sec snapshot.Section) (*State, leafState, error) {
 	}
 	if sec.Kind == SectionIAgent {
 		leaf := newLeafState()
-		return st, leaf, leaf.applyRecords(d)
+		return st, leaf, leaf.applyRecords(d.Rest())
 	}
 	tableBytes, err := d.Bytes(wire.MaxFrameLen)
 	if err != nil {

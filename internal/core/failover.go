@@ -144,6 +144,7 @@ func checkStream(stream []byte) error {
 // which the table copies; node ids, handles and tags are interned.
 func (l recordLog) fold() leafState {
 	s := newLeafState()
+	s.table.Reserve(l.Len())
 	var rec snapshot.Record
 	changes := make([]change, 1)
 	for _, seg := range l.Segments() {

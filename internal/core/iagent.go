@@ -701,6 +701,7 @@ func (b *IAgentBehavior) handoff(ctx *platform.Context, req HandoffReq) (Ack, er
 	if err != nil {
 		return Ack{}, fmt.Errorf("IAgent %s: handoff: %w", ctx.Self(), err)
 	}
+	b.leaf.table.Reserve(len(changes))
 	if err := b.write(ctx, b.state.Load().Version(), changes, false); err != nil {
 		return Ack{}, err
 	}

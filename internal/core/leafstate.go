@@ -199,13 +199,14 @@ func (r record) put(load uint32) snapshot.Record {
 	return snapshot.Record{Op: snapshot.OpPut, Agent: string(r.agent), Node: string(r.node), Caps: r.caps, Handle: string(r.handle), Load: uint64(load)}
 }
 
-// applyRecords applies the record stream that fills the rest of d. A stream
-// is what one leaf held, so a record no leaf yields — a delete, one without
-// an address, a load past a slot's count, an agent twice, a handle at two
-// addresses — is corrupt.
-func (s leafState) applyRecords(d *wire.Dec) error {
+// applyRecords applies a record stream, the table sized for it first. A
+// stream is what one leaf held, so a record no leaf yields — a delete, one
+// without an address, a load past a slot's count, an agent twice, a handle at
+// two addresses — is corrupt.
+func (s leafState) applyRecords(stream []byte) error {
+	s.table.Reserve(countRecords(stream))
 	handles := make(map[ids.ResidenceID]platform.NodeID)
-	for d.Remaining() > 0 {
+	for d := wire.NewDec(stream); d.Remaining() > 0; {
 		data, err := d.Bytes(wire.MaxFrameLen)
 		if err != nil {
 			return err
@@ -227,6 +228,17 @@ func (s leafState) applyRecords(d *wire.Dec) error {
 		s.apply([]change{c})
 	}
 	return nil
+}
+
+// countRecords is the number of whole records stream opens with.
+func countRecords(stream []byte) int {
+	n := 0
+	for d := wire.NewDec(stream); d.Remaining() > 0; n++ {
+		if _, err := d.Bytes(wire.MaxFrameLen); err != nil {
+			break
+		}
+	}
+	return n
 }
 
 // recordChange is the change that makes a leaf hold what rec states: a put

@@ -3,6 +3,9 @@ package loctable
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,6 +48,40 @@ func checkHashes(t *testing.T, tbl *Table) {
 		}
 		return true
 	})
+}
+
+// checkProbeChains fails on a stripe whose slots a lookup could miss: a live
+// slot with a free slot between its home and itself (cyclically, so a chain
+// that wraps from the last slot to slot 0 counts), a home that is not the
+// tag modulo the stripe's length, or a used count other than the live
+// slots'.
+func checkProbeChains(t *testing.T, tbl *Table) {
+	t.Helper()
+	for si := range tbl.stripes {
+		s := &tbl.stripes[si]
+		s.mu.RLock()
+		live := 0
+		for i := range s.entries {
+			e := &s.entries[i]
+			if e.tag == 0 {
+				continue
+			}
+			live++
+			home := s.home(uint64(e.tag))
+			if home != int(e.tag%uint32(len(s.entries))) {
+				t.Fatalf("stripe %d: tag %#x homes at %d of %d slots, want the tag modulo the length", si, e.tag, home, len(s.entries))
+			}
+			for j := home; j != i; j = s.next(j) {
+				if s.entries[j].tag == 0 {
+					t.Fatalf("stripe %d: %q sits at slot %d of %d, its home %d, past free slot %d", si, s.key(e), i, len(s.entries), home, j)
+				}
+			}
+		}
+		if live != s.used {
+			t.Fatalf("stripe %d: %d live slots, used says %d", si, live, s.used)
+		}
+		s.mu.RUnlock()
+	}
 }
 
 // TestDenseModelEquivalence drives the open-addressed stripes through a
@@ -90,6 +127,7 @@ func TestDenseModelEquivalence(t *testing.T) {
 		}
 		if step%5000 == 4999 {
 			checkHashes(t, tbl)
+			checkProbeChains(t, tbl)
 		}
 	}
 	// Final full sweep both directions.
@@ -103,6 +141,106 @@ func TestDenseModelEquivalence(t *testing.T) {
 		t.Fatalf("snapshot %d entries, model %d", len(snap), len(model))
 	}
 	checkHashes(t, tbl)
+	checkProbeChains(t, tbl)
+}
+
+// stripeLoad is a stripe's load, its live slots over its length.
+func stripeLoad(s *stripe) float64 { return float64(s.used) / float64(len(s.entries)) }
+
+// TestStripeLoadBand pins the stripes' sizing: while ids arrive, a stripe
+// past its minimum length holds between 5/8 and 3/4 load, at every count —
+// a power-of-two stripe that doubles at 3/4 sits at 1/2 at 2^14 ids — and
+// while they leave it holds at most 3/4, at least 1/8 (of its length rounded
+// down), and shrinks.
+func TestStripeLoadBand(t *testing.T) {
+	const stripes = 4
+	for _, n := range []int{6, 7, 100, 1000, 1 << 12, 1 << 14, 1<<14 + 1, 3 << 12} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			tbl := NewWithStripes(stripes)
+			per := make([][]ids.AgentID, stripes)
+			for i, full := 0, 0; full < stripes; i++ {
+				id := ids.AgentID(fmt.Sprintf("band-%d", i))
+				si := id.Hash64() & tbl.mask
+				if len(per[si]) == n {
+					continue
+				}
+				tbl.Put(id, "n")
+				if per[si] = append(per[si], id); len(per[si]) == n {
+					full++
+				}
+				if s := &tbl.stripes[si]; len(s.entries) > minStripeCap {
+					if load := stripeLoad(s); load < 5.0/8 || load > 3.0/4 {
+						t.Fatalf("stripe %d holds %d ids in %d slots: load %.3f, outside [5/8, 3/4]", si, s.used, len(s.entries), load)
+					}
+				}
+			}
+			checkProbeChains(t, tbl)
+			for si, kept := range per {
+				s := &tbl.stripes[si]
+				grown := len(s.entries)
+				for _, id := range kept[n/16:] {
+					tbl.Delete(id)
+					if load := stripeLoad(s); load > 3.0/4 || len(s.entries) > minStripeCap && s.used < len(s.entries)/shrinkDivisor {
+						t.Fatalf("stripe %d holds %d ids in %d slots after a delete: load %.3f", si, s.used, len(s.entries), load)
+					}
+				}
+				if grown > minStripeCap && len(s.entries) >= grown {
+					t.Errorf("stripe %d kept %d slots for %d ids, as many as it grew to for %d", si, len(s.entries), s.used, n)
+				}
+			}
+			checkProbeChains(t, tbl)
+			for _, kept := range per {
+				for _, id := range kept[:n/16] {
+					if _, ok := tbl.Get(id); !ok {
+						t.Fatalf("%s lost", id)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWrapSeedDeletesAcrossTheWrap holds the committed FuzzDenseOps seed
+// seed-wrap-13 to what it is there for: its puts grow a stripe to a length
+// that is not a power of two, and its delete shifts a probe chain that runs
+// from the stripe's last slot on to slot 0.
+func TestWrapSeedDeletesAcrossTheWrap(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDenseOps", "seed-wrap-13"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte("), ")")
+	tape, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := NewWithStripes(2)
+	wrapped := false
+	for i := 0; i+1 < len(tape); i += 2 {
+		id := tapeID(tape[i+1], edgeIDs())
+		switch tape[i] % 3 {
+		case 0:
+			tbl.Put(id, "n")
+		case 1:
+			s, tag := tbl.stripeFor(id.Hash64())
+			at, ok := s.find(tag, id)
+			last := len(s.entries) - 1
+			chain := ok && s.entries[0].tag != 0 && s.home(uint64(s.entries[0].tag)) != 0
+			for j := at; chain && j <= last; j++ {
+				chain = s.entries[j].tag != 0
+			}
+			if chain && last&(last+1) != 0 {
+				wrapped = true
+			}
+			tbl.Delete(id)
+		default:
+			t.Fatalf("op %d of the tape is a lookup; the seed only puts and deletes", i/2)
+		}
+		checkProbeChains(t, tbl)
+	}
+	if !wrapped {
+		t.Fatal("no delete of the seed shifts a chain across the wrap of a stripe whose length is not a power of two")
+	}
 }
 
 // TestTagTwins keeps two ids that share a stripe and a tag apart through
@@ -277,11 +415,7 @@ func FuzzDenseOps(f *testing.F) {
 		model := make(map[ids.AgentID]platform.NodeID)
 		var views, wants []ids.AgentID
 		for i := 0; i+1 < len(tape); i += 2 {
-			op, k := tape[i], tape[i+1]
-			id := ids.AgentID(fmt.Sprintf("f-%d", k%64))
-			if k >= 0xC0 {
-				id = edge[int(k-0xC0)%len(edge)]
-			}
+			op, id := tape[i], tapeID(tape[i+1], edge)
 			switch op % 3 {
 			case 0:
 				node := platform.NodeID(fmt.Sprintf("n-%d", op%4))
@@ -318,7 +452,17 @@ func FuzzDenseOps(f *testing.F) {
 			}
 		}
 		checkHashes(t, tbl)
+		checkProbeChains(t, tbl)
 	})
+}
+
+// tapeID is the id a FuzzDenseOps key byte names: one of 64 short ids, or
+// from 0xC0 up one of the edge ids.
+func tapeID(k byte, edge []ids.AgentID) ids.AgentID {
+	if k >= 0xC0 {
+		return edge[int(k-0xC0)%len(edge)]
+	}
+	return ids.AgentID(fmt.Sprintf("f-%d", k%64))
 }
 
 // TestArenaOverflowPanics: an id that would take a stripe's key arena past

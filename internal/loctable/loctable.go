@@ -12,9 +12,14 @@
 // backward-shift deletion — instead of a Go map. At the
 // million-agent scale an IAgent is sized for, the flat layout halves the
 // per-entry overhead (no bucket headers, no tombstones, one probe sequence
-// per lookup) and keeps probes on one cache line most of the time. Node ids
-// are interned per table and a slot holds only the intern index, so a
-// million entries pointing at a handful of nodes share a handful of strings.
+// per lookup) and keeps probes on one cache line most of the time. A stripe's
+// array has any length from minStripeCap up, not only a power of two, so a
+// stripe is sized to its population: a growth or a shrink leaves it at 5/8
+// load, and it grows again only past 3/4, which keeps every stripe between
+// the two while ids arrive and bounds the probe length as a 3/4 maximum
+// does. Node ids are interned per table and a slot holds only the intern
+// index, so a million entries pointing at a handful of nodes share a handful
+// of strings.
 //
 // A slot holds no pointer: the agent ids of a stripe live back to back in
 // one byte arena, each behind a uvarint length prefix (one byte for an id
@@ -22,13 +27,15 @@
 // arrays are pointer-free, so the collector never scans the table however
 // many agents it holds, and an id costs its bytes plus its prefix. The arena
 // is append-only; deleted ids are reclaimed by copying the live ones into a
-// fresh arena, at every resize and whenever deleted bytes pass half of it.
+// fresh arena, when the stripe shrinks and whenever deleted bytes pass half
+// of it. A growth moves slots only: every offset, and the arena, stay.
 // An id the table hands out (Slot.Agent, Range, GetSlot, Snapshot's keys) is
 // a view of the arena, read in place — see stripe.key for why that is safe.
 //
 // A slot keeps 32 bits of the id's hash, its tag: enough to pick the home
-// slot and to skip nearly every other id on the probe chain without reading
-// its bytes, and the key compare every hit makes anyway settles the rest.
+// slot (the tag modulo the stripe's length) and to skip nearly every other id
+// on the probe chain without reading its bytes, and the key compare every hit
+// makes anyway settles the rest.
 // The full hash is not stored; RangeSlots recomputes it from the id.
 //
 // The slot, with its id's bytes, is also the only per-agent record an IAgent
@@ -62,16 +69,25 @@ import (
 // footprint stays negligible.
 const DefaultStripes = 16
 
-// Open-addressing parameters. Stripes grow at 3/4 load — linear probing
-// degrades sharply beyond that — and shrink when they fall below 1/8, so a
-// table that handed off most of its id space after a rehash returns the
-// memory. minStripeCap keeps tiny tables from resizing constantly.
+// Open-addressing parameters. A stripe holds at most 3/4 load — linear
+// probing degrades sharply beyond that — and shrinks when it falls below 1/8,
+// so a table that handed off most of its id space after a rehash returns the
+// memory. Either way it is resized to 5/8 load (sizeFor), so it takes a fifth
+// more ids before it must grow again. minStripeCap keeps tiny tables from
+// resizing constantly.
 const (
 	minStripeCap  = 8
 	loadNum       = 3
 	loadDen       = 4
+	fillNum       = 5
+	fillDen       = 8
 	shrinkDivisor = 8
 )
+
+// sizeFor is the capacity a resize gives a stripe of n ids: n at 5/8 load,
+// rounded down so the load is at least 5/8, and never below minStripeCap.
+// From 4 ids up it is also at most 3/4.
+func sizeFor(n int) int { return max(minStripeCap, n*fillDen/fillNum) }
 
 // MaxLoad is where a slot's request counter saturates.
 const MaxLoad = math.MaxUint32
@@ -88,7 +104,7 @@ var maxArena uint64 = math.MaxUint32
 // ever confirmed by comparing the id's bytes. A slot holds no pointer, so
 // neither does a stripe's slot array, which the collector therefore never
 // scans. load is only ever touched with atomic operations while the stripe
-// is read-locked; whole slots are copied (resize, backward shift) under the
+// is read-locked; whole slots are copied (reslot, backward shift) under the
 // write lock alone, which is why it is a plain word and not an atomic.Uint32.
 type entry struct {
 	tag  uint32
@@ -118,11 +134,13 @@ func (e *entry) addLoad(n uint64) {
 // stripe is one lock-plus-dense-array shard of the table.
 type stripe struct {
 	mu      sync.RWMutex
-	entries []entry // power-of-two length, nil until first Put
-	used    int
+	entries []entry // nil until first Put, then at least minStripeCap long
+	// magic is ⌈2^64 / len(entries)⌉, the constant home reduces a tag by.
+	magic uint64
+	used  int
 	// keys is the arena holding every slot's id back to back, each behind
 	// its uvarint length. It grows only by append and is replaced whole by
-	// resize, never written below its length: the invariant key rests on.
+	// compact, never written below its length: the invariant key rests on.
 	keys []byte
 	dead int // bytes of keys, prefixes included, that no slot names any more
 }
@@ -135,7 +153,7 @@ func (s *stripe) footprint() int64 {
 // key returns slot e's agent id as a view of the key arena, without copying.
 // This is the package's one unsafe conversion, and it rests on one
 // invariant: a byte of an arena below its length is never written again —
-// keys grows only by append, which writes past the length, and resize copies
+// keys grows only by append, which writes past the length, and compact copies
 // the live ids into a fresh array instead of reusing the old one. So a view
 // never changes under its holder, and it stays valid after the stripe lock
 // is released and after any later Put, Delete, resize or compaction; while a
@@ -241,11 +259,11 @@ func NewWithStripes(n int) *Table {
 
 // stripeFor selects the stripe serving an agent's Hash64 and returns the
 // agent's tag: the 32 hash bits just above the stripe-selection bits, with 0
-// remapped to 1 since 0 marks a free slot. The tag's low bits pick the home
-// slot. The hash tree consumes the id's leading bits, so a leaf deep in the
-// tree serves ids that share a long prefix; striping by the hash's LOW bits
-// keeps the stripes of a hot leaf uniformly loaded regardless of the leaf's
-// depth, and probing starts above them. The tag is returned widened to a
+// remapped to 1 since 0 marks a free slot. The tag modulo the stripe's length
+// is the home slot (stripe.home). The hash tree consumes the id's leading
+// bits, so a leaf deep in the tree serves ids that share a long prefix;
+// striping by the hash's LOW bits keeps the stripes of a hot leaf uniformly
+// loaded regardless of the leaf's depth, and probing starts above them. The tag is returned widened to a
 // uint64 so callers can mix it with hash words.
 func (t *Table) stripeFor(h uint64) (*stripe, uint64) {
 	tag := h >> t.shift & math.MaxUint32
@@ -330,13 +348,30 @@ func (t *Table) releaseNode(idx uint32) {
 	t.nodeMu.Unlock()
 }
 
+// home is tag's home slot, tag mod len(entries), by Lemire's multiply-based
+// reduction ("Faster Remainder by Direct Computation", 2019): the low 64 bits
+// of magic·tag are the fraction tag/len in fixed point, and their product
+// with len, shifted down 64 bits, is the remainder — exact for a 32-bit tag
+// and length, in two multiplies where a division takes tens of cycles. At a
+// power-of-two length it is the tag's low bits, as a mask would take them.
+func (s *stripe) home(tag uint64) int {
+	hi, _ := bits.Mul64(s.magic*tag, uint64(len(s.entries)))
+	return int(hi)
+}
+
+// next is the slot after i, wrapping at the end of the array.
+func (s *stripe) next(i int) int {
+	if i++; i == len(s.entries) {
+		return 0
+	}
+	return i
+}
+
 // find locates the slot for (tag, agent): the entry's index if present, else
 // the free slot where it would be inserted. Caller holds the stripe lock.
 // Load is kept strictly below 1, so the probe always terminates.
 func (s *stripe) find(tag uint64, agent ids.AgentID) (int, bool) {
-	mask := len(s.entries) - 1
-	i := int(tag) & mask
-	for {
+	for i := s.home(tag); ; i = s.next(i) {
 		e := &s.entries[i]
 		if e.tag == 0 {
 			return i, false
@@ -344,16 +379,13 @@ func (s *stripe) find(tag uint64, agent ids.AgentID) (int, bool) {
 		if uint64(e.tag) == tag && string(s.keyBytes(e)) == string(agent) { // no alloc: comparison only
 			return i, true
 		}
-		i = (i + 1) & mask
 	}
 }
 
 // findBytes is find with a raw byte key, comparing id bytes without a
 // string conversion.
 func (s *stripe) findBytes(tag uint64, agent []byte) (int, bool) {
-	mask := len(s.entries) - 1
-	i := int(tag) & mask
-	for {
+	for i := s.home(tag); ; i = s.next(i) {
 		e := &s.entries[i]
 		if e.tag == 0 {
 			return i, false
@@ -361,33 +393,39 @@ func (s *stripe) findBytes(tag uint64, agent []byte) (int, bool) {
 		if uint64(e.tag) == tag && string(s.keyBytes(e)) == string(agent) { // no alloc: comparison only
 			return i, true
 		}
-		i = (i + 1) & mask
 	}
 }
 
-// resize rehashes the stripe into a table of the given power-of-two
-// capacity, copying the live ids into a fresh key arena as it goes; a resize
-// to the current capacity is the arena's compaction. Entries are unique, so
-// insertion probes to the first free slot without equality checks.
-func (s *stripe) resize(capacity int) {
-	old, oldKeys := s.entries, s.keys
+// reslot moves the entries into a fresh slot array of the given capacity.
+// Entries are unique, so insertion probes to the first free slot without
+// equality checks. The key arena and every offset into it stay.
+func (s *stripe) reslot(capacity int) {
+	old := s.entries
 	s.entries = make([]entry, capacity)
-	s.keys = make([]byte, 0, len(oldKeys)-s.dead)
-	mask := capacity - 1
+	s.magic = math.MaxUint64/uint64(capacity) + 1
 	for i := range old {
-		e := old[i]
-		if e.tag == 0 {
-			continue
+		if e := old[i]; e.tag != 0 {
+			j := s.home(uint64(e.tag))
+			for s.entries[j].tag != 0 {
+				j = s.next(j)
+			}
+			s.entries[j] = e
 		}
-		j := int(e.tag) & mask
-		for s.entries[j].tag != 0 {
-			j = (j + 1) & mask
+	}
+}
+
+// compact copies the live ids into a fresh key arena, in slot order, and
+// points each slot at its copy, dropping the arena's dead bytes.
+func (s *stripe) compact() {
+	old := s.keys
+	s.keys = make([]byte, 0, len(old)-s.dead)
+	for i := range s.entries {
+		if e := &s.entries[i]; e.tag != 0 {
+			n := arenaBytes(len(idAt(old, e.off)))
+			off := len(s.keys)
+			s.keys = append(s.keys, old[e.off:int(e.off)+n]...)
+			e.off = uint32(off)
 		}
-		n := arenaBytes(len(idAt(oldKeys, e.off)))
-		off := len(s.keys)
-		s.keys = append(s.keys, oldKeys[e.off:int(e.off)+n]...)
-		e.off = uint32(off)
-		s.entries[j] = e
 	}
 	s.dead = 0
 }
@@ -398,25 +436,26 @@ func (s *stripe) resize(capacity int) {
 // entry's id bytes stay in the arena, counted dead.
 func (s *stripe) removeAt(i int) {
 	s.dead += arenaBytes(len(s.keyBytes(&s.entries[i])))
-	mask := len(s.entries) - 1
-	j := i
-	for {
-		j = (j + 1) & mask
-		e := &s.entries[j]
-		if e.tag == 0 {
-			break
-		}
-		home := int(e.tag) & mask
-		// e may fill the hole only if its home slot does not lie strictly
-		// between the hole and its current slot (cyclically): moving it to i
-		// must not place it before its home.
-		if (j-home)&mask >= (j-i)&mask {
-			s.entries[i] = *e
+	for j := s.next(i); s.entries[j].tag != 0; j = s.next(j) {
+		// entries[j] may fill the hole only if its home slot does not lie
+		// strictly between the hole and its current slot (cyclically): moving
+		// it to i must not place it before its home.
+		if s.steps(s.home(uint64(s.entries[j].tag)), j) >= s.steps(i, j) {
+			s.entries[i] = s.entries[j]
 			i = j
 		}
 	}
 	s.entries[i] = entry{}
 	s.used--
+}
+
+// steps is how far a probe walks from slot from to slot to, wrapping at the
+// end of the array.
+func (s *stripe) steps(from, to int) int {
+	if to < from {
+		return to - from + len(s.entries)
+	}
+	return to - from
 }
 
 // Get returns the recorded node of an agent.
@@ -516,11 +555,7 @@ func (t *Table) PutHashed(agent ids.AgentID, hash uint64, node platform.NodeID, 
 	s.mu.Lock()
 	footprint := s.footprint()
 	if loadDen*(s.used+1) > loadNum*len(s.entries) {
-		capacity := len(s.entries) * 2
-		if capacity < minStripeCap {
-			capacity = minStripeCap
-		}
-		s.resize(capacity)
+		s.reslot(sizeFor(s.used + 1))
 	}
 	i, existed := s.find(tag, agent)
 	e := &s.entries[i]
@@ -558,8 +593,8 @@ func (t *Table) Delete(agent ids.AgentID) bool {
 }
 
 // DeleteHashed is Delete with the agent's precomputed Hash64. The stripe
-// shrinks below 1/8 load, and its arena is compacted once deleted ids are
-// more than half of it.
+// shrinks below 1/8 load, back to 5/8, and its arena is compacted then and
+// whenever deleted ids are more than half of it.
 func (t *Table) DeleteHashed(agent ids.AgentID, hash uint64) bool {
 	s, tag := t.stripeFor(hash)
 	s.mu.Lock()
@@ -573,9 +608,10 @@ func (t *Table) DeleteHashed(agent ids.AgentID, hash uint64) bool {
 			footprint := s.footprint()
 			switch {
 			case len(s.entries) > minStripeCap && s.used < len(s.entries)/shrinkDivisor:
-				s.resize(len(s.entries) / 2)
+				s.reslot(sizeFor(s.used))
+				s.compact()
 			case 2*s.dead > len(s.keys):
-				s.resize(len(s.entries))
+				s.compact()
 			}
 			t.bytes.Add(s.footprint() - footprint)
 		}
@@ -586,6 +622,26 @@ func (t *Table) DeleteHashed(agent ids.AgentID, hash uint64) bool {
 		t.count.Add(-1)
 	}
 	return existed
+}
+
+// Reserve readies the table for n more ids, spread over its stripes as their
+// hashes spread them: a stripe too small to take its share of n on top of
+// what it holds is resized once, as a growth at that population would size it,
+// instead of growing a fifth at a time while the ids arrive. A stripe with
+// room is left as it is. A stream of known length — a handoff, a recovered
+// section, a held copy's fold — calls it before it applies its records.
+func (t *Table) Reserve(n int) {
+	share := (n + len(t.stripes) - 1) / len(t.stripes)
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		if want := s.used + share; loadDen*want > loadNum*len(s.entries) {
+			footprint := s.footprint()
+			s.reslot(sizeFor(want))
+			t.bytes.Add(s.footprint() - footprint)
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Len returns the number of entries. It reads a counter maintained across
