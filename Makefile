@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCheckpointReqDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHandoffReqDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocateBatchFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUpdateBatchFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLocCacheOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLeafSectionDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStateDecode -fuzztime $(FUZZTIME)
@@ -94,7 +95,10 @@ fuzz:
 # LHAgent read tests (concurrent reads across adopts and refreshes, one fetch
 # for many readers, a waiter keeping its own deadline) and the queued-request
 # tests (updates queued in a busy leaf's mailbox answered at its stop, two
-# pipelined updates each recorded under its own id) twenty times on one P,
+# pipelined updates each recorded under its own id) and the update batcher's
+# tests (a sender per destination: one batch per tick, a stalled leaf holding
+# up no other, Close bounded, a cancelled update's ack never another's)
+# twenty times on one P,
 # the LHAgent ones under the race detector too; the platform's same-node call
 # tests (an answer crossing from the mailbox goroutine into the caller's call
 # slot: a lost wake-up or a recycled slot hearing a late reply shows here), its
@@ -104,7 +108,7 @@ fuzz:
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Crash|Failover|Takeover|Checkpoint|Promot|Fallback|Recover|Torn|LeafState|Deposit|ClientLoopConformance|MailStaleAnswers|LHAgent' ./...
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Coalesces|CountWhatTheyName|WithoutCorr|OldFrameVersion|OneEnvelope|ReplyRides|ReplyIsNeverDialed|LearnedRoute|InlineServedWhileReplies|LateReply' ./internal/transport
-	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|FanOutAnswers|DiscoverAnswersSurvive|PooledCallsSurvive|LHAgent|QueuedUpdates|PipelinedUpdates' ./internal/core
+	GOMAXPROCS=1 $(GO) test -count=20 -run 'FanOuts|FanOutAnswers|DiscoverAnswersSurvive|PooledCallsSurvive|LHAgent|QueuedUpdates|PipelinedUpdates|Batcher' ./internal/core
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'Reap' ./internal/transport
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'HAgentStalledPushes' ./internal/core
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'LocalCall|CallAgentLocal|CallLocalAgent|Crash|NodeClose|MailboxDo' ./internal/platform

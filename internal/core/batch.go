@@ -13,17 +13,24 @@ import (
 	"agentloc/internal/metrics"
 	"agentloc/internal/platform"
 	"agentloc/internal/trace"
-	"agentloc/internal/transport"
 )
 
 // ErrBatcherClosed is returned by Do after Close.
 var ErrBatcherClosed = errors.New("core: update batcher closed")
 
 // UpdateBatcher coalesces move-update traffic: updates bound for the same
-// IAgent within one flush tick travel as a single KindUpdateBatch RPC
-// instead of one RPC each. Heavy TAgent churn against a hot leaf is mostly
-// identical small messages to the same peer — batching them trades a bounded
-// extra latency (at most one tick) for an N-fold drop in RPC count.
+// IAgent travel as one KindUpdateBatch RPC instead of one RPC each. Heavy
+// TAgent churn against a hot leaf is mostly identical small messages to the
+// same peer — batching them trades a bounded extra latency for an N-fold drop
+// in RPC count.
+//
+// Each destination — an IAgent at a node — has a queue of its own, shipped by
+// a sender goroutine of its own: one batch in flight at a time, and batches at
+// least one tick apart, so there is at most one RPC per peer per tick. An idle
+// destination's first update waits at most one tick; a busy one's waits for
+// the batch in flight and what is left of the tick. No destination waits for
+// another, so a stalled leaf holds up only its own updates. A queue and its
+// sender go once the queue drains: a retired IAgent leaves nothing behind.
 //
 // Each entry is acked individually, so the §4.3 refresh-and-retry contract
 // is untouched: a stale entry's NotResponsible ack sends only that caller
@@ -44,17 +51,29 @@ type UpdateBatcher struct {
 	tracer     *trace.Recorder
 
 	mu     sync.Mutex
-	queues map[batchKey][]pendingUpdate
+	queues map[batchKey]*batchQueue
 	closed bool
 
-	stop chan struct{}
-	done chan struct{}
+	stop    chan struct{} // closed by Close: senders stop waiting out ticks
+	senders sync.WaitGroup
 }
 
 // batchKey identifies one destination peer: an IAgent at a node.
 type batchKey struct {
 	node   platform.NodeID
 	iagent ids.AgentID
+}
+
+// batchQueue is one destination's: the updates queued for its next batch and
+// what its sender reuses from batch to batch.
+type batchQueue struct {
+	key    batchKey
+	queued []pendingUpdate // guarded by UpdateBatcher.mu
+
+	// The sender's own: the batch in flight, its request and its response.
+	batch []pendingUpdate
+	req   UpdateBatchReq
+	resp  UpdateBatchResp
 }
 
 type pendingUpdate struct {
@@ -70,12 +89,13 @@ type batchResult struct {
 // resultPool recycles the one-slot channels updates get their acks on. A
 // channel goes back only once its caller has received from it, so it is
 // empty and nothing else will send on it; a caller that gave up on its ctx
-// leaves its channel to the flush goroutine's one send, and to the collector.
+// leaves its channel to the sender's one send, and to the collector.
 var resultPool = sync.Pool{New: func() any { return make(chan batchResult, 1) }}
 
-// NewUpdateBatcher starts a batcher flushing every tick. A tick of zero
-// selects 5ms — small enough to stay well under typical residence times,
-// large enough to coalesce a busy node's worth of updates.
+// NewUpdateBatcher returns a batcher whose destinations send at most one
+// batch per tick. A tick of zero selects 5ms — small enough to stay well under
+// typical residence times, large enough to coalesce a busy node's worth of
+// updates.
 func NewUpdateBatcher(caller Caller, cfg Config, tick time.Duration) *UpdateBatcher {
 	if tick <= 0 {
 		tick = 5 * time.Millisecond
@@ -90,9 +110,8 @@ func NewUpdateBatcher(caller Caller, cfg Config, tick time.Duration) *UpdateBatc
 		clk:    clk,
 		tick:   tick,
 		tracer: CallerTracer(caller),
-		queues: make(map[batchKey][]pendingUpdate),
+		queues: make(map[batchKey]*batchQueue),
 		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
 	if reg := CallerRegistry(caller); reg != nil {
 		reg.Describe("agentloc_core_update_batches_total", "Coalesced update batch RPCs flushed, by result.")
@@ -101,13 +120,12 @@ func NewUpdateBatcher(caller Caller, cfg Config, tick time.Duration) *UpdateBatc
 		b.batchesErr = reg.Counter("agentloc_core_update_batches_total", "result", "error")
 		b.coal = reg.Counter("agentloc_core_update_batched_total")
 	}
-	go b.flushLoop()
 	return b
 }
 
 // Do submits one update — residence binding included, batches carry full
-// UpdateReqs — and blocks until its individual ack arrives with the next
-// flush, the context expires, or the batcher closes.
+// UpdateReqs — and blocks until its individual ack arrives with its
+// destination's next batch, the context expires, or the batcher closes.
 func (b *UpdateBatcher) Do(ctx context.Context, assign Assignment, req UpdateReq) (Ack, error) {
 	p := pendingUpdate{
 		req:    req,
@@ -120,7 +138,14 @@ func (b *UpdateBatcher) Do(ctx context.Context, assign Assignment, req UpdateReq
 		resultPool.Put(p.result)
 		return Ack{}, ErrBatcherClosed
 	}
-	b.queues[key] = append(b.queues[key], p)
+	q := b.queues[key]
+	if q == nil {
+		q = &batchQueue{key: key}
+		b.queues[key] = q
+		b.senders.Add(1)
+		go b.send(q)
+	}
+	q.queued = append(q.queued, p)
 	b.mu.Unlock()
 
 	select {
@@ -128,85 +153,74 @@ func (b *UpdateBatcher) Do(ctx context.Context, assign Assignment, req UpdateReq
 		resultPool.Put(p.result)
 		return r.ack, r.err
 	case <-ctx.Done():
-		// The flush goroutine still owns the entry and will write the
-		// (now unread) buffered result; the caller just stops waiting.
+		// The sender still owns the entry and will write the (now unread)
+		// buffered result; the caller just stops waiting.
 		return Ack{}, ctx.Err()
 	}
 }
 
-// Close stops the flush loop after a final flush; queued entries are still
-// delivered.
+// Close stops the batcher once every destination's queue is delivered:
+// queued entries are still sent, without waiting out their tick.
 func (b *UpdateBatcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		<-b.done
-		return
+	if !b.closed {
+		b.closed = true
+		close(b.stop)
 	}
-	b.closed = true
 	b.mu.Unlock()
-	close(b.stop)
-	<-b.done
+	b.senders.Wait()
 }
 
-// flushLoop drains every destination's queue once per tick, one RPC per
-// destination.
-func (b *UpdateBatcher) flushLoop() {
-	defer close(b.done)
+// send is q's sender. It ships q's queue one batch at a time, the first one
+// tick after the queue opened and each later one a tick after the one before
+// it left, or as soon as its predecessor is answered if that took longer.
+// Finding the queue empty, it takes the queue out and ends; the next update to
+// the destination opens another.
+func (b *UpdateBatcher) send(q *batchQueue) {
+	defer b.senders.Done()
+	next := b.clk.Now().Add(b.tick)
 	for {
-		select {
-		case <-b.clk.After(b.tick):
-			b.flush()
-		case <-b.stop:
-			b.flush() // deliver what is queued before exiting
+		if wait := next.Sub(b.clk.Now()); wait > 0 {
+			select {
+			case <-b.clk.After(wait):
+			case <-b.stop:
+			}
+		}
+		b.mu.Lock()
+		q.batch, q.queued = q.queued, q.batch[:0]
+		if len(q.batch) == 0 {
+			delete(b.queues, q.key)
+			b.mu.Unlock()
 			return
 		}
+		b.mu.Unlock()
+		next = b.clk.Now().Add(b.tick)
+		b.flush(q)
 	}
 }
 
-// flush sends one KindUpdateBatch RPC per destination with queued entries,
-// all as one fan-out, and fans each destination's per-entry acks back out as
-// its reply lands: a stalled IAgent costs only its own batch the deadline
-// instead of head-of-line blocking every other peer's batch for the tick, and
-// the deadline — callTimeout, set or not — keeps a stalled peer from wedging
-// the flush loop, and with it Close, forever.
-func (b *UpdateBatcher) flush() {
-	b.mu.Lock()
-	queues := b.queues
-	b.queues = make(map[batchKey][]pendingUpdate)
-	b.mu.Unlock()
-	if len(queues) == 0 {
-		return
+// flush sends q's batch as one KindUpdateBatch RPC and fans the per-entry
+// acks back out. The deadline — callTimeout, set or not — keeps a stalled
+// peer from wedging the sender, and with it Close, forever; it holds up no
+// other destination's batch.
+func (b *UpdateBatcher) flush(q *batchQueue) {
+	q.req.Updates = q.req.Updates[:0]
+	for _, p := range q.batch {
+		q.req.Updates = append(q.req.Updates, p.req)
 	}
-
-	keys := make([]batchKey, 0, len(queues))
-	for key := range queues {
-		keys = append(keys, key)
+	q.resp.Acks = q.resp.Acks[:0]
+	ctx := context.Background()
+	// The flush runs on the sender's goroutine, outside any one caller's
+	// trace, so each batch records as a root control span.
+	sp := b.tracer.StartRoot("control", "batch.flush")
+	if sp != nil {
+		sp.Annotate("dest", string(q.key.iagent))
+		sp.Annotate("entries", strconv.Itoa(len(q.batch)))
+		ctx = trace.ContextWith(ctx, sp.Context())
 	}
-	resps := make([]UpdateBatchResp, len(keys))
-	spans := make([]*trace.ActiveSpan, len(keys))
-	fanOut(context.Background(), b.cfg.callTimeout(), b.caller.LocalNode(), len(keys),
-		func(i int) platform.NodeID { return keys[i].node },
-		func(ctx context.Context, i int) transport.Pending {
-			key, pending := keys[i], queues[keys[i]]
-			req := UpdateBatchReq{Updates: make([]UpdateReq, len(pending))}
-			for j, p := range pending {
-				req.Updates[j] = p.req
-			}
-			// The flush runs on the batcher's own goroutine, outside any one
-			// caller's trace, so each batch records as a root control span.
-			if sp := b.tracer.StartRoot("control", "batch.flush"); sp != nil {
-				sp.Annotate("dest", string(key.iagent))
-				sp.Annotate("entries", strconv.Itoa(len(pending)))
-				ctx = trace.ContextWith(ctx, sp.Context())
-				spans[i] = sp
-			}
-			return b.caller.Go(ctx, key.node, key.iagent, KindUpdateBatch, req, &resps[i])
-		},
-		func(i int, err error) {
-			spans[i].End(err)
-			b.ack(queues[keys[i]], resps[i], err)
-		})
+	err := callWithin(ctx, b.cfg.callTimeout(), b.caller, q.key.node, q.key.iagent, KindUpdateBatch, q.req, &q.resp)
+	sp.End(err)
+	b.ack(q.batch, q.resp, err)
 }
 
 // ack fans one destination's batch outcome back out to its entries.

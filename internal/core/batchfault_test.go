@@ -175,6 +175,57 @@ func TestUpdateBatcherFlushesDestinationsConcurrently(t *testing.T) {
 	}
 }
 
+// TestUpdateBatcherStalledLeafDelaysNoOther: a destination whose node stalls
+// writes holds up only its own updates. An update sent 50 ms — ten ticks —
+// after one to the stalled node, so the two never share a tick, is answered
+// at once (measured: 2.7 ms; 2.96 s while every tick's batches went out as one
+// fan-out and the next tick waited for the last of them to be answered, so
+// the stalled batch's CallTimeout held back every destination's updates; ≈ 6
+// ms, a tick and a round trip, since each destination sends on its own).
+func TestUpdateBatcherStalledLeafDelaysNoOther(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault-injection test; skipped in -short")
+	}
+	faults := []*transport.Faults{transport.NewFaults(), transport.NewFaults(), transport.NewFaults()}
+	c, links := newTCPCluster(t, quietConfig(), 3, func(i int, tc *transport.TCPConfig) {
+		tc.Faults = faults[i]
+		tc.RedialBackoff = 5 * time.Millisecond
+	})
+	ctx := testCtx(t)
+
+	assign, err := c.service.ClientFor(c.nodes[0]).Register(ctx, "stalled-mover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcfg := quietConfig()
+	bcfg.CallTimeout = 3 * time.Second
+	b := NewUpdateBatcher(NodeCaller{N: c.nodes[2]}, bcfg, 5*time.Millisecond)
+	defer b.Close()
+
+	// node-0, the leaf's, stalls node-2's writes; node-1 answers at once
+	// (there is no such IAgent there, and an answer is all this needs).
+	faults[2].StallWritesTo(links[0].ListenAddr(), true)
+	stalled := make(chan error, 1)
+	go func() {
+		_, err := b.Do(ctx, assign, UpdateReq{Agent: "stalled-mover", Node: c.nodes[2].ID()})
+		stalled <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	start := time.Now()
+	_, err = b.Do(ctx, Assignment{IAgent: "no-such-iagent", Node: c.nodes[1].ID()}, UpdateReq{Agent: "healthy-mover", Node: c.nodes[2].ID()})
+	waited := time.Since(start)
+	t.Logf("the healthy destination's update was answered after %v", waited)
+	if err == nil {
+		t.Error("an update to a missing IAgent returned no error")
+	}
+	if waited > time.Second {
+		t.Errorf("the healthy destination's update waited %v behind the stalled one (CallTimeout %v)", waited, bcfg.CallTimeout)
+	}
+	if err := <-stalled; err == nil {
+		t.Error("the update to the stalled node returned no error")
+	}
+}
+
 // TestUpdateBatcherCountsBatchesByResult pins the metrics fix: the batch
 // counter is labeled by result, a failed batch RPC no longer inflates the
 // ok series, and successes still count.
@@ -264,7 +315,10 @@ func TestUpdateBatcherCancelledDoNeverSeesAnotherAck(t *testing.T) {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			b.mu.Lock()
-			got := len(b.queues[batchKey{node: assign.Node, iagent: assign.IAgent}])
+			got := 0
+			if q := b.queues[batchKey{node: assign.Node, iagent: assign.IAgent}]; q != nil {
+				got = len(q.queued)
+			}
 			b.mu.Unlock()
 			if got == n && fake.PendingWaiters() >= 1 {
 				return

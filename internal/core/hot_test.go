@@ -94,6 +94,49 @@ func TestMoveRemoteAllocBudget(t *testing.T) {
 	}
 }
 
+// TestUpdateBatchAllocBudget is the budget of one batch an UpdateBatcher
+// sends: a 256-entry KindUpdateBatch over loopback TCP into the leaf's
+// mailbox, served off its frame, both nodes' allocations counted (measured:
+// 2 — the request boxed for the call, and the leaf's changes, each agent id a
+// view of the frame and every ack written straight into a pooled reply; 263
+// while the leaf decoded the batch into a request of its own with a string
+// per id and built its acks, its WAL records and its reply per batch, and the
+// sender decoded the acks into a new slice).
+func TestUpdateBatchAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	client, targets := newHotTCPPair(t, 256, 1)
+	ctx := context.Background()
+	assign, err := client.MoveNotifyTo(ctx, targets[0], "node-1", Assignment{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := UpdateBatchReq{Updates: make([]UpdateReq, len(targets))}
+	for i, a := range targets {
+		req.Updates[i] = UpdateReq{Agent: a, Node: "node-1"}
+	}
+	var resp UpdateBatchResp
+	var batchErr error
+	allocs := testing.AllocsPerRun(200, func() {
+		resp.Acks = resp.Acks[:0]
+		err := callWithin(ctx, time.Second, client.caller, assign.Node, assign.IAgent, KindUpdateBatch, req, &resp)
+		if err == nil && (len(resp.Acks) != len(targets) || resp.Acks[0].Status != StatusOK) {
+			err = fmt.Errorf("%d acks for %d updates, the first %v", len(resp.Acks), len(targets), resp.Acks[0].Status)
+		}
+		if err != nil {
+			batchErr = err
+		}
+	})
+	if batchErr != nil {
+		t.Fatal(batchErr)
+	}
+	t.Logf("%.1f allocs per 256-entry update batch", allocs)
+	if allocs > 8 {
+		t.Errorf("a 256-entry update batch allocates %.1f times, budget 8", allocs)
+	}
+}
+
 // TestLocateBatchAllocBudget is the budget of BenchmarkLocateBatchTCP's path:
 // a 64-target LocateBatch over four leaves on the far node — one whois-batch,
 // four frames over loopback TCP, both nodes' allocations counted (measured:

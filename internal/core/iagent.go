@@ -293,16 +293,14 @@ func (b *IAgentBehavior) HandleRequest(ctx *platform.Context, kind string, paylo
 		}
 		return b.ackAnswer(ack), nil
 	case KindUpdateBatch:
-		var req UpdateBatchReq
-		if err := transport.Decode(payload, &req); err != nil {
+		// Served off the payload like a single update: each agent id a view
+		// of the frame, each ack written into the reply as it is judged.
+		n, list, err := updateBatchReqList(payload)
+		if err != nil {
 			return nil, err
 		}
-		b.metUpdate.Add(uint64(len(req.Updates)))
-		acks := make([]Ack, len(req.Updates))
-		if err := b.recordLocations(ctx, req.Updates, acks, make([]change, 0, len(req.Updates)), false); err != nil {
-			return nil, err
-		}
-		return UpdateBatchResp{Acks: acks}, nil
+		b.metUpdate.Add(uint64(n))
+		return b.recordBatch(ctx, n, list)
 	case KindResidenceMove:
 		b.metResidenceMove.Inc()
 		var req ResidenceMoveReq
@@ -351,42 +349,57 @@ func (b *IAgentBehavior) responsible(ctx *platform.Context, hash uint64) (bool, 
 	return owner == ctx.Self(), st.Version()
 }
 
-// recordLocation serves one register or update request, its ack and its
-// change on the stack.
+// recordLocation serves one register or update request, its change on the
+// stack.
 func (b *IAgentBehavior) recordLocation(ctx *platform.Context, u UpdateReq, view bool) (Ack, error) {
-	var ack [1]Ack
 	var one [1]change
-	err := b.recordLocations(ctx, []UpdateReq{u}, ack[:], one[:0], view)
-	return ack[0], err
+	ack, changes := b.judge(ctx, &u, view, one[:0])
+	return ack, b.write(ctx, ack.HashVersion, changes, false)
 }
 
-// recordLocations serves register and update requests, one or a batch (paper
-// §2.3: "each time A moves, it informs its IAgent about its new location"),
-// answering updates[i] in acks[i] and gathering the write in changes' room.
-// Each entry is judged on its own: one this IAgent is not responsible for is
-// answered so and skipped. A non-empty Residence binds the agent to that
-// handle at Node; an empty one clears any binding — an individually-reported
-// move means the agent left its group. A non-empty Capabilities replaces the
-// agent's capability set; empty means no capability change, so plain moves
-// never wipe an advertised set. The responsible entries are one write: logged,
-// the whole batch at once, before any is applied or acknowledged. view says
-// the updates' agent ids are views of the request frame (decodeUpdateView).
-func (b *IAgentBehavior) recordLocations(ctx *platform.Context, updates []UpdateReq, acks []Ack, changes []change, view bool) error {
-	var version uint64
-	for i, u := range updates {
-		b.est.Record()
-		hash := u.Agent.Hash64()
-		var ok bool
-		if ok, version = b.responsible(ctx, hash); !ok {
-			b.metStale.Inc()
-			acks[i] = Ack{Status: StatusNotResponsible, HashVersion: version}
-			continue
-		}
-		acks[i] = Ack{Status: StatusOK, HashVersion: version}
-		// An update counts as a request.
-		changes = append(changes, change{agent: u.Agent, hash: hash, node: u.Node, handle: u.Residence, caps: u.Capabilities, load: 1, view: view})
+// recordBatch serves a KindUpdateBatch: the n updates back to back in list, a
+// view of the request frame (updateBatchReqList), each judged on its own and
+// its ack written into the reply as it is, and the responsible ones one write.
+func (b *IAgentBehavior) recordBatch(ctx *platform.Context, n int, list []byte) (any, error) {
+	changes := make([]change, 0, n)
+	body := wire.GetBuf()
+	*body = wire.AppendUvarint(*body, uint64(n))
+	var ack Ack
+	var u UpdateReq
+	d := wire.NewDec(list)
+	for range n {
+		_ = u.decode(d, true) // checked by updateBatchReqList
+		ack, changes = b.judge(ctx, &u, true, changes)
+		*body = ack.AppendWire(*body)
 	}
-	return b.write(ctx, version, changes, false)
+	if err := b.write(ctx, ack.HashVersion, changes, false); err != nil {
+		wire.PutBuf(body)
+		return nil, err
+	}
+	return encodedAnswer{body}, nil
+}
+
+// judge answers one register or update (paper §2.3: "each time A moves, it
+// informs its IAgent about its new location"), appending its change to
+// changes. An agent this IAgent is not responsible for is answered so and
+// changes nothing. A non-empty Residence binds the agent to that handle at
+// Node; an empty one clears any binding — an individually-reported move means
+// the agent left its group. A non-empty Capabilities replaces the agent's
+// capability set; empty means no capability change, so plain moves never wipe
+// an advertised set. view says u's agent id is a view of the request frame
+// (decodeUpdateView). The caller writes the changes, logged before any is
+// applied or acknowledged.
+func (b *IAgentBehavior) judge(ctx *platform.Context, u *UpdateReq, view bool, changes []change) (Ack, []change) {
+	b.est.Record()
+	hash := u.Agent.Hash64()
+	ok, version := b.responsible(ctx, hash)
+	if !ok {
+		b.metStale.Inc()
+		return Ack{Status: StatusNotResponsible, HashVersion: version}, changes
+	}
+	// An update counts as a request.
+	changes = append(changes, change{agent: u.Agent, hash: hash, node: u.Node, handle: u.Residence, caps: u.Capabilities, load: 1, view: view})
+	return Ack{Status: StatusOK, HashVersion: version}, changes
 }
 
 // residenceMove serves KindResidenceMove: re-point a residence handle at
@@ -526,9 +539,10 @@ func (b *IAgentBehavior) ackAnswer(a Ack) *Ack {
 	return &Ack{Status: a.Status, HashVersion: a.HashVersion}
 }
 
-// encodedAnswer is a served locate batch's or discovery's reply, its body
-// written into a wire.GetBuf buffer while the leg was served: the leg builds
-// no list of results or of matches, and its work falls inside its server span.
+// encodedAnswer is a served locate batch's, discovery's or update batch's
+// reply, its body written into a wire.GetBuf buffer while the request was
+// served: it builds no list of results, matches or acks, and its work falls
+// inside its server span.
 // Appending the body gives the buffer back, so an answer is encoded once —
 // as every reply is — and one never encoded leaves its buffer to the
 // collector.

@@ -126,7 +126,16 @@ func update(tb testing.TB, leaf *IAgentBehavior, ctx *platform.Context, agents [
 		for i, a := range agents[:n] {
 			req.Updates[i] = UpdateReq{Agent: a, Node: node}
 		}
-		for i, ack := range serve(tb, leaf, ctx, KindUpdateBatch, req).(UpdateBatchResp).Acks {
+		// The leaf answers off the frame; its reply is what the link sends.
+		reply, err := transport.AppendV(nil, serve(tb, leaf, ctx, KindUpdateBatch, req), wire.MsgVersion)
+		var resp UpdateBatchResp
+		if err == nil {
+			err = transport.Decode(reply, &resp)
+		}
+		if err != nil || len(resp.Acks) != n {
+			tb.Fatalf("update batch of %d: %d acks, %v", n, len(resp.Acks), err)
+		}
+		for i, ack := range resp.Acks {
 			if ack.Status != StatusOK {
 				tb.Fatalf("update of %s: %v", agents[i], ack.Status)
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"agentloc/internal/capindex"
@@ -285,19 +284,18 @@ func (s leafState) logged(c *change) snapshot.Record {
 // the suffix under mu before it reads the first stripe, so a change the push
 // missed is in the suffix.
 func (b *IAgentBehavior) write(ctx *platform.Context, version uint64, changes []change, bestEffort bool) error {
-	if store := ctx.Durable(); store != nil && len(changes) > 0 {
-		var one [1]snapshot.Record // a single change's, the usual write, on the stack
-		recs := slices.Grow(one[:0], min(len(changes), walBatchRecords))
-		for i := range changes {
-			rec := b.leaf.logged(&changes[i])
-			rec.IAgent, rec.HashVersion = string(ctx.Self()), version
-			if recs = append(recs, rec); len(recs) < walBatchRecords && i < len(changes)-1 {
-				continue
-			}
-			if err := store.AppendBatch(recs); err != nil && !bestEffort {
+	if store := ctx.Durable(); store != nil {
+		self := string(ctx.Self())
+		for lo := 0; lo < len(changes); lo += walBatchRecords {
+			part := changes[lo:min(lo+walBatchRecords, len(changes))]
+			err := store.AppendEach(len(part), func(i int) snapshot.Record {
+				rec := b.leaf.logged(&part[i])
+				rec.IAgent, rec.HashVersion = self, version
+				return rec
+			})
+			if err != nil && !bestEffort {
 				return fmt.Errorf("IAgent %s: wal: %w", ctx.Self(), err)
 			}
-			recs = recs[:0]
 		}
 	}
 	b.leaf.apply(changes)

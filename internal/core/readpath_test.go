@@ -201,6 +201,9 @@ func TestLocateCacheFencedByHashVersionBump(t *testing.T) {
 	}
 }
 
+// TestUpdateBatcherCoalescesPerPeerPerTick: on a fake clock, updates queued
+// to one destination within a tick leave as one RPC, each acked and applied,
+// and the next update leaves with the next batch, a whole tick later.
 func TestUpdateBatcherCoalescesPerPeerPerTick(t *testing.T) {
 	c := newTestCluster(t, quietConfig(), 2)
 	ctx := testCtx(t)
@@ -239,24 +242,29 @@ func TestUpdateBatcherCoalescesPerPeerPerTick(t *testing.T) {
 		}(i)
 	}
 
-	// Wait until all updates are queued and the flush loop is parked on the
-	// fake clock, then release exactly one tick.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		b.mu.Lock()
-		queued := 0
-		for _, q := range b.queues {
-			queued += len(q)
+	// Wait until n updates are queued and the sender is parked on the fake
+	// clock.
+	waitQueued := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			b.mu.Lock()
+			queued := 0
+			for _, q := range b.queues {
+				queued += len(q.queued)
+			}
+			b.mu.Unlock()
+			if queued == n && fake.PendingWaiters() >= 1 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d/%d updates queued", queued, n)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		b.mu.Unlock()
-		if queued == agents && fake.PendingWaiters() >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d updates queued", queued, agents)
-		}
-		time.Sleep(time.Millisecond)
 	}
+	// Release exactly one tick.
+	waitQueued(agents)
 	fake.Advance(50 * time.Millisecond)
 
 	wg.Wait()
@@ -270,6 +278,27 @@ func TestUpdateBatcherCoalescesPerPeerPerTick(t *testing.T) {
 	}
 	if got := cc.count(KindUpdate); got != 0 {
 		t.Errorf("unbatched update RPCs = %d, want 0", got)
+	}
+
+	// The next update leaves with the destination's next batch, a whole tick
+	// after the first one left and no sooner.
+	moved := make(chan error, 1)
+	go func() {
+		_, err := client.MoveNotify(ctx, "batch-agent-0", assigns[0])
+		moved <- err
+	}()
+	waitQueued(1)
+	fake.Advance(50*time.Millisecond - time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // room for a batch sent too soon to show
+	if got := cc.count(KindUpdateBatch); got != 1 {
+		t.Fatalf("batch RPCs = %d before a tick had passed since the first, want 1", got)
+	}
+	fake.Advance(time.Millisecond)
+	if err := <-moved; err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.count(KindUpdateBatch); got != 2 {
+		t.Errorf("batch RPCs = %d after the second tick, want 2", got)
 	}
 
 	// Every entry was acked individually and applied: all agents now locate

@@ -334,13 +334,48 @@ func (r *UpdateBatchReq) DecodeWire(d *wire.Dec) error {
 	return err
 }
 
+// updateBatchReqList is locateBatchReqIDs for an UpdateBatchReq: it checks the
+// frame, accepting exactly what UpdateBatchReq.DecodeWire accepts
+// (FuzzUpdateBatchFrame holds the two to that), and returns the number of
+// updates and the bytes holding them, back to back, a view into the payload.
+// Nothing is copied, interned or allocated.
+func updateBatchReqList(payload []byte) (n int, list []byte, err error) {
+	body, err := binaryBody(payload, "update batch request")
+	if err != nil {
+		return 0, nil, err
+	}
+	d := wire.NewDec(body)
+	if n, err = batchLen(d); err != nil {
+		return 0, nil, err
+	}
+	list = body[len(body)-d.Remaining():]
+	for range n {
+		// Three ids, then a list of tags (UpdateReq.decode).
+		for range 3 {
+			if _, err = d.Bytes(wire.MaxIDLen); err != nil {
+				return 0, nil, err
+			}
+		}
+		tags, err := batchLen(d)
+		for i := 0; i < tags && err == nil; i++ {
+			_, err = d.Bytes(wire.MaxIDLen)
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+	}
+	return n, list, d.Done()
+}
+
 func (r UpdateBatchResp) AppendWire(dst []byte) []byte {
 	return appendList(dst, r.Acks)
 }
 
+// DecodeWire reuses the room r.Acks has, so a batcher's response decoded into
+// again allocates nothing.
 func (r *UpdateBatchResp) DecodeWire(d *wire.Dec) error {
 	var err error
-	r.Acks, err = decodeList[Ack](nil, d)
+	r.Acks, err = decodeList(r.Acks, d)
 	return err
 }
 

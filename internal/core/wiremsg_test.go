@@ -536,6 +536,48 @@ func FuzzLocateBatchFrame(f *testing.F) {
 	})
 }
 
+// FuzzUpdateBatchFrame holds the leaf's frame reader of an update batch to the
+// decoder: updateBatchReqList accepts exactly what UpdateBatchReq.DecodeWire
+// accepts, and each update read off its list, agent id a view, is the one the
+// decoder yields.
+func FuzzUpdateBatchFrame(f *testing.F) {
+	f.Add(UpdateBatchReq{Updates: []UpdateReq{
+		{Agent: "a-0000001", Node: "node-1"},
+		{Agent: "a-0000002", Node: "node-2", Residence: "res-1"},
+		{Agent: "a-0000003", Node: "node-1", Capabilities: []string{"ocr", "gpu"}},
+	}}.AppendWire(nil))
+	f.Add(UpdateBatchReq{}.AppendWire(nil))
+	f.Add(wire.AppendUvarint(nil, 1<<30)) // a count the bytes cannot hold
+	f.Fuzz(func(t *testing.T, body []byte) {
+		payload := append(wire.AppendMsgHeader(nil, wire.MsgVersion), body...)
+		n, list, err := updateBatchReqList(payload)
+		var ref UpdateBatchReq
+		refErr := transport.Decode(payload, &ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("frame read err %v, decoder err %v", err, refErr)
+		}
+		if err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			return
+		}
+		if n != len(ref.Updates) {
+			t.Fatalf("frame read %d updates, decoder %d", n, len(ref.Updates))
+		}
+		d := wire.NewDec(list)
+		for i := range n {
+			var u UpdateReq
+			if err := u.decode(d, true); err != nil {
+				t.Fatalf("update %d of a checked list: %v", i, err)
+			}
+			if !reflect.DeepEqual(u, ref.Updates[i]) {
+				t.Fatalf("update %d: frame read %+v, decoder %+v", i, u, ref.Updates[i])
+			}
+		}
+	})
+}
+
 // TestDiscoverLegRefusesTrailingBytes: a discovery leg whose reply has a byte
 // past its last match fails as a leg and adds none of its matches to the call,
 // which a later round — or the partial result of a discovery that runs out of

@@ -133,7 +133,7 @@ type Store struct {
 	replayedTotal *metrics.Counter
 	writesTotal   func(kind string) *metrics.Counter
 	walWrites     *metrics.Counter // writesTotal("wal"), looked up once: it counts per record
-	walAppends    *metrics.Counter // one per AppendBatch write call
+	walAppends    *metrics.Counter // one per AppendEach write call
 	walSyncs      *metrics.Counter // one per WAL fsync
 }
 
@@ -209,15 +209,21 @@ func (s *Store) Append(rec Record) error {
 // after AppendBatch returns; a crash mid-write leaves an intact prefix of the
 // batch, none of it acknowledged.
 func (s *Store) AppendBatch(recs []Record) error {
-	if len(recs) == 0 {
+	return s.AppendEach(len(recs), func(i int) Record { return recs[i] })
+}
+
+// AppendEach is AppendBatch for n records that rec hands out one at a time,
+// in order, so a caller writing many needs no slice of them.
+func (s *Store) AppendEach(n int, rec func(i int) Record) error {
+	if n == 0 {
 		return nil
 	}
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
-	for _, rec := range recs {
+	for i := range n {
 		var start int
 		*buf, start = wire.BeginFrame(*buf, Magic, FormatVersion, kindRecord)
-		*buf = wire.EndFrame(AppendRecord(*buf, rec), start)
+		*buf = wire.EndFrame(AppendRecord(*buf, rec(i)), start)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,7 +245,7 @@ func (s *Store) AppendBatch(recs []Record) error {
 			return err
 		}
 	}
-	s.walWrites.Add(uint64(len(recs)))
+	s.walWrites.Add(uint64(n))
 	return nil
 }
 
